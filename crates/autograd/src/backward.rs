@@ -208,6 +208,27 @@ fn reduce_to_shape(grad: &Tensor, shape: &[usize]) -> Result<Tensor> {
     Ok(g)
 }
 
+/// The weight-gradient product `aᵀ·g` on its way to an operand of rank
+/// `operand_rank`. When the operand is shared across the leading batch
+/// axis — so [`reduce_to_shape`] would begin by summing axis 0 — and
+/// every batch is a single row vector, that first sum is fused into the
+/// product ([`linalg::matmul_tn_sum_lead`]) and the `[B, .., d, d]`
+/// stack of outer products is never written. The remaining axes reduce
+/// as before, in the recorded order, so the gradient's bits do not move.
+fn matmul_tn_toward(a: &Tensor, g: &Tensor, operand_rank: usize) -> Result<Tensor> {
+    let r = a.rank();
+    let row_vectors = r >= 3
+        && r > operand_rank
+        && g.rank() == r
+        && a.shape()[r - 2] == 1
+        && a.shape()[..r - 1] == g.shape()[..r - 1];
+    if row_vectors && fused_enabled() {
+        linalg::matmul_tn_sum_lead(a, g)
+    } else {
+        linalg::matmul_tn(a, g)
+    }
+}
+
 fn value_of(nodes: &[Node], id: Id) -> Rc<Tensor> {
     Rc::clone(&nodes[id].value)
 }
@@ -338,7 +359,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             let ga_full = linalg::matmul_nt(grad, &bv)?;
             accumulate_reduced(nodes, a, &ga_full)?;
             drop(ga_full);
-            let gb_full = linalg::matmul_tn(&av, grad)?;
+            let gb_full = matmul_tn_toward(&av, grad, bv.rank())?;
             accumulate_reduced(nodes, b, &gb_full)
         }
 
@@ -350,7 +371,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             let ga_full = linalg::matmul(grad, &bv)?;
             accumulate_reduced(nodes, a, &ga_full)?;
             drop(ga_full);
-            let gb_full = linalg::matmul_tn(grad, &av)?;
+            let gb_full = matmul_tn_toward(grad, &av, bv.rank())?;
             accumulate_reduced(nodes, b, &gb_full)
         }
 

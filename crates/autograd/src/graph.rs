@@ -34,6 +34,22 @@ impl ActKind {
             ActKind::Sigmoid => stwa_tensor::mathfn::sigmoid_f32(x),
         }
     }
+
+    /// `self.apply(x + bias)` over the broadcast of `x` and `bias` — the
+    /// fused bias-add forward, shared by [`Var::bias_add_act`] and the
+    /// tape-free layers. The activation is matched once per call, so
+    /// each arm's element loop is a straight-line expression the
+    /// compiler can vectorize (Identity and Relu rows do); per element
+    /// it is still exactly `apply(a + b)`.
+    pub fn bias_add(self, x: &Tensor, bias: &Tensor) -> Result<Tensor> {
+        const OP: &str = "bias_add_act";
+        match self {
+            ActKind::Identity => x.zip(bias, OP, |a, b| ActKind::Identity.apply(a + b)),
+            ActKind::Relu => x.zip(bias, OP, |a, b| ActKind::Relu.apply(a + b)),
+            ActKind::Tanh => x.zip(bias, OP, |a, b| ActKind::Tanh.apply(a + b)),
+            ActKind::Sigmoid => x.zip(bias, OP, |a, b| ActKind::Sigmoid.apply(a + b)),
+        }
+    }
 }
 
 /// The recorded operation that produced a node.

@@ -368,9 +368,7 @@ impl Var {
     /// op — same per-element expressions, same broadcast pairing.
     pub fn bias_add_act(&self, bias: &Var, act: ActKind) -> Result<Var> {
         self.same_graph(bias, "bias_add_act")?;
-        let v = self
-            .value()
-            .zip(&bias.value(), "bias_add_act", |a, b| act.apply(a + b))?;
+        let v = act.bias_add(&self.value(), &bias.value())?;
         Ok(self.binary(
             bias,
             v,

@@ -1,7 +1,7 @@
 //! Kernel throughput harness: measures the production matmul paths
-//! (blocked/packed, fused NT, pool-split) against the retained naive
-//! reference on the shapes the models actually run, and writes the
-//! results to `BENCH_kernels.json`.
+//! (small in-place, blocked/packed, folded shared operand, fused NT,
+//! pool-split) against the retained naive reference on the shapes the
+//! models actually run, and writes the results to `BENCH_kernels.json`.
 //!
 //! Modes:
 //!
@@ -177,6 +177,50 @@ fn run_suite() -> Vec<Entry> {
         ));
     }
 
+    // The train step's real shapes (PEMS08-like: batch 32, 20 sensors,
+    // d = 16). Most of a step's 252 products look like these, and only
+    // the decoder is large enough for blocking alone to make fast. The
+    // `^T` row normalizes against the reference on a materialized
+    // transpose, like `attention_qkt`.
+    let mut step_shape = |name: &'static str, a_shape: &[usize], b_shape: &[usize], nt: bool| {
+        let a = Tensor::randn(a_shape, &mut rng);
+        let b = Tensor::randn(b_shape, &mut rng);
+        let (ar, br) = (a_shape.len(), b_shape.len());
+        let n = if nt { b_shape[br - 2] } else { b_shape[br - 1] };
+        let rows: usize = a_shape[..ar - 1].iter().product();
+        entries.push(measure(
+            name,
+            format!("{a_shape:?}@{b_shape:?}{}", if nt { "^T" } else { "" }).replace(' ', ""),
+            2 * rows * a_shape[ar - 1] * n,
+            || {
+                let c = if nt {
+                    linalg::matmul_nt(&a, &b)
+                } else {
+                    linalg::matmul(&a, &b)
+                };
+                std::hint::black_box(c.unwrap());
+            },
+            || {
+                let c = if nt {
+                    linalg::matmul_reference(&a, &b.transpose_last2().unwrap())
+                } else {
+                    linalg::matmul_reference(&a, &b)
+                };
+                std::hint::black_box(c.unwrap());
+            },
+        ));
+    };
+    // Eq. 12 gate: one shared weight under a row vector per (sample, sensor).
+    step_shape("step_shared_b", &[32, 20, 1, 16], &[16, 16], false);
+    // Per-head score VJP: a dot-product chain per output element.
+    step_shape("step_heads_nt", &[32, 20, 4, 1, 4], &[32, 20, 4, 3, 4], true);
+    // Sensor-correlation attention applied to values, one matrix per sample.
+    step_shape("step_sca_20x20", &[32, 20, 20], &[32, 20, 16], false);
+    // Skinny dense layer over the flattened batch.
+    step_shape("step_skinny", &[640, 16], &[16, 16], false);
+    // Generator decoder output layer.
+    step_shape("step_decoder", &[640, 32], &[32, 512], false);
+
     entries
 }
 
@@ -265,12 +309,12 @@ fn main() {
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!(
-        "{:<16} {:>26} {:>10} {:>10} {:>9} {:>9} {:>8}",
+        "{:<16} {:>30} {:>10} {:>10} {:>9} {:>9} {:>8}",
         "shape", "dims", "ref ms", "kernel ms", "ref GF/s", "ker GF/s", "speedup"
     );
     for e in &entries {
         println!(
-            "{:<16} {:>26} {:>10.3} {:>10.3} {:>9.2} {:>9.2} {:>7.2}x",
+            "{:<16} {:>30} {:>10.3} {:>10.3} {:>9.2} {:>9.2} {:>7.2}x",
             e.name,
             e.shape,
             e.reference_ms,

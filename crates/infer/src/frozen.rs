@@ -680,8 +680,8 @@ fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tenso
     // Freeze-time projections are `[1, N, F, d]` and broadcast over the
     // request batch (stride 0), exactly like the broadcast matmul did.
     let pb_stride = if ks[0] == 1 { 0 } else { n * f * d };
-    let mut kout = memory::take_filled(b * n * rows * d, 0.0);
-    let mut vout = memory::take_filled(b * n * rows * d, 0.0);
+    let mut kout = memory::take_scratch(b * n * rows * d);
+    let mut vout = memory::take_scratch(b * n * rows * d);
     for bi in 0..b {
         for ni in 0..n {
             let ln = bi * n + ni;

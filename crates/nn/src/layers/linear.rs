@@ -188,8 +188,7 @@ impl Linear {
         if let Some(b) = &self.b {
             let b = b.value();
             if memory::fused_enabled() {
-                let kind = act.kind();
-                y = y.zip(&b, "bias_add_act", move |a, bv| kind.apply(a + bv))?;
+                y = act.kind().bias_add(&y, &b)?;
                 applied = true;
             } else {
                 y = y.add(&b)?;

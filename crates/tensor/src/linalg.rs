@@ -10,13 +10,30 @@
 //!   transposed copy,
 //! - [`matmul_tn`]: `[..., k, m]ᵀ @ [..., k, n]` — the `dB = Aᵀ·G` VJP.
 //!
-//! Large products run through a cache-blocked, panel-packed kernel
-//! (`MR×NR` register tile, `KC`-deep panels, AVX2 when the CPU has it);
-//! small ones use the plain i-k-j loop. Both orders accumulate each
-//! output element along a strictly ascending contraction index into a
-//! single f32 chain, so the two paths — and every transpose variant —
-//! are **bitwise identical** and may be mixed freely (the golden-run
-//! regression test depends on this).
+//! Every product runs on one register tile (`tile`): `R` output rows
+//! by `W` columns of accumulators held in locals, A read **in place**
+//! through a `(row, contraction)` stride pair (so `A` and `Aᵀ` differ
+//! only in the strides), B read as `W`-wide rows. Large products feed
+//! the tile from `KC`-deep packed B panels (`NR`-wide strips,
+//! transposed on the fly for `Bᵀ`); small ones — the per-(sample,
+//! sensor) products the model issues by the thousand — read B in place
+//! too and pack nothing. The cutover is a function of the product's
+//! size alone. Trailing batch axes the right operand does not vary over
+//! are folded into the rows of the left one before either path sees the
+//! product (`Plan::build`), and [`matmul_tn_sum_lead`] is the matching
+//! weight gradient with its leading-axis reduction fused in.
+//!
+//! The order contract: each output element is one f32 chain that
+//! starts at `0.0` and adds its `k` products in strictly ascending
+//! contraction order, one rounding per multiply and per add (no FMA).
+//! Tiling, packing, folding, the ISA arm and the thread count only
+//! change *which* elements are in flight together, never an element's
+//! chain, so every path — and [`matmul_reference`], the plain i-k-j
+//! loop kept for tests and benchmarks — is **bitwise identical** and
+//! they may be mixed freely (the golden-run regression test depends on
+//! this). Outputs are *written*, not accumulated into: the first panel
+//! pass starts its accumulators at zero in registers, so output
+//! buffers come from [`crate::memory::take_scratch`] unfilled.
 //!
 //! Parallelism comes from the persistent [`stwa_pool`] pool, never from
 //! per-call thread spawning. Products above [`PARALLEL_FLOP_THRESHOLD`]
@@ -35,22 +52,22 @@ use stwa_pool::SendPtr;
 /// single-threaded; pool dispatch overhead dominates below it.
 pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 
-/// Per-matrix FLOP count below which the plain i-k-j loop beats the
-/// blocked kernel (packing costs more than it saves).
+/// Per-matrix FLOP count below which reading B in place beats packing
+/// it into panels (packing costs more than it saves).
 const BLOCKED_MIN_FLOPS: usize = 1 << 15;
 
-/// Same cutover for `A·Bᵀ` products. The naive NT kernel is a scalar
+/// Same cutover for `A·Bᵀ` products. The small NT kernel is a scalar
 /// dot-product chain — the order contract forbids vectorizing a
 /// reduction — so packing B into strips (which restores the
 /// vectorizable rank-1 layout) wins at much smaller sizes than for NN.
 const BLOCKED_MIN_FLOPS_NT: usize = 1 << 12;
 
-/// Register-tile rows (distinct A rows live per microkernel call).
+/// Register-tile rows (distinct A rows live per full tile).
 pub(crate) const MR: usize = 4;
-/// Register-tile columns (one packed B strip; two AVX2 vectors wide).
+/// Register-tile columns (one packed B strip; one AVX-512 vector wide).
 pub(crate) const NR: usize = 16;
 /// Contraction-depth of one packed panel pass; sized so an `NR`-wide B
-/// strip (`KC * NR * 4 = 16 KiB`) plus the A panel stays L1-resident.
+/// strip (`KC * NR * 4 = 16 KiB`) stays L1-resident.
 pub(crate) const KC: usize = 256;
 
 /// How the left operand's trailing two axes are laid out.
@@ -113,10 +130,12 @@ pub fn matmul_nt_lean(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// The seed kernel, kept as the independent reference implementation:
-/// single-threaded i-k-j over every broadcast batch. Property tests and
-/// the kernel benchmark compare the production paths against this.
+/// single-threaded i-k-j over every broadcast batch, accumulating into
+/// a zero-filled buffer, with no folding, tiling or ISA dispatch.
+/// Property tests and the kernel benchmark compare the production paths
+/// against this; nothing in production dispatch reaches it.
 pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let plan = Plan::build(a, b, AKind::Normal, BKind::Normal, "matmul")?;
+    let plan = Plan::build(a, b, AKind::Normal, BKind::Normal, "matmul", false)?;
     if plan.is_empty() {
         return Tensor::from_vec(Vec::new(), &plan.out_shape);
     }
@@ -125,9 +144,21 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     for (bi, out_mat) in out.chunks_exact_mut(m * n).enumerate() {
         let a_mat = &a.data()[plan.a_offsets.get(bi)..plan.a_offsets.get(bi) + m * k];
         let b_mat = &b.data()[plan.b_offsets.get(bi)..plan.b_offsets.get(bi) + k * n];
-        naive_nn(a_mat, b_mat, out_mat, 0, m, k, n);
+        naive_nn(a_mat, b_mat, out_mat, k, n);
     }
     Tensor::from_vec(out, &plan.out_shape)
+}
+
+/// `C += A @ B`, i-k-j order — the reference's inner kernel.
+fn naive_nn(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        for (p, &aip) in a[i * k..(i + 1) * k].iter().enumerate() {
+            let b_row = &b[p * n..(p + 1) * n];
+            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
+                *cv += aip * bv;
+            }
+        }
+    }
 }
 
 /// Per-batch element offsets of one operand. The no-broadcast case —
@@ -149,6 +180,14 @@ impl Offsets {
             Offsets::Explicit(v) => v[bi],
         }
     }
+
+    /// The largest offset among batches `0..batch` (`batch >= 1`).
+    fn max(&self, batch: usize) -> usize {
+        match self {
+            Offsets::Strided(stride) => (batch - 1) * stride,
+            Offsets::Explicit(v) => v[..batch].iter().copied().max().unwrap_or(0),
+        }
+    }
 }
 
 /// Resolved shapes and per-batch element offsets for one product.
@@ -160,10 +199,31 @@ struct Plan {
     out_shape: Vec<usize>,
     a_offsets: Offsets,
     b_offsets: Offsets,
+    /// Whether trailing batch axes were folded into `m`.
+    folded: bool,
 }
 
 impl Plan {
-    fn build(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result<Plan> {
+    /// Resolve shapes, broadcast the leading axes and lay out the batch
+    /// walk. With `fold`, trailing batch axes that the right operand
+    /// does not vary over are merged into the rows of the left one: a
+    /// contiguous run of `[m, k]` matrices against one shared `B` *is*
+    /// a single `[d·m, k]` product — row `i` of batch `bi` is row
+    /// `bi·m + i` of the tall matrix on both the A and the C side, and
+    /// a row's chain never looks at another row. The Eq. 12 gate
+    /// (`[B, N, 1, d] @ [d, d]`) becomes one `B·N`-row product instead
+    /// of `B·N` single-row ones, and `[B, N, p, m, k] @ [B, N, 1, k, n]`
+    /// becomes `B·N` products of `p·m` rows. `Aᵀ` batches interleave
+    /// rows across batches and stay as they are. `out_shape` is
+    /// unaffected.
+    fn build(
+        a: &Tensor,
+        b: &Tensor,
+        ak: AKind,
+        bk: BKind,
+        op: &'static str,
+        fold: bool,
+    ) -> Result<Plan> {
         if a.rank() < 2 {
             return Err(TensorError::RankTooSmall {
                 op,
@@ -195,15 +255,34 @@ impl Plan {
             });
         }
         let k = ka;
-        let lead_a = &a.shape()[..ar - 2];
-        let lead_b = &b.shape()[..br - 2];
+        let mut lead_a = &a.shape()[..ar - 2];
+        let mut lead_b = &b.shape()[..br - 2];
         let lead_out = broadcast_shapes(op, lead_a, lead_b)?;
-        let batch = volume(&lead_out);
         let mut out_shape = lead_out.clone();
         out_shape.push(m);
         out_shape.push(n);
-        let a_offsets = batch_offsets(lead_a, &lead_out, m * k);
-        let b_offsets = batch_offsets(lead_b, &lead_out, k * n);
+
+        // Trailing axes A owns outright (B has extent 1 there, or no
+        // axis at all), innermost first.
+        let mut lead_out = &lead_out[..];
+        let mut m = m;
+        if fold && ak == AKind::Normal {
+            while let Some((&da, rest_a)) = lead_a.split_last() {
+                match lead_b.split_last() {
+                    Some((&1, rest_b)) => lead_b = rest_b,
+                    None => {}
+                    Some(_) => break,
+                }
+                lead_a = rest_a;
+                lead_out = &lead_out[..lead_out.len() - 1];
+                m *= da;
+            }
+        }
+        let folded = m != out_shape[out_shape.len() - 2];
+
+        let batch = volume(lead_out);
+        let a_offsets = batch_offsets(lead_a, lead_out, m * k);
+        let b_offsets = batch_offsets(lead_b, lead_out, k * n);
         Ok(Plan {
             m,
             k,
@@ -212,6 +291,7 @@ impl Plan {
             out_shape,
             a_offsets,
             b_offsets,
+            folded,
         })
     }
 
@@ -235,7 +315,12 @@ enum Split {
 /// Pick a split and materialize its `(batch, row_start, row_end)` tasks.
 /// Row-block boundaries depend only on the problem shape and thread
 /// count target, never on scheduling, so outputs stay deterministic.
-fn decompose(batch: usize, m: usize, flops: usize, threads: usize) -> (Split, Vec<(usize, usize, usize)>) {
+fn decompose(
+    batch: usize,
+    m: usize,
+    flops: usize,
+    threads: usize,
+) -> (Split, Vec<(usize, usize, usize)>) {
     if flops < PARALLEL_FLOP_THRESHOLD || threads <= 1 || batch * m <= 1 {
         return (Split::None, Vec::new());
     }
@@ -262,18 +347,111 @@ fn decompose(batch: usize, m: usize, flops: usize, threads: usize) -> (Split, Ve
     (Split::Rows, tasks)
 }
 
+/// One matrix pair's shape, layout and kernel choice — everything the
+/// per-batch walk needs, resolved once per product.
+#[derive(Clone, Copy)]
+struct Gemm {
+    m: usize,
+    k: usize,
+    n: usize,
+    ak: AKind,
+    bk: BKind,
+    /// Packed-panel path (`true`) or in-place small path.
+    blocked: bool,
+    isa: Isa,
+}
+
+impl Gemm {
+    fn new(m: usize, k: usize, n: usize, ak: AKind, bk: BKind) -> Gemm {
+        let blocked_min = match bk {
+            BKind::Normal => BLOCKED_MIN_FLOPS,
+            BKind::Transposed => BLOCKED_MIN_FLOPS_NT,
+        };
+        Gemm {
+            m,
+            k,
+            n,
+            ak,
+            bk,
+            blocked: m * n * k >= blocked_min,
+            isa: isa(),
+        }
+    }
+
+    /// Output rows `[r0, r1)` of one matrix pair, written into `c`
+    /// (which holds those rows only; its prior contents are ignored).
+    fn rows(&self, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize) {
+        let (m, k, n) = (self.m, self.k, self.n);
+        assert!(r0 <= r1 && r1 <= m, "row range {r0}..{r1} outside {m} rows");
+        assert!(
+            a.len() >= m * k && b.len() >= k * n && c.len() >= (r1 - r0) * n,
+            "operand slices shorter than {m}x{k}x{n}"
+        );
+        if self.blocked {
+            gemm_blocked(self, a, b, c, r0, r1);
+        } else {
+            // Safety: the three extents were asserted above.
+            unsafe { gemm_small(self, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), r0, r1) };
+        }
+    }
+
+    /// Every batch matrix in order, sequentially. Small products come
+    /// by the thousand with a few dozen FLOPs each, so their walk proves
+    /// its bounds once for the whole batch instead of once per matrix.
+    fn batches(&self, a: &[f32], a_off: &Offsets, b: &[f32], b_off: &Offsets, out: &mut [f32]) {
+        let (m, k, n) = (self.m, self.k, self.n);
+        if self.blocked {
+            for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
+                let (ao, bo) = (a_off.get(bi), b_off.get(bi));
+                self.rows(&a[ao..ao + m * k], &b[bo..bo + k * n], c, 0, m);
+            }
+            return;
+        }
+        let batch = out.len().checked_div(m * n).unwrap_or(0);
+        if batch == 0 {
+            return;
+        }
+        assert!(
+            a_off.max(batch) + m * k <= a.len() && b_off.max(batch) + k * n <= b.len(),
+            "operands shorter than {batch} batches of {m}x{k}x{n}"
+        );
+        for bi in 0..batch {
+            // Safety: every batch's A and B matrix ends at or before the
+            // furthest one, which the assertion above placed inside the
+            // operand; `bi < out.len() / (m·n)` bounds the C matrix.
+            unsafe {
+                gemm_small(
+                    self,
+                    a.as_ptr().add(a_off.get(bi)),
+                    b.as_ptr().add(b_off.get(bi)),
+                    out.as_mut_ptr().add(bi * m * n),
+                    0,
+                    m,
+                );
+            }
+        }
+    }
+}
+
 fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result<Tensor> {
-    let plan = Plan::build(a, b, ak, bk, op)?;
+    let plan = Plan::build(a, b, ak, bk, op, true)?;
     if plan.is_empty() {
         return Tensor::from_vec(Vec::new(), &plan.out_shape);
     }
     let (m, k, n, batch) = (plan.m, plan.k, plan.n, plan.batch);
     let flops = batch * m * n * k;
     let threads = stwa_pool::current_threads();
+    let gemm = Gemm::new(m, k, n, ak, bk);
 
     let _span = stwa_observe::span!("matmul");
     stwa_observe::counter!("matmul.calls").incr();
     stwa_observe::counter!("matmul.flops").add(2 * flops as u64);
+    if plan.folded {
+        stwa_observe::counter!("matmul.folded").incr();
+    }
+    if !gemm.blocked {
+        stwa_observe::counter!("matmul.small").incr();
+    }
 
     let (split, tasks) = decompose(batch, m, flops, threads);
     if flops >= PARALLEL_FLOP_THRESHOLD {
@@ -288,40 +466,10 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
         stwa_observe::counter!("matmul.split_fired").incr();
     }
 
-    let mut out = crate::memory::take_filled(batch * m * n, 0.0);
-    let blocked_min = if bk == BKind::Transposed {
-        BLOCKED_MIN_FLOPS_NT
-    } else {
-        BLOCKED_MIN_FLOPS
-    };
-    let use_blocked = m * n * k >= blocked_min;
+    let mut out = crate::memory::take_scratch(batch * m * n);
     let a_data = a.data();
     let b_data = b.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
-
-    let run_rows = |bi: usize, r0: usize, r1: usize| {
-        let a_mat = &a_data[plan.a_offsets.get(bi)..plan.a_offsets.get(bi) + m * k];
-        let b_mat = &b_data[plan.b_offsets.get(bi)..plan.b_offsets.get(bi) + k * n];
-        // Safety: tasks cover disjoint `[r0, r1)` row ranges of disjoint
-        // batch matrices, and the pool joins before `out` is consumed.
-        let c = unsafe {
-            std::slice::from_raw_parts_mut(out_ptr.get().add(bi * m * n + r0 * n), (r1 - r0) * n)
-        };
-        if use_blocked {
-            gemm_blocked(a_mat, b_mat, c, r0, r1, m, k, n, ak, bk);
-        } else {
-            match (ak, bk) {
-                (AKind::Normal, BKind::Normal) => naive_nn(a_mat, b_mat, c, r0, r1, k, n),
-                (AKind::Normal, BKind::Transposed) => naive_nt(a_mat, b_mat, c, r0, r1, k, n),
-                (AKind::Transposed, BKind::Normal) => naive_tn(a_mat, b_mat, c, r0, r1, m, k, n),
-                // No public entry point builds a double-transposed
-                // product; it would just be matmul(b, a) reversed.
-                (AKind::Transposed, BKind::Transposed) => {
-                    unreachable!("no Aᵀ·Bᵀ entry point")
-                }
-            }
-        }
-    };
 
     if tasks.is_empty() {
         // Sequential path, still routed through the pool so manifests
@@ -330,75 +478,27 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
             // Safety: single task, and the pool joins before `out` is
             // consumed.
             let c_all = unsafe { std::slice::from_raw_parts_mut(out_ptr.get(), batch * m * n) };
-            seq_exec(&plan, a_data, b_data, c_all, use_blocked, ak, bk);
+            gemm.batches(a_data, &plan.a_offsets, b_data, &plan.b_offsets, c_all);
         });
     } else {
         stwa_pool::parallel_for(tasks.len(), |t| {
             let (bi, r0, r1) = tasks[t];
-            run_rows(bi, r0, r1);
+            let a_mat = &a_data[plan.a_offsets.get(bi)..plan.a_offsets.get(bi) + m * k];
+            let b_mat = &b_data[plan.b_offsets.get(bi)..plan.b_offsets.get(bi) + k * n];
+            // Safety: tasks cover disjoint `[r0, r1)` row ranges of
+            // disjoint batch matrices, and the pool joins before `out`
+            // is consumed.
+            let c = unsafe {
+                std::slice::from_raw_parts_mut(
+                    out_ptr.get().add(bi * m * n + r0 * n),
+                    (r1 - r0) * n,
+                )
+            };
+            gemm.rows(a_mat, b_mat, c, r0, r1);
         });
     }
 
     Tensor::from_vec(out, &plan.out_shape)
-}
-
-/// Sequential execution of one planned product: every broadcast batch
-/// matrix in order, through the same kernel the threaded path would
-/// pick. Attention-sized products (a handful of FLOPs, a huge batch)
-/// are dominated by per-batch dispatch, so for plain strided layouts
-/// the kernel selection is hoisted out of the batch loop. Same kernels,
-/// same per-matrix order — bitwise identical to the generic walk.
-fn seq_exec(
-    plan: &Plan,
-    a_data: &[f32],
-    b_data: &[f32],
-    out: &mut [f32],
-    use_blocked: bool,
-    ak: AKind,
-    bk: BKind,
-) {
-    let (m, k, n) = (plan.m, plan.k, plan.n);
-    if let (false, &Offsets::Strided(sa), &Offsets::Strided(sb)) =
-        (use_blocked, &plan.a_offsets, &plan.b_offsets)
-    {
-        match (ak, bk) {
-            (AKind::Normal, BKind::Normal) => {
-                for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
-                    naive_nn(&a_data[bi * sa..], &b_data[bi * sb..], c, 0, m, k, n);
-                }
-            }
-            (AKind::Normal, BKind::Transposed) => {
-                for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
-                    naive_nt(&a_data[bi * sa..], &b_data[bi * sb..], c, 0, m, k, n);
-                }
-            }
-            (AKind::Transposed, BKind::Normal) => {
-                for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
-                    naive_tn(&a_data[bi * sa..], &b_data[bi * sb..], c, 0, m, m, k, n);
-                }
-            }
-            (AKind::Transposed, BKind::Transposed) => {
-                unreachable!("no Aᵀ·Bᵀ entry point")
-            }
-        }
-        return;
-    }
-    for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
-        let a_mat = &a_data[plan.a_offsets.get(bi)..plan.a_offsets.get(bi) + m * k];
-        let b_mat = &b_data[plan.b_offsets.get(bi)..plan.b_offsets.get(bi) + k * n];
-        if use_blocked {
-            gemm_blocked(a_mat, b_mat, c, 0, m, m, k, n, ak, bk);
-        } else {
-            match (ak, bk) {
-                (AKind::Normal, BKind::Normal) => naive_nn(a_mat, b_mat, c, 0, m, k, n),
-                (AKind::Normal, BKind::Transposed) => naive_nt(a_mat, b_mat, c, 0, m, k, n),
-                (AKind::Transposed, BKind::Normal) => naive_tn(a_mat, b_mat, c, 0, m, m, k, n),
-                (AKind::Transposed, BKind::Transposed) => {
-                    unreachable!("no Aᵀ·Bᵀ entry point")
-                }
-            }
-        }
-    }
 }
 
 /// [`run`] without the span, counters, or pool round-trip — the
@@ -433,35 +533,14 @@ fn run_lean(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> R
                 return run(a, b, ak, bk, op);
             }
             if flops > 0 {
-                let blocked_min = if bk == BKind::Transposed {
-                    BLOCKED_MIN_FLOPS_NT
-                } else {
-                    BLOCKED_MIN_FLOPS
-                };
-                let use_blocked = m * n * k >= blocked_min;
-                let mut out = crate::memory::take_filled(batch * m * n, 0.0);
-                let (a_data, b_data) = (a.data(), b.data());
-                let (sa, sb) = (m * k, k * n);
-                for (bi, c) in out.chunks_exact_mut(m * n).enumerate() {
-                    let a_mat = &a_data[bi * sa..(bi + 1) * sa];
-                    let b_mat = &b_data[bi * sb..(bi + 1) * sb];
-                    if use_blocked {
-                        gemm_blocked(a_mat, b_mat, c, 0, m, m, k, n, ak, bk);
-                    } else {
-                        match (ak, bk) {
-                            (AKind::Normal, BKind::Normal) => naive_nn(a_mat, b_mat, c, 0, m, k, n),
-                            (AKind::Normal, BKind::Transposed) => {
-                                naive_nt(a_mat, b_mat, c, 0, m, k, n)
-                            }
-                            (AKind::Transposed, BKind::Normal) => {
-                                naive_tn(a_mat, b_mat, c, 0, m, m, k, n)
-                            }
-                            (AKind::Transposed, BKind::Transposed) => {
-                                unreachable!("no Aᵀ·Bᵀ entry point")
-                            }
-                        }
-                    }
-                }
+                let mut out = crate::memory::take_scratch(batch * m * n);
+                Gemm::new(m, k, n, ak, bk).batches(
+                    a.data(),
+                    &Offsets::Strided(m * k),
+                    b.data(),
+                    &Offsets::Strided(k * n),
+                    &mut out,
+                );
                 let mut out_shape = a.shape()[..ar - 2].to_vec();
                 out_shape.push(m);
                 out_shape.push(n);
@@ -469,7 +548,7 @@ fn run_lean(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> R
             }
         }
     }
-    let plan = Plan::build(a, b, ak, bk, op)?;
+    let plan = Plan::build(a, b, ak, bk, op, true)?;
     if plan.is_empty() {
         return Tensor::from_vec(Vec::new(), &plan.out_shape);
     }
@@ -480,82 +559,530 @@ fn run_lean(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> R
     if batch * m * n * k >= PARALLEL_FLOP_THRESHOLD && stwa_pool::current_threads() > 1 {
         return run(a, b, ak, bk, op);
     }
-    let blocked_min = if bk == BKind::Transposed {
-        BLOCKED_MIN_FLOPS_NT
-    } else {
-        BLOCKED_MIN_FLOPS
-    };
-    let use_blocked = m * n * k >= blocked_min;
-    let mut out = crate::memory::take_filled(batch * m * n, 0.0);
-    seq_exec(&plan, a.data(), b.data(), &mut out, use_blocked, ak, bk);
+    let mut out = crate::memory::take_scratch(batch * m * n);
+    Gemm::new(m, k, n, ak, bk).batches(
+        a.data(),
+        &plan.a_offsets,
+        b.data(),
+        &plan.b_offsets,
+        &mut out,
+    );
     Tensor::from_vec(out, &plan.out_shape)
 }
 
-/// Slice-level serving product: `C += A @ B` for one `[m, k] x [k, n]`
-/// pair, with the same naive/blocked cutover as the tensor entry
+/// `matmul_tn(a, g)?.sum_axis(0, false)` for stacks of row vectors,
+/// without materializing the per-batch outer products: `a` is
+/// `[d0, .., 1, m]`, `g` is `[d0, .., 1, n]` with the same leading axes,
+/// the result `[.., m, n]`.
+///
+/// This is the weight gradient of `[d0, .., 1, m] @ [m, n]` — a row
+/// vector per (sample, sensor) against one shared weight — whose
+/// unfused form writes a `[d0, .., m, n]` tensor only to sum its leading
+/// axis away. With one row per batch the per-batch "product" is a
+/// single term, so summing axis 0 in ascending order *is* an
+/// ascending-contraction chain over `d0`: each output element is
+/// `0.0 + a₀g₀ + a₁g₁ + …`, exactly what the two-step form computes
+/// (its extra `0.0 +` per term is the identity, signed zeros included,
+/// because no partial sum that starts at `+0.0` can reach `-0.0`).
+/// Bitwise identical to the unfused pair.
+pub fn matmul_tn_sum_lead(a: &Tensor, g: &Tensor) -> Result<Tensor> {
+    let r = a.rank();
+    let row_vectors = r >= 3 && g.rank() == r && a.shape()[r - 2] == 1;
+    if !row_vectors || a.shape()[..r - 1] != g.shape()[..r - 1] {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_tn_sum_lead",
+            lhs: a.shape().to_vec(),
+            rhs: g.shape().to_vec(),
+        });
+    }
+    let (d0, m, n) = (a.shape()[0], a.shape()[r - 1], g.shape()[r - 1]);
+    if d0 == 0 {
+        return Err(TensorError::Invalid(format!(
+            "matmul_tn_sum_lead: cannot reduce over empty axis 0 of shape {:?}",
+            a.shape()
+        )));
+    }
+    let rest: usize = a.shape()[1..r - 2].iter().product();
+    let mut out_shape = a.shape()[1..r - 2].to_vec();
+    out_shape.push(m);
+    out_shape.push(n);
+    if rest * m * n == 0 {
+        return Tensor::from_vec(Vec::new(), &out_shape);
+    }
+
+    let _span = stwa_observe::span!("matmul");
+    stwa_observe::counter!("matmul.calls").incr();
+    stwa_observe::counter!("matmul.flops").add(2 * (d0 * rest * m * n) as u64);
+    stwa_observe::counter!("matmul.folded").incr();
+    stwa_observe::counter!("matmul.small").incr();
+    stwa_observe::counter!("matmul.split_none").incr();
+
+    let mut out = crate::memory::take_scratch(rest * m * n);
+    let (a_data, g_data) = (a.data(), g.data());
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let isa = isa();
+    stwa_pool::parallel_for(1, |_| {
+        for ri in 0..rest {
+            // Safety: `a` holds `d0·rest·m` floats and `g` `d0·rest·n`
+            // (shapes checked above), so element `(i, p)` at
+            // `ri·m + i + p·rest·m` and B row `p` at `ri·n + p·rest·n`
+            // are in bounds for `i < m`, `p < d0`; `out` holds `rest`
+            // matrices of `m·n`; single task, joined before `out` is
+            // consumed.
+            unsafe {
+                let a_ri = AView {
+                    ptr: a_data.as_ptr().add(ri * m),
+                    rs: 1,
+                    ps: rest * m,
+                };
+                let g_ri = g_data.as_ptr().add(ri * n);
+                rank1_rows(
+                    isa,
+                    a_ri,
+                    g_ri,
+                    rest * n,
+                    d0,
+                    m,
+                    n,
+                    out_ptr.get().add(ri * m * n),
+                );
+            }
+        }
+    });
+    Tensor::from_vec(out, &out_shape)
+}
+
+/// Slice-level serving product: `C = A @ B` for one `[m, k] x [k, n]`
+/// pair, with the same small/blocked cutover as the tensor entry
 /// points — the hook for hand-fused forwards (the inference engine's
 /// K/V projections) that already hold their operands as raw rows.
-/// `c` must arrive zeroed; each element accumulates its contraction in
-/// one ascending chain, so the result is bitwise identical to the
+/// `c` is written, never read; each element accumulates its contraction
+/// in one ascending chain, so the result is bitwise identical to the
 /// equivalent [`matmul`] on any batching of the same rows.
 pub fn gemm_nn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    if m * n * k >= BLOCKED_MIN_FLOPS {
-        gemm_blocked(a, b, c, 0, m, m, k, n, AKind::Normal, BKind::Normal);
-    } else {
-        naive_nn(a, b, c, 0, m, k, n);
-    }
+    Gemm::new(m, k, n, AKind::Normal, BKind::Normal).rows(
+        &a[..m * k],
+        &b[..k * n],
+        &mut c[..m * n],
+        0,
+        m,
+    );
 }
 
 // -------------------------------------------------------------------
-// Naive kernels (reference + small-product fast path)
+// Register tiles
 // -------------------------------------------------------------------
-//
-// All three accumulate each `c[i][j]` along ascending `p` in a single
-// f32 chain — the order contract shared with the blocked kernel.
 
-/// `C[r0..r1] += A @ B`, i-k-j order; `c` holds rows `r0..r1` only.
-fn naive_nn(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
-    for i in r0..r1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[(i - r0) * n..(i - r0 + 1) * n];
-        for (p, &aip) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += aip * bv;
+/// Which build of the full `MR × NR` tile runs. The wider builds only
+/// change how many lanes each `mul`/`add` covers — no FMA contraction,
+/// one rounding per operation — so every arm produces identical bits.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Isa {
+    Scalar,
+    Avx2,
+    Avx512,
+}
+
+/// The widest arm the CPU supports (capped by the test override).
+fn isa() -> Isa {
+    let detected = {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                Isa::Avx512
+            } else if std::arch::is_x86_feature_detected!("avx2") {
+                Isa::Avx2
+            } else {
+                Isa::Scalar
             }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Isa::Scalar
+        }
+    };
+    #[cfg(test)]
+    let detected = detected.min(isa_cap::get());
+    detected
+}
+
+/// Test-only ceiling on the dispatched arm, so the scalar and AVX2
+/// tiles are exercised (and held to the same bits) on AVX-512 hosts.
+#[cfg(test)]
+mod isa_cap {
+    use super::Isa;
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    static CAP: AtomicU8 = AtomicU8::new(Isa::Avx512 as u8);
+
+    pub(super) fn get() -> Isa {
+        match CAP.load(Ordering::Relaxed) {
+            0 => Isa::Scalar,
+            1 => Isa::Avx2,
+            _ => Isa::Avx512,
+        }
+    }
+
+    pub(super) fn set(cap: Isa) {
+        CAP.store(cap as u8, Ordering::Relaxed);
+    }
+}
+
+/// The left operand as the tile reads it: element `(r, p)` — output row
+/// `r`, contraction step `p` — lives at `ptr[r·rs + p·ps]`. `A` is
+/// `(rs, ps) = (k, 1)` and `Aᵀ` is `(1, m)`, so the two orientations
+/// share every kernel and neither is ever packed.
+#[derive(Clone, Copy)]
+struct AView {
+    ptr: *const f32,
+    rs: usize,
+    ps: usize,
+}
+
+impl AView {
+    /// Rows `0..m` and steps `0..k` of one `[m, k]` (or, transposed,
+    /// `[k, m]`) row-major matrix starting at `ptr`.
+    fn new(ptr: *const f32, ak: AKind, m: usize, k: usize) -> AView {
+        let (rs, ps) = match ak {
+            AKind::Normal => (k, 1),
+            AKind::Transposed => (1, m),
+        };
+        AView { ptr, rs, ps }
+    }
+
+    /// The same matrix seen from row `rows`, step `steps`.
+    ///
+    /// # Safety
+    ///
+    /// Element `(rows, steps)` must lie inside the allocation (or one
+    /// past its end).
+    #[inline(always)]
+    unsafe fn at(self, rows: usize, steps: usize) -> AView {
+        AView {
+            // Safety: the caller keeps the new origin in bounds.
+            ptr: unsafe { self.ptr.add(rows * self.rs + steps * self.ps) },
+            ..self
         }
     }
 }
 
-/// `C[r0..r1] += A @ Bᵀ` with `b` stored `[n, k]`: row-times-row dots.
-fn naive_nt(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
+/// The register tile every path bottoms out in:
+/// `C[R × W] = (first ? 0 : C) + A[R × kc] · B[kc × W]`, with row `p` of
+/// B at `b[p·bs..][..W]` and row `r` of C at `c[r·cs..][..W]`. `R·W`
+/// accumulators live in locals for the whole contraction — one
+/// ascending-`p` chain each — and C is touched once at each end (not at
+/// all on entry when `first`). A packed strip of B is `bs = NR`, B in
+/// place is `bs = n`.
+///
+/// # Safety
+///
+/// For every `r < R`, `p < kc`: element `(r, p)` of `a`,
+/// `b[p·bs .. p·bs + W]` and `c[r·cs .. r·cs + W]` must be in bounds of
+/// their allocations, and `c` must not alias `a` or `b`.
+#[inline(always)]
+unsafe fn tile<const R: usize, const W: usize>(
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    cs: usize,
+    first: bool,
+) {
+    let mut acc = [[0f32; W]; R];
+    // Safety (whole body): the caller guarantees every address formed
+    // below is in bounds; `[f32; W]` has the alignment of `f32`.
+    unsafe {
+        if !first {
+            for (r, row) in acc.iter_mut().enumerate() {
+                *row = c.add(r * cs).cast::<[f32; W]>().read();
+            }
+        }
+        for p in 0..kc {
+            let brow = b.add(p * bs).cast::<[f32; W]>().read();
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = *a.ptr.add(r * a.rs + p * a.ps);
+                for (slot, &bv) in row.iter_mut().zip(brow.iter()) {
+                    *slot += av * bv;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            c.add(r * cs).cast::<[f32; W]>().write(*row);
+        }
+    }
+}
+
+/// The full tile compiled with AVX2 enabled: the same body, eight ymm
+/// accumulators.
+///
+/// # Safety
+///
+/// As [`tile`], and the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_full_avx2(
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    cs: usize,
+    first: bool,
+) {
+    // Safety: forwarded contract.
+    unsafe { tile::<MR, NR>(a, b, bs, kc, c, cs, first) }
+}
+
+/// The full tile with explicit 512-bit intrinsics: one zmm accumulator
+/// per A row (`NR == 16` lanes), `vmulps` + `vaddps` kept unfused so
+/// each lane's rounding matches the scalar chain exactly.
+///
+/// # Safety
+///
+/// As [`tile`], and the CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_full_avx512(
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    cs: usize,
+    first: bool,
+) {
+    use std::arch::x86_64::*;
+    let AView { ptr: a, rs, ps } = a;
+    // Safety (whole block): addresses are in bounds by the caller's
+    // contract; unaligned load/store intrinsics have no alignment
+    // requirement.
+    unsafe {
+        let (mut acc0, mut acc1, mut acc2, mut acc3) = if first {
+            let z = _mm512_setzero_ps();
+            (z, z, z, z)
+        } else {
+            (
+                _mm512_loadu_ps(c),
+                _mm512_loadu_ps(c.add(cs)),
+                _mm512_loadu_ps(c.add(2 * cs)),
+                _mm512_loadu_ps(c.add(3 * cs)),
+            )
+        };
+        // Each accumulator takes its rank-1 updates one at a time in
+        // ascending `p`; the 4-deep unroll only trims loop overhead.
+        macro_rules! step {
+            ($p:expr) => {{
+                let ap = a.add($p * ps);
+                let bv = _mm512_loadu_ps(b.add($p * bs));
+                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*ap), bv));
+                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*ap.add(rs)), bv));
+                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*ap.add(2 * rs)), bv));
+                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*ap.add(3 * rs)), bv));
+            }};
+        }
+        let mut p = 0;
+        while p + 4 <= kc {
+            step!(p);
+            step!(p + 1);
+            step!(p + 2);
+            step!(p + 3);
+            p += 4;
+        }
+        while p < kc {
+            step!(p);
+            p += 1;
+        }
+        _mm512_storeu_ps(c, acc0);
+        _mm512_storeu_ps(c.add(cs), acc1);
+        _mm512_storeu_ps(c.add(2 * cs), acc2);
+        _mm512_storeu_ps(c.add(3 * cs), acc3);
+    }
+}
+
+/// An `R × NR` tile: the full `MR`-row tile goes to the widest ISA arm,
+/// single leftover rows to the portable body.
+///
+/// # Safety
+///
+/// As [`tile`] with `W = NR`; `isa` must not exceed what the CPU
+/// supports (it comes from [`isa`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_nr<const R: usize>(
+    isa: Isa,
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    kc: usize,
+    c: *mut f32,
+    cs: usize,
+    first: bool,
+) {
+    // Safety: forwarded contract; the ISA arms are guarded by `isa`.
+    unsafe {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if R == MR {
+                match isa {
+                    Isa::Avx512 => return tile_full_avx512(a, b, bs, kc, c, cs, first),
+                    Isa::Avx2 => return tile_full_avx2(a, b, bs, kc, c, cs, first),
+                    Isa::Scalar => {}
+                }
+            }
+        }
+        let _ = isa;
+        tile::<R, NR>(a, b, bs, kc, c, cs, first)
+    }
+}
+
+// -------------------------------------------------------------------
+// Small products: operands read in place, nothing packed
+// -------------------------------------------------------------------
+
+/// Rows `[r0, r1)` of a product below the blocked cutover, written to
+/// `c`. `A·B` and `Aᵀ·B` walk `MR`-row bands (then single rows) across
+/// const-width column tiles — 16, 8, 4, then 1 — reading B rows in
+/// place; `A·Bᵀ` is a dot product per element, four at a time. The
+/// whole contraction runs in one pass.
+///
+/// # Safety
+///
+/// `r0 <= r1 <= g.m`; `a` and `b` must be readable for the `m·k` and
+/// `k·n` floats of one matrix each, and `c` writable for the
+/// `(r1 - r0)·n` floats of the requested rows.
+#[inline(always)]
+unsafe fn gemm_small(g: &Gemm, a: *const f32, b: *const f32, c: *mut f32, r0: usize, r1: usize) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    // Safety (whole body): the extents are the caller's contract; rows
+    // `r0..r1` of A start at element `(r0, 0)`, inside `m·k`.
+    unsafe {
+        if k == 0 {
+            // Nothing to contract (and no B row to point a tile at).
+            c.write_bytes(0, (r1 - r0) * n);
+            return;
+        }
+        if g.bk == BKind::Transposed {
+            // No public entry point builds a double-transposed product;
+            // it would just be matmul(b, a) reversed.
+            assert!(g.ak == AKind::Normal, "no Aᵀ·Bᵀ entry point");
+            return small_nt(
+                std::slice::from_raw_parts(a, m * k),
+                std::slice::from_raw_parts(b, n * k),
+                std::slice::from_raw_parts_mut(c, (r1 - r0) * n),
+                r0,
+                r1,
+                k,
+                n,
+            );
+        }
+        let a = AView::new(a, g.ak, m, k).at(r0, 0);
+        rank1_rows(g.isa, a, b, n, k, r1 - r0, n, c);
+    }
+}
+
+/// `rows × n` outputs of an `A·B` / `Aᵀ·B` product with both operands
+/// read in place: `MR`-row bands, then single leftover rows.
+///
+/// # Safety
+///
+/// `a` addresses `rows` rows of `k` contraction steps; row `p < k` of B
+/// is the `n` floats at `b[p·bs..]`; `c` has `rows` rows of stride `n`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn rank1_rows(
+    isa: Isa,
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    k: usize,
+    rows: usize,
+    n: usize,
+    c: *mut f32,
+) {
+    let mut i = 0;
+    // Safety: each band covers rows `[i, i + R)` inside `rows`.
+    unsafe {
+        while i + MR <= rows {
+            row_tiles::<MR>(isa, a.at(i, 0), b, bs, k, n, c.add(i * n));
+            i += MR;
+        }
+        while i < rows {
+            row_tiles::<1>(isa, a.at(i, 0), b, bs, k, n, c.add(i * n));
+            i += 1;
+        }
+    }
+}
+
+/// One `R`-row band of a small `A·B` / `Aᵀ·B` product across all `n`
+/// columns, widest const-width tile first.
+///
+/// # Safety
+///
+/// `a` addresses `R` rows of `k` contraction steps; row `p < k` of B is
+/// the `n` floats at `b[p·bs..]`; `c` has `R` rows of stride `n`.
+#[inline(always)]
+unsafe fn row_tiles<const R: usize>(
+    isa: Isa,
+    a: AView,
+    b: *const f32,
+    bs: usize,
+    k: usize,
+    n: usize,
+    c: *mut f32,
+) {
+    let mut j = 0;
+    // Safety: every tile covers columns `[j, j + W)` with `j + W <= n`.
+    unsafe {
+        while j + NR <= n {
+            tile_nr::<R>(isa, a, b.add(j), bs, k, c.add(j), n, true);
+            j += NR;
+        }
+        if j + 8 <= n {
+            tile::<R, 8>(a, b.add(j), bs, k, c.add(j), n, true);
+            j += 8;
+        }
+        if j + 4 <= n {
+            tile::<R, 4>(a, b.add(j), bs, k, c.add(j), n, true);
+            j += 4;
+        }
+        while j < n {
+            tile::<R, 1>(a, b.add(j), bs, k, c.add(j), n, true);
+            j += 1;
+        }
+    }
+}
+
+/// Small `A·Bᵀ` with `b` stored `[n, k]`: each output element is a
+/// row-times-row dot product, a reduction the order contract forbids
+/// vectorizing — so four neighbouring outputs run as four independent
+/// scalar chains, which is what hides the add latency.
+fn small_nt(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
     for i in r0..r1 {
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[(i - r0) * n..(i - r0 + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = *cv;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
+        let mut j = 0;
+        while j + 4 <= n {
+            let rows = &b[j * k..(j + 4) * k];
+            let (b0, rest) = rows.split_at(k);
+            let (b1, rest) = rest.split_at(k);
+            let (b2, b3) = rest.split_at(k);
+            let mut acc = [0f32; 4];
+            for ((((&av, &v0), &v1), &v2), &v3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+                acc[0] += av * v0;
+                acc[1] += av * v1;
+                acc[2] += av * v2;
+                acc[3] += av * v3;
+            }
+            c_row[j..j + 4].copy_from_slice(&acc);
+            j += 4;
+        }
+        for (jj, cv) in c_row.iter_mut().enumerate().skip(j) {
+            let mut acc = 0f32;
+            for (&av, &bv) in a_row.iter().zip(&b[jj * k..(jj + 1) * k]) {
                 acc += av * bv;
             }
             *cv = acc;
-        }
-    }
-}
-
-/// `C[r0..r1] += Aᵀ @ B` with `a` stored `[k, m]`: p-outer saxpy order.
-#[allow(clippy::too_many_arguments)]
-fn naive_tn(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, m: usize, k: usize, n: usize) {
-    for p in 0..k {
-        let a_col = &a[p * m..(p + 1) * m];
-        let b_row = &b[p * n..(p + 1) * n];
-        for i in r0..r1 {
-            let aip = a_col[i];
-            let c_row = &mut c[(i - r0) * n..(i - r0 + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += aip * bv;
-            }
         }
     }
 }
@@ -573,50 +1100,122 @@ thread_local! {
 /// Cache-blocked GEMM over output rows `[r0, r1)` of one matrix pair.
 ///
 /// Panels of B (`KC × NR` strips, transposed on the fly for
-/// [`BKind::Transposed`]) and of A (`MR × KC`) are packed contiguous so
-/// the microkernel streams both operands linearly. The C register tile
-/// is loaded, accumulated along ascending `p`, and stored back each
-/// panel pass, keeping every element's f32 summation chain identical to
-/// the naive kernels'. Ragged edges are zero-padded in the panels;
-/// padded lanes are never stored, so they cannot perturb results.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    r0: usize,
-    r1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    ak: AKind,
-    bk: BKind,
-) {
+/// [`BKind::Transposed`]) are packed contiguous so the tile streams B
+/// linearly; A is read where it lies. The first panel pass writes C
+/// from zeroed accumulators, later passes load, accumulate along
+/// ascending `p`, and store back, keeping every element's f32 chain
+/// identical to the small kernels'.
+fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    assert!(r0 <= r1 && r1 <= m, "row range {r0}..{r1} outside {m} rows");
+    assert!(a.len() >= m * k, "A shorter than {m}x{k}");
+    if k == 0 {
+        c[..(r1 - r0) * n].fill(0.0);
+        return;
+    }
+    if r0 == r1 {
+        return;
+    }
+    let a = AView::new(a.as_ptr(), g.ak, m, k);
     let n_strips = n.div_ceil(NR);
     PACK_B.with(|buf| {
         let mut bpanel = buf.borrow_mut();
         bpanel.resize(KC * n_strips * NR, 0.0);
-        let mut apanel = [0f32; MR * KC];
         let mut k0 = 0;
         while k0 < k {
             let kc = KC.min(k - k0);
-            pack_b(&mut bpanel, b, k0, kc, k, n, bk);
-            let mut i0 = r0;
-            while i0 < r1 {
-                let mr = MR.min(r1 - i0);
-                pack_a(&mut apanel, a, i0, mr, k0, kc, m, k, ak);
-                for js in 0..n_strips {
-                    let j0 = js * NR;
-                    let nr = NR.min(n - j0);
-                    let strip = &bpanel[js * KC * NR..js * KC * NR + kc * NR];
-                    let tile = &mut c[(i0 - r0) * n + j0..];
-                    microkernel(&apanel, strip, kc, tile, n, mr, nr);
-                }
-                i0 += MR;
-            }
+            pack_b(&mut bpanel, b, k0, kc, k, n, g.bk);
+            // Safety: rows `r0..r1` lie below `m` and contraction steps
+            // `k0..k0 + kc` below `k`, so every element the pass reads
+            // is inside the `m·k` floats asserted above.
+            unsafe { panel_pass(g.isa, a.at(r0, k0), &bpanel, kc, c, r1 - r0, n, k0 == 0) };
             k0 += kc;
         }
     });
+}
+
+/// One `kc`-deep pass of `rows` output rows against a packed B panel:
+/// `MR`-row bands, then single leftover rows, each across every strip.
+///
+/// # Safety
+///
+/// `a` must address `rows` rows of `kc` contraction steps.
+#[allow(clippy::too_many_arguments)]
+unsafe fn panel_pass(
+    isa: Isa,
+    a: AView,
+    panel: &[f32],
+    kc: usize,
+    c: &mut [f32],
+    rows: usize,
+    n: usize,
+    first: bool,
+) {
+    let n_strips = n.div_ceil(NR);
+    assert!(c.len() >= rows * n, "C shorter than {rows}x{n}");
+    assert!(
+        kc <= KC && panel.len() >= n_strips * KC * NR,
+        "B panel shorter than {n_strips} strips"
+    );
+    let (panel, c) = (panel.as_ptr(), c.as_mut_ptr());
+    let mut i = 0;
+    // Safety: band `i..i + R` lies inside `rows`; A by the caller's
+    // contract, the panel and C by the assertions above.
+    unsafe {
+        while i + MR <= rows {
+            band::<MR>(isa, a.at(i, 0), panel, kc, c.add(i * n), n, first);
+            i += MR;
+        }
+        while i < rows {
+            band::<1>(isa, a.at(i, 0), panel, kc, c.add(i * n), n, first);
+            i += 1;
+        }
+    }
+}
+
+/// One `R`-row band of a panel pass across every `NR`-wide strip. A
+/// ragged final strip computes the full `NR` width on the panel's zero
+/// padding into a stack tile and copies the live columns, so padded
+/// lanes never reach C.
+///
+/// # Safety
+///
+/// `a` addresses `R` rows of `kc` steps; `panel` holds `ceil(n / NR)`
+/// strips of `KC·NR` floats; `c` has `R` rows of stride `n`.
+#[inline(always)]
+unsafe fn band<const R: usize>(
+    isa: Isa,
+    a: AView,
+    panel: *const f32,
+    kc: usize,
+    c: *mut f32,
+    n: usize,
+    first: bool,
+) {
+    // Safety: strip `js` starts at `js·KC·NR` and spans `kc·NR` floats;
+    // full strips write `NR` columns at `j0 + NR <= n`, the ragged one
+    // goes through `edge` and touches only `nr` columns of C.
+    unsafe {
+        for js in 0..n.div_ceil(NR) {
+            let j0 = js * NR;
+            let nr = NR.min(n - j0);
+            let strip = panel.add(js * KC * NR);
+            if nr == NR {
+                tile_nr::<R>(isa, a, strip, NR, kc, c.add(j0), n, first);
+            } else {
+                let mut edge = [[0f32; NR]; R];
+                if !first {
+                    for (r, row) in edge.iter_mut().enumerate() {
+                        std::ptr::copy_nonoverlapping(c.add(r * n + j0), row.as_mut_ptr(), nr);
+                    }
+                }
+                tile_nr::<R>(isa, a, strip, NR, kc, edge.as_mut_ptr().cast(), NR, first);
+                for (r, row) in edge.iter().enumerate() {
+                    std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * n + j0), nr);
+                }
+            }
+        }
+    }
 }
 
 /// Pack the `[k0, k0+kc)` slab of B into `NR`-wide strips:
@@ -650,176 +1249,6 @@ fn pack_b(panel: &mut [f32], b: &[f32], k0: usize, kc: usize, k: usize, n: usize
                 }
             }
         }
-    }
-}
-
-/// Pack an `MR × kc` block of A rows `i0..i0+mr`:
-/// `panel[p*MR + r] = A[i0+r][k0+p]`, zero rows beyond `mr` so tail
-/// tiles multiply by zero instead of branching.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    panel: &mut [f32; MR * KC],
-    a: &[f32],
-    i0: usize,
-    mr: usize,
-    k0: usize,
-    kc: usize,
-    m: usize,
-    k: usize,
-    ak: AKind,
-) {
-    match ak {
-        AKind::Normal => {
-            for p in 0..kc {
-                let dst = &mut panel[p * MR..p * MR + MR];
-                for (r, slot) in dst.iter_mut().enumerate() {
-                    *slot = if r < mr { a[(i0 + r) * k + k0 + p] } else { 0.0 };
-                }
-            }
-        }
-        AKind::Transposed => {
-            // A is `[k, m]`; one packed column group is a contiguous read.
-            for p in 0..kc {
-                let src = &a[(k0 + p) * m + i0..(k0 + p) * m + i0 + mr];
-                let dst = &mut panel[p * MR..p * MR + MR];
-                dst[..mr].copy_from_slice(src);
-                dst[mr..].fill(0.0);
-            }
-        }
-    }
-}
-
-/// Dispatch to the widest microkernel the CPU supports. The wider
-/// builds only change how many lanes each `mul`/`add` covers — no FMA
-/// contraction, one rounding per operation — so every path produces
-/// identical bits.
-fn microkernel(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], cs: usize, mr: usize, nr: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static AVX512: OnceLock<bool> = OnceLock::new();
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        if *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f")) {
-            // Safety: guarded by the runtime AVX-512F check above.
-            unsafe { microkernel_avx512(ap, bp, kc, c, cs, mr, nr) };
-            return;
-        }
-        if *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
-            // Safety: guarded by the runtime AVX2 check above.
-            unsafe { microkernel_avx2(ap, bp, kc, c, cs, mr, nr) };
-            return;
-        }
-    }
-    microkernel_body(ap, bp, kc, c, cs, mr, nr);
-}
-
-/// Full `MR × NR` tiles with explicit 512-bit intrinsics: one zmm
-/// accumulator per A row (`NR == 16` lanes), `vmulps` + `vaddps` kept
-/// unfused so each lane's rounding matches the scalar chain exactly.
-/// Edge tiles (`mr < MR` or `nr < NR`) fall back to the generic body —
-/// same bits, they just can't use full-width stores.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use std::arch::x86_64::*;
-    if mr != MR || nr != NR {
-        microkernel_body(ap, bp, kc, c, cs, mr, nr);
-        return;
-    }
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR && c.len() >= 3 * cs + NR);
-    // Safety (whole block): tile bounds checked above; unaligned
-    // load/store intrinsics have no alignment requirement.
-    unsafe {
-        let cp = c.as_mut_ptr();
-        let mut acc0 = _mm512_loadu_ps(cp);
-        let mut acc1 = _mm512_loadu_ps(cp.add(cs));
-        let mut acc2 = _mm512_loadu_ps(cp.add(2 * cs));
-        let mut acc3 = _mm512_loadu_ps(cp.add(3 * cs));
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // 4-deep unroll: each accumulator still takes its rank-1 updates
-        // one at a time in ascending `p`, so the chain is unchanged —
-        // the unroll only trims loop overhead.
-        let mut p = 0;
-        while p + 4 <= kc {
-            for _ in 0..4 {
-                let bv = _mm512_loadu_ps(b);
-                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*a), bv));
-                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*a.add(1)), bv));
-                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*a.add(2)), bv));
-                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*a.add(3)), bv));
-                a = a.add(MR);
-                b = b.add(NR);
-            }
-            p += 4;
-        }
-        while p < kc {
-            let bv = _mm512_loadu_ps(b);
-            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*a), bv));
-            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*a.add(1)), bv));
-            acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*a.add(2)), bv));
-            acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*a.add(3)), bv));
-            a = a.add(MR);
-            b = b.add(NR);
-            p += 1;
-        }
-        _mm512_storeu_ps(cp, acc0);
-        _mm512_storeu_ps(cp.add(cs), acc1);
-        _mm512_storeu_ps(cp.add(2 * cs), acc2);
-        _mm512_storeu_ps(cp.add(3 * cs), acc3);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    microkernel_body(ap, bp, kc, c, cs, mr, nr);
-}
-
-/// The `MR × NR` register tile: load C, accumulate `kc` rank-1 updates
-/// in ascending `p`, store C. Single accumulator per element — the
-/// order contract that keeps this bitwise equal to the naive kernels.
-#[inline(always)]
-fn microkernel_body(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate().take(mr) {
-        row[..nr].copy_from_slice(&c[r * cs..r * cs + nr]);
-    }
-    for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        let brow: &[f32; NR] = brow.try_into().expect("NR strip");
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = arow[r];
-            for (slot, &bv) in accr.iter_mut().zip(brow.iter()) {
-                *slot += av * bv;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        c[r * cs..r * cs + nr].copy_from_slice(&row[..nr]);
     }
 }
 
@@ -900,12 +1329,9 @@ impl PackedMatrix {
     }
 }
 
-/// `a @ packed` where `a` is `[..., m, k]` and the packed matrix stands
-/// for a shared `[k, n]` right operand. All leading axes of `a` flatten
-/// into rows (each output row's summation chain is unchanged by the
-/// flattening), producing `[..., m, n]`. Bitwise identical to
-/// `matmul(a, b)` for the tensor `b` that was packed.
-pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
+/// Shape checks shared by [`matmul_packed`] and [`matmul_packed_lean`]:
+/// the flattened row count and the output shape.
+fn packed_dims(a: &Tensor, packed: &PackedMatrix) -> Result<(usize, Vec<usize>)> {
     if a.rank() < 2 {
         return Err(TensorError::RankTooSmall {
             op: "matmul_packed",
@@ -922,9 +1348,19 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
         });
     }
     let rows: usize = a.shape()[..ar - 1].iter().product();
-    let (k, n) = (packed.k, packed.n);
     let mut out_shape = a.shape()[..ar - 1].to_vec();
-    out_shape.push(n);
+    out_shape.push(packed.n);
+    Ok((rows, out_shape))
+}
+
+/// `a @ packed` where `a` is `[..., m, k]` and the packed matrix stands
+/// for a shared `[k, n]` right operand. All leading axes of `a` flatten
+/// into rows (each output row's summation chain is unchanged by the
+/// flattening), producing `[..., m, n]`. Bitwise identical to
+/// `matmul(a, b)` for the tensor `b` that was packed.
+pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
+    let (rows, out_shape) = packed_dims(a, packed)?;
+    let (k, n) = (packed.k, packed.n);
     if rows * n == 0 {
         return Tensor::from_vec(Vec::new(), &out_shape);
     }
@@ -934,17 +1370,17 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
     stwa_observe::counter!("matmul.packed_calls").incr();
     stwa_observe::counter!("matmul.flops").add(2 * (rows * n * k) as u64);
 
-    let mut out = crate::memory::take_filled(rows * n, 0.0);
+    let mut out = crate::memory::take_scratch(rows * n);
     let a_data = a.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
     let threads = stwa_pool::current_threads();
+    let isa = isa();
     let (_, tasks) = decompose(1, rows, rows * n * k, threads);
     let run_rows = |r0: usize, r1: usize| {
         // Safety: tasks cover disjoint `[r0, r1)` row ranges and the
         // pool joins before `out` is consumed.
-        let c =
-            unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-        gemm_prepacked(a_data, packed, c, r0, r1, k, n);
+        let c = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
+        gemm_prepacked(isa, &a_data[..rows * k], packed, c, r0, r1);
     };
     if tasks.is_empty() {
         stwa_pool::parallel_for(1, |_| run_rows(0, rows));
@@ -963,92 +1399,55 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
 /// batches keep their parallelism. Bitwise identical to
 /// [`matmul_packed`] and [`matmul`].
 pub fn matmul_packed_lean(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
-    if a.rank() < 2 {
-        return Err(TensorError::RankTooSmall {
-            op: "matmul_packed",
-            required: 2,
-            actual: a.rank(),
-        });
-    }
-    let ar = a.rank();
-    if a.shape()[ar - 1] != packed.k {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_packed",
-            lhs: a.shape().to_vec(),
-            rhs: vec![packed.k, packed.n],
-        });
-    }
-    let rows: usize = a.shape()[..ar - 1].iter().product();
+    let (rows, out_shape) = packed_dims(a, packed)?;
     let (k, n) = (packed.k, packed.n);
     if rows * n * k >= PARALLEL_FLOP_THRESHOLD && stwa_pool::current_threads() > 1 {
         return matmul_packed(a, packed);
     }
-    let mut out_shape = a.shape()[..ar - 1].to_vec();
-    out_shape.push(n);
     if rows * n == 0 {
         return Tensor::from_vec(Vec::new(), &out_shape);
     }
-    let mut out = crate::memory::take_filled(rows * n, 0.0);
-    gemm_prepacked(a.data(), packed, &mut out, 0, rows, k, n);
+    let mut out = crate::memory::take_scratch(rows * n);
+    gemm_prepacked(isa(), &a.data()[..rows * k], packed, &mut out, 0, rows);
     Tensor::from_vec(out, &out_shape)
 }
 
 /// [`gemm_blocked`] with the B panels read from a [`PackedMatrix`]
-/// instead of packed per call. Same slab/tile/microkernel walk, same
-/// ascending-`p` accumulation — bitwise identical output.
-fn gemm_prepacked(
-    a: &[f32],
-    packed: &PackedMatrix,
-    c: &mut [f32],
-    r0: usize,
-    r1: usize,
-    k: usize,
-    n: usize,
-) {
-    let n_strips = n.div_ceil(NR);
-    let mut apanel = [0f32; MR * KC];
+/// instead of packed per call. Same slab/band/tile walk, same
+/// ascending-`p` accumulation — bitwise identical output. `a` is
+/// `[rows, k]` row-major with `r1 <= rows`.
+fn gemm_prepacked(isa: Isa, a: &[f32], packed: &PackedMatrix, c: &mut [f32], r0: usize, r1: usize) {
+    let (k, n) = (packed.k, packed.n);
+    assert!(r0 <= r1 && a.len() >= r1 * k, "A shorter than {r1}x{k}");
+    if k == 0 {
+        c[..(r1 - r0) * n].fill(0.0);
+        return;
+    }
+    if r0 == r1 {
+        return;
+    }
+    let a = AView::new(a.as_ptr(), AKind::Normal, r1, k);
     let mut k0 = 0;
-    let mut slab = 0;
-    while k0 < k {
+    for bpanel in packed.panels.chunks_exact(packed.slab_elems) {
         let kc = KC.min(k - k0);
-        let bpanel = &packed.panels[slab * packed.slab_elems..(slab + 1) * packed.slab_elems];
-        let mut i0 = r0;
-        while i0 < r1 {
-            let mr = MR.min(r1 - i0);
-            pack_a(&mut apanel, a, i0, mr, k0, kc, r1, k, AKind::Normal);
-            for js in 0..n_strips {
-                let j0 = js * NR;
-                let nr = NR.min(n - j0);
-                let strip = &bpanel[js * KC * NR..js * KC * NR + kc * NR];
-                let tile = &mut c[(i0 - r0) * n + j0..];
-                microkernel(&apanel, strip, kc, tile, n, mr, nr);
-            }
-            i0 += MR;
-        }
+        // Safety: rows `r0..r1` and steps `k0..k0 + kc` of the row-major
+        // `[r1, k]` matrix asserted above.
+        unsafe { panel_pass(isa, a.at(r0, k0), bpanel, kc, c, r1 - r0, n, k0 == 0) };
         k0 += kc;
-        slab += 1;
     }
 }
 
 /// Flat element offset of every broadcast batch's matrix start.
 fn batch_offsets(lead: &[usize], lead_out: &[usize], mat_elems: usize) -> Offsets {
     let batch = volume(lead_out);
-    if lead_out.is_empty() {
-        return Offsets::Strided(0);
+    // No broadcasting: consecutive batches are consecutive matrices.
+    if lead == lead_out {
+        return Offsets::Strided(mat_elems);
     }
-    // Strided fast paths eliminate the per-call offset `Vec` — part of
-    // the zero-churn allocator work, so the pool toggle also restores
-    // the original materialized form for A/B runs.
-    if crate::memory::pool_enabled() {
-        // No broadcasting: consecutive batches are consecutive matrices.
-        if lead == lead_out {
-            return Offsets::Strided(mat_elems);
-        }
-        // One matrix shared by every batch (e.g. a weight applied across
-        // a batched activation): constant offset 0.
-        if volume(lead) == 1 {
-            return Offsets::Strided(0);
-        }
+    // One matrix shared by every batch (e.g. a weight applied across a
+    // batched activation): constant offset 0.
+    if volume(lead) == 1 {
+        return Offsets::Strided(0);
     }
     // Broadcast strides in units of matrices; scaled to element offsets
     // when pushed.
@@ -1351,5 +1750,176 @@ mod tests {
         let (split, tasks) = decompose(2, 512, PARALLEL_FLOP_THRESHOLD, 4);
         assert_eq!(split, Split::Rows);
         assert!(tasks.len() >= 4);
+    }
+
+    // ---------------------------------------------------------------
+    // Write mode, ISA arms, folding
+    // ---------------------------------------------------------------
+
+    /// Mixed-sign fill with enough variety to surface ordering bugs.
+    fn fill(salt: usize) -> impl Fn(&[usize]) -> f32 {
+        move |idx| {
+            let mut h = (salt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            for &i in idx {
+                h = (h ^ i as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            ((h % 41) as f32 - 20.0) * 0.173
+        }
+    }
+
+    /// Run `f` with the dispatched tile arm capped at `cap`. The cap is
+    /// process-global; capping tests serialize here, and tests that run
+    /// alongside see a different arm with identical bits.
+    fn with_isa_cap<T>(cap: Isa, f: impl FnOnce() -> T) -> T {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                isa_cap::set(Isa::Avx512);
+            }
+        }
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _restore = Restore;
+        isa_cap::set(cap);
+        f()
+    }
+
+    /// `(m, k, n)` on both sides of every cutover: single rows, outer
+    /// products, widths that are not tile multiples, one full tile,
+    /// ragged bands and strips, more than one `KC` slab.
+    const SHAPES: [(usize, usize, usize); 12] = [
+        (1, 1, 1),
+        (1, 3, 4),
+        (3, 1, 4),
+        (1, 16, 16),
+        (2, 16, 29),
+        (4, 5, 16),
+        (20, 20, 16),
+        (7, 300, 5),
+        (33, 40, 31),
+        (64, 64, 64),
+        (67, 301, 53),
+        (5, 520, 33),
+    ];
+
+    #[test]
+    fn every_isa_arm_matches_reference_bitwise() {
+        for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+            with_isa_cap(cap, || {
+                assert!(isa() <= cap);
+                for &(m, k, n) in &SHAPES {
+                    let a = Tensor::from_fn(&[m, k], fill(1));
+                    let b = Tensor::from_fn(&[k, n], fill(2));
+                    let want = matmul_reference(&a, &b).unwrap();
+                    let tag = format!("{cap:?} {m}x{k}x{n}");
+                    assert_eq!(matmul(&a, &b).unwrap().data(), want.data(), "NN {tag}");
+                    let bt = b.transpose_last2().unwrap();
+                    assert_eq!(matmul_nt(&a, &bt).unwrap().data(), want.data(), "NT {tag}");
+                    let at = a.transpose_last2().unwrap();
+                    assert_eq!(matmul_tn(&at, &b).unwrap().data(), want.data(), "TN {tag}");
+                    let packed = PackedMatrix::pack(&b).unwrap();
+                    assert_eq!(
+                        matmul_packed(&a, &packed).unwrap().data(),
+                        want.data(),
+                        "packed {tag}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn kernels_overwrite_a_poisoned_output() {
+        // Write mode: whatever the output buffer held, every element of
+        // the requested rows is stored — small and blocked paths, ragged
+        // edges, several `KC` slabs, `k == 0`, row sub-ranges.
+        for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+            with_isa_cap(cap, || {
+                for &(m, k, n) in SHAPES.iter().chain(&[(3, 0, 5), (40, 0, 40)]) {
+                    let a = Tensor::from_fn(&[m, k], fill(3));
+                    let b = Tensor::from_fn(&[k, n], fill(4));
+                    let want = matmul_reference(&a, &b).unwrap();
+                    let at = a.transpose_last2().unwrap();
+                    let bt = b.transpose_last2().unwrap();
+                    let (r0, r1) = (m / 3, m);
+                    let rows = &want.data()[r0 * n..r1 * n];
+                    for (ak, bk, ad, bd) in [
+                        (AKind::Normal, BKind::Normal, a.data(), b.data()),
+                        (AKind::Normal, BKind::Transposed, a.data(), bt.data()),
+                        (AKind::Transposed, BKind::Normal, at.data(), b.data()),
+                    ] {
+                        for blocked in [false, true] {
+                            let gemm = Gemm {
+                                blocked,
+                                ..Gemm::new(m, k, n, ak, bk)
+                            };
+                            let mut c = vec![f32::NAN; (r1 - r0) * n];
+                            gemm.rows(ad, bd, &mut c, r0, r1);
+                            assert_eq!(c, rows, "{cap:?} {m}x{k}x{n} blocked={blocked}");
+                        }
+                    }
+                    let packed = PackedMatrix::pack(&b).unwrap();
+                    let mut c = vec![f32::NAN; (r1 - r0) * n];
+                    gemm_prepacked(isa(), a.data(), &packed, &mut c, r0, r1);
+                    assert_eq!(c, rows, "{cap:?} prepacked {m}x{k}x{n}");
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_nn_slice(a.data(), b.data(), &mut c, m, k, n);
+                    assert_eq!(c, want.data(), "{cap:?} slice {m}x{k}x{n}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn plan_folds_trailing_axes_the_right_operand_does_not_vary_over() {
+        let plan = |a: &[usize], b: &[usize], ak| {
+            Plan::build(
+                &Tensor::zeros(a),
+                &Tensor::zeros(b),
+                ak,
+                BKind::Normal,
+                "matmul",
+                true,
+            )
+            .unwrap()
+        };
+        // One shared weight: the whole batch becomes rows.
+        let p = plan(&[32, 20, 1, 16], &[16, 16], AKind::Normal);
+        assert_eq!((p.batch, p.m, p.k, p.n, p.folded), (1, 640, 16, 16, true));
+        assert_eq!(p.out_shape, vec![32, 20, 1, 16]);
+        // Shared over the innermost batch axis only.
+        let p = plan(&[32, 20, 2, 2, 16], &[32, 20, 1, 16, 16], AKind::Normal);
+        assert_eq!((p.batch, p.m, p.folded), (640, 4, true));
+        assert!(matches!(p.a_offsets, Offsets::Strided(64)));
+        assert!(matches!(p.b_offsets, Offsets::Strided(256)));
+        // B varies over the innermost axis, or A is broadcast there, or A
+        // is transposed: rows of different batches are not adjacent.
+        assert!(!plan(&[4, 3, 2, 5], &[4, 3, 5, 6], AKind::Normal).folded);
+        assert!(!plan(&[4, 1, 2, 5], &[3, 5, 6], AKind::Normal).folded);
+        assert!(!plan(&[4, 3, 5, 2], &[5, 6], AKind::Transposed).folded);
+        // The reference never folds.
+        let a = Tensor::zeros(&[4, 3, 2, 5]);
+        let b = Tensor::zeros(&[5, 6]);
+        let p = Plan::build(&a, &b, AKind::Normal, BKind::Normal, "matmul", false).unwrap();
+        assert_eq!((p.batch, p.m, p.folded), (12, 2, false));
+    }
+
+    #[test]
+    fn tn_sum_lead_validates_shapes() {
+        let ok = matmul_tn_sum_lead(&Tensor::zeros(&[3, 2, 1, 4]), &Tensor::zeros(&[3, 2, 1, 5]))
+            .unwrap();
+        assert_eq!(ok.shape(), &[2, 4, 5]);
+        assert!(ok.data().iter().all(|&x| x == 0.0));
+        // Not row vectors, mismatched leads, rank too small, empty axis 0.
+        assert!(
+            matmul_tn_sum_lead(&Tensor::zeros(&[3, 2, 4]), &Tensor::zeros(&[3, 2, 5])).is_err()
+        );
+        assert!(
+            matmul_tn_sum_lead(&Tensor::zeros(&[3, 1, 4]), &Tensor::zeros(&[2, 1, 5])).is_err()
+        );
+        assert!(matmul_tn_sum_lead(&Tensor::zeros(&[1, 4]), &Tensor::zeros(&[1, 5])).is_err());
+        assert!(
+            matmul_tn_sum_lead(&Tensor::zeros(&[0, 1, 4]), &Tensor::zeros(&[0, 1, 5])).is_err()
+        );
     }
 }

@@ -437,6 +437,175 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Write mode, small register tiles, folded operands: the kernels draw
+// their outputs from unfilled pool buffers and start every chain at zero
+// in registers, so these properties run on a deliberately dirty pool.
+// ---------------------------------------------------------------------
+
+/// Seed the buffer pool with NaN-filled buffers of the size class an
+/// `elems`-long output will draw from, so the next `take_scratch` hands
+/// a kernel poisoned memory: an element it failed to write, or a chain
+/// it started by loading the output instead of zero, shows up as NaN.
+/// Best effort — a concurrently running test may take the buffers
+/// first — so it can only ever make a test stronger, not flaky.
+fn poison_pool(elems: usize) {
+    // Pooled capacities are powers of two, 64 floats and up.
+    let cap = elems.next_power_of_two().max(64);
+    let dirty: Vec<Tensor> = (0..3).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
+    drop(dirty);
+}
+
+/// Contraction depths: mostly `0..40`, with a tail beyond one
+/// `KC = 256` slab.
+fn depth_dim() -> impl Strategy<Value = usize> {
+    (0usize..8, 0usize..40).prop_map(|(band, d)| if band == 0 { 250 + d } else { d })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn small_products_overwrite_poisoned_outputs_and_match_reference(
+        bt in 1usize..4, m in 0usize..40, k in depth_dim(), n in 0usize..40,
+        seed in 0u64..1 << 32,
+    ) {
+        // Every orientation, `m = 1` rows, `k = 1` outer products, `k = 0`
+        // (must yield zeros, not the buffer's contents), widths that are
+        // not a multiple of 4, ragged edge tiles, several slabs.
+        let a = Tensor::from_fn(&[bt, m, k], fill(seed, 24));
+        let b = Tensor::from_fn(&[bt, k, n], fill(seed, 25));
+        let want = linalg::matmul_reference(&a, &b).unwrap();
+        prop_assert!(want.data().iter().all(|x| x.is_finite()));
+
+        poison_pool(bt * m * n);
+        let nn = linalg::matmul(&a, &b).unwrap();
+        prop_assert_eq!(nn.shape(), want.shape());
+        prop_assert_eq!(nn.data(), want.data(), "NN {}x{}x{}x{}", bt, m, k, n);
+
+        let bt_ = b.transpose_last2().unwrap();
+        poison_pool(bt * m * n);
+        let nt = linalg::matmul_nt(&a, &bt_).unwrap();
+        prop_assert_eq!(nt.data(), want.data(), "NT {}x{}x{}x{}", bt, m, k, n);
+        poison_pool(bt * m * n);
+        let nt = linalg::matmul_nt_lean(&a, &bt_).unwrap();
+        prop_assert_eq!(nt.data(), want.data(), "NT lean {}x{}x{}x{}", bt, m, k, n);
+
+        let at = a.transpose_last2().unwrap();
+        poison_pool(bt * m * n);
+        let tn = linalg::matmul_tn(&at, &b).unwrap();
+        prop_assert_eq!(tn.data(), want.data(), "TN {}x{}x{}x{}", bt, m, k, n);
+    }
+
+    #[test]
+    fn packed_products_overwrite_poisoned_outputs_and_match_reference(
+        rows in 0usize..70, k in depth_dim(), n in 0usize..40, seed in 0u64..1 << 32,
+    ) {
+        let a = Tensor::from_fn(&[rows, k], fill(seed, 26));
+        let b = Tensor::from_fn(&[k, n], fill(seed, 27));
+        let want = linalg::matmul_reference(&a, &b).unwrap();
+        let packed = linalg::PackedMatrix::pack(&b).unwrap();
+        poison_pool(rows * n);
+        let full = linalg::matmul_packed(&a, &packed).unwrap();
+        prop_assert_eq!(full.shape(), want.shape());
+        prop_assert_eq!(full.data(), want.data(), "packed {}x{}x{}", rows, k, n);
+        poison_pool(rows * n);
+        let lean = linalg::matmul_packed_lean(&a, &packed).unwrap();
+        prop_assert_eq!(lean.data(), want.data(), "packed lean {}x{}x{}", rows, k, n);
+        let mut c = vec![f32::NAN; rows * n];
+        linalg::gemm_nn_slice(a.data(), b.data(), &mut c, rows, k, n);
+        prop_assert_eq!(&c[..], want.data(), "slice {}x{}x{}", rows, k, n);
+    }
+
+    #[test]
+    fn folded_shared_operand_matches_per_batch_walk_and_reference(
+        b1 in 1usize..4, b2 in 1usize..5,
+        m in 1usize..6, k in 1usize..24, n in 1usize..24,
+        share in 0usize..2, seed in 0u64..1 << 32,
+    ) {
+        // `share == 0`: one `[k, n]` weight under the whole `[b1, b2]`
+        // batch (folds to a single `b1·b2·m`-row product); `share == 1`:
+        // a weight per `b1`, shared along `b2` (folds to `b1` products of
+        // `b2·m` rows). The per-batch walk is the same product against
+        // the weight materialized for every batch, which cannot fold.
+        let a = Tensor::from_fn(&[b1, b2, m, k], fill(seed, 28));
+        let b_lead: &[usize] = if share == 0 { &[] } else { &[b1, 1] };
+        let b_shape: Vec<usize> = b_lead.iter().chain(&[k, n]).copied().collect();
+        let b = Tensor::from_fn(&b_shape, fill(seed, 29));
+        let b_full = b.broadcast_to(&[b1, b2, k, n]).unwrap();
+        let want = linalg::matmul_reference(&a, &b).unwrap();
+
+        poison_pool(b1 * b2 * m * n);
+        let folded = linalg::matmul(&a, &b).unwrap();
+        prop_assert_eq!(folded.shape(), &[b1, b2, m, n]);
+        prop_assert_eq!(folded.data(), want.data(), "folded NN");
+        prop_assert_eq!(linalg::matmul(&a, &b_full).unwrap().data(), want.data(), "walked NN");
+        prop_assert_eq!(linalg::matmul_lean(&a, &b).unwrap().data(), want.data(), "folded lean");
+
+        let bt_ = b.transpose_last2().unwrap();
+        let bt_full = b_full.transpose_last2().unwrap();
+        poison_pool(b1 * b2 * m * n);
+        prop_assert_eq!(linalg::matmul_nt(&a, &bt_).unwrap().data(), want.data(), "folded NT");
+        prop_assert_eq!(linalg::matmul_nt(&a, &bt_full).unwrap().data(), want.data(), "walked NT");
+    }
+
+    #[test]
+    fn tn_sum_lead_matches_product_then_axis_sum(
+        d0 in 1usize..7, d1 in 1usize..4, d2 in 1usize..4,
+        m in 1usize..20, n in 1usize..20, mid in 0usize..3, seed in 0u64..1 << 32,
+    ) {
+        // The weight gradient of a row vector per batch: the fused form
+        // must reproduce the materialized outer products summed along
+        // axis 0 in ascending order, bit for bit, for zero to two
+        // surviving batch axes.
+        let lead: Vec<usize> = [d0, d1, d2][..1 + mid].to_vec();
+        let a_shape: Vec<usize> = lead.iter().chain(&[1, m]).copied().collect();
+        let g_shape: Vec<usize> = lead.iter().chain(&[1, n]).copied().collect();
+        let a = Tensor::from_fn(&a_shape, fill(seed, 30));
+        let g = Tensor::from_fn(&g_shape, fill(seed, 31));
+        let want = linalg::matmul_tn(&a, &g).unwrap().sum_axis(0, false).unwrap();
+        poison_pool(want.len());
+        let fused = linalg::matmul_tn_sum_lead(&a, &g).unwrap();
+        prop_assert_eq!(fused.shape(), want.shape());
+        prop_assert_eq!(fused.data(), want.data());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn matmul_is_invariant_to_pool_thread_count(
+        m in 100usize..140, k in 250usize..300, n in 60usize..80,
+        threads in 1usize..4, seed in 0u64..1 << 32,
+    ) {
+        // Large enough to cross the split threshold in every form: a
+        // single matrix (row split), a folded shared operand (row split
+        // of the tall product), a true batch (batch split).
+        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                stwa_pool::set_threads(self.0);
+            }
+        }
+        let _restore = Restore(stwa_pool::current_threads());
+        stwa_pool::set_threads(threads);
+        let a = Tensor::from_fn(&[3, m, k], fill(seed, 32));
+        let b = Tensor::from_fn(&[k, n], fill(seed, 33));
+        let b3 = b.broadcast_to(&[3, k, n]).unwrap();
+        let want = linalg::matmul_reference(&a, &b).unwrap();
+        poison_pool(3 * m * n);
+        prop_assert_eq!(linalg::matmul(&a, &b).unwrap().data(), want.data(), "folded t{}", threads);
+        poison_pool(3 * m * n);
+        prop_assert_eq!(linalg::matmul(&a, &b3).unwrap().data(), want.data(), "batched t{}", threads);
+        let bt_ = b.transpose_last2().unwrap();
+        prop_assert_eq!(linalg::matmul_nt(&a, &bt_).unwrap().data(), want.data(), "NT t{}", threads);
+        let at = a.transpose_last2().unwrap();
+        prop_assert_eq!(linalg::matmul_tn(&at, &b3).unwrap().data(), want.data(), "TN t{}", threads);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fused elementwise/softmax kernels and the buffer-pool toggles: every
 // fused path must be *bitwise* equal to its retained reference, and the
 // pool/fused switches must be invisible in values. These properties are
