@@ -1,7 +1,14 @@
 //! Kernel throughput harness: measures the production matmul paths
-//! (small in-place, blocked/packed, folded shared operand, fused NT,
-//! pool-split) against the retained naive reference on the shapes the
+//! (small in-place, blocked/packed, pre-packed, folded shared operand,
+//! fused NT) against the retained naive reference on the shapes the
 //! models actually run, and writes the results to `BENCH_kernels.json`.
+//!
+//! Every row runs on **one pool thread**: the rows gate the kernels,
+//! not the pool, and on the 2-vCPU hosts this is recorded on a product
+//! that fans out over both cores waits at its join for whichever core
+//! the host disturbed — the two-thread `square_128/256` and
+//! `batched_128x32` rows swung more than the 15% tolerance on unchanged
+//! code.
 //!
 //! Modes:
 //!
@@ -95,6 +102,7 @@ fn measure(
 }
 
 fn run_suite() -> Vec<Entry> {
+    stwa_pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(42);
     let mut entries = Vec::new();
 
@@ -122,8 +130,7 @@ fn run_suite() -> Vec<Entry> {
         ));
     }
 
-    // The satellite regression shape: a unit batch axis must not defeat
-    // intra-matrix parallelism.
+    // A unit batch axis must take the same walk as the bare matrix.
     {
         let a = Tensor::randn(&[1, 512, 512], &mut rng);
         let b = Tensor::randn(&[512, 512], &mut rng);
@@ -221,16 +228,37 @@ fn run_suite() -> Vec<Entry> {
     // Generator decoder output layer.
     step_shape("step_decoder", &[640, 32], &[32, 512], false);
 
+    // The serving forward's dominant products: the decoder's last layer
+    // at serving widths (`m2 = 128` -> `2·d·d = 2048`), pre-packed as
+    // the frozen engine holds it, over the served 48 sensors and the
+    // city workload's 1 024.
+    for (name, rows) in [("decoder_48", 48usize), ("decoder_1024", 1024)] {
+        let (k, n) = (128, 2048);
+        let a = Tensor::randn(&[rows, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let packed = linalg::PackedMatrix::pack(&b).unwrap();
+        entries.push(measure(
+            name,
+            format!("[{rows},{k}]@packed[{k},{n}]"),
+            2 * rows * k * n,
+            || {
+                std::hint::black_box(linalg::matmul_packed_lean(&a, &packed).unwrap());
+            },
+            || {
+                std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());
+            },
+        ));
+    }
+
     entries
 }
 
 fn render_json(entries: &[Entry], total_wall_ms: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(&stwa_bench::host::json_fields());
     out.push_str(&format!(
-        "  \"threads\": {},\n  \"total_wall_ms\": {:.1},\n  \"entries\": [\n",
-        stwa_pool::current_threads(),
-        total_wall_ms
+        "  \"total_wall_ms\": {total_wall_ms:.1},\n  \"entries\": [\n"
     ));
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };

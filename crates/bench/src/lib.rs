@@ -9,6 +9,7 @@
 
 pub mod cli;
 pub mod harness;
+pub mod host;
 
 pub use cli::Args;
 pub use harness::{dataset_for, run_named_model, ResultTable};

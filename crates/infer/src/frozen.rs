@@ -8,13 +8,33 @@
 //! - for spatially-aware models without a temporal encoder (S-WA), the
 //!   decoder `D_omega` runs **once per sensor** here and never again —
 //!   the per-sensor K/V projections and sensor-correlation transforms
-//!   are cached as `[1, N, F, d]` tensors that broadcast over any batch,
+//!   are cached as `[1, N, F, d]` [`GeneratedTensors`] that broadcast
+//!   over any batch,
 //! - for temporally-aware models, the input-dependent encoder `E_psi`
 //!   stays live but every dense weight along its path (encoder body,
 //!   mean head, decoders) is panel-packed, and the planar-flow
 //!   constrained parameters `(u, w, b)` are precomputed,
 //! - all static dense weights (shared K/V, fusion, gate, SCA embedding,
 //!   skip, predictor) are packed into GEMM panel layout.
+//!
+//! # Lazy decoding
+//!
+//! Decoding `Theta_t^(i)` into per-sensor `[F, d]` projections is most
+//! of a forward's arithmetic — the decoder's last layer is a
+//! `[B·N, m2] x [m2, 2·F·d]` product — and its output is consumed once,
+//! by a product of a few rows per sensor. The dynamic generator
+//! therefore never materializes `[B, N, 2·F·d]`: per request it computes
+//! only the decoder *heads* (`[B·N, m2]` per layer, everything before
+//! the last dense layer), and each layer then walks its sensors a block
+//! at a time — last dense layer into a block-sized scratch, bias add,
+//! then each sensor's window rows times the two `[F, d]` halves straight
+//! out of that scratch ([`project_run`], the kernel the static path's
+//! [`project_kv`] runs too). The scratch stays L2-resident between the
+//! decode that writes it and the products that read it, and nothing
+//! wider than the keys and values themselves reaches memory. Generated
+//! sensor-correlation transforms are consumed once per *window*, so
+//! their last layer runs whole, once per layer, into one flat
+//! `[B·N, 2·d·d]` buffer that [`project_run`] reads in place.
 //!
 //! The frozen forward mirrors `StwaModel::forward_nograd` — which in
 //! turn mirrors the graph path in eval mode — kernel-for-kernel, so its
@@ -23,6 +43,7 @@
 use crate::packed::{PackedDense, PackedMlp, PackedWeight};
 use stwa_core::generator::GeneratedTensors;
 use stwa_core::{AggregatorKind, ForecastModel, StGenerator, StwaModel};
+use stwa_nn::layers::Activation;
 use stwa_nn::StoreVersion;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::{linalg, mathfn, memory, Result, Tensor, TensorError};
@@ -30,11 +51,11 @@ use stwa_tensor::{linalg, mathfn, memory, Result, Tensor, TensorError};
 /// Frozen per-layer state of one window-attention layer.
 struct FrozenLayer {
     proxies: Tensor, // [N, W, p, d]
-    /// Proxy-fusion dense weight `[2d, d]` and bias, applied by the
-    /// fused lean walk in [`fused_fusion`] instead of a packed GEMM —
-    /// the matrices are too small for panel dispatch to pay off.
-    fusion_w: Option<Tensor>,
-    fusion_b: Option<Tensor>,
+    /// Eq. 14 proxy-fusion dense layer `[2d, d]`, absent when there is
+    /// a single window. Packed at f32 whatever the snapshot's precision
+    /// (it is `2·d·d` weights; quantized snapshots keep the fusion they
+    /// always had).
+    fusion: Option<PackedDense>,
     k_shared: Option<PackedDense>,
     v_shared: Option<PackedDense>,
     /// Eq. 12 gate matrices `[d, d]`, panel-packed: measured against a
@@ -172,10 +193,7 @@ impl FrozenStwa {
             };
             layers.push(FrozenLayer {
                 proxies: layer.proxies().value(),
-                fusion_w: layer.fusion().map(|l| l.weight_param().value()),
-                fusion_b: layer
-                    .fusion()
-                    .and_then(|l| l.bias_param().map(|b| b.value())),
+                fusion: layer.fusion().map(PackedDense::from_linear).transpose()?,
                 k_shared: k_shared
                     .map(|l| PackedDense::from_linear_at(l, precision))
                     .transpose()?,
@@ -391,8 +409,8 @@ impl FrozenStwa {
     /// One tape-free forward through the frozen stack: normalized-scale
     /// predictions `[B, N, U, F]`. At [`Precision::F32`] the output is
     /// bitwise identical to the graph eval path of the source model; at
-    /// bf16/int8 it is the same op sequence over quantized panels,
-    /// gated by the forecast-MAE accuracy check instead. `plan` must
+    /// int8 it is the same op sequence over quantized panels, gated by
+    /// the forecast-MAE accuracy check instead. `plan` must
     /// come from [`FrozenStwa::record_plan`] for `x`'s batch size.
     pub fn forward(&self, x: &Tensor, plan: &BatchPlan) -> Result<Tensor> {
         let shape = x.shape();
@@ -412,24 +430,35 @@ impl FrozenStwa {
         }
         let _span = stwa_observe::span!("forward");
 
-        // Dynamically generated parameters (ST/T-aware only); the
+        // ST/T-aware models: the decoder heads, once per request. The
         // static cache is borrowed, never recomputed.
-        let dynamic: Option<Vec<GeneratedTensors>> = match &self.generator {
-            Some(FrozenGenerator::Dynamic(dg)) => Some(dg.generate(x, b)?),
+        let dynamic = match &self.generator {
+            Some(FrozenGenerator::Dynamic(dg)) => Some((dg, dg.decoder_heads(x, b)?)),
             _ => None,
-        };
-        let generated: Option<&[GeneratedTensors]> = match &self.generator {
-            None => None,
-            Some(FrozenGenerator::Static(cached)) => Some(cached),
-            Some(FrozenGenerator::Dynamic(_)) => dynamic.as_deref(),
         };
 
         let mut h = x.clone();
         let mut skip_sum: Option<Tensor> = None;
         for (l, layer) in self.layers.iter().enumerate() {
+            let params = if let Some((dg, heads)) = &dynamic {
+                // The last decoder layer and the projections it feeds
+                // are generator work: attributed there, per layer, not
+                // to the window-attention layer.
+                let _generator = stwa_observe::span!("generator");
+                let _decoder = stwa_observe::span!("decoder");
+                let (keys, values) = dg.project_kv(l, &heads[l], &layer.windows(&h, b)?)?;
+                LayerParams::Projected {
+                    keys,
+                    values,
+                    sca: dg.sca_transforms(l, &heads[l])?,
+                }
+            } else if let Some(FrozenGenerator::Static(cached)) = &self.generator {
+                LayerParams::Cached(&cached[l])
+            } else {
+                LayerParams::Shared
+            };
             let layer_span = stwa_observe::span!("wa_layer{}", l);
-            let proj = generated.map(|g| &g[l]);
-            let out = layer.forward(&h, proj, &plan.p_base[l], b)?;
+            let out = layer.forward(&h, params, &plan.p_base[l], b)?;
             let flat = out.reshape(&[b, self.n, layer.w * self.d])?;
             let skip = self.skips[l].forward(&flat)?;
             skip_sum = Some(match skip_sum {
@@ -458,6 +487,7 @@ impl FrozenStwa {
             .map(|l| {
                 l.k_shared.as_ref().map_or(0, PackedDense::packed_bytes)
                     + l.v_shared.as_ref().map_or(0, PackedDense::packed_bytes)
+                    + l.fusion.as_ref().map_or(0, PackedDense::packed_bytes)
                     + l.agg_w1.packed_bytes()
                     + l.agg_w2.packed_bytes()
                     + l.sca.as_ref().map_or(0, |s| {
@@ -485,11 +515,26 @@ impl FrozenStwa {
     }
 }
 
+/// What the dynamic generator keeps of one layer's decoders for the
+/// rest of the request: the activations entering their last dense
+/// layers, `[B·N, m2]` each.
+struct DecoderHeads {
+    kv: Tensor,
+    sca: Option<Tensor>,
+}
+
+/// (Sample, sensor) pairs decoded per block of the lazy K/V walk.
+/// `KV_BLOCK × 2·F·d` floats of scratch (512 KiB at `F = d = 32`) sit
+/// in L2 beside the last layer's panels between the decode that writes
+/// them and the row products that read them.
+const KV_BLOCK: usize = 64;
+
 impl DynamicGenerator {
-    /// The per-request remainder of `StGenerator::generate_nograd`:
-    /// encode `E_psi` means, combine with the cached spatial means,
-    /// apply the flow with precomputed constrained parameters, decode.
-    fn generate(&self, x: &Tensor, b: usize) -> Result<Vec<GeneratedTensors>> {
+    /// The per-request remainder of `StGenerator::generate_nograd` up
+    /// to the decoders' last dense layers: encode `E_psi` means, combine
+    /// with the cached spatial means, apply the flow with precomputed
+    /// constrained parameters, run every decoder's head.
+    fn decoder_heads(&self, x: &Tensor, b: usize) -> Result<Vec<DecoderHeads>> {
         let _span = stwa_observe::span!("generator");
         let n = x.shape()[1];
 
@@ -515,40 +560,125 @@ impl DynamicGenerator {
                 current
             }
         };
+        let theta = theta.reshape(&[b * n, theta.shape()[2]])?;
 
-        let decoder_span = stwa_observe::span!("decoder");
-        let mut out = Vec::with_capacity(self.decoders.len());
-        for (l, (dec, &(fl, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
-            let flat = dec.forward(&theta)?; // [B, N, 2*fl*d]
-            let (k_proj, v_proj) = split_kv(&flat, b, n, fl, d)?;
-            let sca_transforms = match &self.sca_decoders {
-                None => None,
-                Some(decs) => {
-                    let flat = decs[l].forward(&theta)?;
-                    Some(split_kv(&flat, b, n, d, d)?)
-                }
-            };
-            out.push(GeneratedTensors {
-                k_proj,
-                v_proj,
-                sca_transforms,
-            });
+        self.decoders
+            .iter()
+            .enumerate()
+            .map(|(l, dec)| {
+                Ok(DecoderHeads {
+                    kv: dec.forward_head(&theta)?,
+                    sca: match &self.sca_decoders {
+                        None => None,
+                        Some(decs) => Some(decs[l].forward_head(&theta)?),
+                    },
+                })
+            })
+            .collect()
+    }
+
+    /// Layer `l`'s keys and values `[B, N, w, s, d]` from its decoder
+    /// head, without the `[B, N, 2·F·d]` projections in between: the
+    /// last dense layer runs [`KV_BLOCK`] sensors at a time into one
+    /// scratch buffer and each sensor's `[w·s, F]` window rows multiply
+    /// the two `[F, d]` halves where they land.
+    ///
+    /// Bitwise contract: a block's rows of the dense layer are the same
+    /// rows the whole-tensor forward computes (rows are independent at
+    /// both precisions), and [`project_run`] is the product the static
+    /// path and — by the kernel order contract — the graph path's
+    /// broadcast matmul run.
+    fn project_kv(
+        &self,
+        l: usize,
+        heads: &DecoderHeads,
+        x_win: &Tensor, // [B, N, w, s, F]
+    ) -> Result<(Tensor, Tensor)> {
+        let (f, d) = self.layer_dims[l];
+        let xs = x_win.shape();
+        let (pairs, rows) = (xs[0] * xs[1], xs[2] * xs[3]);
+        let (last, act) = self.decoders[l].last();
+        let (m2, width) = (last.in_dim(), last.out_dim());
+        if xs[4] != f || width != 2 * f * d || heads.kv.len() != pairs * m2 {
+            return Err(TensorError::Invalid(format!(
+                "DynamicGenerator: layer {l} windows {xs:?} / head {:?} vs decoder \
+                 {m2} -> {width} for [{f}, {d}] projections",
+                heads.kv.shape()
+            )));
         }
-        drop(decoder_span);
-        Ok(out)
+        let (xd, hd) = (x_win.data(), heads.kv.data());
+        let mut keys = memory::take_scratch(pairs * rows * d);
+        let mut values = memory::take_scratch(pairs * rows * d);
+        // Blocks are independent — disjoint output rows — so on a
+        // multi-thread pool runs of them go side by side, each run with
+        // a scratch of its own, as the row split of the one big product
+        // used to. Two runs per thread lets the pool rebalance.
+        let mut blocks: Vec<(&mut [f32], &mut [f32])> = keys
+            .chunks_mut(KV_BLOCK * rows * d)
+            .zip(values.chunks_mut(KV_BLOCK * rows * d))
+            .collect();
+        let runs = blocks.len().min(2 * stwa_pool::current_threads());
+        let decode = last.rows_kernel(act);
+        stwa_pool::parallel_chunks(&mut blocks, runs, |first, run| {
+            let mut decoded = memory::take_scratch(KV_BLOCK.min(pairs) * width);
+            for (i, (kout, vout)) in run.iter_mut().enumerate() {
+                let p0 = (first + i) * KV_BLOCK;
+                let count = kout.len() / (rows * d);
+                decode(&hd[p0 * m2..], count, &mut decoded);
+                project_run(
+                    &xd[p0 * rows * f..],
+                    &decoded,
+                    &decoded[f * d..],
+                    width,
+                    count,
+                    (rows, f, d),
+                    kout,
+                    vout,
+                );
+            }
+            memory::recycle(decoded);
+        });
+        let shape = [xs[0], xs[1], xs[2], xs[3], d];
+        Ok((
+            Tensor::from_vec(keys, &shape)?,
+            Tensor::from_vec(values, &shape)?,
+        ))
+    }
+
+    /// Layer `l`'s generated sensor-correlation transforms, decoded
+    /// flat: `[B·N, 2·d·d]`, each row one sensor's `T1 | T2`. Every
+    /// window of the layer reads them, so unlike the K/V projections
+    /// they are materialized — once, unsplit.
+    fn sca_transforms(&self, l: usize, heads: &DecoderHeads) -> Result<Option<Tensor>> {
+        let (Some(decs), Some(head)) = (&self.sca_decoders, &heads.sca) else {
+            return Ok(None);
+        };
+        let (last, act) = decs[l].last();
+        last.forward_act(head, act).map(Some)
     }
 }
 
+/// Where one layer's keys, values and sensor-correlation transforms
+/// come from.
+enum LayerParams<'a> {
+    /// ST-agnostic: the layer's own shared projections.
+    Shared,
+    /// S-WA: per-sensor projections decoded at freeze time.
+    Cached(&'a GeneratedTensors),
+    /// ST/T-WA: keys and values already projected by the generator's
+    /// block walk, transforms decoded flat (see
+    /// [`DynamicGenerator::sca_transforms`]).
+    Projected {
+        keys: Tensor,
+        values: Tensor,
+        sca: Option<Tensor>,
+    },
+}
+
 impl FrozenLayer {
-    /// Mirror of `WindowAttentionLayer::forward_nograd` with packed
-    /// weights and the proxy broadcasts served from the batch plan.
-    fn forward(
-        &self,
-        x: &Tensor,
-        generated: Option<&GeneratedTensors>,
-        p_base_plan: &[Tensor],
-        b: usize,
-    ) -> Result<Tensor> {
+    /// The layer input `[B, N, T, F]` cut into its windows,
+    /// `[B, N, w, s, F]` (a reshape: windows are contiguous).
+    fn windows(&self, x: &Tensor, b: usize) -> Result<Tensor> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.n || shape[2] != self.t_in || shape[3] != self.f_in
         {
@@ -557,18 +687,41 @@ impl FrozenLayer {
                 self.n, self.t_in, self.f_in
             )));
         }
-        let (w, s, p, d) = (self.w, self.s, self.p, self.d);
+        x.reshape(&[b, self.n, self.w, self.s, self.f_in])
+    }
 
-        let x_win = x.reshape(&[b, self.n, w, s, self.f_in])?;
-        let (keys, values) = match generated {
-            Some(gp) => project_kv(&x_win, &gp.k_proj, &gp.v_proj)?,
-            None => {
+    /// Mirror of `WindowAttentionLayer::forward_nograd` with packed
+    /// weights and the proxy broadcasts served from the batch plan.
+    fn forward(
+        &self,
+        x: &Tensor,
+        params: LayerParams<'_>,
+        p_base_plan: &[Tensor],
+        b: usize,
+    ) -> Result<Tensor> {
+        let (w, p, d) = (self.w, self.p, self.d);
+
+        let (keys, values, sca_source) = match params {
+            LayerParams::Projected { keys, values, sca } => {
+                (keys, values, sca.map(ScaTransforms::Flat))
+            }
+            LayerParams::Cached(gp) => {
+                let (keys, values) = project_kv(&self.windows(x, b)?, &gp.k_proj, &gp.v_proj)?;
+                let sca = gp.sca_transforms.as_ref();
+                (
+                    keys,
+                    values,
+                    sca.map(|(t1, t2)| ScaTransforms::Cached(t1, t2)),
+                )
+            }
+            LayerParams::Shared => {
                 let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
                     return Err(TensorError::Invalid(
                         "FrozenLayer without shared projections requires generated K/V".into(),
                     ));
                 };
-                (ks.forward(&x_win)?, vs.forward(&x_win)?)
+                let x_win = self.windows(x, b)?;
+                (ks.forward(&x_win)?, vs.forward(&x_win)?, None)
             }
         };
 
@@ -583,14 +736,8 @@ impl FrozenLayer {
                 None => p_base,
                 Some(h_prev) => {
                     let fspan = stwa_observe::span!("fusion");
-                    let fw = self.fusion_w.as_ref().expect("w > 1 implies fusion");
-                    let r = fused_fusion(
-                        h_prev,
-                        &p_base,
-                        fw,
-                        self.fusion_b.as_ref(),
-                        (b, self.n, p, d),
-                    )?;
+                    let fusion = self.fusion.as_ref().expect("w > 1 implies fusion");
+                    let r = fused_fusion(h_prev, &p_base, fusion, (b, self.n, p, d))?;
                     drop(fspan);
                     r
                 }
@@ -631,11 +778,8 @@ impl FrozenLayer {
                 AggregatorKind::Mean => h_w.mean_axis(2, false)?,
             };
             drop(gspan);
-            let h_bar = match (
-                &self.sca,
-                generated.and_then(|g| g.sca_transforms.as_ref()),
-            ) {
-                (Some(sca), Some((t1, t2))) => sca.forward_with(&h_hat, t1, t2)?,
+            let h_bar = match (&self.sca, &sca_source) {
+                (Some(sca), Some(transforms)) => sca.forward_with(&h_hat, transforms)?,
                 (Some(sca), None) => sca.forward(&h_hat)?,
                 (None, _) => h_hat,
             };
@@ -649,16 +793,46 @@ impl FrozenLayer {
     }
 }
 
-/// The generated K/V projections `x_win @ kp` / `x_win @ vp` with the
-/// window axis flattened into GEMM rows: for each `(b, n)` the `[w, s,
-/// F]` input block multiplies one `[F, d]` projection, so the broadcast
-/// matmul's `B*N*w` tiny dispatches (and its per-batch offset table)
-/// collapse into `B*N` slice products per side.
+/// `kout[i] = x[i] @ first[i]` and `vout[i] = x[i] @ second[i]` for
+/// `count` consecutive (sample, sensor) pairs: pair `i`'s input block
+/// is the `[rows, f]` matrix at `x[i·rows·f..]`, its two `[f, d]`
+/// operands start at `first[i·stride..]` / `second[i·stride..]`, its
+/// outputs are the `[rows, d]` matrices at `kout[i·rows·d..]` /
+/// `vout[i·rows·d..]`. One definition serves the K/V projections
+/// (`rows = w·s` window rows) and the generated sensor-correlation
+/// transforms (`rows = 1`), over freeze-time caches and freshly decoded
+/// scratch alike — only the stride differs.
 ///
-/// Bitwise contract: row `(wi, si)` of a block is the same `[s, F]` row
-/// the per-window product consumed, against the same `[F, d]` operand,
-/// through [`linalg::gemm_nn_slice`] — same kernels, same ascending-`F`
-/// accumulation, so the flattening is invisible bit-for-bit.
+/// Bitwise contract: each pair is one [`linalg::gemm_nn_slice`] per
+/// side — same kernels, same ascending-`f` accumulation as the
+/// broadcast matmul the graph path runs per window.
+#[allow(clippy::too_many_arguments)]
+fn project_run(
+    x: &[f32],
+    first: &[f32],
+    second: &[f32],
+    stride: usize,
+    count: usize,
+    (rows, f, d): (usize, usize, usize),
+    kout: &mut [f32],
+    vout: &mut [f32],
+) {
+    for i in 0..count {
+        let a = &x[i * rows * f..(i + 1) * rows * f];
+        let at = i * stride;
+        let (kp, vp) = (&first[at..at + f * d], &second[at..at + f * d]);
+        let out = i * rows * d..(i + 1) * rows * d;
+        linalg::gemm_nn_slice(a, kp, &mut kout[out.clone()], rows, f, d);
+        linalg::gemm_nn_slice(a, vp, &mut vout[out], rows, f, d);
+    }
+}
+
+/// The freeze-time projections applied: `x_win @ kp` / `x_win @ vp`
+/// with the window axis flattened into GEMM rows, so the broadcast
+/// matmul's `B*N*w` tiny dispatches (and its per-batch offset table)
+/// collapse into `B*N` slice products per side. `[1, N, F, d]`
+/// projections broadcast over the request batch, exactly like the
+/// broadcast matmul did.
 fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tensor, Tensor)> {
     let xs = x_win.shape();
     let ks = k_proj.shape();
@@ -677,26 +851,33 @@ fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tenso
     }
     let rows = w * s;
     let (xd, kd, vd) = (x_win.data(), k_proj.data(), v_proj.data());
-    // Freeze-time projections are `[1, N, F, d]` and broadcast over the
-    // request batch (stride 0), exactly like the broadcast matmul did.
     let pb_stride = if ks[0] == 1 { 0 } else { n * f * d };
     let mut kout = memory::take_scratch(b * n * rows * d);
     let mut vout = memory::take_scratch(b * n * rows * d);
     for bi in 0..b {
-        for ni in 0..n {
-            let ln = bi * n + ni;
-            let pat = bi * pb_stride + ni * f * d;
-            let a = &xd[ln * rows * f..(ln + 1) * rows * f];
-            let c = &mut kout[ln * rows * d..(ln + 1) * rows * d];
-            linalg::gemm_nn_slice(a, &kd[pat..pat + f * d], c, rows, f, d);
-            let c = &mut vout[ln * rows * d..(ln + 1) * rows * d];
-            linalg::gemm_nn_slice(a, &vd[pat..pat + f * d], c, rows, f, d);
-        }
+        project_run(
+            &xd[bi * n * rows * f..],
+            &kd[bi * pb_stride..],
+            &vd[bi * pb_stride..],
+            f * d,
+            n,
+            (rows, f, d),
+            &mut kout[bi * n * rows * d..],
+            &mut vout[bi * n * rows * d..],
+        );
     }
     Ok((
         Tensor::from_vec(kout, &[b, n, w, s, d])?,
         Tensor::from_vec(vout, &[b, n, w, s, d])?,
     ))
+}
+
+/// Generated per-sensor sensor-correlation transforms, as stored.
+enum ScaTransforms<'a> {
+    /// Freeze-time `T1`, `T2`, each `[1, N, d, d]`.
+    Cached(&'a Tensor, &'a Tensor),
+    /// Decoded this request: `[B·N, 2·d·d]`, each row `T1 | T2`.
+    Flat(Tensor),
 }
 
 impl FrozenSca {
@@ -715,11 +896,46 @@ impl FrozenSca {
     }
 
     /// Mirror of `SensorCorrelationAttention::forward_with_nograd`: the
-    /// per-sensor Q/K transforms run as one fused microkernel walk
-    /// instead of two broadcast matmul dispatches.
-    fn forward_with(&self, h: &Tensor, t1: &Tensor, t2: &Tensor) -> Result<Tensor> {
+    /// per-sensor transforms `q = h @ T1`, `k = h @ T2` are the K/V
+    /// projection with one row per sensor.
+    fn forward_with(&self, h: &Tensor, transforms: &ScaTransforms<'_>) -> Result<Tensor> {
         let _span = stwa_observe::span!("sensor_attention");
-        let (q, k) = fused_qk(h, t1, t2, self.d)?;
+        let hs = h.shape();
+        let d = self.d;
+        if hs.len() != 3 || hs[2] != d {
+            return Err(TensorError::Invalid(format!(
+                "FrozenSca: expected [B, N, {d}], got {hs:?}"
+            )));
+        }
+        let (b, n) = (hs[0], hs[1]);
+        let (q, k) = match transforms {
+            ScaTransforms::Cached(t1, t2) => {
+                let (q, k) = project_kv(&h.reshape(&[b, n, 1, 1, d])?, t1, t2)?;
+                (q.reshape(hs)?, k.reshape(hs)?)
+            }
+            ScaTransforms::Flat(flat) => {
+                if flat.len() != b * n * 2 * d * d {
+                    return Err(TensorError::Invalid(format!(
+                        "FrozenSca: transforms {:?} for h {hs:?}",
+                        flat.shape()
+                    )));
+                }
+                let mut q = memory::take_scratch(b * n * d);
+                let mut k = memory::take_scratch(b * n * d);
+                let td = flat.data();
+                project_run(
+                    h.data(),
+                    td,
+                    &td[d * d..],
+                    2 * d * d,
+                    b * n,
+                    (1, d, d),
+                    &mut q,
+                    &mut k,
+                );
+                (Tensor::from_vec(q, hs)?, Tensor::from_vec(k, hs)?)
+            }
+        };
         self.attend(&q, &k, h)
     }
 
@@ -840,157 +1056,39 @@ fn windowed_attention_lean(
     Tensor::from_vec(out, &[b, n, p, d])
 }
 
-/// Split a decoded `[B, N, 2*F*d]` buffer into its K/V halves
-/// (`[B, N, F, d]` each) in one contiguous pass — equivalent to the
-/// graph path's reshape-to-`[B, N, 2, F, d]` + `narrow` + `squeeze`
-/// pairs, which copy the same bytes through four dispatches.
-fn split_kv(
-    flat: &Tensor,
-    b: usize,
-    n: usize,
-    f: usize,
-    d: usize,
-) -> Result<(Tensor, Tensor)> {
-    let half = f * d;
-    let data = flat.data();
-    if data.len() != b * n * 2 * half {
-        return Err(TensorError::Invalid(format!(
-            "split_kv: {:?} vs [{b}, {n}, 2*{f}*{d}]",
-            flat.shape()
-        )));
-    }
-    let mut kbuf = memory::take_scratch(b * n * half);
-    let mut vbuf = memory::take_scratch(b * n * half);
-    for ln in 0..b * n {
-        let src = &data[ln * 2 * half..(ln + 1) * 2 * half];
-        kbuf[ln * half..(ln + 1) * half].copy_from_slice(&src[..half]);
-        vbuf[ln * half..(ln + 1) * half].copy_from_slice(&src[half..]);
-    }
-    Ok((
-        Tensor::from_vec(kbuf, &[b, n, f, d])?,
-        Tensor::from_vec(vbuf, &[b, n, f, d])?,
-    ))
-}
-
-/// The sensor-correlation Q/K transforms `q = h @ T1`, `k = h @ T2`
-/// with per-sensor `T1, T2 in [Bt, N, d, d]` (`Bt = 1` broadcasts over
-/// the request batch) as one lean walk sharing each input row.
-///
-/// Bitwise contract: every output element accumulates its `d`
-/// contraction in a single ascending chain, exactly the broadcast
-/// matmul the graph path runs on the unsqueezed rows.
-fn fused_qk(h: &Tensor, t1: &Tensor, t2: &Tensor, d: usize) -> Result<(Tensor, Tensor)> {
-    let hs = h.shape();
-    let ts = t1.shape();
-    if hs.len() != 3
-        || hs[2] != d
-        || t2.shape() != ts
-        || ts.len() != 4
-        || ts[1] != hs[1]
-        || ts[2] != d
-        || ts[3] != d
-        || (ts[0] != 1 && ts[0] != hs[0])
-    {
-        return Err(TensorError::Invalid(format!(
-            "fused_qk: h {hs:?} / t1 {ts:?} / t2 {:?}",
-            t2.shape()
-        )));
-    }
-    let (b, n) = (hs[0], hs[1]);
-    let tb_stride = if ts[0] == 1 { 0 } else { n * d * d };
-    let (hd, t1d, t2d) = (h.data(), t1.data(), t2.data());
-    let mut qo = memory::take_filled(b * n * d, 0.0);
-    let mut ko = memory::take_filled(b * n * d, 0.0);
-    for bi in 0..b {
-        for ni in 0..n {
-            let at = (bi * n + ni) * d;
-            let row = &hd[at..at + d];
-            let tbase = bi * tb_stride + ni * d * d;
-            let qrow = &mut qo[at..at + d];
-            let krow = &mut ko[at..at + d];
-            for (k, &hv) in row.iter().enumerate() {
-                let t1row = &t1d[tbase + k * d..tbase + (k + 1) * d];
-                let t2row = &t2d[tbase + k * d..tbase + (k + 1) * d];
-                for ((q, &w1), (kk, &w2)) in qrow
-                    .iter_mut()
-                    .zip(t1row.iter())
-                    .zip(krow.iter_mut().zip(t2row.iter()))
-                {
-                    *q += hv * w1;
-                    *kk += hv * w2;
-                }
-            }
-        }
-    }
-    Ok((
-        Tensor::from_vec(qo, &[b, n, d])?,
-        Tensor::from_vec(ko, &[b, n, d])?,
-    ))
-}
-
-/// Proxy fusion `tanh(concat(h_prev, p_base) @ W + bias)` as one lean
-/// walk: the graph path tiles `h_prev` to `[B, N, p, d]`, concatenates
-/// with the proxy block, and runs a `2d -> d` dense — five dispatches
-/// and three materializations for a `[2d, d]` matrix. Here each output
-/// row reads `h_prev` and `p_base` in place.
-///
-/// Bitwise contract: each output element accumulates the `2d`
-/// contraction in one ascending chain — `h_prev` features first, proxy
-/// features second, exactly the concat order — matching the GEMM
-/// kernels' order contract; the bias add and `tanh_f32` mirror both the
-/// fused `bias_add_act` zip and the unfused add-then-activate branch,
-/// which agree bitwise.
+/// Proxy fusion `tanh(concat(h_prev, p_base) @ W + bias)`: the graph
+/// path tiles `h_prev` to `[B, N, p, d]`, concatenates with the proxy
+/// block, and runs the `2d -> d` dense layer. Here the `[h_prev | p]`
+/// rows are gathered straight into one scratch matrix and the packed
+/// layer runs on it — the same rows through the same product, bias add
+/// and `tanh` pass, so bitwise by construction.
 fn fused_fusion(
     h_prev: &Tensor, // [B, N, d]
     p_base: &Tensor, // [B, N, p, d]
-    w: &Tensor,      // [2d, d]
-    bias: Option<&Tensor>,
+    fusion: &PackedDense,
     dims: (usize, usize, usize, usize),
 ) -> Result<Tensor> {
     let (b, n, p, d) = dims;
-    if h_prev.len() != b * n * d || p_base.len() != b * n * p * d || w.len() != 2 * d * d {
+    if h_prev.len() != b * n * d || p_base.len() != b * n * p * d || fusion.in_dim() != 2 * d {
         return Err(TensorError::Invalid(format!(
-            "fused_fusion: h_prev {:?} / p_base {:?} / w {:?} vs dims {dims:?}",
+            "fused_fusion: h_prev {:?} / p_base {:?} / fusion {} -> {} vs dims {dims:?}",
             h_prev.shape(),
             p_base.shape(),
-            w.shape()
+            fusion.in_dim(),
+            fusion.out_dim()
         )));
     }
-    let (hd, pd, wd) = (h_prev.data(), p_base.data(), w.data());
-    let bd = bias.map(Tensor::data);
-    let mut out = memory::take_scratch(b * n * p * d);
-    let mut acc = vec![0f32; d];
-    for ln in 0..b * n {
-        let hrow = &hd[ln * d..(ln + 1) * d];
-        for pi in 0..p {
-            let prow = &pd[(ln * p + pi) * d..(ln * p + pi + 1) * d];
-            acc.fill(0.0);
-            for (k, &hv) in hrow.iter().enumerate() {
-                let wrow = &wd[k * d..(k + 1) * d];
-                for (slot, &wv) in acc.iter_mut().zip(wrow.iter()) {
-                    *slot += hv * wv;
-                }
-            }
-            for (k, &pv) in prow.iter().enumerate() {
-                let wrow = &wd[(d + k) * d..(d + k + 1) * d];
-                for (slot, &wv) in acc.iter_mut().zip(wrow.iter()) {
-                    *slot += pv * wv;
-                }
-            }
-            let orow = &mut out[(ln * p + pi) * d..(ln * p + pi + 1) * d];
-            match bd {
-                Some(bv) => {
-                    for ((o, &a), &bx) in orow.iter_mut().zip(acc.iter()).zip(bv.iter()) {
-                        *o = a + bx;
-                    }
-                }
-                None => orow.copy_from_slice(&acc),
-            }
-        }
+    let (hd, pd) = (h_prev.data(), p_base.data());
+    let mut stacked = memory::take_scratch(b * n * p * 2 * d);
+    for (row, (dst, prow)) in stacked
+        .chunks_exact_mut(2 * d)
+        .zip(pd.chunks_exact(d))
+        .enumerate()
+    {
+        let ln = row / p;
+        dst[..d].copy_from_slice(&hd[ln * d..(ln + 1) * d]);
+        dst[d..].copy_from_slice(prow);
     }
-    // One wide tanh pass over the pre-activations — per element the
-    // same add-then-tanh chain as the interleaved loop it replaces.
-    mathfn::tanh_slice(&mut out);
-    Tensor::from_vec(out, &[b, n, p, d])
+    let stacked = Tensor::from_vec(stacked, &[b, n, p, 2 * d])?;
+    fusion.forward_act(&stacked, Activation::Tanh)
 }
-

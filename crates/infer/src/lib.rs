@@ -11,6 +11,11 @@
 //!   per-sensor K/V projections when they are input-independent (S-WA),
 //!   precomputes the planar-flow constrained parameters, and re-lays
 //!   every static dense weight into packed GEMM panels;
+//! - when the projections do depend on the input (ST-WA / T-WA) they
+//!   are decoded lazily: the decoder's last layer runs a block of
+//!   sensors at a time and each sensor's window rows consume its
+//!   projections straight from the block's scratch, so the widest
+//!   tensor of the forward is never materialized (see [`frozen`]);
 //! - [`InferSession`] executes the frozen op sequence with a
 //!   per-batch-size plan arena and refuses to serve once the source
 //!   parameters are mutated (version-counter staleness guard);
@@ -25,12 +30,12 @@
 //! configurations.
 //!
 //! A model can also be frozen at a reduced panel [`Precision`]
-//! ([`FrozenStwa::freeze_at`] / [`InferSession::new_at`]): bf16 or
-//! symmetric int8 weight panels for memory-bandwidth-bound large-batch
-//! serving. Quantized snapshots keep the bitwise contract one level
-//! down (SIMD kernels vs their scalar references) and gate end-to-end
-//! correctness on a forecast-MAE delta against the f32 snapshot
-//! (DESIGN.md §14); training is f32-only and untouched.
+//! ([`FrozenStwa::freeze_at`] / [`InferSession::new_at`]): symmetric
+//! int8 weight panels for memory-bandwidth-bound large-batch serving.
+//! Quantized snapshots keep the bitwise contract one level down (SIMD
+//! kernels vs their scalar references) and gate end-to-end correctness
+//! on a forecast-MAE delta against the f32 snapshot (DESIGN.md §14);
+//! training is f32-only and untouched.
 
 pub mod frozen;
 pub mod packed;

@@ -1,31 +1,27 @@
 //! Pre-packed dense layers: frozen `Linear`/`Mlp` weights re-laid into
 //! the GEMM panel format at freeze time, so serving skips the per-call
 //! B-matrix pack entirely. Each packed layer carries its panels at one
-//! of three [`Precision`]s — f32 (bitwise-equal serving), bf16, or
-//! symmetric int8 (see `stwa_tensor::quant`).
+//! of two [`Precision`]s — f32 (bitwise-equal serving) or symmetric
+//! int8 (see `stwa_tensor::quant`).
 //!
 //! Every f32 forward here mirrors the corresponding tape-free path in
 //! `stwa-nn` branch-for-branch; `matmul_packed_lean` is bitwise
 //! identical to `matmul` by the kernel accumulation-order contract (the
 //! lean entry runs the same prepacked kernel minus the per-call
 //! span/counter/pool dispatch), so an f32 packed layer's output matches
-//! the training-graph eval path bit-for-bit. The quantized precisions
-//! trade that bitwise contract for smaller panels; their correctness is
+//! the training-graph eval path bit-for-bit. The quantized precision
+//! trades that bitwise contract for smaller panels; its correctness is
 //! gated by the round-trip error bounds and the end-to-end forecast
 //! accuracy gate instead (DESIGN.md §14).
 
 use stwa_nn::layers::{Activation, Linear, Mlp};
-use stwa_tensor::linalg::{matmul_packed_lean, PackedMatrix};
-use stwa_tensor::quant::{
-    matmul_packed_bf16_lean, matmul_packed_int8_lean, PackedMatrixBf16, PackedMatrixInt8,
-    Precision,
-};
+use stwa_tensor::linalg::{gemm_packed_slice, matmul_packed_lean, PackedMatrix};
+use stwa_tensor::quant::{matmul_packed_int8_lean, PackedMatrixInt8, Precision};
 use stwa_tensor::{mathfn, Result, Tensor, TensorError};
 
 /// One weight matrix packed at a chosen [`Precision`].
 enum PackedPanels {
     F32(PackedMatrix),
-    Bf16(PackedMatrixBf16),
     Int8(PackedMatrixInt8),
 }
 
@@ -33,7 +29,6 @@ impl PackedPanels {
     fn pack(w: &Tensor, precision: Precision) -> Result<PackedPanels> {
         Ok(match precision {
             Precision::F32 => PackedPanels::F32(PackedMatrix::pack(w)?),
-            Precision::Bf16 => PackedPanels::Bf16(PackedMatrixBf16::pack(w)?),
             Precision::Int8 => PackedPanels::Int8(PackedMatrixInt8::pack(w)?),
         })
     }
@@ -41,15 +36,28 @@ impl PackedPanels {
     fn matmul_lean(&self, x: &Tensor) -> Result<Tensor> {
         match self {
             PackedPanels::F32(p) => matmul_packed_lean(x, p),
-            PackedPanels::Bf16(p) => matmul_packed_bf16_lean(x, p),
             PackedPanels::Int8(p) => matmul_packed_int8_lean(x, p),
+        }
+    }
+
+    /// `out[..rows·n] = x[..rows·k] @ panels` on raw rows — the same
+    /// bits as [`PackedPanels::matmul_lean`] on those rows (every kernel
+    /// treats rows independently, int8 row scales included).
+    fn matmul_rows(&self, x: &[f32], rows: usize, out: &mut [f32]) {
+        match self {
+            PackedPanels::F32(p) => gemm_packed_slice(x, p, out, rows),
+            PackedPanels::Int8(p) => {
+                let block = Tensor::from_vec(x[..rows * p.k()].to_vec(), &[rows, p.k()])
+                    .and_then(|block| matmul_packed_int8_lean(&block, p))
+                    .expect("a [rows, k] block against [k, n] panels");
+                out[..rows * p.n()].copy_from_slice(block.data());
+            }
         }
     }
 
     fn packed_bytes(&self) -> usize {
         match self {
             PackedPanels::F32(p) => p.packed_bytes(),
-            PackedPanels::Bf16(p) => p.packed_bytes(),
             PackedPanels::Int8(p) => p.packed_bytes(),
         }
     }
@@ -57,7 +65,6 @@ impl PackedPanels {
     fn precision(&self) -> Precision {
         match self {
             PackedPanels::F32(_) => Precision::F32,
-            PackedPanels::Bf16(_) => Precision::Bf16,
             PackedPanels::Int8(_) => Precision::Int8,
         }
     }
@@ -132,31 +139,54 @@ impl PackedDense {
         let lead: usize = shape[..rank - 1].iter().product();
         let flat = x.reshape(&[lead, self.in_dim])?;
         let mut y = self.panels.matmul_lean(&flat)?;
-        // Bias pass, then one wide activation pass over the whole
-        // buffer — per element the same add-then-apply chain as the
-        // interleaved `kind.apply(a + bias)` zip, so both the fused and
-        // unfused graph branches (which agree bitwise) are matched.
-        if let Some(b) = &self.bias {
-            let bd = b.data();
-            for row in y.data_mut().chunks_exact_mut(self.out_dim) {
-                for (o, &bv) in row.iter_mut().zip(bd.iter()) {
-                    *o += bv;
-                }
-            }
-        }
-        match act {
-            Activation::Identity => {}
-            Activation::Tanh => mathfn::tanh_slice(y.data_mut()),
-            Activation::Sigmoid => mathfn::sigmoid_slice(y.data_mut()),
-            Activation::Relu => {
-                for o in y.data_mut().iter_mut() {
-                    *o = o.max(0.0);
-                }
-            }
-        }
+        bias_act(y.data_mut(), self.bias.as_ref().map(Tensor::data), act);
         let mut out_shape = shape[..rank - 1].to_vec();
         out_shape.push(self.out_dim);
         y.reshape(&out_shape)
+    }
+
+    /// [`PackedDense::forward_act`] as a kernel over raw rows:
+    /// `kernel(x, rows, out)` writes the layer's output for the `rows`
+    /// input rows at the front of `x` into `out[..rows·out_dim]` (prior
+    /// contents ignored) — for a caller that walks a wide layer a block
+    /// of rows at a time through its own scratch. Same bits as the
+    /// tensor entry on the same rows. The kernel borrows only plain
+    /// slices and panels, so pool tasks can share it.
+    pub(crate) fn rows_kernel(
+        &self,
+        act: Activation,
+    ) -> impl Fn(&[f32], usize, &mut [f32]) + Sync + '_ {
+        let (panels, out_dim) = (&self.panels, self.out_dim);
+        let bias = self.bias.as_ref().map(Tensor::data);
+        move |x, rows, out| {
+            panels.matmul_rows(x, rows, out);
+            bias_act(&mut out[..rows * out_dim], bias, act);
+        }
+    }
+}
+
+/// Bias pass, then one wide activation pass over the whole GEMM output
+/// `y` (rows of `bias.len()` columns) — per element the same
+/// add-then-apply chain as the interleaved `kind.apply(a + bias)` zip,
+/// so both the fused and unfused graph branches (which agree bitwise)
+/// are matched.
+fn bias_act(y: &mut [f32], bias: Option<&[f32]>, act: Activation) {
+    if let Some(bd) = bias {
+        for row in y.chunks_exact_mut(bd.len()) {
+            for (o, &bv) in row.iter_mut().zip(bd.iter()) {
+                *o += bv;
+            }
+        }
+    }
+    match act {
+        Activation::Identity => {}
+        Activation::Tanh => mathfn::tanh_slice(y),
+        Activation::Sigmoid => mathfn::sigmoid_slice(y),
+        Activation::Relu => {
+            for o in y.iter_mut() {
+                *o = o.max(0.0);
+            }
+        }
     }
 }
 
@@ -189,6 +219,24 @@ impl PackedMlp {
             h = layer.forward_act(&h, *act)?;
         }
         Ok(h)
+    }
+
+    /// Every layer but the last — the part of a decoder that is cheap
+    /// to materialize for all rows at once.
+    pub(crate) fn forward_head(&self, x: &Tensor) -> Result<Tensor> {
+        let mut h = x.clone();
+        let head = self.layers.len() - 1; // `Mlp::new` asserts a layer.
+        for (layer, act) in self.layers.iter().zip(&self.activations).take(head) {
+            h = layer.forward_act(&h, *act)?;
+        }
+        Ok(h)
+    }
+
+    /// The last layer and its activation: `last(forward_head(x))` is
+    /// [`PackedMlp::forward`].
+    pub(crate) fn last(&self) -> (&PackedDense, Activation) {
+        let last = self.layers.len() - 1;
+        (&self.layers[last], self.activations[last])
     }
 
     pub fn packed_bytes(&self) -> usize {
@@ -292,28 +340,54 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let layer = Linear::new(&store, "q", 64, 48, &mut rng);
         let f32p = PackedDense::from_linear(&layer).unwrap();
-        let bf16 = PackedDense::from_linear_at(&layer, Precision::Bf16).unwrap();
         let int8 = PackedDense::from_linear_at(&layer, Precision::Int8).unwrap();
-        assert_eq!(bf16.precision(), Precision::Bf16);
         assert_eq!(int8.precision(), Precision::Int8);
-        assert!(bf16.packed_bytes() < f32p.packed_bytes());
-        assert!(int8.packed_bytes() < bf16.packed_bytes());
-        // Quantized forwards stay close to the f32 forward on
+        assert!(int8.packed_bytes() < f32p.packed_bytes());
+        // The quantized forward stays close to the f32 forward on
         // unit-scale inputs.
         let x = Tensor::randn(&[5, 64], &mut rng);
         let want = f32p.forward_act(&x, Activation::Tanh).unwrap();
-        for (label, got) in [
-            ("bf16", bf16.forward_act(&x, Activation::Tanh).unwrap()),
-            ("int8", int8.forward_act(&x, Activation::Tanh).unwrap()),
-        ] {
-            let mae: f32 = want
-                .data()
-                .iter()
-                .zip(got.data())
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f32>()
-                / want.len() as f32;
-            assert!(mae < 0.05, "{label}: MAE {mae}");
+        let got = int8.forward_act(&x, Activation::Tanh).unwrap();
+        let mae: f32 = want
+            .data()
+            .iter()
+            .zip(got.data())
+            .map(|(a, b)| (a - b).abs())
+            .sum::<f32>()
+            / want.len() as f32;
+        assert!(mae < 0.05, "int8: MAE {mae}");
+    }
+
+    #[test]
+    fn row_blocks_bitwise_match_the_tensor_forward_at_both_precisions() {
+        // A wide layer walked a few rows at a time through one scratch
+        // buffer must reproduce the whole-tensor forward: f32 rows are
+        // independent chains, int8 rows carry their own scales.
+        let store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mlp = Mlp::new(
+            &store,
+            "d",
+            &[6, 9, 17, 70],
+            &[Activation::Relu, Activation::Relu, Activation::Identity],
+            &mut rng,
+        );
+        let x = Tensor::randn(&[11, 6], &mut rng);
+        for precision in [Precision::F32, Precision::Int8] {
+            let packed = PackedMlp::from_mlp_at(&mlp, precision).unwrap();
+            let want = packed.forward(&x).unwrap();
+            let head = packed.forward_head(&x).unwrap();
+            let (last, act) = packed.last();
+            let (k, n) = (last.in_dim(), last.out_dim());
+            let kernel = last.rows_kernel(act);
+            let mut got = Vec::new();
+            let mut scratch = vec![f32::NAN; 4 * n];
+            for r0 in (0..11).step_by(4) {
+                let rows = 4.min(11 - r0);
+                kernel(&head.data()[r0 * k..], rows, &mut scratch);
+                got.extend_from_slice(&scratch[..rows * n]);
+            }
+            assert_eq!(got, want.data(), "{precision}");
         }
     }
 }

@@ -60,6 +60,57 @@ fn frozen_forward_bitwise_matches_graph_eval_for_every_variant() {
     }
 }
 
+/// A ring graph: every sensor attends to itself and its two neighbours.
+fn ring(n: usize) -> std::sync::Arc<stwa_tensor::SensorGraph> {
+    let lists: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let mut l = vec![(i + n - 1) % n, i, (i + 1) % n];
+            l.sort_unstable();
+            l.dedup();
+            l
+        })
+        .collect();
+    std::sync::Arc::new(stwa_tensor::SensorGraph::from_neighbor_lists(n, &lists).unwrap())
+}
+
+#[test]
+fn lazy_decode_is_bitwise_at_sensor_counts_off_the_block() {
+    // The dynamic generator decodes its last layer a block of sensors
+    // at a time; (sample, sensor) pairs below one block, just past one
+    // and across several — with the batch boundary falling inside a
+    // block — must all serve the graph path's bits, for every variant
+    // that changes what the walk decodes or who consumes it.
+    for (i, n) in [5usize, 33, 70].into_iter().enumerate() {
+        let configs = [
+            StwaConfig::st_wa(n, 12, 4),
+            StwaConfig::st_wa(n, 12, 4).with_flow(2),
+            StwaConfig::st_wa(n, 12, 4).with_generated_sca(),
+            StwaConfig::st_wa(n, 12, 4).with_sensor_graph(ring(n)),
+            StwaConfig::st_wa(n, 12, 4)
+                .with_generated_sca()
+                .with_sensor_graph(ring(n)),
+            StwaConfig::st_wa(n, 12, 4)
+                .with_proxies(2)
+                .with_windows(&[4, 3]),
+        ];
+        for (j, cfg) in configs.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(300 + (10 * i + j) as u64);
+            let model = StwaModel::new(cfg, &mut rng).unwrap();
+            let session = InferSession::new(&model).unwrap();
+            for b in [1usize, 3] {
+                let x = Tensor::randn(&[b, n, 12, 1], &mut rng);
+                let want = graph_eval(&model, &x);
+                let got = session.run(&x).unwrap();
+                assert_eq!(want.shape(), got.shape(), "N {n}, variant {j}, batch {b}");
+                assert!(
+                    want.data() == got.data(),
+                    "N {n}, variant {j}, batch {b}: frozen path diverged from graph eval"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn frozen_sparse_complete_graph_matches_dense_bitwise() {
     // Same seed -> identical parameters; the only difference is the

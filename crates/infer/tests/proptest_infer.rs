@@ -9,6 +9,9 @@
 //!    the sparse-attention dense-equivalence gate (DESIGN.md §13).
 //! 3. `matmul_packed` over a pre-packed B equals the reference triple
 //!    loop bit-for-bit for arbitrary shapes.
+//! 4. The same contract as 1 at sensor counts on either side of the
+//!    lazy decoder's sensor block, for the variants that change what
+//!    the block walk decodes.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -97,6 +100,31 @@ proptest! {
         let b = InferSession::new(&sparse).unwrap().run(&x).unwrap();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&a), bits(&b), "frozen sparse-complete diverged from dense");
+    }
+
+    /// The dynamic generator walks its sensors a block at a time;
+    /// whatever the remainder, and wherever the batch boundary falls
+    /// inside a block, the served bits are the graph path's.
+    #[test]
+    fn frozen_session_bitwise_matches_graph_eval_across_sensor_blocks(
+        n in 60usize..72,
+        variant in 0u8..4,
+        batch in 1usize..=3,
+        seed in 0u64..1_000_000,
+    ) {
+        let cfg = match variant {
+            0 => StwaConfig::st_wa(n, 12, 2),
+            1 => StwaConfig::st_wa(n, 12, 2).with_flow(1),
+            2 => StwaConfig::st_wa(n, 12, 2).with_generated_sca(),
+            _ => StwaConfig::deterministic(n, 12, 2).with_proxies(2),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = StwaModel::new(cfg, &mut rng).unwrap();
+        let x = Tensor::randn(&[batch, n, 12, 1], &mut rng);
+        let want = model.forward_nograd(&x).unwrap();
+        let got = InferSession::new(&model).unwrap().run(&x).unwrap();
+        prop_assert_eq!(want.shape(), got.shape());
+        prop_assert!(want.data() == got.data(), "N {} variant {} batch {}", n, variant, batch);
     }
 
     #[test]

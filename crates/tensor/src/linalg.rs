@@ -10,18 +10,42 @@
 //!   transposed copy,
 //! - [`matmul_tn`]: `[..., k, m]ᵀ @ [..., k, n]` — the `dB = Aᵀ·G` VJP.
 //!
-//! Every product runs on one register tile (`tile`): `R` output rows
-//! by `W` columns of accumulators held in locals, A read **in place**
-//! through a `(row, contraction)` stride pair (so `A` and `Aᵀ` differ
-//! only in the strides), B read as `W`-wide rows. Large products feed
-//! the tile from `KC`-deep packed B panels (`NR`-wide strips,
-//! transposed on the fly for `Bᵀ`); small ones — the per-(sample,
-//! sensor) products the model issues by the thousand — read B in place
-//! too and pack nothing. The cutover is a function of the product's
-//! size alone. Trailing batch axes the right operand does not vary over
-//! are folded into the rows of the left one before either path sees the
-//! product (`Plan::build`), and [`matmul_tn_sum_lead`] is the matching
-//! weight gradient with its leading-axis reduction fused in.
+//! Every product runs on register tiles: `R` output rows by `W`
+//! columns of accumulators held in locals, A read **in place** through
+//! a `(row, contraction)` stride pair (so `A` and `Aᵀ` differ only in
+//! the strides), B read as rows of `NR`-wide column groups. Large
+//! products feed the tiles from `KC`-deep packed B panels (`NR`-wide
+//! strips, transposed on the fly for `Bᵀ`); small ones — the
+//! per-(sample, sensor) products the model issues by the thousand —
+//! read B in place too and pack nothing. The cutover is a function of
+//! the product's size alone. Trailing batch axes the right operand does
+//! not vary over are folded into the rows of the left one before either
+//! path sees the product (`Plan::build`), and [`matmul_tn_sum_lead`] is
+//! the matching weight gradient with its leading-axis reduction fused
+//! in.
+//!
+//! The packed walk (`panel_pass`) goes row block → strip pair → row
+//! band: a block of `ROW_BLOCK` A rows stays L2-resident while the
+//! panel's strips stream past two at a time (`2·KC·NR` floats, 32 KiB,
+//! L1-resident for the whole block), and each band of the block runs
+//! one register tile across the pair. An odd last full strip runs on
+//! its own, a ragged final strip goes through a stack tile so padded
+//! lanes never reach C, and the in-place small path walks the same
+//! column groups over B where it lies. Tile shapes per ISA arm, chosen
+//! from the row and strip counts only:
+//!
+//! - AVX-512: `8×32`, then `4×32`, then `1×32` for leftover rows, and
+//!   the same heights at `×16` for a single strip;
+//! - AVX2: `4×16` (eight ymm accumulators, what a 16-register file
+//!   holds beside the B row and the broadcast), then `1×16`, strip by
+//!   strip of the pair;
+//! - portable: the same `4×16` / `1×16` shapes.
+//!
+//! Without FMA every accumulator is one `vmulps` → `vaddps` chain that
+//! retires an add per add latency, so the rate is set by how many
+//! independent accumulators are in flight: sixteen zmm in the `8×32`
+//! tile (plus two B rows and a broadcast, of 32 registers) run the unit
+//! near its unfused peak where four (`4×16`) were latency-bound.
 //!
 //! The order contract: each output element is one f32 chain that
 //! starts at `0.0` and adds its `k` products in strictly ascending
@@ -669,13 +693,26 @@ pub fn gemm_nn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n:
     );
 }
 
+/// [`gemm_nn_slice`] against a pre-packed right operand:
+/// `C[rows, n] = A[rows, k] @ packed`, written into `c` (never read).
+/// The slice-level twin of [`matmul_packed_lean`] — same panel walk,
+/// hence the same bits — for callers that produce a few rows of a wide
+/// product at a time into their own scratch (the inference engine
+/// decodes one sensor block's projections, consumes them, and reuses
+/// the buffer). Always sequential.
+pub fn gemm_packed_slice(a: &[f32], packed: &PackedMatrix, c: &mut [f32], rows: usize) {
+    let (k, n) = (packed.k, packed.n);
+    gemm_prepacked(isa(), &a[..rows * k], packed, &mut c[..rows * n], 0, rows);
+}
+
 // -------------------------------------------------------------------
 // Register tiles
 // -------------------------------------------------------------------
 
-/// Which build of the full `MR × NR` tile runs. The wider builds only
-/// change how many lanes each `mul`/`add` covers — no FMA contraction,
-/// one rounding per operation — so every arm produces identical bits.
+/// Which build of the strip tiles runs. The wider builds only change
+/// how many lanes each `mul`/`add` covers and how many accumulators are
+/// in flight — no FMA contraction, one rounding per operation — so
+/// every arm produces identical bits.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Isa {
     Scalar,
@@ -766,13 +803,23 @@ impl AView {
     }
 }
 
-/// The register tile every path bottoms out in:
+/// Adjacent `NR`-wide column groups of the right operand as the strip
+/// tiles read them: row `p` of group `s` is the `NR` floats at
+/// `ptr[s·ss + p·bs ..]`. Packed strips are `(bs, ss) = (NR, KC·NR)`;
+/// B in place is `(n, NR)`.
+#[derive(Clone, Copy)]
+struct BView {
+    ptr: *const f32,
+    bs: usize,
+    ss: usize,
+}
+
+/// The portable register tile:
 /// `C[R × W] = (first ? 0 : C) + A[R × kc] · B[kc × W]`, with row `p` of
 /// B at `b[p·bs..][..W]` and row `r` of C at `c[r·cs..][..W]`. `R·W`
 /// accumulators live in locals for the whole contraction — one
 /// ascending-`p` chain each — and C is touched once at each end (not at
-/// all on entry when `first`). A packed strip of B is `bs = NR`, B in
-/// place is `bs = n`.
+/// all on entry when `first`).
 ///
 /// # Safety
 ///
@@ -813,8 +860,9 @@ unsafe fn tile<const R: usize, const W: usize>(
     }
 }
 
-/// The full tile compiled with AVX2 enabled: the same body, eight ymm
-/// accumulators.
+/// The `MR × NR` tile compiled with AVX2 enabled: the portable body,
+/// eight ymm accumulators — what a 16-register file holds beside the B
+/// row and the broadcast.
 ///
 /// # Safety
 ///
@@ -834,19 +882,25 @@ unsafe fn tile_full_avx2(
     unsafe { tile::<MR, NR>(a, b, bs, kc, c, cs, first) }
 }
 
-/// The full tile with explicit 512-bit intrinsics: one zmm accumulator
-/// per A row (`NR == 16` lanes), `vmulps` + `vaddps` kept unfused so
-/// each lane's rounding matches the scalar chain exactly.
+/// `R` rows by `S` adjacent strips with explicit 512-bit intrinsics:
+/// one zmm accumulator per (row, strip), `vmulps` + `vaddps` kept
+/// unfused so each lane's rounding matches the scalar chain exactly.
+/// An unfused chain retires one add per `vaddps` latency (4 cycles), so
+/// throughput comes from the number of independent accumulators: the
+/// `8 × 2` shape keeps sixteen in flight and still leaves room for the
+/// two B rows and the broadcast in the 32-register file.
 ///
 /// # Safety
 ///
-/// As [`tile`], and the CPU must support AVX-512F.
+/// For every `r < R`, `s < S`, `p < kc`: element `(r, p)` of `a`, the
+/// `NR` floats of `b` at group `s` row `p`, and
+/// `c[r·cs + s·NR .. r·cs + (s + 1)·NR]` must be in bounds; `c` must
+/// not alias `a` or `b`; the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_full_avx512(
+unsafe fn tile_avx512<const R: usize, const S: usize>(
     a: AView,
-    b: *const f32,
-    bs: usize,
+    b: BView,
     kc: usize,
     c: *mut f32,
     cs: usize,
@@ -858,62 +912,49 @@ unsafe fn tile_full_avx512(
     // contract; unaligned load/store intrinsics have no alignment
     // requirement.
     unsafe {
-        let (mut acc0, mut acc1, mut acc2, mut acc3) = if first {
-            let z = _mm512_setzero_ps();
-            (z, z, z, z)
-        } else {
-            (
-                _mm512_loadu_ps(c),
-                _mm512_loadu_ps(c.add(cs)),
-                _mm512_loadu_ps(c.add(2 * cs)),
-                _mm512_loadu_ps(c.add(3 * cs)),
-            )
-        };
+        let mut acc = [[_mm512_setzero_ps(); S]; R];
+        if !first {
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (s, slot) in row.iter_mut().enumerate() {
+                    *slot = _mm512_loadu_ps(c.add(r * cs + s * NR));
+                }
+            }
+        }
         // Each accumulator takes its rank-1 updates one at a time in
-        // ascending `p`; the 4-deep unroll only trims loop overhead.
-        macro_rules! step {
-            ($p:expr) => {{
-                let ap = a.add($p * ps);
-                let bv = _mm512_loadu_ps(b.add($p * bs));
-                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*ap), bv));
-                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*ap.add(rs)), bv));
-                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*ap.add(2 * rs)), bv));
-                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*ap.add(3 * rs)), bv));
-            }};
+        // ascending `p`.
+        for p in 0..kc {
+            let mut bv = [_mm512_setzero_ps(); S];
+            for (s, slot) in bv.iter_mut().enumerate() {
+                *slot = _mm512_loadu_ps(b.ptr.add(s * b.ss + p * b.bs));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * rs + p * ps));
+                for (slot, &bvs) in row.iter_mut().zip(bv.iter()) {
+                    *slot = _mm512_add_ps(*slot, _mm512_mul_ps(av, bvs));
+                }
+            }
         }
-        let mut p = 0;
-        while p + 4 <= kc {
-            step!(p);
-            step!(p + 1);
-            step!(p + 2);
-            step!(p + 3);
-            p += 4;
+        for (r, row) in acc.iter().enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                _mm512_storeu_ps(c.add(r * cs + s * NR), v);
+            }
         }
-        while p < kc {
-            step!(p);
-            p += 1;
-        }
-        _mm512_storeu_ps(c, acc0);
-        _mm512_storeu_ps(c.add(cs), acc1);
-        _mm512_storeu_ps(c.add(2 * cs), acc2);
-        _mm512_storeu_ps(c.add(3 * cs), acc3);
     }
 }
 
-/// An `R × NR` tile: the full `MR`-row tile goes to the widest ISA arm,
-/// single leftover rows to the portable body.
+/// An `R`-row tile across `S` adjacent full strips on the dispatched
+/// arm: AVX-512 holds the whole `R × S·NR` block in registers, the
+/// narrower arms run it one `NR`-wide strip at a time.
 ///
 /// # Safety
 ///
-/// As [`tile`] with `W = NR`; `isa` must not exceed what the CPU
-/// supports (it comes from [`isa`]).
+/// As [`tile_avx512`] minus the CPU requirement; `isa` must not exceed
+/// what the CPU supports (it comes from [`isa`]).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_nr<const R: usize>(
+unsafe fn tile_strips<const R: usize, const S: usize>(
     isa: Isa,
     a: AView,
-    b: *const f32,
-    bs: usize,
+    b: BView,
     kc: usize,
     c: *mut f32,
     cs: usize,
@@ -922,17 +963,83 @@ unsafe fn tile_nr<const R: usize>(
     // Safety: forwarded contract; the ISA arms are guarded by `isa`.
     unsafe {
         #[cfg(target_arch = "x86_64")]
-        {
-            if R == MR {
-                match isa {
-                    Isa::Avx512 => return tile_full_avx512(a, b, bs, kc, c, cs, first),
-                    Isa::Avx2 => return tile_full_avx2(a, b, bs, kc, c, cs, first),
-                    Isa::Scalar => {}
-                }
+        if isa == Isa::Avx512 {
+            return tile_avx512::<R, S>(a, b, kc, c, cs, first);
+        }
+        for s in 0..S {
+            let (bp, cp) = (b.ptr.add(s * b.ss), c.add(s * NR));
+            #[cfg(target_arch = "x86_64")]
+            if isa == Isa::Avx2 && R == MR {
+                tile_full_avx2(a, bp, b.bs, kc, cp, cs, first);
+                continue;
+            }
+            tile::<R, NR>(a, bp, b.bs, kc, cp, cs, first);
+        }
+    }
+}
+
+/// Cover `$rows` output rows with bands of `R` rows, tallest first, and
+/// run `$body` once per band with `$i` the band's first row and `$R` a
+/// constant: `2·MR` rows when `$tall` (the AVX-512 strip tiles, whose
+/// register file holds sixteen accumulators), then [`MR`], then single
+/// leftover rows.
+macro_rules! for_bands {
+    ($tall:expr, $rows:expr, |$R:ident, $i:ident| $body:expr) => {{
+        let mut $i = 0;
+        if $tall {
+            const $R: usize = 2 * MR;
+            while $i + $R <= $rows {
+                $body;
+                $i += $R;
             }
         }
-        let _ = isa;
-        tile::<R, NR>(a, b, bs, kc, c, cs, first)
+        {
+            const $R: usize = MR;
+            while $i + $R <= $rows {
+                $body;
+                $i += $R;
+            }
+        }
+        {
+            const $R: usize = 1;
+            while $i < $rows {
+                $body;
+                $i += $R;
+            }
+        }
+    }};
+}
+
+/// `rows` output rows across `S` adjacent full strips, band by band.
+///
+/// # Safety
+///
+/// `a` addresses `rows` rows of `kc` steps, `b` holds `S` groups of
+/// `kc` rows, and `c` has `rows` rows of stride `cs` with `S·NR`
+/// writable columns each.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn strip_bands<const S: usize>(
+    isa: Isa,
+    a: AView,
+    b: BView,
+    kc: usize,
+    c: *mut f32,
+    cs: usize,
+    rows: usize,
+    first: bool,
+) {
+    // Safety: band `i..i + R` lies inside `rows`.
+    unsafe {
+        for_bands!(isa == Isa::Avx512, rows, |R, i| tile_strips::<R, S>(
+            isa,
+            a.at(i, 0),
+            b,
+            kc,
+            c.add(i * cs),
+            cs,
+            first
+        ));
     }
 }
 
@@ -941,10 +1048,9 @@ unsafe fn tile_nr<const R: usize>(
 // -------------------------------------------------------------------
 
 /// Rows `[r0, r1)` of a product below the blocked cutover, written to
-/// `c`. `A·B` and `Aᵀ·B` walk `MR`-row bands (then single rows) across
-/// const-width column tiles — 16, 8, 4, then 1 — reading B rows in
-/// place; `A·Bᵀ` is a dot product per element, four at a time. The
-/// whole contraction runs in one pass.
+/// `c`. `A·B` and `Aᵀ·B` read B rows in place (see [`rank1_rows`]);
+/// `A·Bᵀ` is a dot product per element, four at a time. The whole
+/// contraction runs in one pass.
 ///
 /// # Safety
 ///
@@ -982,7 +1088,8 @@ unsafe fn gemm_small(g: &Gemm, a: *const f32, b: *const f32, c: *mut f32, r0: us
 }
 
 /// `rows × n` outputs of an `A·B` / `Aᵀ·B` product with both operands
-/// read in place: `MR`-row bands, then single leftover rows.
+/// read in place: column groups — pairs of `NR`, one `NR`, then the
+/// const-width tiles 8, 4 and 1 — each walked in row bands.
 ///
 /// # Safety
 ///
@@ -1000,56 +1107,67 @@ unsafe fn rank1_rows(
     n: usize,
     c: *mut f32,
 ) {
-    let mut i = 0;
-    // Safety: each band covers rows `[i, i + R)` inside `rows`.
+    let mut j = 0;
+    // Safety: every group covers columns `[j, j + W)` with `j + W <= n`,
+    // every band rows `[i, i + R)` inside `rows`.
     unsafe {
-        while i + MR <= rows {
-            row_tiles::<MR>(isa, a.at(i, 0), b, bs, k, n, c.add(i * n));
-            i += MR;
+        let groups = |j: usize| BView {
+            ptr: b.add(j),
+            bs,
+            ss: NR,
+        };
+        while j + 2 * NR <= n {
+            strip_bands::<2>(isa, a, groups(j), k, c.add(j), n, rows, true);
+            j += 2 * NR;
         }
-        while i < rows {
-            row_tiles::<1>(isa, a.at(i, 0), b, bs, k, n, c.add(i * n));
-            i += 1;
+        if j + NR <= n {
+            strip_bands::<1>(isa, a, groups(j), k, c.add(j), n, rows, true);
+            j += NR;
+        }
+        if j + 8 <= n {
+            narrow_bands::<8>(a, b.add(j), bs, k, c.add(j), n, rows);
+            j += 8;
+        }
+        if j + 4 <= n {
+            narrow_bands::<4>(a, b.add(j), bs, k, c.add(j), n, rows);
+            j += 4;
+        }
+        while j < n {
+            narrow_bands::<1>(a, b.add(j), bs, k, c.add(j), n, rows);
+            j += 1;
         }
     }
 }
 
-/// One `R`-row band of a small `A·B` / `Aᵀ·B` product across all `n`
-/// columns, widest const-width tile first.
+/// `rows` output rows of one `W < NR` wide column tile with B read in
+/// place, band by band on the portable tile.
 ///
 /// # Safety
 ///
-/// `a` addresses `R` rows of `k` contraction steps; row `p < k` of B is
-/// the `n` floats at `b[p·bs..]`; `c` has `R` rows of stride `n`.
+/// `a` addresses `rows` rows of `k` steps; row `p < k` of B is the `W`
+/// floats at `b[p·bs..]`; `c` has `rows` rows of stride `cs` with `W`
+/// writable columns each.
 #[inline(always)]
-unsafe fn row_tiles<const R: usize>(
-    isa: Isa,
+unsafe fn narrow_bands<const W: usize>(
     a: AView,
     b: *const f32,
     bs: usize,
     k: usize,
-    n: usize,
     c: *mut f32,
+    cs: usize,
+    rows: usize,
 ) {
-    let mut j = 0;
-    // Safety: every tile covers columns `[j, j + W)` with `j + W <= n`.
+    // Safety: band `i..i + R` lies inside `rows`.
     unsafe {
-        while j + NR <= n {
-            tile_nr::<R>(isa, a, b.add(j), bs, k, c.add(j), n, true);
-            j += NR;
-        }
-        if j + 8 <= n {
-            tile::<R, 8>(a, b.add(j), bs, k, c.add(j), n, true);
-            j += 8;
-        }
-        if j + 4 <= n {
-            tile::<R, 4>(a, b.add(j), bs, k, c.add(j), n, true);
-            j += 4;
-        }
-        while j < n {
-            tile::<R, 1>(a, b.add(j), bs, k, c.add(j), n, true);
-            j += 1;
-        }
+        for_bands!(false, rows, |R, i| tile::<R, W>(
+            a.at(i, 0),
+            b,
+            bs,
+            k,
+            c.add(i * cs),
+            cs,
+            true
+        ));
     }
 }
 
@@ -1091,9 +1209,17 @@ fn small_nt(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize,
 // Blocked kernel
 // -------------------------------------------------------------------
 
+/// Output rows one pass of [`panel_pass`] keeps hot: `ROW_BLOCK × KC`
+/// floats of A (128 KiB) stay L2-resident while every strip pair
+/// streams past them.
+const ROW_BLOCK: usize = 128;
+
 thread_local! {
     /// Reused packing scratch: one B panel (`KC × n` rounded up to `NR`
-    /// strips) per thread, so steady-state kernels allocate nothing.
+    /// strips) per thread, so steady-state kernels allocate nothing. It
+    /// only ever grows: [`pack_b`] writes every lane a pass reads, so a
+    /// narrower product leaves the tail alone instead of truncating it
+    /// for the next wide one to zero-fill again.
     static PACK_B: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -1117,10 +1243,12 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
         return;
     }
     let a = AView::new(a.as_ptr(), g.ak, m, k);
-    let n_strips = n.div_ceil(NR);
+    let panel_elems = KC * n.div_ceil(NR) * NR;
     PACK_B.with(|buf| {
         let mut bpanel = buf.borrow_mut();
-        bpanel.resize(KC * n_strips * NR, 0.0);
+        if bpanel.len() < panel_elems {
+            bpanel.resize(panel_elems, 0.0);
+        }
         let mut k0 = 0;
         while k0 < k {
             let kc = KC.min(k - k0);
@@ -1135,7 +1263,10 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
 }
 
 /// One `kc`-deep pass of `rows` output rows against a packed B panel:
-/// `MR`-row bands, then single leftover rows, each across every strip.
+/// row blocks of [`ROW_BLOCK`], inside each the full strips two at a
+/// time (32 KiB of B, L1-resident while the block's bands stream past),
+/// inside each pair the row bands. An odd last full strip runs alone; a
+/// ragged final strip goes through [`edge`].
 ///
 /// # Safety
 ///
@@ -1151,69 +1282,84 @@ unsafe fn panel_pass(
     n: usize,
     first: bool,
 ) {
-    let n_strips = n.div_ceil(NR);
+    let (full, ragged) = (n / NR, n % NR);
     assert!(c.len() >= rows * n, "C shorter than {rows}x{n}");
     assert!(
-        kc <= KC && panel.len() >= n_strips * KC * NR,
-        "B panel shorter than {n_strips} strips"
+        kc <= KC && panel.len() >= n.div_ceil(NR) * KC * NR,
+        "B panel shorter than {n} columns"
     );
     let (panel, c) = (panel.as_ptr(), c.as_mut_ptr());
-    let mut i = 0;
-    // Safety: band `i..i + R` lies inside `rows`; A by the caller's
-    // contract, the panel and C by the assertions above.
+    // Safety: block `i0..i0 + rb` lies inside `rows`; A by the caller's
+    // contract. Strip `js` starts at `js·KC·NR` and spans `kc·NR`
+    // floats, inside the panel asserted above; full strips write `NR`
+    // columns at `js·NR + NR <= n` of C, the ragged one only its live
+    // columns.
     unsafe {
-        while i + MR <= rows {
-            band::<MR>(isa, a.at(i, 0), panel, kc, c.add(i * n), n, first);
-            i += MR;
-        }
-        while i < rows {
-            band::<1>(isa, a.at(i, 0), panel, kc, c.add(i * n), n, first);
-            i += 1;
+        let strips = |js: usize| BView {
+            ptr: panel.add(js * KC * NR),
+            bs: NR,
+            ss: KC * NR,
+        };
+        for i0 in (0..rows).step_by(ROW_BLOCK) {
+            let rb = ROW_BLOCK.min(rows - i0);
+            let (a, c) = (a.at(i0, 0), c.add(i0 * n));
+            let mut js = 0;
+            while js + 2 <= full {
+                strip_bands::<2>(isa, a, strips(js), kc, c.add(js * NR), n, rb, first);
+                js += 2;
+            }
+            if js < full {
+                strip_bands::<1>(isa, a, strips(js), kc, c.add(js * NR), n, rb, first);
+            }
+            if ragged > 0 {
+                let (b, c) = (strips(full), c.add(full * NR));
+                for_bands!(isa == Isa::Avx512, rb, |R, i| edge::<R>(
+                    isa,
+                    a.at(i, 0),
+                    b,
+                    kc,
+                    c.add(i * n),
+                    n,
+                    ragged,
+                    first
+                ));
+            }
         }
     }
 }
 
-/// One `R`-row band of a panel pass across every `NR`-wide strip. A
-/// ragged final strip computes the full `NR` width on the panel's zero
-/// padding into a stack tile and copies the live columns, so padded
-/// lanes never reach C.
+/// One `R`-row band of the ragged final strip: the full `NR` width is
+/// computed on the panel's zero padding into a stack tile and only the
+/// `nr` live columns are copied out, so padded lanes never reach C.
 ///
 /// # Safety
 ///
-/// `a` addresses `R` rows of `kc` steps; `panel` holds `ceil(n / NR)`
-/// strips of `KC·NR` floats; `c` has `R` rows of stride `n`.
+/// `a` addresses `R` rows of `kc` steps; `b` is one packed strip; `c`
+/// has `R` rows of stride `n` with `nr` writable columns each.
 #[inline(always)]
-unsafe fn band<const R: usize>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn edge<const R: usize>(
     isa: Isa,
     a: AView,
-    panel: *const f32,
+    b: BView,
     kc: usize,
     c: *mut f32,
     n: usize,
+    nr: usize,
     first: bool,
 ) {
-    // Safety: strip `js` starts at `js·KC·NR` and spans `kc·NR` floats;
-    // full strips write `NR` columns at `j0 + NR <= n`, the ragged one
-    // goes through `edge` and touches only `nr` columns of C.
+    let mut tile = [[0f32; NR]; R];
+    // Safety: the stack tile is `R` rows of stride `NR`; C is touched
+    // for `nr` columns per row only.
     unsafe {
-        for js in 0..n.div_ceil(NR) {
-            let j0 = js * NR;
-            let nr = NR.min(n - j0);
-            let strip = panel.add(js * KC * NR);
-            if nr == NR {
-                tile_nr::<R>(isa, a, strip, NR, kc, c.add(j0), n, first);
-            } else {
-                let mut edge = [[0f32; NR]; R];
-                if !first {
-                    for (r, row) in edge.iter_mut().enumerate() {
-                        std::ptr::copy_nonoverlapping(c.add(r * n + j0), row.as_mut_ptr(), nr);
-                    }
-                }
-                tile_nr::<R>(isa, a, strip, NR, kc, edge.as_mut_ptr().cast(), NR, first);
-                for (r, row) in edge.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * n + j0), nr);
-                }
+        if !first {
+            for (r, row) in tile.iter_mut().enumerate() {
+                std::ptr::copy_nonoverlapping(c.add(r * n), row.as_mut_ptr(), nr);
             }
+        }
+        tile_strips::<R, 1>(isa, a, b, kc, tile.as_mut_ptr().cast(), NR, first);
+        for (r, row) in tile.iter().enumerate() {
+            std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * n), nr);
         }
     }
 }
@@ -1413,7 +1559,7 @@ pub fn matmul_packed_lean(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
 }
 
 /// [`gemm_blocked`] with the B panels read from a [`PackedMatrix`]
-/// instead of packed per call. Same slab/band/tile walk, same
+/// instead of packed per call. Same slab / [`panel_pass`] walk, same
 /// ascending-`p` accumulation — bitwise identical output. `a` is
 /// `[rows, k]` row-major with `r1 <= rows`.
 fn gemm_prepacked(isa: Isa, a: &[f32], packed: &PackedMatrix, c: &mut [f32], r0: usize, r1: usize) {
@@ -1867,6 +2013,132 @@ mod tests {
                     assert_eq!(c, want.data(), "{cap:?} slice {m}x{k}x{n}");
                 }
             });
+        }
+    }
+
+    /// Shapes on both sides of every boundary of the packed walk: row
+    /// counts around the band heights and the row block, widths with an
+    /// odd / even / ragged strip count, depths around one `KC` slab.
+    /// Every (rows, n) and every (n, k) pair occurs; the third extent
+    /// rotates so the sweep stays a unit test.
+    fn walk_shapes() -> Vec<(usize, usize, usize)> {
+        const ROWS: [usize; 11] = [0, 1, 3, 4, 7, 8, 9, 127, 128, 129, 300];
+        const NS: [usize; 7] = [16, 17, 31, 32, 33, 48, 2048 + 5];
+        const KS: [usize; 6] = [0, 1, 255, 256, 257, 600];
+        let mut shapes = Vec::new();
+        for (i, &m) in ROWS.iter().enumerate() {
+            for (j, &n) in NS.iter().enumerate() {
+                shapes.push((m, KS[(i + j) % KS.len()], n));
+            }
+        }
+        for (j, &n) in NS.iter().enumerate() {
+            for (l, &k) in KS.iter().enumerate() {
+                shapes.push((ROWS[(3 * j + l) % ROWS.len()], k, n));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn packed_walk_matches_reference_on_every_arm_and_row_range() {
+        for (m, k, n) in walk_shapes() {
+            let a = Tensor::from_fn(&[m, k], fill(5));
+            let b = Tensor::from_fn(&[k, n], fill(6));
+            let want = matmul_reference(&a, &b).unwrap();
+            let at = a.transpose_last2().unwrap();
+            let packed = PackedMatrix::pack(&b).unwrap();
+            for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+                with_isa_cap(cap, || {
+                    for (r0, r1) in [(0, m), (m / 3, m - m / 4)] {
+                        let rows = &want.data()[r0 * n..r1 * n];
+                        let tag = format!("{cap:?} {m}x{k}x{n} rows {r0}..{r1}");
+                        for (view, ak, ad) in [
+                            ("NN", AKind::Normal, a.data()),
+                            ("TN", AKind::Transposed, at.data()),
+                        ] {
+                            let gemm = Gemm {
+                                blocked: true,
+                                ..Gemm::new(m, k, n, ak, BKind::Normal)
+                            };
+                            let mut c = vec![f32::NAN; (r1 - r0) * n];
+                            gemm.rows(ad, b.data(), &mut c, r0, r1);
+                            assert!(c == rows, "blocked {view} {tag}");
+                        }
+                        let mut c = vec![f32::NAN; (r1 - r0) * n];
+                        gemm_prepacked(isa(), a.data(), &packed, &mut c, r0, r1);
+                        assert!(c == rows, "prepacked {tag}");
+                    }
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_packed_slice(a.data(), &packed, &mut c, m);
+                    assert!(c == want.data(), "packed slice {cap:?} {m}x{k}x{n}");
+                    let lean = matmul_packed_lean(&a, &packed).unwrap();
+                    assert!(lean.data() == want.data(), "lean {cap:?} {m}x{k}x{n}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn packed_walk_is_thread_count_invariant() {
+        // Row splits land on arbitrary boundaries of the band / row-block
+        // structure; each task's sub-range must still produce its rows'
+        // exact chains.
+        let before = stwa_pool::current_threads();
+        for (m, k, n) in [(129, 257, 2053), (300, 600, 48), (127, 256, 33)] {
+            let a = Tensor::from_fn(&[m, k], fill(7));
+            let b = Tensor::from_fn(&[k, n], fill(8));
+            let want = matmul_reference(&a, &b).unwrap();
+            let at = a.transpose_last2().unwrap();
+            let packed = PackedMatrix::pack(&b).unwrap();
+            for threads in [1, 2, 3] {
+                stwa_pool::set_threads(threads);
+                let tag = format!("{m}x{k}x{n} @ {threads} threads");
+                assert!(matmul(&a, &b).unwrap().data() == want.data(), "NN {tag}");
+                assert!(
+                    matmul_tn(&at, &b).unwrap().data() == want.data(),
+                    "TN {tag}"
+                );
+                assert!(
+                    matmul_packed(&a, &packed).unwrap().data() == want.data(),
+                    "packed {tag}"
+                );
+            }
+        }
+        stwa_pool::set_threads(before);
+    }
+
+    #[test]
+    fn pack_scratch_only_grows_and_is_never_read_stale() {
+        // `pack_b` writes every lane a pass reads, so the per-thread
+        // panel needs neither truncation nor zero fill between products:
+        // poison it, alternate wide / narrow / ragged / multi-slab
+        // products, and hold each to the reference.
+        let mut high_water = 0;
+        for (m, k, n) in [
+            (20, 300, 2048),
+            (20, 300, 16),
+            (20, 40, 53),
+            (9, 257, 2053),
+            (64, 64, 17),
+            (20, 300, 2048),
+        ] {
+            PACK_B.with(|buf| buf.borrow_mut().fill(f32::NAN));
+            let a = Tensor::from_fn(&[m, k], fill(9));
+            let b = Tensor::from_fn(&[k, n], fill(10));
+            let want = matmul_reference(&a, &b).unwrap();
+            let bt = b.transpose_last2().unwrap();
+            for (bk, bd) in [(BKind::Normal, b.data()), (BKind::Transposed, bt.data())] {
+                let gemm = Gemm {
+                    blocked: true,
+                    ..Gemm::new(m, k, n, AKind::Normal, bk)
+                };
+                let mut c = vec![f32::NAN; m * n];
+                gemm.rows(a.data(), bd, &mut c, 0, m);
+                assert!(c == want.data(), "{m}x{k}x{n} on a poisoned panel");
+            }
+            let len = PACK_B.with(|buf| buf.borrow().len());
+            assert!(len >= high_water, "panel shrank from {high_water} to {len}");
+            high_water = len;
         }
     }
 

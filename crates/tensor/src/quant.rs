@@ -2,22 +2,18 @@
 //!
 //! Large-batch serving is memory-bandwidth-bound on f32 [`PackedMatrix`]
 //! panels (BENCH_infer.json: the frozen engine's speedup sags as batch
-//! grows), so this module re-lays frozen weights into the same blocked
-//! panel format at reduced width: **bf16** (2 bytes/weight, f32
-//! accumulation) and **symmetric int8** (1 byte/weight + one f32 scale
-//! per output column, i32 accumulation). Activations stay f32 end to
-//! end; the int8 path quantizes each GEMM *row* of the activation
-//! dynamically (one scale per row) so the product is pure integer
-//! arithmetic until the final per-element dequantize.
+//! grows), so this module re-lays frozen weights as **symmetric int8**
+//! panels (1 byte/weight + one f32 scale per output column, i32
+//! accumulation). Activations stay f32 end to end; each GEMM *row* of
+//! the activation is quantized dynamically (one scale per row) so the
+//! product is pure integer arithmetic until the final per-element
+//! dequantize.
 //!
-//! Layouts: bf16 panels keep the [`PackedMatrix`] slab/strip layout
-//! (one slab per `KC`-deep contraction step, `ceil(n/NR)` strips of
-//! `KC*NR` elements, ragged edges zero-padded) with `u16` storage. The
-//! int8 panels use a **quad-interleaved** strip layout instead — full
-//! contraction depth per strip, `k` grouped in fours so each strip row
-//! is the `NR*4 = 64` bytes one `vpdpbusd` consumes:
+//! Layout: a **quad-interleaved** strip layout — full contraction depth
+//! per `NR`-wide strip, `k` grouped in fours so each strip row is the
+//! `NR*4 = 64` bytes one `vpdpbusd` consumes:
 //! `panel[js*k4*64 + p4*64 + jj*4 + t] = q(B[4*p4 + t][js*NR + jj])`.
-//! Each int8 strip carries a per-column scale (`scales[j] = max_p
+//! Each strip carries a per-column scale (`scales[j] = max_p
 //! |B[p][j]| / 127` — the finest "column group" the per-panel scheme
 //! allows, which keeps the round-trip bound per-column tight) and a
 //! per-column integer correction `corr[j] = 128 * sum_p q(B[p][j])`,
@@ -27,33 +23,30 @@
 //!
 //! # Determinism contract
 //!
-//! The quantized paths cannot be bitwise-equal to the f32 kernels (that
+//! The quantized path cannot be bitwise-equal to the f32 kernels (that
 //! would defeat quantization), so the contract shifts one level down:
 //! **every SIMD kernel is bitwise-equal to its scalar reference**, at
 //! any shape and thread count.
 //!
-//! - int8: the `i8 × i8 → i32` accumulation is exact integer
-//!   arithmetic, associative by construction, so lane width cannot
-//!   change the sum — and both SIMD tiles' `+128` activation offset
-//!   (VNNI `vpdpbusd`, AVX2 `vpmaddubsw` with even/odd byte splitting
-//!   to dodge i16 saturation) is undone by an exact integer
-//!   correction, so each computes the *same integer* as the scalar
-//!   tile. The dequantize is the fixed chain
-//!   `(acc as f32) * row_scale * col_scale`, one rounding per `*`,
-//!   identical lane-wise in scalar and SIMD.
-//! - bf16: each output element accumulates `acc += a * widen(b)` in a
-//!   single f32 chain along ascending `p` (the same order contract as
-//!   the f32 kernels); `widen` is an exact bit shift, and SIMD lanes
-//!   round exactly like the scalar chain because `mul` and `add` stay
-//!   unfused.
-//! - Rows are independent (no cross-row reduction), so splitting rows
-//!   across pool workers cannot change any element's chain.
+//! - The `i8 × i8 → i32` accumulation is exact integer arithmetic,
+//!   associative by construction, so lane width cannot change the sum —
+//!   and both SIMD tiles' `+128` activation offset (VNNI `vpdpbusd`,
+//!   AVX2 `vpmaddubsw` with even/odd byte splitting to dodge i16
+//!   saturation) is undone by an exact integer correction, so each
+//!   computes the *same integer* as the scalar tile. The dequantize is
+//!   the fixed chain `(acc as f32) * row_scale * col_scale`, one
+//!   rounding per `*`, identical lane-wise in scalar and SIMD.
+//! - Rows are independent (no cross-row reduction, and each row's
+//!   scale depends on that row alone), so splitting rows across pool
+//!   workers — or feeding them a block at a time — cannot change any
+//!   element.
 //!
-//! `matmul_packed_int8_reference` / `matmul_packed_bf16_reference` run
-//! the scalar bodies unconditionally; proptests assert the dispatched
-//! entries match them bit-for-bit.
+//! `matmul_packed_int8_reference` runs the scalar body unconditionally;
+//! proptests assert the dispatched entry matches it bit-for-bit.
+//!
+//! [`PackedMatrix`]: crate::linalg::PackedMatrix
 
-use crate::linalg::{KC, MR, NR, PARALLEL_FLOP_THRESHOLD};
+use crate::linalg::{MR, NR, PARALLEL_FLOP_THRESHOLD};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 use stwa_pool::SendPtr;
@@ -65,9 +58,6 @@ pub enum Precision {
     /// Full-width panels — bitwise identical to the training graph.
     #[default]
     F32,
-    /// bfloat16 panels, f32 accumulation: 2× smaller weights, ~3
-    /// decimal digits of weight precision.
-    Bf16,
     /// Symmetric int8 panels with per-column scales, i32 accumulation
     /// and dynamic per-row activation quantization: 4× smaller weights.
     Int8,
@@ -78,7 +68,6 @@ impl Precision {
     pub fn label(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
-            Precision::Bf16 => "bf16",
             Precision::Int8 => "int8",
         }
     }
@@ -93,25 +82,6 @@ impl std::fmt::Display for Precision {
 // -------------------------------------------------------------------
 // Scalar conversion primitives
 // -------------------------------------------------------------------
-
-/// f32 → bf16 with round-to-nearest-even on the dropped 16 mantissa
-/// bits (the same rounding hardware bf16 units use). NaNs are quieted
-/// so truncation can never produce an infinity-like bit pattern.
-#[inline]
-pub fn bf16_from_f32(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let round_bias = 0x7FFF + ((bits >> 16) & 1);
-    ((bits.wrapping_add(round_bias)) >> 16) as u16
-}
-
-/// bf16 → f32: an exact widening (bf16 values are a subset of f32).
-#[inline]
-pub fn bf16_to_f32(h: u16) -> f32 {
-    f32::from_bits((h as u32) << 16)
-}
 
 /// Symmetric int8 scale for values of the given max magnitude. Zero
 /// magnitude maps to scale 1 so all-zero columns/rows quantize to
@@ -284,84 +254,6 @@ fn check_rank2(b: &Tensor, what: &str) -> Result<(usize, usize)> {
     Ok((b.shape()[0], b.shape()[1]))
 }
 
-/// A `[k, n]` matrix packed once into bf16 panels in the
-/// [`PackedMatrix`] slab/strip layout.
-///
-/// [`PackedMatrix`]: crate::linalg::PackedMatrix
-pub struct PackedMatrixBf16 {
-    panels: Vec<u16>,
-    k: usize,
-    n: usize,
-    slab_elems: usize,
-}
-
-impl PackedMatrixBf16 {
-    /// Round a rank-2 `[k, n]` tensor to bf16 and pack it.
-    pub fn pack(b: &Tensor) -> Result<PackedMatrixBf16> {
-        let (k, n) = check_rank2(b, "PackedMatrixBf16")?;
-        let n_strips = n.div_ceil(NR);
-        let slab_elems = n_strips * KC * NR;
-        let n_slabs = k.div_ceil(KC).max(1);
-        let mut panels = vec![0u16; n_slabs * slab_elems];
-        let data = b.data();
-        for (slab, k0) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - k0);
-            let dst = &mut panels[slab * slab_elems..(slab + 1) * slab_elems];
-            for js in 0..n_strips {
-                let j0 = js * NR;
-                let nr = NR.min(n - j0);
-                let strip = &mut dst[js * KC * NR..js * KC * NR + kc * NR];
-                for (p, row) in strip.chunks_exact_mut(NR).enumerate() {
-                    for (jj, slot) in row.iter_mut().enumerate().take(nr) {
-                        *slot = bf16_from_f32(data[(k0 + p) * n + j0 + jj]);
-                    }
-                }
-            }
-        }
-        Ok(PackedMatrixBf16 {
-            panels,
-            k,
-            n,
-            slab_elems,
-        })
-    }
-
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Bytes held by the packed panels (padding included).
-    pub fn packed_bytes(&self) -> usize {
-        self.panels.len() * std::mem::size_of::<u16>()
-    }
-
-    /// The `[k, n]` matrix the kernels actually see (weights after the
-    /// bf16 round-trip) — for error-bound tests and audits.
-    pub fn dequantize(&self) -> Result<Tensor> {
-        let mut out = vec![0f32; self.k * self.n];
-        let n_strips = self.n.div_ceil(NR);
-        for (slab, k0) in (0..self.k).step_by(KC).enumerate() {
-            let kc = KC.min(self.k - k0);
-            let src = &self.panels[slab * self.slab_elems..(slab + 1) * self.slab_elems];
-            for js in 0..n_strips {
-                let j0 = js * NR;
-                let nr = NR.min(self.n - j0);
-                let strip = &src[js * KC * NR..js * KC * NR + kc * NR];
-                for (p, row) in strip.chunks_exact(NR).enumerate() {
-                    for (jj, &h) in row.iter().enumerate().take(nr) {
-                        out[(k0 + p) * self.n + j0 + jj] = bf16_to_f32(h);
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[self.k, self.n])
-    }
-}
-
 /// A `[k, n]` matrix packed once into symmetric-int8 panels in the
 /// quad-interleaved strip layout `vpdpbusd` consumes (see the module
 /// docs), plus per-column f32 scales and i32 zero-point corrections
@@ -513,8 +405,6 @@ thread_local! {
     /// Reused whole-block offset-quad activation panel for int8 (built
     /// once per GEMM by [`quantize_rows_quad`], sliced per row block).
     static APANEL_U32: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Per-worker MR-interleaved f32 A panels for bf16.
-    static APANEL_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 // -------------------------------------------------------------------
@@ -761,213 +651,6 @@ fn gemm_int8(
 }
 
 // -------------------------------------------------------------------
-// bf16 GEMM
-// -------------------------------------------------------------------
-
-/// Scalar bf16 register tile: each element's f32 accumulator takes its
-/// `a * widen(b)` updates in ascending `p` across all slabs — the same
-/// single-chain order contract as the f32 kernels.
-#[allow(clippy::too_many_arguments)]
-fn bf16_tile_scalar(
-    ap: &[f32],
-    packed: &PackedMatrixBf16,
-    strip_off: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let k = packed.k;
-    let mut acc = [[0f32; NR]; MR];
-    let mut slab = 0;
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        let base = slab * packed.slab_elems + strip_off;
-        let strip = &packed.panels[base..base + kc * NR];
-        for (p, brow) in strip.chunks_exact(NR).enumerate() {
-            let arow = &ap[(k0 + p) * MR..(k0 + p) * MR + MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = arow[r];
-                for (slot, &bv) in accr.iter_mut().zip(brow.iter()) {
-                    *slot += av * bf16_to_f32(bv);
-                }
-            }
-        }
-        k0 += kc;
-        slab += 1;
-    }
-    for (r, accr) in acc.iter().enumerate().take(mr) {
-        c[r * cs..r * cs + nr].copy_from_slice(&accr[..nr]);
-    }
-}
-
-/// Full bf16 tiles with 512-bit lanes: `vpmovzxwd` + a 16-bit shift
-/// widen one strip row exactly, then unfused `vmulps`/`vaddps` keep
-/// each lane's rounding identical to the scalar chain.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn bf16_tile_avx512(
-    ap: &[f32],
-    packed: &PackedMatrixBf16,
-    strip_off: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use std::arch::x86_64::*;
-    if mr != MR || nr != NR {
-        bf16_tile_scalar(ap, packed, strip_off, c, cs, mr, nr);
-        return;
-    }
-    let k = packed.k;
-    debug_assert!(ap.len() >= k * MR && c.len() >= 3 * cs + NR);
-    // Safety: tile bounds checked above; strip rows are NR u16s (32
-    // bytes) inside a zero-padded slab.
-    unsafe {
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut acc2 = _mm512_setzero_ps();
-        let mut acc3 = _mm512_setzero_ps();
-        let mut slab = 0;
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            let base = slab * packed.slab_elems + strip_off;
-            let mut b = packed.panels.as_ptr().add(base);
-            let mut a = ap.as_ptr().add(k0 * MR);
-            for _ in 0..kc {
-                let bh = _mm256_loadu_si256(b as *const __m256i);
-                let bv = _mm512_castsi512_ps(_mm512_slli_epi32(
-                    _mm512_cvtepu16_epi32(bh),
-                    16,
-                ));
-                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(*a), bv));
-                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(*a.add(1)), bv));
-                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(*a.add(2)), bv));
-                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(*a.add(3)), bv));
-                a = a.add(MR);
-                b = b.add(NR);
-            }
-            k0 += kc;
-            slab += 1;
-        }
-        let cp = c.as_mut_ptr();
-        _mm512_storeu_ps(cp, acc0);
-        _mm512_storeu_ps(cp.add(cs), acc1);
-        _mm512_storeu_ps(cp.add(2 * cs), acc2);
-        _mm512_storeu_ps(cp.add(3 * cs), acc3);
-    }
-}
-
-/// AVX2 bf16 tile: two 256-bit halves per strip row, per-lane rounding
-/// unchanged (lanes are independent f32 chains).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn bf16_tile_avx2(
-    ap: &[f32],
-    packed: &PackedMatrixBf16,
-    strip_off: usize,
-    c: &mut [f32],
-    cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use std::arch::x86_64::*;
-    if mr != MR || nr != NR {
-        bf16_tile_scalar(ap, packed, strip_off, c, cs, mr, nr);
-        return;
-    }
-    let k = packed.k;
-    debug_assert!(ap.len() >= k * MR && c.len() >= 3 * cs + NR);
-    // Safety: as in the AVX-512 tile.
-    unsafe {
-        let mut lo = [_mm256_setzero_ps(); MR];
-        let mut hi = [_mm256_setzero_ps(); MR];
-        let mut slab = 0;
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            let base = slab * packed.slab_elems + strip_off;
-            let mut b = packed.panels.as_ptr().add(base);
-            let mut a = ap.as_ptr().add(k0 * MR);
-            for _ in 0..kc {
-                let h_lo = _mm_loadu_si128(b as *const __m128i);
-                let h_hi = _mm_loadu_si128(b.add(8) as *const __m128i);
-                let blo =
-                    _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h_lo), 16));
-                let bhi =
-                    _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h_hi), 16));
-                for r in 0..MR {
-                    let av = _mm256_set1_ps(*a.add(r));
-                    lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, blo));
-                    hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, bhi));
-                }
-                a = a.add(MR);
-                b = b.add(NR);
-            }
-            k0 += kc;
-            slab += 1;
-        }
-        let cp = c.as_mut_ptr();
-        for r in 0..MR {
-            _mm256_storeu_ps(cp.add(r * cs), lo[r]);
-            _mm256_storeu_ps(cp.add(r * cs + 8), hi[r]);
-        }
-    }
-}
-
-/// Row-block walk of the bf16 GEMM; like [`gemm_int8`], one tile spans
-/// the full contraction depth so the single-chain accumulation never
-/// leaves registers.
-fn gemm_bf16(
-    a: &[f32],
-    packed: &PackedMatrixBf16,
-    c: &mut [f32],
-    r0: usize,
-    r1: usize,
-    kern: Kernel,
-) {
-    let (k, n) = (packed.k, packed.n);
-    let n_strips = n.div_ceil(NR);
-    APANEL_F32.with(|cell| {
-        let mut ap = cell.borrow_mut();
-        ap.clear();
-        ap.resize(k * MR, 0.0);
-        let mut i0 = r0;
-        while i0 < r1 {
-            let mr = MR.min(r1 - i0);
-            for p in 0..k {
-                for r in 0..MR {
-                    ap[p * MR + r] = if r < mr { a[(i0 + r) * k + p] } else { 0.0 };
-                }
-            }
-            for js in 0..n_strips {
-                let j0 = js * NR;
-                let nr = NR.min(n - j0);
-                let strip_off = js * KC * NR;
-                let tile = &mut c[(i0 - r0) * n + j0..];
-                match kern {
-                    #[cfg(target_arch = "x86_64")]
-                    // Safety: dispatch guarded by runtime feature checks.
-                    Kernel::Avx512 | Kernel::Avx512Vnni => unsafe {
-                        bf16_tile_avx512(&ap, packed, strip_off, tile, n, mr, nr)
-                    },
-                    #[cfg(target_arch = "x86_64")]
-                    // Safety: dispatch guarded by runtime feature checks.
-                    Kernel::Avx2 => unsafe {
-                        bf16_tile_avx2(&ap, packed, strip_off, tile, n, mr, nr)
-                    },
-                    _ => bf16_tile_scalar(&ap, packed, strip_off, tile, n, mr, nr),
-                }
-            }
-            i0 += MR;
-        }
-    });
-}
-
-// -------------------------------------------------------------------
 // Entry points
 // -------------------------------------------------------------------
 
@@ -1007,34 +690,6 @@ fn row_chunks(rows: usize, workers: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn run_bf16(a: &Tensor, packed: &PackedMatrixBf16, kern: Kernel) -> Result<Tensor> {
-    let rows = leading_rows(a, packed.k, "matmul_packed_bf16")?;
-    let (k, n) = (packed.k, packed.n);
-    let shape = out_shape_of(a, n);
-    if rows * n == 0 {
-        return Tensor::from_vec(Vec::new(), &shape);
-    }
-    let mut out = crate::memory::take_scratch(rows * n);
-    let a_data = a.data();
-    let threads = stwa_pool::current_threads();
-    if kern != Kernel::Scalar && rows * n * k >= PARALLEL_FLOP_THRESHOLD && threads > 1 {
-        let chunks = row_chunks(rows, threads);
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        stwa_pool::parallel_for(chunks.len(), |t| {
-            let (r0, r1) = chunks[t];
-            // Safety: chunks cover disjoint row ranges; the pool joins
-            // before `out` is consumed.
-            let c = unsafe {
-                std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n)
-            };
-            gemm_bf16(a_data, packed, c, r0, r1, kern);
-        });
-    } else {
-        gemm_bf16(a_data, packed, &mut out, 0, rows, kern);
-    }
-    Tensor::from_vec(out, &shape)
-}
-
 fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Kernel) -> Result<Tensor> {
     let rows = leading_rows(a, packed.k, "matmul_packed_int8")?;
     let (k, n) = (packed.k, packed.n);
@@ -1066,20 +721,6 @@ fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Kernel) -> Result<Tenso
         }
         Tensor::from_vec(out, &shape)
     })
-}
-
-/// `a @ packed` over bf16 panels: `a` is `[..., m, k]`, leading axes
-/// flatten into rows, result `[..., m, n]`. Runtime-dispatched to the
-/// widest SIMD tile; bitwise equal to
-/// [`matmul_packed_bf16_reference`] at any shape and thread count.
-pub fn matmul_packed_bf16_lean(a: &Tensor, packed: &PackedMatrixBf16) -> Result<Tensor> {
-    run_bf16(a, packed, detect_kernel())
-}
-
-/// The scalar reference for [`matmul_packed_bf16_lean`] — always the
-/// scalar tile, always single-threaded.
-pub fn matmul_packed_bf16_reference(a: &Tensor, packed: &PackedMatrixBf16) -> Result<Tensor> {
-    run_bf16(a, packed, Kernel::Scalar)
 }
 
 /// `a @ packed` over symmetric-int8 panels with dynamic per-row
@@ -1118,27 +759,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn bf16_round_trip_is_exact_for_bf16_values() {
-        for x in [0.0f32, -1.5, 3.25, 1e-30, -65504.0, f32::INFINITY] {
-            let h = bf16_from_f32(x);
-            let y = bf16_to_f32(h);
-            assert_eq!(bf16_from_f32(y), h, "{x}");
-        }
-        assert!(bf16_to_f32(bf16_from_f32(f32::NAN)).is_nan());
-    }
-
-    #[test]
-    fn bf16_rounds_to_nearest_even() {
-        // 1.0 + 2^-9 is exactly halfway between bf16(1.0) and the next
-        // bf16 up; ties-to-even keeps the even significand (1.0).
-        let x = f32::from_bits(0x3F80_8000);
-        assert_eq!(bf16_from_f32(x), 0x3F80);
-        // A hair above the tie rounds up.
-        let x = f32::from_bits(0x3F80_8001);
-        assert_eq!(bf16_from_f32(x), 0x3F81);
-    }
-
-    #[test]
     fn int8_round_trip_error_is_bounded_by_half_scale() {
         let mut rng = StdRng::seed_from_u64(7);
         let w = Tensor::randn(&[37, 21], &mut rng);
@@ -1157,16 +777,10 @@ mod tests {
     #[test]
     fn quantized_matmuls_match_their_dequantized_f32_products() {
         // The int8 kernel must equal an f32 product over the *doubly*
-        // dequantized operands up to f32 reassociation; bf16 must equal
-        // the f32 product over the rounded weights exactly (same chain).
+        // dequantized operands up to f32 reassociation.
         let mut rng = StdRng::seed_from_u64(11);
         let a = Tensor::randn(&[5, 33], &mut rng);
         let w = Tensor::randn(&[33, 18], &mut rng);
-
-        let bf = PackedMatrixBf16::pack(&w).unwrap();
-        let got = matmul_packed_bf16_lean(&a, &bf).unwrap();
-        let want = linalg::matmul_reference(&a, &bf.dequantize().unwrap()).unwrap();
-        assert_eq!(got.data(), want.data());
 
         let q = PackedMatrixInt8::pack(&w).unwrap();
         let got = matmul_packed_int8_lean(&a, &q).unwrap();
@@ -1196,12 +810,6 @@ mod tests {
         for (m, k, n) in [(1, 16, 16), (4, 300, 48), (7, 33, 17), (64, 257, 130)] {
             let a = Tensor::randn(&[m, k], &mut rng);
             let w = Tensor::randn(&[k, n], &mut rng);
-            let bf = PackedMatrixBf16::pack(&w).unwrap();
-            assert_eq!(
-                matmul_packed_bf16_lean(&a, &bf).unwrap().data(),
-                matmul_packed_bf16_reference(&a, &bf).unwrap().data(),
-                "bf16 {m}x{k}x{n}"
-            );
             let q = PackedMatrixInt8::pack(&w).unwrap();
             assert_eq!(
                 matmul_packed_int8_lean(&a, &q).unwrap().data(),
@@ -1256,11 +864,9 @@ mod tests {
     #[test]
     fn quantized_packs_reject_non_matrices() {
         let t = Tensor::zeros(&[3]);
-        assert!(PackedMatrixBf16::pack(&t).is_err());
         assert!(PackedMatrixInt8::pack(&t).is_err());
         let a = Tensor::zeros(&[2, 3]);
         let w = Tensor::zeros(&[4, 5]);
-        assert!(matmul_packed_bf16_lean(&a, &PackedMatrixBf16::pack(&w).unwrap()).is_err());
         assert!(matmul_packed_int8_lean(&a, &PackedMatrixInt8::pack(&w).unwrap()).is_err());
     }
 
@@ -1303,7 +909,6 @@ mod tests {
             let a = Tensor::randn(&[m, k], &mut rng);
             let w = Tensor::randn(&[k, n], &mut rng);
             let pf = linalg::PackedMatrix::pack(&w).unwrap();
-            let bf = PackedMatrixBf16::pack(&w).unwrap();
             let q = PackedMatrixInt8::pack(&w).unwrap();
             let time = |f: &mut dyn FnMut()| {
                 for _ in 0..2 {
@@ -1318,9 +923,6 @@ mod tests {
             let tf = time(&mut || {
                 std::hint::black_box(linalg::matmul_packed_lean(&a, &pf).unwrap());
             });
-            let tb = time(&mut || {
-                std::hint::black_box(matmul_packed_bf16_lean(&a, &bf).unwrap());
-            });
             let ti = time(&mut || {
                 std::hint::black_box(matmul_packed_int8_lean(&a, &q).unwrap());
             });
@@ -1330,9 +932,8 @@ mod tests {
                 quantize_rows(std::hint::black_box(a.data()), m, k, &mut qa, &mut sa);
             });
             println!(
-                "{m}x{k}x{n}: f32 {tf:.3} ms  bf16 {tb:.3} ms ({:.2}x)  int8 {ti:.3} ms \
-                 ({:.2}x)  [quantize_rows {tq:.3} ms]",
-                tf / tb,
+                "{m}x{k}x{n}: f32 {tf:.3} ms  int8 {ti:.3} ms ({:.2}x)  \
+                 [quantize_rows {tq:.3} ms]",
                 tf / ti
             );
         }
@@ -1343,9 +944,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let w = Tensor::randn(&[256, 64], &mut rng);
         let f32_bytes = linalg::PackedMatrix::pack(&w).unwrap().packed_bytes();
-        let bf16_bytes = PackedMatrixBf16::pack(&w).unwrap().packed_bytes();
         let int8_bytes = PackedMatrixInt8::pack(&w).unwrap().packed_bytes();
-        assert_eq!(bf16_bytes * 2, f32_bytes);
         assert!(int8_bytes * 3 < f32_bytes, "{int8_bytes} vs {f32_bytes}");
     }
 }

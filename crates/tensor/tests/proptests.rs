@@ -570,6 +570,68 @@ proptest! {
     }
 }
 
+/// Row counts around the band heights (1, 4, 8) and the 128-row block
+/// of the packed walk.
+const WALK_ROWS: [usize; 11] = [0, 1, 3, 4, 7, 8, 9, 127, 128, 129, 300];
+/// Widths with an even, an odd and a ragged `NR = 16` strip count.
+const WALK_WIDTHS: [usize; 7] = [16, 17, 31, 32, 33, 48, 2048 + 5];
+/// Depths around one `KC = 256` slab.
+const WALK_DEPTHS: [usize; 6] = [0, 1, 255, 256, 257, 600];
+
+fn pick(set: &'static [usize]) -> impl Strategy<Value = usize> {
+    (0..set.len()).prop_map(move |i| set[i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn packed_walk_boundaries_match_reference_at_any_thread_count(
+        rows in pick(&WALK_ROWS), k in pick(&WALK_DEPTHS), n in pick(&WALK_WIDTHS),
+        threads in 1usize..4, seed in 0u64..1 << 32,
+    ) {
+        // Per-call blocked (NN and TN views of A) and pre-packed
+        // products on the boundaries of the row-block / strip-pair /
+        // band walk, with the pool splitting rows wherever it likes.
+        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                stwa_pool::set_threads(self.0);
+            }
+        }
+        let _restore = Restore(stwa_pool::current_threads());
+        stwa_pool::set_threads(threads);
+        let a = Tensor::from_fn(&[rows, k], fill(seed, 34));
+        let b = Tensor::from_fn(&[k, n], fill(seed, 35));
+        let want = linalg::matmul_reference(&a, &b).unwrap();
+        let at = a.transpose_last2().unwrap();
+        let packed = linalg::PackedMatrix::pack(&b).unwrap();
+        let tag = format!("{rows}x{k}x{n} t{threads}");
+        poison_pool(rows * n);
+        prop_assert!(linalg::matmul(&a, &b).unwrap().data() == want.data(), "NN {}", tag);
+        poison_pool(rows * n);
+        prop_assert!(linalg::matmul_tn(&at, &b).unwrap().data() == want.data(), "TN {}", tag);
+        poison_pool(rows * n);
+        prop_assert!(
+            linalg::matmul_packed(&a, &packed).unwrap().data() == want.data(),
+            "packed {}", tag
+        );
+        poison_pool(rows * n);
+        let lean = linalg::matmul_packed_lean(&a, &packed).unwrap();
+        prop_assert!(lean.data() == want.data(), "packed lean {}", tag);
+        // The slice entry is the lean entry on raw rows — whole, and on
+        // a row sub-range fed as a product of its own.
+        let mut c = vec![f32::NAN; rows * n];
+        linalg::gemm_packed_slice(a.data(), &packed, &mut c, rows);
+        prop_assert!(c == lean.data(), "packed slice {}", tag);
+        let (r0, r1) = (rows / 3, rows - rows / 4);
+        let mut c = vec![f32::NAN; (r1 - r0) * n];
+        linalg::gemm_packed_slice(&a.data()[r0 * k..], &packed, &mut c, r1 - r0);
+        prop_assert!(c == lean.data()[r0 * n..r1 * n], "packed slice rows {}..{} {}", r0, r1, tag);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -708,12 +770,12 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Quantized serving panels (quant module): per-element round-trip
-// error bounds, bf16 conversion monotonicity, and the determinism
-// contract — dispatched SIMD GEMMs bitwise equal to their scalar
-// references across shapes *and thread counts*.
+// error bounds and the determinism contract — the dispatched SIMD GEMM
+// bitwise equal to its scalar reference across shapes *and thread
+// counts*.
 // ---------------------------------------------------------------------
 
-use stwa_tensor::quant::{self, PackedMatrixBf16, PackedMatrixInt8};
+use stwa_tensor::quant::{self, PackedMatrixInt8};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -754,28 +816,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn bf16_conversion_is_monotone_and_tight(
-        a in -1e30f32..1e30, b in -1e30f32..1e30,
-    ) {
-        // Round-to-nearest never swaps an order...
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let wlo = quant::bf16_to_f32(quant::bf16_from_f32(lo));
-        let whi = quant::bf16_to_f32(quant::bf16_from_f32(hi));
-        prop_assert!(wlo <= whi, "{lo} -> {wlo} vs {hi} -> {whi}");
-        // ...and lands within half a ulp (2^-9 relative for normal
-        // bf16 values; 2^-8 is a safely loose bound).
-        for x in [a, b] {
-            let w = quant::bf16_to_f32(quant::bf16_from_f32(x));
-            // (+1e-37 absorbs the subnormal range, where relative
-            // precision legitimately degrades.)
-            prop_assert!(
-                (x - w).abs() <= x.abs() * (1.0 / 256.0) + 1e-37,
-                "{x} widened to {w}"
-            );
-        }
-    }
 }
 
 proptest! {
@@ -801,10 +841,6 @@ proptest! {
         stwa_pool::set_threads(threads);
         let a = Tensor::from_fn(&[m, k], fill(seed, 22));
         let w = Tensor::from_fn(&[k, n], fill(seed, 23));
-        let bf = PackedMatrixBf16::pack(&w).unwrap();
-        let lean = quant::matmul_packed_bf16_lean(&a, &bf).unwrap();
-        let refr = quant::matmul_packed_bf16_reference(&a, &bf).unwrap();
-        prop_assert_eq!(lean.data(), refr.data(), "bf16 {}x{}x{} t{}", m, k, n, threads);
         let q = PackedMatrixInt8::pack(&w).unwrap();
         let lean = quant::matmul_packed_int8_lean(&a, &q).unwrap();
         let refr = quant::matmul_packed_int8_reference(&a, &q).unwrap();

@@ -37,13 +37,13 @@ bench:
 # Serving-latency benchmark: graph eval vs the tape-free inference
 # engine at batch 1/8/64, plus the quantized-panel section (refreshes
 # BENCH_infer.json; enforces the >=2x batch-1 frozen speedup floor,
-# the >=1.3x batch-64 int8 floor, and the bf16/int8 forecast-MAE
-# accuracy gates).
+# the batch-64 int8-not-behind-f32 floor, and the int8 forecast-MAE
+# accuracy gate).
 bench-infer:
     cargo run --release -p stwa-bench --bin bench_infer -- --out BENCH_infer.json
 
-# Quantized serving comparison: f32 vs bf16 vs int8 frozen panels at
-# batch 1/8/64 with accuracy gates and the int8 speedup floor. Same
+# Quantized serving comparison: f32 vs int8 frozen panels at batch
+# 1/8/64 with the accuracy gate and the int8 speedup floor. Same
 # binary as bench-infer — the quant section runs (and gates) on every
 # invocation; this alias refreshes the committed baseline.
 bench-quant: bench-infer
