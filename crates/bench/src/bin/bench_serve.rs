@@ -341,9 +341,9 @@ struct ScaleResult {
 /// `replicas` model threads, driven by a single client pipelining
 /// (observe, forecast) pairs [`SCALE_DEPTH_PAIRS`] deep. Every
 /// observation invalidates the window, so every forecast is a
-/// guaranteed cache miss: the next observe's settle forces exactly one
-/// full forward per round on the round's affinity replica, and the
-/// sensor rotation spreads consecutive rounds across the pool. With
+/// guaranteed cache miss — exactly one full forward per round on the
+/// round's affinity replica — and the sensor rotation spreads
+/// consecutive rounds across the pool. With
 /// `swap_mid_run`, v2 is published and hot-swapped halfway through
 /// under the same in-flight traffic.
 ///
@@ -366,7 +366,6 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
     let cfg = ServeConfig {
         io_threads: 2,
         model_threads: replicas,
-        max_wait: Duration::from_millis(1),
         ttl: Duration::from_secs(600),
         // Swaps are admin-triggered here so each run is deterministic.
         registry_poll: Duration::from_secs(60),
@@ -548,7 +547,6 @@ fn main() {
 
     let cfg = ServeConfig {
         io_threads: 2,
-        max_wait: Duration::from_millis(1),
         ttl: Duration::from_secs(600),
         registry_poll: Duration::from_millis(100),
         registry: Some((root.clone(), MODEL_NAME.to_string())),

@@ -156,7 +156,7 @@ pub struct TrainConfig {
     /// identical to the non-prefetched path — the gather copies the
     /// same rows and the epoch RNG advances identically — so this is
     /// deliberately *excluded* from the resume fingerprint. Defaults
-    /// to on; `STWA_PREFETCH=0` disables it.
+    /// to on.
     pub prefetch: bool,
 }
 
@@ -192,17 +192,9 @@ impl Default for TrainConfig {
             registry_name: None,
             resume_from: None,
             keep_checkpoints: 0,
-            prefetch: default_prefetch(),
+            prefetch: true,
         }
     }
-}
-
-/// Default for [`TrainConfig::prefetch`]: on unless `STWA_PREFETCH=0`.
-fn default_prefetch() -> bool {
-    !matches!(
-        std::env::var("STWA_PREFETCH").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
 }
 
 /// Map a checkpoint-layer error into the trainer's error type without

@@ -62,8 +62,8 @@ fn pool_and_fusion_do_not_change_loss_trajectory() {
         "manifest should report pool hits, got {hits:?}"
     );
 
-    // STWA_POOL=0 / STWA_FUSED=0 equivalent: every tensor allocates
-    // fresh and every op runs the reference kernel chain.
+    // Reference chains: every tensor allocates fresh and every op runs
+    // the unfused kernel chain.
     memory::set_pool_enabled(false);
     memory::set_fused_enabled(false);
     let (churn, _) = run_trajectory(&dataset);

@@ -18,9 +18,11 @@
 //!   tensor of the forward is never materialized (see [`frozen`]);
 //! - [`InferSession`] executes the frozen op sequence with a
 //!   per-batch-size plan arena and refuses to serve once the source
-//!   parameters are mutated (version-counter staleness guard);
-//! - [`InferQueue`] coalesces single-sample requests into micro-batches
-//!   (`max_batch` / `max_wait`) in front of a session.
+//!   parameters are mutated (version-counter staleness guard). A
+//!   batched `[B, N, H, F]` forward is row-exact — row *i* of the
+//!   output is bitwise what running row *i* alone produces — so
+//!   callers that have several windows stack them and call
+//!   [`InferSession::run`] once.
 //!
 //! The engine's contract is **bitwise equality**: every f32 forward
 //! here runs the same tensor kernels in the same order as the training
@@ -39,11 +41,9 @@
 
 pub mod frozen;
 pub mod packed;
-pub mod queue;
 pub mod session;
 
 pub use frozen::{BatchPlan, FrozenStwa};
 pub use packed::{PackedDense, PackedMlp, PackedWeight};
-pub use queue::{InferQueue, QueueConfig, RequestId};
 pub use session::InferSession;
 pub use stwa_tensor::quant::Precision;

@@ -30,8 +30,8 @@ impl InferSession {
     /// Freeze `model` at the given panel precision and open a session.
     /// The plan arena is precision-agnostic (plans hold f32 broadcast
     /// buffers at every precision), so everything downstream — plan
-    /// recording, staleness guard, [`crate::InferQueue`] micro-batching
-    /// — serves quantized snapshots unchanged.
+    /// recording, staleness guard, row-exact batching — serves
+    /// quantized snapshots unchanged.
     pub fn new_at(model: &StwaModel, precision: Precision) -> Result<InferSession> {
         Ok(InferSession::from_frozen(FrozenStwa::freeze_at(
             model, precision,

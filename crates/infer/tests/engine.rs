@@ -1,14 +1,14 @@
 //! End-to-end checks of the frozen inference engine: bitwise equality
-//! against the training graph's eval path, staleness refusal, plan
-//! reuse, and micro-batching semantics.
+//! against the training graph's eval path, staleness refusal (direct
+//! mutation and registry hot swap), plan reuse, and row-exact batching.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 use stwa_autograd::Graph;
+use stwa_ckpt::{Registry, TrainCheckpoint};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
-use stwa_infer::{InferQueue, InferSession, QueueConfig};
-use stwa_tensor::Tensor;
+use stwa_infer::{FrozenStwa, InferSession};
+use stwa_tensor::{manip, Tensor};
 
 fn graph_eval(model: &StwaModel, x: &Tensor) -> Tensor {
     let g = Graph::new();
@@ -190,89 +190,75 @@ fn frozen_snapshot_reports_packed_bytes() {
 }
 
 #[test]
-fn queue_batched_results_match_individual_runs_bitwise() {
+fn batched_rows_match_individual_runs_bitwise() {
+    // Batch-8/64 serving and every stacked caller rely on this: row i
+    // of `run(concat(rows))` is bitwise `run(row i)`.
     let mut rng = StdRng::seed_from_u64(10);
     let model = StwaModel::new(StwaConfig::st_wa(3, 12, 4), &mut rng).unwrap();
-    let reference = InferSession::new(&model).unwrap();
     let session = InferSession::new(&model).unwrap();
-    let mut queue = InferQueue::new(
-        session,
-        QueueConfig {
-            max_batch: 4,
-            max_wait: Duration::from_secs(3600),
-        },
-    )
-    .unwrap();
-
     let rows: Vec<Tensor> = (0..4)
-        .map(|_| Tensor::randn(&[3, 12, 1], &mut rng))
+        .map(|_| Tensor::randn(&[1, 3, 12, 1], &mut rng))
         .collect();
-    let mut ids = Vec::new();
-    for row in &rows {
-        ids.push(queue.submit(row.clone()).unwrap());
-    }
-    // 4th submit hit max_batch and flushed inline.
-    assert_eq!(queue.pending_rows(), 0);
-    for (id, row) in ids.iter().zip(&rows) {
-        let got = queue.take(*id).expect("flushed result available");
-        let want = reference.run(&row.clone().unsqueeze(0).unwrap()).unwrap();
-        assert_eq!(want.data(), got.data(), "batched row diverged");
-    }
-    // Tickets are single-use.
-    assert!(queue.take(ids[0]).is_none());
-}
-
-#[test]
-fn queue_flushes_on_wait_and_rejects_bad_shapes() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let model = StwaModel::new(StwaConfig::wa(3, 12, 4), &mut rng).unwrap();
-    let session = InferSession::new(&model).unwrap();
-    let mut queue = InferQueue::new(
-        session,
-        QueueConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(0),
-        },
-    )
-    .unwrap();
-
-    // Nothing pending: poll is a no-op.
-    assert_eq!(queue.poll().unwrap(), 0);
-
-    let id = queue
-        .submit(Tensor::randn(&[1, 3, 12, 1], &mut rng))
+    let batched = session
+        .run(&manip::concat(&rows.iter().collect::<Vec<_>>(), 0).unwrap())
         .unwrap();
-    assert_eq!(queue.pending_rows(), 1);
-    assert!(queue.take(id).is_none(), "not flushed yet");
-    // max_wait = 0: the next poll flushes immediately.
-    assert_eq!(queue.poll().unwrap(), 1);
-    assert_eq!(queue.take(id).unwrap().shape(), &[1, 3, 4, 1]);
+    for (i, row) in rows.iter().enumerate() {
+        let want = session.run(row).unwrap();
+        let got = batched.narrow(0, i, 1).unwrap();
+        assert_eq!(want.data(), got.data(), "batched row {i} diverged");
+    }
+}
 
-    // Wrong shapes are rejected at submit.
-    assert!(queue.submit(Tensor::zeros(&[2, 3, 12, 1])).is_err());
-    assert!(queue.submit(Tensor::zeros(&[12, 1])).is_err());
-
-    // Forced flush drains the remainder.
-    queue.submit(Tensor::randn(&[3, 12, 1], &mut rng)).unwrap();
-    assert_eq!(queue.flush().unwrap(), 1);
-    assert_eq!(queue.flush().unwrap(), 0);
+fn sample(seed: u64) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Tensor::randn(&[1, 3, 12, 1], &mut rng)
 }
 
 #[test]
-fn queue_surfaces_staleness_and_recovers_after_refreeze() {
-    let mut rng = StdRng::seed_from_u64(12);
-    let model = StwaModel::new(StwaConfig::st_wa(3, 12, 4), &mut rng).unwrap();
-    let session = InferSession::new(&model).unwrap();
-    let mut queue = InferQueue::new(session, QueueConfig::default()).unwrap();
+fn registry_hot_swap_staleness_error_then_fresh_session_serves() {
+    let root = std::env::temp_dir().join(format!("stwa_engine_hot_swap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    let model = |seed: u64| {
+        StwaModel::new(StwaConfig::st_wa(3, 12, 4), &mut StdRng::seed_from_u64(seed)).unwrap()
+    };
 
-    let id = queue.submit(Tensor::randn(&[3, 12, 1], &mut rng)).unwrap();
-    let p = &model.store().params()[0];
-    let mut v = p.value();
-    v.data_mut()[0] -= 0.5;
-    p.set_value(v);
+    // v1: the live model's weights, published to the registry, and a
+    // serving session frozen from them.
+    let m = model(13);
+    registry
+        .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", m.store()))
+        .unwrap();
+    let session = InferSession::new(&m).unwrap();
+    session.run(&sample(70)).unwrap();
 
-    // The flush fails but keeps the request queued.
-    assert!(queue.flush().is_err());
-    assert_eq!(queue.pending_rows(), 1);
-    assert!(queue.take(id).is_none());
+    // v2: different weights (a fresh model stands in for "more
+    // training"), published on top.
+    let retrained = model(99);
+    registry
+        .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", retrained.store()))
+        .unwrap();
+
+    // Hot swap: load v2 from the registry into the live model and
+    // freeze. This mutates the store, so the OLD session is now stale
+    // and refuses with the typed error.
+    let fresh = FrozenStwa::freeze_from_registry(&m, &registry, "ST-WA", None).unwrap();
+    assert!(session.is_stale());
+    let x = sample(71);
+    let err = session.run(&x).unwrap_err();
+    assert!(err.to_string().contains("stale"), "got: {err}");
+
+    // A session over the swapped-in snapshot serves the v2 weights:
+    // bitwise equal to freezing the retrained model directly.
+    let got = InferSession::from_frozen(fresh).run(&x).unwrap();
+    let want = InferSession::new(&retrained).unwrap().run(&x).unwrap();
+    assert_eq!(got.data(), want.data(), "hot-swapped weights diverged");
+
+    // Pinned-version load still reaches v1.
+    let v1 = FrozenStwa::freeze_from_registry(&m, &registry, "ST-WA", Some(1)).unwrap();
+    let want_v1 = InferSession::new(&model(13)).unwrap().run(&x).unwrap();
+    let got_v1 = InferSession::from_frozen(v1).run(&x).unwrap();
+    assert_eq!(got_v1.data(), want_v1.data(), "pinned v1 load diverged");
+
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_core::{StwaConfig, StwaModel};
-use stwa_infer::{InferQueue, InferSession, Precision, QueueConfig};
+use stwa_infer::{InferSession, Precision};
 use stwa_tensor::Tensor;
 
 /// Forecast-MAE budget (normalized units) for the int8 session against
@@ -108,30 +108,17 @@ fn int8_session_actually_quantizes_and_shrinks() {
 
 #[test]
 fn quantized_batching_is_row_exact() {
-    // Micro-batching must stay exact at reduced precision: a coalesced
-    // forward equals each row served alone, bitwise, because row
-    // quantization is per-row and panels are shared.
+    // Batching must stay exact at reduced precision: row i of a
+    // batched forward equals that row served alone, bitwise, because
+    // row quantization is per-row and panels are shared.
     let (model, x) = model_and_request();
-    let solo = InferSession::new_at(&model, Precision::Int8).expect("freeze");
-    let mut queue = InferQueue::new(
-        InferSession::new_at(&model, Precision::Int8).expect("freeze"),
-        QueueConfig {
-            max_batch: 4,
-            max_wait: std::time::Duration::from_secs(60),
-        },
-    )
-    .expect("queue");
-    assert_eq!(queue.precision(), Precision::Int8);
-    let ids: Vec<_> = (0..4)
-        .map(|i| {
-            let row = x.narrow(0, i, 1).expect("row");
-            queue.submit(row).expect("submit")
-        })
-        .collect();
-    for (i, id) in ids.into_iter().enumerate() {
-        let got = queue.take(id).expect("batch flushed at max_batch");
+    let session = InferSession::new_at(&model, Precision::Int8).expect("freeze");
+    assert_eq!(session.precision(), Precision::Int8);
+    let batched = session.run(&x).expect("batched run");
+    for i in 0..x.shape()[0] {
         let row = x.narrow(0, i, 1).expect("row");
-        let want = solo.run(&row).expect("solo run");
+        let want = session.run(&row).expect("solo run");
+        let got = batched.narrow(0, i, 1).expect("batched row");
         assert_eq!(got.data(), want.data(), "row {i} diverged under batching");
     }
 }

@@ -15,7 +15,6 @@
 //!    gradient off the graph and updates the stored value.
 
 pub mod batch;
-pub mod checkpoint;
 pub mod init;
 pub mod layers;
 pub mod loss;

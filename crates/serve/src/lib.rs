@@ -1,9 +1,8 @@
 //! Network serving front-end for the frozen ST-WA forecaster.
 //!
 //! The inference engine (`stwa-infer`) is deliberately single-threaded:
-//! tensors are `Rc` copy-on-write, so a model, its frozen session, and
-//! the micro-batching [`stwa_infer::InferQueue`] all live on one
-//! thread. This crate puts a network in front of a **pool** of such
+//! tensors are `Rc` copy-on-write, so a model and its frozen
+//! [`stwa_infer::InferSession`] live on one thread. This crate puts a network in front of a **pool** of such
 //! threads — each replica freezes its own `FrozenStwa` on-thread from
 //! the same registry version, so nothing `!Send` ever crosses a thread
 //! boundary — without adding any dependency:
@@ -19,17 +18,19 @@
 //! - [`proto`] — JSON request/response bodies over
 //!   `stwa_observe::Json`; f32 forecasts survive the wire bitwise.
 //! - [`server`] — N IO worker threads (epoll + HTTP + cache) in front
-//!   of a replica pool of model threads (per-replica `InferQueue`,
-//!   mirrored rolling window, coordinated registry hot swap); cache
-//!   misses are dispatched by sensor affinity with least-queue-depth
-//!   spill, and plain `Vec<f32>` jobs cross threads over `mpsc`.
+//!   of a replica pool of model threads (per-replica `InferSession`
+//!   evaluated directly, one-slot memo of the current window's
+//!   forward, mirrored rolling window, coordinated registry hot
+//!   swap); cache misses are dispatched by sensor affinity with
+//!   least-queue-depth spill, and plain `Vec<f32>` jobs cross threads
+//!   over `mpsc`.
 //! - [`client`] — a blocking pipelining client for tests and the load
 //!   generator.
 //!
 //! Endpoints: `GET /forecast?sensor=I&horizon=U`, `POST /observe`
 //! (`{"frame": [N*F floats]}` appended to the rolling window),
-//! `GET /healthz`, `GET /stats`, `POST /admin/swap` (force a registry
-//! poll). Every forecast response names the snapshot version and the
+//! `GET /healthz`, `GET /stats`, `POST /admin/swap` (swap the pool to
+//! the registry's latest version now). Every forecast response names the snapshot version and the
 //! exact window fingerprint it answers for, so clients can verify any
 //! response — cache hit or miss — bitwise against a direct
 //! [`stwa_infer::InferSession`] evaluation of that window.

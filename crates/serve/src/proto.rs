@@ -9,8 +9,10 @@
 use stwa_observe::{parse_json, Json};
 
 /// Body for a served forecast. `cache` records how the value was
-/// produced: `"hit"` (worker-side cache), `"memo"` (model-thread memo
-/// of a full forward), or `"miss"` (fresh forward). `window_fp` names
+/// produced: `"hit"` (worker-side cache), `"miss"` (the first forecast
+/// a replica sees on a window: it ran the full forward), or `"memo"`
+/// (a later forecast on that window, sliced from the replica's memo of
+/// the same forward). `window_fp` names
 /// the exact input window the values answer for, so a client can
 /// verify any response — including cache hits — against a local
 /// re-evaluation of that window.

@@ -3,19 +3,23 @@
 //! and the channels between them.
 //!
 //! Tensors are single-threaded (`Rc` copy-on-write storage), so a
-//! model, its frozen session, and its micro-batching queue all live on
-//! exactly one thread. PR 9 put *one* such thread behind N IO workers;
-//! on a many-core host that single evaluator is the bottleneck. The
-//! replica pool fixes it the same way `ShardEngine` parallelizes
-//! training: the builder closure runs once *per replica thread* (a
-//! `!Send` model can be built anywhere but moved nowhere), every
-//! replica freezes the same pinned registry version, and each owns a
-//! private `InferQueue`, plan arena, and memo LRU. IO workers still
-//! own the sockets, parse HTTP, and serve cache hits inline; misses
-//! are sharded across replicas by sensor-affinity hashing
-//! (`sensor % n` keeps a sensor's window-fingerprint coalescing and
-//! memo hot on one replica) with least-queue-depth spill when the
-//! affinity target backs up.
+//! model and its frozen session live on exactly one thread. PR 9 put
+//! *one* such thread behind N IO workers; on a many-core host that
+//! single evaluator is the bottleneck. The replica pool fixes it the
+//! same way `ShardEngine` parallelizes training: the builder closure
+//! runs once *per replica thread* (a `!Send` model can be built
+//! anywhere but moved nowhere), every replica freezes the same pinned
+//! registry version, and each owns a private `InferSession` (with its
+//! plan arena) and a one-slot memo of the current window's forward.
+//! The forward is city-wide — sensor attention couples all N sensors —
+//! so a replica holds exactly one rolling window and every forecast is
+//! a slice of the same evaluation: the first forecast on a window runs
+//! it on the spot, later ones slice the memo, and there is never a
+//! second row to batch. IO workers still own the sockets, parse HTTP,
+//! and serve cache hits inline; misses are sharded across replicas by
+//! sensor-affinity hashing (`sensor % n` keeps a sensor's memo hot on
+//! one replica) with least-queue-depth spill when the affinity target
+//! backs up.
 //!
 //! Correctness invariants:
 //! - **In-order responses per connection.** HTTP/1.1 pipelining means
@@ -42,13 +46,15 @@
 //!   bitwise-verifiable against direct eval no matter which replica
 //!   answered.
 //! - **Coordinated swaps, zero drops.** A swap broadcasts like an
-//!   observe; each replica flips between settled bursts (queue empty
-//!   by construction), pinned to one target version. The shared
-//!   version is published and old-version cache entries are purged
-//!   only after the *last* replica flips; until then hits serve the
-//!   old version and misses truthfully stamp whichever version their
-//!   replica is on. Shutdown stops accepting, drains every in-flight
-//!   job, flushes every write buffer, and only then lets threads exit.
+//!   observe, pinned to one target version resolved once by whoever
+//!   triggers it; each replica flips between jobs (an evaluation is
+//!   synchronous, so nothing is ever in flight on the old snapshot).
+//!   The shared version is published and old-version cache entries
+//!   are purged only after the *last* replica flips; until then hits
+//!   serve the old version and misses truthfully stamp whichever
+//!   version their replica is on. Shutdown stops accepting, drains
+//!   every in-flight job, flushes every write buffer, and only then
+//!   lets threads exit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -60,7 +66,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stwa_core::StwaModel;
-use stwa_infer::{FrozenStwa, InferQueue, InferSession, QueueConfig};
+use stwa_infer::{FrozenStwa, InferSession};
 use stwa_observe::Json;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::Tensor;
@@ -79,11 +85,13 @@ pub struct ServeConfig {
     pub io_threads: usize,
     /// Model replica threads. Each runs the builder closure itself,
     /// freezes the same pinned registry version, and owns a private
-    /// `InferQueue` + memo. 1 reproduces the PR 9 single-evaluator
+    /// `InferSession` + memo. 1 reproduces the PR 9 single-evaluator
     /// path bit for bit.
     pub model_threads: usize,
-    /// Micro-batching knobs forwarded to [`InferQueue`].
-    pub max_batch: usize,
+    /// Unused: replicas evaluate directly, there is no queue to wait
+    /// on. The field survives only because `benchmark/src/serve.rs`
+    /// sets it in a struct literal and `benchmark/` is frozen for this
+    /// PR; the next `[benchmark]` PR drops both.
     pub max_wait: Duration,
     /// Forecast cache TTL — tie this to the forecast step length so an
     /// entry never outlives the step it predicts.
@@ -97,9 +105,6 @@ pub struct ServeConfig {
     pub sweep_interval: Duration,
     /// Panel precision for the frozen serving snapshot.
     pub precision: Precision,
-    /// Per-replica memo of recent full forwards, keyed by window
-    /// fingerprint (small: each entry is one `[N, U, F]` output).
-    pub memo_cap: usize,
     /// Registry root + model name. With a registry the server freezes
     /// from the latest published version and hot-swaps when a newer
     /// one appears; without one it serves the builder's weights as-is.
@@ -112,14 +117,12 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             io_threads: stwa_pool::configured_threads().max(1),
             model_threads: 1,
-            max_batch: 32,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::ZERO,
             ttl: Duration::from_secs(300),
             cache_shards: 16,
             registry_poll: Duration::from_millis(200),
             sweep_interval: Duration::from_secs(5),
             precision: Precision::F32,
-            memo_cap: 8,
             registry: None,
         }
     }
@@ -134,22 +137,23 @@ pub struct Dims {
     pub features: usize,
 }
 
-/// Coordinated-swap barrier: the last replica to flip to `target`
-/// publishes the shared version and purges the old one's cache
-/// entries.
+/// Coordinated-swap barrier: the pool's published version is the
+/// lowest version any replica serves, so the replica whose flip raises
+/// that floor publishes it and purges the retired versions' cache
+/// entries. Monotone by construction — back-to-back swaps (v2 then v3
+/// while a peer is still on v1) cannot strand it.
 struct SwapState {
-    /// Public version the pool is flipping to (0 = no swap yet).
-    target: u64,
-    /// Replicas that have flipped to `target`.
-    flipped: usize,
-    /// Public version being retired, recorded by the first flipper.
-    old_version: u64,
+    /// Registry version each replica serves.
+    serving: Vec<u64>,
+    /// When the first replica moved ahead of the published version.
     started: Option<Instant>,
 }
 
 /// Counters and snapshot state shared by every thread.
 struct Shared {
     shutdown: AtomicBool,
+    /// Registry handle + model name, when serving from a registry.
+    registry: Option<(stwa_ckpt::Registry, String)>,
     /// Registry version of the pool-wide published snapshot (0 =
     /// builder weights; cache key part).
     version: AtomicU64,
@@ -164,7 +168,7 @@ struct Shared {
     swap_errors: AtomicU64,
     client_aborts: AtomicU64,
     conns: AtomicU64,
-    /// Duration of the last coordinated swap, first close to last flip.
+    /// Duration of the last coordinated swap, first flip to last flip.
     swap_us: AtomicU64,
     /// In-flight jobs per replica channel (dispatch heuristic input).
     replica_depth: Vec<AtomicUsize>,
@@ -177,14 +181,25 @@ struct Shared {
     swap_state: Mutex<SwapState>,
 }
 
+impl Shared {
+    /// Newest published registry version; `None` without a registry or
+    /// before the first publish. Swap triggers resolve their target
+    /// through this exactly once — replicas resolving on their own
+    /// could straddle a publish and split the pool.
+    fn latest_version(&self) -> Option<u32> {
+        let (registry, name) = self.registry.as_ref()?;
+        registry.latest(name).ok()
+    }
+}
+
 #[derive(Clone)]
 enum JobKind {
     Forecast { sensor: u32, horizon: u32 },
     Observe { frame: Vec<f32> },
-    /// Pin to a specific registry version (poll broadcasts resolve the
-    /// target once so every replica loads the same version exactly
-    /// once); `None` (admin) resolves latest on each replica.
-    Swap { target: Option<u32> },
+    /// Pin to a specific registry version: whoever triggers the swap
+    /// (poller or admin call) resolves the target once, so every
+    /// replica loads the same version exactly once.
+    Swap { target: u32 },
 }
 
 /// Where a reply must go. Broadcast jobs carry a route only on
@@ -244,9 +259,37 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let n_replicas = config.model_threads.max(1);
+
+        // Resolve the initial registry version once, so every replica
+        // loads the same pinned version even if a publish races
+        // startup. An empty registry pins 0: the builder's weights.
+        let registry = match &config.registry {
+            None => None,
+            Some((root, name)) => {
+                let reg = stwa_ckpt::Registry::open(root)
+                    .map_err(|e| std::io::Error::other(format!("open registry: {e}")))?;
+                Some((reg, name.clone()))
+            }
+        };
+        let pinned_version: u32 = match &registry {
+            None => 0,
+            Some((reg, name)) => {
+                let versions = reg
+                    .versions(name)
+                    .map_err(|e| std::io::Error::other(format!("registry versions: {e}")))?;
+                if versions.is_empty() {
+                    0
+                } else {
+                    reg.latest(name)
+                        .map_err(|e| std::io::Error::other(format!("registry latest: {e}")))?
+                }
+            }
+        };
+
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
-            version: AtomicU64::new(0),
+            registry,
+            version: AtomicU64::new(pinned_version as u64),
             window_fp: AtomicU64::new(0),
             cache: ForecastCache::new(config.cache_shards, config.ttl),
             requests: AtomicU64::new(0),
@@ -262,32 +305,10 @@ impl Server {
             replica_evals: (0..n_replicas).map(|_| AtomicU64::new(0)).collect(),
             broadcast: Mutex::new(()),
             swap_state: Mutex::new(SwapState {
-                target: 0,
-                flipped: 0,
-                old_version: 0,
+                serving: vec![pinned_version as u64; n_replicas],
                 started: None,
             }),
         });
-
-        // Resolve the initial registry version once, so every replica
-        // loads the same pinned version even if a publish races
-        // startup.
-        let pinned_version: u32 = match &config.registry {
-            None => 0,
-            Some((root, name)) => {
-                let reg = stwa_ckpt::Registry::open(root)
-                    .map_err(|e| std::io::Error::other(format!("open registry: {e}")))?;
-                let versions = reg
-                    .versions(name)
-                    .map_err(|e| std::io::Error::other(format!("registry versions: {e}")))?;
-                if versions.is_empty() {
-                    0
-                } else {
-                    reg.latest(name)
-                        .map_err(|e| std::io::Error::other(format!("registry latest: {e}")))?
-                }
-            }
-        };
 
         let io_threads = config.io_threads.max(1);
         let mut reply_txs = Vec::with_capacity(io_threads);
@@ -377,7 +398,6 @@ impl Server {
                 )));
             }
         }
-        shared.version.store(version, Ordering::Release);
         shared.window_fp.store(window_fp, Ordering::Release);
 
         let mut wakers = Vec::with_capacity(io_threads);
@@ -473,10 +493,10 @@ impl Server {
 const SPILL_DEPTH: usize = 32;
 
 /// Pick a replica for a cache-miss forecast: sensor-affinity hashing
-/// (`sensor % n` keeps one sensor's fingerprint coalescing and memo
-/// hot on one replica) with least-depth spill only when the affinity
-/// target is backed up *and* meaningfully deeper than the least-loaded
-/// replica — the hysteresis keeps affinity sticky under jitter.
+/// (`sensor % n` keeps one sensor's memo hot on one replica) with
+/// least-depth spill only when the affinity target is backed up *and*
+/// meaningfully deeper than the least-loaded replica — the hysteresis
+/// keeps affinity sticky under jitter.
 fn pick_replica(sensor: u32, depths: &[usize]) -> usize {
     let n = depths.len();
     let affinity = sensor as usize % n;
@@ -1005,7 +1025,10 @@ fn route(
             }
         }
         ("POST", "/admin/swap") => {
-            if broadcast(job_txs, shared, route, JobKind::Swap { target: None }) {
+            // Nothing to swap to resolves to 0, which no replica
+            // flips to.
+            let target = shared.latest_version().unwrap_or(0);
+            if broadcast(job_txs, shared, route, JobKind::Swap { target }) {
                 Routed::Dispatched
             } else {
                 inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
@@ -1065,24 +1088,21 @@ fn update_interest(epoll: &Epoll, token: u64, conn: &mut Conn) {
 
 struct ModelState {
     model: StwaModel,
-    queue: InferQueue,
-    registry: Option<(stwa_ckpt::Registry, String)>,
+    session: InferSession,
     /// Registry version currently loaded (0 = builder weights). This
     /// *is* the public version stamp — identical across replicas by
     /// construction, unlike per-thread store counters.
     registry_version: u32,
     precision: Precision,
-    queue_cfg: QueueConfig,
     dims: Dims,
     /// Rolling input window `[N, H, F]` shared by every sensor query.
     window: Vec<f32>,
     window_fp: u64,
-    /// Recent full forwards keyed by window fingerprint (version is
-    /// implicit: the memo is cleared on swap). Front = most recent.
-    memo: Vec<(u64, Arc<Vec<f32>>)>,
-    memo_cap: usize,
+    /// The last full forward `[1, N, U, F]` and the fingerprint of the
+    /// window it ran on (version is implicit: cleared on swap). Every
+    /// forecast on that window after the first slices it.
+    memo: Option<(u64, Tensor)>,
     replica_idx: usize,
-    n_replicas: usize,
     /// Per-replica eval counter (leaked name, one per replica).
     evals_counter: &'static stwa_observe::Counter,
     depth_gauge: &'static stwa_observe::Gauge,
@@ -1112,14 +1132,13 @@ fn replica_main<F>(
     // pool (kernel chunking depends only on shapes, so inline execution
     // is bitwise identical to pooled — same contract ShardEngine uses).
     let _seq = (n_replicas > 1).then(stwa_pool::sequential_scope);
-    let mut state =
-        match init_replica(replica_idx, n_replicas, &config, &*build, pinned_version) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = ready_tx.send((replica_idx, Err(e)));
-                return;
-            }
-        };
+    let mut state = match init_replica(replica_idx, &config, &*build, &shared, pinned_version) {
+        Ok(s) => s,
+        Err(e) => {
+            let _ = ready_tx.send((replica_idx, Err(e)));
+            return;
+        }
+    };
     let _ = ready_tx.send((
         replica_idx,
         Ok((state.dims, public_version(&state), state.window_fp)),
@@ -1127,66 +1146,40 @@ fn replica_main<F>(
     drop(ready_tx);
 
     let mut last_poll = Instant::now();
-    let mut burst: Vec<Job> = Vec::new();
     loop {
-        burst.clear();
         match job_rx.recv_timeout(config.registry_poll) {
             Ok(job) => {
-                burst.push(job);
-                // Drain whatever queued behind it — one settle per
-                // burst amortizes flushes across pipelined traffic.
-                while burst.len() < 256 {
-                    match job_rx.try_recv() {
-                        Ok(job) => burst.push(job),
-                        Err(_) => break,
-                    }
-                }
+                process_job(&mut state, &job, &shared, &reply_txs);
+                let was = shared.replica_depth[replica_idx].fetch_sub(1, Ordering::Relaxed);
+                state.depth_gauge.set((was - 1) as f64);
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                // Every sender is gone (workers drained at shutdown;
-                // for peers, replica 0 exited too); nothing can be in
-                // flight anymore.
-                let _ = state.queue.close();
-                return;
-            }
-        }
-
-        if !burst.is_empty() {
-            process_burst(&mut state, &burst, &shared, &reply_txs);
-            let was = shared.replica_depth[replica_idx].fetch_sub(burst.len(), Ordering::Relaxed);
-            state.depth_gauge.set((was - burst.len()) as f64);
+            // Every sender is gone (workers drained at shutdown; for
+            // peers, replica 0 exited too); nothing can be in flight.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
         }
 
         // Only replica 0 polls the registry. It resolves the target
         // version once and broadcasts a pinned swap to its peers, so
         // every replica loads the same version exactly once.
-        if replica_idx == 0 && state.registry.is_some() && last_poll.elapsed() >= config.registry_poll
-        {
+        if replica_idx == 0 && last_poll.elapsed() >= config.registry_poll {
             last_poll = Instant::now();
-            let latest = {
-                let (registry, name) = state.registry.as_ref().unwrap();
-                registry.latest(name).ok()
-            };
-            if let Some(latest) = latest {
-                if latest > state.registry_version {
-                    {
-                        let _order = shared.broadcast.lock().unwrap();
-                        for (peer, tx) in peer_txs.iter().enumerate() {
-                            shared.replica_depth[peer + 1].fetch_add(1, Ordering::Relaxed);
-                            let job = Job {
-                                route: None,
-                                kind: JobKind::Swap {
-                                    target: Some(latest),
-                                },
-                            };
-                            if tx.send(job).is_err() {
-                                shared.replica_depth[peer + 1].fetch_sub(1, Ordering::Relaxed);
-                            }
+            let newer = shared.latest_version().filter(|&v| v > state.registry_version);
+            if let Some(latest) = newer {
+                {
+                    let _order = shared.broadcast.lock().unwrap();
+                    for (peer, tx) in peer_txs.iter().enumerate() {
+                        shared.replica_depth[peer + 1].fetch_add(1, Ordering::Relaxed);
+                        let job = Job {
+                            route: None,
+                            kind: JobKind::Swap { target: latest },
+                        };
+                        if tx.send(job).is_err() {
+                            shared.replica_depth[peer + 1].fetch_sub(1, Ordering::Relaxed);
                         }
                     }
-                    try_swap(&mut state, &shared, Some(latest));
                 }
+                try_swap(&mut state, &shared, latest);
             }
         }
     }
@@ -1194,23 +1187,16 @@ fn replica_main<F>(
 
 fn init_replica<F>(
     replica_idx: usize,
-    n_replicas: usize,
     config: &ServeConfig,
     build: &F,
+    shared: &Shared,
     pinned_version: u32,
 ) -> Result<ModelState, String>
 where
     F: Fn() -> stwa_tensor::Result<StwaModel>,
 {
     let model = build().map_err(|e| format!("build model: {e}"))?;
-    let registry = match &config.registry {
-        None => None,
-        Some((root, name)) => {
-            let reg = stwa_ckpt::Registry::open(root).map_err(|e| format!("open registry: {e}"))?;
-            Some((reg, name.clone()))
-        }
-    };
-    let frozen = match &registry {
+    let frozen = match &shared.registry {
         Some((reg, name)) if pinned_version > 0 => FrozenStwa::freeze_from_registry_at(
             &model,
             reg,
@@ -1227,14 +1213,6 @@ where
         horizon: frozen.horizon(),
         features: frozen.features(),
     };
-    let queue = InferQueue::new(
-        InferSession::from_frozen(frozen),
-        QueueConfig {
-            max_batch: config.max_batch,
-            max_wait: config.max_wait,
-        },
-    )
-    .map_err(|e| format!("queue: {e}"))?;
     let window = vec![0.0f32; dims.sensors * dims.history * dims.features];
     let window_fp = fingerprint_f32(&window);
     let evals_counter =
@@ -1244,204 +1222,116 @@ where
     ));
     Ok(ModelState {
         model,
-        queue,
-        registry,
+        session: InferSession::from_frozen(frozen),
         registry_version: pinned_version,
         precision: config.precision,
-        queue_cfg: QueueConfig {
-            max_batch: config.max_batch,
-            max_wait: config.max_wait,
-        },
         dims,
         window,
         window_fp,
-        memo: Vec::new(),
-        memo_cap: config.memo_cap.max(1),
+        memo: None,
         replica_idx,
-        n_replicas,
         evals_counter,
         depth_gauge,
     })
 }
 
-/// Forecast jobs waiting on one submitted window evaluation.
-struct PendingEval {
-    fp: u64,
-    ticket: stwa_infer::RequestId,
-    jobs: Vec<(Route, u32, u32)>, // route, sensor, horizon
-}
-
-fn process_burst(
+/// Apply one job to the replica and answer it. Jobs run to completion
+/// in channel order, so a forecast answers for exactly the window and
+/// version its replica held when the job's turn came.
+fn process_job(
     state: &mut ModelState,
-    burst: &[Job],
+    job: &Job,
     shared: &Shared,
     reply_txs: &[(Sender<Reply>, Waker)],
 ) {
-    let mut pending: Vec<PendingEval> = Vec::new();
-    for job in burst {
-        match &job.kind {
-            JobKind::Forecast { sensor, horizon } => {
-                let Some(route) = job.route else { continue };
-                let fp = state.window_fp;
-                if let Some(values) = memo_get(state, fp) {
-                    answer_forecast(
-                        state, shared, reply_txs, route, *sensor, *horizon, fp, "memo", &values,
-                    );
-                    continue;
+    match &job.kind {
+        JobKind::Forecast { sensor, horizon } => {
+            let Some(route) = job.route else { return };
+            let packaged = match forecast(state, shared, *sensor, *horizon) {
+                Ok(body) => ok_response(body, route.keep_alive),
+                Err(e) => error_response(500, &format!("eval: {e}"), route.keep_alive),
+            };
+            send_reply(reply_txs, route, packaged, false);
+        }
+        JobKind::Observe { frame } => {
+            apply_observe(state, frame);
+            if state.replica_idx == 0 {
+                shared.window_fp.store(state.window_fp, Ordering::Release);
+            }
+            if let Some(route) = job.route {
+                let body = proto::observe_ack(public_version(state), state.window_fp);
+                send_reply(reply_txs, route, ok_response(body, route.keep_alive), true);
+            }
+        }
+        JobKind::Swap { target } => {
+            let before = state.registry_version;
+            try_swap(state, shared, *target);
+            let swapped = state.registry_version != before;
+            if let Some(route) = job.route {
+                if swapped {
+                    // The responder answers only after the whole
+                    // pool has flipped — no mixed-version serving
+                    // once the admin call returns.
+                    wait_for_pool_flip(shared, public_version(state));
                 }
-                if let Some(p) = pending.iter_mut().find(|p| p.fp == fp) {
-                    p.jobs.push((route, *sensor, *horizon));
-                    continue;
-                }
-                let x = Tensor::from_vec(
-                    state.window.clone(),
-                    &[state.dims.sensors, state.dims.history, state.dims.features],
-                );
-                match x.and_then(|x| state.queue.submit(x)) {
-                    Ok(ticket) => pending.push(PendingEval {
-                        fp,
-                        ticket,
-                        jobs: vec![(route, *sensor, *horizon)],
-                    }),
-                    Err(e) => send_reply(
-                        reply_txs,
-                        route,
-                        error_response(500, &format!("submit: {e}"), route.keep_alive),
-                        false,
+                let doc = Json::Obj(vec![
+                    ("swapped".into(), Json::Bool(swapped)),
+                    ("version".into(), Json::Num(public_version(state) as f64)),
+                    (
+                        "registry_version".into(),
+                        Json::Num(state.registry_version as f64),
                     ),
-                }
-            }
-            JobKind::Observe { frame } => {
-                // Settle first: submitted forecasts answer for the
-                // window they saw, never a newer one.
-                settle(state, shared, reply_txs, &mut pending);
-                apply_observe(state, frame);
-                if state.replica_idx == 0 {
-                    shared.window_fp.store(state.window_fp, Ordering::Release);
-                }
-                if let Some(route) = job.route {
-                    let body = proto::observe_ack(public_version(state), state.window_fp);
-                    send_reply(reply_txs, route, ok_response(body, route.keep_alive), true);
-                }
-            }
-            JobKind::Swap { target } => {
-                settle(state, shared, reply_txs, &mut pending);
-                let before = state.registry_version;
-                try_swap(state, shared, *target);
-                let swapped = state.registry_version != before;
-                if let Some(route) = job.route {
-                    if swapped {
-                        // The responder answers only after the whole
-                        // pool has flipped — no mixed-version serving
-                        // once the admin call returns.
-                        wait_for_pool_flip(shared, public_version(state), state.n_replicas);
-                    }
-                    let doc = Json::Obj(vec![
-                        ("swapped".into(), Json::Bool(swapped)),
-                        ("version".into(), Json::Num(public_version(state) as f64)),
-                        (
-                            "registry_version".into(),
-                            Json::Num(state.registry_version as f64),
-                        ),
-                    ]);
-                    send_reply(
-                        reply_txs,
-                        route,
-                        ok_response(doc.to_string().into_bytes(), route.keep_alive),
-                        false,
-                    );
-                }
+                ]);
+                send_reply(
+                    reply_txs,
+                    route,
+                    ok_response(doc.to_string().into_bytes(), route.keep_alive),
+                    false,
+                );
             }
         }
     }
-    settle(state, shared, reply_txs, &mut pending);
 }
 
-/// Flush the queue and answer every job waiting on an evaluation.
-fn settle(
+/// Body of one forecast on the replica's current window. The first
+/// forecast on a window runs the full forward on the spot (`"miss"`)
+/// and memoises it; every later one slices the memo (`"memo"`). Either
+/// way the shared cache is primed so repeats hit inline at the workers.
+fn forecast(
     state: &mut ModelState,
     shared: &Shared,
-    reply_txs: &[(Sender<Reply>, Waker)],
-    pending: &mut Vec<PendingEval>,
-) {
-    if pending.is_empty() {
-        return;
+    sensor: u32,
+    horizon: u32,
+) -> stwa_tensor::Result<Vec<u8>> {
+    let fp = state.window_fp;
+    let mut source = "memo";
+    if state.memo.as_ref().is_none_or(|(memo_fp, _)| *memo_fp != fp) {
+        let d = state.dims;
+        let x = Tensor::from_vec(state.window.clone(), &[1, d.sensors, d.history, d.features])?;
+        let full = state.session.run(&x)?;
+        state.evals_counter.incr();
+        stwa_observe::counter!("serve.replica.evals").incr();
+        shared.replica_evals[state.replica_idx].fetch_add(1, Ordering::Relaxed);
+        state.memo = Some((fp, full));
+        source = "miss";
     }
-    if let Err(e) = state.queue.flush() {
-        // A failed flush re-queued the batch inside the queue; answer
-        // the jobs with an error rather than stranding the clients.
-        // (Unreachable in normal operation: swaps rebuild the queue on
-        // this same thread, so the session can't go stale mid-burst.)
-        let msg = format!("flush: {e}");
-        for p in pending.drain(..) {
-            for (route, _, _) in p.jobs {
-                send_reply(reply_txs, route, error_response(500, &msg, route.keep_alive), false);
-            }
-        }
-        return;
-    }
-    let version = public_version(state);
-    for p in pending.drain(..) {
-        match state.queue.take(p.ticket) {
-            Some(out) => {
-                state.evals_counter.incr();
-                stwa_observe::counter!("serve.replica.evals").incr();
-                shared.replica_evals[state.replica_idx].fetch_add(1, Ordering::Relaxed);
-                // `[1, N, U, F]` → owned row-major values.
-                let values = Arc::new(out.data().to_vec());
-                memo_put(state, p.fp, Arc::clone(&values));
-                for (route, sensor, horizon) in p.jobs {
-                    let sliced = slice_forecast(state, &values, sensor, horizon);
-                    // Prime the shared cache so repeats hit inline at
-                    // the workers.
-                    shared.cache.put(
-                        CacheKey {
-                            version,
-                            sensor,
-                            horizon,
-                            window_fp: p.fp,
-                        },
-                        Arc::new(sliced.clone()),
-                    );
-                    let body =
-                        proto::forecast_body(sensor, horizon, version, p.fp, "miss", &sliced);
-                    send_reply(reply_txs, route, ok_response(body, route.keep_alive), false);
-                }
-            }
-            None => {
-                for (route, _, _) in p.jobs {
-                    send_reply(
-                        reply_txs,
-                        route,
-                        error_response(500, "evaluation lost its result", route.keep_alive),
-                        false,
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn memo_get(state: &ModelState, fp: u64) -> Option<Arc<Vec<f32>>> {
-    state
-        .memo
-        .iter()
-        .find(|(k, _)| *k == fp)
-        .map(|(_, v)| Arc::clone(v))
-}
-
-fn memo_put(state: &mut ModelState, fp: u64, values: Arc<Vec<f32>>) {
-    state.memo.retain(|(k, _)| *k != fp);
-    state.memo.insert(0, (fp, values));
-    state.memo.truncate(state.memo_cap);
-}
-
-/// Extract sensor `s`, steps `0..horizon` from a full `[N, U, F]`
-/// output (contiguous: the row-major slice `[s*U*F, s*U*F + h*F)`).
-fn slice_forecast(state: &ModelState, full: &[f32], sensor: u32, horizon: u32) -> Vec<f32> {
+    let full = state.memo.as_ref().expect("memo just set").1.data();
+    // Sensor `s`, steps `0..horizon` of `[1, N, U, F]` is the contiguous
+    // row-major slice `[s*U*F, s*U*F + h*F)`.
     let (u, f) = (state.dims.horizon, state.dims.features);
     let start = sensor as usize * u * f;
-    full[start..start + horizon as usize * f].to_vec()
+    let sliced = Arc::new(full[start..start + horizon as usize * f].to_vec());
+    let version = public_version(state);
+    shared.cache.put(
+        CacheKey {
+            version,
+            sensor,
+            horizon,
+            window_fp: fp,
+        },
+        Arc::clone(&sliced),
+    );
+    Ok(proto::forecast_body(sensor, horizon, version, fp, source, &sliced))
 }
 
 /// Shift the rolling window one step left and append the new frame at
@@ -1456,70 +1346,32 @@ fn apply_observe(state: &mut ModelState, frame: &[f32]) {
     state.window_fp = fingerprint_f32(&state.window);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn answer_forecast(
-    state: &ModelState,
-    shared: &Shared,
-    reply_txs: &[(Sender<Reply>, Waker)],
-    route: Route,
-    sensor: u32,
-    horizon: u32,
-    fp: u64,
-    source: &str,
-    full: &Arc<Vec<f32>>,
-) {
-    let version = public_version(state);
-    let sliced = slice_forecast(state, full, sensor, horizon);
-    shared.cache.put(
-        CacheKey {
-            version,
-            sensor,
-            horizon,
-            window_fp: fp,
-        },
-        Arc::new(sliced.clone()),
-    );
-    let body = proto::forecast_body(sensor, horizon, version, fp, source, &sliced);
-    send_reply(reply_txs, route, ok_response(body, route.keep_alive), false);
-}
-
-/// Swap this replica's serving snapshot to a newer registry version
-/// (pinned, or latest when `target` is `None`). The flip happens
-/// between settled bursts — the queue is empty by construction — and
-/// reports to the pool-wide barrier; the *last* replica to flip
-/// publishes the shared version and purges the old one's cache
-/// entries, so the cache never loses both versions mid-swap.
-fn try_swap(state: &mut ModelState, shared: &Shared, target: Option<u32>) {
-    let Some((registry, name)) = &state.registry else {
+/// Swap this replica's serving snapshot to registry version `target`
+/// (a no-op unless it is newer than the one loaded). The flip happens
+/// between jobs and reports to the pool-wide barrier, which publishes
+/// the shared version and purges the old one's cache entries only
+/// once every replica has left it, so the cache never loses both
+/// versions mid-swap.
+fn try_swap(state: &mut ModelState, shared: &Shared, target: u32) {
+    let Some((registry, name)) = &shared.registry else {
         return;
     };
-    let latest = match target {
-        Some(v) => v,
-        None => match registry.latest(name) {
-            Ok(v) => v,
-            Err(_) => return, // nothing published yet
-        },
-    };
-    if latest <= state.registry_version {
+    if target <= state.registry_version {
         return;
     }
-    let old_version = public_version(state);
-    // Drain the (empty) queue and reject any stray submit from here on.
-    let _ = state.queue.close();
     let rebuilt = FrozenStwa::freeze_from_registry_at(
         &state.model,
         registry,
         name,
-        Some(latest),
+        Some(target),
         state.precision,
-    )
-    .and_then(|frozen| InferQueue::new(InferSession::from_frozen(frozen), state.queue_cfg));
+    );
     match rebuilt {
-        Ok(queue) => {
-            state.queue = queue;
-            state.registry_version = latest;
-            state.memo.clear();
-            report_flip(state, shared, old_version);
+        Ok(frozen) => {
+            state.session = InferSession::from_frozen(frozen);
+            state.registry_version = target;
+            state.memo = None;
+            report_flip(state, shared);
         }
         Err(_) => {
             // Registry load failed (partial publish, IO error): keep
@@ -1541,58 +1393,45 @@ fn try_swap(state: &mut ModelState, shared: &Shared, target: Option<u32>) {
             } else {
                 FrozenStwa::freeze_at(&state.model, state.precision)
             };
-            if let Ok(queue) = restored
-                .and_then(|frozen| InferQueue::new(InferSession::from_frozen(frozen), state.queue_cfg))
-            {
-                state.queue = queue;
-                state.memo.clear();
+            if let Ok(frozen) = restored {
+                state.session = InferSession::from_frozen(frozen);
+                state.memo = None;
             }
         }
     }
 }
 
 /// Pool-wide swap barrier. Each replica reports here after flipping;
-/// the last one publishes the new version, purges the retired
-/// version's cache entries, and records the swap duration.
-fn report_flip(state: &ModelState, shared: &Shared, old_version: u64) {
-    let new_version = public_version(state);
+/// the one whose flip raises the pool's lowest served version
+/// publishes it, purges the retired versions' cache entries, and
+/// records the swap duration.
+fn report_flip(state: &ModelState, shared: &Shared) {
     let mut st = shared.swap_state.lock().unwrap();
-    if st.target != new_version {
-        st.target = new_version;
-        st.flipped = 0;
-        st.old_version = old_version;
-        st.started = Some(Instant::now());
-    }
-    st.flipped += 1;
-    if st.flipped == state.n_replicas {
-        shared.version.store(new_version, Ordering::Release);
-        shared.cache.purge_version(st.old_version);
+    st.serving[state.replica_idx] = public_version(state);
+    let started = *st.started.get_or_insert_with(Instant::now);
+    let floor = *st.serving.iter().min().expect("at least one replica");
+    let published = shared.version.load(Ordering::Acquire);
+    if floor > published {
+        shared.version.store(floor, Ordering::Release);
+        for retired in published..floor {
+            shared.cache.purge_version(retired);
+        }
         shared.swaps.fetch_add(1, Ordering::Relaxed);
         stwa_observe::counter!("serve.swaps").incr();
-        if let Some(started) = st.started {
-            let us = started.elapsed().as_micros() as u64;
-            shared.swap_us.store(us, Ordering::Relaxed);
-            stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
-        }
+        let us = started.elapsed().as_micros() as u64;
+        shared.swap_us.store(us, Ordering::Relaxed);
+        stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
+        st.started = None;
     }
 }
 
-/// Block until every replica has flipped to `target` (the admin-swap
+/// Block until the whole pool serves at least `target` (the admin-swap
 /// responder uses this so "swapped: true" means the whole pool moved).
 /// Bounded: a replica whose load failed reports `swap_errors` instead
 /// of flipping, and the wait gives up rather than deadlocking.
-fn wait_for_pool_flip(shared: &Shared, target: u64, n_replicas: usize) {
+fn wait_for_pool_flip(shared: &Shared, target: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        {
-            let st = shared.swap_state.lock().unwrap();
-            if st.target == target && st.flipped >= n_replicas {
-                return;
-            }
-        }
-        if Instant::now() >= deadline {
-            return;
-        }
+    while shared.version.load(Ordering::Acquire) < target && Instant::now() < deadline {
         std::thread::sleep(Duration::from_micros(200));
     }
 }

@@ -28,7 +28,6 @@ fn model(seed: u64) -> StwaModel {
 fn config() -> ServeConfig {
     ServeConfig {
         io_threads: 2,
-        max_wait: Duration::from_millis(1),
         ttl: Duration::from_secs(300),
         registry_poll: Duration::from_millis(50),
         ..ServeConfig::default()

@@ -31,7 +31,6 @@ fn config(replicas: usize) -> ServeConfig {
     ServeConfig {
         io_threads: 2,
         model_threads: replicas,
-        max_wait: Duration::from_millis(1),
         ttl: Duration::from_secs(300),
         // Swaps in these tests are admin-triggered only, so a publish
         // never races the poller.
@@ -295,6 +294,79 @@ fn coordinated_swap_under_pipelined_traffic_zero_drops_no_mixed_versions() {
         "stats: {}",
         String::from_utf8_lossy(&stats.body)
     );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn racing_admin_swaps_over_back_to_back_publishes_keep_the_pool_on_one_version() {
+    let root = std::env::temp_dir().join(format!("stwa_serve_pool_race_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    let publish = |seed: u64| {
+        registry
+            .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", model(seed).store()))
+            .unwrap()
+    };
+    publish(101);
+    let cfg = ServeConfig {
+        registry: Some((root.clone(), "ST-WA".to_string())),
+        ..config(3)
+    };
+    let server = Server::start(cfg, || Ok(model(1))).unwrap();
+    let addr = server.addr();
+
+    // Two admin connections swap in a loop while v2 and v3 land back
+    // to back, so swaps pinned to v2 and to v3 interleave on the
+    // replica channels. A pool split across versions, or a barrier
+    // stranded between two targets, shows up as a call that sits out
+    // the responder's 10 s give-up.
+    let swappers: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut admin = Client::connect(addr).unwrap();
+                let mut slowest = Duration::ZERO;
+                loop {
+                    let t0 = std::time::Instant::now();
+                    let resp = admin.post("/admin/swap", b"").unwrap();
+                    slowest = slowest.max(t0.elapsed());
+                    assert_eq!(resp.status, 200);
+                    if response_version(&resp.body) == 3 {
+                        return slowest;
+                    }
+                }
+            })
+        })
+        .collect();
+    assert_eq!(publish(202), 2);
+    assert_eq!(publish(303), 3);
+    for swapper in swappers {
+        let slowest = swapper.join().unwrap();
+        assert!(slowest < Duration::from_secs(5), "a swap call stalled for {slowest:?}");
+    }
+    assert_eq!(server.version(), 3);
+
+    // Every replica stamps the pool's version: after a fresh observe
+    // sensor s is a miss on replica s % 3.
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    let mut client = Client::connect(addr).unwrap();
+    let fr = frame(5, n, f);
+    assert_eq!(client.post("/observe", &observe_body(&fr)).unwrap().status, 200);
+    let mut window = vec![0.0f32; n * h * f];
+    apply_frame(&mut window, &fr, n, h, f);
+    let v3_session = InferSession::new(&model(303)).unwrap();
+    for sensor in 0..n {
+        let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=2")).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(response_version(&resp.body), server.version(), "sensor {sensor}");
+        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+        let want = direct_eval(&v3_session, &window, n, h, f, sensor, 2);
+        assert_bitwise(&got, &want, &format!("post-race sensor {sensor}"));
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(stat(&stats.body, "swap_errors"), 0.0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -38,7 +38,7 @@
 //! memset saved per hit.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// A live-bytes counter with a high-water mark.
 ///
@@ -178,7 +178,6 @@ static COUNTERS: PoolCounters = PoolCounters {
     heap_allocs: AtomicUsize::new(0),
 };
 static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
-static POOL_ENV: Once = Once::new();
 
 fn pool() -> &'static Mutex<PoolInner> {
     POOL.get_or_init(|| {
@@ -189,52 +188,35 @@ fn pool() -> &'static Mutex<PoolInner> {
     })
 }
 
-/// Whether buffer recycling is on. Defaults to on; the `STWA_POOL`
-/// environment variable (`0`/`false`/`off`) disables it at startup, and
-/// [`set_pool_enabled`] toggles it at runtime (for A/B benchmarks and the
-/// pool-off determinism tests).
+/// Whether buffer recycling is on. Defaults to on; [`set_pool_enabled`]
+/// toggles it at runtime (for A/B benchmarks and the pool-off
+/// determinism tests).
 pub fn pool_enabled() -> bool {
-    POOL_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("STWA_POOL") {
-            let off = v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off");
-            POOL_ENABLED.store(!off, Ordering::Relaxed);
-        }
-    });
     POOL_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Enable or disable buffer recycling at runtime. Disabling does not
 /// flush buffers already pooled; call [`clear_pool`] for that.
 pub fn set_pool_enabled(on: bool) {
-    // Make sure the env default can no longer overwrite our setting.
-    POOL_ENV.call_once(|| {});
     POOL_ENABLED.store(on, Ordering::Relaxed);
 }
 
 static FUSED_ENABLED: AtomicBool = AtomicBool::new(true);
-static FUSED_ENV: Once = Once::new();
 
 /// Whether fused kernels (softmax_lastdim, bias+activation, fused Huber,
 /// fused VJPs) are dispatched. All fused paths are bitwise-identical to
 /// their reference chains, so this flag only exists for A/B benchmarking
-/// and for the equality tests that prove that claim. `STWA_FUSED=0`
-/// disables at startup; [`set_fused_enabled`] toggles at runtime.
+/// and for the equality tests that prove that claim; on by default,
+/// [`set_fused_enabled`] toggles at runtime.
 ///
 /// The flag lives here (not in autograd) so every layer — tensor kernels,
 /// backward VJPs, nn loss/layers — reads one switch.
 pub fn fused_enabled() -> bool {
-    FUSED_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("STWA_FUSED") {
-            let off = v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off");
-            FUSED_ENABLED.store(!off, Ordering::Relaxed);
-        }
-    });
     FUSED_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Enable or disable fused-kernel dispatch at runtime.
 pub fn set_fused_enabled(on: bool) {
-    FUSED_ENV.call_once(|| {});
     FUSED_ENABLED.store(on, Ordering::Relaxed);
 }
 

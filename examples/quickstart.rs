@@ -7,7 +7,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use st_wa::model::{StwaConfig, StwaModel, TrainConfig, Trainer};
+use st_wa::ckpt::TrainCheckpoint;
+use st_wa::model::{ForecastModel, StwaConfig, StwaModel, TrainConfig, Trainer};
 use st_wa::traffic::{DatasetConfig, TrafficDataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,11 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Checkpoint round trip: save, restore into a fresh model, and
     //    verify the predictions agree bit for bit.
-    let ckpt = std::env::temp_dir().join("stwa_quickstart.ckpt");
-    st_wa::nn::checkpoint::save(st_wa::model::ForecastModel::store(&model), &ckpt)?;
+    let ckpt = std::env::temp_dir().join("stwa_quickstart_ckpt");
+    std::fs::create_dir_all(&ckpt)?;
+    TrainCheckpoint::params_only("ST-WA", ForecastModel::store(&model)).save_dir(&ckpt, 1)?;
     let mut rng2 = StdRng::seed_from_u64(999); // different init, overwritten by load
     let restored = StwaModel::new(StwaConfig::st_wa(n, h, u), &mut rng2)?;
-    st_wa::nn::checkpoint::load(st_wa::model::ForecastModel::store(&restored), &ckpt)?;
+    TrainCheckpoint::load_dir(&ckpt)?.load_params_into(ForecastModel::store(&restored))?;
     let pred2 = trainer.predict(&restored, &window, &dataset.scaler(), &mut rng)?;
     assert!(
         pred.approx_eq(&pred2, 0.0),

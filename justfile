@@ -10,6 +10,7 @@ verify:
     cargo test -q
     cargo test -q -p stwa-ckpt --test corruption
     cargo test -q -p stwa-core --test resume
+    cargo test -q -p stwa-serve -p stwa-infer
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json

@@ -16,7 +16,7 @@
 //! - [`observe`] — training observability: spans, counters, run
 //!   manifests ([`stwa_observe`])
 //! - [`infer`] — tape-free serving: frozen models, packed weights,
-//!   micro-batching ([`stwa_infer`])
+//!   row-exact batched sessions ([`stwa_infer`])
 //! - [`ckpt`] — versioned checkpoints + model registry with bitwise
 //!   resumable training ([`stwa_ckpt`])
 //! - [`serve`] — async HTTP forecast serving: per-sensor TTL caching,
