@@ -471,6 +471,7 @@ fn run_replica_scale(replicas: usize, oracle: &mut Oracle, swap_mid_run: bool) -
 
 fn render_json(fields: &[(&str, f64)]) -> String {
     let mut s = String::from("{\n");
+    s.push_str(&stwa_bench::host::json_fields());
     for (i, (key, val)) in fields.iter().enumerate() {
         let sep = if i + 1 == fields.len() { "" } else { "," };
         if (val.fract() == 0.0) && val.abs() < 1e15 {

@@ -111,7 +111,10 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (quoted and escaped) — the
+/// escaping [`Json::Str`] and object keys serialize with, for writers
+/// that emit JSON text without building a tree.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -29,7 +29,7 @@ pub mod span;
 
 mod json;
 
-pub use json::{parse as parse_json, Json, JsonError};
+pub use json::{parse as parse_json, write_escaped as write_json_string, Json, JsonError};
 pub use manifest::{EpochRecord, RunManifest, SpanNode};
 pub use metrics::{counter, counters_snapshot, gauge, gauges_snapshot, Counter, Gauge};
 pub use span::{scope, scope_fmt, Recorder, Scope, SpanStat};

@@ -4,14 +4,25 @@
 //! horizon, window contents), so the cache key is exactly that tuple —
 //! the window enters as a 64-bit FNV-1a fingerprint of its f32 bits.
 //! Any of the three invalidation events changes the key or removes the
-//! entry: a new observation changes the fingerprint, a hot swap changes
-//! the version (plus an explicit [`ForecastCache::purge_version`]
-//! sweep to free the dead entries), and wall-clock expiry is enforced
+//! entry: a new observation changes the fingerprint (and the replica
+//! that applied it drops the superseded window's entries with
+//! [`ForecastCache::purge_window`]), a hot swap changes the version
+//! (plus an explicit [`ForecastCache::purge_version`] sweep to free the
+//! dead entries), and wall-clock expiry is enforced
 //! on read because a forecast for step t+1 stops being useful once
 //! step t+1 has arrived — the TTL is tied to the forecast step length.
 //! Reads only *check* expiry; reclamation happens in the periodic
 //! [`ForecastCache::sweep`] the reactor loop drives, keeping removal
 //! (and its shard-lock write traffic) off the request path.
+//!
+//! An entry is the finished answer, not its ingredients: beside the
+//! values it holds the encoded `"cache":"hit"` response body as shared
+//! bytes. The body is a function of key and values, so
+//! [`ForecastCache::put`] encodes it once — on the thread that primes
+//! the cache, which in the server is the otherwise idle replica — and
+//! every hit is [`ForecastCache::get_body`]: probe, bump a refcount,
+//! done. With the two purges a live (version, window) pair keeps at
+//! most N·U entries resident.
 //!
 //! Shards are independent `Mutex<HashMap>`s picked by key hash, so IO
 //! workers serving different sensors rarely contend on one lock.
@@ -20,6 +31,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::proto;
 
 /// Cache key: everything a forecast depends on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -34,6 +47,8 @@ pub struct CacheKey {
 
 struct Entry {
     values: Arc<Vec<f32>>,
+    /// `proto::forecast_body(key.., "hit", values)`, ready to frame.
+    body: Arc<[u8]>,
     expires: Instant,
 }
 
@@ -66,14 +81,15 @@ impl ForecastCache {
         &self.shards[(h as usize) & (self.shards.len() - 1)]
     }
 
-    /// Fetch a live entry. An expired entry counts as a miss but is
-    /// *not* removed here — the periodic [`ForecastCache::sweep`]
-    /// reclaims it, so the hot read path never mutates a shard.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<f32>>> {
-        let shard = self.shard(key).lock().unwrap();
+    /// Read one field of a live entry. An expired entry counts as a
+    /// miss but is *not* removed here — the periodic
+    /// [`ForecastCache::sweep`] reclaims it, so the hot read path never
+    /// mutates a shard.
+    fn probe<T>(&self, key: &CacheKey, field: impl FnOnce(&Entry) -> T) -> Option<T> {
+        let shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.get(key) {
             Some(e) if e.expires > Instant::now() => {
-                let v = Arc::clone(&e.values);
+                let v = field(e);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
@@ -84,20 +100,62 @@ impl ForecastCache {
         }
     }
 
+    /// The values of a live entry.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<f32>>> {
+        self.probe(key, |e| Arc::clone(&e.values))
+    }
+
+    /// The encoded `"cache":"hit"` response body of a live entry —
+    /// what a hit sends, byte for byte
+    /// `proto::forecast_body(sensor, horizon, version, window_fp, "hit", values)`.
+    pub fn get_body(&self, key: &CacheKey) -> Option<Arc<[u8]>> {
+        self.probe(key, |e| Arc::clone(&e.body))
+    }
+
+    /// Insert (or replace) the entry for `key`, encoding its hit body.
     pub fn put(&self, key: CacheKey, values: Arc<Vec<f32>>) {
+        let body = proto::forecast_body(
+            key.sensor,
+            key.horizon,
+            key.version,
+            key.window_fp,
+            "hit",
+            &values,
+        );
         let entry = Entry {
             values,
+            body: body.into(),
             expires: Instant::now() + self.ttl,
         };
-        self.shard(&key).lock().unwrap().insert(key, entry);
+        self.shard(&key)
+            .lock()
+            .expect("cache shard poisoned")
+            .insert(key, entry);
     }
 
     /// Drop every entry frozen under `version` — called after a hot
     /// swap so dead-version entries don't sit around until TTL.
     pub fn purge_version(&self, version: u64) {
+        self.purge(|k| k.version == version);
+    }
+
+    /// Drop every entry computed on the window fingerprinted
+    /// `window_fp` and return how many went — called once an
+    /// observation has superseded that window, whose key can then never
+    /// be probed again. Idempotent.
+    pub fn purge_window(&self, window_fp: u64) -> usize {
+        self.purge(|k| k.window_fp == window_fp)
+    }
+
+    fn purge(&self, dead: impl Fn(&CacheKey) -> bool) -> usize {
+        let mut removed = 0;
         for shard in &self.shards {
-            shard.lock().unwrap().retain(|k, _| k.version != version);
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            let before = shard.len();
+            shard.retain(|k, _| !dead(k));
+            removed += before - shard.len();
         }
+        removed
     }
 
     /// Drop expired entries everywhere and return how many were
@@ -238,6 +296,43 @@ mod tests {
             assert!(cache.get(&key(1, s, 1, 5)).is_none());
             assert!(cache.get(&key(2, s, 1, 5)).is_some());
         }
+    }
+
+    #[test]
+    fn purge_window_removes_only_that_window_and_is_idempotent() {
+        let cache = ForecastCache::new(4, Duration::from_secs(60));
+        for s in 0..10u32 {
+            cache.put(key(1, s, 1, 5), Arc::new(vec![s as f32]));
+            cache.put(key(2, s, 1, 5), Arc::new(vec![s as f32]));
+            cache.put(key(2, s, 1, 6), Arc::new(vec![s as f32]));
+        }
+        assert_eq!(cache.purge_window(5), 20, "every version's entries on that window");
+        assert_eq!(cache.purge_window(5), 0);
+        assert_eq!(cache.len(), 10);
+        for s in 0..10u32 {
+            assert!(cache.get_body(&key(1, s, 1, 5)).is_none());
+            assert!(cache.get_body(&key(2, s, 1, 6)).is_some());
+        }
+    }
+
+    #[test]
+    fn an_entry_holds_the_encoded_hit_body_and_expires_with_its_values() {
+        let cache = ForecastCache::new(4, Duration::from_millis(30));
+        let k = key(7, 3, 2, 0xdead_beef_cafe_f00d);
+        let values = vec![0.1f32, -0.0, 1.0e-40];
+        assert!(cache.get_body(&k).is_none());
+        cache.put(k, Arc::new(values.clone()));
+        let body = cache.get_body(&k).expect("just inserted");
+        assert_eq!(
+            &body[..],
+            &proto::forecast_body(3, 2, 7, 0xdead_beef_cafe_f00d, "hit", &values)[..]
+        );
+        assert_eq!(cache.stats(), (1, 1), "body reads count like value reads");
+        std::thread::sleep(Duration::from_millis(40));
+        // Resident until a sweep, but refused on read.
+        assert!(cache.get_body(&k).is_none(), "expired body must not serve");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]

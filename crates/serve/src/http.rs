@@ -8,29 +8,33 @@
 //! (returning it plus the bytes consumed), reports that more bytes are
 //! needed, or rejects the stream with a status code to answer with
 //! before closing.
-
-use std::collections::HashMap;
+//!
+//! Parsing allocates nothing: a [`Request`] borrows its method, path,
+//! query and body from the buffer it was parsed from, and the three
+//! headers the server acts on (`Content-Length`, `Connection`,
+//! `Transfer-Encoding`) are matched case-insensitively in place as the
+//! head is walked. On a cache hit the parser is the largest stage of
+//! the request, so it stays out of the allocator.
 
 /// Don't let a single request head or body grow without bound.
 pub const MAX_HEAD: usize = 8 * 1024;
 pub const MAX_BODY: usize = 1024 * 1024;
 
-/// One parsed request. Header names are lowercased; the query string
+/// One parsed request, borrowed from the read buffer. The query string
 /// is split off the target but left unparsed (see [`Request::query`]).
 #[derive(Debug)]
-pub struct Request {
-    pub method: String,
+pub struct Request<'a> {
+    pub method: &'a str,
     /// Path without the query string, e.g. `/forecast`.
-    pub path: String,
+    pub path: &'a str,
     /// Raw query string without the `?`, possibly empty.
-    pub query_raw: String,
-    pub headers: HashMap<String, String>,
-    pub body: Vec<u8>,
+    pub query_raw: &'a str,
+    pub body: &'a [u8],
     /// Whether the connection should stay open after the response.
     pub keep_alive: bool,
 }
 
-impl Request {
+impl Request<'_> {
     /// Look up one query parameter (`a=1&b=2` style, no percent
     /// decoding — tokens in this protocol are numbers and identifiers).
     pub fn query(&self, key: &str) -> Option<&str> {
@@ -43,9 +47,9 @@ impl Request {
 
 /// Outcome of one incremental parse step.
 #[derive(Debug)]
-pub enum Parse {
+pub enum Parse<'a> {
     /// A full request plus how many buffer bytes it consumed.
-    Complete(Request, usize),
+    Complete(Request<'a>, usize),
     /// The buffer holds only a prefix; read more and retry.
     Partial,
     /// Malformed or over-limit stream: answer with this status/reason
@@ -54,7 +58,7 @@ pub enum Parse {
 }
 
 /// Try to parse one request from the front of `buf`.
-pub fn parse_request(buf: &[u8]) -> Parse {
+pub fn parse_request(buf: &[u8]) -> Parse<'_> {
     // Head = everything up to the blank line.
     let head_end = match find_double_crlf(buf) {
         Some(i) => i,
@@ -76,9 +80,7 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => {
-            (m.to_string(), t, v)
-        }
+        (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => (m, t, v),
         _ => return Parse::Bad(400, "Bad Request"),
     };
     let http11 = match version {
@@ -87,19 +89,29 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         _ => return Parse::Bad(505, "HTTP Version Not Supported"),
     };
 
-    let mut headers = HashMap::new();
+    // The last occurrence of a repeated header wins.
+    let mut content_length = None;
+    let mut connection = None;
+    let mut transfer_encoded = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             return Parse::Bad(400, "Bad Request");
         };
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = Some(value);
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection = Some(value);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoded = true;
+        }
     }
 
-    if headers.contains_key("transfer-encoding") {
+    if transfer_encoded {
         // Chunked bodies are out of scope; refusing beats misparsing.
         return Parse::Bad(501, "Not Implemented");
     }
-    let content_length = match headers.get("content-length") {
+    let content_length = match content_length {
         None => 0,
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n <= MAX_BODY => n,
@@ -112,28 +124,23 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     if buf.len() < body_start + content_length {
         return Parse::Partial;
     }
-    let body = buf[body_start..body_start + content_length].to_vec();
 
     // Keep-alive: HTTP/1.1 defaults open, 1.0 defaults closed; an
     // explicit Connection header overrides either way.
-    let keep_alive = match headers.get("connection").map(|v| v.to_ascii_lowercase()) {
-        Some(v) if v == "close" => false,
-        Some(v) if v == "keep-alive" => true,
+    let keep_alive = match connection {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
         _ => http11,
     };
 
-    let (path, query_raw) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let (path, query_raw) = target.split_once('?').unwrap_or((target, ""));
 
     Parse::Complete(
         Request {
             method,
             path,
             query_raw,
-            headers,
-            body,
+            body: &buf[body_start..body_start + content_length],
             keep_alive,
         },
         body_start + content_length,
@@ -144,9 +151,26 @@ fn find_double_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Append `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// Serialize one response onto `out`. `content_type` is usually
 /// `application/json`; the body is written as-is with an exact
-/// `Content-Length` so pipelined peers can frame replies.
+/// `Content-Length` so pipelined peers can frame replies. Plain byte
+/// appends, no formatter: this runs once per response, cache hits
+/// included, straight onto the connection's write buffer.
 pub fn write_response(
     out: &mut Vec<u8>,
     status: u16,
@@ -155,13 +179,20 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) {
-    use std::io::Write;
-    let _ = write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
+    out.reserve(96 + reason.len() + content_type.len() + body.len());
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(out, status as usize);
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    push_decimal(out, body.len());
+    out.extend_from_slice(if keep_alive {
+        b"\r\nConnection: keep-alive\r\n\r\n".as_slice()
+    } else {
+        b"\r\nConnection: close\r\n\r\n".as_slice()
+    });
     out.extend_from_slice(body);
 }
 
@@ -169,7 +200,7 @@ pub fn write_response(
 mod tests {
     use super::*;
 
-    fn complete(buf: &[u8]) -> (Request, usize) {
+    fn complete(buf: &[u8]) -> (Request<'_>, usize) {
         match parse_request(buf) {
             Parse::Complete(r, n) => (r, n),
             other => panic!("expected Complete, got {other:?}"),
@@ -257,6 +288,48 @@ mod tests {
         assert!(!req.keep_alive);
         let (req, _) = complete(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
         assert!(req.keep_alive);
+    }
+
+    #[test]
+    fn acted_on_headers_match_in_any_case_and_the_last_one_wins() {
+        let raw = b"POST /observe HTTP/1.1\r\nCONTENT-LENGTH: 2\r\nconnection:  CLOSE \r\n\r\nhi";
+        let (req, n) = complete(raw);
+        assert_eq!((n, req.body), (raw.len(), &b"hi"[..]));
+        assert!(!req.keep_alive);
+        let raw = b"POST / HTTP/1.0\r\nContent-Length: 9\r\ncontent-length: 1\r\nConnection: close\r\nConnection: Keep-Alive\r\n\r\nx";
+        let (req, n) = complete(raw);
+        assert_eq!((n, req.body), (raw.len(), &b"x"[..]));
+        assert!(req.keep_alive);
+        assert!(matches!(
+            parse_request(b"POST / HTTP/1.1\r\ntransfer-ENCODING: chunked\r\n\r\n"),
+            Parse::Bad(501, _)
+        ));
+    }
+
+    #[test]
+    fn response_writer_matches_the_formatted_framing() {
+        use std::io::Write;
+        let big = vec![b'x'; 12_345];
+        for (status, reason, body, keep_alive) in [
+            (200u16, "OK", &b"{}"[..], true),
+            (200, "OK", &b""[..], false),
+            (404, "Not Found", &b"{\"error\":\"unknown endpoint\"}"[..], true),
+            (431, "Request Header Fields Too Large", &big[..], false),
+        ] {
+            // Appends: whatever `out` already holds stays in front.
+            let mut out = b"earlier".to_vec();
+            write_response(&mut out, status, reason, "application/json", body, keep_alive);
+            let mut want = b"earlier".to_vec();
+            write!(
+                want,
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+                body.len(),
+                if keep_alive { "keep-alive" } else { "close" },
+            )
+            .unwrap();
+            want.extend_from_slice(body);
+            assert_eq!(out, want);
+        }
     }
 
     #[test]

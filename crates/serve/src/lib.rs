@@ -10,13 +10,16 @@
 //! - [`reactor`] — a minimal epoll readiness loop (the three epoll
 //!   syscalls glibc already links, wrapped safely) plus a socket-pair
 //!   [`reactor::Waker`] for cross-thread wakeups.
-//! - [`http`] — an incremental HTTP/1.1 keep-alive parser with
-//!   pipelining and a response writer. No chunked encoding, no TLS.
+//! - [`http`] — an incremental, allocation-free HTTP/1.1 keep-alive
+//!   parser with pipelining (requests borrow from the read buffer) and
+//!   a response writer. No chunked encoding, no TLS.
 //! - [`cache`] — a sharded per-sensor forecast cache keyed on (model
 //!   version, sensor, horizon, window fingerprint) with TTL tied to
-//!   the forecast step.
-//! - [`proto`] — JSON request/response bodies over
-//!   `stwa_observe::Json`; f32 forecasts survive the wire bitwise.
+//!   the forecast step; an entry holds the encoded hit body, so a hit
+//!   is a probe and a frame.
+//! - [`proto`] — JSON bodies: one direct writer for responses,
+//!   `stwa_observe::parse_json` for requests; f32 forecasts survive
+//!   the wire bitwise, non-finite observations are refused.
 //! - [`server`] — N IO worker threads (epoll + HTTP + cache) in front
 //!   of a replica pool of model threads (per-replica `InferSession`
 //!   evaluated directly, one-slot memo of the current window's

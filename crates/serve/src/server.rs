@@ -16,17 +16,27 @@
 //! a slice of the same evaluation: the first forecast on a window runs
 //! it on the spot, later ones slice the memo, and there is never a
 //! second row to batch. IO workers still own the sockets, parse HTTP,
-//! and serve cache hits inline; misses are sharded across replicas by
-//! sensor-affinity hashing (`sensor % n` keeps a sensor's memo hot on
-//! one replica) with least-queue-depth spill when the affinity target
-//! backs up.
+//! and serve cache hits inline — a cache entry holds the encoded
+//! answer (the replica wrote it when it primed the cache), so a hit is
+//! parse → probe → frame onto the write buffer; misses are sharded
+//! across replicas by sensor-affinity hashing (`sensor % n` keeps a
+//! sensor's memo hot on one replica) with least-queue-depth spill when
+//! the affinity target backs up.
 //!
 //! Correctness invariants:
 //! - **In-order responses per connection.** HTTP/1.1 pipelining means
 //!   responses must leave in request order even when a cache hit (an
 //!   inline reply) overtakes a replica round trip. Every parsed
-//!   request takes a per-connection sequence number and completed
-//!   responses wait in a `BTreeMap` until their turn.
+//!   request takes a per-connection sequence number; an inline answer
+//!   whose number is next goes straight onto the write buffer, and
+//!   anything completed out of turn waits in a `BTreeMap` until the
+//!   earlier replica replies have landed.
+//! - **Bounded residency.** The replica that applies an observe drops
+//!   the superseded window's cache entries (after publishing the new
+//!   fingerprint), as the last flip of a swap drops the retired
+//!   version's: a live (version, window) keeps at most N·U entries.
+//!   A connection that owes its peer more than `WBUF_CAP` unsent bytes
+//!   is neither parsed nor read until the peer drains it.
 //! - **Identical windows on every replica.** Observations broadcast to
 //!   all replicas under one lock, so every replica channel sees them
 //!   in the same order; each replica applies the same frames to the
@@ -182,6 +192,37 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        config: &ServeConfig,
+        registry: Option<(stwa_ckpt::Registry, String)>,
+        pinned_version: u32,
+        n_replicas: usize,
+    ) -> Shared {
+        Shared {
+            shutdown: AtomicBool::new(false),
+            registry,
+            version: AtomicU64::new(pinned_version as u64),
+            window_fp: AtomicU64::new(0),
+            cache: ForecastCache::new(config.cache_shards, config.ttl),
+            requests: AtomicU64::new(0),
+            responses: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
+            model_jobs: AtomicU64::new(0),
+            swaps: AtomicU64::new(0),
+            swap_errors: AtomicU64::new(0),
+            client_aborts: AtomicU64::new(0),
+            conns: AtomicU64::new(0),
+            swap_us: AtomicU64::new(0),
+            replica_depth: (0..n_replicas).map(|_| AtomicUsize::new(0)).collect(),
+            replica_evals: (0..n_replicas).map(|_| AtomicU64::new(0)).collect(),
+            broadcast: Mutex::new(()),
+            swap_state: Mutex::new(SwapState {
+                serving: vec![pinned_version as u64; n_replicas],
+                started: None,
+            }),
+        }
+    }
+
     /// Newest published registry version; `None` without a registry or
     /// before the first publish. Swap triggers resolve their target
     /// through this exactly once — replicas resolving on their own
@@ -286,29 +327,7 @@ impl Server {
             }
         };
 
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            registry,
-            version: AtomicU64::new(pinned_version as u64),
-            window_fp: AtomicU64::new(0),
-            cache: ForecastCache::new(config.cache_shards, config.ttl),
-            requests: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            inline_hits: AtomicU64::new(0),
-            model_jobs: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            swap_errors: AtomicU64::new(0),
-            client_aborts: AtomicU64::new(0),
-            conns: AtomicU64::new(0),
-            swap_us: AtomicU64::new(0),
-            replica_depth: (0..n_replicas).map(|_| AtomicUsize::new(0)).collect(),
-            replica_evals: (0..n_replicas).map(|_| AtomicU64::new(0)).collect(),
-            broadcast: Mutex::new(()),
-            swap_state: Mutex::new(SwapState {
-                serving: vec![pinned_version as u64; n_replicas],
-                started: None,
-            }),
-        });
+        let shared = Arc::new(Shared::new(&config, registry, pinned_version, n_replicas));
 
         let io_threads = config.io_threads.max(1);
         let mut reply_txs = Vec::with_capacity(io_threads);
@@ -581,16 +600,29 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_CONN0: u64 = 2;
 
+/// Response bytes a connection may owe its peer — unsent in `wbuf` plus
+/// parked in `done` — before the worker stops parsing its requests and
+/// stops reading its socket. A peer that pipelines requests and never
+/// reads would otherwise grow the buffer for as long as it keeps
+/// sending (~235 response bytes per ~60 request bytes); a peer that
+/// does read never gets near this.
+const WBUF_CAP: usize = 256 * 1024;
+
 struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// Framed responses in request order; `wbuf[wpos..]` is unsent.
     wbuf: Vec<u8>,
+    wpos: usize,
     /// Next sequence number to assign to a parsed request.
     next_seq: u64,
     /// Next sequence number whose response may be written.
     next_flush: u64,
-    /// Completed responses waiting for their turn.
+    /// Completed responses waiting for an earlier sequence number that
+    /// is still at a replica.
     done: BTreeMap<u64, (Vec<u8>, bool)>,
+    /// Bytes held in `done`.
+    parked: usize,
     /// Requests handed to the replica pool, not yet replied.
     inflight: usize,
     /// Observations handed to the pool, not yet replied — while
@@ -602,6 +634,36 @@ struct Conn {
     closing: bool,
     /// Registered epoll interest, to skip redundant `EPOLL_CTL_MOD`s.
     interest: u32,
+}
+
+impl Conn {
+    /// A fresh connection, registered for reads.
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            next_seq: 0,
+            next_flush: 0,
+            done: BTreeMap::new(),
+            parked: 0,
+            inflight: 0,
+            inflight_observes: 0,
+            closing: false,
+            interest: EPOLLIN,
+        }
+    }
+
+    /// Over [`WBUF_CAP`]: answer nothing more until the peer reads.
+    fn backlogged(&self) -> bool {
+        self.wbuf.len() - self.wpos + self.parked > WBUF_CAP
+    }
+
+    /// May take (more) requests: not closing, not over the cap.
+    fn accepts_requests(&self) -> bool {
+        !self.closing && !self.backlogged()
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -706,14 +768,16 @@ fn worker_main(
                     let Some(conn) = conns.get_mut(&token) else {
                         continue;
                     };
-                    let mut dead = false;
-                    if ev.readable && !conn.closing {
+                    let mut dead = ev.writable && flush_wbuf(conn);
+                    // Buffered bytes without a readable event are
+                    // requests left unparsed while over the cap.
+                    if !dead
+                        && (ev.readable || !conn.rbuf.is_empty())
+                        && conn.accepts_requests()
+                    {
                         dead = read_and_dispatch(
                             worker_idx, token, conn, &shared, &dims, &job_txs,
                         );
-                    }
-                    if ev.writable && !dead {
-                        dead = flush_wbuf(conn);
                     }
                     if ev.closed && conn.inflight == 0 && conn.wbuf.is_empty() {
                         dead = true;
@@ -753,7 +817,12 @@ fn worker_main(
             }
             complete(conn, reply.seq, reply.bytes, reply.close_after);
             shared.responses.fetch_add(1, Ordering::Relaxed);
-            let dead = flush_wbuf(conn);
+            let mut dead = flush_wbuf(conn);
+            // This reply may have un-parked enough to go back under
+            // the cap with requests still waiting in the read buffer.
+            if !dead && !conn.rbuf.is_empty() && conn.accepts_requests() {
+                dead = read_and_dispatch(worker_idx, reply.conn, conn, &shared, &dims, &job_txs);
+            }
             let done = conn.closing
                 && conn.inflight == 0
                 && conn.done.is_empty()
@@ -793,21 +862,7 @@ fn accept_all(
                     shared.conns.fetch_add(1, Ordering::Relaxed);
                     stwa_observe::counter!("serve.conns").incr();
                     conns_counter.incr();
-                    conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            next_seq: 0,
-                            next_flush: 0,
-                            done: BTreeMap::new(),
-                            inflight: 0,
-                            inflight_observes: 0,
-                            closing: false,
-                            interest: EPOLLIN,
-                        },
-                    );
+                    conns.insert(token, Conn::new(stream));
                 }
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -816,9 +871,10 @@ fn accept_all(
     }
 }
 
-/// Read everything available, parse pipelined requests, answer inline
-/// or dispatch to the replica pool. Returns true when the connection
-/// is dead.
+/// Read what is available a chunk at a time, parse pipelined requests,
+/// answer inline or dispatch to the replica pool — until the socket
+/// runs dry, the peer closes, or the connection owes more than
+/// [`WBUF_CAP`]. Returns true when the connection is dead.
 fn read_and_dispatch(
     worker_idx: usize,
     token: u64,
@@ -828,39 +884,69 @@ fn read_and_dispatch(
     job_txs: &[Sender<Job>],
 ) -> bool {
     let mut chunk = [0u8; 16 * 1024];
+    // A short read emptied the socket: polling is level-triggered, so
+    // whatever arrives later raises a new event and the read that
+    // would only report `WouldBlock` is skipped.
+    let mut socket_dry = false;
     loop {
+        // Buffered requests first: some may have been left unparsed
+        // when the connection last went over the cap.
+        let held_back = dispatch_buffered(worker_idx, token, conn, shared, dims, job_txs);
+        if flush_wbuf(conn) {
+            return true;
+        }
+        if !conn.accepts_requests() {
+            break;
+        }
+        if held_back {
+            // The flush made room again: no event will announce the
+            // requests still buffered, so go on parsing them now.
+            continue;
+        }
+        if socket_dry {
+            break;
+        }
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 // Orderly close; serve what was already parsed.
                 conn.closing = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&chunk[..n]);
+                socket_dry = n < chunk.len();
+            }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
         }
     }
+    conn.closing && conn.inflight == 0 && conn.done.is_empty() && conn.wbuf.is_empty()
+}
 
+/// Parse and route the complete requests `conn.rbuf` holds, stopping
+/// at a partial one, a close, or the write-side cap. Returns true when
+/// it was the cap that stopped it, so complete requests may remain.
+fn dispatch_buffered(
+    worker_idx: usize,
+    token: u64,
+    conn: &mut Conn,
+    shared: &Shared,
+    dims: &Dims,
+    job_txs: &[Sender<Job>],
+) -> bool {
+    // Requests borrow from the read buffer while `route` needs the
+    // connection: lend the buffer out for the pass.
+    let rbuf = std::mem::take(&mut conn.rbuf);
     let mut consumed = 0;
-    while !conn.closing {
-        match http::parse_request(&conn.rbuf[consumed..]) {
+    while conn.accepts_requests() {
+        match http::parse_request(&rbuf[consumed..]) {
             Parse::Partial => break,
             Parse::Bad(status, reason) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                let mut out = Vec::new();
-                http::write_response(
-                    &mut out,
-                    status,
-                    reason,
-                    "application/json",
-                    &proto::error_body(reason),
-                    false,
-                );
-                complete(conn, seq, out, true);
-                shared.responses.fetch_add(1, Ordering::Relaxed);
+                respond(conn, shared, seq, status, reason, &proto::error_body(reason), false);
                 conn.closing = true;
             }
             Parse::Complete(req, n) => {
@@ -873,10 +959,7 @@ fn read_and_dispatch(
                     conn.closing = true;
                 }
                 match route(worker_idx, token, seq, &req, conn, shared, dims, job_txs) {
-                    Routed::Inline(bytes) => {
-                        complete(conn, seq, bytes, !req.keep_alive);
-                        shared.responses.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Routed::Answered => {}
                     Routed::Dispatched => {
                         conn.inflight += 1;
                         shared.model_jobs.fetch_add(1, Ordering::Relaxed);
@@ -886,13 +969,14 @@ fn read_and_dispatch(
             }
         }
     }
+    conn.rbuf = rbuf;
     conn.rbuf.drain(..consumed);
-    flush_wbuf(conn)
-        || (conn.closing && conn.inflight == 0 && conn.done.is_empty() && conn.wbuf.is_empty())
+    conn.backlogged()
 }
 
 enum Routed {
-    Inline(Vec<u8>),
+    /// Answered inline through [`respond`].
+    Answered,
     Dispatched,
 }
 
@@ -907,10 +991,9 @@ fn route(
     dims: &Dims,
     job_txs: &[Sender<Job>],
 ) -> Routed {
-    let inline = |status: u16, reason: &str, body: Vec<u8>| {
-        let mut out = Vec::new();
-        http::write_response(&mut out, status, reason, "application/json", &body, req.keep_alive);
-        Routed::Inline(out)
+    let inline = |conn: &mut Conn, status: u16, reason: &str, body: &[u8]| {
+        respond(conn, shared, seq, status, reason, body, req.keep_alive);
+        Routed::Answered
     };
     let route = Route {
         worker: worker_idx,
@@ -919,8 +1002,8 @@ fn route(
         keep_alive: req.keep_alive,
     };
 
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => inline(200, "OK", b"{\"ok\": true}".to_vec()),
+    match (req.method, req.path) {
+        ("GET", "/healthz") => inline(conn, 200, "OK", b"{\"ok\": true}"),
         ("GET", "/stats") => {
             let (hits, misses) = shared.cache.stats();
             let evals: Vec<Json> = shared
@@ -951,7 +1034,7 @@ fn route(
                 ("swap_ms".into(), Json::Num(shared.swap_us.load(Ordering::Relaxed) as f64 / 1000.0)),
                 ("client_aborts".into(), Json::Num(shared.client_aborts.load(Ordering::Relaxed) as f64)),
             ]);
-            inline(200, "OK", doc.to_string().into_bytes())
+            inline(conn, 200, "OK", doc.to_string().as_bytes())
         }
         ("GET", "/forecast") => {
             let sensor = req.query("sensor").and_then(|v| v.parse::<u32>().ok());
@@ -959,20 +1042,22 @@ fn route(
                 .query("horizon")
                 .map_or(Some(dims.horizon as u32), |v| v.parse::<u32>().ok());
             let (Some(sensor), Some(horizon)) = (sensor, horizon) else {
-                return inline(400, "Bad Request", proto::error_body("sensor/horizon must be integers"));
+                return inline(conn, 400, "Bad Request", &proto::error_body("sensor/horizon must be integers"));
             };
             if sensor as usize >= dims.sensors {
                 return inline(
+                    conn,
                     400,
                     "Bad Request",
-                    proto::error_body(&format!("sensor {sensor} out of range (N={})", dims.sensors)),
+                    &proto::error_body(&format!("sensor {sensor} out of range (N={})", dims.sensors)),
                 );
             }
             if horizon == 0 || horizon as usize > dims.horizon {
                 return inline(
+                    conn,
                     400,
                     "Bad Request",
-                    proto::error_body(&format!("horizon {horizon} out of range (U={})", dims.horizon)),
+                    &proto::error_body(&format!("horizon {horizon} out of range (U={})", dims.horizon)),
                 );
             }
             // Cache lookup under a snapshot of (version, window). Both
@@ -988,38 +1073,31 @@ fn route(
                     horizon,
                     window_fp: shared.window_fp.load(Ordering::Acquire),
                 };
-                if let Some(values) = shared.cache.get(&key) {
+                // The entry is the encoded answer: a hit only frames it.
+                if let Some(body) = shared.cache.get_body(&key) {
                     shared.inline_hits.fetch_add(1, Ordering::Relaxed);
                     stwa_observe::counter!("serve.cache_hits").incr();
-                    return inline(
-                        200,
-                        "OK",
-                        proto::forecast_body(
-                            sensor,
-                            horizon,
-                            key.version,
-                            key.window_fp,
-                            "hit",
-                            &values,
-                        ),
-                    );
+                    return inline(conn, 200, "OK", &body);
                 }
             }
             if dispatch_forecast(job_txs, shared, route, sensor, horizon) {
                 Routed::Dispatched
             } else {
-                inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
             }
         }
         ("POST", "/observe") => {
-            match proto::parse_observe(&req.body, dims.sensors * dims.features) {
-                Err(e) => inline(400, "Bad Request", proto::error_body(&e)),
+            // A frame is validated here, before it is broadcast: a bad
+            // length or a value that is not a finite f32 never reaches
+            // a replica's window.
+            match proto::parse_observe(req.body, dims.sensors * dims.features) {
+                Err(e) => inline(conn, 400, "Bad Request", &proto::error_body(&e)),
                 Ok(frame) => {
                     if broadcast(job_txs, shared, route, JobKind::Observe { frame }) {
                         conn.inflight_observes += 1;
                         Routed::Dispatched
                     } else {
-                        inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                        inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
                     }
                 }
             }
@@ -1031,18 +1109,48 @@ fn route(
             if broadcast(job_txs, shared, route, JobKind::Swap { target }) {
                 Routed::Dispatched
             } else {
-                inline(503, "Service Unavailable", proto::error_body("replica pool is gone"))
+                inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
             }
         }
-        _ => inline(404, "Not Found", proto::error_body("unknown endpoint")),
+        _ => inline(conn, 404, "Not Found", &proto::error_body("unknown endpoint")),
     }
 }
 
-/// File a finished response under its sequence number and move every
-/// now-unblocked response into the write buffer.
+/// Answer request `seq` from the worker itself. When it is next in
+/// order — always, unless an earlier request of this connection is
+/// still at a replica — the response is framed straight onto the write
+/// buffer; otherwise it is framed aside and parked until its turn, so
+/// an inline answer never overtakes a dispatched one.
+fn respond(
+    conn: &mut Conn,
+    shared: &Shared,
+    seq: u64,
+    status: u16,
+    reason: &str,
+    body: &[u8],
+    keep_alive: bool,
+) {
+    if seq == conn.next_flush {
+        // Inline answers are framed at parse time, so `seq` is the
+        // newest sequence number: nothing later can be parked.
+        http::write_response(&mut conn.wbuf, status, reason, "application/json", body, keep_alive);
+        conn.next_flush += 1;
+    } else {
+        let mut out = Vec::new();
+        http::write_response(&mut out, status, reason, "application/json", body, keep_alive);
+        conn.parked += out.len();
+        conn.done.insert(seq, (out, !keep_alive));
+    }
+    shared.responses.fetch_add(1, Ordering::Relaxed);
+}
+
+/// File a replica's framed response under its sequence number and move
+/// every now-unblocked response into the write buffer.
 fn complete(conn: &mut Conn, seq: u64, bytes: Vec<u8>, close_after: bool) {
+    conn.parked += bytes.len();
     conn.done.insert(seq, (bytes, close_after));
     while let Some((bytes, close)) = conn.done.remove(&conn.next_flush) {
+        conn.parked -= bytes.len();
         conn.wbuf.extend_from_slice(&bytes);
         conn.next_flush += 1;
         if close {
@@ -1054,26 +1162,41 @@ fn complete(conn: &mut Conn, seq: u64, bytes: Vec<u8>, close_after: bool) {
 /// Push the write buffer to the socket. Returns true when the
 /// connection is dead (write error).
 fn flush_wbuf(conn: &mut Conn) -> bool {
-    while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
+    while conn.wpos < conn.wbuf.len() {
+        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => return true,
-            Ok(n) => {
-                conn.wbuf.drain(..n);
+            Ok(n) => conn.wpos += n,
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                // A buffer that never quite empties must not keep its
+                // sent prefix forever: compact once the prefix is the
+                // larger half, so each byte moves at most once.
+                if conn.wpos >= conn.wbuf.len() - conn.wpos {
+                    conn.wbuf.drain(..conn.wpos);
+                    conn.wpos = 0;
+                }
+                return false;
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
         }
     }
+    conn.wbuf.clear();
+    conn.wpos = 0;
     false
 }
 
+/// Want writability while bytes are unsent; want readability unless
+/// the connection is over [`WBUF_CAP`] (it is backlogged only with
+/// bytes unsent or a request at a replica, so it never waits on
+/// nothing: a drain or a reply re-arms reading).
 fn update_interest(epoll: &Epoll, token: u64, conn: &mut Conn) {
-    let want = if conn.wbuf.is_empty() {
-        EPOLLIN
-    } else {
-        EPOLLIN | EPOLLOUT
-    };
+    let mut want = 0;
+    if !conn.backlogged() {
+        want |= EPOLLIN;
+    }
+    if !conn.wbuf.is_empty() {
+        want |= EPOLLOUT;
+    }
     if want != conn.interest {
         use std::os::unix::io::AsRawFd;
         if epoll.modify(conn.stream.as_raw_fd(), token, want).is_ok() {
@@ -1254,9 +1377,21 @@ fn process_job(
             send_reply(reply_txs, route, packaged, false);
         }
         JobKind::Observe { frame } => {
+            let superseded = state.window_fp;
             apply_observe(state, frame);
             if state.replica_idx == 0 {
                 shared.window_fp.store(state.window_fp, Ordering::Release);
+            }
+            // This replica will never prime the old window again, so
+            // once the last replica is here its entries are gone and a
+            // live (version, window) keeps at most N·U resident — not
+            // every window of the last TTL. After the store, so workers
+            // are already probing the new fingerprint instead of
+            // missing on purged entries; a peer still on the old window
+            // may re-insert, and purges again when it gets here.
+            if state.window_fp != superseded {
+                let purged = shared.cache.purge_window(superseded);
+                stwa_observe::counter!("serve.cache_purged").add(purged as u64);
             }
             if let Some(route) = job.route {
                 let body = proto::observe_ack(public_version(state), state.window_fp);
@@ -1486,7 +1621,173 @@ fn send_reply(
 
 #[cfg(test)]
 mod tests {
-    use super::{pick_replica, SPILL_DEPTH};
+    use super::*;
+
+    const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\n\r\n";
+    const DIMS: Dims = Dims { sensors: 1, history: 1, horizon: 1, features: 1 };
+
+    fn healthz_response() -> Vec<u8> {
+        let mut out = Vec::new();
+        http::write_response(&mut out, 200, "OK", "application/json", b"{\"ok\": true}", true);
+        out
+    }
+
+    /// A non-blocking peer socket and the worker-side `Conn` it talks
+    /// to, for driving the worker's connection functions by hand.
+    fn connected() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        (peer, Conn::new(stream))
+    }
+
+    /// Drives the worker's read path by hand against a peer that
+    /// pipelines requests and reads nothing: once the kernel's socket
+    /// buffers are full the connection's own buffers are all that can
+    /// grow, and they stop at the cap. When the peer finally reads,
+    /// every answer it is owed arrives.
+    #[test]
+    fn a_peer_that_does_not_read_stalls_at_the_write_buffer_cap() {
+        let response = healthz_response();
+        let (mut peer, mut conn) = connected();
+        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        let pump = |conn: &mut Conn| {
+            assert!(!read_and_dispatch(0, TOKEN_CONN0, conn, &shared, &DIMS, &[]));
+            let owed = conn.wbuf.len() - conn.wpos;
+            assert!(owed <= WBUF_CAP + response.len(), "{owed} bytes buffered for a peer that reads nothing");
+            // One read chunk, plus the request that straddled the last.
+            assert!(conn.rbuf.len() <= 16 * 1024 + HEALTHZ.len(), "{} request bytes buffered", conn.rbuf.len());
+        };
+
+        let burst = HEALTHZ.repeat(1024);
+        let mut sent = 0usize;
+        loop {
+            // Keep the byte stream request-aligned across short writes.
+            match peer.write(&burst[sent % HEALTHZ.len()..]) {
+                Ok(n) => sent += n,
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    pump(&mut conn);
+                    if conn.backlogged() {
+                        // The worker has stopped reading and the
+                        // kernel will take no more: stalled for good.
+                        break;
+                    }
+                }
+                Err(e) => panic!("peer write: {e}"),
+            }
+            assert!(sent < 1 << 30, "the peer was never made to wait");
+            pump(&mut conn);
+        }
+        let parsed_while_stalled = shared.requests.load(Ordering::Relaxed);
+        pump(&mut conn);
+        assert_eq!(shared.requests.load(Ordering::Relaxed), parsed_while_stalled, "a backlogged connection parses nothing");
+
+        // The peer starts reading; finish the request a short write cut.
+        let tail = (HEALTHZ.len() - sent % HEALTHZ.len()) % HEALTHZ.len();
+        let mut tail = &HEALTHZ[HEALTHZ.len() - tail..];
+        let owed = (sent + tail.len()) / HEALTHZ.len() * response.len();
+        let mut got = 0usize;
+        let mut chunk = vec![0u8; 64 * 1024];
+        while got < owed {
+            match peer.read(&mut chunk) {
+                Ok(0) => panic!("closed after {got} of {owed} bytes"),
+                Ok(n) => {
+                    for (i, b) in chunk[..n].iter().enumerate() {
+                        assert_eq!(*b, response[(got + i) % response.len()], "byte {}", got + i);
+                    }
+                    got += n;
+                }
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("peer read: {e}"),
+            }
+            if !tail.is_empty() {
+                if let Ok(n) = peer.write(tail) {
+                    tail = &tail[n..];
+                }
+            }
+            assert!(!flush_wbuf(&mut conn));
+            pump(&mut conn);
+        }
+        assert!(conn.wbuf.is_empty() && conn.rbuf.is_empty() && !conn.backlogged());
+        assert_eq!(shared.requests.load(Ordering::Relaxed) as usize * response.len(), owed);
+    }
+
+    /// Inline answers parked behind a request that is still at a
+    /// replica count against the cap too — a slow round trip must not
+    /// let a pipelining peer park without bound — and the reply that
+    /// un-parks them restarts parsing where it stopped.
+    #[test]
+    fn answers_parked_behind_a_replica_round_trip_count_against_the_cap() {
+        let response = healthz_response();
+        let (mut peer, mut conn) = connected();
+        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        // Request 0 is at a replica (as `dispatch_buffered` leaves it).
+        conn.next_seq = 1;
+        conn.inflight = 1;
+
+        // Twice the cap's worth of inline answers, well within what the
+        // kernel takes in one go.
+        let requests = 2 * WBUF_CAP / response.len();
+        peer.set_nonblocking(false).unwrap();
+        peer.write_all(&HEALTHZ.repeat(requests)).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        let mut parsed = 0;
+        loop {
+            assert!(!read_and_dispatch(0, TOKEN_CONN0, &mut conn, &shared, &DIMS, &[]));
+            let now = shared.requests.load(Ordering::Relaxed);
+            if now == parsed {
+                break;
+            }
+            parsed = now;
+        }
+        assert!(conn.backlogged() && conn.wbuf.is_empty(), "nothing may leave before request 0");
+        assert!(conn.parked <= WBUF_CAP + response.len(), "{} bytes parked", conn.parked);
+        assert!((parsed as usize) < requests);
+
+        // The replica's reply lands: what the worker's reply loop does.
+        conn.inflight -= 1;
+        complete(&mut conn, 0, b"<reply 0>".to_vec(), false);
+        assert_eq!(conn.parked, 0);
+        let mut got = Vec::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        let owed = b"<reply 0>".len() + requests * response.len();
+        while got.len() < owed {
+            assert!(!flush_wbuf(&mut conn));
+            // Buffered requests resume at once; the socket's, when
+            // level-triggered `EPOLLIN` is armed again.
+            if conn.accepts_requests() {
+                assert!(!read_and_dispatch(0, TOKEN_CONN0, &mut conn, &shared, &DIMS, &[]));
+            }
+            match peer.read(&mut chunk) {
+                Ok(0) => panic!("closed after {} of {owed} bytes", got.len()),
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("peer read: {e}"),
+            }
+        }
+        assert!(got.starts_with(b"<reply 0>"), "the dispatched request answers first");
+        assert!(got[b"<reply 0>".len()..].chunks(response.len()).all(|r| r == response));
+        assert_eq!(shared.requests.load(Ordering::Relaxed) as usize, requests);
+    }
+
+    /// A pass that stops at the cap and then flushes its way back
+    /// under it must go on parsing: the requests left in the read
+    /// buffer are announced by no socket event.
+    #[test]
+    fn a_flush_that_makes_room_resumes_the_buffered_requests() {
+        let response = healthz_response();
+        let (_peer, mut conn) = connected();
+        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        let requests = 2 * WBUF_CAP / response.len();
+        conn.rbuf = HEALTHZ.repeat(requests);
+        assert!(!read_and_dispatch(0, TOKEN_CONN0, &mut conn, &shared, &DIMS, &[]));
+        let parsed = shared.requests.load(Ordering::Relaxed) as usize;
+        // Either every request was answered, or the kernel refused
+        // more and the connection is waiting for its peer to read.
+        assert!(parsed == requests || conn.backlogged(), "{parsed} of {requests} parsed, then idle");
+    }
 
     #[test]
     fn affinity_is_sensor_mod_n_when_unloaded() {

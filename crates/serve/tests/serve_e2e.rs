@@ -325,3 +325,112 @@ fn shutdown_drains_every_pipelined_request() {
         assert_eq!(resp.status, 200, "request {i}");
     }
 }
+
+#[test]
+fn a_client_that_stops_reading_is_paused_and_later_gets_every_answer_in_order() {
+    use std::io::{Read, Write};
+    use std::time::Instant;
+
+    let server = Server::start(config(), || Ok(model(11))).unwrap();
+    let mut other = Client::connect(server.addr()).unwrap();
+    let stat = |client: &mut Client, key: &str| {
+        let stats = client.get("/stats").unwrap();
+        let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+        doc.get(key).unwrap().as_num().unwrap() as u64
+    };
+
+    // Cache every sensor, then learn a hit's exact bytes on the wire.
+    let request = |sensor: usize| format!("GET /forecast?sensor={sensor}&horizon=1 HTTP/1.1\r\n\r\n");
+    let mut wire: Vec<Vec<u8>> = Vec::new();
+    for sensor in 0..N {
+        let target = format!("/forecast?sensor={sensor}&horizon=1");
+        assert_eq!(other.get(&target).unwrap().status, 200);
+        let hit = other.get(&target).unwrap();
+        assert!(String::from_utf8_lossy(&hit.body).contains("\"hit\""));
+        let mut framed = Vec::new();
+        stwa_serve::http::write_response(&mut framed, 200, "OK", "application/json", &hit.body, true);
+        wire.push(framed);
+    }
+
+    // Pipeline hits without reading a byte until the socket has
+    // refused more for a while: the worker has stopped reading this
+    // connection and every kernel buffer between the two is full.
+    let mut flood = std::net::TcpStream::connect(server.addr()).unwrap();
+    flood.set_nonblocking(true).unwrap();
+    let burst: Vec<u8> = (0..N * 256).flat_map(|i| request(i % N).into_bytes()).collect();
+    let request_len = request(0).len();
+    let mut sent = 0usize;
+    let mut last_progress = Instant::now();
+    while last_progress.elapsed() < Duration::from_millis(300) {
+        match flood.write(&burst[sent % burst.len()..]) {
+            Ok(n) => {
+                sent += n;
+                last_progress = Instant::now();
+            }
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("flood write: {e}"),
+        }
+        assert!(sent < 32 << 20, "the server kept reading from a client that never reads");
+    }
+
+    // The flooding connection is parked — its requests stay unparsed —
+    // while other connections are served as usual.
+    let parsed = stat(&mut other, "requests");
+    assert!((parsed as usize) < sent / request_len, "part of the flood is still unread");
+    let resp = other.get("/forecast?sensor=1&horizon=1").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(stat(&mut other, "requests"), parsed + 2, "only this connection's requests were parsed");
+
+    // The client starts reading (and, once there is room, completes the
+    // request its last short write cut): every answer it is owed
+    // arrives, in order.
+    let cut = sent % request_len;
+    let mut tail: &[u8] = if cut > 0 {
+        &burst[sent % burst.len()..][..request_len - cut]
+    } else {
+        &[]
+    };
+    let owed = (sent + tail.len()) / request_len;
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut carry: Vec<u8> = Vec::new();
+    let mut answered = 0usize;
+    let mut last_progress = Instant::now();
+    while answered < owed {
+        assert!(
+            last_progress.elapsed() < Duration::from_secs(30),
+            "stuck after {answered} of {owed} answers"
+        );
+        if !tail.is_empty() {
+            if let Ok(n) = flood.write(tail) {
+                tail = &tail[n..];
+            }
+        }
+        match flood.read(&mut chunk) {
+            Ok(0) => panic!("closed after {answered} of {owed} answers"),
+            Ok(n) => {
+                carry.extend_from_slice(&chunk[..n]);
+                last_progress = Instant::now();
+            }
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("flood read: {e}"),
+        }
+        let mut at = 0;
+        while answered < owed && carry.len() - at >= wire[answered % N].len() {
+            let want = &wire[answered % N];
+            assert!(
+                carry[at..].starts_with(want),
+                "answer {answered} is not sensor {}'s hit",
+                answered % N
+            );
+            at += want.len();
+            answered += 1;
+        }
+        carry.drain(..at);
+    }
+    assert!(carry.is_empty());
+    server.shutdown();
+}

@@ -398,3 +398,46 @@ fn shutdown_drains_every_pipelined_request_across_replicas() {
         assert_eq!(resp.status, 200, "request {i}");
     }
 }
+
+#[test]
+fn a_superseded_windows_entries_are_gone_once_the_last_replica_has_observed() {
+    let server = Server::start(config(3), || Ok(model(13))).unwrap();
+    let dims = server.dims();
+    let (n, f) = (dims.sensors, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // Prime every (sensor, horizon) of the starting window: affinity
+    // spreads the misses over all three replicas, so each has put
+    // entries under the fingerprint about to be superseded.
+    let stale = n * dims.horizon;
+    for sensor in 0..n {
+        for horizon in 1..=dims.horizon {
+            let resp = client
+                .get(&format!("/forecast?sensor={sensor}&horizon={horizon}"))
+                .unwrap();
+            assert_eq!(resp.status, 200);
+        }
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(stat(&stats.body, "cache_entries") as usize, stale);
+
+    let ack = client.post("/observe", &observe_body(&frame(3, n, f))).unwrap();
+    assert_eq!(ack.status, 200);
+    let fp = stwa_serve::proto::parse_window_fp(&ack.body).unwrap();
+    // One forecast per replica (sensor s lands on replica s % 3). An
+    // answer naming the new window proves that replica has applied the
+    // observe — and a replica purges as it applies.
+    for sensor in 0..n {
+        let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=1")).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(stwa_serve::proto::parse_window_fp(&resp.body).unwrap(), fp);
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(
+        stat(&stats.body, "cache_entries") as usize,
+        n,
+        "only the new window's entries remain: {}",
+        String::from_utf8_lossy(&stats.body)
+    );
+    server.shutdown();
+}
