@@ -610,6 +610,26 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             accumulate(nodes, q, dq)?;
             accumulate(nodes, k, dk)
         }
+
+        // Fused attention VJP. Contributions land v, then k, then q —
+        // the order in which the unfused chain's reverse sweep reaches
+        // its three head-split nodes — so accumulation order (and bits)
+        // match the chain even when one `Var` is passed more than once.
+        Op::Attention {
+            q,
+            k,
+            v,
+            heads,
+            ref weights,
+        } => {
+            let qv = value_of(nodes, q);
+            let kv = value_of(nodes, k);
+            let vv = value_of(nodes, v);
+            let (gq, gk, gv) = stwa_tensor::attention::vjp(grad, &qv, &kv, &vv, weights, heads)?;
+            accumulate(nodes, v, gv)?;
+            accumulate(nodes, k, gk)?;
+            accumulate(nodes, q, gq)
+        }
     }
 }
 

@@ -151,6 +151,18 @@ pub(crate) enum Op {
         scale: f32,
         weights: Rc<Tensor>,
     },
+    /// Fused multi-head scaled-dot-product attention (see
+    /// [`stwa_tensor::attention`]): one tape entry for the head split,
+    /// scores, scale, softmax, mix and head merge. The saved `weights`
+    /// are the softmax rows the VJP needs. Value and all three input
+    /// gradients are bitwise those of the unfused chain.
+    Attention {
+        q: Id,
+        k: Id,
+        v: Id,
+        heads: usize,
+        weights: Rc<Tensor>,
+    },
 }
 
 impl Op {
@@ -190,6 +202,7 @@ impl Op {
             Op::Huber { .. } => "huber",
             Op::BiasAddAct { .. } => "bias_add_act",
             Op::SparseAttention { .. } => "sparse_attention",
+            Op::Attention { .. } => "attention",
         }
     }
 }

@@ -154,6 +154,32 @@ impl Var {
         ))
     }
 
+    /// Fused multi-head scaled-dot-product attention with `self` as the
+    /// queries `[..., Tq, d]` over `k`/`v` `[..., Tk, d]` (equal leading
+    /// axes, `heads` dividing `d`); returns `[..., Tq, d]`. One tape
+    /// entry replaces the reshape/swap-axes head split, `matmul_nt`,
+    /// `mul_scalar`, `softmax`, `matmul` and head-merge nodes, and the
+    /// forward value and every input gradient are bitwise identical to
+    /// that chain's (see [`stwa_tensor::attention`] for the contract).
+    pub fn attention(&self, k: &Var, v: &Var, heads: usize) -> Result<Var> {
+        self.same_graph(k, "attention")?;
+        self.same_graph(v, "attention")?;
+        let (out, weights) =
+            stwa_tensor::attention::forward(&self.value(), &k.value(), &v.value(), heads)?;
+        let requires = self.requires_grad() || k.requires_grad() || v.requires_grad();
+        Ok(self.graph.push(
+            out,
+            Op::Attention {
+                q: self.id,
+                k: k.id,
+                v: v.id,
+                heads,
+                weights: Rc::new(weights),
+            },
+            requires,
+        ))
+    }
+
     // ---------------------------------------------------------------
     // Reductions
     // ---------------------------------------------------------------

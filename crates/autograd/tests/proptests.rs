@@ -3,8 +3,10 @@
 //! the tape must obey basic calculus identities.
 
 use proptest::prelude::*;
-use stwa_autograd::{check_gradient, Graph};
-use stwa_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use stwa_autograd::{check_gradient, Graph, Var};
+use stwa_tensor::{Result, Tensor};
 
 fn bounded(len: usize, lo: f32, hi: f32) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(lo..hi, len..=len)
@@ -115,5 +117,184 @@ proptest! {
             .grad(&x)
             .unwrap()
             .approx_eq(&Tensor::full(&[3], rows as f32), 1e-6));
+    }
+}
+
+// ---------------------------------------------------------------------
+// `Var::attention` against the chain it replaces.
+// ---------------------------------------------------------------------
+
+/// The unfused multi-head attention: reshape / swap-axes head split,
+/// `matmul_nt`, `mul_scalar`, `softmax`, `matmul`, swap-axes / reshape
+/// merge — twelve tape nodes. `Var::attention` must equal it bit for
+/// bit, value and gradients; it lives on only as this oracle.
+fn attention_chain(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
+    let rank = q.shape().len();
+    let dh = q.shape()[rank - 1] / heads;
+    let split = |x: &Var| -> Result<Var> {
+        let mut s = x.shape()[..rank - 1].to_vec();
+        s.extend_from_slice(&[heads, dh]);
+        x.reshape(&s)?.swap_axes(rank - 2, rank - 1)
+    };
+    let (qh, kh, vh) = (split(q)?, split(k)?, split(v)?);
+    let scores = qh.matmul_nt(&kh)?.mul_scalar(1.0 / (dh as f32).sqrt());
+    let ctx = scores.softmax(rank)?.matmul(&vh)?;
+    ctx.swap_axes(rank - 2, rank - 1)?.reshape(&q.shape())
+}
+
+/// Fill the buffer pool's size classes with NaN so a kernel that skips
+/// an output element, or starts a sum from its output buffer instead of
+/// zero, shows up as NaN (see the tensor crate's proptests).
+fn poison_pool(elems: usize) {
+    let cap = elems.next_power_of_two().max(64);
+    let dirty: Vec<Tensor> = (0..4).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
+    drop(dirty);
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Which operands are gradient-requiring leaves, and whether all three
+/// are one `Var`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Operands {
+    Distinct,
+    OneVar,
+    ConstQ,
+    ConstK,
+    ConstV,
+}
+
+/// Value bits and the three gradients' bits of `attend(q, k, v)` under
+/// a fixed random weighting of the output.
+type Outcome = (Vec<usize>, Vec<u32>, [Option<Vec<u32>>; 3]);
+
+fn run_attention(
+    attend: impl Fn(&Var, &Var, &Var) -> Result<Var>,
+    [qt, kt, vt, wt]: [&Tensor; 4],
+    mode: Operands,
+) -> Outcome {
+    let g = Graph::new();
+    let place = |t: &Tensor, constant: bool| {
+        if constant {
+            g.constant(t.clone())
+        } else {
+            g.leaf(t.clone())
+        }
+    };
+    let q = place(qt, mode == Operands::ConstQ);
+    let (k, v) = if mode == Operands::OneVar {
+        (q.clone(), q.clone())
+    } else {
+        (
+            place(kt, mode == Operands::ConstK),
+            place(vt, mode == Operands::ConstV),
+        )
+    };
+    poison_pool(qt.len().max(kt.len()));
+    let out = attend(&q, &k, &v).unwrap();
+    if !out.value().is_empty() {
+        let loss = out.mul(&g.constant(wt.clone())).unwrap().sum_all().unwrap();
+        poison_pool(qt.len().max(kt.len()));
+        g.backward(&loss).unwrap();
+    }
+    let grad = |x: &Var| g.grad(x).map(|t| bits(&t));
+    (
+        out.shape(),
+        bits(&out.value()),
+        [grad(&q), grad(&k), grad(&v)],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn attention_is_bitwise_the_unfused_chain(
+        tq in 1usize..=4,
+        tk in 1usize..=24,
+        head_pick in 0usize..4,
+        dh_pick in 0usize..6,
+        lead in proptest::collection::vec(1usize..=3, 1..=3),
+        zero_axis in 0usize..12,
+        mode_pick in 0usize..7,
+        threads in 1usize..=3,
+        seed in 0u64..1 << 32,
+    ) {
+        let heads = [1, 2, 4, 8][head_pick];
+        let d = heads * [1, 3, 4, 8, 16, 32][dh_pick];
+        let mode = [
+            Operands::Distinct,
+            Operands::Distinct,
+            Operands::Distinct,
+            Operands::OneVar,
+            Operands::ConstQ,
+            Operands::ConstK,
+            Operands::ConstV,
+        ][mode_pick];
+        // About one case in six has a zero-length leading axis.
+        let mut lead = lead;
+        if let Some(axis) = lead.get_mut(zero_axis) {
+            *axis = 0;
+        }
+        // One `Var` for all three operands needs Tq = Tk.
+        let tq = if mode == Operands::OneVar { tk } else { tq };
+        let shape = |t: usize| [lead.as_slice(), &[t, d]].concat();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let qt = Tensor::randn(&shape(tq), &mut rng).mul_scalar(2.0);
+        let kt = Tensor::randn(&shape(tk), &mut rng).mul_scalar(2.0);
+        let vt = Tensor::randn(&shape(tk), &mut rng);
+        let wt = Tensor::randn(&shape(tq), &mut rng);
+
+        stwa_pool::set_threads(threads);
+        let want = run_attention(
+            |q, k, v| attention_chain(q, k, v, heads), [&qt, &kt, &vt, &wt], mode);
+        let got = run_attention(
+            |q, k, v| q.attention(k, v, heads), [&qt, &kt, &vt, &wt], mode);
+        stwa_pool::set_threads(1);
+
+        prop_assert_eq!(&got.0, &want.0, "shape");
+        prop_assert!(got.1 == want.1, "value bits, q {:?} k {:?} heads {heads} {mode:?}",
+            qt.shape(), kt.shape());
+        for (name, (g, w)) in ["q", "k", "v"].iter().zip(got.2.iter().zip(want.2.iter())) {
+            prop_assert!(g == w, "grad({name}) bits, q {:?} k {:?} heads {heads} {mode:?}",
+                qt.shape(), kt.shape());
+        }
+        // A constant operand collects no gradient; with an empty leading
+        // axis there is no loss to differentiate at all.
+        let empty = qt.is_empty();
+        prop_assert_eq!(got.2[0].is_none(), empty || mode == Operands::ConstQ);
+        prop_assert_eq!(got.2[1].is_none(), empty || mode == Operands::ConstK);
+        prop_assert_eq!(got.2[2].is_none(), empty || mode == Operands::ConstV);
+        prop_assert!(got.1.iter().all(|&b| !f32::from_bits(b).is_nan()), "NaN leaked from the pool");
+    }
+}
+
+#[test]
+fn attention_gradients_match_central_differences() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let q = Tensor::randn(&[2, 3, 8], &mut rng);
+    let k = Tensor::randn(&[2, 5, 8], &mut rng);
+    let v = Tensor::randn(&[2, 5, 8], &mut rng);
+    let w = Tensor::randn(&[2, 3, 8], &mut rng);
+    for wrt in 0..3 {
+        let input = [&q, &k, &v][wrt];
+        let r = check_gradient(input, 1e-2, |x| {
+            let g = x.graph();
+            let operand = |i: usize, t: &Tensor| {
+                if i == wrt {
+                    x.clone()
+                } else {
+                    g.constant(t.clone())
+                }
+            };
+            operand(0, &q)
+                .attention(&operand(1, &k), &operand(2, &v), 4)?
+                .mul(&g.constant(w.clone()))?
+                .sum_all()
+        })
+        .unwrap();
+        assert!(r.passes(3e-2), "operand {wrt}: {r:?}");
     }
 }

@@ -12,6 +12,14 @@
 //! *allocation-reduction* ratios against a checked-in baseline; both are
 //! same-run ratios, so the gate is portable across hosts of different
 //! absolute speed, exactly like `bench_kernels`.
+//!
+//! A third, traced pass in the fast regime turns `stwa-observe`'s
+//! existing spans into **the table** a "do less" change starts from:
+//! ms/step by backward op kind (`backward/<kind>`, with the nodes of
+//! that kind per step) and by forward stage (`generator/latent`,
+//! `generator/decoder`, `wa_layer{l}`, `sensor_attention`, `predictor`),
+//! beside `matmul.flops` per step. The table is reported, not gated:
+//! absolute milliseconds belong to the host in the header.
 
 use std::time::Instant;
 
@@ -26,13 +34,12 @@ use stwa_tensor::{memory, Tensor};
 /// Allowed relative loss of a baseline ratio before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
-/// Synthetic PEMS-shaped problem: sensors x history x horizon sized so
-/// a measured step takes tens of milliseconds, long enough to dominate
-/// timer noise while keeping `just verify` fast.
-const SENSORS: usize = 32;
+/// The repo benchmark's `train_epoch` shape: `st_wa(20, 12, 12)` at
+/// batch 32, so the table below attributes the step that workload times.
+const SENSORS: usize = 20;
 const HISTORY: usize = 12;
-const HORIZON: usize = 3;
-const BATCH: usize = 8;
+const HORIZON: usize = 12;
+const BATCH: usize = 32;
 
 const WARMUP_STEPS: usize = 5;
 /// Measurement runs in chunks; the per-step time reported for each mode
@@ -50,9 +57,26 @@ struct ModeResult {
     peak_bytes: usize,
 }
 
+/// One row of the traced table: a span path, how often it closed per
+/// step (for `backward/<kind>`: tape nodes of that kind) and its time.
+struct Row {
+    name: String,
+    per_step: f64,
+    ms_per_step: f64,
+}
+
+/// The traced pass: where a fast-regime step's time goes.
+struct Table {
+    step_ms: f64,
+    matmul_flops_per_step: u64,
+    forward: Vec<Row>,
+    backward: Vec<Row>,
+}
+
 struct Report {
     fast: ModeResult,
     churn: ModeResult,
+    table: Table,
 }
 
 impl Report {
@@ -124,6 +148,94 @@ fn run_mode(
     }
 }
 
+/// Forward stages reported by the table, matched as path suffixes so a
+/// stage entered once per layer (`sensor_attention`) sums over layers.
+const FORWARD_STAGES: [&str; 4] = [
+    "generator/latent",
+    "generator/decoder",
+    "sensor_attention",
+    "predictor",
+];
+
+/// Run fast-regime steps with recording on and fold the spans of the
+/// fastest chunk into per-step rows.
+fn run_traced(
+    model: &StwaModel,
+    opt: &mut Adam,
+    bx: &Tensor,
+    by: &Tensor,
+    rng: &mut StdRng,
+) -> Table {
+    // Like the timed modes, keep the fastest chunk: its spans are the
+    // steady-state attribution, the others carry the host's jitter.
+    stwa_observe::set_enabled(true);
+    let mut step_ms = f64::INFINITY;
+    let mut spans = Vec::new();
+    let mut matmul_flops = 0;
+    for _ in 0..CHUNKS {
+        stwa_observe::reset();
+        let t0 = Instant::now();
+        for _ in 0..STEPS_PER_CHUNK {
+            train_step(model, opt, bx, by, rng);
+        }
+        let chunk_ms = t0.elapsed().as_secs_f64() * 1e3 / STEPS_PER_CHUNK as f64;
+        if chunk_ms < step_ms {
+            step_ms = chunk_ms;
+            spans = stwa_observe::Recorder::global().snapshot();
+            matmul_flops = stwa_observe::counters_snapshot()
+                .iter()
+                .find(|(name, _)| name == "matmul.flops")
+                .map_or(0, |&(_, v)| v);
+        }
+    }
+    stwa_observe::set_enabled(false);
+
+    let steps = STEPS_PER_CHUNK as f64;
+    // Sum every span whose path is `name` or ends in `/name`.
+    let sum = |name: &str| -> Row {
+        let tail = format!("/{name}");
+        let (count, ns) = spans
+            .iter()
+            .filter(|s| s.path == name || s.path.ends_with(&tail))
+            .fold((0u64, 0u64), |(c, n), s| (c + s.count, n + s.total_ns));
+        Row {
+            name: name.to_string(),
+            per_step: count as f64 / steps,
+            ms_per_step: ns as f64 / 1e6 / steps,
+        }
+    };
+    let mut forward = vec![sum("forward")];
+    forward.extend(FORWARD_STAGES.iter().map(|stage| sum(stage)));
+    let mut layers: Vec<&str> = spans
+        .iter()
+        .filter_map(|s| s.path.strip_prefix("forward/"))
+        .filter(|rest| rest.starts_with("wa_layer") && !rest.contains('/'))
+        .collect();
+    layers.sort_unstable();
+    forward.extend(layers.into_iter().map(sum));
+
+    // One row per op kind; spans opened inside a VJP (`backward/matmul/
+    // matmul` is the kernel under the op) are part of their kind's row.
+    let mut backward: Vec<Row> = spans
+        .iter()
+        .filter(|s| {
+            s.path
+                .strip_prefix("backward/")
+                .is_some_and(|kind| !kind.contains('/'))
+        })
+        .map(|s| sum(&s.path))
+        .collect();
+    backward.sort_by(|a, b| b.ms_per_step.total_cmp(&a.ms_per_step));
+    backward.insert(0, sum("backward"));
+
+    Table {
+        step_ms,
+        matmul_flops_per_step: matmul_flops / STEPS_PER_CHUNK as u64,
+        forward,
+        backward,
+    }
+}
+
 fn run_suite() -> Report {
     let mut rng = StdRng::seed_from_u64(42);
     let model =
@@ -139,19 +251,35 @@ fn run_suite() -> Report {
     // Leave the process-wide switches in their default-on state.
     memory::set_pool_enabled(true);
     memory::set_fused_enabled(true);
-    Report { fast, churn }
+    let table = run_traced(&model, &mut opt, &bx, &by, &mut rng);
+    Report { fast, churn, table }
+}
+
+fn render_rows(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{\"per_step\": {:.1}, \"ms\": {:.4}}}",
+                r.name, r.per_step, r.ms_per_step
+            )
+        })
+        .collect();
+    lines.join(",\n")
 }
 
 fn render_json(r: &Report) -> String {
     format!(
-        "{{\n  \"threads\": {},\n  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
+        "{{\n{}  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
          [{BATCH},{SENSORS},{HORIZON},1]\",\n  \"measured_steps\": {MEASURED_STEPS},\n  \
          \"fast_ms_per_step\": {:.3},\n  \"churn_ms_per_step\": {:.3},\n  \
          \"speedup\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
          \"churn_allocs_per_step\": {:.1},\n  \"alloc_reduction\": {:.3},\n  \
          \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
-         \"churn_peak_bytes\": {}\n}}\n",
-        stwa_pool::current_threads(),
+         \"churn_peak_bytes\": {},\n  \"traced_ms_per_step\": {:.3},\n  \
+         \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
+         \"backward_by_op_kind\": {{\n{}\n  }}\n}}\n",
+        stwa_bench::host::json_fields(),
         r.fast.ms_per_step,
         r.churn.ms_per_step,
         r.speedup(),
@@ -161,7 +289,25 @@ fn render_json(r: &Report) -> String {
         r.fast.hit_rate,
         r.fast.peak_bytes,
         r.churn.peak_bytes,
+        r.table.step_ms,
+        r.table.matmul_flops_per_step,
+        render_rows(&r.table.forward),
+        render_rows(&r.table.backward),
     )
+}
+
+fn print_table(t: &Table) {
+    println!(
+        "traced step {:.2} ms  matmul {:.1} MFLOP/step",
+        t.step_ms,
+        t.matmul_flops_per_step as f64 / 1e6
+    );
+    for (title, rows) in [("forward stage", &t.forward), ("backward op kind", &t.backward)] {
+        println!("{title:<28} {:>9} {:>9}", "per step", "ms/step");
+        for r in rows {
+            println!("  {:<26} {:>9.1} {:>9.3}", r.name, r.per_step, r.ms_per_step);
+        }
+    }
 }
 
 /// Pull a `"key": value` number back out of a report written by
@@ -223,6 +369,7 @@ fn main() {
         memory::format_bytes(report.fast.peak_bytes),
         memory::format_bytes(report.churn.peak_bytes)
     );
+    print_table(&report.table);
 
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)

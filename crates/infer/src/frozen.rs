@@ -977,7 +977,8 @@ impl FrozenSca {
     }
 }
 
-/// [`scaled_dot_attention_lean`] with the window's K/V block read
+/// [`stwa_tensor::attention::forward`]'s arithmetic, kept as an
+/// independent row-by-row walk, with the window's K/V block read
 /// straight out of the all-window projection tensors `[B, N, W, s, d]`
 /// — the graph path narrows and squeezes a `[B, N, s, d]` copy per
 /// window first, which is pure data movement (bitwise, slicing is the

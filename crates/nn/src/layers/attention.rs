@@ -5,7 +5,7 @@ use crate::init;
 use crate::param::{Param, ParamStore};
 use rand::Rng;
 use stwa_autograd::{Graph, Var};
-use stwa_tensor::{linalg, Result, Tensor, TensorError};
+use stwa_tensor::{Result, Tensor, TensorError};
 
 /// Multi-head scaled-dot-product self-attention.
 ///
@@ -87,202 +87,22 @@ impl MultiHeadSelfAttention {
 
 /// Scaled-dot-product attention with head splitting.
 ///
-/// `q`: `[..., Tq, d]`, `k`/`v`: `[..., Tk, d]`; returns `[..., Tq, d]`.
-/// Softmax is over the key axis. `heads` must divide `d`.
+/// `q`: `[..., Tq, d]`, `k`/`v`: `[..., Tk, d]` with the same leading
+/// axes; returns `[..., Tq, d]`. Softmax is over the key axis. `heads`
+/// must divide `d`. One tape node ([`Var::attention`]).
 pub fn scaled_dot_attention(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
-    let qs = q.shape();
-    let rank = qs.len();
-    let d = qs[rank - 1];
-    if heads == 0 || !d.is_multiple_of(heads) {
-        return Err(TensorError::Invalid(format!(
-            "scaled_dot_attention: heads {heads} must divide d {d}"
-        )));
-    }
-    let dh = d / heads;
-    let tq = qs[rank - 2];
-    let tk = k.shape()[rank - 2];
-
-    // [..., T, d] -> [..., heads, T, dh]
-    let split = |x: &Var, t: usize| -> Result<Var> {
-        let mut s = x.shape()[..rank - 2].to_vec();
-        s.extend_from_slice(&[t, heads, dh]);
-        let y = x.reshape(&s)?;
-        let r = y.shape().len();
-        y.swap_axes(r - 3, r - 2)
-    };
-    let qh = split(q, tq)?;
-    let kh = split(k, tk)?;
-    let vh = split(v, tk)?;
-
-    let scores = qh
-        .matmul_nt(&kh)?
-        .mul_scalar(1.0 / (dh as f32).sqrt()); // [..., heads, Tq, Tk]
-    let attn = scores.softmax(scores.shape().len() - 1)?;
-    let ctx = attn.matmul(&vh)?; // [..., heads, Tq, dh]
-
-    // [..., heads, Tq, dh] -> [..., Tq, d]
-    let r = ctx.shape().len();
-    let merged = ctx.swap_axes(r - 3, r - 2)?;
-    let mut out_shape = merged.shape()[..r - 2].to_vec();
-    out_shape.push(d);
-    merged.reshape(&out_shape)
+    q.attention(k, v, heads)
 }
 
-/// Tape-free [`scaled_dot_attention`]: the same tensor kernels in the
-/// same order, with no graph nodes. Bitwise equal to the graph path.
+/// Tape-free [`scaled_dot_attention`]: the same fused kernel with the
+/// softmax weights dropped. Bitwise equal to the graph path.
 pub fn scaled_dot_attention_nograd(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     heads: usize,
 ) -> Result<Tensor> {
-    let qs = q.shape().to_vec();
-    let rank = qs.len();
-    let d = qs[rank - 1];
-    if heads == 0 || !d.is_multiple_of(heads) {
-        return Err(TensorError::Invalid(format!(
-            "scaled_dot_attention: heads {heads} must divide d {d}"
-        )));
-    }
-    let dh = d / heads;
-    let tq = qs[rank - 2];
-    let tk = k.shape()[rank - 2];
-
-    let split = |x: &Tensor, t: usize| -> Result<Tensor> {
-        let mut s = x.shape()[..rank - 2].to_vec();
-        s.extend_from_slice(&[t, heads, dh]);
-        let y = x.reshape(&s)?;
-        let r = y.rank();
-        y.swap_axes(r - 3, r - 2)
-    };
-    let sspan = stwa_observe::span!("att_split");
-    let qh = split(q, tq)?;
-    let kh = split(k, tk)?;
-    let vh = split(v, tk)?;
-    drop(sspan);
-
-    let scspan = stwa_observe::span!("att_scores");
-    let scores = linalg::matmul_nt(&qh, &kh)?.mul_scalar(1.0 / (dh as f32).sqrt());
-    drop(scspan);
-    let smspan = stwa_observe::span!("att_softmax");
-    let attn = scores.softmax(scores.rank() - 1)?;
-    drop(smspan);
-    let cspan = stwa_observe::span!("att_ctx");
-    let ctx = linalg::matmul(&attn, &vh)?;
-    drop(cspan);
-
-    let mspan = stwa_observe::span!("att_merge");
-    let r = ctx.rank();
-    let merged = ctx.swap_axes(r - 3, r - 2)?;
-    let mut out_shape = merged.shape()[..r - 2].to_vec();
-    out_shape.push(d);
-    let out = merged.reshape(&out_shape);
-    drop(mspan);
-    out
-}
-
-/// Serving-path [`scaled_dot_attention_nograd`]: one fused walk with no
-/// intermediate tensors.
-///
-/// The tape-free mirror above spends most of its time on data movement
-/// — six permute/reshape materializations to split and re-merge heads,
-/// plus five kernel dispatches — on score matrices of a few dozen
-/// elements (window attention runs `Tq = p ≈ 1`, `Tk = s ≈ 3`). This
-/// variant reads each head's `dh`-wide column block of `q`/`k`/`v` in
-/// place and writes the context straight into the merged output layout.
-///
-/// Bitwise contract: every score is the ascending-`c` dot product the
-/// NT kernel computes, scaled after the full sum exactly like
-/// `mul_scalar`; the softmax row is the max / `exp_f32(x - m)` /
-/// ascending-sum / divide chain shared by `softmax_lastdim` and the
-/// strided reference; the context accumulates ascending `j` like the
-/// NN kernels. Identical chains, identical bits — asserted against
-/// [`scaled_dot_attention_nograd`] by unit test and proptest.
-///
-/// `q` is `[..., Tq, d]`, `k`/`v` are `[..., Tk, d]` with leading axes
-/// equal to `q`'s (no broadcasting).
-pub fn scaled_dot_attention_lean(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-) -> Result<Tensor> {
-    let rank = q.rank();
-    if rank < 2 || k.rank() != rank || v.shape() != k.shape() {
-        return Err(TensorError::Invalid(format!(
-            "scaled_dot_attention_lean: q {:?} / k {:?} / v {:?}",
-            q.shape(),
-            k.shape(),
-            v.shape()
-        )));
-    }
-    let d = q.shape()[rank - 1];
-    if heads == 0 || !d.is_multiple_of(heads) {
-        return Err(TensorError::Invalid(format!(
-            "scaled_dot_attention: heads {heads} must divide d {d}"
-        )));
-    }
-    if q.shape()[..rank - 2] != k.shape()[..rank - 2] || k.shape()[rank - 1] != d {
-        return Err(TensorError::Invalid(format!(
-            "scaled_dot_attention_lean: leading/feature axes of q {:?} and k {:?} must match",
-            q.shape(),
-            k.shape()
-        )));
-    }
-    let dh = d / heads;
-    let tq = q.shape()[rank - 2];
-    let tk = k.shape()[rank - 2];
-    let lead: usize = q.shape()[..rank - 2].iter().product();
-    let scale = 1.0 / (dh as f32).sqrt();
-
-    let (qd, kd, vd) = (q.data(), k.data(), v.data());
-    let mut out = stwa_tensor::memory::take_scratch(lead * tq * d);
-    let mut scores = vec![0f32; tk];
-    for l in 0..lead {
-        let qb = &qd[l * tq * d..(l + 1) * tq * d];
-        let kb = &kd[l * tk * d..(l + 1) * tk * d];
-        let vb = &vd[l * tk * d..(l + 1) * tk * d];
-        let ob = &mut out[l * tq * d..(l + 1) * tq * d];
-        for h in 0..heads {
-            let off = h * dh;
-            for i in 0..tq {
-                let qrow = &qb[i * d + off..i * d + off + dh];
-                // Scores: ascending-c dot, scaled after the full sum.
-                for (j, slot) in scores.iter_mut().enumerate() {
-                    let krow = &kb[j * d + off..j * d + off + dh];
-                    let mut acc = 0.0f32;
-                    for (&qv, &kv) in qrow.iter().zip(krow.iter()) {
-                        acc += qv * kv;
-                    }
-                    *slot = acc * scale;
-                }
-                // Softmax row: max, exp-shift, ascending sum, divide.
-                let mut m = f32::NEG_INFINITY;
-                for &x in scores.iter() {
-                    m = m.max(x);
-                }
-                stwa_tensor::mathfn::exp_sub_slice(&mut scores, m);
-                let mut z = 0.0f32;
-                for &x in scores.iter() {
-                    z += x;
-                }
-                for x in scores.iter_mut() {
-                    *x /= z;
-                }
-                // Context: ascending-j accumulation, written straight
-                // into the merged [..., Tq, d] layout.
-                let orow = &mut ob[i * d + off..i * d + off + dh];
-                for (c, slot) in orow.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (j, &w) in scores.iter().enumerate() {
-                        acc += w * vb[j * d + off + c];
-                    }
-                    *slot = acc;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, q.shape())
+    stwa_tensor::attention::forward(q, k, v, heads).map(|(out, _weights)| out)
 }
 
 #[cfg(test)]
@@ -411,41 +231,6 @@ mod tests {
         let nograd_out = scaled_dot_attention_nograd(&q, &k, &v, 4).unwrap();
         assert_eq!(graph_out.shape(), nograd_out.shape());
         assert_eq!(graph_out.data(), nograd_out.data());
-    }
-
-    #[test]
-    fn lean_attention_bitwise_matches_nograd_path() {
-        let mut rng = StdRng::seed_from_u64(13);
-        // Window-attention shapes (p=1 queries, s=3 keys, d=16, 4
-        // heads), the graph-test shape, and a chunky cross-attention.
-        let cases: &[(&[usize], &[usize], usize)] = &[
-            (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
-            (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
-            (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),
-            (&[4, 7, 12], &[4, 11, 12], 3),
-            (&[6, 6], &[9, 6], 1),
-        ];
-        for &(qs, ks, heads) in cases {
-            let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
-            let k = Tensor::randn(ks, &mut rng).mul_scalar(3.0);
-            let v = Tensor::randn(ks, &mut rng);
-            let want = scaled_dot_attention_nograd(&q, &k, &v, heads).unwrap();
-            let got = scaled_dot_attention_lean(&q, &k, &v, heads).unwrap();
-            assert_eq!(want.shape(), got.shape(), "shape for q {qs:?}");
-            assert_eq!(want.data(), got.data(), "bits for q {qs:?}");
-        }
-    }
-
-    #[test]
-    fn lean_attention_rejects_mismatched_leading_axes() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let q = Tensor::randn(&[2, 3, 8], &mut rng);
-        let k = Tensor::randn(&[3, 3, 8], &mut rng);
-        assert!(scaled_dot_attention_lean(&q, &k, &k, 2).is_err());
-        let k2 = Tensor::randn(&[2, 3, 8], &mut rng);
-        let v2 = Tensor::randn(&[2, 4, 8], &mut rng);
-        assert!(scaled_dot_attention_lean(&q, &k2, &v2, 2).is_err());
-        assert!(scaled_dot_attention_lean(&q, &k2, &k2, 3).is_err());
     }
 
     #[test]

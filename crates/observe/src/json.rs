@@ -189,12 +189,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest container nesting [`parse`] accepts. The parser descends one
+/// stack frame pair per level and reads untrusted request bodies, so an
+/// unbounded document (`[[[[…`) would overflow the thread's stack — an
+/// abort, not a catchable error. The serving protocol nests 2 deep and
+/// run manifests fewer than 16.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, containers nested at most [`MAX_DEPTH`] deep).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -208,6 +216,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,11 +262,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one container, refusing to open it beyond [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("containers nested too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -450,6 +474,25 @@ mod tests {
         let b = doc.get("a").and_then(|a| a.get("b")).expect("a.b");
         assert_eq!(b.as_arr().map(|a| a.len()), Some(2));
         assert!(doc.get("missing").is_none());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        for depth in [MAX_DEPTH + 1, 1_000_000] {
+            let err = parse(&nest("[", "]", depth)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH, "refused where the limit is crossed");
+            // Unclosed, as a hostile body would send it.
+            assert!(parse(&"[".repeat(depth)).is_err());
+            assert!(parse(&"{\"k\":".repeat(depth)).is_err());
+        }
+        // Depth is how many containers are open, not how many were seen.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -1,0 +1,368 @@
+//! Fused multi-head scaled-dot-product attention: forward and exact VJP
+//! as one walk each, with no head split/merge copies.
+//!
+//! `q` is `[..., Tq, d]`, `k`/`v` are `[..., Tk, d]` with the same
+//! leading axes (no broadcasting); `d = heads · dh`. Each head's
+//! `dh`-wide column block is read in place and the context is written
+//! straight into the merged `[..., Tq, d]` layout. The softmax rows are
+//! kept as `weights [lead, heads, Tq, Tk]` — the one activation the VJP
+//! needs.
+//!
+//! # Order contract
+//!
+//! Every value is the one the unfused chain — reshape/swap-axes head
+//! split, `matmul_nt`, `mul_scalar`, `softmax_lastdim`, `matmul`,
+//! swap-axes/reshape merge, and that chain's reverse sweep — computes,
+//! bit for bit. Every sum below is **one ascending f32 chain starting
+//! from `+0.0`**, products rounded before they are added (no FMA):
+//!
+//! | value | sum over | what the chain runs |
+//! |---|---|---|
+//! | `score[i,j] = (Σ_c q[i,c]·k[j,c]) · scale` | `c` | `matmul_nt`, `mul_scalar` |
+//! | `w[i,j] = e[i,j] / Σ_j e[i,j]`, `e = exp(score − max_j score)` | `j` | `softmax_lastdim` |
+//! | `out[i,c] = Σ_j w[i,j]·v[j,c]` | `j` | `matmul` |
+//! | `dA[i,j] = Σ_c g[i,c]·v[j,c]` | `c` | `matmul_nt(g, v)` |
+//! | `dS[i,j] = (w·(dA − Σ_j dA·w)) · scale` | `j` | `softmax_vjp_lastdim`, `mul_scalar` |
+//! | `gq[i,c] = Σ_j dS[i,j]·k[j,c]` | `j` | `matmul(dS, k)` |
+//! | `gk[j,c] = Σ_i dS[i,j]·q[i,c]` | `i` | `matmul_tn(dS, q)` |
+//! | `gv[j,c] = Σ_i w[i,j]·g[i,c]` | `i` | `matmul_tn(w, g)` |
+//!
+//! The forward runs in three passes — scores, the row softmax over the
+//! whole weights buffer ([`softmax_rows`]: short rows subtract their
+//! max, share **one** wide `exp` per block, then normalise), and the
+//! mix — because `t = x − m; exp(t − 0.0)` is the same bits as
+//! `exp(x − m)`, and one wide call replaces a scalar-tail call per 2–3
+//! element row.
+//!
+//! The walk is one generic body over `const H, const DH` (0 = read the
+//! run-time value), instantiated at the head layouts the models use so
+//! the per-head loops unroll into independent chains, and once fully
+//! dynamic for everything else.
+
+use crate::reduce::softmax_rows;
+use crate::{memory, Result, Tensor, TensorError};
+
+/// Problem extents, leading axes flattened into `lead`.
+#[derive(Clone, Copy)]
+struct Dims {
+    lead: usize,
+    tq: usize,
+    tk: usize,
+    heads: usize,
+    dh: usize,
+}
+
+impl Dims {
+    /// Head count and width with the compile-time values substituted
+    /// where the instantiation fixes them.
+    #[inline(always)]
+    fn heads_dh<const H: usize, const DH: usize>(self) -> (usize, usize) {
+        (
+            if H == 0 { self.heads } else { H },
+            if DH == 0 { self.dh } else { DH },
+        )
+    }
+}
+
+fn check(op: &'static str, q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<Dims> {
+    let rank = q.rank();
+    if rank < 2 || k.rank() != rank || v.shape() != k.shape() {
+        return Err(TensorError::Invalid(format!(
+            "{op}: q {:?} / k {:?} / v {:?}",
+            q.shape(),
+            k.shape(),
+            v.shape()
+        )));
+    }
+    let d = q.shape()[rank - 1];
+    if heads == 0 || d == 0 || !d.is_multiple_of(heads) {
+        return Err(TensorError::Invalid(format!(
+            "{op}: heads {heads} must divide d {d} (both positive)"
+        )));
+    }
+    if q.shape()[..rank - 2] != k.shape()[..rank - 2] || k.shape()[rank - 1] != d {
+        return Err(TensorError::Invalid(format!(
+            "{op}: leading/feature axes of q {:?} and k {:?} must match",
+            q.shape(),
+            k.shape()
+        )));
+    }
+    Ok(Dims {
+        lead: q.shape()[..rank - 2].iter().product(),
+        tq: q.shape()[rank - 2],
+        tk: k.shape()[rank - 2],
+        heads,
+        dh: d / heads,
+    })
+}
+
+/// `Σ_c a[c]·b[c]`, ascending from `+0.0`.
+#[inline(always)]
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
+/// `out[c] += a·x[c]` — one more term of every column's chain.
+#[inline(always)]
+fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o += a * xv;
+    }
+}
+
+/// Attention forward. Returns the context `[..., Tq, d]` and the softmax
+/// weights `[lead, heads, Tq, Tk]` that [`vjp`] consumes.
+pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<(Tensor, Tensor)> {
+    let dm = check("attention", q, k, v, heads)?;
+    let mut weights = memory::take_scratch(dm.lead * heads * dm.tq * dm.tk);
+    // Zeroed: the mix adds each column's terms onto `+0.0`.
+    let mut out = memory::take_filled(q.len(), 0.0);
+    let run = match (heads, dm.dh) {
+        (4, 4) => forward_body::<4, 4>,
+        (8, 4) => forward_body::<8, 4>,
+        _ => forward_body::<0, 0>,
+    };
+    run(dm, q.data(), k.data(), v.data(), &mut weights, &mut out);
+    Ok((
+        Tensor::from_vec(out, q.shape())?,
+        Tensor::from_vec(weights, &[dm.lead, heads, dm.tq, dm.tk])?,
+    ))
+}
+
+#[inline(always)]
+fn forward_body<const H: usize, const DH: usize>(
+    dm: Dims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    let Dims { lead, tq, tk, .. } = dm;
+    let (heads, dh) = dm.heads_dh::<H, DH>();
+    let d = heads * dh;
+    let scale = 1.0 / (dh as f32).sqrt();
+    // Offset of `(h, i, j)` in one lead's `[heads, Tq, Tk]` weights.
+    let at = |h: usize, i: usize, j: usize| (h * tq + i) * tk + j;
+
+    // Scaled scores: for each (query row, key row) all heads at once.
+    for l in 0..lead {
+        let qb = &q[l * tq * d..(l + 1) * tq * d];
+        let kb = &k[l * tk * d..(l + 1) * tk * d];
+        let wb = &mut weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
+        for (i, qrow) in qb.chunks_exact(d).enumerate() {
+            for (j, krow) in kb.chunks_exact(d).enumerate() {
+                for h in 0..heads {
+                    let hd = h * dh..(h + 1) * dh;
+                    wb[at(h, i, j)] = dot(&qrow[hd.clone()], &krow[hd]) * scale;
+                }
+            }
+        }
+    }
+
+    softmax_rows(weights, tk);
+
+    // Mix: out[i, :] = Σ_j w[·, i, j] · v[j, :], ascending j.
+    for l in 0..lead {
+        let vb = &v[l * tk * d..(l + 1) * tk * d];
+        let wb = &weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
+        let ob = &mut out[l * tq * d..(l + 1) * tq * d];
+        for (i, orow) in ob.chunks_exact_mut(d).enumerate() {
+            for (j, vrow) in vb.chunks_exact(d).enumerate() {
+                for h in 0..heads {
+                    let hd = h * dh..(h + 1) * dh;
+                    axpy(&mut orow[hd.clone()], wb[at(h, i, j)], &vrow[hd]);
+                }
+            }
+        }
+    }
+}
+
+/// Exact VJP of [`forward`]: `(gq, gk, gv)` for upstream gradient
+/// `grad [..., Tq, d]` and the saved `weights`.
+pub fn vjp(
+    grad: &Tensor,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    weights: &Tensor,
+    heads: usize,
+) -> Result<(Tensor, Tensor, Tensor)> {
+    let dm = check("attention_vjp", q, k, v, heads)?;
+    if grad.shape() != q.shape() || weights.len() != dm.lead * heads * dm.tq * dm.tk {
+        return Err(TensorError::Invalid(format!(
+            "attention_vjp: grad {:?} / weights {:?} for q {:?}, k {:?}",
+            grad.shape(),
+            weights.shape(),
+            q.shape(),
+            k.shape()
+        )));
+    }
+    // Zeroed: every gradient element is a chain of `+=` from `+0.0`.
+    let mut gq = memory::take_filled(q.len(), 0.0);
+    let mut gk = memory::take_filled(k.len(), 0.0);
+    let mut gv = memory::take_filled(k.len(), 0.0);
+    let run = match (heads, dm.dh) {
+        (4, 4) => vjp_body::<4, 4>,
+        (8, 4) => vjp_body::<8, 4>,
+        _ => vjp_body::<0, 0>,
+    };
+    run(
+        dm,
+        [grad.data(), q.data(), k.data(), v.data(), weights.data()],
+        [&mut gq, &mut gk, &mut gv],
+    );
+    Ok((
+        Tensor::from_vec(gq, q.shape())?,
+        Tensor::from_vec(gk, k.shape())?,
+        Tensor::from_vec(gv, k.shape())?,
+    ))
+}
+
+#[inline(always)]
+fn vjp_body<const H: usize, const DH: usize>(
+    dm: Dims,
+    [g, q, k, v, weights]: [&[f32]; 5],
+    [gq, gk, gv]: [&mut [f32]; 3],
+) {
+    let Dims { lead, tq, tk, .. } = dm;
+    let (heads, dh) = dm.heads_dh::<H, DH>();
+    let d = heads * dh;
+    let scale = 1.0 / (dh as f32).sqrt();
+    // One lead's score gradients `dS [heads, Tq, Tk]`, laid out like
+    // that lead's weights.
+    let mut ds = vec![0f32; heads * tq * tk];
+    let at = |h: usize, i: usize, j: usize| (h * tq + i) * tk + j;
+
+    for l in 0..lead {
+        let gb = &g[l * tq * d..(l + 1) * tq * d];
+        let qb = &q[l * tq * d..(l + 1) * tq * d];
+        let kb = &k[l * tk * d..(l + 1) * tk * d];
+        let vb = &v[l * tk * d..(l + 1) * tk * d];
+        let wb = &weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
+
+        let gqb = &mut gq[l * tq * d..(l + 1) * tq * d];
+        let gkb = &mut gk[l * tk * d..(l + 1) * tk * d];
+        let gvb = &mut gv[l * tk * d..(l + 1) * tk * d];
+
+        // Through the mix: dA[i, j] = g[i, :] · v[j, :] per head, and
+        // gv[j, :] += w[·, i, j] · g[i, :] — `i` outermost, so each
+        // gv element collects its terms in ascending `i`.
+        for (i, grow) in gb.chunks_exact(d).enumerate() {
+            for (j, (vrow, gv_row)) in vb.chunks_exact(d).zip(gvb.chunks_exact_mut(d)).enumerate() {
+                for h in 0..heads {
+                    let hd = h * dh..(h + 1) * dh;
+                    ds[at(h, i, j)] = dot(&grow[hd.clone()], &vrow[hd.clone()]);
+                    axpy(&mut gv_row[hd.clone()], wb[at(h, i, j)], &grow[hd]);
+                }
+            }
+        }
+        // Through the softmax and the scale, row by row.
+        for (ds_row, w_row) in ds
+            .chunks_exact_mut(tk.max(1))
+            .zip(wb.chunks_exact(tk.max(1)))
+        {
+            let mut s = 0.0f32;
+            for (&da, &w) in ds_row.iter().zip(w_row) {
+                s += da * w;
+            }
+            for (slot, &w) in ds_row.iter_mut().zip(w_row) {
+                *slot = (w * (*slot - s)) * scale;
+            }
+        }
+        // Through the scores: gq[i, :] += dS[·, i, j] · k[j, :] in
+        // ascending `j`, gk[j, :] += dS[·, i, j] · q[i, :] in ascending `i`.
+        for (i, (qrow, gq_row)) in qb.chunks_exact(d).zip(gqb.chunks_exact_mut(d)).enumerate() {
+            for (j, (krow, gk_row)) in kb.chunks_exact(d).zip(gkb.chunks_exact_mut(d)).enumerate() {
+                for h in 0..heads {
+                    let hd = h * dh..(h + 1) * dh;
+                    let dsv = ds[at(h, i, j)];
+                    axpy(&mut gq_row[hd.clone()], dsv, &krow[hd.clone()]);
+                    axpy(&mut gk_row[hd.clone()], dsv, &qrow[hd]);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::linalg;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The unfused forward: head split, NT scores, scale, softmax, mix,
+    /// head merge — the tensor kernels the tape chain records.
+    fn chain(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
+        let rank = q.rank();
+        let dh = q.shape()[rank - 1] / heads;
+        let split = |x: &Tensor| {
+            let mut s = x.shape()[..rank - 1].to_vec();
+            s.extend_from_slice(&[heads, dh]);
+            x.reshape(&s)
+                .unwrap()
+                .swap_axes(rank - 2, rank - 1)
+                .unwrap()
+        };
+        let (qh, kh, vh) = (split(q), split(k), split(v));
+        let scores = linalg::matmul_nt(&qh, &kh)
+            .unwrap()
+            .mul_scalar(1.0 / (dh as f32).sqrt());
+        let attn = scores.softmax(scores.rank() - 1).unwrap();
+        let ctx = linalg::matmul(&attn, &vh).unwrap();
+        ctx.swap_axes(rank - 2, rank - 1)
+            .unwrap()
+            .reshape(q.shape())
+            .unwrap()
+    }
+
+    #[test]
+    fn forward_bitwise_matches_the_unfused_chain() {
+        let mut rng = StdRng::seed_from_u64(13);
+        // Window-attention shapes (p=1 queries, s=3 keys, d=16, 4
+        // heads), the serving head layout, a dynamic-head layout, a
+        // chunky cross-attention, and rank 2.
+        let cases: &[(&[usize], &[usize], usize)] = &[
+            (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
+            (&[2, 3, 5, 32], &[2, 3, 9, 32], 8),
+            (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
+            (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),
+            (&[4, 7, 12], &[4, 11, 12], 3),
+            (&[6, 6], &[9, 6], 1),
+        ];
+        for &(qs, ks, heads) in cases {
+            let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
+            let k = Tensor::randn(ks, &mut rng).mul_scalar(3.0);
+            let v = Tensor::randn(ks, &mut rng);
+            let want = chain(&q, &k, &v, heads);
+            let (got, weights) = forward(&q, &k, &v, heads).unwrap();
+            assert_eq!(want.shape(), got.shape(), "shape for q {qs:?}");
+            assert_eq!(want.data(), got.data(), "bits for q {qs:?}");
+            let lead: usize = qs[..qs.len() - 2].iter().product();
+            assert_eq!(
+                weights.shape(),
+                &[lead, heads, qs[qs.len() - 2], ks[ks.len() - 2]]
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_mismatched_operands() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let q = Tensor::randn(&[2, 3, 8], &mut rng);
+        let k = Tensor::randn(&[3, 3, 8], &mut rng);
+        assert!(forward(&q, &k, &k, 2).is_err());
+        let k2 = Tensor::randn(&[2, 3, 8], &mut rng);
+        let v2 = Tensor::randn(&[2, 4, 8], &mut rng);
+        assert!(forward(&q, &k2, &v2, 2).is_err());
+        assert!(forward(&q, &k2, &k2, 3).is_err());
+        assert!(forward(&q, &k2, &k2, 0).is_err());
+        let (_, w) = forward(&q, &k2, &k2, 2).unwrap();
+        assert!(vjp(&k, &q, &k2, &k2, &w, 2).is_err());
+    }
+}

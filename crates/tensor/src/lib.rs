@@ -18,6 +18,7 @@
 //! - All fallible shape logic returns [`TensorError`]; only indexing
 //!   helpers that document their preconditions panic.
 
+pub mod attention;
 pub mod error;
 pub mod linalg;
 pub mod manip;

@@ -88,10 +88,13 @@ pub fn sigmoid_f32(x: f32) -> f32 {
 // 512-bit intrinsics — separate `vmulps`/`vaddps` (no FMA contraction),
 // `vminps`/`vmaxps` for the clamp, the same integer exponent-bit build
 // — so every lane rounds exactly like the scalar chain and the outputs
-// are **bitwise identical** for all non-NaN inputs (a NaN input
-// propagates NaN through the scalar clamp but saturates through
-// `vminps`; no forward path produces NaN activations). Tails and
-// non-AVX-512 hosts take the scalar kernel, which is the same function.
+// are **bitwise identical** for all non-NaN inputs. A NaN input comes
+// out NaN on both paths: `vminps`/`vmaxps` return their *second*
+// operand when either is NaN, so the clamps pass the bound first and
+// the value second, which is `f32::clamp`'s NaN-propagating behaviour
+// (a softmax row holding `+inf` shifts to `inf − inf`, and which lane
+// that lands in must not decide the row). Tails and non-AVX-512 hosts
+// take the scalar kernel, which is the same function.
 
 /// `x[i] = exp_f32(x[i])` over the whole slice.
 pub fn exp_slice(xs: &mut [f32]) {
@@ -158,9 +161,10 @@ mod wide {
     #[inline(always)]
     pub(super) unsafe fn exp_v16(x: __m512) -> __m512 {
         unsafe {
+            // Bound first, value second: NaN propagates (see above).
             let x = _mm512_max_ps(
-                _mm512_min_ps(x, _mm512_set1_ps(88.722_84)),
                 _mm512_set1_ps(-87.336_54),
+                _mm512_min_ps(_mm512_set1_ps(88.722_84), x),
             );
             let magic = _mm512_set1_ps(12_582_912.0);
             let r = _mm512_add_ps(
@@ -222,11 +226,11 @@ unsafe fn tanh_slice_avx512(xs: &mut [f32]) {
             // (2x).clamp(-21, 21), then (e - 1) / (e + 1) — op for op
             // the scalar `tanh_f32`.
             let t = _mm512_max_ps(
-                _mm512_min_ps(
-                    _mm512_mul_ps(_mm512_set1_ps(2.0), x),
-                    _mm512_set1_ps(21.0),
-                ),
                 _mm512_set1_ps(-21.0),
+                _mm512_min_ps(
+                    _mm512_set1_ps(21.0),
+                    _mm512_mul_ps(_mm512_set1_ps(2.0), x),
+                ),
             );
             let e = wide::exp_v16(t);
             let one = _mm512_set1_ps(1.0);
@@ -352,6 +356,20 @@ mod tests {
                 assert_eq!(e[i].to_bits(), exp_f32(x - 0.25).to_bits(), "exp at {x}");
                 assert_eq!(t[i].to_bits(), tanh_f32(x).to_bits(), "tanh at {x}");
                 assert_eq!(s[i].to_bits(), sigmoid_f32(x).to_bits(), "sigmoid at {x}");
+            }
+        }
+        // NaN stays NaN in every lane position, wide or tail.
+        for len in [1usize, 16, 17, 40] {
+            for at in [0, len / 2, len - 1] {
+                let mut src = vec![0.5f32; len];
+                src[at] = f32::NAN;
+                for kernel in [exp_slice, tanh_slice, sigmoid_slice] {
+                    let mut out = src.clone();
+                    kernel(&mut out);
+                    for (i, y) in out.iter().enumerate() {
+                        assert_eq!(y.is_nan(), i == at, "len {len}, NaN at {at}, lane {i}");
+                    }
+                }
             }
         }
         let mut p = vec![0.0f32, 1.0, -1.0];

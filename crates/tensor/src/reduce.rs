@@ -47,6 +47,83 @@ pub fn sq_norm(data: &[f32]) -> f32 {
     partials.iter().sum()
 }
 
+/// Rows shorter than this take the blocked softmax walk: their `exp`
+/// pass would otherwise be all scalar tail.
+const SHORT_ROW: usize = 64;
+/// Elements per block of the short-row walk (cut at whole rows).
+const SOFTMAX_BLOCK: usize = 8192;
+
+/// In-place softmax over contiguous rows of `row_len` (which must
+/// divide `data.len()`; zero-length rows are a no-op).
+///
+/// Per row this is the max / `exp_f32(x − m)` / ascending-sum / divide
+/// chain of [`Tensor::softmax_reference`], bit for bit. Long rows run it
+/// row by row. Short rows share their `exp`: a block of rows subtracts
+/// each row's max, **one** wide [`crate::mathfn::exp_slice`] covers the
+/// block, then each row sums and divides — `t = x − m; exp(t − 0.0)` is
+/// the same bits as `exp(x − m)`, and a 3-element row no longer pays a
+/// kernel call for three scalar-tail lanes. The block walk is one body
+/// over `const N` (0 = read `row_len`), instantiated at the proxy
+/// attention's 2–4 element rows so their loops unroll.
+pub(crate) fn softmax_rows(data: &mut [f32], row_len: usize) {
+    if row_len == 0 {
+        return;
+    }
+    if row_len >= SHORT_ROW {
+        for row in data.chunks_exact_mut(row_len) {
+            // Exponentiate first, sum second: same values and the same
+            // ascending fold order as a single interleaved loop, but
+            // the exp pass has no loop-carried state so it runs through
+            // the wide exp kernel.
+            crate::mathfn::exp_sub_slice(row, row_max(row));
+            normalise(row);
+        }
+        return;
+    }
+    let run = match row_len {
+        2 => short_rows_block::<2>,
+        3 => short_rows_block::<3>,
+        4 => short_rows_block::<4>,
+        _ => short_rows_block::<0>,
+    };
+    let rows_per_block = (SOFTMAX_BLOCK / row_len).max(1);
+    for block in data.chunks_mut(rows_per_block * row_len) {
+        run(block, row_len);
+    }
+}
+
+#[inline(always)]
+fn short_rows_block<const N: usize>(block: &mut [f32], row_len: usize) {
+    let n = if N == 0 { row_len } else { N };
+    for row in block.chunks_exact_mut(n) {
+        let m = row_max(row);
+        for x in row.iter_mut() {
+            *x -= m;
+        }
+    }
+    crate::mathfn::exp_slice(block);
+    for row in block.chunks_exact_mut(n) {
+        normalise(row);
+    }
+}
+
+#[inline(always)]
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+}
+
+/// Divide a row of exponentials by its ascending sum.
+#[inline(always)]
+fn normalise(row: &mut [f32]) {
+    let mut z = 0.0f32;
+    for &x in row.iter() {
+        z += x;
+    }
+    for x in row.iter_mut() {
+        *x /= z;
+    }
+}
+
 impl Tensor {
     /// Sum along `axis`. With `keepdim` the axis is kept at length 1,
     /// otherwise it is removed.
@@ -201,12 +278,12 @@ impl Tensor {
         self.softmax_reference(axis)
     }
 
-    /// Fused softmax over the last axis: one contiguous pass per row
-    /// (max, exp-shift accumulating the normalizer, divide), rows split
-    /// across the worker pool. Produces bitwise-identical results to
-    /// [`Tensor::softmax_reference`] — the per-element expressions and
-    /// fold orders are the same — while touching each row once and
-    /// drawing its output from the buffer pool.
+    /// Fused softmax over the last axis: contiguous rows in place (max,
+    /// exp-shift, ascending sum, divide — see [`softmax_rows`]), rows
+    /// split across the worker pool. Produces bitwise-identical results
+    /// to [`Tensor::softmax_reference`] — the per-element expressions
+    /// and fold orders are the same — while drawing its output from the
+    /// buffer pool.
     pub fn softmax_lastdim(&self) -> Result<Tensor> {
         if self.rank() == 0 {
             return Err(crate::TensorError::RankTooSmall {
@@ -218,43 +295,26 @@ impl Tensor {
         let row_len = self.shape()[self.rank() - 1];
         let mut data = memory::take_copy(self.data());
         if let Some(rows) = data.len().checked_div(row_len) {
-            let run_row = |row: &mut [f32]| {
-                let mut m = f32::NEG_INFINITY;
-                for &x in row.iter() {
-                    m = m.max(x);
-                }
-                // Exponentiate first, sum second: same values and the
-                // same ascending fold order as a single interleaved
-                // loop, but the exp pass has no loop-carried state so
-                // it runs through the wide exp kernel.
-                crate::mathfn::exp_sub_slice(row, m);
-                let mut z = 0.0;
-                for &x in row.iter() {
-                    z += x;
-                }
-                for x in row.iter_mut() {
-                    *x /= z;
-                }
-            };
             if data.len() >= PARALLEL_ELEMS && rows > 1 && stwa_pool::current_threads() > 1 {
                 let groups = elementwise_chunks().min(rows);
                 let per = rows.div_ceil(groups);
                 let out_ptr = SendPtr(data.as_mut_ptr());
                 stwa_pool::parallel_for(groups, |g| {
-                    let r1 = ((g + 1) * per).min(rows);
-                    for r in g * per..r1 {
-                        // Safety: rows are disjoint, and the pool joins
-                        // before `data` is consumed.
-                        let row = unsafe {
-                            std::slice::from_raw_parts_mut(out_ptr.get().add(r * row_len), row_len)
+                    let (r0, r1) = (g * per, ((g + 1) * per).min(rows));
+                    if r0 < r1 {
+                        // Safety: row ranges are disjoint, and the pool
+                        // joins before `data` is consumed.
+                        let rows = unsafe {
+                            std::slice::from_raw_parts_mut(
+                                out_ptr.get().add(r0 * row_len),
+                                (r1 - r0) * row_len,
+                            )
                         };
-                        run_row(row);
+                        softmax_rows(rows, row_len);
                     }
                 });
             } else {
-                for row in data.chunks_exact_mut(row_len) {
-                    run_row(row);
-                }
+                softmax_rows(&mut data, row_len);
             }
         }
         Tensor::from_vec(data, self.shape())
@@ -495,6 +555,58 @@ mod tests {
             big.softmax(2).unwrap(),
             big.softmax_reference(2).unwrap()
         );
+    }
+
+    #[test]
+    fn lastdim_softmax_matches_reference_at_every_row_length_and_extreme() {
+        // Same bits, or NaN on both sides (payloads are not contract).
+        let same = |a: &Tensor, b: &Tensor| {
+            a.shape() == b.shape()
+                && a.data()
+                    .iter()
+                    .zip(b.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        // Both sides of the short-row cut-over; nine rows per length so
+        // a block holds several rows and row seven carries an extreme.
+        let extremes = [f32::NEG_INFINITY, f32::INFINITY, 1e30, -1e30];
+        for row_len in 1..=70usize {
+            for (e, &extreme) in extremes.iter().enumerate() {
+                let mut x = Tensor::from_fn(&[9, row_len], |i| {
+                    ((i[0] * 37 + i[1] * 11 + e) % 23) as f32 * 0.61 - 6.0
+                });
+                x.data_mut()[7 * row_len + (e * 5) % row_len] = extreme;
+                // A row that is nothing but -inf (all-NaN on both sides).
+                x.data_mut()[2 * row_len..3 * row_len].fill(f32::NEG_INFINITY);
+                let fused = x.softmax_lastdim().unwrap();
+                let reference = x.softmax_reference(1).unwrap();
+                assert!(
+                    same(&fused, &reference),
+                    "row_len {row_len}, extreme {extreme}"
+                );
+                // Rows without a +inf or all -inf stay finite.
+                let clean = &fused.data()[..2 * row_len];
+                assert!(clean.iter().all(|v| v.is_finite()));
+            }
+        }
+        // Larger than one block of the short-row walk, with a ragged
+        // last block, serial and across the pool.
+        for shape in [
+            [3 * SOFTMAX_BLOCK / 7 + 5, 7],
+            [PARALLEL_ELEMS / 20 + 3, 20],
+        ] {
+            let x = Tensor::from_fn(&shape, |i| ((i[0] * 13 + i[1] * 7) % 31) as f32 * 0.4 - 5.0);
+            let reference = x.softmax_reference(1).unwrap();
+            for threads in [1, 3] {
+                stwa_pool::set_threads(threads);
+                let fused = x.softmax_lastdim().unwrap();
+                stwa_pool::set_threads(1);
+                assert!(
+                    same(&fused, &reference),
+                    "shape {shape:?}, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

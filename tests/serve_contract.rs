@@ -239,6 +239,28 @@ fn a_non_finite_observation_is_refused_and_leaves_the_window_alone() {
 }
 
 #[test]
+fn a_megabyte_of_open_brackets_is_refused_and_the_server_lives() {
+    let server = Server::start(config(), || Ok(model(42))).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let ack = client.post("/observe", &observe_body(&frame(1))).unwrap();
+    let fp = proto::parse_window_fp(&ack.body).unwrap();
+    assert_eq!(label(&client.get("/forecast?sensor=0").unwrap()), "miss");
+
+    // The largest body the parser admits, all of it nesting: unbounded
+    // recursion here overflows the IO worker's stack and aborts.
+    let resp = client.post("/observe", &vec![b'['; http::MAX_BODY]).unwrap();
+    assert_eq!(resp.status, 400);
+    let message = field(&resp, "error");
+    assert!(message.as_str().unwrap().contains("nested too deep"), "{message:?}");
+
+    // Same connection, same window, same cache entry.
+    let after = client.get("/forecast?sensor=0").unwrap();
+    assert_eq!(label(&after), "hit", "the refused body invalidated nothing");
+    assert_eq!(proto::parse_window_fp(&after.body).unwrap(), fp);
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_forecasts_on_one_window_share_one_evaluation() {
     let server = Server::start(config(), || Ok(model(42))).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();

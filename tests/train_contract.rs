@@ -1,0 +1,232 @@
+//! The training step's order contract in the tier-1 command.
+//!
+//! `crates/core/tests/step_trajectory.rs` pins three full ST-WA
+//! optimization steps on the benchmark's `train_epoch` shape to loss
+//! bits and a parameter checksum recorded before the GEMM kernels were
+//! rebuilt; `cargo test -q` does not run per-crate suites, so the same
+//! constants are held here. They bound every fused op on the step —
+//! proxy attention is one tape node ([`Var::attention`]) — to the bits
+//! of the chain of primitive ops it replaced.
+//!
+//! The second test holds that op to its oracle directly on a model the
+//! first does not cover (two proxies per window): the production
+//! forward and a transcription of it that runs the twelve-node
+//! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in the
+//! op's place must train to the same loss bits.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use st_wa::autograd::{concat, Graph, Var};
+use st_wa::model::{
+    AggregatorKind, ForecastModel, GeneratedProjections, StwaConfig, StwaModel,
+    WindowAttentionLayer,
+};
+use st_wa::nn::layers::Activation;
+use st_wa::nn::loss::huber;
+use st_wa::nn::optim::{Adam, Optimizer};
+use st_wa::tensor::{Result, Tensor};
+
+/// `step_trajectory.rs`: loss of steps 0, 1, 2 as raw f32 bits.
+const RECORDED_LOSS_BITS: [u32; 3] = [0x3ee2_4263, 0x3ee1_a9da, 0x3ee1_0d8b];
+/// FNV-1a over every parameter's f32 bits, in store order, after step 2.
+const RECORDED_PARAM_CHECKSUM: u64 = 0x56ca_a36e_939f_2dce;
+
+fn param_checksum(model: &StwaModel) -> u64 {
+    let bytes: Vec<u8> = model
+        .store()
+        .params()
+        .iter()
+        .flat_map(|p| {
+            p.value()
+                .data()
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    st_wa::ckpt::fnv1a64(&bytes)
+}
+
+/// A training-mode forward: prediction and optional regularizer.
+type Forward = fn(&StwaModel, &Graph, &Var, &mut StdRng) -> Result<(Var, Option<Var>)>;
+
+/// `steps` optimization steps (Huber + KL, backward, Adam) on one fixed
+/// batch; returns each step's loss bits.
+fn train(
+    model: &StwaModel,
+    forward: Forward,
+    (bx, by): (&Tensor, &Tensor),
+    rng: &mut StdRng,
+    steps: usize,
+) -> Vec<u32> {
+    let mut opt = Adam::new(model.store(), 1e-3);
+    (0..steps)
+        .map(|_| {
+            let graph = Graph::new();
+            let x = graph.constant(bx.clone());
+            let (pred, regularizer) = forward(model, &graph, &x, rng).expect("forward");
+            let target = graph.constant(by.clone());
+            let mut loss = huber(&pred, &target, 1.0).expect("huber");
+            if let Some(reg) = regularizer {
+                loss = loss.add(&reg).expect("regularizer");
+            }
+            let bits = loss.value().item().expect("scalar loss").to_bits();
+            graph.backward(&loss).expect("backward");
+            opt.step();
+            opt.finish_step();
+            bits
+        })
+        .collect()
+}
+
+fn production(
+    model: &StwaModel,
+    graph: &Graph,
+    x: &Var,
+    rng: &mut StdRng,
+) -> Result<(Var, Option<Var>)> {
+    let out = model.forward(graph, x, rng, true)?;
+    Ok((out.pred, out.regularizer))
+}
+
+#[test]
+fn three_steps_reproduce_the_recorded_trajectory() {
+    let mut rng = StdRng::seed_from_u64(15);
+    let model = StwaModel::new(StwaConfig::st_wa(20, 12, 12), &mut rng).expect("model");
+    let bx = Tensor::randn(&[32, 20, 12, 1], &mut rng);
+    let by = Tensor::randn(&[32, 20, 12, 1], &mut rng);
+    let losses = train(&model, production, (&bx, &by), &mut rng, 3);
+    assert_eq!(
+        losses, RECORDED_LOSS_BITS,
+        "loss trajectory moved: {losses:#010x?}"
+    );
+    let checksum = param_checksum(&model);
+    assert_eq!(
+        checksum, RECORDED_PARAM_CHECKSUM,
+        "parameters after three steps moved: {checksum:#018x}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The oracle: the model's forward with the unfused attention chain.
+// ---------------------------------------------------------------------
+
+/// Multi-head scaled-dot-product attention as twelve tape nodes — what
+/// `Var::attention` replaced, and must equal bit for bit.
+fn attention_chain(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
+    let rank = q.shape().len();
+    let dh = q.shape()[rank - 1] / heads;
+    let split = |x: &Var| -> Result<Var> {
+        let mut s = x.shape()[..rank - 1].to_vec();
+        s.extend_from_slice(&[heads, dh]);
+        x.reshape(&s)?.swap_axes(rank - 2, rank - 1)
+    };
+    let (qh, kh, vh) = (split(q)?, split(k)?, split(v)?);
+    let scores = qh.matmul_nt(&kh)?.mul_scalar(1.0 / (dh as f32).sqrt());
+    let ctx = scores.softmax(rank)?.matmul(&vh)?;
+    ctx.swap_axes(rank - 2, rank - 1)?.reshape(&q.shape())
+}
+
+/// `WindowAttentionLayer::forward` from the layer's public parts, with
+/// [`attention_chain`] where the layer calls the fused op.
+fn layer_through_chain(
+    layer: &WindowAttentionLayer,
+    graph: &Graph,
+    x: &Var,
+    generated: &GeneratedProjections,
+) -> Result<Var> {
+    let (n, _t, s, p, f_in, d, heads) = layer.dims();
+    let (b, w) = (x.shape()[0], layer.num_windows());
+    let x_win = x.reshape(&[b, n, w, s, f_in])?;
+    let keys = x_win.matmul(&generated.k_proj.unsqueeze(2)?)?;
+    let values = x_win.matmul(&generated.v_proj.unsqueeze(2)?)?;
+    let proxies = layer.proxies().leaf(graph);
+    let (agg_w1, agg_w2) = layer.agg_weights();
+    let (agg_w1, agg_w2) = (agg_w1.leaf(graph), agg_w2.leaf(graph));
+    assert_eq!(layer.aggregator_kind(), AggregatorKind::Learned);
+
+    let mut prev: Option<Var> = None;
+    let mut outputs = Vec::with_capacity(w);
+    for wi in 0..w {
+        let k_w = keys.narrow(2, wi, 1)?.squeeze(2)?;
+        let v_w = values.narrow(2, wi, 1)?.squeeze(2)?;
+        let p_base = proxies
+            .narrow(1, wi, 1)?
+            .squeeze(1)?
+            .unsqueeze(0)?
+            .broadcast_to(&[b, n, p, d])?;
+        let p_q = match &prev {
+            None => p_base,
+            Some(h_prev) => {
+                let tiled = h_prev.unsqueeze(2)?.broadcast_to(&[b, n, p, d])?;
+                let stacked = concat(&[&tiled, &p_base], 3)?;
+                let fusion = layer.fusion().expect("w > 1 implies fusion");
+                fusion.forward_act(graph, &stacked, Activation::Tanh)?
+            }
+        };
+        let h_w = attention_chain(&p_q, &k_w, &v_w, heads)?;
+        let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
+        let h_hat = gate.mul(&h_w)?.sum_axis(2, false)?;
+        let sca = layer.sensor_attention().expect("ST-WA mixes sensors");
+        let h_bar = sca.forward(graph, &h_hat)?;
+        prev = Some(h_bar.clone());
+        outputs.push(h_bar.unsqueeze(2)?);
+    }
+    concat(&outputs.iter().collect::<Vec<_>>(), 2)
+}
+
+/// `StwaModel::forward` (training mode) over [`layer_through_chain`].
+fn through_chain(
+    model: &StwaModel,
+    graph: &Graph,
+    x: &Var,
+    rng: &mut StdRng,
+) -> Result<(Var, Option<Var>)> {
+    let cfg = model.config();
+    let b = x.shape()[0];
+    let generator = model.generator().expect("ST-WA generates its projections");
+    let generated = generator.generate_with_mode(graph, x, rng, cfg.latent_mode)?;
+    let mut h = x.clone();
+    let mut skip_sum: Option<Var> = None;
+    for (l, layer) in model.layers().iter().enumerate() {
+        let out = layer_through_chain(layer, graph, &h, &generated.layers[l])?;
+        let flat = out.reshape(&[b, cfg.n, layer.num_windows() * cfg.d])?;
+        let skip = model.skips()[l].forward(graph, &flat)?;
+        skip_sum = Some(match skip_sum {
+            None => skip,
+            Some(acc) => acc.add(&skip)?,
+        });
+        h = out;
+    }
+    let o = skip_sum.expect("at least one layer");
+    let pred = model
+        .predictor()
+        .forward(graph, &o)?
+        .reshape(&[b, cfg.n, cfg.u, cfg.f_in])?;
+    let regularizer = generated.kl.as_ref().map(|kl| kl.mul_scalar(cfg.kl_weight));
+    Ok((pred, regularizer))
+}
+
+#[test]
+fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
+    let config = || StwaConfig::st_wa(6, 12, 12).with_proxies(2);
+    let run = |forward: Forward| {
+        let mut rng = StdRng::seed_from_u64(21);
+        let model = StwaModel::new(config(), &mut rng).expect("model");
+        let bx = Tensor::randn(&[4, 6, 12, 1], &mut rng);
+        let by = Tensor::randn(&[4, 6, 12, 1], &mut rng);
+        let losses = train(&model, forward, (&bx, &by), &mut rng, 2);
+        (losses, param_checksum(&model))
+    };
+    let (fused_losses, fused_params) = run(production);
+    let (chain_losses, chain_params) = run(through_chain);
+    assert_eq!(
+        fused_losses, chain_losses,
+        "fused {fused_losses:#010x?} vs chain {chain_losses:#010x?}"
+    );
+    assert_ne!(
+        fused_losses[0], fused_losses[1],
+        "the step must move the loss"
+    );
+    assert_eq!(fused_params, chain_params, "parameters after two steps");
+}
