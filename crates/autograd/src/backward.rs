@@ -23,10 +23,18 @@ impl Graph {
     /// *Leaf* gradients accumulate across calls (PyTorch-style); use
     /// [`Graph::zero_grads`] to reset them. Intermediate gradients are
     /// per-sweep scratch and are cleared at the start of each call.
+    ///
+    /// A [`Graph::no_grad`] graph has recorded nothing and returns
+    /// [`TensorError::Invalid`].
     pub fn backward(&self, loss: &Var) -> Result<()> {
         if !Rc::ptr_eq(&self.inner, &loss.graph.inner) {
             return Err(TensorError::Invalid(
                 "backward: loss belongs to a different graph".into(),
+            ));
+        }
+        if !self.is_recording() {
+            return Err(TensorError::Invalid(
+                "backward: a Graph::no_grad graph records nothing to differentiate".into(),
             ));
         }
         {

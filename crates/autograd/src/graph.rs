@@ -1,4 +1,12 @@
 //! The tape: graph storage, nodes, and `Var` handles.
+//!
+//! A [`Graph`] comes in two kinds. [`Graph::new`] records: every op
+//! appends a node, and the tape keeps each intermediate value alive for
+//! the backward sweep. [`Graph::no_grad`] computes and records nothing:
+//! ops return the same values (same kernels, same bits) but no node is
+//! appended, so an intermediate is freed when its last [`Var`] drops.
+//! Evaluation runs a model's one `forward` on the second kind; that is
+//! the whole difference between a training and an evaluation pass.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,10 +31,9 @@ pub enum ActKind {
 
 impl ActKind {
     /// The scalar forward function — exactly the expression the unfused
-    /// elementwise ops apply. Public so tape-free forwards (the
-    /// inference path) can reuse the identical scalar expression.
+    /// elementwise ops apply.
     #[inline]
-    pub fn apply(self, x: f32) -> f32 {
+    fn apply(self, x: f32) -> f32 {
         match self {
             ActKind::Identity => x,
             ActKind::Relu => x.max(0.0),
@@ -36,12 +43,11 @@ impl ActKind {
     }
 
     /// `self.apply(x + bias)` over the broadcast of `x` and `bias` — the
-    /// fused bias-add forward, shared by [`Var::bias_add_act`] and the
-    /// tape-free layers. The activation is matched once per call, so
-    /// each arm's element loop is a straight-line expression the
-    /// compiler can vectorize (Identity and Relu rows do); per element
-    /// it is still exactly `apply(a + b)`.
-    pub fn bias_add(self, x: &Tensor, bias: &Tensor) -> Result<Tensor> {
+    /// forward of [`Var::bias_add_act`]. The activation is matched once
+    /// per call, so each arm's element loop is a straight-line
+    /// expression the compiler can vectorize (Identity and Relu rows
+    /// do); per element it is still exactly `apply(a + b)`.
+    pub(crate) fn bias_add(self, x: &Tensor, bias: &Tensor) -> Result<Tensor> {
         const OP: &str = "bias_add_act";
         match self {
             ActKind::Identity => x.zip(bias, OP, |a, b| ActKind::Identity.apply(a + b)),
@@ -229,7 +235,10 @@ pub(crate) struct Node {
 /// parallelism lives inside the tensor kernels.
 #[derive(Clone)]
 pub struct Graph {
+    /// The tape; also the graph's identity (`Rc::ptr_eq`). Stays empty
+    /// on a non-recording graph.
     pub(crate) inner: Rc<RefCell<Vec<Node>>>,
+    recording: bool,
 }
 
 impl Default for Graph {
@@ -243,7 +252,25 @@ impl Graph {
     pub fn new() -> Graph {
         Graph {
             inner: Rc::new(RefCell::new(Vec::new())),
+            recording: true,
         }
+    }
+
+    /// A graph that computes and records nothing: every op returns its
+    /// value without appending a node, no `Var` on it requires a
+    /// gradient, and [`Graph::backward`] is refused. Intermediates live
+    /// only as long as the `Var`s holding them.
+    pub fn no_grad() -> Graph {
+        Graph {
+            inner: Rc::new(RefCell::new(Vec::new())),
+            recording: false,
+        }
+    }
+
+    /// Whether ops on this graph append tape nodes ([`Graph::new`]) or
+    /// only compute ([`Graph::no_grad`]).
+    pub fn is_recording(&self) -> bool {
+        self.recording
     }
 
     /// Number of nodes recorded so far.
@@ -268,38 +295,38 @@ impl Graph {
     }
 
     pub(crate) fn push(&self, value: Tensor, op: Op, requires_grad: bool) -> Var {
-        let mut nodes = self.inner.borrow_mut();
-        let id = nodes.len();
-        nodes.push(Node {
-            value: Rc::new(value),
-            grad: None,
-            grad_stale: false,
-            requires_grad,
-            op,
-        });
+        let value = Rc::new(value);
+        let requires_grad = requires_grad && self.recording;
+        let mut id = 0;
+        if self.recording {
+            let mut nodes = self.inner.borrow_mut();
+            id = nodes.len();
+            nodes.push(Node {
+                value: Rc::clone(&value),
+                grad: None,
+                grad_stale: false,
+                requires_grad,
+                op,
+            });
+        }
         Var {
             graph: self.clone(),
             id,
+            value,
+            requires_grad,
         }
     }
 
-    pub(crate) fn value_of(&self, id: Id) -> Rc<Tensor> {
-        Rc::clone(&self.inner.borrow()[id].value)
-    }
-
-    pub(crate) fn requires_grad_of(&self, id: Id) -> bool {
-        self.inner.borrow()[id].requires_grad
-    }
-
     /// The accumulated gradient of `var` after [`Graph::backward`], if
-    /// any path from the loss reached it.
+    /// any path from the loss reached it (never, on a graph that records
+    /// nothing: it has no nodes).
     pub fn grad(&self, var: &Var) -> Option<Tensor> {
         assert!(
             Rc::ptr_eq(&self.inner, &var.graph.inner),
             "grad: Var belongs to a different graph"
         );
         let nodes = self.inner.borrow();
-        let node = &nodes[var.id];
+        let node = nodes.get(var.id)?;
         if node.grad_stale {
             return None;
         }
@@ -317,7 +344,7 @@ impl Graph {
             "grad_sq_norm: Var belongs to a different graph"
         );
         let nodes = self.inner.borrow();
-        let node = &nodes[var.id];
+        let node = nodes.get(var.id)?;
         if node.grad_stale {
             return None;
         }
@@ -339,30 +366,36 @@ impl Graph {
     }
 }
 
-/// A handle to one node of a [`Graph`].
+/// A handle to one value computed on a [`Graph`].
 ///
-/// All forward operations live on `Var` (see the `ops` module); each call
-/// appends a node to the owning graph and returns a handle to it.
+/// All forward operations live on `Var` (see the `ops` module); on a
+/// recording graph each call appends a node and returns a handle to it,
+/// on a [`Graph::no_grad`] graph it returns the value alone. Either way
+/// the `Var` carries its value, so reading it never touches the tape.
 #[derive(Clone)]
 pub struct Var {
     pub(crate) graph: Graph,
+    /// Tape index; meaningless (and never read) on a non-recording graph.
     pub(crate) id: Id,
+    value: Rc<Tensor>,
+    requires_grad: bool,
 }
 
 impl Var {
     /// The node's value. Cheap: values are behind `Rc`.
     pub fn value(&self) -> Rc<Tensor> {
-        self.graph.value_of(self.id)
+        Rc::clone(&self.value)
     }
 
     /// Shape of the node's value.
     pub fn shape(&self) -> Vec<usize> {
-        self.value().shape().to_vec()
+        self.value.shape().to_vec()
     }
 
-    /// Whether gradients flow into this node.
+    /// Whether gradients flow into this node. Always `false` on a
+    /// [`Graph::no_grad`] graph.
     pub fn requires_grad(&self) -> bool {
-        self.graph.requires_grad_of(self.id)
+        self.requires_grad
     }
 
     /// A constant copy of this value on the same graph: gradients do not
@@ -394,7 +427,7 @@ impl Var {
 
 impl std::fmt::Debug for Var {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Var(id={}, shape={:?})", self.id, self.value().shape())
+        write!(f, "Var(id={}, shape={:?})", self.id, self.value.shape())
     }
 }
 
@@ -427,6 +460,53 @@ mod tests {
         let d = p.detach();
         assert!(!d.requires_grad());
         assert_eq!(d.value().data(), p.value().data());
+    }
+
+    #[test]
+    fn no_grad_graph_computes_and_records_nothing() {
+        let g = Graph::no_grad();
+        assert!(!g.is_recording());
+        let p = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
+        let y = p.mul_scalar(3.0).add(&p).unwrap();
+        assert_eq!(y.value().data(), &[4.0, 8.0]);
+        assert!(!p.requires_grad() && !y.requires_grad());
+        assert!(!p.detach().requires_grad());
+        assert_eq!(g.len(), 0);
+        assert!(g.is_empty());
+    }
+
+    #[test]
+    fn no_grad_graph_refuses_backward_and_has_no_grads() {
+        let g = Graph::no_grad();
+        let p = g.leaf(Tensor::ones(&[3]));
+        let loss = p.square().unwrap().sum_all().unwrap();
+        match g.backward(&loss) {
+            Err(TensorError::Invalid(msg)) => assert!(msg.contains("no_grad"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert!(g.grad(&p).is_none());
+        assert!(g.grad_sq_norm(&p).is_none());
+        g.zero_grads();
+        assert_eq!(g.len(), 0);
+    }
+
+    #[test]
+    fn no_grad_and_recording_operands_do_not_mix() {
+        let rec = Graph::new();
+        let a = rec.leaf(Tensor::ones(&[2]));
+        let b = Graph::no_grad().constant(Tensor::ones(&[2]));
+        let c = Graph::no_grad().constant(Tensor::ones(&[2]));
+        assert!(a.add(&b).is_err());
+        assert!(b.add(&a).is_err());
+        // Two no-grad graphs are two graphs, like two tapes.
+        assert!(b.add(&c).is_err());
+        assert!(!b.belongs_to(&rec));
+        // A recording loss handed to a no-grad graph (and the reverse)
+        // is a different-graph error, not a panic.
+        let loss = a.sum_all().unwrap();
+        assert!(b.graph().backward(&loss).is_err());
+        assert!(rec.backward(&b.sum_all().unwrap()).is_err());
+        assert_eq!(rec.len(), 2);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! gradient-requiring leaves, the loss is computed, [`Graph::backward`]
 //! fills in gradients, and the optimizer reads them back out.
 //!
+//! Evaluation runs the same forward code on [`Graph::no_grad`]: every op
+//! returns the bits it would on a tape but appends nothing, so values
+//! are freed as their [`Var`]s drop and there is nothing to differentiate.
+//!
 //! ```
 //! use stwa_autograd::Graph;
 //! use stwa_tensor::Tensor;

@@ -298,3 +298,101 @@ fn attention_gradients_match_central_differences() {
         assert!(r.passes(3e-2), "operand {wrt}: {r:?}");
     }
 }
+
+// ---------------------------------------------------------------------
+// A graph that records nothing computes the same bits
+// ---------------------------------------------------------------------
+
+/// Every public forward op once, on whichever graph kind `g` is; the
+/// values in call order. `leaf` inputs make the recording run carry
+/// `requires_grad` through, which must not change any value.
+fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>> {
+    use stwa_autograd::{concat, stack, ActKind};
+    let shape = a.shape().to_vec(); // [B, N, d]
+    let (n, d) = (shape[1], shape[2]);
+    let x = g.leaf(a.clone());
+    let y = g.constant(b.clone());
+    let pos = x.abs().add_scalar(0.5);
+    let bias = g.leaf(b.narrow(0, 0, 1)?.narrow(1, 0, 1)?.reshape(&[d])?);
+    let mask = Tensor::from_fn(&shape, |i| ((i[0] + i[1] + i[2]) % 2) as f32);
+    let sensors = std::sync::Arc::new(stwa_tensor::SensorGraph::from_neighbor_lists(
+        n,
+        &(0..n).map(|i| (i.saturating_sub(1)..=i).collect()).collect::<Vec<_>>(),
+    )?);
+    let out = vec![
+        x.add(&y)?,
+        x.sub(&y)?,
+        x.mul(&y)?,
+        x.div(&pos)?,
+        x.neg(),
+        x.exp(),
+        pos.ln(),
+        pos.sqrt(),
+        x.tanh(),
+        x.sigmoid(),
+        x.relu(),
+        x.abs(),
+        x.square()?,
+        x.add_scalar(0.25),
+        x.mul_scalar(-1.5),
+        x.matmul(&y.transpose_last2()?)?,
+        x.matmul_nt(&y)?,
+        x.sparse_attend(&y, &pos, &sensors, 0.5)?,
+        x.attention(&y, &pos, heads)?,
+        x.sum_axis(1, true)?,
+        x.mean_axis(2, false)?,
+        x.sum_all()?,
+        x.mean_all()?,
+        x.softmax(2)?,
+        x.softmax(1)?,
+        x.reshape(&[shape[0] * n, d])?,
+        x.unsqueeze(1)?,
+        x.unsqueeze(1)?.squeeze(1)?,
+        x.permute(&[2, 0, 1])?,
+        x.swap_axes(0, 2)?,
+        x.transpose_last2()?,
+        x.narrow(1, n - 1, 1)?,
+        x.index_select(2, &[d - 1, 0, d - 1])?,
+        x.narrow(0, 0, 1)?.broadcast_to(&[3, n, d])?,
+        x.where_mask(&mask, &y)?,
+        x.huber_loss(&y, 0.7)?,
+        x.bias_add_act(&bias, ActKind::Identity)?,
+        x.bias_add_act(&bias, ActKind::Relu)?,
+        x.bias_add_act(&bias, ActKind::Tanh)?,
+        x.bias_add_act(&bias, ActKind::Sigmoid)?,
+        concat(&[&x, &y, &pos], 1)?,
+        stack(&[&x, &y], 0)?,
+        x.detach(),
+    ];
+    Ok(out.iter().map(|v| v.value().as_ref().clone()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn no_grad_graph_yields_the_recorded_bits_and_no_nodes(
+        b in 1usize..=3,
+        n in 1usize..=5,
+        heads in 1usize..=2,
+        dh in 1usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = [b, n, heads * dh];
+        let (ta, tb) = (Tensor::randn(&shape, &mut rng), Tensor::randn(&shape, &mut rng));
+        let recording = Graph::new();
+        let silent = Graph::no_grad();
+        poison_pool(b * n * heads * dh * 3);
+        let want = every_op(&recording, [&ta, &tb], heads).unwrap();
+        poison_pool(b * n * heads * dh * 3);
+        let got = every_op(&silent, [&ta, &tb], heads).unwrap();
+        prop_assert!(recording.len() > want.len());
+        prop_assert_eq!(silent.len(), 0);
+        prop_assert_eq!(want.len(), got.len());
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            prop_assert_eq!(w.shape(), g.shape(), "op #{}", i);
+            prop_assert_eq!(bits(w), bits(g), "op #{}", i);
+        }
+    }
+}

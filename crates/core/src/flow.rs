@@ -24,7 +24,7 @@
 use rand::Rng;
 use stwa_autograd::{Graph, Var};
 use stwa_nn::{init, Param, ParamStore};
-use stwa_tensor::{linalg, Result, Tensor, TensorError};
+use stwa_tensor::{Result, Tensor, TensorError};
 
 /// One planar flow layer with learnable `u, w ∈ R^k`, `b ∈ R`.
 struct PlanarLayer {
@@ -73,27 +73,9 @@ impl FlowStack {
         let mut current = z.clone();
         let mut logdet_sum: Option<Var> = None;
         for layer in &self.layers {
-            let u_raw = layer.u.leaf(graph); // [k]
-            let w = layer.w.leaf(graph); // [k]
-            let b = layer.b.leaf(graph); // [1]
-                                         // Invertibility (Rezende & Mohamed, appendix): constrain
-                                         // u·w >= -1 by reparameterizing
-                                         //   u_hat = u + (m(u·w) - u·w) * w / ||w||^2,
-                                         //   m(x)  = -1 + softplus(x) = -1 + ln(1 + e^x) > -1.
-                                         // Without this, training can push a layer non-invertible and
-                                         // the "density" the MC-KL estimates stops being one.
-            let w_row = w.reshape(&[1, self.k])?;
-            let u_col = u_raw.reshape(&[self.k, 1])?;
-            let uw = w_row.matmul(&u_col)?.reshape(&[1])?; // scalar u·w
-            let softplus = uw.exp().add_scalar(1.0).ln();
-            let m_uw = softplus.add_scalar(-1.0);
-            let w_norm_sq = w_row.matmul(&w.reshape(&[self.k, 1])?)?.reshape(&[1])?;
-            let coeff = m_uw.sub(&uw)?.div(&w_norm_sq.add_scalar(1e-8))?; // [1]
-            let u = u_raw.add(&coeff.mul(&w)?)?; // [k] via broadcasting
-                                                 // w · z per row: [..., k] @ [k, 1] -> [..., 1].
-                                                 // w . z per row: batched matmul broadcasts [k, 1] over the
-                                                 // leading axes, so no manual flattening is needed.
-            let w_col = w.reshape(&[self.k, 1])?;
+            let (u, w_col, b) = layer.constrained(graph, self.k)?;
+            // w · z per row: batched matmul broadcasts [k, 1] over the
+            // leading axes, so no manual flattening is needed.
             let pre = current.matmul(&w_col)?.add(&b)?; // [..., 1]
             let t = pre.tanh();
             // z' = z + u * t  (u broadcasts over rows, t over features).
@@ -114,60 +96,46 @@ impl FlowStack {
         Ok((current, logdet_sum.expect("depth >= 1")))
     }
 
-    /// Tape-free transform: the same `z'` arithmetic as
-    /// [`FlowStack::forward`] on plain tensors, with the log-determinant
-    /// terms skipped — they feed only the KL, which eval never computes,
-    /// and their arithmetic never touches `current`, so dropping them
-    /// leaves the transformed latent bitwise identical.
-    pub fn transform_nograd(&self, z: &Tensor) -> Result<Tensor> {
-        let shape = z.shape();
-        let rank = shape.len();
-        if rank < 2 || shape[rank - 1] != self.k {
-            return Err(TensorError::Invalid(format!(
-                "FlowStack: expected rank >= 2 with last dim {}, got {shape:?}",
-                self.k
-            )));
-        }
-        let mut current = z.clone();
-        for layer in &self.layers {
-            let (u, w_col, b) = layer.constrained_nograd(self.k)?;
-            let pre = linalg::matmul(&current, &w_col)?.add(&b)?;
-            let t = pre.tanh();
-            let step = t.mul(&u)?;
-            current = current.add(&step)?;
-        }
-        Ok(current)
-    }
-
     /// Per-layer frozen flow constants for the inference engine: the
     /// constrained `u_hat` (`[k]`), the column weight (`[k, 1]`), and the
-    /// bias (`[1]`). These depend only on parameters, so a frozen session
-    /// computes them once; per request only `matmul / add / tanh / mul /
-    /// add` remain.
+    /// bias (`[1]`), read off a non-recording graph. These depend only
+    /// on parameters, so a frozen session computes them once; per
+    /// request only `matmul / add / tanh / mul / add` remain.
     pub fn frozen_layers_nograd(&self) -> Result<Vec<(Tensor, Tensor, Tensor)>> {
+        let graph = Graph::no_grad();
+        let tensor = |v: Var| v.value().as_ref().clone();
         self.layers
             .iter()
-            .map(|layer| layer.constrained_nograd(self.k))
+            .map(|layer| {
+                let (u, w_col, b) = layer.constrained(&graph, self.k)?;
+                Ok((tensor(u), tensor(w_col), tensor(b)))
+            })
             .collect()
     }
 }
 
 impl PlanarLayer {
-    /// The invertibility-constrained `u_hat`, plus `w` as a `[k, 1]`
-    /// column and the bias — the identical tensor expressions the graph
-    /// path evaluates, so downstream arithmetic stays bitwise equal.
-    fn constrained_nograd(&self, k: usize) -> Result<(Tensor, Tensor, Tensor)> {
-        let u_raw = self.u.value(); // [k]
-        let w = self.w.value(); // [k]
-        let b = self.b.value(); // [1]
+    /// The invertibility-constrained `u_hat` (`[k]`), plus `w` as a
+    /// `[k, 1]` column and the bias (`[1]`).
+    ///
+    /// Invertibility (Rezende & Mohamed, appendix): constrain
+    /// `u·w >= -1` by reparameterizing
+    ///   `u_hat = u + (m(u·w) - u·w) * w / ||w||^2`,
+    ///   `m(x)  = -1 + softplus(x) = -1 + ln(1 + e^x) > -1`.
+    /// Without this, training can push a layer non-invertible and the
+    /// "density" the MC-KL estimates stops being one.
+    fn constrained(&self, graph: &Graph, k: usize) -> Result<(Var, Var, Var)> {
+        let u_raw = self.u.leaf(graph); // [k]
+        let w = self.w.leaf(graph); // [k]
+        let b = self.b.leaf(graph); // [1]
         let w_row = w.reshape(&[1, k])?;
         let u_col = u_raw.reshape(&[k, 1])?;
-        let uw = linalg::matmul(&w_row, &u_col)?.reshape(&[1])?;
+        let uw = w_row.matmul(&u_col)?.reshape(&[1])?; // scalar u·w
         let softplus = uw.exp().add_scalar(1.0).ln();
         let m_uw = softplus.add_scalar(-1.0);
-        let w_norm_sq = linalg::matmul(&w_row, &w.reshape(&[k, 1])?)?.reshape(&[1])?;
-        let coeff = m_uw.sub(&uw)?.div(&w_norm_sq.add_scalar(1e-8))?;
-        let u = u_raw.add(&coeff.mul(&w)?)?;
+        let w_norm_sq = w_row.matmul(&w.reshape(&[k, 1])?)?.reshape(&[1])?;
+        let coeff = m_uw.sub(&uw)?.div(&w_norm_sq.add_scalar(1e-8))?; // [1]
+        let u = u_raw.add(&coeff.mul(&w)?)?; // [k] via broadcasting
         let w_col = w.reshape(&[k, 1])?;
         Ok((u, w_col, b))
     }
@@ -281,18 +249,6 @@ mod tests {
         // The constraint itself: u_hat . w >= -1 guarantees a positive
         // Jacobian argument for any t in (-1, 1).
         assert!(u_hat * w > -1.0);
-    }
-
-    #[test]
-    fn transform_nograd_bitwise_matches_graph_forward() {
-        let store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(8);
-        let flow = FlowStack::new(&store, "f", 6, 3, &mut rng);
-        let z = Tensor::randn(&[2, 5, 6], &mut rng);
-        let g = Graph::new();
-        let (graph_out, _) = flow.forward(&g, &g.constant(z.clone())).unwrap();
-        let nograd_out = flow.transform_nograd(&z).unwrap();
-        assert_eq!(graph_out.value().data(), nograd_out.data());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 
 use crate::flow::{flow_kl, FlowStack};
 use crate::latent::{GaussianSample, LatentMode, SpatialLatent, TemporalEncoder};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use stwa_autograd::{Graph, Var};
 use stwa_nn::layers::{Activation, Mlp};
 use stwa_nn::ParamStore;
@@ -82,18 +83,6 @@ impl ParamDecoder {
         self.mlp.forward(graph, theta)
     }
 
-    /// Tape-free [`ParamDecoder::forward`].
-    pub fn forward_nograd(&self, theta: &Tensor) -> Result<Tensor> {
-        if theta.shape().last() != Some(&self.k) {
-            return Err(TensorError::Invalid(format!(
-                "ParamDecoder: expected latent dim {}, got {:?}",
-                self.k,
-                theta.shape()
-            )));
-        }
-        self.mlp.forward_nograd(theta)
-    }
-
     /// The decoder MLP — read when packing frozen inference weights.
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
@@ -118,7 +107,9 @@ pub struct GeneratedParams {
     pub kl: Option<Var>,
 }
 
-/// Tape-free twin of [`GeneratedProjections`]: plain tensors, no graph.
+/// [`GeneratedProjections`] as plain tensors, off any graph — what
+/// [`StGenerator::generate_nograd`] returns and the frozen S-WA cache
+/// holds.
 pub struct GeneratedTensors {
     pub k_proj: Tensor,
     pub v_proj: Tensor,
@@ -363,75 +354,29 @@ impl StGenerator {
         Ok(GeneratedParams { layers, kl })
     }
 
-    /// Tape-free eval-mode generation: latents collapse to their means
-    /// (exactly what the graph path does with `Deterministic`), the flow
-    /// transform is applied without its log-determinant bookkeeping, and
-    /// the dead logvar head is skipped. Decoding runs the same kernels
-    /// in the same order as the graph path, so every projection is
-    /// bitwise identical to `generate_with_mode(.., Deterministic)`.
+    /// Eval-mode generation on plain tensors: [`StGenerator::generate_with_mode`]
+    /// with `Deterministic` latents (the posterior means) on a graph that
+    /// records nothing, so nothing outlives the returned projections.
     pub fn generate_nograd(&self, x: &Tensor) -> Result<Vec<GeneratedTensors>> {
-        let shape = x.shape();
-        let (b, n) = (shape[0], shape[1]);
-        if n != self.n {
-            return Err(TensorError::Invalid(format!(
-                "StGenerator: built for N={}, got N={n}",
-                self.n
-            )));
-        }
-        let _span = stwa_observe::span!("generator");
-
-        let latent_span = stwa_observe::span!("latent");
-        let s_mean: Option<Tensor> = self.spatial.as_ref().map(|s| s.means());
-        let t_mean: Option<Tensor> = match &self.temporal {
-            Some(t) => Some(t.encode_mean_nograd(x)?),
-            None => None,
-        };
-        drop(latent_span);
-
-        let theta0 = match (&s_mean, &t_mean) {
-            (Some(s), Some(t)) => s.unsqueeze(0)?.broadcast_to(t.shape())?.add(t)?,
-            (Some(s), None) => {
-                let k = s.shape()[1];
-                s.unsqueeze(0)?.broadcast_to(&[b, n, k])?
-            }
-            (None, Some(t)) => t.clone(),
-            (None, None) => {
-                return Err(TensorError::Invalid(
-                    "combine_theta: need at least one latent".into(),
-                ))
-            }
-        };
-        let theta = match &self.flow {
-            None => theta0,
-            Some(flow) => flow.transform_nograd(&theta0)?,
-        };
-
-        let decoder_span = stwa_observe::span!("decoder");
-        let mut layers = Vec::with_capacity(self.decoders.len());
-        for (l, (dec, &(fl, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
-            let flat = dec.forward_nograd(&theta)?; // [B, N, 2*fl*d]
-            let kv = flat.reshape(&[b, self.n, 2, fl, d])?;
-            let k_proj = kv.narrow(2, 0, 1)?.squeeze(2)?;
-            let v_proj = kv.narrow(2, 1, 1)?.squeeze(2)?;
-            let sca_transforms = match &self.sca_decoders {
-                None => None,
-                Some(decs) => {
-                    let flat = decs[l].forward_nograd(&theta)?; // [B, N, 2*d*d]
-                    let pair = flat.reshape(&[b, self.n, 2, d, d])?;
-                    Some((
-                        pair.narrow(2, 0, 1)?.squeeze(2)?,
-                        pair.narrow(2, 1, 1)?.squeeze(2)?,
-                    ))
-                }
-            };
-            layers.push(GeneratedTensors {
-                k_proj,
-                v_proj,
-                sca_transforms,
-            });
-        }
-        drop(decoder_span);
-        Ok(layers)
+        let graph = Graph::no_grad();
+        // Deterministic latents never draw; the seed is inert.
+        let mut rng = StdRng::seed_from_u64(0);
+        let params = self.generate_with_mode(
+            &graph,
+            &graph.constant(x.clone()),
+            &mut rng,
+            LatentMode::Deterministic,
+        )?;
+        let tensor = |v: Var| v.value().as_ref().clone();
+        Ok(params
+            .layers
+            .into_iter()
+            .map(|l| GeneratedTensors {
+                k_proj: tensor(l.k_proj),
+                v_proj: tensor(l.v_proj),
+                sca_transforms: l.sca_transforms.map(|(t1, t2)| (tensor(t1), tensor(t2))),
+            })
+            .collect())
     }
 
     /// The spatial latent, when spatially aware.

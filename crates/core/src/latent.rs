@@ -183,19 +183,6 @@ impl TemporalEncoder {
         Ok(GaussianSample { mu, logvar, z })
     }
 
-    /// Tape-free deterministic encoding: `mu_t` only, the value the
-    /// graph path's `z` collapses to in eval mode. The logvar head —
-    /// dead at eval time (no KL, no sampling) — is skipped entirely.
-    pub fn encode_mean_nograd(&self, x: &Tensor) -> Result<Tensor> {
-        let shape = x.shape();
-        let (b, n) = (shape[0], shape[1]);
-        debug_assert_eq!(shape[2], self.h, "TemporalEncoder: H mismatch");
-        debug_assert_eq!(shape[3], self.f, "TemporalEncoder: F mismatch");
-        let flat = x.reshape(&[b, n, self.h * self.f])?;
-        let hidden = self.body.forward_nograd(&flat)?;
-        self.head_mu.forward_nograd(&hidden)
-    }
-
     /// Input window length `H`.
     pub fn h(&self) -> usize {
         self.h
@@ -303,20 +290,6 @@ mod tests {
             .unwrap();
         assert!(s.logvar.value().data().iter().all(|v| v.abs() <= 4.0));
         assert!(!s.z.value().has_non_finite());
-    }
-
-    #[test]
-    fn encode_mean_nograd_bitwise_matches_deterministic_sample() {
-        let store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let enc = TemporalEncoder::new(&store, "e", 6, 2, 16, 8, &mut rng);
-        let x = Tensor::randn(&[3, 4, 6, 2], &mut rng);
-        let g = Graph::new();
-        let s = enc
-            .sample(&g, &g.constant(x.clone()), LatentMode::Deterministic, &mut rng)
-            .unwrap();
-        let mu = enc.encode_mean_nograd(&x).unwrap();
-        assert_eq!(s.z.value().data(), mu.data());
     }
 
     #[test]

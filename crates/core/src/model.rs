@@ -379,58 +379,11 @@ impl StwaModel {
         Ok(Some(flat.value().as_ref().clone()))
     }
 
-    /// Tape-free eval-mode forward: the same kernel sequence the graph
-    /// path runs with `training == false` (latents collapsed to their
-    /// means), but without allocating any autograd nodes. Bitwise
-    /// identical to the graph path by construction — every op delegates
-    /// to the same tensor kernels in the same order.
+    /// Eval-mode forward on a plain tensor: [`ForecastModel::forward_eval`]
+    /// under the name serving-side callers use — the one `forward` with
+    /// `training == false` on a graph that records nothing.
     pub fn forward_nograd(&self, x: &Tensor) -> Result<Tensor> {
-        let shape = x.shape();
-        if shape.len() != 4
-            || shape[1] != self.config.n
-            || shape[2] != self.config.h
-            || shape[3] != self.config.f_in
-        {
-            return Err(TensorError::Invalid(format!(
-                "StwaModel: expected [B, {}, {}, {}], got {shape:?}",
-                self.config.n, self.config.h, self.config.f_in
-            )));
-        }
-        let b = shape[0];
-        let _span = stwa_observe::span!("forward");
-
-        let generated = match &self.generator {
-            Some(gen) => Some(gen.generate_nograd(x)?),
-            None => None,
-        };
-
-        let mut h = x.clone();
-        let mut skip_sum: Option<Tensor> = None;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let layer_span = stwa_observe::span!("wa_layer{}", l);
-            let proj = generated.as_ref().map(|g| &g[l]);
-            let out = layer.forward_nograd(&h, proj)?; // [B, N, W, d]
-            let w = layer.num_windows();
-            let flat = out.reshape(&[b, self.config.n, w * self.config.d])?;
-            let skip = self.skips[l].forward_nograd(&flat)?; // [B, N, d]
-            skip_sum = Some(match skip_sum {
-                None => skip,
-                Some(acc) => acc.add(&skip)?,
-            });
-            h = out;
-            drop(layer_span);
-        }
-        let o = skip_sum.expect("at least one layer");
-
-        let predictor_span = stwa_observe::span!("predictor");
-        let pred = self.predictor.forward_nograd(&o)?.reshape(&[
-            b,
-            self.config.n,
-            self.config.u,
-            self.config.f_in,
-        ])?;
-        drop(predictor_span);
-        Ok(pred)
+        self.forward_eval(x)
     }
 
     /// The parameter generator, when the model is ST/S/T-aware.
@@ -561,10 +514,6 @@ impl ForecastModel for StwaModel {
         };
 
         Ok(ForwardOutput { pred, regularizer })
-    }
-
-    fn forward_eval(&self, x: &Tensor) -> Result<Tensor> {
-        self.forward_nograd(x)
     }
 }
 
@@ -761,8 +710,8 @@ mod tests {
 
     #[test]
     fn nograd_forward_bitwise_matches_graph_eval_path() {
-        // Every variant: the tape-free forward must agree bit-for-bit
-        // with the graph path in eval mode (training = false).
+        // Every variant: `forward` on a graph that records nothing must
+        // agree bit for bit with `forward` on a tape (training = false).
         let configs = [
             StwaConfig::st_wa(3, 12, 4),
             StwaConfig::s_wa(3, 12, 4),

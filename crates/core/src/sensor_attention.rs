@@ -6,7 +6,7 @@ use std::sync::Arc;
 use stwa_autograd::{Graph, Var};
 use stwa_nn::layers::Linear;
 use stwa_nn::ParamStore;
-use stwa_tensor::{linalg, sparse, Result, SensorGraph, Tensor, TensorError};
+use stwa_tensor::{Result, SensorGraph, TensorError};
 
 /// Which sensor pairs the correlation attention scores.
 ///
@@ -161,63 +161,6 @@ impl SensorCorrelationAttention {
         }
     }
 
-    /// Tape-free [`SensorCorrelationAttention::forward`]: identical
-    /// kernels and order, no graph nodes.
-    pub fn forward_nograd(&self, h: &Tensor) -> Result<Tensor> {
-        let shape = h.shape();
-        let rank = shape.len();
-        if rank < 2 || shape[rank - 1] != self.d {
-            return Err(TensorError::Invalid(format!(
-                "SensorCorrelationAttention: expected [..., N, {}], got {shape:?}",
-                self.d
-            )));
-        }
-        let (Some(theta1), Some(theta2)) = (&self.theta1, &self.theta2) else {
-            return Err(TensorError::Invalid(
-                "SensorCorrelationAttention built for generated transforms \
-                 requires forward_with"
-                    .into(),
-            ));
-        };
-        let _span = stwa_observe::span!("sensor_attention");
-        let q = theta1.forward_nograd(h)?;
-        let k = theta2.forward_nograd(h)?;
-        self.attend_nograd(&q, &k, h)
-    }
-
-    /// Tape-free [`SensorCorrelationAttention::forward_with`]. `t1`/`t2`
-    /// may carry any leading axes that broadcast against `[B, N]` under
-    /// batched matmul — per-sensor `[N, d, d]` frozen transforms included.
-    pub fn forward_with_nograd(&self, h: &Tensor, t1: &Tensor, t2: &Tensor) -> Result<Tensor> {
-        let shape = h.shape();
-        if shape.len() != 3 || shape[2] != self.d {
-            return Err(TensorError::Invalid(format!(
-                "SensorCorrelationAttention::forward_with: expected [B, N, {}], got {shape:?}",
-                self.d
-            )));
-        }
-        let _span = stwa_observe::span!("sensor_attention");
-        let rows = h.unsqueeze(2)?;
-        let q = linalg::matmul(&rows, t1)?.squeeze(2)?;
-        let k = linalg::matmul(&rows, t2)?.squeeze(2)?;
-        self.attend_nograd(&q, &k, h)
-    }
-
-    /// Tape-free twin of [`SensorCorrelationAttention::attend`].
-    fn attend_nograd(&self, q: &Tensor, k: &Tensor, h: &Tensor) -> Result<Tensor> {
-        let scale = 1.0 / (self.d as f32).sqrt();
-        match &self.mode {
-            SparsityMode::Dense => {
-                let scores = linalg::matmul_nt(q, k)?.mul_scalar(scale);
-                let weights = scores.softmax(scores.rank() - 1)?;
-                linalg::matmul(&weights, h)
-            }
-            SparsityMode::Sparse(graph) => {
-                Ok(sparse::sparse_attention_forward(q, k, h, graph, scale)?.0)
-            }
-        }
-    }
-
     /// Shared embedding transforms, when present — read by the inference
     /// engine when packing frozen weights.
     pub fn shared_transforms(&self) -> (Option<&Linear>, Option<&Linear>) {
@@ -359,8 +302,10 @@ mod tests {
                 );
             }
 
-            // Tape-free path must agree with the training-graph forward too.
-            assert_eq!(sca.forward_nograd(&x).unwrap().data(), &dense_out[..]);
+            // A graph that records nothing computes the same bits.
+            let eval = Graph::no_grad();
+            let out = sca.forward(&eval, &eval.constant(x.clone())).unwrap();
+            assert_eq!(out.value().data(), &dense_out[..]);
         }
     }
 
@@ -377,17 +322,17 @@ mod tests {
         .unwrap();
         sca.set_sparsity(SparsityMode::Sparse(Arc::new(graph)));
 
+        let g = Graph::no_grad();
+        let run = |h: Tensor| sca.forward(&g, &g.constant(h)).unwrap().value();
         let base = Tensor::randn(&[1, 4, 4], &mut rng);
-        let out_a = sca.forward_nograd(&base).unwrap();
+        let out_a = run(base.clone());
 
         // Perturbing sensors in the other clique must not change rows 0-1.
         let mut data = base.data().to_vec();
         for v in &mut data[8..] {
             *v += 3.0;
         }
-        let out_b = sca
-            .forward_nograd(&Tensor::from_vec(data, &[1, 4, 4]).unwrap())
-            .unwrap();
+        let out_b = run(Tensor::from_vec(data, &[1, 4, 4]).unwrap());
         assert_eq!(&out_a.data()[..8], &out_b.data()[..8]);
         assert_ne!(&out_a.data()[8..], &out_b.data()[8..]);
     }

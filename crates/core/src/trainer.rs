@@ -74,15 +74,15 @@ pub trait ForecastModel {
     /// Eval-mode forward on a raw normalized tensor, returning the
     /// normalized predictions `[B, N, U, F]`.
     ///
-    /// The default implementation runs the graph path with
-    /// `training == false` and discards the tape. Evaluation never
-    /// samples latents (posterior means), so the RNG is not consulted
-    /// and the fixed seed below is inert. Models with a tape-free
-    /// mirror (e.g. `StwaModel::forward_nograd`) override this to skip
-    /// graph construction entirely; overrides must stay bitwise
-    /// identical to the graph path.
+    /// This is [`ForecastModel::forward`] with `training == false` on a
+    /// [`Graph::no_grad`] graph: the same ops produce the same bits as
+    /// on a tape, but nothing is recorded, so each intermediate is freed
+    /// as soon as the forward drops it and parameters keep whatever
+    /// training binding they had. Evaluation never samples latents
+    /// (posterior means), so the RNG is not consulted and the fixed seed
+    /// below is inert. There is one forward per model; do not override.
     fn forward_eval(&self, x: &Tensor) -> Result<Tensor> {
-        let graph = Graph::new();
+        let graph = Graph::no_grad();
         let xv = graph.constant(x.clone());
         let mut rng = StdRng::seed_from_u64(0);
         let out = self.forward(&graph, &xv, &mut rng, false)?;
@@ -764,8 +764,8 @@ impl Trainer {
                 let out = model.forward(&graph, &xv, rng, training)?;
                 out.pred.value().as_ref().clone()
             } else {
-                // Evaluation takes the tape-free path: no autograd
-                // nodes, same kernels, bitwise-identical predictions.
+                // Evaluation records nothing: same forward, same bits,
+                // no tape.
                 model.forward_eval(&bx)?
             };
             let raw = scaler.inverse(&pred);
@@ -927,9 +927,9 @@ mod tests {
 
     #[test]
     fn evaluate_uses_nograd_path_with_bitwise_identical_metrics() {
-        // Rewiring evaluation onto the tape-free forward must not move
-        // a single bit of the reported metrics: compare against a
-        // manual graph-path evaluation of the same split.
+        // Evaluating on a graph that records nothing must not move a
+        // single bit of the reported metrics: compare against a manual
+        // evaluation of the same split on a recording graph.
         let dataset = TrafficDataset::generate(DatasetConfig::small());
         let n = dataset.num_sensors();
         let mut rng = StdRng::seed_from_u64(9);
@@ -940,7 +940,7 @@ mod tests {
 
         let via_eval = trainer.evaluate(&model, &split, &scaler, &mut rng).unwrap();
 
-        // Manual graph-path reference, batched identically.
+        // Manual recorded-graph reference, batched identically.
         let num = split.x.shape()[0];
         let bs = trainer.config.batch_size;
         let mut chunks: Vec<Tensor> = Vec::new();

@@ -19,14 +19,14 @@
 //! layers shrinks the time axis geometrically (Figure 8), keeping the
 //! whole stack linear in `T` (Section IV-D complexity analysis).
 
-use crate::generator::{GeneratedProjections, GeneratedTensors};
+use crate::generator::GeneratedProjections;
 use crate::sensor_attention::SensorCorrelationAttention;
 use rand::Rng;
 use stwa_autograd::{concat, Graph, Var};
-use stwa_nn::layers::attention::{scaled_dot_attention, scaled_dot_attention_nograd};
+use stwa_nn::layers::attention::scaled_dot_attention;
 use stwa_nn::layers::{Activation, Linear};
 use stwa_nn::{init, Param, ParamStore};
-use stwa_tensor::{linalg, manip, Result, Tensor, TensorError};
+use stwa_tensor::{Result, TensorError};
 
 /// How the `p` proxies of a window are collapsed into one vector —
 /// the paper's learned gate (Eq. 12–13) vs. the mean-aggregator ablation
@@ -275,97 +275,6 @@ impl WindowAttentionLayer {
         concat(&refs, 2) // [B, N, W, d]
     }
 
-    /// Tape-free [`WindowAttentionLayer::forward`]: the same kernel
-    /// sequence on raw tensors, no autograd nodes. `generated` carries
-    /// pre-decoded (or freshly decoded) K/V projections — any leading
-    /// axes that broadcast against `[B, N]` work, so the inference
-    /// engine's frozen `[N, 1, F, d]` caches slot straight in.
-    pub fn forward_nograd(
-        &self,
-        x: &Tensor,
-        generated: Option<&GeneratedTensors>,
-    ) -> Result<Tensor> {
-        let shape = x.shape();
-        if shape.len() != 4 || shape[1] != self.n || shape[2] != self.t_in || shape[3] != self.f_in
-        {
-            return Err(TensorError::Invalid(format!(
-                "WindowAttentionLayer: expected [B, {}, {}, {}], got {shape:?}",
-                self.n, self.t_in, self.f_in
-            )));
-        }
-        let b = shape[0];
-        let (w, s, p, d) = (self.w, self.s, self.p, self.d);
-
-        let x_win = x.reshape(&[b, self.n, w, s, self.f_in])?;
-        let (keys, values) = match generated {
-            Some(gp) => {
-                let kp = gp.k_proj.unsqueeze(gp.k_proj.rank() - 2)?;
-                let vp = gp.v_proj.unsqueeze(gp.v_proj.rank() - 2)?;
-                (
-                    linalg::matmul(&x_win, &kp)?,
-                    linalg::matmul(&x_win, &vp)?,
-                )
-            }
-            None => {
-                let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
-                    return Err(TensorError::Invalid(
-                        "WindowAttentionLayer built without shared projections \
-                         requires generated K/V"
-                            .into(),
-                    ));
-                };
-                (ks.forward_nograd(&x_win)?, vs.forward_nograd(&x_win)?)
-            }
-        };
-
-        let proxies = self.proxies.value(); // [N, W, p, d]
-        let agg_w1 = self.agg_w1.value();
-        let agg_w2 = self.agg_w2.value();
-
-        let mut prev: Option<Tensor> = None;
-        let mut outputs: Vec<Tensor> = Vec::with_capacity(w);
-        for wi in 0..w {
-            let k_w = keys.narrow(2, wi, 1)?.squeeze(2)?; // [B, N, S, d]
-            let v_w = values.narrow(2, wi, 1)?.squeeze(2)?;
-            let p_base = proxies
-                .narrow(1, wi, 1)?
-                .squeeze(1)?
-                .unsqueeze(0)?
-                .broadcast_to(&[b, self.n, p, d])?;
-            let p_q = match &prev {
-                None => p_base,
-                Some(h_prev) => {
-                    let fusion = self.fusion.as_ref().expect("w > 1 implies fusion");
-                    let tiled = h_prev.unsqueeze(2)?.broadcast_to(&[b, self.n, p, d])?;
-                    let stacked = manip::concat(&[&tiled, &p_base], 3)?; // [B,N,p,2d]
-                    fusion.forward_act_nograd(&stacked, Activation::Tanh)?
-                }
-            };
-            let h_w = scaled_dot_attention_nograd(&p_q, &k_w, &v_w, self.heads)?; // [B,N,p,d]
-            let h_hat = match self.aggregator {
-                AggregatorKind::Learned => {
-                    let gate = linalg::matmul(&h_w, &agg_w1)?
-                        .tanh();
-                    let gate = linalg::matmul(&gate, &agg_w2)?.sigmoid();
-                    gate.mul(&h_w)?.sum_axis(2, false)? // [B,N,d]
-                }
-                AggregatorKind::Mean => h_w.mean_axis(2, false)?,
-            };
-            let h_bar = match (
-                &self.sensor_attention,
-                generated.and_then(|g| g.sca_transforms.as_ref()),
-            ) {
-                (Some(sca), Some((t1, t2))) => sca.forward_with_nograd(&h_hat, t1, t2)?,
-                (Some(sca), None) => sca.forward_nograd(&h_hat)?,
-                (None, _) => h_hat,
-            };
-            prev = Some(h_bar.clone());
-            outputs.push(h_bar.unsqueeze(2)?);
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        manip::concat(&refs, 2) // [B, N, W, d]
-    }
-
     /// Learnable proxy tensor `[N, W, p, d]` — read by the inference
     /// engine when snapshotting frozen weights.
     pub fn proxies(&self) -> &Param {
@@ -609,54 +518,6 @@ mod tests {
             .map(|p| p.name().to_string())
             .collect();
         assert!(missing.is_empty(), "no grad for {missing:?}");
-    }
-
-    #[test]
-    fn nograd_forward_bitwise_matches_graph_path() {
-        for (agg, sca) in [
-            (AggregatorKind::Learned, true),
-            (AggregatorKind::Learned, false),
-            (AggregatorKind::Mean, true),
-        ] {
-            let (_s, l) = layer(3, 12, 3, 2, agg, sca);
-            let g = Graph::new();
-            let mut rng = StdRng::seed_from_u64(11);
-            let x = Tensor::randn(&[2, 3, 12, 1], &mut rng);
-            let graph_out = l.forward(&g, &g.constant(x.clone()), None).unwrap();
-            let nograd_out = l.forward_nograd(&x, None).unwrap();
-            assert_eq!(graph_out.value().data(), nograd_out.data());
-        }
-
-        // Generated-projection path: Var projections vs the same raw
-        // tensors through the nograd mirror.
-        let (_s, l) = layer(2, 12, 3, 1, AggregatorKind::Learned, false);
-        let g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(12);
-        let x = Tensor::randn(&[2, 2, 12, 1], &mut rng);
-        let k = Tensor::randn(&[2, 2, 1, 8], &mut rng);
-        let v = Tensor::randn(&[2, 2, 1, 8], &mut rng);
-        let graph_out = l
-            .forward(
-                &g,
-                &g.constant(x.clone()),
-                Some(&GeneratedProjections {
-                    k_proj: g.constant(k.clone()),
-                    v_proj: g.constant(v.clone()),
-                    sca_transforms: None,
-                }),
-            )
-            .unwrap();
-        let nograd_out = l
-            .forward_nograd(
-                &x,
-                Some(&GeneratedTensors {
-                    k_proj: k,
-                    v_proj: v,
-                    sca_transforms: None,
-                }),
-            )
-            .unwrap();
-        assert_eq!(graph_out.value().data(), nograd_out.data());
     }
 
     #[test]

@@ -36,9 +36,12 @@
 //! their last layer runs whole, once per layer, into one flat
 //! `[B·N, 2·d·d]` buffer that [`project_run`] reads in place.
 //!
-//! The frozen forward mirrors `StwaModel::forward_nograd` — which in
-//! turn mirrors the graph path in eval mode — kernel-for-kernel, so its
-//! predictions are bitwise identical to the training-time evaluation.
+//! The frozen forward mirrors `StwaModel::forward` in eval mode
+//! (`training == false`, what `forward_eval` / `forward_nograd` run on
+//! a graph that records nothing) kernel-for-kernel, so its predictions
+//! are bitwise identical to the training-time evaluation. It is the
+//! only second definition of the model; `tests/frozen_contract.rs` is
+//! the pin between the two.
 
 use crate::packed::{PackedDense, PackedMlp, PackedWeight};
 use stwa_core::generator::GeneratedTensors;
@@ -276,45 +279,15 @@ impl FrozenStwa {
     fn freeze_generator(gen: &StGenerator, precision: Precision) -> Result<FrozenGenerator> {
         match gen.temporal() {
             // Spatial-only: `Theta` is input-independent, so decode the
-            // per-sensor parameters once, with a singleton batch axis
-            // that broadcasts against any request batch.
+            // per-sensor parameters once — one eval-mode generation at
+            // batch 1, whose singleton batch axis broadcasts against any
+            // request batch. The window's content is never read.
             None => {
                 let spatial = gen.spatial().ok_or_else(|| {
                     TensorError::Invalid("freeze: generator with no latents".into())
                 })?;
-                let means = spatial.means(); // [N, k]
-                let (n, k) = (means.shape()[0], means.shape()[1]);
-                let theta0 = means.unsqueeze(0)?.broadcast_to(&[1, n, k])?;
-                let theta = match gen.flow() {
-                    None => theta0,
-                    Some(flow) => flow.transform_nograd(&theta0)?,
-                };
-                let mut cached = Vec::with_capacity(gen.decoders().len());
-                for (l, (dec, &(fl, d))) in
-                    gen.decoders().iter().zip(gen.layer_dims()).enumerate()
-                {
-                    let flat = dec.forward_nograd(&theta)?; // [1, N, 2*fl*d]
-                    let kv = flat.reshape(&[1, n, 2, fl, d])?;
-                    let k_proj = kv.narrow(2, 0, 1)?.squeeze(2)?;
-                    let v_proj = kv.narrow(2, 1, 1)?.squeeze(2)?;
-                    let sca_transforms = match gen.sca_decoders() {
-                        None => None,
-                        Some(decs) => {
-                            let flat = decs[l].forward_nograd(&theta)?;
-                            let pair = flat.reshape(&[1, n, 2, d, d])?;
-                            Some((
-                                pair.narrow(2, 0, 1)?.squeeze(2)?,
-                                pair.narrow(2, 1, 1)?.squeeze(2)?,
-                            ))
-                        }
-                    };
-                    cached.push(GeneratedTensors {
-                        k_proj,
-                        v_proj,
-                        sca_transforms,
-                    });
-                }
-                Ok(FrozenGenerator::Static(cached))
+                let x = Tensor::zeros(&[1, spatial.n(), 1, 1]);
+                Ok(FrozenGenerator::Static(gen.generate_nograd(&x)?))
             }
             Some(temporal) => Ok(FrozenGenerator::Dynamic(Box::new(DynamicGenerator {
                 spatial_mean: gen.spatial().map(|s| s.means()),
@@ -530,8 +503,8 @@ struct DecoderHeads {
 const KV_BLOCK: usize = 64;
 
 impl DynamicGenerator {
-    /// The per-request remainder of `StGenerator::generate_nograd` up
-    /// to the decoders' last dense layers: encode `E_psi` means, combine
+    /// The per-request remainder of eval-mode `StGenerator::generate`
+    /// up to the decoders' last dense layers: encode `E_psi` means, combine
     /// with the cached spatial means, apply the flow with precomputed
     /// constrained parameters, run every decoder's head.
     fn decoder_heads(&self, x: &Tensor, b: usize) -> Result<Vec<DecoderHeads>> {
@@ -690,7 +663,7 @@ impl FrozenLayer {
         x.reshape(&[b, self.n, self.w, self.s, self.f_in])
     }
 
-    /// Mirror of `WindowAttentionLayer::forward_nograd` with packed
+    /// Mirror of `WindowAttentionLayer::forward` with packed
     /// weights and the proxy broadcasts served from the batch plan.
     fn forward(
         &self,
@@ -881,8 +854,8 @@ enum ScaTransforms<'a> {
 }
 
 impl FrozenSca {
-    /// Mirror of `SensorCorrelationAttention::forward_nograd` with
-    /// packed shared transforms.
+    /// Mirror of `SensorCorrelationAttention::forward` with packed
+    /// shared transforms.
     fn forward(&self, h: &Tensor) -> Result<Tensor> {
         let (Some(theta1), Some(theta2)) = (&self.theta1, &self.theta2) else {
             return Err(TensorError::Invalid(
@@ -895,7 +868,7 @@ impl FrozenSca {
         self.attend(&q, &k, h)
     }
 
-    /// Mirror of `SensorCorrelationAttention::forward_with_nograd`: the
+    /// Mirror of `SensorCorrelationAttention::forward_with`: the
     /// per-sensor transforms `q = h @ T1`, `k = h @ T2` are the K/V
     /// projection with one row per sensor.
     fn forward_with(&self, h: &Tensor, transforms: &ScaTransforms<'_>) -> Result<Tensor> {

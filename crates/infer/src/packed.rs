@@ -4,8 +4,8 @@
 //! of two [`Precision`]s — f32 (bitwise-equal serving) or symmetric
 //! int8 (see `stwa_tensor::quant`).
 //!
-//! Every f32 forward here mirrors the corresponding tape-free path in
-//! `stwa-nn` branch-for-branch; `matmul_packed_lean` is bitwise
+//! Every f32 forward here mirrors the corresponding `stwa-nn` layer's
+//! `forward` branch-for-branch; `matmul_packed_lean` is bitwise
 //! identical to `matmul` by the kernel accumulation-order contract (the
 //! lean entry runs the same prepacked kernel minus the per-call
 //! span/counter/pool dispatch), so an f32 packed layer's output matches
@@ -116,12 +116,12 @@ impl PackedDense {
         self.panels.packed_bytes()
     }
 
-    /// [`Linear::forward_nograd`] on the packed weight.
+    /// [`Linear::forward`] on the packed weight, off any graph.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
         self.forward_act(x, Activation::Identity)
     }
 
-    /// [`Linear::forward_act_nograd`] on the packed weight. The bias
+    /// [`Linear::forward_act`] on the packed weight. The bias
     /// add and activation run in place on the uniquely-owned GEMM
     /// output — the same `kind.apply(a + bias)` scalar chain as both
     /// the fused `bias_add_act` zip and the unfused add-then-activate
@@ -212,7 +212,7 @@ impl PackedMlp {
         })
     }
 
-    /// [`Mlp::forward_nograd`] over the packed layers.
+    /// [`Mlp::forward`] over the packed layers, off any graph.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let mut h = x.clone();
         for (layer, act) in self.layers.iter().zip(&self.activations) {
@@ -277,11 +277,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use stwa_autograd::Graph;
     use stwa_nn::ParamStore;
     use stwa_tensor::{linalg, memory};
 
     #[test]
-    fn packed_dense_bitwise_matches_linear_nograd() {
+    fn packed_dense_bitwise_matches_linear_forward() {
         let store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(1);
         let layer = Linear::new(&store, "l", 9, 13, &mut rng);
@@ -290,9 +291,11 @@ mod tests {
         for fused in [true, false] {
             let prev = memory::fused_enabled();
             memory::set_fused_enabled(fused);
+            let g = Graph::no_grad();
             let want = layer
-                .forward_act_nograd(&x, Activation::Tanh)
-                .unwrap();
+                .forward_act(&g, &g.constant(x.clone()), Activation::Tanh)
+                .unwrap()
+                .value();
             let got = packed.forward_act(&x, Activation::Tanh).unwrap();
             memory::set_fused_enabled(prev);
             assert_eq!(want.data(), got.data());
@@ -304,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_mlp_bitwise_matches_mlp_nograd() {
+    fn packed_mlp_bitwise_matches_mlp_forward() {
         let store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mlp = Mlp::new(
@@ -316,8 +319,9 @@ mod tests {
         );
         let packed = PackedMlp::from_mlp(&mlp).unwrap();
         let x = Tensor::randn(&[3, 7], &mut rng);
+        let g = Graph::no_grad();
         assert_eq!(
-            mlp.forward_nograd(&x).unwrap().data(),
+            mlp.forward(&g, &g.constant(x.clone())).unwrap().value().data(),
             packed.forward(&x).unwrap().data()
         );
     }

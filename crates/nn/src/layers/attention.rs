@@ -5,7 +5,7 @@ use crate::init;
 use crate::param::{Param, ParamStore};
 use rand::Rng;
 use stwa_autograd::{Graph, Var};
-use stwa_tensor::{Result, Tensor, TensorError};
+use stwa_tensor::{Result, TensorError};
 
 /// Multi-head scaled-dot-product self-attention.
 ///
@@ -92,17 +92,6 @@ impl MultiHeadSelfAttention {
 /// must divide `d`. One tape node ([`Var::attention`]).
 pub fn scaled_dot_attention(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
     q.attention(k, v, heads)
-}
-
-/// Tape-free [`scaled_dot_attention`]: the same fused kernel with the
-/// softmax weights dropped. Bitwise equal to the graph path.
-pub fn scaled_dot_attention_nograd(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-) -> Result<Tensor> {
-    stwa_tensor::attention::forward(q, k, v, heads).map(|(out, _weights)| out)
 }
 
 #[cfg(test)]
@@ -211,26 +200,6 @@ mod tests {
                 assert!(val >= lo - 1e-5 && val <= hi + 1e-5);
             }
         }
-    }
-
-    #[test]
-    fn nograd_attention_bitwise_matches_graph_path() {
-        let g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(12);
-        let q = Tensor::randn(&[2, 3, 5, 8], &mut rng);
-        let k = Tensor::randn(&[2, 3, 9, 8], &mut rng);
-        let v = Tensor::randn(&[2, 3, 9, 8], &mut rng);
-        let graph_out = scaled_dot_attention(
-            &g.constant(q.clone()),
-            &g.constant(k.clone()),
-            &g.constant(v.clone()),
-            4,
-        )
-        .unwrap()
-        .value();
-        let nograd_out = scaled_dot_attention_nograd(&q, &k, &v, 4).unwrap();
-        assert_eq!(graph_out.shape(), nograd_out.shape());
-        assert_eq!(graph_out.data(), nograd_out.data());
     }
 
     #[test]

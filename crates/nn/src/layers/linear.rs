@@ -5,7 +5,7 @@ use crate::init;
 use crate::param::{Param, ParamStore};
 use rand::Rng;
 use stwa_autograd::{ActKind, Graph, Var};
-use stwa_tensor::{linalg, memory, Result, Tensor, TensorError};
+use stwa_tensor::{memory, Result, TensorError};
 
 /// Pointwise nonlinearity selector for [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,24 +27,12 @@ impl Activation {
     }
 
     /// The autograd-side fused-kernel selector for this activation.
-    /// Public so the tape-free inference path can fuse identically.
     pub fn kind(&self) -> ActKind {
         match self {
             Activation::Identity => ActKind::Identity,
             Activation::Relu => ActKind::Relu,
             Activation::Tanh => ActKind::Tanh,
             Activation::Sigmoid => ActKind::Sigmoid,
-        }
-    }
-
-    /// Tensor-path mirror of [`Activation::apply`] — the same underlying
-    /// kernels the `Var` ops delegate to, so results are bitwise equal.
-    pub fn apply_tensor(&self, x: &Tensor) -> Tensor {
-        match self {
-            Activation::Identity => x.clone(),
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
         }
     }
 }
@@ -160,47 +148,6 @@ impl Linear {
     pub fn weight_param(&self) -> &Param {
         &self.w
     }
-
-    /// Tape-free [`Linear::forward`]: same kernels, same order, no graph
-    /// nodes. Bitwise equal to the graph path in eval mode.
-    pub fn forward_nograd(&self, x: &Tensor) -> Result<Tensor> {
-        self.forward_act_nograd(x, Activation::Identity)
-    }
-
-    /// Tape-free [`Linear::forward_act`]. Mirrors the graph path
-    /// branch-for-branch — including the fused bias+activation `zip`
-    /// under [`memory::fused_enabled`] — so either switch setting
-    /// produces identical bits to the corresponding `Var` sequence.
-    pub fn forward_act_nograd(&self, x: &Tensor, act: Activation) -> Result<Tensor> {
-        let shape = x.shape().to_vec();
-        let rank = shape.len();
-        if rank == 0 || shape[rank - 1] != self.in_dim {
-            return Err(TensorError::Invalid(format!(
-                "Linear: expected last dim {}, got shape {:?}",
-                self.in_dim, shape
-            )));
-        }
-        let w = self.w.value();
-        let lead: usize = shape[..rank - 1].iter().product();
-        let flat = x.reshape(&[lead, self.in_dim])?;
-        let mut y = linalg::matmul(&flat, &w)?;
-        let mut applied = false;
-        if let Some(b) = &self.b {
-            let b = b.value();
-            if memory::fused_enabled() {
-                y = act.kind().bias_add(&y, &b)?;
-                applied = true;
-            } else {
-                y = y.add(&b)?;
-            }
-        }
-        if !applied {
-            y = act.apply_tensor(&y);
-        }
-        let mut out_shape = shape[..rank - 1].to_vec();
-        out_shape.push(self.out_dim);
-        y.reshape(&out_shape)
-    }
 }
 
 /// A stack of [`Linear`] layers with per-layer activations — the "2/3
@@ -240,15 +187,6 @@ impl Mlp {
         let mut h = x.clone();
         for (layer, act) in self.layers.iter().zip(&self.activations) {
             h = layer.forward_act(graph, &h, *act)?;
-        }
-        Ok(h)
-    }
-
-    /// Tape-free [`Mlp::forward`]: folds the layers' tape-free path.
-    pub fn forward_nograd(&self, x: &Tensor) -> Result<Tensor> {
-        let mut h = x.clone();
-        for (layer, act) in self.layers.iter().zip(&self.activations) {
-            h = layer.forward_act_nograd(&h, *act)?;
         }
         Ok(h)
     }
@@ -348,33 +286,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = Linear::new_no_bias(&store, "l", 3, 4, &mut rng);
         assert_eq!(store.num_scalars(), 12);
-    }
-
-    #[test]
-    fn nograd_forward_bitwise_matches_graph_path() {
-        let store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let mlp = Mlp::new(
-            &store,
-            "m",
-            &[5, 7, 3],
-            &[Activation::Relu, Activation::Sigmoid],
-            &mut rng,
-        );
-        let x = Tensor::randn(&[2, 6, 5], &mut rng);
-        let g = Graph::new();
-        let graph_out = mlp.forward(&g, &g.constant(x.clone())).unwrap().value();
-        let nograd_out = mlp.forward_nograd(&x).unwrap();
-        assert_eq!(graph_out.data(), nograd_out.data());
-        assert_eq!(graph_out.shape(), nograd_out.shape());
-        // And with fusion disabled (the unfused add+act branch).
-        let before = memory::fused_enabled();
-        memory::set_fused_enabled(false);
-        let unfused_graph = mlp.forward(&g, &g.constant(x.clone())).unwrap().value();
-        let unfused_nograd = mlp.forward_nograd(&x).unwrap();
-        memory::set_fused_enabled(before);
-        assert_eq!(unfused_graph.data(), unfused_nograd.data());
-        assert_eq!(graph_out.data(), unfused_graph.data());
     }
 
     #[test]

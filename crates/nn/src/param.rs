@@ -88,7 +88,15 @@ impl Param {
     /// sweep accumulates every use's contribution into the one gradient
     /// the optimizer reads. Separate leaves would each hold a partial
     /// gradient and [`Param::grad`] would see only the last one.
+    ///
+    /// On a [`Graph::no_grad`] graph there is no gradient to read, so
+    /// the value enters as a constant and the binding is left alone: an
+    /// evaluation between `backward` and the optimizer step neither
+    /// hides the training gradient nor keeps its own values alive.
     pub fn leaf(&self, graph: &Graph) -> Var {
+        if !graph.is_recording() {
+            return graph.constant(self.0.value.borrow().clone());
+        }
         if let Some(existing) = self.0.bound.borrow().as_ref() {
             if existing.belongs_to(graph) {
                 return existing.clone();
@@ -328,6 +336,20 @@ mod tests {
         assert_eq!(p.grad().unwrap().data(), &[4.0, 6.0]);
         p.unbind();
         assert!(p.grad().is_none());
+    }
+
+    #[test]
+    fn leaf_on_a_no_grad_graph_is_a_constant_and_keeps_the_binding() {
+        let store = ParamStore::new();
+        let p = store.param("w", Tensor::from_vec(vec![2.0, 3.0], &[2]).unwrap());
+        let g = Graph::new();
+        let loss = p.leaf(&g).square().unwrap().sum_all().unwrap();
+        g.backward(&loss).unwrap();
+        let eval = Graph::no_grad();
+        let w = p.leaf(&eval);
+        assert!(!w.requires_grad());
+        assert_eq!(w.value().data(), &[2.0, 3.0]);
+        assert_eq!(p.grad().unwrap().data(), &[4.0, 6.0]);
     }
 
     #[test]

@@ -495,6 +495,171 @@ mod tests {
         assert!(parse(&wide).is_ok());
     }
 
+    /// What `doc` reads back as after a write: the writer's one lossy
+    /// rule is that non-finite numbers (`1e999` parses to infinity)
+    /// become `null`.
+    fn as_written(doc: &Json) -> Json {
+        match doc {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(as_written).collect()),
+            Json::Obj(members) => Json::Obj(
+                members
+                    .iter()
+                    .map(|(k, v)| (k.clone(), as_written(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// `parse` must return, never panic; and whatever it accepts must
+    /// survive its own writers. Returns whether `text` was accepted.
+    fn survives(text: &str) -> bool {
+        let Ok(doc) = parse(text) else { return false };
+        let want = as_written(&doc);
+        assert_eq!(parse(&doc.to_string()).as_ref(), Ok(&want), "compact: {text:?}");
+        assert_eq!(parse(&doc.pretty()).as_ref(), Ok(&want), "pretty: {text:?}");
+        true
+    }
+
+    /// The same for raw bytes, read the way `stwa-serve` reads a body:
+    /// strict UTF-8 first; the lossy reading is parsed too, since it is
+    /// what a more lenient front end would hand over.
+    fn survives_bytes(bytes: &[u8]) {
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            survives(text);
+        }
+        survives(&String::from_utf8_lossy(bytes));
+    }
+
+    /// A small deterministic generator (no dependency): documents with
+    /// every value kind, escapes, multi-byte text and repeated keys.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self, bound: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % bound
+        }
+
+        fn string(&mut self) -> String {
+            const PIECES: [&str; 10] =
+                ["a", "\"", "\\", "\n", "\u{1}", "λ", "€", "🚦", "/", "k"];
+            (0..self.next(5))
+                .map(|_| PIECES[self.next(10) as usize])
+                .collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            match self.next(6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => self.next(1000) as f64 - 500.0,
+                3 => (self.next(1 << 20) as f64) / 1024.0 * 1e-7,
+                4 => f64::MAX,
+                _ => 5e-324 * self.next(9) as f64,
+            }
+        }
+
+        fn doc(&mut self, depth: usize) -> Json {
+            let kinds = if depth == 0 { 4 } else { 6 };
+            match self.next(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(self.next(2) == 0),
+                2 => Json::Num(self.number()),
+                3 => Json::Str(self.string()),
+                4 => Json::Arr((0..self.next(4)).map(|_| self.doc(depth - 1)).collect()),
+                _ => Json::Obj(
+                    // Keys come from a tiny alphabet, so they repeat.
+                    (0..self.next(4))
+                        .map(|_| (self.string(), self.doc(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_and_mangled_documents_never_panic_and_accepted_ones_round_trip() {
+        let mut gen = Gen(0x5eed);
+        let mut texts: Vec<String> = vec![
+            r#"{"frame": [0.5, -1.25e2, 3E+1, 0, 1e-7], "s": "a\u00e9\ud83d\ude00\/\b\f"}"#.into(),
+            r#" { "a" : 1 , "a" : [ true , null ] , "" : { } } "#.into(),
+            "\"λ€🚦\"".into(),
+        ];
+        for _ in 0..60 {
+            let doc = gen.doc(3);
+            texts.push(doc.to_string());
+            texts.push(doc.pretty());
+        }
+        for text in &texts {
+            assert!(survives(text), "a valid document was refused: {text:?}");
+            let bytes = text.as_bytes();
+            for cut in 0..bytes.len() {
+                // Truncated at every byte, mid-character included.
+                survives_bytes(&bytes[..cut]);
+                // Invalid UTF-8 spliced in at every byte: a lone
+                // continuation, a lone lead, a cut-short three-byte
+                // sequence, an overlong encoding, a byte no encoding uses.
+                for bad in [&b"\x80"[..], b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xff"] {
+                    let mangled = [&bytes[..cut], bad, &bytes[cut..]].concat();
+                    assert!(std::str::from_utf8(&mangled).is_err());
+                    survives_bytes(&mangled);
+                }
+            }
+        }
+        // A `\u` escape whose four "digits" run into multi-byte text.
+        for text in ["\"\\u00é\"", "\"\\uλλ\"", "\"\\u🚦\"", "\"\\u12", "\"\\ud800\""] {
+            survives(text);
+        }
+    }
+
+    #[test]
+    fn extreme_numbers_and_repeated_keys_are_accepted_or_refused_never_fatal() {
+        for exp in ["1", "38", "39", "308", "309", "999", "99999999999999999999"] {
+            for (sign, mantissa) in [("", "1"), ("-", "1"), ("", "0.000123"), ("-", "9.99")] {
+                for e in ["e", "E", "e+", "e-"] {
+                    let text = format!("{sign}{mantissa}{e}{exp}");
+                    assert!(survives(&text), "{text}");
+                    assert!(survives(&format!("[{text}, {text}]")), "[{text}, ..]");
+                }
+            }
+        }
+        // Overflow parses to infinity (the serving protocol refuses it
+        // one level up, by value), underflow to a signed zero.
+        assert_eq!(parse("1e999").unwrap().as_num(), Some(f64::INFINITY));
+        assert_eq!(parse("-1e999").unwrap().as_num(), Some(f64::NEG_INFINITY));
+        assert_eq!(parse("-1e-999").unwrap().as_num().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        for text in ["1e", "1e+", "-", "-e5", "1.e5x", ".5", "+1", "1e5e5", "0x10", "1_000"] {
+            survives(text);
+        }
+
+        // Repeated keys are kept in order; `get` answers with the first.
+        let doc = parse(r#"{"a": 1, "b": 2, "a": {"a": 3}, "a": 1}"#).unwrap();
+        assert_eq!(doc.as_obj().map(<[_]>::len), Some(4));
+        assert_eq!(doc.get("a"), Some(&Json::Num(1.0)));
+        assert!(survives(&doc.to_string()));
+
+        // A mebibyte of digits: as an integer, as a fraction, as an
+        // exponent, and as one array element among others.
+        let digits = "7".repeat(1 << 20);
+        for text in [
+            digits.clone(),
+            format!("-{digits}"),
+            format!("0.{digits}"),
+            format!("1e{digits}"),
+            format!("1e-{digits}"),
+            format!("[1, {digits}, 2]"),
+            format!("{{\"frame\": [{digits}.{digits}e-{digits}]}}"),
+        ] {
+            assert!(survives(&text), "{} bytes of digits", text.len());
+        }
+        assert!(!survives(&format!("{digits}x")));
+    }
+
     #[test]
     fn malformed_documents_error_with_offset() {
         for text in ["", "{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {

@@ -13,9 +13,9 @@
 //! lane for lane — see the slice-kernel tests).
 //!
 //! They are **deterministic** (pure float arithmetic, no flags, no
-//! tables) and are used by *every* forward path — graph, tape-free, and
-//! frozen — so the bitwise contract between training eval and the
-//! inference engine is unaffected. The golden-run constant was
+//! tables) and are used by *every* forward path — graph and frozen — so
+//! the bitwise contract between training eval and the inference engine
+//! is unaffected. The golden-run constant was
 //! re-derived when these kernels replaced `libm` (see
 //! `tests/golden_run.rs`).
 

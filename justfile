@@ -9,8 +9,7 @@ verify:
     cargo build --release
     cargo test -q
     cargo test -q -p stwa-ckpt --test corruption
-    cargo test -q -p stwa-core --test resume
-    cargo test -q -p stwa-serve -p stwa-infer
+    cargo test -q -p stwa-autograd -p stwa-nn -p stwa-core -p stwa-serve -p stwa-infer
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json

@@ -13,18 +13,23 @@
 //! forward and a transcription of it that runs the twelve-node
 //! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in the
 //! op's place must train to the same loss bits.
+//!
+//! The third holds evaluation to the same `forward`: `Trainer::evaluate`
+//! runs it on a graph that records nothing, and its metrics must be the
+//! bits of an evaluation rolled by hand on a recording graph.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_wa::autograd::{concat, Graph, Var};
 use st_wa::model::{
-    AggregatorKind, ForecastModel, GeneratedProjections, StwaConfig, StwaModel,
-    WindowAttentionLayer,
+    AggregatorKind, ForecastModel, GeneratedProjections, StwaConfig, StwaModel, TrainConfig,
+    Trainer, WindowAttentionLayer,
 };
 use st_wa::nn::layers::Activation;
 use st_wa::nn::loss::huber;
 use st_wa::nn::optim::{Adam, Optimizer};
-use st_wa::tensor::{Result, Tensor};
+use st_wa::tensor::{manip, Result, Tensor};
+use st_wa::traffic::{Metrics, Scaler, SplitTensors};
 
 /// `step_trajectory.rs`: loss of steps 0, 1, 2 as raw f32 bits.
 const RECORDED_LOSS_BITS: [u32; 3] = [0x3ee2_4263, 0x3ee1_a9da, 0x3ee1_0d8b];
@@ -229,4 +234,57 @@ fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
         "the step must move the loss"
     );
     assert_eq!(fused_params, chain_params, "parameters after two steps");
+}
+
+// ---------------------------------------------------------------------
+// Evaluation is the same forward on a graph that records nothing.
+// ---------------------------------------------------------------------
+
+#[test]
+fn evaluate_is_bitwise_a_recorded_graph_evaluation() {
+    let (n, h, u) = (6, 12, 12);
+    let mut rng = StdRng::seed_from_u64(33);
+    let models: Vec<Box<dyn ForecastModel>> = vec![
+        Box::new(StwaModel::new(StwaConfig::st_wa(n, h, u), &mut rng).expect("model")),
+        st_wa::baselines::build_model("GRU", n, h, u, &Tensor::zeros(&[n, n]), &mut rng)
+            .expect("baseline"),
+    ];
+    // Five samples in batches of two: the last batch is ragged.
+    let split = SplitTensors {
+        x: Tensor::randn(&[5, n, h, 1], &mut rng),
+        y: Tensor::randn(&[5, n, u, 1], &mut rng),
+    };
+    let scaler = Scaler {
+        mean: 210.0,
+        std: 45.0,
+    };
+    let trainer = Trainer::new(TrainConfig {
+        batch_size: 2,
+        ..TrainConfig::default()
+    });
+    for model in &models {
+        let got = trainer
+            .evaluate(model.as_ref(), &split, &scaler, &mut rng)
+            .expect("evaluate");
+
+        let chunks: Vec<Tensor> = (0..5)
+            .step_by(2)
+            .map(|start| {
+                let bx = split.x.narrow(0, start, 2.min(5 - start)).expect("batch");
+                let graph = Graph::new();
+                let out = model
+                    .forward(&graph, &graph.constant(bx), &mut rng, false)
+                    .expect("recorded forward");
+                assert!(graph.len() > 1, "the reference must run on a tape");
+                scaler.inverse(&out.pred.value())
+            })
+            .collect();
+        let preds = manip::concat(&chunks.iter().collect::<Vec<_>>(), 0).expect("concat");
+        let want = Metrics::compute(&preds, &split.y);
+
+        let name = model.name();
+        assert_eq!(got.mae.to_bits(), want.mae.to_bits(), "{name}: MAE");
+        assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "{name}: RMSE");
+        assert_eq!(got.mape.to_bits(), want.mape.to_bits(), "{name}: MAPE");
+    }
 }
