@@ -4,15 +4,13 @@
 //! place**: every contribution lands via `add_assign` (an axpy into the
 //! existing buffer) and the only clone left is the unavoidable one that
 //! materializes the first contribution into an empty slot. And the hot
-//! elementwise VJPs have **fused** forms — single `zip` passes spelling
-//! the same per-element expressions as the reference chains — dispatched
-//! when [`stwa_tensor::memory::fused_enabled`] is on. The reference
-//! chains stay in-tree as the `else` branches; the equality proptests
-//! toggle the flag and assert bitwise-identical gradients.
+//! elementwise VJPs are **fused**: single `zip` passes spelling the same
+//! per-element expressions as the chains of primitive `Tensor` ops they
+//! replace. Those chains are written out in `tests/proptests.rs`, which
+//! asserts bitwise-identical gradients.
 
 use crate::graph::{ActKind, Graph, Id, Node, Op, Var};
 use std::rc::Rc;
-use stwa_tensor::memory::fused_enabled;
 use stwa_tensor::{linalg, Result, Tensor, TensorError};
 
 impl Graph {
@@ -230,7 +228,7 @@ fn matmul_tn_toward(a: &Tensor, g: &Tensor, operand_rank: usize) -> Result<Tenso
         && g.rank() == r
         && a.shape()[r - 2] == 1
         && a.shape()[..r - 1] == g.shape()[..r - 1];
-    if row_vectors && fused_enabled() {
+    if row_vectors {
         linalg::matmul_tn_sum_lead(a, g)
     } else {
         linalg::matmul_tn(a, g)
@@ -239,6 +237,23 @@ fn matmul_tn_toward(a: &Tensor, g: &Tensor, operand_rank: usize) -> Result<Tenso
 
 fn value_of(nodes: &[Node], id: Id) -> Rc<Tensor> {
     Rc::clone(&nodes[id].value)
+}
+
+/// `g · tanh'` from the output `y`: one zip spelling the
+/// square/affine/mul chain's exact expression `g * ((y*y)*(-1) + 1)`.
+fn tanh_vjp(g: &Tensor, y: &Tensor) -> Result<Tensor> {
+    g.zip(y, "tanh_vjp", |g, y| g * (-(y * y) + 1.0))
+}
+
+/// `g · sigmoid'` from the output `y`: `g * (y * (1 - y))`.
+fn sigmoid_vjp(g: &Tensor, y: &Tensor) -> Result<Tensor> {
+    g.zip(y, "sigmoid_vjp", |g, y| g * (y * (-y + 1.0)))
+}
+
+/// `g · relu'`. `v` is the input — or the output, which is positive
+/// exactly where the input is.
+fn relu_vjp(g: &Tensor, v: &Tensor) -> Result<Tensor> {
+    g.zip(v, "relu_vjp", |g, v| g * (if v > 0.0 { 1.0 } else { 0.0 }))
 }
 
 fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result<()> {
@@ -289,68 +304,33 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             accumulate(nodes, x, gx)
         }
 
-        // tanh'(x) = 1 - out^2. Fused: one zip spelling the reference's
-        // exact expression g * ((y*y)*(-1) + 1), replacing the
-        // square/affine/mul three-tensor chain.
-        Op::Tanh(x) => {
-            let gx = if fused_enabled() {
-                grad.zip(out, "tanh_vjp", |g, y| g * (-(y * y) + 1.0))?
-            } else {
-                grad.mul(&out.square().affine(-1.0, 1.0))?
-            };
-            accumulate(nodes, x, gx)
-        }
+        Op::Tanh(x) => accumulate(nodes, x, tanh_vjp(grad, out)?),
 
-        // sigmoid'(x) = out (1 - out)
-        Op::Sigmoid(x) => {
-            let gx = if fused_enabled() {
-                grad.zip(out, "sigmoid_vjp", |g, y| g * (y * (-y + 1.0)))?
-            } else {
-                grad.mul(&out.mul(&out.affine(-1.0, 1.0))?)?
-            };
-            accumulate(nodes, x, gx)
-        }
+        Op::Sigmoid(x) => accumulate(nodes, x, sigmoid_vjp(grad, out)?),
 
         Op::Relu(x) => {
             let xv = value_of(nodes, x);
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "relu_vjp", |g, v| {
-                    g * (if v > 0.0 { 1.0 } else { 0.0 })
-                })?
-            } else {
-                let mask = xv.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                grad.mul(&mask)?
-            };
-            accumulate(nodes, x, gx)
+            accumulate(nodes, x, relu_vjp(grad, &xv)?)
         }
 
         Op::Abs(x) => {
             let xv = value_of(nodes, x);
-            let sign_of = |v: f32| {
-                if v > 0.0 {
+            let gx = grad.zip(&xv, "abs_vjp", |g, v| {
+                let sign = if v > 0.0 {
                     1.0
                 } else if v < 0.0 {
                     -1.0
                 } else {
                     0.0
-                }
-            };
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "abs_vjp", |g, v| g * sign_of(v))?
-            } else {
-                let sign = xv.map(sign_of);
-                grad.mul(&sign)?
-            };
+                };
+                g * sign
+            })?;
             accumulate(nodes, x, gx)
         }
 
         Op::Square(x) => {
             let xv = value_of(nodes, x);
-            let gx = if fused_enabled() {
-                grad.zip(&xv, "square_vjp", |g, v| g * (v * 2.0))?
-            } else {
-                grad.mul(&xv.mul_scalar(2.0))?
-            };
+            let gx = grad.zip(&xv, "square_vjp", |g, v| g * (v * 2.0))?;
             accumulate(nodes, x, gx)
         }
 
@@ -419,10 +399,10 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // Softmax Jacobian-vector product:
         //   dx = y * (g - sum(g * y, axis))
         // The last axis — every attention softmax — takes the fused row
-        // kernel; other axes (and fused-off mode) run the reference
-        // four-tensor chain. Bitwise identical either way.
+        // kernel; other axes run the strided four-tensor chain. Bitwise
+        // identical either way.
         Op::Softmax { x, axis } => {
-            let gx = if axis + 1 == out.rank() && fused_enabled() {
+            let gx = if axis + 1 == out.rank() {
                 out.softmax_vjp_lastdim(grad)?
             } else {
                 let gy = grad.mul(out)?;
@@ -466,17 +446,13 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             let axis_len = xv.shape()[axis];
             let outer: usize = xv.shape()[..axis].iter().product();
             let inner: usize = xv.shape()[axis + 1..].iter().product();
-            // Fused path: when a gradient buffer already exists (windows
-            // overlap, so most narrow VJPs land on a live buffer), add the
-            // slice straight into it instead of materializing a full-size
-            // zero tensor and paying a whole-volume axpy for a sliver of
+            // When a gradient buffer already exists (windows overlap, so
+            // most narrow VJPs land on a live buffer), add the slice
+            // straight into it instead of materializing a full-size zero
+            // tensor and paying a whole-volume axpy for a sliver of
             // nonzeros. A *stale* buffer holds retired values and must
             // not be added into; it takes the generic overwrite path.
-            if fused_enabled()
-                && nodes[x].requires_grad
-                && nodes[x].grad.is_some()
-                && !nodes[x].grad_stale
-            {
+            if nodes[x].requires_grad && nodes[x].grad.is_some() && !nodes[x].grad_stale {
                 let src = grad.data();
                 let existing = nodes[x].grad.as_mut().expect("checked above");
                 let dst = existing.data_mut();
@@ -573,22 +549,14 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         }
 
         // Fused bias+activation VJP: g_pre = g * act'(out) in one zip
-        // (expressions matching each activation's standalone VJP), then
-        // the Add node's reduce-to-operand-shape accumulation.
+        // (each activation's standalone VJP), then the Add node's
+        // reduce-to-operand-shape accumulation.
         Op::BiasAddAct { x, b, act } => {
             let g_pre = match act {
                 ActKind::Identity => None,
-                ActKind::Tanh => Some(grad.zip(out, "tanh_vjp", |g, y| {
-                    g * (-(y * y) + 1.0)
-                })?),
-                ActKind::Sigmoid => Some(grad.zip(out, "sigmoid_vjp", |g, y| {
-                    g * (y * (-y + 1.0))
-                })?),
-                // relu(s) > 0 iff s > 0, so the output doubles as the
-                // pre-activation mask.
-                ActKind::Relu => Some(grad.zip(out, "relu_vjp", |g, y| {
-                    g * (if y > 0.0 { 1.0 } else { 0.0 })
-                })?),
+                ActKind::Tanh => Some(tanh_vjp(grad, out)?),
+                ActKind::Sigmoid => Some(sigmoid_vjp(grad, out)?),
+                ActKind::Relu => Some(relu_vjp(grad, out)?),
             };
             let g_pre = g_pre.as_ref().unwrap_or(grad);
             accumulate_reduced(nodes, x, g_pre)?;

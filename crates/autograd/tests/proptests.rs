@@ -300,6 +300,165 @@ fn attention_gradients_match_central_differences() {
 }
 
 // ---------------------------------------------------------------------
+// Fused VJPs against the chains of primitive `Tensor` ops they replace
+// ---------------------------------------------------------------------
+
+/// The gradient a recording graph hands each of `leaves` for
+/// `loss = Σ build(leaves) · weight`, on a poisoned pool. The upstream
+/// gradient reaching `build`'s output is `weight`, bit for bit
+/// (`1.0 · w`), so the chains below start from it.
+fn grads_through(
+    leaves: &[&Tensor],
+    weight: &Tensor,
+    build: impl Fn(&[Var]) -> Result<Var>,
+) -> Vec<Tensor> {
+    let g = Graph::new();
+    let vars: Vec<Var> = leaves.iter().map(|t| g.leaf((*t).clone())).collect();
+    let out = build(&vars).unwrap();
+    let loss = out.mul(&g.constant(weight.clone())).unwrap().sum_all().unwrap();
+    poison_pool(leaves.iter().map(|t| t.len()).max().unwrap_or(0).max(weight.len()));
+    g.backward(&loss).unwrap();
+    vars.iter().map(|v| g.grad(v).expect("leaf gradient")).collect()
+}
+
+/// Random values with exact zeros mixed in, so `relu` and `abs` meet
+/// their kink.
+fn with_zeros(shape: &[usize], rng: &mut StdRng) -> Tensor {
+    let t = Tensor::randn(shape, rng);
+    t.map(|v| if (v * 8.0).fract().abs() < 0.1 { 0.0 } else { v })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn elementwise_and_softmax_vjps_are_bitwise_their_tensor_chains(
+        rows in 1usize..5, cols in 1usize..9, seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = with_zeros(&[rows, cols], &mut rng);
+        let g = Tensor::randn(&[rows, cols], &mut rng);
+        let sign = |v: f32| if v > 0.0 { 1.0 } else if v < 0.0 { -1.0 } else { 0.0 };
+        let step = |v: f32| if v > 0.0 { 1.0 } else { 0.0 };
+
+        let got = grads_through(&[&x], &g, |v| Ok(v[0].tanh()));
+        let y = x.tanh();
+        let want = g.mul(&y.square().affine(-1.0, 1.0)).unwrap();
+        prop_assert_eq!(bits(&got[0]), bits(&want), "tanh");
+
+        let got = grads_through(&[&x], &g, |v| Ok(v[0].sigmoid()));
+        let y = x.sigmoid();
+        let want = g.mul(&y.mul(&y.affine(-1.0, 1.0)).unwrap()).unwrap();
+        prop_assert_eq!(bits(&got[0]), bits(&want), "sigmoid");
+
+        let got = grads_through(&[&x], &g, |v| Ok(v[0].relu()));
+        prop_assert_eq!(bits(&got[0]), bits(&g.mul(&x.map(step)).unwrap()), "relu");
+
+        let got = grads_through(&[&x], &g, |v| Ok(v[0].abs()));
+        prop_assert_eq!(bits(&got[0]), bits(&g.mul(&x.map(sign)).unwrap()), "abs");
+
+        let got = grads_through(&[&x], &g, |v| v[0].square());
+        prop_assert_eq!(bits(&got[0]), bits(&g.mul(&x.mul_scalar(2.0)).unwrap()), "square");
+
+        // Last-axis softmax: y · (g − Σ_j g_j y_j), four tensors.
+        let got = grads_through(&[&x], &g, |v| v[0].softmax(1));
+        let y = x.softmax_reference(1).unwrap();
+        let s = g.mul(&y).unwrap().sum_axis(1, true).unwrap();
+        let want = y.mul(&g.sub(&s.broadcast_to(g.shape()).unwrap()).unwrap()).unwrap();
+        prop_assert_eq!(bits(&got[0]), bits(&want), "softmax");
+    }
+
+    #[test]
+    fn narrow_vjp_onto_a_live_gradient_is_bitwise_pad_then_add(
+        outer in 1usize..4, len in 3usize..9, inner in 1usize..4,
+        cuts in proptest::collection::vec((0usize..8, 1usize..8), 2..5),
+        seed in 0u64..1_000_000,
+    ) {
+        // Overlapping slices of one leaf along the middle axis, summed
+        // into one loss: the reverse sweep reaches the last slice first
+        // (empty slot: a zero tensor with the slice copied in) and adds
+        // every earlier one straight into that live buffer. The chain:
+        // each slice's gradient padded to full size, added in that
+        // order.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(&[outer, len, inner], &mut rng);
+        let cuts: Vec<(usize, usize)> = cuts
+            .into_iter()
+            .map(|(start, l)| (start % len, 1 + (l - 1) % (len - start % len)))
+            .collect();
+        let weights: Vec<Tensor> = cuts
+            .iter()
+            .map(|&(_, l)| Tensor::randn(&[outer, l, inner], &mut rng))
+            .collect();
+
+        let g = Graph::new();
+        let xv = g.leaf(x.clone());
+        let mut loss: Option<Var> = None;
+        for (&(start, l), w) in cuts.iter().zip(&weights) {
+            let term = xv.narrow(1, start, l).unwrap()
+                .mul(&g.constant(w.clone())).unwrap()
+                .sum_all().unwrap();
+            loss = Some(match loss {
+                None => term,
+                Some(acc) => acc.add(&term).unwrap(),
+            });
+        }
+        poison_pool(x.len());
+        g.backward(&loss.unwrap()).unwrap();
+        let got = g.grad(&xv).unwrap();
+
+        let padded = |(start, l): (usize, usize), w: &Tensor| {
+            let zeros = |n: usize| Tensor::zeros(&[outer, n, inner]);
+            stwa_tensor::manip::concat(&[&zeros(start), w, &zeros(len - start - l)], 1).unwrap()
+        };
+        let mut want: Option<Tensor> = None;
+        for (&cut, w) in cuts.iter().zip(&weights).rev() {
+            let full = padded(cut, w);
+            want = Some(match want {
+                None => full,
+                Some(acc) => acc.add(&full).unwrap(),
+            });
+        }
+        prop_assert_eq!(bits(&got), bits(&want.unwrap()), "cuts {:?}", cuts);
+    }
+
+    #[test]
+    fn row_vector_weight_gradient_is_bitwise_matmul_tn_then_axis_sums(
+        b in 1usize..4, n in 1usize..4, d in 1usize..7, e in 1usize..7,
+        shared_over_n in 0usize..2, seed in 0u64..1_000_000,
+    ) {
+        // `[B, N, 1, d] @ W` with `W` shared over the batch (and,
+        // optionally, per sensor): the VJP folds the leading-axis sum
+        // into the product (`matmul_tn_sum_lead`). The chain: the
+        // per-batch outer products, then one `sum_axis(0)` per
+        // broadcast axis.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(&[b, n, 1, d], &mut rng);
+        let g = Tensor::randn(&[b, n, 1, e], &mut rng);
+        let w_lead: &[usize] = if shared_over_n == 0 { &[] } else { &[n] };
+        let reduce = |mut full: Tensor| {
+            while full.rank() > w_lead.len() + 2 {
+                full = full.sum_axis(0, false).unwrap();
+            }
+            full
+        };
+
+        let w = Tensor::randn(&[w_lead, &[d, e]].concat(), &mut rng);
+        let got = grads_through(&[&x, &w], &g, |v| v[0].matmul(&v[1]));
+        let want = reduce(stwa_tensor::linalg::matmul_tn(&x, &g).unwrap());
+        prop_assert_eq!(got[1].shape(), want.shape());
+        prop_assert_eq!(bits(&got[1]), bits(&want), "dB of A·B");
+
+        // `A · Bᵀ`: dB = gᵀ · A, the same fold with the roles swapped.
+        let wt = Tensor::randn(&[w_lead, &[e, d]].concat(), &mut rng);
+        let got = grads_through(&[&x, &wt], &g, |v| v[0].matmul_nt(&v[1]));
+        let want = reduce(stwa_tensor::linalg::matmul_tn(&g, &x).unwrap());
+        prop_assert_eq!(got[1].shape(), want.shape());
+        prop_assert_eq!(bits(&got[1]), bits(&want), "dB of A·Bᵀ");
+    }
+}
+
+// ---------------------------------------------------------------------
 // A graph that records nothing computes the same bits
 // ---------------------------------------------------------------------
 

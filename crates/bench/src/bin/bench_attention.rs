@@ -103,7 +103,7 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 /// The dense sensor-correlation attend: fused scores + in-place scaled
 /// softmax + mix, exactly what the frozen engine runs in dense mode.
 fn dense_attend(q: &Tensor, k: &Tensor, h: &Tensor, scale: f32) -> Tensor {
-    let mut scores = linalg::matmul_nt_lean(q, k).unwrap();
+    let mut scores = linalg::matmul_nt(q, k).unwrap();
     let t = scores.shape()[scores.rank() - 1];
     for row in scores.data_mut().chunks_exact_mut(t) {
         let mut m = f32::NEG_INFINITY;
@@ -120,7 +120,7 @@ fn dense_attend(q: &Tensor, k: &Tensor, h: &Tensor, scale: f32) -> Tensor {
             *x /= z;
         }
     }
-    linalg::matmul_lean(&scores, h).unwrap()
+    linalg::matmul(&scores, h).unwrap()
 }
 
 /// `(q, k, h, graph)` for an N-sensor corridor city.

@@ -242,7 +242,7 @@ fn run_suite() -> Vec<Entry> {
             format!("[{rows},{k}]@packed[{k},{n}]"),
             2 * rows * k * n,
             || {
-                std::hint::black_box(linalg::matmul_packed_lean(&a, &packed).unwrap());
+                std::hint::black_box(linalg::matmul_packed(&a, &packed).unwrap());
             },
             || {
                 std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());

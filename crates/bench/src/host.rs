@@ -5,23 +5,6 @@
 
 use std::process::Command;
 
-/// The widest vector extension the crates' runtime dispatch can pick.
-pub fn isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512vnni") {
-            return "avx512-vnni";
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512";
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
-    }
-    "portable"
-}
-
 /// `HEAD`'s abbreviated hash, `-dirty` when the tree has uncommitted
 /// changes, `unknown` outside a git checkout.
 pub fn git_rev() -> String {
@@ -48,7 +31,7 @@ pub fn json_fields() -> String {
     format!(
         "  \"nproc\": {},\n  \"isa\": \"{}\",\n  \"threads\": {},\n  \"git\": \"{}\",\n",
         std::thread::available_parallelism().map_or(1, |p| p.get()),
-        isa(),
+        stwa_tensor::isa::detected().label(),
         stwa_pool::current_threads(),
         git_rev(),
     )

@@ -4,14 +4,20 @@
 //! parameter checksum exactly.
 //!
 //! The sibling determinism tests compare two runs of the *same* build
-//! (pool on/off, 1 vs N threads, straight vs resumed), so a kernel
-//! change that moves every run by the same ulp passes them all. These
+//! (1 vs N threads, straight vs resumed), so a kernel change that moves
+//! every run by the same ulp passes them all. These
 //! constants were recorded before the GEMM kernels were rebuilt
 //! (write-mode output, register-tiled small products, folded shared
 //! operands, fused weight-gradient reduction); they hold the step to
 //! the order contract — one ascending f32 chain per product element,
 //! reductions in recorded order — across builds. A deliberate numeric
 //! change must re-derive them, not loosen them.
+//!
+//! The second test repeats the steps on a buffer pool seeded with NaN:
+//! every kernel draws its output from the pool unfilled, so one that
+//! reads an element it never wrote, or starts a sum from its output
+//! buffer instead of zero, turns the loss or a parameter into NaN and
+//! misses the same constants.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +48,23 @@ fn param_checksum(model: &StwaModel) -> u64 {
     stwa_ckpt::fnv1a64(&bytes)
 }
 
-#[test]
-fn three_steps_reproduce_recorded_bits() {
+/// Park NaN-filled buffers on top of every pool free list a step draws
+/// from (capacities `2^6 ..= 2^20` floats, a few MiB per class), so the
+/// next `take_scratch` of each size hands out poisoned memory. Best
+/// effort — the free lists are LIFO and shared with the other test —
+/// so it can only make the run stricter, never flaky.
+fn poison_pool() {
+    for class in 6..=20usize {
+        let cap = 1usize << class;
+        let count = ((1usize << 20) / cap).clamp(2, 256);
+        let dirty: Vec<Tensor> = (0..count).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
+        drop(dirty);
+    }
+}
+
+/// Three optimization steps; the loss bits of each and the parameter
+/// checksum after the last.
+fn three_steps(poisoned: bool) -> ([u32; 3], u64) {
     let mut rng = StdRng::seed_from_u64(15);
     let model = StwaModel::new(StwaConfig::st_wa(20, 12, 12), &mut rng).expect("model");
     let mut opt = Adam::new(model.store(), 1e-3);
@@ -52,6 +73,9 @@ fn three_steps_reproduce_recorded_bits() {
 
     let mut losses = [0u32; 3];
     for slot in &mut losses {
+        if poisoned {
+            poison_pool();
+        }
         let graph = Graph::new();
         let x = graph.constant(bx.clone());
         let out = model.forward(&graph, &x, &mut rng, true).expect("forward");
@@ -61,18 +85,33 @@ fn three_steps_reproduce_recorded_bits() {
             loss = loss.add(&reg).expect("regularizer");
         }
         *slot = loss.value().item().expect("scalar loss").to_bits();
+        if poisoned {
+            poison_pool();
+        }
         graph.backward(&loss).expect("backward");
         opt.step();
         opt.finish_step();
     }
+    (losses, param_checksum(&model))
+}
 
+fn assert_recorded((losses, checksum): ([u32; 3], u64)) {
     assert_eq!(
         losses, RECORDED_LOSS_BITS,
         "loss trajectory moved: {losses:#010x?}"
     );
-    let checksum = param_checksum(&model);
     assert_eq!(
         checksum, RECORDED_PARAM_CHECKSUM,
         "parameters after three steps moved: {checksum:#018x}"
     );
+}
+
+#[test]
+fn three_steps_reproduce_recorded_bits() {
+    assert_recorded(three_steps(false));
+}
+
+#[test]
+fn three_steps_on_a_nan_poisoned_pool_reproduce_recorded_bits() {
+    assert_recorded(three_steps(true));
 }

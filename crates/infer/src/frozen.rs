@@ -49,7 +49,7 @@ use stwa_core::{AggregatorKind, ForecastModel, StGenerator, StwaModel};
 use stwa_nn::layers::Activation;
 use stwa_nn::StoreVersion;
 use stwa_tensor::quant::Precision;
-use stwa_tensor::{linalg, mathfn, memory, Result, Tensor, TensorError};
+use stwa_tensor::{attention, linalg, mathfn, memory, Result, Tensor, TensorError};
 
 /// Frozen per-layer state of one window-attention layer.
 struct FrozenLayer {
@@ -525,7 +525,7 @@ impl DynamicGenerator {
             Some(layers) => {
                 let mut current = theta0;
                 for (u, w_col, bias) in layers {
-                    let pre = linalg::matmul_lean(&current, w_col)?.add(bias)?;
+                    let pre = linalg::matmul(&current, w_col)?.add(bias)?;
                     let t = pre.tanh();
                     let step = t.mul(u)?;
                     current = current.add(&step)?;
@@ -716,7 +716,10 @@ impl FrozenLayer {
                 }
             };
             let aspan = stwa_observe::span!("attn");
-            let h_w = windowed_attention_lean(&p_q, &keys, &values, wi, self.heads)?;
+            // The graph path's attention walk, reading window `wi` of
+            // the all-window projections in place (the graph narrows
+            // and squeezes a `[B, N, s, d]` copy per window first).
+            let h_w = attention::forward_window(&p_q, &keys, &values, wi, self.heads)?;
             drop(aspan);
             let gspan = stwa_observe::span!("gate");
             let h_hat = match self.aggregator {
@@ -913,8 +916,8 @@ impl FrozenSca {
     }
 
     /// The sensor-correlation score matrix is `N x N` — big enough that
-    /// the blocked GEMM kernels win — so the two GEMMs stay on the lean
-    /// matmul entries; the scale and row softmax in between run in
+    /// the blocked GEMM kernels win — so the two products are plain
+    /// matmuls; the scale and row softmax in between run in
     /// place on the uniquely-owned score buffer (same elementwise
     /// chain as `mul_scalar` + `softmax`, minus two dispatches and one
     /// materialization).
@@ -922,12 +925,11 @@ impl FrozenSca {
         let scale = 1.0 / (self.d as f32).sqrt();
         if let Some(graph) = &self.graph {
             // Sparse mode: the fused gather kernel is the exact
-            // training-time forward, so no separate lean variant to
-            // keep in bitwise lockstep.
+            // training-time forward.
             let (out, _) = stwa_tensor::sparse::sparse_attention_forward(q, k, h, graph, scale)?;
             return Ok(out);
         }
-        let mut scores = linalg::matmul_nt_lean(q, k)?;
+        let mut scores = linalg::matmul_nt(q, k)?;
         let t = scores.shape()[scores.rank() - 1];
         for row in scores.data_mut().chunks_exact_mut(t) {
             // Scale first, then the max / exp-shift / ascending-sum /
@@ -946,88 +948,8 @@ impl FrozenSca {
                 *x /= z;
             }
         }
-        linalg::matmul_lean(&scores, h)
+        linalg::matmul(&scores, h)
     }
-}
-
-/// [`stwa_tensor::attention::forward`]'s arithmetic, kept as an
-/// independent row-by-row walk, with the window's K/V block read
-/// straight out of the all-window projection tensors `[B, N, W, s, d]`
-/// — the graph path narrows and squeezes a `[B, N, s, d]` copy per
-/// window first, which is pure data movement (bitwise, slicing is the
-/// same bits).
-fn windowed_attention_lean(
-    q: &Tensor, // [B, N, p, d]
-    keys: &Tensor,
-    values: &Tensor, // [B, N, W, s, d]
-    wi: usize,
-    heads: usize,
-) -> Result<Tensor> {
-    let qs = q.shape();
-    let ks = keys.shape();
-    if qs.len() != 4 || ks.len() != 5 || values.shape() != ks {
-        return Err(TensorError::Invalid(format!(
-            "windowed_attention_lean: q {qs:?} / keys {ks:?} / values {:?}",
-            values.shape()
-        )));
-    }
-    let (b, n, p, d) = (qs[0], qs[1], qs[2], qs[3]);
-    let (w, s) = (ks[2], ks[3]);
-    if ks[0] != b || ks[1] != n || ks[4] != d || wi >= w || heads == 0 || !d.is_multiple_of(heads)
-    {
-        return Err(TensorError::Invalid(format!(
-            "windowed_attention_lean: q {qs:?} vs keys {ks:?}, window {wi}, heads {heads}"
-        )));
-    }
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    let (qd, kd, vd) = (q.data(), keys.data(), values.data());
-    let mut out = memory::take_scratch(b * n * p * d);
-    let mut scores = vec![0f32; s];
-    for l in 0..b * n {
-        let qb = &qd[l * p * d..(l + 1) * p * d];
-        let kvat = (l * w + wi) * s * d;
-        let kb = &kd[kvat..kvat + s * d];
-        let vb = &vd[kvat..kvat + s * d];
-        let ob = &mut out[l * p * d..(l + 1) * p * d];
-        for h in 0..heads {
-            let off = h * dh;
-            for i in 0..p {
-                let qrow = &qb[i * d + off..i * d + off + dh];
-                for (j, slot) in scores.iter_mut().enumerate() {
-                    let krow = &kb[j * d + off..j * d + off + dh];
-                    let mut acc = 0.0f32;
-                    for (&qv, &kv) in qrow.iter().zip(krow.iter()) {
-                        acc += qv * kv;
-                    }
-                    *slot = acc * scale;
-                }
-                let mut m = f32::NEG_INFINITY;
-                for &x in scores.iter() {
-                    m = m.max(x);
-                }
-                for x in scores.iter_mut() {
-                    *x = mathfn::exp_f32(*x - m);
-                }
-                let mut z = 0.0f32;
-                for &x in scores.iter() {
-                    z += x;
-                }
-                for x in scores.iter_mut() {
-                    *x /= z;
-                }
-                let orow = &mut ob[i * d + off..i * d + off + dh];
-                for (c, slot) in orow.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (j, &wv) in scores.iter().enumerate() {
-                        acc += wv * vb[j * d + off + c];
-                    }
-                    *slot = acc;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[b, n, p, d])
 }
 
 /// Proxy fusion `tanh(concat(h_prev, p_base) @ W + bias)`: the graph

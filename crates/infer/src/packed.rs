@@ -5,17 +5,15 @@
 //! int8 (see `stwa_tensor::quant`).
 //!
 //! Every f32 forward here mirrors the corresponding `stwa-nn` layer's
-//! `forward` branch-for-branch; `matmul_packed_lean` is bitwise
-//! identical to `matmul` by the kernel accumulation-order contract (the
-//! lean entry runs the same prepacked kernel minus the per-call
-//! span/counter/pool dispatch), so an f32 packed layer's output matches
-//! the training-graph eval path bit-for-bit. The quantized precision
+//! `forward`; `matmul_packed` is bitwise identical to `matmul` by the
+//! kernel accumulation-order contract, so an f32 packed layer's output
+//! matches the training-graph eval path bit-for-bit. The quantized precision
 //! trades that bitwise contract for smaller panels; its correctness is
 //! gated by the round-trip error bounds and the end-to-end forecast
 //! accuracy gate instead (DESIGN.md §14).
 
 use stwa_nn::layers::{Activation, Linear, Mlp};
-use stwa_tensor::linalg::{gemm_packed_slice, matmul_packed_lean, PackedMatrix};
+use stwa_tensor::linalg::{gemm_packed_slice, matmul_packed, PackedMatrix};
 use stwa_tensor::quant::{matmul_packed_int8_lean, PackedMatrixInt8, Precision};
 use stwa_tensor::{mathfn, Result, Tensor, TensorError};
 
@@ -33,15 +31,15 @@ impl PackedPanels {
         })
     }
 
-    fn matmul_lean(&self, x: &Tensor) -> Result<Tensor> {
+    fn matmul(&self, x: &Tensor) -> Result<Tensor> {
         match self {
-            PackedPanels::F32(p) => matmul_packed_lean(x, p),
+            PackedPanels::F32(p) => matmul_packed(x, p),
             PackedPanels::Int8(p) => matmul_packed_int8_lean(x, p),
         }
     }
 
     /// `out[..rows·n] = x[..rows·k] @ panels` on raw rows — the same
-    /// bits as [`PackedPanels::matmul_lean`] on those rows (every kernel
+    /// bits as [`PackedPanels::matmul`] on those rows (every kernel
     /// treats rows independently, int8 row scales included).
     fn matmul_rows(&self, x: &[f32], rows: usize, out: &mut [f32]) {
         match self {
@@ -123,10 +121,9 @@ impl PackedDense {
 
     /// [`Linear::forward_act`] on the packed weight. The bias
     /// add and activation run in place on the uniquely-owned GEMM
-    /// output — the same `kind.apply(a + bias)` scalar chain as both
-    /// the fused `bias_add_act` zip and the unfused add-then-activate
-    /// branch of the graph path (which agree bitwise), minus a dispatch
-    /// and a materialization per call.
+    /// output — the same `kind.apply(a + bias)` scalar chain as the
+    /// graph path's `bias_add_act` zip, minus a dispatch and a
+    /// materialization per call.
     pub fn forward_act(&self, x: &Tensor, act: Activation) -> Result<Tensor> {
         let shape = x.shape().to_vec();
         let rank = shape.len();
@@ -138,7 +135,7 @@ impl PackedDense {
         }
         let lead: usize = shape[..rank - 1].iter().product();
         let flat = x.reshape(&[lead, self.in_dim])?;
-        let mut y = self.panels.matmul_lean(&flat)?;
+        let mut y = self.panels.matmul(&flat)?;
         bias_act(y.data_mut(), self.bias.as_ref().map(Tensor::data), act);
         let mut out_shape = shape[..rank - 1].to_vec();
         out_shape.push(self.out_dim);
@@ -167,9 +164,8 @@ impl PackedDense {
 
 /// Bias pass, then one wide activation pass over the whole GEMM output
 /// `y` (rows of `bias.len()` columns) — per element the same
-/// add-then-apply chain as the interleaved `kind.apply(a + bias)` zip,
-/// so both the fused and unfused graph branches (which agree bitwise)
-/// are matched.
+/// add-then-apply chain as the graph path's interleaved
+/// `kind.apply(a + bias)` zip.
 fn bias_act(y: &mut [f32], bias: Option<&[f32]>, act: Activation) {
     if let Some(bd) = bias {
         for row in y.chunks_exact_mut(bd.len()) {
@@ -264,7 +260,7 @@ impl PackedWeight {
     }
 
     pub fn matmul(&self, x: &Tensor) -> Result<Tensor> {
-        self.panels.matmul_lean(x)
+        self.panels.matmul(x)
     }
 
     pub fn packed_bytes(&self) -> usize {
@@ -279,7 +275,7 @@ mod tests {
     use rand::SeedableRng;
     use stwa_autograd::Graph;
     use stwa_nn::ParamStore;
-    use stwa_tensor::{linalg, memory};
+    use stwa_tensor::linalg;
 
     #[test]
     fn packed_dense_bitwise_matches_linear_forward() {
@@ -288,18 +284,13 @@ mod tests {
         let layer = Linear::new(&store, "l", 9, 13, &mut rng);
         let packed = PackedDense::from_linear(&layer).unwrap();
         let x = Tensor::randn(&[4, 6, 9], &mut rng);
-        for fused in [true, false] {
-            let prev = memory::fused_enabled();
-            memory::set_fused_enabled(fused);
-            let g = Graph::no_grad();
-            let want = layer
-                .forward_act(&g, &g.constant(x.clone()), Activation::Tanh)
-                .unwrap()
-                .value();
-            let got = packed.forward_act(&x, Activation::Tanh).unwrap();
-            memory::set_fused_enabled(prev);
-            assert_eq!(want.data(), got.data());
-        }
+        let g = Graph::no_grad();
+        let want = layer
+            .forward_act(&g, &g.constant(x.clone()), Activation::Tanh)
+            .unwrap()
+            .value();
+        let got = packed.forward_act(&x, Activation::Tanh).unwrap();
+        assert_eq!(want.data(), got.data());
         assert!(packed.packed_bytes() > 0);
         assert_eq!(packed.precision(), Precision::F32);
         // Wrong trailing dim rejected.

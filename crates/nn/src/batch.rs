@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn prefetched_consumes_rng_like_shuffled() {
         // Both paths must advance the epoch RNG identically so a
-        // trainer can toggle prefetch without perturbing later epochs.
+        // epochs after a prefetched one shuffle exactly as they did.
         let (x, y) = samples(9);
         let mut a = StdRng::seed_from_u64(77);
         let mut b = StdRng::seed_from_u64(77);

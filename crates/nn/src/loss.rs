@@ -2,7 +2,7 @@
 //! from the paper's Eq. 20.
 
 use stwa_autograd::Var;
-use stwa_tensor::{memory, Result};
+use stwa_tensor::Result;
 
 /// Elementwise Huber loss, averaged over all elements (paper Eq. 21).
 ///
@@ -13,21 +13,20 @@ use stwa_tensor::{memory, Result};
 ///
 /// `target` is normally a constant; gradients flow through `pred`.
 ///
-/// When the fused-kernel switch is on (the default; see
-/// [`stwa_tensor::memory::fused_enabled`]) and the shapes match exactly,
-/// this records a single fused tape node instead of the seven-node
-/// sub/abs/square/where/mean chain. The fused path replicates the
-/// reference chain's arithmetic bit for bit — see
-/// [`huber_reference`] and the equality proptests.
+/// When the shapes match exactly this records a single fused tape node
+/// instead of the seven-node sub/abs/square/where/mean chain; operands
+/// that broadcast take the chain itself. The fused op replicates the
+/// chain's arithmetic bit for bit — see [`huber_reference`] and the
+/// equality proptests.
 pub fn huber(pred: &Var, target: &Var, delta: f32) -> Result<Var> {
-    if memory::fused_enabled() && pred.shape() == target.shape() {
+    if pred.shape() == target.shape() {
         return pred.huber_loss(target, delta);
     }
     huber_reference(pred, target, delta)
 }
 
-/// The unfused Huber chain the fused op must match bit for bit. Kept
-/// in-tree as the equality oracle for `huber`.
+/// The unfused Huber chain: what [`huber`] runs for operands that
+/// broadcast, and the oracle its fused op must match bit for bit.
 pub fn huber_reference(pred: &Var, target: &Var, delta: f32) -> Result<Var> {
     let diff = pred.sub(target)?;
     let absd = diff.abs();

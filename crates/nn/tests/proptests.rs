@@ -4,10 +4,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stwa_autograd::{check_gradient, Graph};
+use stwa_autograd::{check_gradient, Graph, Var};
 use stwa_nn::batch::BatchIter;
 use stwa_nn::layers::{Activation, GruCell, LayerNorm, Linear, Mlp};
-use stwa_nn::loss::{huber, kl_standard_normal, mae, mse};
+use stwa_nn::loss::{huber, huber_reference, kl_standard_normal, mae, mse};
 use stwa_nn::ParamStore;
 use stwa_tensor::Tensor;
 
@@ -127,70 +127,56 @@ proptest! {
     }
 }
 
-// ---- Fused-kernel bitwise equality (buffer-pool / fusion switches) ----
+// ---- Fused-kernel bitwise equality ----
 //
 // The fused Huber and bias_add+activation tape nodes must reproduce the
-// reference op chains bit for bit, in both the forward values and the
-// gradients they backpropagate. The switches are process-global, so the
-// toggling tests serialize on a lock (proptest can run cases on several
-// threads at once).
-
-static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn with_switches<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    use stwa_tensor::memory;
-    memory::set_pool_enabled(on);
-    memory::set_fused_enabled(on);
-    let out = f();
-    memory::set_pool_enabled(true);
-    memory::set_fused_enabled(true);
-    out
-}
+// op chains they replace bit for bit, in both the forward values and
+// the gradients they backpropagate. The chains are the oracles:
+// `huber_reference`, and `add` + activation spelled out below.
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Loss value and d(loss)/d(pred) of the Huber loss; `fused` picks the
-/// single-node kernel or the seven-node reference chain.
-fn huber_loss_and_grad(fused: bool, pred: &[f32], target: &[f32], delta: f32) -> (f32, Vec<f32>) {
-    with_switches(fused, || {
-        let graph = Graph::new();
-        let cols = pred.len() / 2;
-        let p = graph.leaf(Tensor::from_vec(pred.to_vec(), &[2, cols]).unwrap());
-        let t = graph.constant(Tensor::from_vec(target.to_vec(), &[2, cols]).unwrap());
-        let loss = huber(&p, &t, delta).unwrap();
-        graph.backward(&loss).unwrap();
-        let g = graph.grad(&p).unwrap();
-        (loss.value().item().unwrap(), g.data().to_vec())
-    })
+/// Loss value and d(loss)/d(pred) of a Huber loss built by `loss`.
+fn huber_loss_and_grad(
+    loss: fn(&Var, &Var, f32) -> stwa_tensor::Result<Var>,
+    pred: &[f32],
+    target: &[f32],
+    delta: f32,
+) -> (f32, Vec<f32>) {
+    let graph = Graph::new();
+    let cols = pred.len() / 2;
+    let p = graph.leaf(Tensor::from_vec(pred.to_vec(), &[2, cols]).unwrap());
+    let t = graph.constant(Tensor::from_vec(target.to_vec(), &[2, cols]).unwrap());
+    let loss = loss(&p, &t, delta).unwrap();
+    graph.backward(&loss).unwrap();
+    let g = graph.grad(&p).unwrap();
+    (loss.value().item().unwrap(), g.data().to_vec())
 }
 
 /// Forward values, input gradient, and all parameter gradients of one
-/// `Linear::forward_act` step under the given switch regime.
+/// dense step `layer(lin, x)` on a fresh layer drawn from `seed`.
 fn linear_act_run(
-    fused: bool,
+    layer: impl Fn(&Linear, &Var) -> Var,
     data: &[f32],
     seed: u64,
-    act: Activation,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    with_switches(fused, || {
-        let graph = Graph::new();
-        let store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lin = Linear::new(&store, "l", 3, 4, &mut rng);
-        let x = graph.leaf(Tensor::from_vec(data.to_vec(), &[2, 3]).unwrap());
-        let y = lin.forward_act(&graph, &x, act).unwrap();
-        let out = y.value().data().to_vec();
-        let loss = y.square().unwrap().mean_all().unwrap();
-        graph.backward(&loss).unwrap();
-        let gx = graph.grad(&x).unwrap().data().to_vec();
-        let mut gp = Vec::new();
-        for p in store.params() {
-            gp.extend_from_slice(p.grad().expect("param grad").data());
-        }
-        (out, gx, gp)
-    })
+    let graph = Graph::new();
+    let store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lin = Linear::new(&store, "l", 3, 4, &mut rng);
+    let x = graph.leaf(Tensor::from_vec(data.to_vec(), &[2, 3]).unwrap());
+    let y = layer(&lin, &x);
+    let out = y.value().data().to_vec();
+    let loss = y.square().unwrap().mean_all().unwrap();
+    graph.backward(&loss).unwrap();
+    let gx = graph.grad(&x).unwrap().data().to_vec();
+    let mut gp = Vec::new();
+    for p in store.params() {
+        gp.extend_from_slice(p.grad().expect("param grad").data());
+    }
+    (out, gx, gp)
 }
 
 proptest! {
@@ -202,24 +188,36 @@ proptest! {
         target in vecs(8),
         delta in 0.25f32..2.0,
     ) {
-        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (lf, gf) = huber_loss_and_grad(true, &pred, &target, delta);
-        let (lr, gr) = huber_loss_and_grad(false, &pred, &target, delta);
+        let (lf, gf) = huber_loss_and_grad(huber, &pred, &target, delta);
+        let (lr, gr) = huber_loss_and_grad(huber_reference, &pred, &target, delta);
         prop_assert_eq!(lf.to_bits(), lr.to_bits(), "loss {lf} vs {lr}");
         prop_assert_eq!(bits(&gf), bits(&gr));
     }
 
     #[test]
     fn fused_bias_add_act_bitwise_matches_unfused(data in vecs(6), seed in 0u64..100) {
-        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for act in [
             Activation::Identity,
             Activation::Relu,
             Activation::Tanh,
             Activation::Sigmoid,
         ] {
-            let (of, xf, pf) = linear_act_run(true, &data, seed, act);
-            let (or_, xr, pr) = linear_act_run(false, &data, seed, act);
+            let (of, xf, pf) = linear_act_run(
+                |lin, x| lin.forward_act(x.graph(), x, act).unwrap(),
+                &data,
+                seed,
+            );
+            // The chain the fused node replaced: product, broadcast
+            // bias add, then the activation as its own op.
+            let (or_, xr, pr) = linear_act_run(
+                |lin, x| {
+                    let w = lin.weight_param().leaf(x.graph());
+                    let b = lin.bias_param().expect("bias").leaf(x.graph());
+                    act.apply(&x.matmul(&w).unwrap().add(&b).unwrap())
+                },
+                &data,
+                seed,
+            );
             prop_assert_eq!(bits(&of), bits(&or_), "forward values diverge for {act:?}");
             prop_assert_eq!(bits(&xf), bits(&xr), "input grads diverge for {act:?}");
             prop_assert_eq!(bits(&pf), bits(&pr), "param grads diverge for {act:?}");
@@ -233,6 +231,9 @@ proptest! {
 // lanes, so its bits must not depend on how many pool threads execute
 // the reduction. Gradients larger than the tensor crate's parallel
 // threshold exercise the pooled path; small ones take the scalar fold.
+// The thread count is process-global, so cases serialize on a lock.
+
+static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -243,7 +244,7 @@ proptest! {
         amp in 0.1f32..4.0,
         clip in 0.5f32..10.0,
     ) {
-        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(seed);
         // One gradient well above the parallel threshold (1 << 16) plus

@@ -6,7 +6,9 @@
 //! `dh`-wide column block is read in place and the context is written
 //! straight into the merged `[..., Tq, d]` layout. The softmax rows are
 //! kept as `weights [lead, heads, Tq, Tk]` — the one activation the VJP
-//! needs.
+//! needs. [`forward_window`] is the same forward with `k`/`v` read as
+//! one window of `[..., W, Tk, d]` in place, for the inference engine's
+//! all-window projections.
 //!
 //! # Order contract
 //!
@@ -50,6 +52,12 @@ struct Dims {
     tk: usize,
     heads: usize,
     dh: usize,
+    /// Where the forward finds lead `l`'s `[Tk, d]` key/value block:
+    /// at `l · kv_stride + kv_offset`. Plain operands are
+    /// `(Tk·d, 0)`; window `wi` of `[..., W, Tk, d]` is
+    /// `(W·Tk·d, wi·Tk·d)`.
+    kv_stride: usize,
+    kv_offset: usize,
 }
 
 impl Dims {
@@ -64,35 +72,33 @@ impl Dims {
     }
 }
 
-fn check(op: &'static str, q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<Dims> {
-    let rank = q.rank();
-    if rank < 2 || k.rank() != rank || v.shape() != k.shape() {
+fn check(op: &'static str, q: &[usize], k: &[usize], v: &[usize], heads: usize) -> Result<Dims> {
+    let rank = q.len();
+    if rank < 2 || k.len() != rank || v != k {
         return Err(TensorError::Invalid(format!(
-            "{op}: q {:?} / k {:?} / v {:?}",
-            q.shape(),
-            k.shape(),
-            v.shape()
+            "{op}: q {q:?} / k {k:?} / v {v:?}"
         )));
     }
-    let d = q.shape()[rank - 1];
+    let d = q[rank - 1];
     if heads == 0 || d == 0 || !d.is_multiple_of(heads) {
         return Err(TensorError::Invalid(format!(
             "{op}: heads {heads} must divide d {d} (both positive)"
         )));
     }
-    if q.shape()[..rank - 2] != k.shape()[..rank - 2] || k.shape()[rank - 1] != d {
+    if q[..rank - 2] != k[..rank - 2] || k[rank - 1] != d {
         return Err(TensorError::Invalid(format!(
-            "{op}: leading/feature axes of q {:?} and k {:?} must match",
-            q.shape(),
-            k.shape()
+            "{op}: leading/feature axes of q {q:?} and k {k:?} must match"
         )));
     }
+    let tk = k[rank - 2];
     Ok(Dims {
-        lead: q.shape()[..rank - 2].iter().product(),
-        tq: q.shape()[rank - 2],
-        tk: k.shape()[rank - 2],
+        lead: q[..rank - 2].iter().product(),
+        tq: q[rank - 2],
+        tk,
         heads,
         dh: d / heads,
+        kv_stride: tk * d,
+        kv_offset: 0,
     })
 }
 
@@ -117,11 +123,49 @@ fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 /// Attention forward. Returns the context `[..., Tq, d]` and the softmax
 /// weights `[lead, heads, Tq, Tk]` that [`vjp`] consumes.
 pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<(Tensor, Tensor)> {
-    let dm = check("attention", q, k, v, heads)?;
-    let mut weights = memory::take_scratch(dm.lead * heads * dm.tq * dm.tk);
+    let dm = check("attention", q.shape(), k.shape(), v.shape(), heads)?;
+    run_forward(dm, q, k, v)
+}
+
+/// [`forward`] against window `wi` of all-window projections: `q` is
+/// `[..., Tq, d]`, `keys`/`values` are `[..., W, Tk, d]` with the same
+/// leading axes, and the result is the context [`forward`] returns for
+/// `keys[..., wi, :, :]` / `values[..., wi, :, :]` — the same walk
+/// reading that block where it lies instead of a narrowed copy, hence
+/// the same bits.
+pub fn forward_window(
+    q: &Tensor,
+    keys: &Tensor,
+    values: &Tensor,
+    wi: usize,
+    heads: usize,
+) -> Result<Tensor> {
+    let rank = q.rank();
+    let ks = keys.shape();
+    if rank < 2 || ks.len() != rank + 1 || values.shape() != ks || wi >= ks[rank - 2] {
+        return Err(TensorError::Invalid(format!(
+            "attention: q {:?} against window {wi} of keys {ks:?} / values {:?}",
+            q.shape(),
+            values.shape()
+        )));
+    }
+    // One window's block, checked as if it had been narrowed out.
+    let block = [&ks[..rank - 2], &ks[rank - 1..]].concat();
+    let dm = check("attention", q.shape(), &block, &block, heads)?;
+    let dm = Dims {
+        kv_stride: ks[rank - 2] * dm.kv_stride,
+        kv_offset: wi * dm.kv_stride,
+        ..dm
+    };
+    Ok(run_forward(dm, q, keys, values)?.0)
+}
+
+/// The forward on checked extents: context and softmax weights.
+fn run_forward(dm: Dims, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, Tensor)> {
+    let mut weights = memory::take_scratch(dm.lead * dm.heads * dm.tq * dm.tk);
     // Zeroed: the mix adds each column's terms onto `+0.0`.
     let mut out = memory::take_filled(q.len(), 0.0);
-    let run = match (heads, dm.dh) {
+    let run = match (dm.heads, dm.dh) {
         (4, 4) => forward_body::<4, 4>,
         (8, 4) => forward_body::<8, 4>,
         _ => forward_body::<0, 0>,
@@ -129,7 +173,7 @@ pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<(Tens
     run(dm, q.data(), k.data(), v.data(), &mut weights, &mut out);
     Ok((
         Tensor::from_vec(out, q.shape())?,
-        Tensor::from_vec(weights, &[dm.lead, heads, dm.tq, dm.tk])?,
+        Tensor::from_vec(weights, &[dm.lead, dm.heads, dm.tq, dm.tk])?,
     ))
 }
 
@@ -148,11 +192,13 @@ fn forward_body<const H: usize, const DH: usize>(
     let scale = 1.0 / (dh as f32).sqrt();
     // Offset of `(h, i, j)` in one lead's `[heads, Tq, Tk]` weights.
     let at = |h: usize, i: usize, j: usize| (h * tq + i) * tk + j;
+    // Lead `l`'s `[Tk, d]` block of `k` or `v`.
+    let kv = |l: usize| l * dm.kv_stride + dm.kv_offset..l * dm.kv_stride + dm.kv_offset + tk * d;
 
     // Scaled scores: for each (query row, key row) all heads at once.
     for l in 0..lead {
         let qb = &q[l * tq * d..(l + 1) * tq * d];
-        let kb = &k[l * tk * d..(l + 1) * tk * d];
+        let kb = &k[kv(l)];
         let wb = &mut weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
         for (i, qrow) in qb.chunks_exact(d).enumerate() {
             for (j, krow) in kb.chunks_exact(d).enumerate() {
@@ -168,7 +214,7 @@ fn forward_body<const H: usize, const DH: usize>(
 
     // Mix: out[i, :] = Σ_j w[·, i, j] · v[j, :], ascending j.
     for l in 0..lead {
-        let vb = &v[l * tk * d..(l + 1) * tk * d];
+        let vb = &v[kv(l)];
         let wb = &weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
         let ob = &mut out[l * tq * d..(l + 1) * tq * d];
         for (i, orow) in ob.chunks_exact_mut(d).enumerate() {
@@ -192,7 +238,7 @@ pub fn vjp(
     weights: &Tensor,
     heads: usize,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let dm = check("attention_vjp", q, k, v, heads)?;
+    let dm = check("attention_vjp", q.shape(), k.shape(), v.shape(), heads)?;
     if grad.shape() != q.shape() || weights.len() != dm.lead * heads * dm.tq * dm.tk {
         return Err(TensorError::Invalid(format!(
             "attention_vjp: grad {:?} / weights {:?} for q {:?}, k {:?}",
@@ -348,6 +394,35 @@ mod tests {
                 weights.shape(),
                 &[lead, heads, qs[qs.len() - 2], ks[ks.len() - 2]]
             );
+        }
+    }
+
+    #[test]
+    fn window_forward_is_the_forward_of_the_narrowed_block() {
+        let mut rng = StdRng::seed_from_u64(15);
+        // The serving layout (`[B, N, p, d]` queries against
+        // `[B, N, W, s, d]` projections) at a fixed and a dynamic head
+        // layout; `W = 1` is the plain forward.
+        for &(lead, w, tq, tk, d, heads) in &[
+            (&[2usize, 5][..], 4usize, 2usize, 3usize, 16usize, 4usize),
+            (&[3][..], 3, 1, 4, 12, 3),
+            (&[2, 2][..], 1, 2, 2, 32, 8),
+        ] {
+            let shape = |mid: &[usize]| [lead, mid].concat();
+            let q = Tensor::randn(&shape(&[tq, d]), &mut rng).mul_scalar(3.0);
+            let keys = Tensor::randn(&shape(&[w, tk, d]), &mut rng).mul_scalar(3.0);
+            let values = Tensor::randn(&shape(&[w, tk, d]), &mut rng);
+            for wi in 0..w {
+                let block = |x: &Tensor| {
+                    x.narrow(lead.len(), wi, 1).unwrap().reshape(&shape(&[tk, d])).unwrap()
+                };
+                let (want, _) = forward(&q, &block(&keys), &block(&values), heads).unwrap();
+                let got = forward_window(&q, &keys, &values, wi, heads).unwrap();
+                assert_eq!(want.shape(), got.shape());
+                assert_eq!(want.data(), got.data(), "lead {lead:?} window {wi}/{w}");
+            }
+            assert!(forward_window(&q, &keys, &values, w, heads).is_err());
+            assert!(forward_window(&q, &keys, &q, 0, heads).is_err());
         }
     }
 

@@ -20,6 +20,7 @@
 
 pub mod attention;
 pub mod error;
+pub mod isa;
 pub mod linalg;
 pub mod manip;
 pub mod mathfn;

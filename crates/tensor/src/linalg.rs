@@ -1,8 +1,11 @@
 //! Batched matrix multiplication.
 //!
 //! This is the hot kernel of the whole reproduction: every attention
-//! score, projection, and dense layer bottoms out here. Three entry
-//! points share one engine:
+//! score, projection, and dense layer bottoms out here. Training,
+//! evaluation and the frozen inference engine call the same entries —
+//! there is one path per product, instrumented (a span and counters
+//! that cost a relaxed load each while recording is off) and the same
+//! for every caller. Three entry points share one engine:
 //!
 //! - [`matmul`]: `[..., m, k] @ [..., k, n]`,
 //! - [`matmul_nt`]: `[..., m, k] @ [..., n, k]ᵀ` — attention scores
@@ -66,8 +69,12 @@
 //! `batch == 1` product (the predictor MLP over `B·N` flattened rows,
 //! the generator decoder) still uses every core. Tasks own disjoint
 //! output rows and each row's summation order is fixed, so results do
-//! not depend on the thread count.
+//! not depend on the thread count. A product the split leaves whole is
+//! one task, which the pool runs inline on the caller. The register
+//! tiles' ISA arm comes from [`crate::isa`], the workspace's one CPU
+//! probe.
 
+use crate::isa::{self, Isa};
 use crate::shape::{broadcast_shapes, broadcast_strides, volume};
 use crate::{Result, Tensor, TensorError};
 use stwa_pool::SendPtr;
@@ -135,22 +142,6 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// `matmul(&a.transpose_last2()?, b)`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     run(a, b, AKind::Transposed, BKind::Normal, "matmul_tn")
-}
-
-/// Serving-path [`matmul`]: the same plan, kernel choice, and
-/// accumulation order, with none of the per-call instrumentation or
-/// pool dispatch. The inference engine's products are tiny and
-/// latency-critical — a span guard, three counters, and a pool
-/// round-trip cost more than the arithmetic — while the training path
-/// keeps full observability. Bitwise identical to [`matmul`].
-pub fn matmul_lean(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run_lean(a, b, AKind::Normal, BKind::Normal, "matmul")
-}
-
-/// Serving-path [`matmul_nt`]; see [`matmul_lean`]. Bitwise identical
-/// to [`matmul_nt`].
-pub fn matmul_nt_lean(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run_lean(a, b, AKind::Normal, BKind::Transposed, "matmul_nt")
 }
 
 /// The seed kernel, kept as the independent reference implementation:
@@ -281,6 +272,26 @@ impl Plan {
         let k = ka;
         let mut lead_a = &a.shape()[..ar - 2];
         let mut lead_b = &b.shape()[..br - 2];
+        // Identical leading axes — every per-request product of the
+        // serving forward and most of the training step: nothing
+        // broadcasts and nothing folds, consecutive batches are
+        // consecutive matrices on both sides, so the broadcast
+        // resolution below and its vectors are skipped.
+        if lead_a == lead_b {
+            let mut out_shape = lead_a.to_vec();
+            out_shape.push(m);
+            out_shape.push(n);
+            return Ok(Plan {
+                m,
+                k,
+                n,
+                batch: volume(lead_a),
+                out_shape,
+                a_offsets: Offsets::Strided(m * k),
+                b_offsets: Offsets::Strided(k * n),
+                folded: false,
+            });
+        }
         let lead_out = broadcast_shapes(op, lead_a, lead_b)?;
         let mut out_shape = lead_out.clone();
         out_shape.push(m);
@@ -398,7 +409,7 @@ impl Gemm {
             ak,
             bk,
             blocked: m * n * k >= blocked_min,
-            isa: isa(),
+            isa: isa::current(),
         }
     }
 
@@ -457,6 +468,10 @@ impl Gemm {
     }
 }
 
+/// One engine behind [`matmul`], [`matmul_nt`] and [`matmul_tn`], for
+/// training, evaluation and the inference engine alike. A product the
+/// split leaves whole is a single task, which the pool runs inline on
+/// the caller; only real fan-out wakes a worker.
 fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result<Tensor> {
     let plan = Plan::build(a, b, ak, bk, op, true)?;
     if plan.is_empty() {
@@ -494,10 +509,9 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
     let a_data = a.data();
     let b_data = b.data();
     let out_ptr = SendPtr(out.as_mut_ptr());
-
     if tasks.is_empty() {
-        // Sequential path, still routed through the pool so manifests
-        // account for every kernel dispatch (`pool.tasks`).
+        // One task, which the pool runs on the caller; routed through
+        // it so manifests account for every kernel (`pool.tasks`).
         stwa_pool::parallel_for(1, |_| {
             // Safety: single task, and the pool joins before `out` is
             // consumed.
@@ -522,75 +536,6 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
         });
     }
 
-    Tensor::from_vec(out, &plan.out_shape)
-}
-
-/// [`run`] without the span, counters, or pool round-trip — the
-/// serving-path variant behind [`matmul_lean`] / [`matmul_nt_lean`].
-/// Always sequential: the inference engine's per-request products sit
-/// far below [`PARALLEL_FLOP_THRESHOLD`], where pool dispatch costs
-/// more than it buys, and sequential execution is bitwise identical to
-/// any split by construction.
-fn run_lean(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result<Tensor> {
-    // Plan-free fast path: same-rank operands with identical leading
-    // axes. No broadcast resolution, no offset table, no intermediate
-    // vectors — consecutive batches are consecutive matrices on both
-    // sides, so the kernels run straight off constant strides. Same
-    // kernel choice and per-matrix order as the planned walk below,
-    // hence bitwise identical; mismatched inner dims fall through to
-    // `Plan::build` for the canonical error.
-    let (ar, br) = (a.rank(), b.rank());
-    if ar >= 2 && ar == br && a.shape()[..ar - 2] == b.shape()[..br - 2] {
-        let (m, ka) = match ak {
-            AKind::Normal => (a.shape()[ar - 2], a.shape()[ar - 1]),
-            AKind::Transposed => (a.shape()[ar - 1], a.shape()[ar - 2]),
-        };
-        let (kb, n) = match bk {
-            BKind::Normal => (b.shape()[br - 2], b.shape()[br - 1]),
-            BKind::Transposed => (b.shape()[br - 1], b.shape()[br - 2]),
-        };
-        if ka == kb {
-            let k = ka;
-            let batch: usize = a.shape()[..ar - 2].iter().product();
-            let flops = batch * m * n * k;
-            if flops >= PARALLEL_FLOP_THRESHOLD && stwa_pool::current_threads() > 1 {
-                return run(a, b, ak, bk, op);
-            }
-            if flops > 0 {
-                let mut out = crate::memory::take_scratch(batch * m * n);
-                Gemm::new(m, k, n, ak, bk).batches(
-                    a.data(),
-                    &Offsets::Strided(m * k),
-                    b.data(),
-                    &Offsets::Strided(k * n),
-                    &mut out,
-                );
-                let mut out_shape = a.shape()[..ar - 2].to_vec();
-                out_shape.push(m);
-                out_shape.push(n);
-                return Tensor::from_vec(out, &out_shape);
-            }
-        }
-    }
-    let plan = Plan::build(a, b, ak, bk, op, true)?;
-    if plan.is_empty() {
-        return Tensor::from_vec(Vec::new(), &plan.out_shape);
-    }
-    let (m, k, n, batch) = (plan.m, plan.k, plan.n, plan.batch);
-    // Products big enough to split (large serving batches on multi-core
-    // hosts) go back through the full path: the pool win dwarfs the
-    // instrumentation cost there, and both paths are bitwise identical.
-    if batch * m * n * k >= PARALLEL_FLOP_THRESHOLD && stwa_pool::current_threads() > 1 {
-        return run(a, b, ak, bk, op);
-    }
-    let mut out = crate::memory::take_scratch(batch * m * n);
-    Gemm::new(m, k, n, ak, bk).batches(
-        a.data(),
-        &plan.a_offsets,
-        b.data(),
-        &plan.b_offsets,
-        &mut out,
-    );
     Tensor::from_vec(out, &plan.out_shape)
 }
 
@@ -644,7 +589,7 @@ pub fn matmul_tn_sum_lead(a: &Tensor, g: &Tensor) -> Result<Tensor> {
     let mut out = crate::memory::take_scratch(rest * m * n);
     let (a_data, g_data) = (a.data(), g.data());
     let out_ptr = SendPtr(out.as_mut_ptr());
-    let isa = isa();
+    let isa = isa::current();
     stwa_pool::parallel_for(1, |_| {
         for ri in 0..rest {
             // Safety: `a` holds `d0·rest·m` floats and `g` `d0·rest·n`
@@ -695,75 +640,19 @@ pub fn gemm_nn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n:
 
 /// [`gemm_nn_slice`] against a pre-packed right operand:
 /// `C[rows, n] = A[rows, k] @ packed`, written into `c` (never read).
-/// The slice-level twin of [`matmul_packed_lean`] — same panel walk,
+/// The slice-level twin of [`matmul_packed`] — same panel walk,
 /// hence the same bits — for callers that produce a few rows of a wide
 /// product at a time into their own scratch (the inference engine
 /// decodes one sensor block's projections, consumes them, and reuses
 /// the buffer). Always sequential.
 pub fn gemm_packed_slice(a: &[f32], packed: &PackedMatrix, c: &mut [f32], rows: usize) {
     let (k, n) = (packed.k, packed.n);
-    gemm_prepacked(isa(), &a[..rows * k], packed, &mut c[..rows * n], 0, rows);
+    gemm_prepacked(isa::current(), &a[..rows * k], packed, &mut c[..rows * n], 0, rows);
 }
 
 // -------------------------------------------------------------------
 // Register tiles
 // -------------------------------------------------------------------
-
-/// Which build of the strip tiles runs. The wider builds only change
-/// how many lanes each `mul`/`add` covers and how many accumulators are
-/// in flight — no FMA contraction, one rounding per operation — so
-/// every arm produces identical bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum Isa {
-    Scalar,
-    Avx2,
-    Avx512,
-}
-
-/// The widest arm the CPU supports (capped by the test override).
-fn isa() -> Isa {
-    let detected = {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                Isa::Avx512
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                Isa::Avx2
-            } else {
-                Isa::Scalar
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Isa::Scalar
-        }
-    };
-    #[cfg(test)]
-    let detected = detected.min(isa_cap::get());
-    detected
-}
-
-/// Test-only ceiling on the dispatched arm, so the scalar and AVX2
-/// tiles are exercised (and held to the same bits) on AVX-512 hosts.
-#[cfg(test)]
-mod isa_cap {
-    use super::Isa;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    static CAP: AtomicU8 = AtomicU8::new(Isa::Avx512 as u8);
-
-    pub(super) fn get() -> Isa {
-        match CAP.load(Ordering::Relaxed) {
-            0 => Isa::Scalar,
-            1 => Isa::Avx2,
-            _ => Isa::Avx512,
-        }
-    }
-
-    pub(super) fn set(cap: Isa) {
-        CAP.store(cap as u8, Ordering::Relaxed);
-    }
-}
 
 /// The left operand as the tile reads it: element `(r, p)` — output row
 /// `r`, contraction step `p` — lives at `ptr[r·rs + p·ps]`. `A` is
@@ -949,7 +838,7 @@ unsafe fn tile_avx512<const R: usize, const S: usize>(
 /// # Safety
 ///
 /// As [`tile_avx512`] minus the CPU requirement; `isa` must not exceed
-/// what the CPU supports (it comes from [`isa`]).
+/// what the CPU supports (it comes from [`isa::current`]).
 #[inline(always)]
 unsafe fn tile_strips<const R: usize, const S: usize>(
     isa: Isa,
@@ -963,7 +852,7 @@ unsafe fn tile_strips<const R: usize, const S: usize>(
     // Safety: forwarded contract; the ISA arms are guarded by `isa`.
     unsafe {
         #[cfg(target_arch = "x86_64")]
-        if isa == Isa::Avx512 {
+        if isa >= Isa::Avx512 {
             return tile_avx512::<R, S>(a, b, kc, c, cs, first);
         }
         for s in 0..S {
@@ -1031,7 +920,7 @@ unsafe fn strip_bands<const S: usize>(
 ) {
     // Safety: band `i..i + R` lies inside `rows`.
     unsafe {
-        for_bands!(isa == Isa::Avx512, rows, |R, i| tile_strips::<R, S>(
+        for_bands!(isa >= Isa::Avx512, rows, |R, i| tile_strips::<R, S>(
             isa,
             a.at(i, 0),
             b,
@@ -1313,7 +1202,7 @@ unsafe fn panel_pass(
             }
             if ragged > 0 {
                 let (b, c) = (strips(full), c.add(full * NR));
-                for_bands!(isa == Isa::Avx512, rb, |R, i| edge::<R>(
+                for_bands!(isa >= Isa::Avx512, rb, |R, i| edge::<R>(
                     isa,
                     a.at(i, 0),
                     b,
@@ -1475,38 +1364,45 @@ impl PackedMatrix {
     }
 }
 
-/// Shape checks shared by [`matmul_packed`] and [`matmul_packed_lean`]:
-/// the flattened row count and the output shape.
-fn packed_dims(a: &Tensor, packed: &PackedMatrix) -> Result<(usize, Vec<usize>)> {
-    if a.rank() < 2 {
-        return Err(TensorError::RankTooSmall {
-            op: "matmul_packed",
-            required: 2,
-            actual: a.rank(),
-        });
-    }
+/// Shape checks shared by the packed entry points (f32 here, int8 in
+/// [`crate::quant`]): the flattened row count of `a = [..., m, k]` and
+/// the output shape `[..., m, n]`.
+pub(crate) fn packed_dims(
+    a: &Tensor,
+    k: usize,
+    n: usize,
+    op: &'static str,
+) -> Result<(usize, Vec<usize>)> {
     let ar = a.rank();
-    if a.shape()[ar - 1] != packed.k {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_packed",
-            lhs: a.shape().to_vec(),
-            rhs: vec![packed.k, packed.n],
+    if ar < 2 {
+        return Err(TensorError::RankTooSmall {
+            op,
+            required: 2,
+            actual: ar,
         });
     }
-    let rows: usize = a.shape()[..ar - 1].iter().product();
+    if a.shape()[ar - 1] != k {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.shape().to_vec(),
+            rhs: vec![k, n],
+        });
+    }
     let mut out_shape = a.shape()[..ar - 1].to_vec();
-    out_shape.push(packed.n);
-    Ok((rows, out_shape))
+    out_shape.push(n);
+    Ok((a.shape()[..ar - 1].iter().product(), out_shape))
 }
 
 /// `a @ packed` where `a` is `[..., m, k]` and the packed matrix stands
 /// for a shared `[k, n]` right operand. All leading axes of `a` flatten
 /// into rows (each output row's summation chain is unchanged by the
-/// flattening), producing `[..., m, n]`. Bitwise identical to
-/// `matmul(a, b)` for the tensor `b` that was packed.
+/// flattening), producing `[..., m, n]`. Products big enough to
+/// row-split go across the pool; the rest are one task on the caller.
+/// Bitwise identical to `matmul(a, b)` for the tensor `b` that was
+/// packed.
 pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
-    let (rows, out_shape) = packed_dims(a, packed)?;
     let (k, n) = (packed.k, packed.n);
+    let (rows, out_shape) = packed_dims(a, k, n, "matmul_packed")?;
     if rows * n == 0 {
         return Tensor::from_vec(Vec::new(), &out_shape);
     }
@@ -1517,45 +1413,25 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
     stwa_observe::counter!("matmul.flops").add(2 * (rows * n * k) as u64);
 
     let mut out = crate::memory::take_scratch(rows * n);
-    let a_data = a.data();
+    let a_data = &a.data()[..rows * k];
     let out_ptr = SendPtr(out.as_mut_ptr());
-    let threads = stwa_pool::current_threads();
-    let isa = isa();
-    let (_, tasks) = decompose(1, rows, rows * n * k, threads);
-    let run_rows = |r0: usize, r1: usize| {
+    let isa = isa::current();
+    let (_, split) = decompose(1, rows, rows * n * k, stwa_pool::current_threads());
+    let whole = [(0, 0, rows)];
+    let tasks = if split.is_empty() { &whole[..] } else { &split[..] };
+    stwa_pool::parallel_for(tasks.len(), |t| {
+        let (_, r0, r1) = tasks[t];
         // Safety: tasks cover disjoint `[r0, r1)` row ranges and the
         // pool joins before `out` is consumed.
         let c = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-        gemm_prepacked(isa, &a_data[..rows * k], packed, c, r0, r1);
-    };
-    if tasks.is_empty() {
-        stwa_pool::parallel_for(1, |_| run_rows(0, rows));
-    } else {
-        stwa_pool::parallel_for(tasks.len(), |t| {
-            let (_, r0, r1) = tasks[t];
-            run_rows(r0, r1);
-        });
-    }
+        gemm_prepacked(isa, a_data, packed, c, r0, r1);
+    });
     Tensor::from_vec(out, &out_shape)
 }
 
-/// Serving-path [`matmul_packed`]: same packed-panel walk, no span,
-/// counters, or pool round-trip (see [`matmul_lean`]). Products big
-/// enough to row-split still take the full path so large serving
-/// batches keep their parallelism. Bitwise identical to
-/// [`matmul_packed`] and [`matmul`].
+/// [`matmul_packed`] under the name the frozen `benchmark/` imports.
 pub fn matmul_packed_lean(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
-    let (rows, out_shape) = packed_dims(a, packed)?;
-    let (k, n) = (packed.k, packed.n);
-    if rows * n * k >= PARALLEL_FLOP_THRESHOLD && stwa_pool::current_threads() > 1 {
-        return matmul_packed(a, packed);
-    }
-    if rows * n == 0 {
-        return Tensor::from_vec(Vec::new(), &out_shape);
-    }
-    let mut out = crate::memory::take_scratch(rows * n);
-    gemm_prepacked(isa(), &a.data()[..rows * k], packed, &mut out, 0, rows);
-    Tensor::from_vec(out, &out_shape)
+    matmul_packed(a, packed)
 }
 
 /// [`gemm_blocked`] with the B panels read from a [`PackedMatrix`]
@@ -1913,23 +1789,6 @@ mod tests {
         }
     }
 
-    /// Run `f` with the dispatched tile arm capped at `cap`. The cap is
-    /// process-global; capping tests serialize here, and tests that run
-    /// alongside see a different arm with identical bits.
-    fn with_isa_cap<T>(cap: Isa, f: impl FnOnce() -> T) -> T {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                isa_cap::set(Isa::Avx512);
-            }
-        }
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = Restore;
-        isa_cap::set(cap);
-        f()
-    }
-
     /// `(m, k, n)` on both sides of every cutover: single rows, outer
     /// products, widths that are not tile multiples, one full tile,
     /// ragged bands and strips, more than one `KC` slab.
@@ -1950,28 +1809,25 @@ mod tests {
 
     #[test]
     fn every_isa_arm_matches_reference_bitwise() {
-        for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
-            with_isa_cap(cap, || {
-                assert!(isa() <= cap);
-                for &(m, k, n) in &SHAPES {
-                    let a = Tensor::from_fn(&[m, k], fill(1));
-                    let b = Tensor::from_fn(&[k, n], fill(2));
-                    let want = matmul_reference(&a, &b).unwrap();
-                    let tag = format!("{cap:?} {m}x{k}x{n}");
-                    assert_eq!(matmul(&a, &b).unwrap().data(), want.data(), "NN {tag}");
-                    let bt = b.transpose_last2().unwrap();
-                    assert_eq!(matmul_nt(&a, &bt).unwrap().data(), want.data(), "NT {tag}");
-                    let at = a.transpose_last2().unwrap();
-                    assert_eq!(matmul_tn(&at, &b).unwrap().data(), want.data(), "TN {tag}");
-                    let packed = PackedMatrix::pack(&b).unwrap();
-                    assert_eq!(
-                        matmul_packed(&a, &packed).unwrap().data(),
-                        want.data(),
-                        "packed {tag}"
-                    );
-                }
-            });
-        }
+        isa::for_each_ceiling("linalg register tiles", |cap| {
+            for &(m, k, n) in &SHAPES {
+                let a = Tensor::from_fn(&[m, k], fill(1));
+                let b = Tensor::from_fn(&[k, n], fill(2));
+                let want = matmul_reference(&a, &b).unwrap();
+                let tag = format!("{cap:?} {m}x{k}x{n}");
+                assert_eq!(matmul(&a, &b).unwrap().data(), want.data(), "NN {tag}");
+                let bt = b.transpose_last2().unwrap();
+                assert_eq!(matmul_nt(&a, &bt).unwrap().data(), want.data(), "NT {tag}");
+                let at = a.transpose_last2().unwrap();
+                assert_eq!(matmul_tn(&at, &b).unwrap().data(), want.data(), "TN {tag}");
+                let packed = PackedMatrix::pack(&b).unwrap();
+                assert_eq!(
+                    matmul_packed(&a, &packed).unwrap().data(),
+                    want.data(),
+                    "packed {tag}"
+                );
+            }
+        });
     }
 
     #[test]
@@ -1980,7 +1836,7 @@ mod tests {
         // the requested rows is stored — small and blocked paths, ragged
         // edges, several `KC` slabs, `k == 0`, row sub-ranges.
         for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
-            with_isa_cap(cap, || {
+            isa::with_ceiling(cap, || {
                 for &(m, k, n) in SHAPES.iter().chain(&[(3, 0, 5), (40, 0, 40)]) {
                     let a = Tensor::from_fn(&[m, k], fill(3));
                     let b = Tensor::from_fn(&[k, n], fill(4));
@@ -2006,7 +1862,7 @@ mod tests {
                     }
                     let packed = PackedMatrix::pack(&b).unwrap();
                     let mut c = vec![f32::NAN; (r1 - r0) * n];
-                    gemm_prepacked(isa(), a.data(), &packed, &mut c, r0, r1);
+                    gemm_prepacked(isa::current(), a.data(), &packed, &mut c, r0, r1);
                     assert_eq!(c, rows, "{cap:?} prepacked {m}x{k}x{n}");
                     let mut c = vec![f32::NAN; m * n];
                     gemm_nn_slice(a.data(), b.data(), &mut c, m, k, n);
@@ -2048,7 +1904,7 @@ mod tests {
             let at = a.transpose_last2().unwrap();
             let packed = PackedMatrix::pack(&b).unwrap();
             for cap in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
-                with_isa_cap(cap, || {
+                isa::with_ceiling(cap, || {
                     for (r0, r1) in [(0, m), (m / 3, m - m / 4)] {
                         let rows = &want.data()[r0 * n..r1 * n];
                         let tag = format!("{cap:?} {m}x{k}x{n} rows {r0}..{r1}");
@@ -2065,14 +1921,14 @@ mod tests {
                             assert!(c == rows, "blocked {view} {tag}");
                         }
                         let mut c = vec![f32::NAN; (r1 - r0) * n];
-                        gemm_prepacked(isa(), a.data(), &packed, &mut c, r0, r1);
+                        gemm_prepacked(isa::current(), a.data(), &packed, &mut c, r0, r1);
                         assert!(c == rows, "prepacked {tag}");
                     }
                     let mut c = vec![f32::NAN; m * n];
                     gemm_packed_slice(a.data(), &packed, &mut c, m);
                     assert!(c == want.data(), "packed slice {cap:?} {m}x{k}x{n}");
-                    let lean = matmul_packed_lean(&a, &packed).unwrap();
-                    assert!(lean.data() == want.data(), "lean {cap:?} {m}x{k}x{n}");
+                    let whole = matmul_packed(&a, &packed).unwrap();
+                    assert!(whole.data() == want.data(), "tensor entry {cap:?} {m}x{k}x{n}");
                 });
             }
         }

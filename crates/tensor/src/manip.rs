@@ -9,10 +9,7 @@ use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
     /// Reinterpret the buffer under a new shape with the same volume.
-    ///
-    /// With the pool enabled this shares the buffer (O(1), copy-on-write
-    /// protected); with it disabled it materializes a copy, matching the
-    /// pre-pool allocator behaviour exactly.
+    /// Shares the buffer (O(1), copy-on-write protected).
     pub fn reshape(&self, new_shape: &[usize]) -> Result<Tensor> {
         if volume(new_shape) != self.len() {
             return Err(TensorError::InvalidReshape {
@@ -20,10 +17,7 @@ impl Tensor {
                 to: new_shape.to_vec(),
             });
         }
-        if memory::pool_enabled() {
-            return Ok(self.share(new_shape));
-        }
-        Tensor::from_vec(memory::take_copy(self.data()), new_shape)
+        Ok(self.share(new_shape))
     }
 
     /// Insert a length-1 axis at `axis` (which may equal the rank, to
@@ -83,16 +77,15 @@ impl Tensor {
         // with equal strides on both sides, so they move as one
         // `copy_from_slice` block per odometer step instead of
         // element-by-element. Attention-style permutes keep the feature
-        // axis last, making this the common case. Part of the fused
-        // kernel family: gated so the toggled-off build exercises the
-        // original element walk, the reference for A/B runs.
+        // axis last, making this the common case; a permutation that
+        // moves the last axis has `inner == 1` and walks elements.
         let mut k = rank;
         while k > 0 && perm[k - 1] == k - 1 {
             k -= 1;
         }
         let inner: usize = self.shape()[k..].iter().product();
         let mut data = memory::take_scratch(n);
-        if inner > 1 && memory::fused_enabled() {
+        if inner > 1 {
             let src_all = self.data();
             let mut idx = vec![0usize; k];
             let mut src = 0usize;

@@ -19,6 +19,8 @@
 //! re-derived when these kernels replaced `libm` (see
 //! `tests/golden_run.rs`).
 
+use crate::isa::{self, Isa};
+
 /// Fast `exp(x)`: max relative error ≤ 3e-7 over the finite range,
 /// `+inf` above ~88.72 (like libm), min-normal flush in the deep
 /// negative tail.
@@ -106,8 +108,8 @@ pub fn exp_slice(xs: &mut [f32]) {
 /// before the same exp chain, exactly like the scalar loop it replaces.
 pub fn exp_sub_slice(xs: &mut [f32], m: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx512_enabled() {
-        // Safety: guarded by the runtime AVX-512F check.
+    if isa::current() >= Isa::Avx512 {
+        // Safety: the tier implies AVX-512F.
         unsafe { exp_sub_slice_avx512(xs, m) };
         return;
     }
@@ -119,8 +121,8 @@ pub fn exp_sub_slice(xs: &mut [f32], m: f32) {
 /// `x[i] = tanh_f32(x[i])` over the whole slice.
 pub fn tanh_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx512_enabled() {
-        // Safety: guarded by the runtime AVX-512F check.
+    if isa::current() >= Isa::Avx512 {
+        // Safety: the tier implies AVX-512F.
         unsafe { tanh_slice_avx512(xs) };
         return;
     }
@@ -132,21 +134,14 @@ pub fn tanh_slice(xs: &mut [f32]) {
 /// `x[i] = sigmoid_f32(x[i])` over the whole slice.
 pub fn sigmoid_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx512_enabled() {
-        // Safety: guarded by the runtime AVX-512F check.
+    if isa::current() >= Isa::Avx512 {
+        // Safety: the tier implies AVX-512F.
         unsafe { sigmoid_slice_avx512(xs) };
         return;
     }
     for x in xs.iter_mut() {
         *x = sigmoid_f32(*x);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx512_enabled() -> bool {
-    use std::sync::OnceLock;
-    static AVX512: OnceLock<bool> = OnceLock::new();
-    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -343,35 +338,39 @@ mod tests {
             -21.0,
             10.5,
         ]);
-        for f in [0usize, 1, 7, 15] {
-            // Offset the slice start so tails of every length are hit.
-            let src = &xs[f..];
-            let mut e = src.to_vec();
-            exp_sub_slice(&mut e, 0.25);
-            let mut t = src.to_vec();
-            tanh_slice(&mut t);
-            let mut s = src.to_vec();
-            sigmoid_slice(&mut s);
-            for (i, &x) in src.iter().enumerate() {
-                assert_eq!(e[i].to_bits(), exp_f32(x - 0.25).to_bits(), "exp at {x}");
-                assert_eq!(t[i].to_bits(), tanh_f32(x).to_bits(), "tanh at {x}");
-                assert_eq!(s[i].to_bits(), sigmoid_f32(x).to_bits(), "sigmoid at {x}");
+        // Under every ceiling the host supports: below AVX-512 the slice
+        // kernels *are* the scalar loop, at and above it the wide arm.
+        crate::isa::for_each_ceiling("mathfn slice kernels", |_| {
+            for f in [0usize, 1, 7, 15] {
+                // Offset the slice start so tails of every length are hit.
+                let src = &xs[f..];
+                let mut e = src.to_vec();
+                exp_sub_slice(&mut e, 0.25);
+                let mut t = src.to_vec();
+                tanh_slice(&mut t);
+                let mut s = src.to_vec();
+                sigmoid_slice(&mut s);
+                for (i, &x) in src.iter().enumerate() {
+                    assert_eq!(e[i].to_bits(), exp_f32(x - 0.25).to_bits(), "exp at {x}");
+                    assert_eq!(t[i].to_bits(), tanh_f32(x).to_bits(), "tanh at {x}");
+                    assert_eq!(s[i].to_bits(), sigmoid_f32(x).to_bits(), "sigmoid at {x}");
+                }
             }
-        }
-        // NaN stays NaN in every lane position, wide or tail.
-        for len in [1usize, 16, 17, 40] {
-            for at in [0, len / 2, len - 1] {
-                let mut src = vec![0.5f32; len];
-                src[at] = f32::NAN;
-                for kernel in [exp_slice, tanh_slice, sigmoid_slice] {
-                    let mut out = src.clone();
-                    kernel(&mut out);
-                    for (i, y) in out.iter().enumerate() {
-                        assert_eq!(y.is_nan(), i == at, "len {len}, NaN at {at}, lane {i}");
+            // NaN stays NaN in every lane position, wide or tail.
+            for len in [1usize, 16, 17, 40] {
+                for at in [0, len / 2, len - 1] {
+                    let mut src = vec![0.5f32; len];
+                    src[at] = f32::NAN;
+                    for kernel in [exp_slice, tanh_slice, sigmoid_slice] {
+                        let mut out = src.clone();
+                        kernel(&mut out);
+                        for (i, y) in out.iter().enumerate() {
+                            assert_eq!(y.is_nan(), i == at, "len {len}, NaN at {at}, lane {i}");
+                        }
                     }
                 }
             }
-        }
+        });
         let mut p = vec![0.0f32, 1.0, -1.0];
         exp_slice(&mut p);
         assert_eq!(p[0].to_bits(), exp_f32(0.0).to_bits());

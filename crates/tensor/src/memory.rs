@@ -37,7 +37,7 @@
 //! contended mutex acquisition is still ~20ns, noise next to a 256KiB
 //! memset saved per hit.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A live-bytes counter with a high-water mark.
@@ -164,10 +164,6 @@ struct PoolCounters {
     hits: AtomicUsize,
     misses: AtomicUsize,
     recycled_bytes: AtomicUsize,
-    /// Heap allocations performed by the tensor constructors — pool
-    /// misses plus every construction while the pool is disabled. The
-    /// bench gate compares this per-step, pool on vs off.
-    heap_allocs: AtomicUsize,
 }
 
 static POOL: OnceLock<Mutex<PoolInner>> = OnceLock::new();
@@ -175,9 +171,7 @@ static COUNTERS: PoolCounters = PoolCounters {
     hits: AtomicUsize::new(0),
     misses: AtomicUsize::new(0),
     recycled_bytes: AtomicUsize::new(0),
-    heap_allocs: AtomicUsize::new(0),
 };
-static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 
 fn pool() -> &'static Mutex<PoolInner> {
     POOL.get_or_init(|| {
@@ -186,38 +180,6 @@ fn pool() -> &'static Mutex<PoolInner> {
             held_bytes: 0,
         })
     })
-}
-
-/// Whether buffer recycling is on. Defaults to on; [`set_pool_enabled`]
-/// toggles it at runtime (for A/B benchmarks and the pool-off
-/// determinism tests).
-pub fn pool_enabled() -> bool {
-    POOL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable buffer recycling at runtime. Disabling does not
-/// flush buffers already pooled; call [`clear_pool`] for that.
-pub fn set_pool_enabled(on: bool) {
-    POOL_ENABLED.store(on, Ordering::Relaxed);
-}
-
-static FUSED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether fused kernels (softmax_lastdim, bias+activation, fused Huber,
-/// fused VJPs) are dispatched. All fused paths are bitwise-identical to
-/// their reference chains, so this flag only exists for A/B benchmarking
-/// and for the equality tests that prove that claim; on by default,
-/// [`set_fused_enabled`] toggles at runtime.
-///
-/// The flag lives here (not in autograd) so every layer — tensor kernels,
-/// backward VJPs, nn loss/layers — reads one switch.
-pub fn fused_enabled() -> bool {
-    FUSED_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable fused-kernel dispatch at runtime.
-pub fn set_fused_enabled(on: bool) {
-    FUSED_ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// `floor(log2(cap))`, the free-list index for a buffer of capacity `cap`.
@@ -239,7 +201,7 @@ fn pooled_capacity(len: usize) -> usize {
 /// buffers are twice as big. Both probes are O(1) — the lock is held for
 /// a few instructions, never a scan.
 fn pool_acquire(len: usize) -> Option<Vec<f32>> {
-    if len < MIN_POOL_LEN || !pool_enabled() {
+    if len < MIN_POOL_LEN {
         return None;
     }
     let c = class_of(pooled_capacity(len));
@@ -270,21 +232,32 @@ fn note_hit(len: usize) {
 
 fn note_miss() {
     COUNTERS.misses.fetch_add(1, Ordering::Relaxed);
-    COUNTERS.heap_allocs.fetch_add(1, Ordering::Relaxed);
     stwa_observe::counter!("alloc.pool_misses").incr();
     stwa_observe::counter!("alloc.heap").incr();
 }
 
-/// A freshly heap-allocated, *empty* buffer for `len` elements. With the
-/// pool on, capacity is rounded up to the pooled power of two so the
-/// buffer joins a free list when its tensor drops; with the pool off it
-/// is exact-sized, matching the pre-pool allocator behaviour.
+/// A freshly heap-allocated, *empty* buffer for `len` elements.
+/// Capacity is rounded up to the pooled power of two so the buffer
+/// joins a free list when its tensor drops; lengths outside the pooled
+/// range are exact-sized.
 fn fresh(len: usize) -> Vec<f32> {
     note_miss();
-    if len >= MIN_POOL_LEN && pool_enabled() && class_of(pooled_capacity(len)) <= MAX_CLASS {
+    if len >= MIN_POOL_LEN && class_of(pooled_capacity(len)) <= MAX_CLASS {
         Vec::with_capacity(pooled_capacity(len))
     } else {
         Vec::with_capacity(len)
+    }
+}
+
+/// A buffer with room for `len` elements, contents unspecified: from
+/// the pool when it has one, else fresh (and empty).
+fn acquire(len: usize) -> Vec<f32> {
+    match pool_acquire(len) {
+        Some(buf) => {
+            note_hit(len);
+            buf
+        }
+        None => fresh(len),
     }
 }
 
@@ -292,59 +265,32 @@ fn fresh(len: usize) -> Vec<f32> {
 /// initialized) contents — for outputs every element of which the caller
 /// overwrites. Pool hits skip both malloc and memset.
 pub fn take_scratch(len: usize) -> Vec<f32> {
-    match pool_acquire(len) {
-        Some(mut buf) => {
-            note_hit(len);
-            // Shrink is a truncate; grow fills only the tail. Either way
-            // every element is initialized f32 memory.
-            buf.resize(len, 0.0);
-            buf
-        }
-        None => {
-            let mut buf = fresh(len);
-            buf.resize(len, 0.0);
-            buf
-        }
-    }
+    let mut buf = acquire(len);
+    // Shrink is a truncate; grow fills only the tail. Either way every
+    // element is initialized f32 memory.
+    buf.resize(len, 0.0);
+    buf
 }
 
 /// A buffer of `len` copies of `value`, drawn from the pool when possible.
 pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
-    match pool_acquire(len) {
-        Some(mut buf) => {
-            note_hit(len);
-            buf.clear();
-            buf.resize(len, value);
-            buf
-        }
-        None => {
-            let mut buf = fresh(len);
-            buf.resize(len, value);
-            buf
-        }
-    }
+    let mut buf = acquire(len);
+    buf.clear();
+    buf.resize(len, value);
+    buf
 }
 
 /// A pooled copy of `src`.
 pub fn take_copy(src: &[f32]) -> Vec<f32> {
-    match pool_acquire(src.len()) {
-        Some(mut buf) => {
-            note_hit(src.len());
-            buf.clear();
-            buf.extend_from_slice(src);
-            buf
-        }
-        None => {
-            let mut buf = fresh(src.len());
-            buf.extend_from_slice(src);
-            buf
-        }
-    }
+    let mut buf = acquire(src.len());
+    buf.clear();
+    buf.extend_from_slice(src);
+    buf
 }
 
 /// Return a dropped buffer to the free list (or to the allocator when
-/// the pool is off, the buffer is out of class range, or the pool is at
-/// capacity). Called from `Tensor::drop`.
+/// the buffer is out of class range or the pool is at capacity). Called
+/// from `Tensor::drop`.
 ///
 /// Only power-of-two capacities are accepted — those are the buffers the
 /// pool itself built, and uniformity within a class is what keeps
@@ -352,7 +298,7 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// `from_vec`) go back to the allocator.
 pub fn recycle(buf: Vec<f32>) {
     let cap = buf.capacity();
-    if cap < MIN_POOL_LEN || !cap.is_power_of_two() || !pool_enabled() {
+    if cap < MIN_POOL_LEN || !cap.is_power_of_two() {
         return;
     }
     let c = class_of(cap);
@@ -379,7 +325,6 @@ pub fn clear_pool() {
     COUNTERS.hits.store(0, Ordering::Relaxed);
     COUNTERS.misses.store(0, Ordering::Relaxed);
     COUNTERS.recycled_bytes.store(0, Ordering::Relaxed);
-    COUNTERS.heap_allocs.store(0, Ordering::Relaxed);
 }
 
 /// Snapshot of pool activity since the last [`clear_pool`].
@@ -391,8 +336,7 @@ pub struct PoolStats {
     pub misses: usize,
     /// Bytes served from recycled buffers.
     pub recycled_bytes: usize,
-    /// Heap allocations by the tensor constructors (misses, plus every
-    /// construction while the pool is disabled).
+    /// Heap allocations by the tensor constructors: every miss is one.
     pub heap_allocs: usize,
     /// Bytes currently parked on the free lists.
     pub held_bytes: usize,
@@ -413,11 +357,12 @@ impl PoolStats {
 /// Read the pool's activity counters and current footprint.
 pub fn pool_stats() -> PoolStats {
     let held = pool().lock().unwrap().held_bytes;
+    let misses = COUNTERS.misses.load(Ordering::Relaxed);
     PoolStats {
         hits: COUNTERS.hits.load(Ordering::Relaxed),
-        misses: COUNTERS.misses.load(Ordering::Relaxed),
+        misses,
         recycled_bytes: COUNTERS.recycled_bytes.load(Ordering::Relaxed),
-        heap_allocs: COUNTERS.heap_allocs.load(Ordering::Relaxed),
+        heap_allocs: misses,
         held_bytes: held,
     }
 }
@@ -522,8 +467,6 @@ mod tests {
 
     #[test]
     fn pool_roundtrip_reuses_buffer() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         // Use an odd size no other test allocates, so concurrent tests
         // cannot steal the buffer between release and acquire.
         let n = 12_345;
@@ -534,13 +477,10 @@ mod tests {
         assert_eq!(again.len(), n);
         assert_eq!(again.as_ptr(), ptr, "same-size reacquire must reuse the buffer");
         drop(again);
-        set_pool_enabled(was);
     }
 
     #[test]
     fn pool_filled_and_copy_reinitialize() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         let n = 23_456;
         let mut buf = take_scratch(n);
         for x in buf.iter_mut() {
@@ -554,7 +494,6 @@ mod tests {
         let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let copy = take_copy(&src);
         assert_eq!(copy, src);
-        set_pool_enabled(was);
     }
 
     #[test]
@@ -567,26 +506,12 @@ mod tests {
         assert!(after.misses > before.misses || after.hits == before.hits);
     }
 
-    #[test]
-    fn disabled_pool_counts_heap_allocs() {
-        let was = pool_enabled();
-        set_pool_enabled(false);
-        let before = pool_stats().heap_allocs;
-        let buf = take_scratch(9_999);
-        recycle(buf); // dropped, not pooled
-        let after = pool_stats().heap_allocs;
-        assert!(after > before);
-        set_pool_enabled(was);
-    }
-
     /// Hand-rolled interleaving test for the free list: several threads
     /// hammer acquire/write/verify/release concurrently. If the pool ever
     /// handed the same buffer to two threads at once, the sentinel check
     /// would see the other thread's writes.
     #[test]
     fn pool_survives_concurrent_drop_and_alloc() {
-        let was = pool_enabled();
-        set_pool_enabled(true);
         let threads = 8;
         let rounds = 200;
         let handles: Vec<_> = (0..threads)
@@ -617,6 +542,5 @@ mod tests {
         }
         let stats = pool_stats();
         assert!(stats.held_bytes <= MAX_HELD_BYTES);
-        set_pool_enabled(was);
     }
 }

@@ -46,7 +46,8 @@
 //!
 //! [`PackedMatrix`]: crate::linalg::PackedMatrix
 
-use crate::linalg::{MR, NR, PARALLEL_FLOP_THRESHOLD};
+use crate::isa::{self, Isa};
+use crate::linalg::{packed_dims, MR, NR, PARALLEL_FLOP_THRESHOLD};
 use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 use stwa_pool::SendPtr;
@@ -227,14 +228,14 @@ pub fn quantize_rows_quad(
     apq.resize(rows_pad * k4, 0x8080_8080);
     scales.clear();
     scales.resize(rows, 1.0);
-    let kern = detect_kernel();
+    let kern = isa::current();
     for r in 0..rows {
         let row = &a[r * k..(r + 1) * k];
         let dst = &mut apq[r * k4..(r + 1) * k4];
         scales[r] = match kern {
             #[cfg(target_arch = "x86_64")]
-            // Safety: dispatch guarded by runtime feature checks.
-            Kernel::Avx512 | Kernel::Avx512Vnni => unsafe { quantize_row_avx512(row, dst) },
+            // Safety: `isa::current` never exceeds what the CPU supports.
+            Isa::Avx512 | Isa::Avx512Vnni => unsafe { quantize_row_avx512(row, dst) },
             _ => quantize_row_scalar(row, dst),
         };
     }
@@ -347,57 +348,6 @@ impl PackedMatrixInt8 {
             }
         }
         Tensor::from_vec(out, &[self.k, self.n])
-    }
-}
-
-// -------------------------------------------------------------------
-// Kernel dispatch
-// -------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kernel {
-    Scalar,
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    Avx2,
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    Avx512,
-    /// AVX-512 with VNNI (`vpdpbusd`): the fastest int8 tier. Hosts
-    /// with AVX2 but no VNNI take the `vpmaddubsw`-based tile instead
-    /// ([`int8_tile_avx2`]); only pre-AVX2 hardware falls back to the
-    /// scalar int8 tile.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    Avx512Vnni,
-}
-
-fn detect_kernel() -> Kernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static PICK: OnceLock<Kernel> = OnceLock::new();
-        *PICK.get_or_init(|| {
-            // The AVX-512 tiers also require AVX2 so the int8 dispatch
-            // below can route them to the `vpmaddubsw` tile when VNNI
-            // is absent (every shipping AVX-512 part has AVX2, but the
-            // safety argument should not rest on that).
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("avx512vnni")
-            {
-                Kernel::Avx512Vnni
-            } else if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx2")
-            {
-                Kernel::Avx512
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                Kernel::Avx2
-            } else {
-                Kernel::Scalar
-            }
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Kernel::Scalar
     }
 }
 
@@ -614,7 +564,7 @@ fn gemm_int8(
     c: &mut [f32],
     r0: usize,
     r1: usize,
-    kern: Kernel,
+    kern: Isa,
 ) {
     let (n, k4) = (packed.n, packed.k4);
     let n_strips = n.div_ceil(NR);
@@ -632,14 +582,14 @@ fn gemm_int8(
             let tile = &mut c[(i0 - r0) * n + j0..];
             match kern {
                 #[cfg(target_arch = "x86_64")]
-                // Safety: dispatch guarded by runtime feature checks.
-                Kernel::Avx512Vnni => unsafe {
+                // Safety: callers pass a tier the CPU supports.
+                Isa::Avx512Vnni => unsafe {
                     let corr = &packed.corr[j0..j0 + NR];
                     int8_tile_vnni(ap, packed, strip_off, scales, corr, &sa, tile, n, mr, nr)
                 },
                 #[cfg(target_arch = "x86_64")]
-                // Safety: both tiers imply AVX2 (see `detect_kernel`).
-                Kernel::Avx2 | Kernel::Avx512 => unsafe {
+                // Safety: both tiers imply AVX2 (see [`Isa`]).
+                Isa::Avx2 | Isa::Avx512 => unsafe {
                     let corr = &packed.corr[j0..j0 + NR];
                     int8_tile_avx2(ap, packed, strip_off, scales, corr, &sa, tile, n, mr, nr)
                 },
@@ -654,31 +604,6 @@ fn gemm_int8(
 // Entry points
 // -------------------------------------------------------------------
 
-fn leading_rows(a: &Tensor, k: usize, op: &'static str) -> Result<usize> {
-    if a.rank() < 2 {
-        return Err(TensorError::RankTooSmall {
-            op,
-            required: 2,
-            actual: a.rank(),
-        });
-    }
-    let ar = a.rank();
-    if a.shape()[ar - 1] != k {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape().to_vec(),
-            rhs: vec![k],
-        });
-    }
-    Ok(a.shape()[..ar - 1].iter().product())
-}
-
-fn out_shape_of(a: &Tensor, n: usize) -> Vec<usize> {
-    let mut s = a.shape()[..a.rank() - 1].to_vec();
-    s.push(n);
-    s
-}
-
 /// Split `[0, rows)` into `MR`-aligned chunks, one per pool worker.
 /// Rows are independent chains, so the split never changes bits — it
 /// only spreads the bandwidth across cores.
@@ -690,10 +615,9 @@ fn row_chunks(rows: usize, workers: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Kernel) -> Result<Tensor> {
-    let rows = leading_rows(a, packed.k, "matmul_packed_int8")?;
+fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Isa) -> Result<Tensor> {
     let (k, n) = (packed.k, packed.n);
-    let shape = out_shape_of(a, n);
+    let (rows, shape) = packed_dims(a, k, n, "matmul_packed_int8")?;
     if rows * n == 0 {
         return Tensor::from_vec(Vec::new(), &shape);
     }
@@ -703,7 +627,7 @@ fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Kernel) -> Result<Tenso
         quantize_rows_quad(a.data(), rows, k, &mut apq, &mut row_scales);
         let mut out = crate::memory::take_scratch(rows * n);
         let threads = stwa_pool::current_threads();
-        if kern != Kernel::Scalar && rows * n * k >= PARALLEL_FLOP_THRESHOLD && threads > 1 {
+        if kern != Isa::Scalar && rows * n * k >= PARALLEL_FLOP_THRESHOLD && threads > 1 {
             let chunks = row_chunks(rows, threads);
             let out_ptr = SendPtr(out.as_mut_ptr());
             let (apq, row_scales) = (&*apq, &row_scales);
@@ -727,13 +651,13 @@ fn run_int8(a: &Tensor, packed: &PackedMatrixInt8, kern: Kernel) -> Result<Tenso
 /// activation quantization. Runtime-dispatched; bitwise equal to
 /// [`matmul_packed_int8_reference`] at any shape and thread count.
 pub fn matmul_packed_int8_lean(a: &Tensor, packed: &PackedMatrixInt8) -> Result<Tensor> {
-    run_int8(a, packed, detect_kernel())
+    run_int8(a, packed, isa::current())
 }
 
 /// The scalar reference for [`matmul_packed_int8_lean`] — always the
 /// scalar tile, always single-threaded.
 pub fn matmul_packed_int8_reference(a: &Tensor, packed: &PackedMatrixInt8) -> Result<Tensor> {
-    run_int8(a, packed, Kernel::Scalar)
+    run_int8(a, packed, Isa::Scalar)
 }
 
 /// Forced-AVX2 int8 entry point — a test hook so hosts that dispatch
@@ -741,14 +665,7 @@ pub fn matmul_packed_int8_reference(a: &Tensor, packed: &PackedMatrixInt8) -> Re
 /// Returns `None` when the host lacks AVX2.
 #[doc(hidden)]
 pub fn matmul_packed_int8_avx2(a: &Tensor, packed: &PackedMatrixInt8) -> Option<Result<Tensor>> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(run_int8(a, packed, Kernel::Avx2));
-        }
-    }
-    let _ = (a, packed);
-    None
+    (isa::detected() >= Isa::Avx2).then(|| run_int8(a, packed, Isa::Avx2))
 }
 
 #[cfg(test)]
@@ -804,26 +721,34 @@ mod tests {
         }
     }
 
+    /// Under each ceiling the dispatched entry takes that tier's tile
+    /// and row quantizer (scalar, `vpmaddubsw`, `vpmaddubsw` behind the
+    /// AVX-512 quantizer, `vpdpbusd`); all of them must land on the bits
+    /// of the reference computed with everything at the scalar tier.
     #[test]
     fn dispatched_kernels_match_scalar_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(3);
-        for (m, k, n) in [(1, 16, 16), (4, 300, 48), (7, 33, 17), (64, 257, 130)] {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let w = Tensor::randn(&[k, n], &mut rng);
-            let q = PackedMatrixInt8::pack(&w).unwrap();
-            assert_eq!(
-                matmul_packed_int8_lean(&a, &q).unwrap().data(),
-                matmul_packed_int8_reference(&a, &q).unwrap().data(),
-                "int8 {m}x{k}x{n}"
-            );
-            if let Some(avx2) = matmul_packed_int8_avx2(&a, &q) {
+        let cases: Vec<_> = [(1, 16, 16), (4, 300, 48), (7, 33, 17), (64, 257, 130)]
+            .into_iter()
+            .map(|(m, k, n)| {
+                let a = Tensor::randn(&[m, k], &mut rng);
+                let q = PackedMatrixInt8::pack(&Tensor::randn(&[k, n], &mut rng)).unwrap();
+                let want = isa::with_ceiling(Isa::Scalar, || {
+                    matmul_packed_int8_reference(&a, &q).unwrap()
+                });
+                (a, q, want)
+            })
+            .collect();
+        isa::for_each_ceiling("quant int8 tiles", |cap| {
+            for (a, q, want) in &cases {
                 assert_eq!(
-                    avx2.unwrap().data(),
-                    matmul_packed_int8_reference(&a, &q).unwrap().data(),
-                    "int8 avx2 {m}x{k}x{n}"
+                    matmul_packed_int8_lean(a, q).unwrap().data(),
+                    want.data(),
+                    "int8 {cap:?} {:?}",
+                    a.shape()
                 );
             }
-        }
+        });
     }
 
     /// The `vpmaddubsw` tile's one failure mode is i16 saturation; the
@@ -921,7 +846,7 @@ mod tests {
                 t0.elapsed().as_secs_f64() * 1e3 / 8.0
             };
             let tf = time(&mut || {
-                std::hint::black_box(linalg::matmul_packed_lean(&a, &pf).unwrap());
+                std::hint::black_box(linalg::matmul_packed(&a, &pf).unwrap());
             });
             let ti = time(&mut || {
                 std::hint::black_box(matmul_packed_int8_lean(&a, &q).unwrap());

@@ -272,7 +272,7 @@ impl Tensor {
     /// is invisible bit-for-bit.
     pub fn softmax(&self, axis: usize) -> Result<Tensor> {
         check_axis("softmax", axis, self.rank())?;
-        if axis + 1 == self.rank() && memory::fused_enabled() {
+        if axis + 1 == self.rank() {
             return self.softmax_lastdim();
         }
         self.softmax_reference(axis)

@@ -21,9 +21,9 @@ pub(crate) fn elementwise_chunks() -> usize {
 /// The empty shape `[]` denotes a scalar holding exactly one element.
 ///
 /// The buffer sits behind an `Rc` with copy-on-write semantics: clones
-/// and reshapes share it (O(1) when the pool is enabled), and any
-/// mutation of a shared buffer copies first, so value semantics are
-/// indistinguishable from a deep copy.
+/// and reshapes share it (O(1)), and any mutation of a shared buffer
+/// copies first, so value semantics are indistinguishable from a deep
+/// copy.
 pub struct Tensor {
     data: Rc<Vec<f32>>,
     shape: Vec<usize>,
@@ -579,14 +579,9 @@ impl Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Tensor {
-        if memory::pool_enabled() {
-            // O(1): share the buffer; copy-on-write preserves deep-copy
-            // semantics if either side is later mutated.
-            self.share(&self.shape)
-        } else {
-            // Pool off = pre-pool behaviour: every tensor owns a buffer.
-            Tensor::wrap(memory::take_copy(&self.data), &self.shape)
-        }
+        // O(1): share the buffer; copy-on-write preserves deep-copy
+        // semantics if either side is later mutated.
+        self.share(&self.shape)
     }
 }
 

@@ -455,6 +455,10 @@ fn poison_pool(elems: usize) {
     drop(dirty);
 }
 
+/// The pool thread count is process-global; tests that set it serialize
+/// on this lock.
+static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Contraction depths: mostly `0..40`, with a tail beyond one
 /// `KC = 256` slab.
 fn depth_dim() -> impl Strategy<Value = usize> {
@@ -486,9 +490,6 @@ proptest! {
         poison_pool(bt * m * n);
         let nt = linalg::matmul_nt(&a, &bt_).unwrap();
         prop_assert_eq!(nt.data(), want.data(), "NT {}x{}x{}x{}", bt, m, k, n);
-        poison_pool(bt * m * n);
-        let nt = linalg::matmul_nt_lean(&a, &bt_).unwrap();
-        prop_assert_eq!(nt.data(), want.data(), "NT lean {}x{}x{}x{}", bt, m, k, n);
 
         let at = a.transpose_last2().unwrap();
         poison_pool(bt * m * n);
@@ -508,9 +509,6 @@ proptest! {
         let full = linalg::matmul_packed(&a, &packed).unwrap();
         prop_assert_eq!(full.shape(), want.shape());
         prop_assert_eq!(full.data(), want.data(), "packed {}x{}x{}", rows, k, n);
-        poison_pool(rows * n);
-        let lean = linalg::matmul_packed_lean(&a, &packed).unwrap();
-        prop_assert_eq!(lean.data(), want.data(), "packed lean {}x{}x{}", rows, k, n);
         let mut c = vec![f32::NAN; rows * n];
         linalg::gemm_nn_slice(a.data(), b.data(), &mut c, rows, k, n);
         prop_assert_eq!(&c[..], want.data(), "slice {}x{}x{}", rows, k, n);
@@ -539,7 +537,6 @@ proptest! {
         prop_assert_eq!(folded.shape(), &[b1, b2, m, n]);
         prop_assert_eq!(folded.data(), want.data(), "folded NN");
         prop_assert_eq!(linalg::matmul(&a, &b_full).unwrap().data(), want.data(), "walked NN");
-        prop_assert_eq!(linalg::matmul_lean(&a, &b).unwrap().data(), want.data(), "folded lean");
 
         let bt_ = b.transpose_last2().unwrap();
         let bt_full = b_full.transpose_last2().unwrap();
@@ -593,7 +590,7 @@ proptest! {
         // Per-call blocked (NN and TN views of A) and pre-packed
         // products on the boundaries of the row-block / strip-pair /
         // band walk, with the pool splitting rows wherever it likes.
-        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         struct Restore(usize);
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -613,22 +610,17 @@ proptest! {
         poison_pool(rows * n);
         prop_assert!(linalg::matmul_tn(&at, &b).unwrap().data() == want.data(), "TN {}", tag);
         poison_pool(rows * n);
-        prop_assert!(
-            linalg::matmul_packed(&a, &packed).unwrap().data() == want.data(),
-            "packed {}", tag
-        );
-        poison_pool(rows * n);
-        let lean = linalg::matmul_packed_lean(&a, &packed).unwrap();
-        prop_assert!(lean.data() == want.data(), "packed lean {}", tag);
-        // The slice entry is the lean entry on raw rows — whole, and on
-        // a row sub-range fed as a product of its own.
+        let whole = linalg::matmul_packed(&a, &packed).unwrap();
+        prop_assert!(whole.data() == want.data(), "packed {}", tag);
+        // The slice entry is the tensor entry on raw rows — whole, and
+        // on a row sub-range fed as a product of its own.
         let mut c = vec![f32::NAN; rows * n];
         linalg::gemm_packed_slice(a.data(), &packed, &mut c, rows);
-        prop_assert!(c == lean.data(), "packed slice {}", tag);
+        prop_assert!(c == whole.data(), "packed slice {}", tag);
         let (r0, r1) = (rows / 3, rows - rows / 4);
         let mut c = vec![f32::NAN; (r1 - r0) * n];
         linalg::gemm_packed_slice(&a.data()[r0 * k..], &packed, &mut c, r1 - r0);
-        prop_assert!(c == lean.data()[r0 * n..r1 * n], "packed slice rows {}..{} {}", r0, r1, tag);
+        prop_assert!(c == whole.data()[r0 * n..r1 * n], "packed slice rows {}..{} {}", r0, r1, tag);
     }
 }
 
@@ -643,7 +635,7 @@ proptest! {
         // Large enough to cross the split threshold in every form: a
         // single matrix (row split), a folded shared operand (row split
         // of the tall product), a true batch (batch split).
-        let _guard = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         struct Restore(usize);
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -668,28 +660,27 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Fused elementwise/softmax kernels and the buffer-pool toggles: every
-// fused path must be *bitwise* equal to its retained reference, and the
-// pool/fused switches must be invisible in values. These properties are
-// what lets the train-step benchmark A/B the allocator regimes while
-// guaranteeing identical loss trajectories.
+// Fused elementwise/softmax kernels and shared buffers: every fused
+// path must be *bitwise* equal to the chain it replaced, written out
+// here, and sharing a buffer between clones and reshapes must be
+// invisible in values (copy-on-write).
 // ---------------------------------------------------------------------
 
-/// The pool/fused switches are process-global; tests that flip them
-/// serialize on this lock so a concurrently running toggle test cannot
-/// mask a failure.
-static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
 
-/// Run `f` with both switches forced to `on`, restoring the default
-/// enabled state afterwards.
-fn with_switches<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    use stwa_tensor::memory;
-    memory::set_pool_enabled(on);
-    memory::set_fused_enabled(on);
-    let out = f();
-    memory::set_pool_enabled(true);
-    memory::set_fused_enabled(true);
-    out
+/// `x.permute(perm)` one element at a time from the definition — output
+/// index `o` reads input index `i` with `i[perm[ax]] = o[ax]`.
+fn permute_by_index(x: &Tensor, perm: &[usize]) -> Tensor {
+    let out_shape: Vec<usize> = perm.iter().map(|&p| x.shape()[p]).collect();
+    Tensor::from_fn(&out_shape, |o| {
+        let mut i = vec![0usize; perm.len()];
+        for (ax, &p) in perm.iter().enumerate() {
+            i[p] = o[ax];
+        }
+        x.at(&i)
+    })
 }
 
 proptest! {
@@ -736,35 +727,51 @@ proptest! {
     }
 
     #[test]
-    fn permute_block_path_bitwise_matches_element_walk(
-        d0 in 1usize..4, d1 in 1usize..4, d2 in 1usize..5, seed in 0u64..1 << 32,
+    fn permute_bitwise_matches_an_element_walk(
+        d0 in 1usize..4, d1 in 1usize..4, d2 in 1usize..5, d3 in 1usize..4,
+        which in 0usize..24, seed in 0u64..1 << 32,
     ) {
-        let _guard = TOGGLE_LOCK.lock().unwrap();
-        // [d0, d1, d2] with the last axis fixed: the fused build takes
-        // the block-copy path, the reference build the element walk.
-        let x = Tensor::from_fn(&[d0, d1, d2], fill(seed, 18));
-        let fused = with_switches(true, || x.permute(&[1, 0, 2]).unwrap());
-        let walked = with_switches(false, || x.permute(&[1, 0, 2]).unwrap());
-        prop_assert_eq!(fused.data(), walked.data());
+        // All 24 orders of four axes: the ones that leave trailing axes
+        // in place move them as blocks (one, two or three axes wide),
+        // the rest fall to the per-element odometer.
+        let mut axes = vec![0usize, 1, 2, 3];
+        let mut perm = Vec::with_capacity(4);
+        let mut w = which;
+        for left in (1..=4).rev() {
+            perm.push(axes.remove(w % left));
+            w /= left;
+        }
+        let x = Tensor::from_fn(&[d0, d1, d2, d3], fill(seed, 18));
+        let got = x.permute(&perm).unwrap();
+        let want = permute_by_index(&x, &perm);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(&got), bits(&want), "perm {:?}", perm);
     }
 
     #[test]
-    fn pool_toggle_is_invisible_in_values(
+    fn mutating_one_holder_of_a_shared_buffer_leaves_the_others_untouched(
         rows in 1usize..5, cols in 1usize..5, seed in 0u64..1 << 32,
     ) {
-        let _guard = TOGGLE_LOCK.lock().unwrap();
-        let x = Tensor::from_fn(&[rows, cols], fill(seed, 19));
-        // Clone + reshape share buffers under the pool and deep-copy
-        // without it; both must read back identically.
-        let run = |on: bool| with_switches(on, || {
-            let y = x.clone().reshape(&[cols * rows]).unwrap();
-            let z = y.mul(&y).unwrap();
-            (y.data().to_vec(), z.data().to_vec())
-        });
-        let (y1, z1) = run(true);
-        let (y0, z0) = run(false);
-        prop_assert_eq!(y1, y0);
-        prop_assert_eq!(z1, z0);
+        // Clone and reshape share the buffer; whichever holder is
+        // written to — the original included — must copy first.
+        let mut x = Tensor::from_fn(&[rows, cols], fill(seed, 19));
+        let original = bits(&x);
+        let mut cloned = x.clone();
+        let mut flat = x.reshape(&[rows * cols]).unwrap();
+        let keeper = x.clone();
+
+        cloned.map_inplace(|v| v + 1.0);
+        prop_assert_eq!(bits(&x), original.clone());
+        prop_assert_eq!(bits(&flat), original.clone());
+
+        flat.data_mut()[0] = f32::NAN;
+        prop_assert_eq!(bits(&x), original.clone());
+        prop_assert_eq!(bits(&cloned), bits(&x.add_scalar(1.0)));
+
+        x.data_mut().fill(-7.0);
+        prop_assert_eq!(bits(&keeper), original.clone());
+        prop_assert_eq!(&bits(&flat)[1..], &original[1..]);
+        prop_assert!(flat.data()[0].is_nan());
     }
 }
 
@@ -826,9 +833,8 @@ proptest! {
         m in edge_dim(), k in edge_dim(), n in edge_dim(),
         threads in 1usize..4, seed in 0u64..1 << 32,
     ) {
-        // The pool thread count is process-global state, like the
-        // pool/fused switches — serialize on the same lock.
-        let _guard = TOGGLE_LOCK.lock().unwrap();
+        // The pool thread count is process-global state.
+        let _guard = THREADS_LOCK.lock().unwrap();
         // Restore the configured thread count even if an assert below
         // panics, so one failing case can't skew every later test.
         struct Restore(usize);

@@ -34,11 +34,12 @@ bench:
     cargo run --release -p stwa-bench --bin bench_kernels -- --out BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --out BENCH_train_step.json
 
-# Serving-latency benchmark: graph eval vs the tape-free inference
+# Serving-latency benchmark: `forward_eval` vs the frozen inference
 # engine at batch 1/8/64, plus the quantized-panel section (refreshes
-# BENCH_infer.json; enforces the >=2x batch-1 frozen speedup floor,
-# the batch-64 int8-not-behind-f32 floor, and the int8 forecast-MAE
-# accuracy gate).
+# BENCH_infer.json; enforces that the frozen engine is not slower than
+# evaluation at batch 1 and holds >=4x fewer peak tensor bytes at the
+# serving-scale shape, the batch-64 int8-not-behind-f32 floor, and the
+# int8 forecast-MAE accuracy gate).
 bench-infer:
     cargo run --release -p stwa-bench --bin bench_infer -- --out BENCH_infer.json
 
