@@ -218,9 +218,10 @@ fn reduce_to_shape(grad: &Tensor, shape: &[usize]) -> Result<Tensor> {
 /// `operand_rank`. When the operand is shared across the leading batch
 /// axis — so [`reduce_to_shape`] would begin by summing axis 0 — and
 /// every batch is a single row vector, that first sum is fused into the
-/// product ([`linalg::matmul_tn_sum_lead`]) and the `[B, .., d, d]`
-/// stack of outer products is never written. The remaining axes reduce
-/// as before, in the recorded order, so the gradient's bits do not move.
+/// product ([`linalg::matmul_tn_sum_lead`]: one FMA chain over the
+/// leading axis, i.e. `matmul_tn` over the lead-flattened operands) and
+/// the `[B, .., d, d]` stack of outer products is never written. The
+/// remaining axes reduce as before, in the recorded order.
 fn matmul_tn_toward(a: &Tensor, g: &Tensor, operand_rank: usize) -> Result<Tensor> {
     let r = a.rank();
     let row_vectors = r >= 3

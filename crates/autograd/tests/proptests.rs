@@ -429,30 +429,39 @@ proptest! {
     ) {
         // `[B, N, 1, d] @ W` with `W` shared over the batch (and,
         // optionally, per sensor): the VJP folds the leading-axis sum
-        // into the product (`matmul_tn_sum_lead`). The chain: the
-        // per-batch outer products, then one `sum_axis(0)` per
+        // into the product (`matmul_tn_sum_lead`), which makes it one
+        // contraction over `B`. The chain: `matmul_tn` over the
+        // batch-flattened operands (`[N, B, d]ᵀ · [N, B, e]`, one FMA
+        // chain per element), then one `sum_axis(0)` per remaining
         // broadcast axis.
         let mut rng = StdRng::seed_from_u64(seed);
         let x = Tensor::randn(&[b, n, 1, d], &mut rng);
         let g = Tensor::randn(&[b, n, 1, e], &mut rng);
         let w_lead: &[usize] = if shared_over_n == 0 { &[] } else { &[n] };
+        let by_sensor = |t: &Tensor| {
+            let w = t.shape()[3];
+            t.reshape(&[b, n, w]).unwrap().swap_axes(0, 1).unwrap()
+        };
         let reduce = |mut full: Tensor| {
             while full.rank() > w_lead.len() + 2 {
                 full = full.sum_axis(0, false).unwrap();
             }
             full
         };
+        let tn = |l: &Tensor, r: &Tensor| {
+            reduce(stwa_tensor::linalg::matmul_tn(&by_sensor(l), &by_sensor(r)).unwrap())
+        };
 
         let w = Tensor::randn(&[w_lead, &[d, e]].concat(), &mut rng);
         let got = grads_through(&[&x, &w], &g, |v| v[0].matmul(&v[1]));
-        let want = reduce(stwa_tensor::linalg::matmul_tn(&x, &g).unwrap());
+        let want = tn(&x, &g);
         prop_assert_eq!(got[1].shape(), want.shape());
         prop_assert_eq!(bits(&got[1]), bits(&want), "dB of A·B");
 
         // `A · Bᵀ`: dB = gᵀ · A, the same fold with the roles swapped.
         let wt = Tensor::randn(&[w_lead, &[e, d]].concat(), &mut rng);
         let got = grads_through(&[&x, &wt], &g, |v| v[0].matmul_nt(&v[1]));
-        let want = reduce(stwa_tensor::linalg::matmul_tn(&g, &x).unwrap());
+        let want = tn(&g, &x);
         prop_assert_eq!(got[1].shape(), want.shape());
         prop_assert_eq!(bits(&got[1]), bits(&want), "dB of A·Bᵀ");
     }

@@ -1,7 +1,8 @@
 //! Kernel throughput harness: measures the production matmul paths
 //! (small in-place, blocked/packed, pre-packed, folded shared operand,
-//! fused NT) against the retained naive reference on the shapes the
-//! models actually run, and writes the results to `BENCH_kernels.json`.
+//! fused NT) on the shapes the models actually run against the
+//! machine's own FMA peak, measured in the same run, and writes the
+//! results to `BENCH_kernels.json`.
 //!
 //! Every row runs on **one pool thread**: the rows gate the kernels,
 //! not the pool, and on the 2-vCPU hosts this is recorded on a product
@@ -10,50 +11,58 @@
 //! `batched_128x32` rows swung more than the 15% tolerance on unchanged
 //! code.
 //!
+//! The peak probe runs register-only fused multiply-add chains on the
+//! dispatched arm — sixteen independent zmm chains on AVX-512, twelve
+//! ymm on AVX2, eight scalar `mul_add` chains otherwise — so both FMA
+//! ports stay busy behind the instruction's latency and no load or
+//! store is in the loop. Each row reports `roofline_share`: its GFLOP/s
+//! over that peak. (The earlier normaliser, `matmul_reference`, moved
+//! with every change to the contraction arithmetic — its own speed is
+//! part of what such a change changes — and read 10–16 GFLOP/s on
+//! unchanged code.)
+//!
 //! Modes:
 //!
 //! - `bench_kernels [--out PATH]` — run the suite, print a table, write
 //!   the JSON report (default `BENCH_kernels.json` in the CWD).
 //! - `bench_kernels --check PATH` — run the suite and compare against a
 //!   checked-in baseline report; exits nonzero if any shape's
-//!   *normalized* throughput (production kernel relative to the naive
-//!   reference measured in the same run) regressed more than 15%.
-//!   Normalizing by the same-run reference makes the gate portable
-//!   across hosts of different absolute speed: a uniformly slower
-//!   machine slows both kernels equally, while a real kernel regression
-//!   shows up in the ratio.
+//!   `roofline_share` fell more than 15% below the baseline's. The
+//!   share is portable across hosts of different absolute speed: a
+//!   uniformly slower machine lowers the peak and the kernel together,
+//!   while a real kernel regression shows up in the ratio.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use stwa_tensor::isa::{self, Isa};
 use stwa_tensor::{linalg, Tensor};
 
-/// Allowed relative loss of normalized throughput before `--check` fails.
+/// Allowed relative loss of `roofline_share` before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
 /// Per-sample measurement budget; long enough to swamp timer noise for
 /// every shape in the suite.
 const TARGET_SAMPLE_MS: f64 = 150.0;
 
+/// Fused multiply-adds per chain per probe call.
+const PROBE_STEPS: usize = 1 << 16;
+
 struct Entry {
     name: &'static str,
     shape: String,
     flops: usize,
-    reference_ms: f64,
     kernel_ms: f64,
 }
 
 impl Entry {
-    fn reference_gflops(&self) -> f64 {
-        self.flops as f64 / (self.reference_ms * 1e6)
-    }
     fn kernel_gflops(&self) -> f64 {
         self.flops as f64 / (self.kernel_ms * 1e6)
     }
-    /// Production throughput normalized by the same-run reference.
-    fn speedup(&self) -> f64 {
-        self.reference_ms / self.kernel_ms
+    /// Throughput as a share of the same-run FMA peak.
+    fn roofline_share(&self, peak_gflops: f64) -> f64 {
+        self.kernel_gflops() / peak_gflops
     }
 }
 
@@ -83,22 +92,95 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     }
 }
 
-fn measure(
-    name: &'static str,
-    shape: String,
-    flops: usize,
-    mut kernel: impl FnMut(),
-    mut reference: impl FnMut(),
-) -> Entry {
-    let kernel_ms = time_ms(&mut kernel);
-    let reference_ms = time_ms(&mut reference);
+fn measure(name: &'static str, shape: String, flops: usize, kernel: impl FnMut()) -> Entry {
     Entry {
         name,
         shape,
         flops,
-        reference_ms,
-        kernel_ms,
+        kernel_ms: time_ms(kernel),
     }
+}
+
+/// `CHAINS` independent `acc = fma(acc, x, y)` chains of `512`-bit
+/// vectors, [`PROBE_STEPS`] deep; returns a fold of the accumulators so
+/// nothing is dead.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn probe_avx512<const CHAINS: usize>(x: f32, y: f32) -> f32 {
+    use std::arch::x86_64::*;
+    let (xv, yv) = (_mm512_set1_ps(x), _mm512_set1_ps(y));
+    let mut acc = [_mm512_setzero_ps(); CHAINS];
+    for _ in 0..PROBE_STEPS {
+        for a in acc.iter_mut() {
+            *a = _mm512_fmadd_ps(*a, xv, yv);
+        }
+    }
+    _mm512_reduce_add_ps(
+        acc.iter()
+            .fold(_mm512_setzero_ps(), |s, &a| _mm512_add_ps(s, a)),
+    )
+}
+
+/// [`probe_avx512`] on 256-bit vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn probe_avx2<const CHAINS: usize>(x: f32, y: f32) -> f32 {
+    use std::arch::x86_64::*;
+    let (xv, yv) = (_mm256_set1_ps(x), _mm256_set1_ps(y));
+    let mut acc = [_mm256_setzero_ps(); CHAINS];
+    for _ in 0..PROBE_STEPS {
+        for a in acc.iter_mut() {
+            *a = _mm256_fmadd_ps(*a, xv, yv);
+        }
+    }
+    let mut lanes = [0f32; 8];
+    _mm256_storeu_ps(
+        lanes.as_mut_ptr(),
+        acc.iter()
+            .fold(_mm256_setzero_ps(), |s, &a| _mm256_add_ps(s, a)),
+    );
+    lanes.iter().sum()
+}
+
+/// [`probe_avx512`] on scalars, through `f32::mul_add`.
+fn probe_scalar<const CHAINS: usize>(x: f32, y: f32) -> f32 {
+    let mut acc = [0f32; CHAINS];
+    for _ in 0..PROBE_STEPS {
+        for a in acc.iter_mut() {
+            *a = a.mul_add(x, y);
+        }
+    }
+    acc.iter().sum()
+}
+
+/// Single-thread fused-multiply-add peak of the dispatched arm, in
+/// GFLOP/s (two FLOPs per lane per FMA). The chains converge to
+/// `y / (1 - x)`, so nothing overflows or goes subnormal.
+fn fma_peak_gflops() -> f64 {
+    let (x, y) = (
+        std::hint::black_box(1.0 - 1.0 / 1024.0),
+        std::hint::black_box(1e-3),
+    );
+    let (lanes, chains, probe): (usize, usize, fn(f32, f32) -> f32) = match isa::detected() {
+        // Safety (both arms): the tier implies the probe's features.
+        #[cfg(target_arch = "x86_64")]
+        tier if tier >= Isa::Avx512 => (16, 16, |x, y| unsafe { probe_avx512::<16>(x, y) }),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => (8, 12, |x, y| unsafe { probe_avx2::<12>(x, y) }),
+        _ => (1, 8, probe_scalar::<8>),
+    };
+    let ms = time_ms(|| {
+        std::hint::black_box(probe(x, y));
+    });
+    (2 * lanes * chains * PROBE_STEPS) as f64 / (ms * 1e6)
 }
 
 fn run_suite() -> Vec<Entry> {
@@ -124,9 +206,6 @@ fn run_suite() -> Vec<Entry> {
             || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
-            || {
-                std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());
-            },
         ));
     }
 
@@ -141,14 +220,11 @@ fn run_suite() -> Vec<Entry> {
             || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
-            || {
-                std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());
-            },
         ));
     }
 
-    // Attention scores, fused Q·Kᵀ vs materialized transpose: the shape
-    // window attention produces per layer ([B·heads, T, d]).
+    // Attention scores, fused Q·Kᵀ: the shape window attention produces
+    // per layer ([B·heads, T, d]).
     {
         let q = Tensor::randn(&[64, 24, 32], &mut rng);
         let k = Tensor::randn(&[64, 24, 32], &mut rng);
@@ -158,11 +234,6 @@ fn run_suite() -> Vec<Entry> {
             2 * 64 * 24 * 24 * 32,
             || {
                 std::hint::black_box(linalg::matmul_nt(&q, &k).unwrap());
-            },
-            || {
-                std::hint::black_box(
-                    linalg::matmul(&q, &k.transpose_last2().unwrap()).unwrap(),
-                );
             },
         ));
     }
@@ -178,17 +249,12 @@ fn run_suite() -> Vec<Entry> {
             || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
-            || {
-                std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());
-            },
         ));
     }
 
     // The train step's real shapes (PEMS08-like: batch 32, 20 sensors,
     // d = 16). Most of a step's 252 products look like these, and only
-    // the decoder is large enough for blocking alone to make fast. The
-    // `^T` row normalizes against the reference on a materialized
-    // transpose, like `attention_qkt`.
+    // the decoder is large enough for blocking alone to make fast.
     let mut step_shape = |name: &'static str, a_shape: &[usize], b_shape: &[usize], nt: bool| {
         let a = Tensor::randn(a_shape, &mut rng);
         let b = Tensor::randn(b_shape, &mut rng);
@@ -204,14 +270,6 @@ fn run_suite() -> Vec<Entry> {
                     linalg::matmul_nt(&a, &b)
                 } else {
                     linalg::matmul(&a, &b)
-                };
-                std::hint::black_box(c.unwrap());
-            },
-            || {
-                let c = if nt {
-                    linalg::matmul_reference(&a, &b.transpose_last2().unwrap())
-                } else {
-                    linalg::matmul_reference(&a, &b)
                 };
                 std::hint::black_box(c.unwrap());
             },
@@ -244,37 +302,31 @@ fn run_suite() -> Vec<Entry> {
             || {
                 std::hint::black_box(linalg::matmul_packed(&a, &packed).unwrap());
             },
-            || {
-                std::hint::black_box(linalg::matmul_reference(&a, &b).unwrap());
-            },
         ));
     }
 
     entries
 }
 
-fn render_json(entries: &[Entry], total_wall_ms: f64) -> String {
+fn render_json(entries: &[Entry], peak_gflops: f64, total_wall_ms: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&stwa_bench::host::json_fields());
     out.push_str(&format!(
-        "  \"total_wall_ms\": {total_wall_ms:.1},\n  \"entries\": [\n"
+        "  \"total_wall_ms\": {total_wall_ms:.1},\n  \"peak_gflops\": {peak_gflops:.3},\n  \"entries\": [\n"
     ));
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"shape\": \"{}\", \"flops\": {}, \
-             \"reference_ms\": {:.4}, \"kernel_ms\": {:.4}, \
-             \"reference_gflops\": {:.3}, \"kernel_gflops\": {:.3}, \
-             \"speedup\": {:.3}}}{}\n",
+             \"kernel_ms\": {:.4}, \"kernel_gflops\": {:.3}, \
+             \"roofline_share\": {:.4}}}{}\n",
             e.name,
             e.shape,
             e.flops,
-            e.reference_ms,
             e.kernel_ms,
-            e.reference_gflops(),
             e.kernel_gflops(),
-            e.speedup(),
+            e.roofline_share(peak_gflops),
             comma
         ));
     }
@@ -282,10 +334,11 @@ fn render_json(entries: &[Entry], total_wall_ms: f64) -> String {
     out
 }
 
-/// Pull `"name": ..., "speedup": ...` pairs back out of a report. The
-/// writer above emits one entry per line, so a line-oriented scan is
-/// enough — no JSON dependency in the workspace.
-fn parse_speedups(json: &str) -> Vec<(String, f64)> {
+/// Pull `"name": ..., "roofline_share": ...` pairs back out of a
+/// report. The writer above emits one entry per line, so a
+/// line-oriented scan is enough — no JSON dependency in the workspace.
+fn parse_shares(json: &str) -> Vec<(String, f64)> {
+    const KEY: &str = "\"roofline_share\": ";
     let mut out = Vec::new();
     for line in json.lines() {
         let Some(name_at) = line.find("\"name\": \"") else {
@@ -296,14 +349,14 @@ fn parse_speedups(json: &str) -> Vec<(String, f64)> {
             continue;
         };
         let name = rest[..name_end].to_string();
-        let Some(spd_at) = line.find("\"speedup\": ") else {
+        let Some(at) = line.find(KEY) else {
             continue;
         };
-        let spd_str: String = line[spd_at + 11..]
+        let value: String = line[at + KEY.len()..]
             .chars()
             .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
             .collect();
-        if let Ok(v) = spd_str.parse::<f64>() {
+        if let Ok(v) = value.parse::<f64>() {
             out.push((name, v));
         }
     }
@@ -333,23 +386,29 @@ fn main() {
     }
 
     let t0 = Instant::now();
+    // The probe brackets the suite and the faster reading stands, so a
+    // host disturbance during one probe cannot inflate every share.
+    let before = fma_peak_gflops();
     let entries = run_suite();
+    let peak_gflops = before.max(fma_peak_gflops());
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!(
-        "{:<16} {:>30} {:>10} {:>10} {:>9} {:>9} {:>8}",
-        "shape", "dims", "ref ms", "kernel ms", "ref GF/s", "ker GF/s", "speedup"
+        "FMA peak ({} arm, 1 thread): {peak_gflops:.1} GFLOP/s",
+        isa::detected().label()
+    );
+    println!(
+        "{:<16} {:>30} {:>10} {:>9} {:>9}",
+        "shape", "dims", "kernel ms", "GF/s", "roofline"
     );
     for e in &entries {
         println!(
-            "{:<16} {:>30} {:>10.3} {:>10.3} {:>9.2} {:>9.2} {:>7.2}x",
+            "{:<16} {:>30} {:>10.3} {:>9.2} {:>9.3}",
             e.name,
             e.shape,
-            e.reference_ms,
             e.kernel_ms,
-            e.reference_gflops(),
             e.kernel_gflops(),
-            e.speedup()
+            e.roofline_share(peak_gflops)
         );
     }
     println!(
@@ -361,26 +420,26 @@ fn main() {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let old = parse_speedups(&baseline);
+        let old = parse_shares(&baseline);
         let mut failed = false;
         for e in &entries {
-            let Some((_, old_spd)) = old.iter().find(|(n, _)| n == e.name) else {
+            let Some((_, old_share)) = old.iter().find(|(n, _)| n == e.name) else {
                 println!("note: no baseline entry for {}, skipping", e.name);
                 continue;
             };
-            let new_spd = e.speedup();
-            let floor = old_spd * (1.0 - REGRESSION_TOLERANCE);
-            if new_spd < floor {
+            let share = e.roofline_share(peak_gflops);
+            let floor = old_share * (1.0 - REGRESSION_TOLERANCE);
+            if share < floor {
                 eprintln!(
-                    "REGRESSION {}: normalized speedup {new_spd:.2}x fell below \
-                     {floor:.2}x (baseline {old_spd:.2}x - {:.0}% tolerance)",
+                    "REGRESSION {}: roofline share {share:.3} fell below {floor:.3} \
+                     (baseline {old_share:.3} - {:.0}% tolerance)",
                     e.name,
                     REGRESSION_TOLERANCE * 100.0
                 );
                 failed = true;
             } else {
                 println!(
-                    "ok {}: {new_spd:.2}x vs baseline {old_spd:.2}x (floor {floor:.2}x)",
+                    "ok {}: {share:.3} of peak vs baseline {old_share:.3} (floor {floor:.3})",
                     e.name
                 );
             }
@@ -390,7 +449,7 @@ fn main() {
         }
         println!("throughput check passed");
     } else {
-        std::fs::write(&out_path, render_json(&entries, total_wall_ms))
+        std::fs::write(&out_path, render_json(&entries, peak_gflops, total_wall_ms))
             .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
         println!("wrote {out_path}");
     }

@@ -16,18 +16,27 @@
 //! split, `matmul_nt`, `mul_scalar`, `softmax_lastdim`, `matmul`,
 //! swap-axes/reshape merge, and that chain's reverse sweep — computes,
 //! bit for bit. Every sum below is **one ascending f32 chain starting
-//! from `+0.0`**, products rounded before they are added (no FMA):
+//! from `+0.0`**. The contractions — the rows the chain runs through a
+//! `matmul*` entry — take each term as one fused multiply-add with a
+//! single rounding, the `linalg` order contract; the softmax-VJP row
+//! sum is `mul` + `sum_axis` in the chain, so it rounds each product
+//! before adding it:
 //!
-//! | value | sum over | what the chain runs |
-//! |---|---|---|
-//! | `score[i,j] = (Σ_c q[i,c]·k[j,c]) · scale` | `c` | `matmul_nt`, `mul_scalar` |
-//! | `w[i,j] = e[i,j] / Σ_j e[i,j]`, `e = exp(score − max_j score)` | `j` | `softmax_lastdim` |
-//! | `out[i,c] = Σ_j w[i,j]·v[j,c]` | `j` | `matmul` |
-//! | `dA[i,j] = Σ_c g[i,c]·v[j,c]` | `c` | `matmul_nt(g, v)` |
-//! | `dS[i,j] = (w·(dA − Σ_j dA·w)) · scale` | `j` | `softmax_vjp_lastdim`, `mul_scalar` |
-//! | `gq[i,c] = Σ_j dS[i,j]·k[j,c]` | `j` | `matmul(dS, k)` |
-//! | `gk[j,c] = Σ_i dS[i,j]·q[i,c]` | `i` | `matmul_tn(dS, q)` |
-//! | `gv[j,c] = Σ_i w[i,j]·g[i,c]` | `i` | `matmul_tn(w, g)` |
+//! | value | sum over | term | what the chain runs |
+//! |---|---|---|---|
+//! | `score[i,j] = (Σ_c q[i,c]·k[j,c]) · scale` | `c` | fused | `matmul_nt`, `mul_scalar` |
+//! | `w[i,j] = e[i,j] / Σ_j e[i,j]`, `e = exp(score − max_j score)` | `j` | add | `softmax_lastdim` |
+//! | `out[i,c] = Σ_j w[i,j]·v[j,c]` | `j` | fused | `matmul` |
+//! | `dA[i,j] = Σ_c g[i,c]·v[j,c]` | `c` | fused | `matmul_nt(g, v)` |
+//! | `dS[i,j] = (w·(dA − Σ_j dA·w)) · scale` | `j` | unfused | `softmax_vjp_lastdim`, `mul_scalar` |
+//! | `gq[i,c] = Σ_j dS[i,j]·k[j,c]` | `j` | fused | `matmul(dS, k)` |
+//! | `gk[j,c] = Σ_i dS[i,j]·q[i,c]` | `i` | fused | `matmul_tn(dS, q)` |
+//! | `gv[j,c] = Σ_i w[i,j]·g[i,c]` | `i` | fused | `matmul_tn(w, g)` |
+//!
+//! Both walks run through an `avx2,fma` instantiation whenever
+//! [`crate::isa::current`] is at least `Isa::Avx2`, so `dot` / `axpy`'s
+//! `mul_add` is one `vfmadd`; the scalar tier calls libm's correctly
+//! rounded `fmaf`, the same bits.
 //!
 //! The forward runs in three passes — scores, the row softmax over the
 //! whole weights buffer ([`softmax_rows`]: short rows subtract their
@@ -41,6 +50,8 @@
 //! the per-head loops unroll into independent chains, and once fully
 //! dynamic for everything else.
 
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{self, Isa};
 use crate::reduce::softmax_rows;
 use crate::{memory, Result, Tensor, TensorError};
 
@@ -102,22 +113,84 @@ fn check(op: &'static str, q: &[usize], k: &[usize], v: &[usize], heads: usize) 
     })
 }
 
-/// `Σ_c a[c]·b[c]`, ascending from `+0.0`.
+/// `Σ_c a[c]·b[c]`, ascending from `+0.0`, one fused multiply-add per
+/// term.
 #[inline(always)]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
+        acc = x.mul_add(y, acc);
     }
     acc
 }
 
-/// `out[c] += a·x[c]` — one more term of every column's chain.
+/// `out[c] = fma(a, x[c], out[c])` — one more term of every column's
+/// chain.
 #[inline(always)]
 fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
     for (o, &xv) in out.iter_mut().zip(x) {
-        *o += a * xv;
+        *o = a.mul_add(xv, *o);
     }
+}
+
+/// A forward walk: extents, `q`, `k`, `v`, then the weights and context
+/// it writes.
+type ForwardFn = fn(Dims, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
+
+/// A VJP walk: extents, `[grad, q, k, v, weights]`, `[gq, gk, gv]`.
+type VjpFn = fn(Dims, [&[f32]; 5], [&mut [f32]; 3]);
+
+/// [`forward_body`] at `(H, DH)` on the dispatched arm.
+fn forward_fn<const H: usize, const DH: usize>() -> ForwardFn {
+    #[cfg(target_arch = "x86_64")]
+    if isa::current() >= Isa::Avx2 {
+        // Safety: the tier implies AVX2 and FMA.
+        return |dm, q, k, v, w, o| unsafe { forward_avx2::<H, DH>(dm, q, k, v, w, o) };
+    }
+    forward_body::<H, DH>
+}
+
+/// [`vjp_body`] at `(H, DH)` on the dispatched arm.
+fn vjp_fn<const H: usize, const DH: usize>() -> VjpFn {
+    #[cfg(target_arch = "x86_64")]
+    if isa::current() >= Isa::Avx2 {
+        // Safety: the tier implies AVX2 and FMA.
+        return |dm, ins, outs| unsafe { vjp_avx2::<H, DH>(dm, ins, outs) };
+    }
+    vjp_body::<H, DH>
+}
+
+/// [`forward_body`] compiled with AVX2 and FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn forward_avx2<const H: usize, const DH: usize>(
+    dm: Dims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    forward_body::<H, DH>(dm, q, k, v, weights, out)
+}
+
+/// [`vjp_body`] compiled with AVX2 and FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn vjp_avx2<const H: usize, const DH: usize>(
+    dm: Dims,
+    ins: [&[f32]; 5],
+    outs: [&mut [f32]; 3],
+) {
+    vjp_body::<H, DH>(dm, ins, outs)
 }
 
 /// Attention forward. Returns the context `[..., Tq, d]` and the softmax
@@ -166,9 +239,9 @@ fn run_forward(dm: Dims, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, 
     // Zeroed: the mix adds each column's terms onto `+0.0`.
     let mut out = memory::take_filled(q.len(), 0.0);
     let run = match (dm.heads, dm.dh) {
-        (4, 4) => forward_body::<4, 4>,
-        (8, 4) => forward_body::<8, 4>,
-        _ => forward_body::<0, 0>,
+        (4, 4) => forward_fn::<4, 4>(),
+        (8, 4) => forward_fn::<8, 4>(),
+        _ => forward_fn::<0, 0>(),
     };
     run(dm, q.data(), k.data(), v.data(), &mut weights, &mut out);
     Ok((
@@ -253,9 +326,9 @@ pub fn vjp(
     let mut gk = memory::take_filled(k.len(), 0.0);
     let mut gv = memory::take_filled(k.len(), 0.0);
     let run = match (heads, dm.dh) {
-        (4, 4) => vjp_body::<4, 4>,
-        (8, 4) => vjp_body::<8, 4>,
-        _ => vjp_body::<0, 0>,
+        (4, 4) => vjp_fn::<4, 4>(),
+        (8, 4) => vjp_fn::<8, 4>(),
+        _ => vjp_fn::<0, 0>(),
     };
     run(
         dm,
@@ -307,7 +380,8 @@ fn vjp_body<const H: usize, const DH: usize>(
                 }
             }
         }
-        // Through the softmax and the scale, row by row.
+        // Through the softmax and the scale, row by row. The row sum is
+        // the chain's `mul` + `sum_axis`: unfused.
         for (ds_row, w_row) in ds
             .chunks_exact_mut(tk.max(1))
             .zip(wb.chunks_exact(tk.max(1)))
@@ -367,21 +441,79 @@ mod tests {
             .unwrap()
     }
 
+    /// The unfused chain's reverse sweep — the tensor kernels the tape
+    /// runs for [`chain`]'s nodes — with the head gradients merged back
+    /// to `[..., T, d]`.
+    fn chain_vjp(g: &Tensor, q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> [Tensor; 3] {
+        let rank = q.rank();
+        let dh = q.shape()[rank - 1] / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let split = |x: &Tensor| {
+            let mut s = x.shape()[..rank - 1].to_vec();
+            s.extend_from_slice(&[heads, dh]);
+            x.reshape(&s)
+                .unwrap()
+                .swap_axes(rank - 2, rank - 1)
+                .unwrap()
+        };
+        let merge = |x: Tensor, like: &Tensor| {
+            x.swap_axes(rank - 2, rank - 1)
+                .unwrap()
+                .reshape(like.shape())
+                .unwrap()
+        };
+        let (gh, qh, kh, vh) = (split(g), split(q), split(k), split(v));
+        let scores = linalg::matmul_nt(&qh, &kh).unwrap().mul_scalar(scale);
+        let w = scores.softmax(scores.rank() - 1).unwrap();
+        let da = linalg::matmul_nt(&gh, &vh).unwrap();
+        let gv = linalg::matmul_tn(&w, &gh).unwrap();
+        let ds = w.softmax_vjp_lastdim(&da).unwrap().mul_scalar(scale);
+        let gq = linalg::matmul(&ds, &kh).unwrap();
+        let gk = linalg::matmul_tn(&ds, &qh).unwrap();
+        [merge(gq, q), merge(gk, k), merge(gv, k)]
+    }
+
+    /// Window-attention shapes (p=1 queries, s=3 keys, d=16, 4 heads),
+    /// the serving head layout, a dynamic-head layout, a chunky
+    /// cross-attention, and rank 2.
+    const CASES: [(&[usize], &[usize], usize); 6] = [
+        (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
+        (&[2, 3, 5, 32], &[2, 3, 9, 32], 8),
+        (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
+        (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),
+        (&[4, 7, 12], &[4, 11, 12], 3),
+        (&[6, 6], &[9, 6], 1),
+    ];
+
+    #[test]
+    fn every_isa_arm_matches_the_unfused_chain() {
+        crate::isa::for_each_ceiling("attention walks", |cap| {
+            forward_bitwise_matches_the_unfused_chain();
+            window_forward_is_the_forward_of_the_narrowed_block();
+            let mut rng = StdRng::seed_from_u64(16);
+            for &(qs, ks, heads) in &CASES {
+                let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
+                let k = Tensor::randn(ks, &mut rng).mul_scalar(3.0);
+                let v = Tensor::randn(ks, &mut rng);
+                let g = Tensor::randn(qs, &mut rng);
+                let (_, weights) = forward(&q, &k, &v, heads).unwrap();
+                let (gq, gk, gv) = vjp(&g, &q, &k, &v, &weights, heads).unwrap();
+                let want = chain_vjp(&g, &q, &k, &v, heads);
+                for (name, got, want) in [
+                    ("gq", gq, &want[0]),
+                    ("gk", gk, &want[1]),
+                    ("gv", gv, &want[2]),
+                ] {
+                    assert_eq!(got.data(), want.data(), "{name} {cap:?} q {qs:?}");
+                }
+            }
+        });
+    }
+
     #[test]
     fn forward_bitwise_matches_the_unfused_chain() {
         let mut rng = StdRng::seed_from_u64(13);
-        // Window-attention shapes (p=1 queries, s=3 keys, d=16, 4
-        // heads), the serving head layout, a dynamic-head layout, a
-        // chunky cross-attention, and rank 2.
-        let cases: &[(&[usize], &[usize], usize)] = &[
-            (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
-            (&[2, 3, 5, 32], &[2, 3, 9, 32], 8),
-            (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
-            (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),
-            (&[4, 7, 12], &[4, 11, 12], 3),
-            (&[6, 6], &[9, 6], 1),
-        ];
-        for &(qs, ks, heads) in cases {
+        for &(qs, ks, heads) in &CASES {
             let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
             let k = Tensor::randn(ks, &mut rng).mul_scalar(3.0);
             let v = Tensor::randn(ks, &mut rng);

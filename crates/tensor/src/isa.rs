@@ -15,9 +15,11 @@ use std::sync::OnceLock;
 /// A dispatch tier; `Scalar < Avx2 < Avx512 < Avx512Vnni`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Isa {
-    /// Portable Rust; the only tier off x86-64.
+    /// Portable Rust; the only tier off x86-64. Contractions still fuse
+    /// each term — through `f32::mul_add`, a correctly rounded libm call.
     Scalar,
-    /// AVX2.
+    /// AVX2 with FMA: every contraction kernel above this tier runs
+    /// `vfmadd`.
     Avx2,
     /// AVX-512F (and AVX2: the int8 dispatch routes this tier to the
     /// `vpmaddubsw` tile, and every shipping AVX-512 part has AVX2, but
@@ -49,7 +51,8 @@ pub fn detected() -> Isa {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
             let avx512 = avx2 && std::arch::is_x86_feature_detected!("avx512f");
             if avx512 && std::arch::is_x86_feature_detected!("avx512vnni") {
                 return Isa::Avx512Vnni;

@@ -262,7 +262,7 @@ fn check_rank2(b: &Tensor, what: &str) -> Result<(usize, usize)> {
 pub struct PackedMatrixInt8 {
     panels: Vec<i8>,
     /// `n_strips * NR` entries; lanes past `n` hold 0.0 and are never
-    /// stored to the output (edge strips take the scalar body).
+    /// stored to the output (edge tiles land in a stack tile first).
     scales: Vec<f32>,
     /// `n_strips * NR` entries of `128 * sum_p q(B[p][j])` — the exact
     /// integer the VNNI kernel subtracts to undo the `+128` activation
@@ -367,8 +367,9 @@ thread_local! {
 /// VNNI tile must match bitwise — both compute the *same integer*
 /// (`sum qa*qb`, the VNNI side via the offset-and-correct identity),
 /// and the dequantize is one f32 chain per element. Activations arrive
-/// as `u8 = qa + 128` quads so the two tiles share one A panel.
-#[allow(clippy::too_many_arguments)]
+/// as `u8 = qa + 128` quads so the two tiles share one A panel. Every
+/// tile writes a full `MR × NR` block at row stride `cs`;
+/// [`gemm_int8`] points ragged ones at a stack tile.
 fn int8_tile_scalar(
     ap: &[u32],
     packed: &PackedMatrixInt8,
@@ -377,8 +378,6 @@ fn int8_tile_scalar(
     row_scales: &[f32; MR],
     c: &mut [f32],
     cs: usize,
-    mr: usize,
-    nr: usize,
 ) {
     let k4 = packed.k4;
     let strip = &packed.panels[strip_off..strip_off + k4 * NR * 4];
@@ -394,8 +393,8 @@ fn int8_tile_scalar(
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate().take(mr) {
-        let row = &mut c[r * cs..r * cs + nr];
+    for (r, accr) in acc.iter().enumerate() {
+        let row = &mut c[r * cs..r * cs + NR];
         let sa = row_scales[r];
         for ((slot, &a), &sb) in row.iter_mut().zip(accr.iter()).zip(col_scales.iter()) {
             *slot = a as f32 * sa * sb;
@@ -423,16 +422,8 @@ unsafe fn int8_tile_vnni(
     row_scales: &[f32; MR],
     c: &mut [f32],
     cs: usize,
-    mr: usize,
-    nr: usize,
 ) {
     use std::arch::x86_64::*;
-    if mr != MR || nr != NR {
-        int8_tile_scalar(
-            ap, packed, strip_off, col_scales, row_scales, c, cs, mr, nr,
-        );
-        return;
-    }
     let k4 = packed.k4;
     debug_assert!(
         ap.len() >= MR * k4
@@ -495,16 +486,8 @@ unsafe fn int8_tile_avx2(
     row_scales: &[f32; MR],
     c: &mut [f32],
     cs: usize,
-    mr: usize,
-    nr: usize,
 ) {
     use std::arch::x86_64::*;
-    if mr != MR || nr != NR {
-        int8_tile_scalar(
-            ap, packed, strip_off, col_scales, row_scales, c, cs, mr, nr,
-        );
-        return;
-    }
     let k4 = packed.k4;
     debug_assert!(
         ap.len() >= MR * k4
@@ -579,21 +562,37 @@ fn gemm_int8(
             let nr = NR.min(n - j0);
             let strip_off = js * k4 * NR * 4;
             let scales = &packed.scales[j0..j0 + NR];
-            let tile = &mut c[(i0 - r0) * n + j0..];
+            // A ragged tile (rows past `r1`, columns past `n`) runs the
+            // full tile on the padded panels into a stack tile and
+            // copies only its live corner out, so the edges keep the
+            // vector body; padded lanes never reach `c`.
+            let full = mr == MR && nr == NR;
+            let mut edge = [0f32; MR * NR];
+            let (tile, cs) = if full {
+                (&mut c[(i0 - r0) * n + j0..], n)
+            } else {
+                (&mut edge[..], NR)
+            };
             match kern {
                 #[cfg(target_arch = "x86_64")]
                 // Safety: callers pass a tier the CPU supports.
                 Isa::Avx512Vnni => unsafe {
                     let corr = &packed.corr[j0..j0 + NR];
-                    int8_tile_vnni(ap, packed, strip_off, scales, corr, &sa, tile, n, mr, nr)
+                    int8_tile_vnni(ap, packed, strip_off, scales, corr, &sa, tile, cs)
                 },
                 #[cfg(target_arch = "x86_64")]
                 // Safety: both tiers imply AVX2 (see [`Isa`]).
                 Isa::Avx2 | Isa::Avx512 => unsafe {
                     let corr = &packed.corr[j0..j0 + NR];
-                    int8_tile_avx2(ap, packed, strip_off, scales, corr, &sa, tile, n, mr, nr)
+                    int8_tile_avx2(ap, packed, strip_off, scales, corr, &sa, tile, cs)
                 },
-                _ => int8_tile_scalar(ap, packed, strip_off, scales, &sa, tile, n, mr, nr),
+                _ => int8_tile_scalar(ap, packed, strip_off, scales, &sa, tile, cs),
+            }
+            if !full {
+                for (r, row) in edge.chunks_exact(NR).take(mr).enumerate() {
+                    let at = (i0 - r0 + r) * n + j0;
+                    c[at..at + nr].copy_from_slice(&row[..nr]);
+                }
             }
         }
         i0 += MR;

@@ -11,11 +11,18 @@
 //! **Determinism / dense-equivalence contract.** Every row's scalar
 //! chain replicates the dense path op for op and in the same fold
 //! order: scores are ascending-`d` dot products (the reference GEMM's
-//! per-element accumulation order), the row softmax is the exact
-//! `softmax_lastdim` chain (ascending max fold, [`crate::mathfn::exp_sub_slice`],
-//! ascending sum, divide), and the output mix accumulates neighbors in
-//! ascending index order (the reference `weights @ h` contraction
-//! order). Neighbor lists are stored sorted ascending, so a *complete*
+//! per-element chain, one fused multiply-add per term), the row softmax
+//! is the exact `softmax_lastdim` chain (ascending max fold,
+//! [`crate::mathfn::exp_sub_slice`], ascending sum, divide), and the
+//! output mix accumulates neighbors in ascending index order (the
+//! reference `weights @ h` contraction, fused per term too). In the VJP
+//! the `dw` / `dq` / `dk` / `dh` contractions fuse each term; the
+//! softmax-VJP row sum is the dense chain's `mul` + `sum_axis` and
+//! stays unfused. The walks run through an `avx2,fma` instantiation
+//! from `Isa::Avx2` up, so `mul_add` is one `vfmadd` there and libm's
+//! correctly rounded `fmaf` on the scalar tier — the same bits. Score
+//! and `dw` chains run four neighbours side by side, each chain
+//! unchanged. Neighbor lists are stored sorted ascending, so a *complete*
 //! graph (every sensor adjacent to every sensor, self included — the
 //! "k = N−1" configuration) reproduces the dense kernel **bitwise**, on
 //! the forward, backward, and frozen-inference paths alike. Work is
@@ -33,8 +40,11 @@
 //! than predicting from a zeroed embedding. The default stays off so
 //! the zero-row contract above is unchanged.
 
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{self, Isa};
 use crate::tensor::{elementwise_chunks, PARALLEL_ELEMS};
 use crate::{memory, Result, Tensor, TensorError};
+use std::ops::Range;
 use stwa_pool::SendPtr;
 
 /// CSR neighbor lists over `n` sensors, plus the transpose index the
@@ -289,14 +299,293 @@ fn check_operands(
     Ok((batch, n, d))
 }
 
-/// Decide row-parallel chunking for `rows` rows of roughly
-/// `work_per_row` scalar ops each. Boundaries depend only on counts —
-/// never on the thread count — so splitting is determinism-neutral.
-fn row_groups(rows: usize, total_work: usize) -> usize {
-    if total_work >= PARALLEL_ELEMS && rows > 1 && stwa_pool::current_threads() > 1 {
+/// Run `walk` over the `rows` rows of one call in groups whose
+/// boundaries depend only on counts — never on the thread count — so
+/// splitting is determinism-neutral: across the pool when the call is
+/// big enough (`total_work` scalar ops) and the pool has threads,
+/// inline otherwise.
+fn for_row_groups(rows: usize, total_work: usize, walk: impl Fn(Range<usize>) + Sync) {
+    let groups = if total_work >= PARALLEL_ELEMS && rows > 1 && stwa_pool::current_threads() > 1 {
         elementwise_chunks().min(rows)
     } else {
         1
+    };
+    if groups > 1 {
+        let per = rows.div_ceil(groups);
+        stwa_pool::parallel_for(groups, |g| walk(g * per..((g + 1) * per).min(rows)));
+    } else {
+        walk(0..rows);
+    }
+}
+
+/// `Σ_c x[c]·y[c]`, ascending from `+0.0`, one fused multiply-add per
+/// term — one element of the dense `matmul_nt`.
+#[inline(always)]
+fn dot(x: &[f32], y: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&xv, &yv) in x.iter().zip(y) {
+        acc = xv.mul_add(yv, acc);
+    }
+    acc
+}
+
+/// `out[t] = x · row(nbrs[t])` for every neighbour, four chains side by
+/// side so the FMA latency is hidden; each chain is the one [`dot`]
+/// runs alone, so the bits do not depend on the grouping.
+#[inline(always)]
+fn neighbour_dots(x: &[f32], src: &[f32], base: usize, d: usize, nbrs: &[u32], out: &mut [f32]) {
+    let row = |j: u32| &src[base + j as usize * d..base + (j as usize + 1) * d];
+    let mut quads = nbrs.chunks_exact(4);
+    let mut slots = out.chunks_exact_mut(4);
+    for (quad, slot) in (&mut quads).zip(&mut slots) {
+        let (y0, y1, y2, y3) = (row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3]));
+        let mut acc = [0f32; 4];
+        for ((((&xv, &a), &b), &c), &e) in x.iter().zip(y0).zip(y1).zip(y2).zip(y3) {
+            acc[0] = xv.mul_add(a, acc[0]);
+            acc[1] = xv.mul_add(b, acc[1]);
+            acc[2] = xv.mul_add(c, acc[2]);
+            acc[3] = xv.mul_add(e, acc[3]);
+        }
+        slot.copy_from_slice(&acc);
+    }
+    for (&j, slot) in quads.remainder().iter().zip(slots.into_remainder()) {
+        *slot = dot(x, row(j));
+    }
+}
+
+/// `out[c] = fma(a, x[c], out[c])` — one more term of every column's
+/// chain.
+#[inline(always)]
+fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o = a.mul_add(xv, *o);
+    }
+}
+
+/// One call's operands as the row walks read them: `[batch·n, d]` rows
+/// of `q`, `k`, `h` and (VJP only) `grad`, plus the `[batch, nnz]` edge
+/// weights and score gradients (empty where a pass has none yet).
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    graph: &'a SensorGraph,
+    q: &'a [f32],
+    k: &'a [f32],
+    h: &'a [f32],
+    grad: &'a [f32],
+    weights: &'a [f32],
+    ds: &'a [f32],
+    d: usize,
+    scale: f32,
+}
+
+/// Which row walk to run; each names the two buffers it writes.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Scores, row softmax and mix: `[weights, out]`.
+    Forward,
+    /// Score gradients through the softmax, then `dq`: `[ds, dq]`.
+    RowGrads,
+    /// `dk` and `dh` gathered over each sensor's incoming edges:
+    /// `[dk, dh]`.
+    ColGrads,
+}
+
+/// Rows `rows` of `pass` on the dispatched arm: the FMA instantiation
+/// from [`Isa::Avx2`] up, the portable body (libm `fmaf`) below.
+///
+/// # Safety
+///
+/// `outs` point at buffers of the sizes `pass` writes (`[batch, nnz]`
+/// for edge slots, `[batch·n, d]` for rows), and no other thread
+/// touches the slots of these rows.
+unsafe fn walk_rows(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendPtr<f32>; 2]) {
+    // Safety: forwarded contract; the FMA arm is guarded by the tier.
+    unsafe {
+        #[cfg(target_arch = "x86_64")]
+        if isa::current() >= Isa::Avx2 {
+            return walk_rows_avx2(pass, cx, rows, outs);
+        }
+        walk_rows_body(pass, cx, rows, outs)
+    }
+}
+
+/// [`walk_rows_body`] compiled with AVX2 and FMA.
+///
+/// # Safety
+///
+/// As [`walk_rows`], and the CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn walk_rows_avx2(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendPtr<f32>; 2]) {
+    // Safety: forwarded contract.
+    unsafe { walk_rows_body(pass, cx, rows, outs) }
+}
+
+/// # Safety
+///
+/// As [`walk_rows`].
+#[inline(always)]
+unsafe fn walk_rows_body(pass: Pass, cx: &Walk, rows: Range<usize>, [a, b]: [SendPtr<f32>; 2]) {
+    let Walk { graph, d, .. } = *cx;
+    let (n, nnz) = (graph.n(), graph.nnz());
+    for r in rows {
+        let (bi, i) = (r / n, r % n);
+        let er = graph.row_range(i);
+        // Safety: row `r`'s edge slots and `d`-wide rows lie inside the
+        // buffers and belong to this walk alone (the caller's contract).
+        unsafe {
+            let edges =
+                || std::slice::from_raw_parts_mut(a.get().add(bi * nnz + er.start), er.len());
+            let row = |p: SendPtr<f32>| std::slice::from_raw_parts_mut(p.get().add(r * d), d);
+            match pass {
+                Pass::Forward => forward_row(cx, bi, i, edges(), row(b)),
+                Pass::RowGrads => row_grads(cx, bi, i, edges(), row(b)),
+                Pass::ColGrads => col_grads(cx, bi, i, row(a), row(b)),
+            }
+        }
+    }
+}
+
+/// Sensor `i` of sample `bi`: its edge weights and output row.
+#[inline(always)]
+fn forward_row(cx: &Walk, bi: usize, i: usize, w_row: &mut [f32], out_row: &mut [f32]) {
+    let Walk {
+        graph,
+        q,
+        k,
+        h,
+        d,
+        scale,
+        ..
+    } = *cx;
+    let base = bi * graph.n() * d;
+    let nbrs = graph.neighbors_of(i);
+    if nbrs.is_empty() {
+        if graph.identity_passthrough {
+            out_row.copy_from_slice(&h[base + i * d..base + (i + 1) * d]);
+        } else {
+            out_row.fill(0.0);
+        }
+        return;
+    }
+    // Scores: ascending-d FMA chains (the GEMM order contract), scaled
+    // per element like the dense `mul_scalar`.
+    neighbour_dots(
+        &q[base + i * d..base + (i + 1) * d],
+        k,
+        base,
+        d,
+        nbrs,
+        w_row,
+    );
+    for x in w_row.iter_mut() {
+        *x *= scale;
+    }
+    // Row softmax: the exact `softmax_lastdim` chain.
+    let mut m = f32::NEG_INFINITY;
+    for &x in w_row.iter() {
+        m = m.max(x);
+    }
+    crate::mathfn::exp_sub_slice(w_row, m);
+    let mut z = 0.0f32;
+    for &x in w_row.iter() {
+        z += x;
+    }
+    for x in w_row.iter_mut() {
+        *x /= z;
+    }
+    // Mix: neighbors ascending — the dense `weights @ h` contraction
+    // order per output element.
+    out_row.fill(0.0);
+    for (&wv, &j) in w_row.iter().zip(nbrs) {
+        axpy(
+            out_row,
+            wv,
+            &h[base + j as usize * d..base + (j as usize + 1) * d],
+        );
+    }
+}
+
+/// Sensor `i` of sample `bi`: its score gradients and `dq` row.
+#[inline(always)]
+fn row_grads(cx: &Walk, bi: usize, i: usize, ds_row: &mut [f32], dq_row: &mut [f32]) {
+    let Walk {
+        graph,
+        k,
+        h,
+        grad,
+        weights,
+        d,
+        scale,
+        ..
+    } = *cx;
+    let base = bi * graph.n() * d;
+    let nbrs = graph.neighbors_of(i);
+    let w_row = &weights[bi * graph.nnz() + graph.row_range(i).start..][..nbrs.len()];
+    if nbrs.is_empty() {
+        dq_row.fill(0.0);
+        return;
+    }
+    // dw_e = g_i · h_j, ascending d.
+    neighbour_dots(
+        &grad[base + i * d..base + (i + 1) * d],
+        h,
+        base,
+        d,
+        nbrs,
+        ds_row,
+    );
+    // Softmax VJP: s = Σ dw·w ascending (the chain's `mul` + `sum_axis`,
+    // so unfused), ds = w (dw − s), then the `mul_scalar` VJP folds the
+    // scale back in.
+    let mut s = 0.0f32;
+    for (dw, w) in ds_row.iter().zip(w_row) {
+        s += dw * w;
+    }
+    for (dsv, w) in ds_row.iter_mut().zip(w_row) {
+        *dsv = w * (*dsv - s) * scale;
+    }
+    // dq_i = Σ_j ds_e · k_j, neighbors ascending.
+    dq_row.fill(0.0);
+    for (&c, &j) in ds_row.iter().zip(nbrs) {
+        axpy(
+            dq_row,
+            c,
+            &k[base + j as usize * d..base + (j as usize + 1) * d],
+        );
+    }
+}
+
+/// Sensor `j` of sample `bi`: its `dk` and `dh` rows, gathered over the
+/// incoming edges with sources ascending — `matmul_tn`'s contraction
+/// order — so the scatter needs no atomics and no thread-count-dependent
+/// reassociation.
+#[inline(always)]
+fn col_grads(cx: &Walk, bi: usize, j: usize, dk_row: &mut [f32], dh_row: &mut [f32]) {
+    let Walk {
+        graph,
+        q,
+        grad,
+        weights,
+        ds,
+        d,
+        ..
+    } = *cx;
+    let (base, nnz) = (bi * graph.n() * d, graph.nnz());
+    dk_row.fill(0.0);
+    // An isolated sensor's forward was `out_j = h_j` under the
+    // passthrough, so its summary gradient starts at `g_j` before any
+    // incoming-edge contributions accumulate.
+    if graph.identity_passthrough && graph.degree(j) == 0 {
+        dh_row.copy_from_slice(&grad[base + j * d..base + (j + 1) * d]);
+    } else {
+        dh_row.fill(0.0);
+    }
+    for t in graph.t_offsets[j]..graph.t_offsets[j + 1] {
+        let i = graph.t_src[t] as usize;
+        let e = bi * nnz + graph.t_edge[t] as usize;
+        axpy(dk_row, ds[e], &q[base + i * d..base + (i + 1) * d]);
+        axpy(dh_row, weights[e], &grad[base + i * d..base + (i + 1) * d]);
     }
 }
 
@@ -317,90 +606,23 @@ pub fn sparse_attention_forward(
     let nnz = graph.nnz();
     let mut weights = memory::take_scratch(batch * nnz);
     let mut out = memory::take_scratch(batch * n * d);
-    let qd = q.data();
-    let kd = k.data();
-    let hd = h.data();
-    let rows = batch * n;
-    let run_row = |r: usize, w_row: &mut [f32], out_row: &mut [f32]| {
-        let (bi, i) = (r / n, r % n);
-        let base = bi * n * d;
-        let qrow = &qd[base + i * d..base + (i + 1) * d];
-        let nbrs = graph.neighbors_of(i);
-        if nbrs.is_empty() {
-            if graph.identity_passthrough {
-                out_row.copy_from_slice(&hd[base + i * d..base + (i + 1) * d]);
-            } else {
-                out_row.fill(0.0);
-            }
-            return;
-        }
-        // Scores: ascending-d dot products (the reference GEMM fold
-        // order), scaled per element like the dense `mul_scalar`.
-        for (t, &j) in nbrs.iter().enumerate() {
-            let krow = &kd[base + j as usize * d..base + (j as usize + 1) * d];
-            let mut s = 0.0f32;
-            for (qv, kv) in qrow.iter().zip(krow) {
-                s += qv * kv;
-            }
-            w_row[t] = s * scale;
-        }
-        // Row softmax: the exact `softmax_lastdim` chain.
-        let mut m = f32::NEG_INFINITY;
-        for &x in w_row.iter() {
-            m = m.max(x);
-        }
-        crate::mathfn::exp_sub_slice(w_row, m);
-        let mut z = 0.0f32;
-        for &x in w_row.iter() {
-            z += x;
-        }
-        for x in w_row.iter_mut() {
-            *x /= z;
-        }
-        // Mix: neighbors ascending — the dense `weights @ h` contraction
-        // order per output element.
-        out_row.fill(0.0);
-        for (t, &j) in nbrs.iter().enumerate() {
-            let wv = w_row[t];
-            let hrow = &hd[base + j as usize * d..base + (j as usize + 1) * d];
-            for (o, hv) in out_row.iter_mut().zip(hrow) {
-                *o += wv * hv;
-            }
-        }
+    let cx = Walk {
+        graph,
+        q: q.data(),
+        k: k.data(),
+        h: h.data(),
+        grad: &[],
+        weights: &[],
+        ds: &[],
+        d,
+        scale,
     };
-    let groups = row_groups(rows, batch * nnz * d);
-    if groups > 1 {
-        let per = rows.div_ceil(groups);
-        let w_ptr = SendPtr(weights.as_mut_ptr());
-        let o_ptr = SendPtr(out.as_mut_ptr());
-        stwa_pool::parallel_for(groups, |g| {
-            for r in g * per..((g + 1) * per).min(rows) {
-                let (bi, i) = (r / n, r % n);
-                let er = graph.row_range(i);
-                // Safety: every row's weight and output regions are
-                // disjoint, and the pool joins before the buffers are
-                // consumed.
-                let (w_row, out_row) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(
-                            w_ptr.get().add(bi * nnz + er.start),
-                            er.len(),
-                        ),
-                        std::slice::from_raw_parts_mut(o_ptr.get().add(r * d), d),
-                    )
-                };
-                run_row(r, w_row, out_row);
-            }
-        });
-    } else {
-        for r in 0..rows {
-            let (bi, i) = (r / n, r % n);
-            let er = graph.row_range(i);
-            let w_row = &mut weights[bi * nnz + er.start..bi * nnz + er.end];
-            let out_row = &mut out[r * d..(r + 1) * d];
-            run_row(r, w_row, out_row);
-        }
-    }
+    let outs = [SendPtr(weights.as_mut_ptr()), SendPtr(out.as_mut_ptr())];
+    // Safety: `weights` is `[batch, nnz]`, `out` `[batch·n, d]`; groups
+    // own disjoint rows and the pool joins before the buffers are read.
+    for_row_groups(batch * n, batch * nnz * d, |rows| unsafe {
+        walk_rows(Pass::Forward, &cx, rows, outs)
+    });
     let out_t = Tensor::from_vec(out, q.shape())?;
     let w_t = Tensor::from_vec(weights, &[batch, nnz])?;
     Ok((out_t, w_t))
@@ -443,150 +665,40 @@ pub fn sparse_attention_vjp(
             batch * nnz
         )));
     }
-    let gd = grad.data();
-    let qd = q.data();
-    let kd = k.data();
-    let hd = h.data();
-    let wd = weights.data();
-    let rows = batch * n;
-    let groups = row_groups(rows, batch * nnz * d);
+    let (rows, work) = (batch * n, batch * nnz * d);
+    let mut cx = Walk {
+        graph,
+        q: q.data(),
+        k: k.data(),
+        h: h.data(),
+        grad: grad.data(),
+        weights: weights.data(),
+        ds: &[],
+        d,
+        scale,
+    };
 
-    // Pass 1 (row-parallel over i): per-edge score gradients through the
-    // softmax, in place over a copy of nothing — `ds` is built directly.
+    // Pass 1 (over i): per-edge score gradients through the softmax,
+    // built directly into `ds`, and `dq`.
     let mut ds = memory::take_scratch(batch * nnz);
     let mut dq = memory::take_scratch(batch * n * d);
-    {
-        let run_row = |r: usize, ds_row: &mut [f32], dq_row: &mut [f32]| {
-            let (bi, i) = (r / n, r % n);
-            let base = bi * n * d;
-            let nbrs = graph.neighbors_of(i);
-            let w_row = &wd[bi * nnz + graph.row_range(i).start..][..nbrs.len()];
-            let grow = &gd[base + i * d..base + (i + 1) * d];
-            if nbrs.is_empty() {
-                dq_row.fill(0.0);
-                return;
-            }
-            // dw_e = g_i · h_j, ascending d.
-            for (t, &j) in nbrs.iter().enumerate() {
-                let hrow = &hd[base + j as usize * d..base + (j as usize + 1) * d];
-                let mut s = 0.0f32;
-                for (gv, hv) in grow.iter().zip(hrow) {
-                    s += gv * hv;
-                }
-                ds_row[t] = s;
-            }
-            // Softmax VJP: s = Σ dw·w ascending, ds = w (dw − s), then
-            // the `mul_scalar` VJP folds the scale back in.
-            let mut s = 0.0f32;
-            for (dw, w) in ds_row.iter().zip(w_row) {
-                s += dw * w;
-            }
-            for (dsv, w) in ds_row.iter_mut().zip(w_row) {
-                *dsv = w * (*dsv - s) * scale;
-            }
-            // dq_i = Σ_j ds_e · k_j, neighbors ascending.
-            dq_row.fill(0.0);
-            for (t, &j) in nbrs.iter().enumerate() {
-                let c = ds_row[t];
-                let krow = &kd[base + j as usize * d..base + (j as usize + 1) * d];
-                for (o, kv) in dq_row.iter_mut().zip(krow) {
-                    *o += c * kv;
-                }
-            }
-        };
-        if groups > 1 {
-            let per = rows.div_ceil(groups);
-            let ds_ptr = SendPtr(ds.as_mut_ptr());
-            let dq_ptr = SendPtr(dq.as_mut_ptr());
-            stwa_pool::parallel_for(groups, |g| {
-                for r in g * per..((g + 1) * per).min(rows) {
-                    let (bi, i) = (r / n, r % n);
-                    let er = graph.row_range(i);
-                    // Safety: disjoint rows; pool joins before reads.
-                    let (ds_row, dq_row) = unsafe {
-                        (
-                            std::slice::from_raw_parts_mut(
-                                ds_ptr.get().add(bi * nnz + er.start),
-                                er.len(),
-                            ),
-                            std::slice::from_raw_parts_mut(dq_ptr.get().add(r * d), d),
-                        )
-                    };
-                    run_row(r, ds_row, dq_row);
-                }
-            });
-        } else {
-            for r in 0..rows {
-                let (bi, i) = (r / n, r % n);
-                let er = graph.row_range(i);
-                let ds_row = &mut ds[bi * nnz + er.start..bi * nnz + er.end];
-                let dq_row = &mut dq[r * d..(r + 1) * d];
-                run_row(r, ds_row, dq_row);
-            }
-        }
-    }
+    let outs = [SendPtr(ds.as_mut_ptr()), SendPtr(dq.as_mut_ptr())];
+    // Safety: `ds` is `[batch, nnz]`, `dq` `[batch·n, d]`; disjoint
+    // rows per group, joined before either is read.
+    for_row_groups(rows, work, |r| unsafe {
+        walk_rows(Pass::RowGrads, &cx, r, outs)
+    });
 
-    // Pass 2 (row-parallel over j via the transpose): dk and dh gather
-    // their incoming edges with sources ascending — `matmul_tn`'s
-    // contraction order — so the scatter needs no atomics and no
-    // thread-count-dependent reassociation.
+    // Pass 2 (over j via the transpose): `dk` and `dh`.
+    cx.ds = &ds;
     let mut dk = memory::take_scratch(batch * n * d);
     let mut dh = memory::take_scratch(batch * n * d);
-    {
-        let ds_ref: &[f32] = &ds;
-        let run_col = |r: usize, dk_row: &mut [f32], dh_row: &mut [f32]| {
-            let (bi, j) = (r / n, r % n);
-            let base = bi * n * d;
-            dk_row.fill(0.0);
-            // An isolated sensor's forward was `out_j = h_j` under the
-            // passthrough, so its summary gradient starts at `g_j`
-            // before any incoming-edge contributions accumulate.
-            if graph.identity_passthrough && graph.degree(j) == 0 {
-                dh_row.copy_from_slice(&gd[base + j * d..base + (j + 1) * d]);
-            } else {
-                dh_row.fill(0.0);
-            }
-            for t in graph.t_offsets[j]..graph.t_offsets[j + 1] {
-                let i = graph.t_src[t] as usize;
-                let e = graph.t_edge[t] as usize;
-                let dsv = ds_ref[bi * nnz + e];
-                let wv = wd[bi * nnz + e];
-                let qrow = &qd[base + i * d..base + (i + 1) * d];
-                let grow = &gd[base + i * d..base + (i + 1) * d];
-                for ((o, qv), (p, gv)) in dk_row
-                    .iter_mut()
-                    .zip(qrow)
-                    .zip(dh_row.iter_mut().zip(grow))
-                {
-                    *o += dsv * qv;
-                    *p += wv * gv;
-                }
-            }
-        };
-        if groups > 1 {
-            let per = rows.div_ceil(groups);
-            let dk_ptr = SendPtr(dk.as_mut_ptr());
-            let dh_ptr = SendPtr(dh.as_mut_ptr());
-            stwa_pool::parallel_for(groups, |g| {
-                for r in g * per..((g + 1) * per).min(rows) {
-                    // Safety: disjoint rows; pool joins before reads.
-                    let (dk_row, dh_row) = unsafe {
-                        (
-                            std::slice::from_raw_parts_mut(dk_ptr.get().add(r * d), d),
-                            std::slice::from_raw_parts_mut(dh_ptr.get().add(r * d), d),
-                        )
-                    };
-                    run_col(r, dk_row, dh_row);
-                }
-            });
-        } else {
-            for r in 0..rows {
-                let dk_row = &mut dk[r * d..(r + 1) * d];
-                let dh_row = &mut dh[r * d..(r + 1) * d];
-                run_col(r, dk_row, dh_row);
-            }
-        }
-    }
+    let outs = [SendPtr(dk.as_mut_ptr()), SendPtr(dh.as_mut_ptr())];
+    // Safety: both `[batch·n, d]`; disjoint rows per group, joined
+    // before either is read.
+    for_row_groups(rows, work, |r| unsafe {
+        walk_rows(Pass::ColGrads, &cx, r, outs)
+    });
     memory::recycle(ds);
     Ok((
         Tensor::from_vec(dq, q.shape())?,
@@ -659,6 +771,17 @@ mod tests {
             let b: Vec<u32> = want.data().iter().map(|x| x.to_bits()).collect();
             assert_eq!(a, b, "{name}");
         }
+    }
+
+    #[test]
+    fn every_isa_arm_matches_dense_bitwise() {
+        // Degree 13 runs three four-neighbour score groups and a
+        // single-chain tail per row; the dense oracle takes the
+        // dispatched arm too.
+        crate::isa::for_each_ceiling("sparse attention walks", |_| {
+            complete_graph_matches_dense_bitwise();
+            complete_graph_vjp_matches_dense_bitwise();
+        });
     }
 
     #[test]

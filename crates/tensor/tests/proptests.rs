@@ -550,16 +550,28 @@ proptest! {
         d0 in 1usize..7, d1 in 1usize..4, d2 in 1usize..4,
         m in 1usize..20, n in 1usize..20, mid in 0usize..3, seed in 0u64..1 << 32,
     ) {
-        // The weight gradient of a row vector per batch: the fused form
-        // must reproduce the materialized outer products summed along
-        // axis 0 in ascending order, bit for bit, for zero to two
-        // surviving batch axes.
+        // The weight gradient of a row vector per batch, for zero to two
+        // surviving batch axes. Summing the outer products along axis 0
+        // is one contraction over `d0`, so the fused form must be bit
+        // for bit `matmul_tn` over the lead-flattened operands — per
+        // surviving batch index, `[d0, m]ᵀ · [d0, n]`, one FMA chain —
+        // and not the materialized products + `sum_axis`, which round
+        // each product before adding it.
         let lead: Vec<usize> = [d0, d1, d2][..1 + mid].to_vec();
         let a_shape: Vec<usize> = lead.iter().chain(&[1, m]).copied().collect();
         let g_shape: Vec<usize> = lead.iter().chain(&[1, n]).copied().collect();
         let a = Tensor::from_fn(&a_shape, fill(seed, 30));
         let g = Tensor::from_fn(&g_shape, fill(seed, 31));
-        let want = linalg::matmul_tn(&a, &g).unwrap().sum_axis(0, false).unwrap();
+        let rest: usize = lead[1..].iter().product();
+        let by_rest = |x: &Tensor, w: usize| {
+            x.reshape(&[d0, rest, w]).unwrap().swap_axes(0, 1).unwrap()
+        };
+        let mut out_shape = lead[1..].to_vec();
+        out_shape.extend([m, n]);
+        let want = linalg::matmul_tn(&by_rest(&a, m), &by_rest(&g, n))
+            .unwrap()
+            .reshape(&out_shape)
+            .unwrap();
         poison_pool(want.len());
         let fused = linalg::matmul_tn_sum_lead(&a, &g).unwrap();
         prop_assert_eq!(fused.shape(), want.shape());

@@ -3,13 +3,13 @@
 
 # Full verification: release build, complete test suite, lint-clean,
 # and no kernel-throughput regression beyond 15% of the checked-in
-# baseline (normalized against the in-tree reference kernel, so the
-# gate is portable across hosts of different absolute speed).
+# baseline (as a share of a same-run FMA peak probe, so the gate is
+# portable across hosts of different absolute speed).
 verify:
     cargo build --release
     cargo test -q
     cargo test -q -p stwa-ckpt --test corruption
-    cargo test -q -p stwa-autograd -p stwa-nn -p stwa-core -p stwa-serve -p stwa-infer
+    cargo test -q -p stwa-tensor -p stwa-autograd -p stwa-nn -p stwa-core -p stwa-serve -p stwa-infer
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json
