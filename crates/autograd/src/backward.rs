@@ -339,29 +339,40 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
 
         Op::MulScalar(x, s) => accumulate(nodes, x, grad.mul_scalar(s)),
 
+        // dA = g @ Bᵀ and dB = Aᵀ @ g, both through the fused transposed
+        // kernels (no materialized transpose copies), reduced over
+        // broadcast batch dims. A half whose operand takes no gradient
+        // is not computed: `accumulate_reduced` would drop it.
         Op::Matmul(a, b) => {
             let av = value_of(nodes, a);
             let bv = value_of(nodes, b);
-            // dA = g @ Bᵀ and dB = Aᵀ @ g, both through the fused
-            // transposed kernels (no materialized transpose copies),
-            // reduced over broadcast batch dims.
-            let ga_full = linalg::matmul_nt(grad, &bv)?;
-            accumulate_reduced(nodes, a, &ga_full)?;
-            drop(ga_full);
-            let gb_full = matmul_tn_toward(&av, grad, bv.rank())?;
-            accumulate_reduced(nodes, b, &gb_full)
+            let _shape = shape_span(&av, &bv, [nodes[a].requires_grad, nodes[b].requires_grad]);
+            if nodes[a].requires_grad {
+                let ga_full = linalg::matmul_nt(grad, &bv)?;
+                accumulate_reduced(nodes, a, &ga_full)?;
+            }
+            if nodes[b].requires_grad {
+                let gb_full = matmul_tn_toward(&av, grad, bv.rank())?;
+                accumulate_reduced(nodes, b, &gb_full)?;
+            }
+            Ok(())
         }
 
+        // C = A @ Bᵀ with B stored [..., n, k]: dA = g @ B (the
+        // transposes cancel), dB = gᵀ @ A; halves skipped as above.
         Op::MatmulNT(a, b) => {
             let av = value_of(nodes, a);
             let bv = value_of(nodes, b);
-            // C = A @ Bᵀ with B stored [..., n, k]:
-            // dA = g @ B (the transposes cancel), dB = gᵀ @ A.
-            let ga_full = linalg::matmul(grad, &bv)?;
-            accumulate_reduced(nodes, a, &ga_full)?;
-            drop(ga_full);
-            let gb_full = matmul_tn_toward(grad, &av, bv.rank())?;
-            accumulate_reduced(nodes, b, &gb_full)
+            let _shape = shape_span(&av, &bv, [nodes[a].requires_grad, nodes[b].requires_grad]);
+            if nodes[a].requires_grad {
+                let ga_full = linalg::matmul(grad, &bv)?;
+                accumulate_reduced(nodes, a, &ga_full)?;
+            }
+            if nodes[b].requires_grad {
+                let gb_full = matmul_tn_toward(grad, &av, bv.rank())?;
+                accumulate_reduced(nodes, b, &gb_full)?;
+            }
+            Ok(())
         }
 
         Op::SumAxis { x, axis, keepdim } => {
@@ -607,7 +618,70 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             accumulate(nodes, k, gk)?;
             accumulate(nodes, q, gq)
         }
+
+        // Windowed attention: `gk` / `gv` are added straight into window
+        // `wi`'s blocks of the projection's gradient (zeroed when this
+        // sweep first reaches it) — what the `narrow` VJP did for each
+        // window's copy — then `gq` lands.
+        Op::KvWindowAttention {
+            q,
+            kv,
+            wi,
+            heads,
+            ref weights,
+        } => {
+            let qv = value_of(nodes, q);
+            let kvv = value_of(nodes, kv);
+            let gkv = nodes[kv]
+                .requires_grad
+                .then(|| grad_buffer(&mut nodes[kv]).data_mut());
+            let gq =
+                stwa_tensor::attention::vjp_kv_window(grad, &qv, &kvv, wi, weights, heads, gkv)?;
+            accumulate(nodes, q, gq)
+        }
+
+        // The K/V projection: `dx` (V half, then K half added) only when
+        // the layer input takes a gradient — never for layer 0, whose
+        // input is the raw batch — and `dkv` in the decoder output's flat
+        // layout, so it lands in that node's slot as is.
+        Op::ProjectKv { x, kv, s } => {
+            let xv = value_of(nodes, x);
+            let kvv = value_of(nodes, kv);
+            let (need_dx, need_dkv) = (nodes[x].requires_grad, nodes[kv].requires_grad);
+            let (dx, dkv) = stwa_tensor::projection::vjp(grad, &xv, &kvv, s, need_dx, need_dkv)?;
+            if let Some(dx) = dx {
+                accumulate(nodes, x, dx)?;
+            }
+            match dkv {
+                Some(dkv) => accumulate(nodes, kv, dkv),
+                None => Ok(()),
+            }
+        }
     }
+}
+
+/// `node`'s gradient as a buffer to add into in place: the live gradient,
+/// or — when the slot is empty — zeros (a stale buffer is zeroed and
+/// kept, so repeated sweeps draw nothing from the pool).
+fn grad_buffer(node: &mut Node) -> &mut Tensor {
+    let shape = node.value.shape().to_vec();
+    if !reuse_stale(node, &shape, |buf| buf.fill(0.0)) && node.grad.is_none() {
+        node.grad = Some(Tensor::zeros(&shape));
+    }
+    node.grad.as_mut().expect("filled above")
+}
+
+/// A span naming a product VJP's operand shapes and the halves it
+/// computes (`[640, 32]@[32, 512] dA+dB`), nested under
+/// `backward/<kind>` — `bench_train_step`'s by-shape table. Formats
+/// nothing while recording is off.
+fn shape_span(a: &Tensor, b: &Tensor, [da, db]: [bool; 2]) -> stwa_observe::Scope {
+    let halves = match (da, db) {
+        (true, true) => "dA+dB",
+        (true, false) => "dA",
+        _ => "dB",
+    };
+    stwa_observe::span!("{:?}@{:?} {halves}", a.shape(), b.shape())
 }
 
 #[cfg(test)]

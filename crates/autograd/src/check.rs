@@ -218,6 +218,36 @@ mod tests {
         scores.square()?.sum_all()?.add(&self_scores.tanh().sum_all()?)
     });
 
+    // The generated K/V projection: `[2, T = 4, F = 3]` in windows of 2
+    // through each lead's `[2·3·2]` row (`d = 2`), against each operand
+    // in turn; a constant `x` skips `dx`, as layer 0 does.
+    fn kv_rows() -> Tensor {
+        Tensor::from_fn(&[2, 12], |i| 0.1 * i[1] as f32 - 0.3 * i[0] as f32 - 0.4)
+    }
+    fn window_rows() -> Tensor {
+        Tensor::from_fn(&[2, 4, 3], |i| {
+            0.2 * (i[1] + i[2]) as f32 - 0.5 * i[0] as f32
+        })
+    }
+    grad_test!(gc_project_kv_x, signed_input(&[2, 4, 3], 25), |v| {
+        let kv = v.graph().constant(kv_rows());
+        v.project_kv(&kv, 2)?.square()?.sum_all()
+    });
+    grad_test!(gc_project_kv_rows, signed_input(&[2, 12], 26), |v| {
+        let x = v.graph().constant(window_rows());
+        x.project_kv(v, 2)?.tanh().sum_all()
+    });
+    // Attention of `[2, 1, 4]` queries against window 1 of its output.
+    grad_test!(gc_attention_kv_window, signed_input(&[2, 24], 27), |v| {
+        let g = v.graph();
+        let q = g.constant(Tensor::from_fn(&[2, 1, 4], |i| 0.3 * i[2] as f32 - 0.2));
+        let kv = g.constant(window_rows()).project_kv(v, 2)?;
+        let w = g.constant(Tensor::from_fn(&[2, 1, 4], |i| {
+            (i[0] + 2 * i[2]) as f32 - 2.5
+        }));
+        q.attention_kv_window(&kv, 1, 2)?.mul(&w)?.sum_all()
+    });
+
     grad_test!(gc_huber_like, signed_input(&[6], 23), |v| {
         // Same structure as the Huber loss in stwa-nn: mask from values,
         // quadratic inside, linear outside.

@@ -169,6 +169,27 @@ pub(crate) enum Op {
         heads: usize,
         weights: Rc<Tensor>,
     },
+    /// [`Op::Attention`] against window `wi` of one `[..., 2, W, S, d]`
+    /// keys-then-values node (a [`Op::ProjectKv`] output), read in place;
+    /// the VJP adds `gk` / `gv` into that window's blocks of `kv`'s
+    /// gradient, as the per-window `narrow`s it replaces did.
+    KvWindowAttention {
+        q: Id,
+        kv: Id,
+        wi: usize,
+        heads: usize,
+        weights: Rc<Tensor>,
+    },
+    /// The generated K/V projection (see [`stwa_tensor::projection`]):
+    /// `x [..., T, F]` through each lead's flat `kv [..., 2·F·d]` into
+    /// `[..., 2, W, S, d]`. One tape entry for the reshape / narrow /
+    /// squeeze split and the two window-broadcast `matmul`s; value and
+    /// both gradients are bitwise that chain's.
+    ProjectKv {
+        x: Id,
+        kv: Id,
+        s: usize,
+    },
 }
 
 impl Op {
@@ -208,7 +229,8 @@ impl Op {
             Op::Huber { .. } => "huber",
             Op::BiasAddAct { .. } => "bias_add_act",
             Op::SparseAttention { .. } => "sparse_attention",
-            Op::Attention { .. } => "attention",
+            Op::Attention { .. } | Op::KvWindowAttention { .. } => "attention",
+            Op::ProjectKv { .. } => "project_kv",
         }
     }
 }

@@ -180,6 +180,47 @@ impl Var {
         ))
     }
 
+    /// [`Var::attention`] with `self` as the queries `[..., Tq, d]`
+    /// against window `wi` of `kv [..., 2, W, S, d]` — keys then values,
+    /// as [`Var::project_kv`] lays them out — read in place: bitwise the
+    /// attention over `kv`'s narrowed `[..., S, d]` key and value blocks,
+    /// value and gradients, without the narrow nodes.
+    pub fn attention_kv_window(&self, kv: &Var, wi: usize, heads: usize) -> Result<Var> {
+        self.same_graph(kv, "attention_kv_window")?;
+        let (out, weights) =
+            stwa_tensor::attention::forward_kv_window(&self.value(), &kv.value(), wi, heads)?;
+        Ok(self.binary(
+            kv,
+            out,
+            Op::KvWindowAttention {
+                q: self.id,
+                kv: kv.id,
+                wi,
+                heads,
+                weights: Rc::new(weights),
+            },
+        ))
+    }
+
+    /// The generated K/V projection with `self` as the layer input `[...,
+    /// T, F]` and `kv` the decoder's flat `[..., 2·F·d]` rows; returns
+    /// `[..., 2, W, S, d]` for windows of `s` steps. One tape entry
+    /// replaces the K/V split of `kv` and the two window-broadcast
+    /// products; see [`stwa_tensor::projection`] for the contract.
+    pub fn project_kv(&self, kv: &Var, s: usize) -> Result<Var> {
+        self.same_graph(kv, "project_kv")?;
+        let out = stwa_tensor::projection::forward(&self.value(), &kv.value(), s)?;
+        Ok(self.binary(
+            kv,
+            out,
+            Op::ProjectKv {
+                x: self.id,
+                kv: kv.id,
+                s,
+            },
+        ))
+    }
+
     // ---------------------------------------------------------------
     // Reductions
     // ---------------------------------------------------------------

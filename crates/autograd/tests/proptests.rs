@@ -300,6 +300,126 @@ fn attention_gradients_match_central_differences() {
 }
 
 // ---------------------------------------------------------------------
+// `Var::project_kv` + `Var::attention_kv_window` against the chain
+// ---------------------------------------------------------------------
+
+/// Window attention over the generated projection as the tape chain the
+/// two ops replaced: the flat rows split by `reshape` / `narrow` /
+/// `squeeze`, one window-broadcast `matmul` per half, a `narrow` per
+/// window, and the attention op over the narrowed blocks.
+fn window_chain(x: &Var, kv: &Var, qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
+    let xs = x.shape();
+    let at = xs.len() - 2;
+    let (lead, t, f) = (&xs[..at], xs[at], xs[at + 1]);
+    let d = kv.shape()[at] / (2 * f);
+    let shape = |tail: &[usize]| [lead, tail].concat();
+    let split = kv.reshape(&shape(&[2, f, d]))?;
+    let x_win = x.reshape(&shape(&[t / s, s, f]))?;
+    let half = |h: usize| -> Result<Var> {
+        x_win.matmul(&split.narrow(at, h, 1)?.squeeze(at)?.unsqueeze(at)?)
+    };
+    let (keys, values) = (half(0)?, half(1)?);
+    qs.iter()
+        .enumerate()
+        .map(|(wi, q)| {
+            let block = |p: &Var| p.narrow(at, wi, 1)?.squeeze(at);
+            q.attention(&block(&keys)?, &block(&values)?, heads)
+        })
+        .collect()
+}
+
+/// The two ops the window-attention layer runs.
+fn window_fused(x: &Var, kv: &Var, qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
+    let projected = x.project_kv(kv, s)?;
+    qs.iter()
+        .enumerate()
+        .map(|(wi, q)| q.attention_kv_window(&projected, wi, heads))
+        .collect()
+}
+
+type Windows = fn(&Var, &Var, &[Var], usize, usize) -> Result<Vec<Var>>;
+
+/// Value bits of every window's context and the gradient bits of `x`
+/// (when it is a leaf), `kv` and every query, under fixed random
+/// weightings of the contexts, on a poisoned pool.
+fn run_windows(
+    windows: Windows,
+    [xt, kvt]: [&Tensor; 2],
+    qts: &[Tensor],
+    wts: &[Tensor],
+    (s, heads, x_leaf): (usize, usize, bool),
+) -> (Vec<Vec<u32>>, Vec<Option<Vec<u32>>>) {
+    let g = Graph::new();
+    let x = if x_leaf {
+        g.leaf(xt.clone())
+    } else {
+        g.constant(xt.clone())
+    };
+    let kv = g.leaf(kvt.clone());
+    let qs: Vec<Var> = qts.iter().map(|q| g.leaf(q.clone())).collect();
+    poison_pool(xt.len().max(kvt.len()) * 2);
+    let outs = windows(&x, &kv, &qs, s, heads).unwrap();
+    let mut loss: Option<Var> = None;
+    for (o, w) in outs.iter().zip(wts) {
+        let term = o.mul(&g.constant(w.clone())).unwrap().sum_all().unwrap();
+        loss = Some(match loss {
+            None => term,
+            Some(acc) => acc.add(&term).unwrap(),
+        });
+    }
+    poison_pool(xt.len().max(kvt.len()) * 2);
+    g.backward(&loss.unwrap()).unwrap();
+    let grads = [&x, &kv]
+        .into_iter()
+        .chain(&qs)
+        .map(|v| g.grad(v).map(|t| bits(&t)))
+        .collect();
+    (outs.iter().map(|o| bits(&o.value())).collect(), grads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn kv_projection_and_window_attention_are_bitwise_the_narrow_chain(
+        lead in proptest::collection::vec(1usize..=3, 1..=2),
+        w in 1usize..=4,
+        s in 1usize..=3,
+        f_pick in 0usize..3,
+        d_pick in 0usize..2,
+        tq in 1usize..=2,
+        x_leaf in 0usize..2,
+        threads in 1usize..=2,
+        seed in 0u64..1 << 32,
+    ) {
+        // `d = 16` runs the register rows on an AVX-512 host, `d = 8`
+        // the slice entries; `F = d` is every layer past the first.
+        let d = [16, 8][d_pick];
+        let f = [1, 3, d][f_pick];
+        let heads = 4;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = |tail: &[usize]| [lead.as_slice(), tail].concat();
+        let xt = Tensor::randn(&shape(&[w * s, f]), &mut rng);
+        let kvt = Tensor::randn(&shape(&[2 * f * d]), &mut rng).mul_scalar(0.5);
+        let qts: Vec<Tensor> = (0..w).map(|_| Tensor::randn(&shape(&[tq, d]), &mut rng)).collect();
+        let wts: Vec<Tensor> = (0..w).map(|_| Tensor::randn(&shape(&[tq, d]), &mut rng)).collect();
+
+        stwa_pool::set_threads(threads);
+        let x_leaf = x_leaf == 1;
+        let want = run_windows(window_chain, [&xt, &kvt], &qts, &wts, (s, heads, x_leaf));
+        let got = run_windows(window_fused, [&xt, &kvt], &qts, &wts, (s, heads, x_leaf));
+        stwa_pool::set_threads(1);
+
+        prop_assert!(got.0 == want.0, "context bits, x {:?} W {w} S {s} d {d}", xt.shape());
+        prop_assert_eq!(got.1.len(), want.1.len());
+        for (i, (g, wnt)) in got.1.iter().zip(&want.1).enumerate() {
+            prop_assert!(g == wnt, "gradient #{i} bits, x {:?} W {w} S {s} d {d}", xt.shape());
+        }
+        prop_assert_eq!(got.1[0].is_some(), x_leaf, "a constant input takes no gradient");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fused VJPs against the chains of primitive `Tensor` ops they replace
 // ---------------------------------------------------------------------
 
@@ -487,6 +607,8 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
         n,
         &(0..n).map(|i| (i.saturating_sub(1)..=i).collect()).collect::<Vec<_>>(),
     )?);
+    // `[B, N, d, 1]` in windows of one step through `[B, N, 2·d]` rows.
+    let projected = y.unsqueeze(3)?.project_kv(&concat(&[&pos, &x], 2)?, 1)?;
     let out = vec![
         x.add(&y)?,
         x.sub(&y)?,
@@ -507,6 +629,9 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
         x.matmul_nt(&y)?,
         x.sparse_attend(&y, &pos, &sensors, 0.5)?,
         x.attention(&y, &pos, heads)?,
+        projected.clone(),
+        x.unsqueeze(2)?
+            .attention_kv_window(&projected, d - 1, heads)?,
         x.sum_axis(1, true)?,
         x.mean_axis(2, false)?,
         x.sum_all()?,

@@ -37,7 +37,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_tensor::isa::{self, Isa};
-use stwa_tensor::{linalg, Tensor};
+use stwa_tensor::{linalg, projection, Tensor};
 
 /// Allowed relative loss of `roofline_share` before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
@@ -285,6 +285,39 @@ fn run_suite() -> Vec<Entry> {
     step_shape("step_skinny", &[640, 16], &[16, 16], false);
     // Generator decoder output layer.
     step_shape("step_decoder", &[640, 32], &[32, 512], false);
+
+    // The step's two costliest backward products. The decoder's
+    // last-layer weight gradient, `Aᵀ·G` with 32 output rows (G read in
+    // place, not packed)...
+    {
+        let a = Tensor::randn(&[640, 32], &mut rng);
+        let g = Tensor::randn(&[640, 512], &mut rng);
+        entries.push(measure(
+            "step_decoder_wgrad",
+            "[640,32]^T@[640,512]".into(),
+            2 * 640 * 32 * 512,
+            || {
+                std::hint::black_box(linalg::matmul_tn(&a, &g).unwrap());
+            },
+        ));
+    }
+    // ...and the generated K/V projection's VJP at the second WA layer:
+    // `[32,20,2,2,16]` window rows against every (sample, sensor)'s own
+    // `[16,16]` K and V, `dkv` and `dx` both.
+    {
+        let (lead, t, s, f, d) = (640, 4, 2, 16, 16);
+        let x = Tensor::randn(&[32, 20, t, f], &mut rng);
+        let kv = Tensor::randn(&[32, 20, 2 * f * d], &mut rng);
+        let g = Tensor::randn(&[32, 20, 2, t / s, s, d], &mut rng);
+        entries.push(measure(
+            "step_kv_vjp",
+            "[32,20,2,2,16]x[16,16] dkv+dx".into(),
+            2 * 2 * (2 * lead * t * f * d),
+            || {
+                std::hint::black_box(projection::vjp(&g, &x, &kv, s, true, true).unwrap());
+            },
+        ));
+    }
 
     // The serving forward's dominant products: the decoder's last layer
     // at serving widths (`m2 = 128` -> `2·d·d = 2048`), pre-packed as

@@ -15,9 +15,17 @@
 //! existing spans into **the table** a "do less" change starts from:
 //! ms/step by backward op kind (`backward/<kind>`, with the nodes of
 //! that kind per step) and by forward stage (`generator/latent`,
-//! `generator/decoder`, `wa_layer{l}`, `sensor_attention`, `predictor`),
-//! beside `matmul.flops` per step. The table is reported, not gated:
-//! absolute milliseconds belong to the host in the header.
+//! `generator/decoder`, `wa_layer{l}`, `kv_projection`,
+//! `sensor_attention`, `predictor`),
+//! beside `matmul.flops` per step, and the product VJPs by operand shape
+//! (`backward_matmul_by_shape`: the ten costliest `matmul` / `matmul_nt`
+//! shapes with their nodes per step and GFLOP/s over the halves they
+//! computed). The table is reported, not gated: absolute milliseconds
+//! belong to the host in the header.
+//!
+//! Both passes run on **one pool thread**, the width `benchmark/` runs
+//! `train_epoch` at, so the table attributes the step that workload
+//! times.
 
 use std::time::Instant;
 
@@ -66,12 +74,54 @@ struct Row {
     ms_per_step: f64,
 }
 
+/// One product VJP shape: `kind operand shapes halves`, nodes and ms per
+/// step, and the GFLOP/s of the halves it computed.
+struct ShapeRow {
+    row: Row,
+    gflops: f64,
+}
+
 /// The traced pass: where a step's time goes.
 struct Table {
     step_ms: f64,
     matmul_flops_per_step: u64,
     forward: Vec<Row>,
     backward: Vec<Row>,
+    matmul_by_shape: Vec<ShapeRow>,
+}
+
+/// Rows of the by-shape table.
+const SHAPE_ROWS: usize = 10;
+
+/// FLOPs of one product VJP from its span label, `"[.., m, k]@[.., k,
+/// n] dA+dB"` (`matmul`) or `"[.., m, k]@[.., n, k] dB"` (`matmul_nt`):
+/// two per multiply-add, per computed half, over the broadcast batch.
+fn vjp_flops(kind: &str, label: &str) -> Option<f64> {
+    let (shapes, halves) = label.rsplit_once(' ')?;
+    let (a, b) = shapes.split_once('@')?;
+    let dims = |s: &str| -> Option<Vec<f64>> {
+        s.trim_matches(|c| c == '[' || c == ']')
+            .split(", ")
+            .map(|v| v.parse().ok())
+            .collect()
+    };
+    let (a, b) = (dims(a)?, dims(b)?);
+    let (ra, rb) = (a.len(), b.len());
+    let (m, k) = (a[ra - 2], a[ra - 1]);
+    let n = if kind == "matmul_nt" {
+        b[rb - 2]
+    } else {
+        b[rb - 1]
+    };
+    let lead = ra.max(rb) - 2;
+    let batch: f64 = (0..lead)
+        .map(|i| {
+            let at = |v: &[f64], r: usize| (i + r >= lead + 2).then(|| v[i + r - lead - 2]);
+            at(&a, ra).unwrap_or(1.0).max(at(&b, rb).unwrap_or(1.0))
+        })
+        .product();
+    let halves = halves.split('+').count() as f64;
+    Some(2.0 * batch * m * k * n * halves)
 }
 
 /// One optimization step: fresh tape, forward, raw-scale Huber (+KL
@@ -132,10 +182,12 @@ fn run_timed(
 }
 
 /// Forward stages reported by the table, matched as path suffixes so a
-/// stage entered once per layer (`sensor_attention`) sums over layers.
-const FORWARD_STAGES: [&str; 4] = [
+/// stage entered once per layer (`kv_projection`, `sensor_attention`)
+/// sums over layers.
+const FORWARD_STAGES: [&str; 5] = [
     "generator/latent",
     "generator/decoder",
+    "kv_projection",
     "sensor_attention",
     "predictor",
 ];
@@ -211,15 +263,40 @@ fn run_traced(
     backward.sort_by(|a, b| b.ms_per_step.total_cmp(&a.ms_per_step));
     backward.insert(0, sum("backward"));
 
+    // `backward/<kind>/<shapes> <halves>`: the span each product VJP
+    // opens under its kind.
+    let mut matmul_by_shape: Vec<ShapeRow> = spans
+        .iter()
+        .filter_map(|s| {
+            let (kind, label) = s.path.strip_prefix("backward/")?.split_once('/')?;
+            if !matches!(kind, "matmul" | "matmul_nt") || label.contains('/') {
+                return None;
+            }
+            let row = sum(&s.path);
+            let flops = vjp_flops(kind, label)? * row.per_step;
+            Some(ShapeRow {
+                gflops: flops / (row.ms_per_step * 1e6),
+                row: Row {
+                    name: format!("{kind} {label}"),
+                    ..row
+                },
+            })
+        })
+        .collect();
+    matmul_by_shape.sort_by(|a, b| b.row.ms_per_step.total_cmp(&a.row.ms_per_step));
+    matmul_by_shape.truncate(SHAPE_ROWS);
+
     Table {
         step_ms,
         matmul_flops_per_step: matmul_flops / STEPS_PER_CHUNK as u64,
         forward,
         backward,
+        matmul_by_shape,
     }
 }
 
 fn run_suite() -> (Timed, Table) {
+    stwa_pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(42);
     let model =
         StwaModel::new(StwaConfig::st_wa(SENSORS, HISTORY, HORIZON), &mut rng).expect("model");
@@ -245,6 +322,19 @@ fn render_rows(rows: &[Row]) -> String {
     lines.join(",\n")
 }
 
+fn render_shape_rows(rows: &[ShapeRow]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{\"per_step\": {:.1}, \"ms\": {:.4}, \"gflops\": {:.2}}}",
+                r.row.name, r.row.per_step, r.row.ms_per_step, r.gflops
+            )
+        })
+        .collect();
+    lines.join(",\n")
+}
+
 fn render_json(timed: &Timed, table: &Table) -> String {
     format!(
         "{{\n{}  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
@@ -253,7 +343,8 @@ fn render_json(timed: &Timed, table: &Table) -> String {
          \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
          \"traced_ms_per_step\": {:.3},\n  \
          \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
-         \"backward_by_op_kind\": {{\n{}\n  }}\n}}\n",
+         \"backward_by_op_kind\": {{\n{}\n  }},\n  \
+         \"backward_matmul_by_shape\": {{\n{}\n  }}\n}}\n",
         stwa_bench::host::json_fields(),
         timed.ms_per_step,
         timed.allocs_per_step,
@@ -263,6 +354,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
         table.matmul_flops_per_step,
         render_rows(&table.forward),
         render_rows(&table.backward),
+        render_shape_rows(&table.matmul_by_shape),
     )
 }
 
@@ -277,6 +369,16 @@ fn print_table(t: &Table) {
         for r in rows {
             println!("  {:<26} {:>9.1} {:>9.3}", r.name, r.per_step, r.ms_per_step);
         }
+    }
+    println!(
+        "{:<58} {:>9} {:>9} {:>7}",
+        "backward product by shape", "per step", "ms/step", "GF/s"
+    );
+    for r in &t.matmul_by_shape {
+        println!(
+            "  {:<56} {:>9.1} {:>9.3} {:>7.1}",
+            r.row.name, r.row.per_step, r.row.ms_per_step, r.gflops
+        );
     }
 }
 

@@ -89,13 +89,13 @@ impl ParamDecoder {
     }
 }
 
-/// Per-layer generated projections: `K_t^(i)` and `V_t^(i)`, each of
-/// shape `[B, N, F_l, d]`, plus (optionally) the sensor-correlation
-/// transforms `theta1/theta2` of shape `[B, N, d, d]` (Section IV-C's
-/// generated variant).
+/// Per-layer generated projections: the decoder's flat output `kv`
+/// `[B, N, 2·F_l·d]` — per (sample, sensor), `K_t^(i)` `[F_l, d]` then
+/// `V_t^(i)` — which [`Var::project_kv`] reads where it lies, plus
+/// (optionally) the sensor-correlation transforms `theta1/theta2` of
+/// shape `[B, N, d, d]` (Section IV-C's generated variant).
 pub struct GeneratedProjections {
-    pub k_proj: Var,
-    pub v_proj: Var,
+    pub kv: Var,
     pub sca_transforms: Option<(Var, Var)>,
 }
 
@@ -314,11 +314,8 @@ impl StGenerator {
         // Decode each layer's K/V (and optionally theta1/theta2).
         let decoder_span = stwa_observe::span!("decoder");
         let mut layers = Vec::with_capacity(self.decoders.len());
-        for (l, (dec, &(fl, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
-            let flat = dec.forward(graph, &theta)?; // [B, N, 2*fl*d]
-            let kv = flat.reshape(&[b, self.n, 2, fl, d])?;
-            let k_proj = kv.narrow(2, 0, 1)?.squeeze(2)?;
-            let v_proj = kv.narrow(2, 1, 1)?.squeeze(2)?;
+        for (l, (dec, &(_, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
+            let kv = dec.forward(graph, &theta)?; // [B, N, 2*F*d]
             let sca_transforms = match &self.sca_decoders {
                 None => None,
                 Some(decs) => {
@@ -330,11 +327,7 @@ impl StGenerator {
                     ))
                 }
             };
-            layers.push(GeneratedProjections {
-                k_proj,
-                v_proj,
-                sca_transforms,
-            });
+            layers.push(GeneratedProjections { kv, sca_transforms });
         }
         drop(decoder_span);
 
@@ -368,15 +361,19 @@ impl StGenerator {
             LatentMode::Deterministic,
         )?;
         let tensor = |v: Var| v.value().as_ref().clone();
-        Ok(params
+        params
             .layers
             .into_iter()
-            .map(|l| GeneratedTensors {
-                k_proj: tensor(l.k_proj),
-                v_proj: tensor(l.v_proj),
-                sca_transforms: l.sca_transforms.map(|(t1, t2)| (tensor(t1), tensor(t2))),
+            .zip(&self.layer_dims)
+            .map(|(l, &(fl, d))| {
+                let [k_proj, v_proj] = split_kv(&l.kv.value(), fl, d)?;
+                Ok(GeneratedTensors {
+                    k_proj,
+                    v_proj,
+                    sca_transforms: l.sca_transforms.map(|(t1, t2)| (tensor(t1), tensor(t2))),
+                })
             })
-            .collect())
+            .collect()
     }
 
     /// The spatial latent, when spatially aware.
@@ -408,6 +405,14 @@ impl StGenerator {
     pub fn layer_dims(&self) -> &[(usize, usize)] {
         &self.layer_dims
     }
+}
+
+/// `K` and `V`, each `[B, N, F, d]`, copied out of a decoder's flat
+/// `[B, N, 2·F·d]` output.
+fn split_kv(kv: &Tensor, f: usize, d: usize) -> Result<[Tensor; 2]> {
+    let s = kv.shape();
+    let half = |h: usize| kv.narrow(2, h * f * d, f * d)?.reshape(&[s[0], s[1], f, d]);
+    Ok([half(0)?, half(1)?])
 }
 
 /// Xavier-scale flat initialization for `count` stacked `[fan_in, fan_out]`
@@ -520,8 +525,8 @@ mod tests {
         let x = g.constant(Tensor::randn(&[3, 4, 6, 1], &mut rng));
         let out = gen.generate(&g, &x, &mut rng).unwrap();
         assert_eq!(out.layers.len(), 2);
-        assert_eq!(out.layers[0].k_proj.shape(), vec![3, 4, 1, 8]);
-        assert_eq!(out.layers[1].v_proj.shape(), vec![3, 4, 8, 8]);
+        assert_eq!(out.layers[0].kv.shape(), vec![3, 4, 2 * 8]);
+        assert_eq!(out.layers[1].kv.shape(), vec![3, 4, 2 * 8 * 8]);
         assert!(out.kl.is_some());
     }
 
@@ -545,9 +550,9 @@ mod tests {
         let pa = gen.generate(&g, &a, &mut rng).unwrap();
         let pb = gen.generate(&g, &b, &mut rng).unwrap();
         assert!(pa.layers[0]
-            .k_proj
+            .kv
             .value()
-            .approx_eq(&pb.layers[0].k_proj.value(), 1e-6));
+            .approx_eq(&pb.layers[0].kv.value(), 1e-6));
     }
 
     #[test]
@@ -559,9 +564,9 @@ mod tests {
         let pa = gen.generate(&g, &a, &mut rng).unwrap();
         let pb = gen.generate(&g, &b, &mut rng).unwrap();
         assert!(!pa.layers[0]
-            .k_proj
+            .kv
             .value()
-            .approx_eq(&pb.layers[0].k_proj.value(), 1e-5));
+            .approx_eq(&pb.layers[0].kv.value(), 1e-5));
     }
 
     #[test]
@@ -570,8 +575,8 @@ mod tests {
         let g = Graph::new();
         let x = g.constant(Tensor::zeros(&[1, 4, 6, 1]));
         let p = gen.generate(&g, &x, &mut rng).unwrap();
-        let k0 = p.layers[0].k_proj.value().narrow(1, 0, 1).unwrap();
-        let k1 = p.layers[0].k_proj.value().narrow(1, 1, 1).unwrap();
+        let k0 = p.layers[0].kv.value().narrow(1, 0, 1).unwrap();
+        let k1 = p.layers[0].kv.value().narrow(1, 1, 1).unwrap();
         assert!(
             !k0.approx_eq(&k1, 1e-6),
             "sensors must have distinct params"
@@ -629,9 +634,16 @@ mod tests {
                 .unwrap();
             let nograd_out = gen.generate_nograd(&x).unwrap();
             assert_eq!(graph_out.layers.len(), nograd_out.len());
-            for (gl, nl) in graph_out.layers.iter().zip(nograd_out.iter()) {
-                assert_eq!(gl.k_proj.value().data(), nl.k_proj.data());
-                assert_eq!(gl.v_proj.value().data(), nl.v_proj.data());
+            for ((gl, nl), &(f, d)) in graph_out
+                .layers
+                .iter()
+                .zip(&nograd_out)
+                .zip(gen.layer_dims())
+            {
+                let [k, v] = split_kv(&gl.kv.value(), f, d).unwrap();
+                assert_eq!(k.data(), nl.k_proj.data());
+                assert_eq!(v.data(), nl.v_proj.data());
+                assert_eq!(nl.k_proj.shape(), &[3, 4, f, d]);
             }
         }
     }

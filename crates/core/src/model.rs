@@ -372,11 +372,10 @@ impl StwaModel {
         let g = Graph::new();
         let xv = g.constant(x.clone());
         let params = gen.generate(&g, &xv, rng)?;
-        let first = &params.layers[0];
-        // Flatten [B, N, F, d] -> [B, N, F*d] for embedding.
-        let s = first.k_proj.shape();
-        let flat = first.k_proj.reshape(&[s[0], s[1], s[2] * s[3]])?;
-        Ok(Some(flat.value().as_ref().clone()))
+        // K's half of the first layer's flat rows: [B, N, F*d].
+        let kv = params.layers[0].kv.value();
+        let half = kv.shape()[2] / 2;
+        Ok(Some(kv.narrow(2, 0, half)?))
     }
 
     /// Eval-mode forward on a plain tensor: [`ForecastModel::forward_eval`]

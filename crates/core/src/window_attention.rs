@@ -23,7 +23,6 @@ use crate::generator::GeneratedProjections;
 use crate::sensor_attention::SensorCorrelationAttention;
 use rand::Rng;
 use stwa_autograd::{concat, Graph, Var};
-use stwa_nn::layers::attention::scaled_dot_attention;
 use stwa_nn::layers::{Activation, Linear};
 use stwa_nn::{init, Param, ParamStore};
 use stwa_tensor::{Result, TensorError};
@@ -181,8 +180,9 @@ impl WindowAttentionLayer {
     }
 
     /// Forward: `x` is `[B, N, T, F_in]`; `generated` optionally carries
-    /// the ST-aware `K_t^(i)`/`V_t^(i)` (each `[B, N, F_in, d]`) from the
-    /// [`crate::StGenerator`]. Returns `[B, N, W, d]`.
+    /// the ST-aware `K_t^(i)`/`V_t^(i)` (the decoder's flat `[B, N,
+    /// 2·F_in·d]` rows) from the [`crate::StGenerator`]. Returns `[B, N,
+    /// W, d]`.
     pub fn forward(
         &self,
         graph: &Graph,
@@ -200,15 +200,14 @@ impl WindowAttentionLayer {
         let b = shape[0];
         let (w, s, p, d) = (self.w, self.s, self.p, self.d);
 
-        // Project keys/values for all windows in one shot:
-        // [B, N, W, S, F] @ proj -> [B, N, W, S, d].
-        let x_win = x.reshape(&[b, self.n, w, s, self.f_in])?;
-        let (keys, values) = match generated {
+        // Keys then values for every window in one tensor,
+        // [B, N, 2, W, S, d], which each window's attention reads in
+        // place.
+        let kv = match generated {
+            // Each (sample, sensor) through its own decoded K/V rows.
             Some(gp) => {
-                // [B, N, F, d] -> [B, N, 1, F, d] broadcasts over windows.
-                let kp = gp.k_proj.unsqueeze(2)?;
-                let vp = gp.v_proj.unsqueeze(2)?;
-                (x_win.matmul(&kp)?, x_win.matmul(&vp)?)
+                let _span = stwa_observe::span!("kv_projection");
+                x.project_kv(&gp.kv, s)?
             }
             None => {
                 let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
@@ -218,7 +217,10 @@ impl WindowAttentionLayer {
                             .into(),
                     ));
                 };
-                (ks.forward(graph, &x_win)?, vs.forward(graph, &x_win)?)
+                let x_win = x.reshape(&[b, self.n, w, s, self.f_in])?;
+                let keys = ks.forward(graph, &x_win)?.unsqueeze(2)?;
+                let values = vs.forward(graph, &x_win)?.unsqueeze(2)?;
+                concat(&[&keys, &values], 2)?
             }
         };
 
@@ -229,8 +231,6 @@ impl WindowAttentionLayer {
         let mut prev: Option<Var> = None;
         let mut outputs: Vec<Var> = Vec::with_capacity(w);
         for wi in 0..w {
-            let k_w = keys.narrow(2, wi, 1)?.squeeze(2)?; // [B, N, S, d]
-            let v_w = values.narrow(2, wi, 1)?.squeeze(2)?;
             // Proxy block for this window, broadcast over the batch.
             let p_base = proxies
                 .narrow(1, wi, 1)?
@@ -247,9 +247,9 @@ impl WindowAttentionLayer {
                     fusion.forward_act(graph, &stacked, Activation::Tanh)?
                 }
             };
-            // Eq. 10: each timestamp attends to each proxy.
-            let h_w = scaled_dot_attention(&p_q, &k_w, &v_w, self.heads)?; // [B,N,p,d]
-                                                                           // Eq. 12–13 (or the mean ablation): collapse proxies.
+            // Eq. 10: each timestamp attends to each proxy, [B, N, p, d].
+            let h_w = p_q.attention_kv_window(&kv, wi, self.heads)?;
+            // Eq. 12–13 (or the mean ablation): collapse proxies.
             let h_hat = match self.aggregator {
                 AggregatorKind::Learned => {
                     let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
@@ -466,8 +466,7 @@ mod tests {
         let one = Tensor::randn(&[1, 1, 12, 1], &mut rng);
         let x = g.constant(one.broadcast_to(&[1, 2, 12, 1]).unwrap());
         let kv = GeneratedProjections {
-            k_proj: g.constant(Tensor::randn(&[1, 2, 1, 8], &mut rng)),
-            v_proj: g.constant(Tensor::randn(&[1, 2, 1, 8], &mut rng)),
+            kv: g.constant(Tensor::randn(&[1, 2, 2 * 8], &mut rng)),
             sca_transforms: None,
         };
         let y = l.forward(&g, &x, Some(&kv)).unwrap();
@@ -476,11 +475,9 @@ mod tests {
         assert!(!s0.approx_eq(&s1, 1e-6));
 
         // Identical projections for both sensors -> identical outputs.
-        let shared_k = Tensor::randn(&[1, 1, 1, 8], &mut rng);
-        let shared_v = Tensor::randn(&[1, 1, 1, 8], &mut rng);
+        let shared_kv = Tensor::randn(&[1, 1, 2 * 8], &mut rng);
         let kv_same = GeneratedProjections {
-            k_proj: g.constant(shared_k.broadcast_to(&[1, 2, 1, 8]).unwrap()),
-            v_proj: g.constant(shared_v.broadcast_to(&[1, 2, 1, 8]).unwrap()),
+            kv: g.constant(shared_kv.broadcast_to(&[1, 2, 2 * 8]).unwrap()),
             sca_transforms: None,
         };
         // But proxies differ per sensor, so outputs may still differ;

@@ -8,7 +8,11 @@
 //! kept as `weights [lead, heads, Tq, Tk]` — the one activation the VJP
 //! needs. [`forward_window`] is the same forward with `k`/`v` read as
 //! one window of `[..., W, Tk, d]` in place, for the inference engine's
-//! all-window projections.
+//! all-window projections; [`forward_kv_window`] / [`vjp_kv_window`]
+//! read window `wi` of one `[..., 2, W, Tk, d]` keys-then-values tensor
+//! (the training graph's [`crate::projection`] output) and land `gk` /
+//! `gv` in that tensor's gradient — the pair the per-window `narrow`s
+//! and their scatter VJPs used to be.
 //!
 //! # Order contract
 //!
@@ -63,12 +67,15 @@ struct Dims {
     tk: usize,
     heads: usize,
     dh: usize,
-    /// Where the forward finds lead `l`'s `[Tk, d]` key/value block:
-    /// at `l · kv_stride + kv_offset`. Plain operands are
-    /// `(Tk·d, 0)`; window `wi` of `[..., W, Tk, d]` is
-    /// `(W·Tk·d, wi·Tk·d)`.
+    /// Where lead `l`'s `[Tk, d]` key block starts — `l · kv_stride +
+    /// k_offset` — and its value block, at `v_offset`. Plain operands
+    /// are `(Tk·d, 0, 0)`; window `wi` of separate `[..., W, Tk, d]`
+    /// keys and values is `(W·Tk·d, wi·Tk·d, wi·Tk·d)`; window `wi` of
+    /// one `[..., 2, W, Tk, d]` projection is `(2·W·Tk·d, wi·Tk·d,
+    /// (W + wi)·Tk·d)`.
     kv_stride: usize,
-    kv_offset: usize,
+    k_offset: usize,
+    v_offset: usize,
 }
 
 impl Dims {
@@ -80,6 +87,20 @@ impl Dims {
             if H == 0 { self.heads } else { H },
             if DH == 0 { self.dh } else { DH },
         )
+    }
+
+    /// Lead `l`'s key block.
+    #[inline(always)]
+    fn k_at(self, l: usize) -> std::ops::Range<usize> {
+        let start = l * self.kv_stride + self.k_offset;
+        start..start + self.tk * self.heads * self.dh
+    }
+
+    /// Lead `l`'s value block.
+    #[inline(always)]
+    fn v_at(self, l: usize) -> std::ops::Range<usize> {
+        let start = l * self.kv_stride + self.v_offset;
+        start..start + self.tk * self.heads * self.dh
     }
 }
 
@@ -109,7 +130,8 @@ fn check(op: &'static str, q: &[usize], k: &[usize], v: &[usize], heads: usize) 
         heads,
         dh: d / heads,
         kv_stride: tk * d,
-        kv_offset: 0,
+        k_offset: 0,
+        v_offset: 0,
     })
 }
 
@@ -137,8 +159,12 @@ fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 /// it writes.
 type ForwardFn = fn(Dims, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
 
-/// A VJP walk: extents, `[grad, q, k, v, weights]`, `[gq, gk, gv]`.
-type VjpFn = fn(Dims, [&[f32]; 5], [&mut [f32]; 3]);
+/// Where a VJP walk hands lead `l`'s finished `gk` / `gv` blocks.
+type Land<'a> = &'a mut dyn FnMut(usize, &[f32], &[f32]);
+
+/// A VJP walk: extents, `[grad, q, k, v, weights]`, the `gq` it writes,
+/// and where each lead's `gk` / `gv` land.
+type VjpFn = fn(Dims, [&[f32]; 5], &mut [f32], Land<'_>);
 
 /// [`forward_body`] at `(H, DH)` on the dispatched arm.
 fn forward_fn<const H: usize, const DH: usize>() -> ForwardFn {
@@ -155,7 +181,7 @@ fn vjp_fn<const H: usize, const DH: usize>() -> VjpFn {
     #[cfg(target_arch = "x86_64")]
     if isa::current() >= Isa::Avx2 {
         // Safety: the tier implies AVX2 and FMA.
-        return |dm, ins, outs| unsafe { vjp_avx2::<H, DH>(dm, ins, outs) };
+        return |dm, ins, gq, land| unsafe { vjp_avx2::<H, DH>(dm, ins, gq, land) };
     }
     vjp_body::<H, DH>
 }
@@ -188,9 +214,10 @@ unsafe fn forward_avx2<const H: usize, const DH: usize>(
 unsafe fn vjp_avx2<const H: usize, const DH: usize>(
     dm: Dims,
     ins: [&[f32]; 5],
-    outs: [&mut [f32]; 3],
+    gq: &mut [f32],
+    land: Land<'_>,
 ) {
-    vjp_body::<H, DH>(dm, ins, outs)
+    vjp_body::<H, DH>(dm, ins, gq, land)
 }
 
 /// Attention forward. Returns the context `[..., Tq, d]` and the softmax
@@ -213,24 +240,55 @@ pub fn forward_window(
     wi: usize,
     heads: usize,
 ) -> Result<Tensor> {
-    let rank = q.rank();
-    let ks = keys.shape();
-    if rank < 2 || ks.len() != rank + 1 || values.shape() != ks || wi >= ks[rank - 2] {
+    if values.shape() != keys.shape() {
         return Err(TensorError::Invalid(format!(
-            "attention: q {:?} against window {wi} of keys {ks:?} / values {:?}",
-            q.shape(),
+            "attention: keys {:?} / values {:?}",
+            keys.shape(),
             values.shape()
         )));
     }
-    // One window's block, checked as if it had been narrowed out.
-    let block = [&ks[..rank - 2], &ks[rank - 1..]].concat();
-    let dm = check("attention", q.shape(), &block, &block, heads)?;
-    let dm = Dims {
-        kv_stride: ks[rank - 2] * dm.kv_stride,
-        kv_offset: wi * dm.kv_stride,
-        ..dm
-    };
+    let dm = window_dims(q.shape(), keys.shape(), 1, wi, heads)?;
     Ok(run_forward(dm, q, keys, values)?.0)
+}
+
+/// [`forward`] against window `wi` of one keys-then-values tensor `kv
+/// [..., 2, W, Tk, d]` — [`crate::projection::forward`]'s output — read
+/// where it lies: the context and weights [`forward`] returns for
+/// `kv[..., 0, wi, :, :]` / `kv[..., 1, wi, :, :]`, bit for bit.
+pub fn forward_kv_window(
+    q: &Tensor,
+    kv: &Tensor,
+    wi: usize,
+    heads: usize,
+) -> Result<(Tensor, Tensor)> {
+    let dm = window_dims(q.shape(), kv.shape(), 2, wi, heads)?;
+    run_forward(dm, q, kv, kv)
+}
+
+/// Extents for window `wi` of a `[..., halves, W, Tk, d]` operand — one
+/// block per half, keys first — checked as if the window had been
+/// narrowed out.
+fn window_dims(q: &[usize], kv: &[usize], halves: usize, wi: usize, heads: usize) -> Result<Dims> {
+    let rank = q.len();
+    if rank < 2
+        || kv.len() != rank + halves
+        || (halves == 2 && kv[rank - 2] != 2)
+        || wi >= kv[kv.len() - 3]
+    {
+        return Err(TensorError::Invalid(format!(
+            "attention: q {q:?} against window {wi} of {kv:?}"
+        )));
+    }
+    let w = kv[kv.len() - 3];
+    let block = [&kv[..rank - 2], &kv[kv.len() - 2..]].concat();
+    let dm = check("attention", q, &block, &block, heads)?;
+    let block_len = dm.kv_stride;
+    Ok(Dims {
+        kv_stride: halves * w * block_len,
+        k_offset: wi * block_len,
+        v_offset: ((halves - 1) * w + wi) * block_len,
+        ..dm
+    })
 }
 
 /// The forward on checked extents: context and softmax weights.
@@ -265,13 +323,11 @@ fn forward_body<const H: usize, const DH: usize>(
     let scale = 1.0 / (dh as f32).sqrt();
     // Offset of `(h, i, j)` in one lead's `[heads, Tq, Tk]` weights.
     let at = |h: usize, i: usize, j: usize| (h * tq + i) * tk + j;
-    // Lead `l`'s `[Tk, d]` block of `k` or `v`.
-    let kv = |l: usize| l * dm.kv_stride + dm.kv_offset..l * dm.kv_stride + dm.kv_offset + tk * d;
 
     // Scaled scores: for each (query row, key row) all heads at once.
     for l in 0..lead {
         let qb = &q[l * tq * d..(l + 1) * tq * d];
-        let kb = &k[kv(l)];
+        let kb = &k[dm.k_at(l)];
         let wb = &mut weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
         for (i, qrow) in qb.chunks_exact(d).enumerate() {
             for (j, krow) in kb.chunks_exact(d).enumerate() {
@@ -287,7 +343,7 @@ fn forward_body<const H: usize, const DH: usize>(
 
     // Mix: out[i, :] = Σ_j w[·, i, j] · v[j, :], ascending j.
     for l in 0..lead {
-        let vb = &v[kv(l)];
+        let vb = &v[dm.v_at(l)];
         let wb = &weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
         let ob = &mut out[l * tq * d..(l + 1) * tq * d];
         for (i, orow) in ob.chunks_exact_mut(d).enumerate() {
@@ -301,6 +357,33 @@ fn forward_body<const H: usize, const DH: usize>(
     }
 }
 
+/// Check a VJP's upstream gradient and saved weights against its extents.
+fn check_vjp(dm: Dims, grad: &Tensor, q: &Tensor, weights: &Tensor) -> Result<()> {
+    if grad.shape() != q.shape() || weights.len() != dm.lead * dm.heads * dm.tq * dm.tk {
+        return Err(TensorError::Invalid(format!(
+            "attention_vjp: grad {:?} / weights {:?} for q {:?}",
+            grad.shape(),
+            weights.shape(),
+            q.shape(),
+        )));
+    }
+    Ok(())
+}
+
+/// The VJP walk at the instantiation for `dm`'s head layout, returning
+/// `gq`; `land` receives every lead's `gk` / `gv`.
+fn run_vjp(dm: Dims, ins: [&[f32]; 5], q_len: usize, land: Land<'_>) -> Vec<f32> {
+    // Zeroed: every `gq` element is a chain of `+=` from `+0.0`.
+    let mut gq = memory::take_filled(q_len, 0.0);
+    let run = match (dm.heads, dm.dh) {
+        (4, 4) => vjp_fn::<4, 4>(),
+        (8, 4) => vjp_fn::<8, 4>(),
+        _ => vjp_fn::<0, 0>(),
+    };
+    run(dm, ins, &mut gq, land);
+    gq
+}
+
 /// Exact VJP of [`forward`]: `(gq, gk, gv)` for upstream gradient
 /// `grad [..., Tq, d]` and the saved `weights`.
 pub fn vjp(
@@ -312,28 +395,18 @@ pub fn vjp(
     heads: usize,
 ) -> Result<(Tensor, Tensor, Tensor)> {
     let dm = check("attention_vjp", q.shape(), k.shape(), v.shape(), heads)?;
-    if grad.shape() != q.shape() || weights.len() != dm.lead * heads * dm.tq * dm.tk {
-        return Err(TensorError::Invalid(format!(
-            "attention_vjp: grad {:?} / weights {:?} for q {:?}, k {:?}",
-            grad.shape(),
-            weights.shape(),
-            q.shape(),
-            k.shape()
-        )));
-    }
-    // Zeroed: every gradient element is a chain of `+=` from `+0.0`.
-    let mut gq = memory::take_filled(q.len(), 0.0);
-    let mut gk = memory::take_filled(k.len(), 0.0);
-    let mut gv = memory::take_filled(k.len(), 0.0);
-    let run = match (heads, dm.dh) {
-        (4, 4) => vjp_fn::<4, 4>(),
-        (8, 4) => vjp_fn::<8, 4>(),
-        _ => vjp_fn::<0, 0>(),
-    };
-    run(
+    check_vjp(dm, grad, q, weights)?;
+    // Every lead's block is copied in.
+    let mut gk = memory::take_scratch(k.len());
+    let mut gv = memory::take_scratch(k.len());
+    let gq = run_vjp(
         dm,
         [grad.data(), q.data(), k.data(), v.data(), weights.data()],
-        [&mut gq, &mut gk, &mut gv],
+        q.len(),
+        &mut |l, gkb, gvb| {
+            gk[dm.k_at(l)].copy_from_slice(gkb);
+            gv[dm.v_at(l)].copy_from_slice(gvb);
+        },
     );
     Ok((
         Tensor::from_vec(gq, q.shape())?,
@@ -342,31 +415,73 @@ pub fn vjp(
     ))
 }
 
+/// Exact VJP of [`forward_kv_window`]: returns `gq` and, when `gkv` is
+/// given, adds every lead's `gk` / `gv` into window `wi`'s blocks of that
+/// `[..., 2, W, Tk, d]` gradient — the `narrow` VJP's `*d += s`, so the
+/// bits are those of the per-window `narrow` chain whatever the buffer
+/// already holds.
+pub fn vjp_kv_window(
+    grad: &Tensor,
+    q: &Tensor,
+    kv: &Tensor,
+    wi: usize,
+    weights: &Tensor,
+    heads: usize,
+    gkv: Option<&mut [f32]>,
+) -> Result<Tensor> {
+    let dm = window_dims(q.shape(), kv.shape(), 2, wi, heads)?;
+    check_vjp(dm, grad, q, weights)?;
+    let ins = [grad.data(), q.data(), kv.data(), kv.data(), weights.data()];
+    let gq = match gkv {
+        Some(gkv) => {
+            if gkv.len() != kv.len() {
+                return Err(TensorError::Invalid(format!(
+                    "attention_vjp: {} gradient floats for kv {:?}",
+                    gkv.len(),
+                    kv.shape()
+                )));
+            }
+            run_vjp(dm, ins, q.len(), &mut |l, gkb, gvb| {
+                for (range, block) in [(dm.k_at(l), gkb), (dm.v_at(l), gvb)] {
+                    for (o, &g) in gkv[range].iter_mut().zip(block) {
+                        *o += g;
+                    }
+                }
+            })
+        }
+        None => run_vjp(dm, ins, q.len(), &mut |_, _, _| {}),
+    };
+    Tensor::from_vec(gq, q.shape())
+}
+
 #[inline(always)]
 fn vjp_body<const H: usize, const DH: usize>(
     dm: Dims,
     [g, q, k, v, weights]: [&[f32]; 5],
-    [gq, gk, gv]: [&mut [f32]; 3],
+    gq: &mut [f32],
+    land: Land<'_>,
 ) {
     let Dims { lead, tq, tk, .. } = dm;
     let (heads, dh) = dm.heads_dh::<H, DH>();
     let d = heads * dh;
     let scale = 1.0 / (dh as f32).sqrt();
     // One lead's score gradients `dS [heads, Tq, Tk]`, laid out like
-    // that lead's weights.
-    let mut ds = vec![0f32; heads * tq * tk];
+    // that lead's weights, then its `gk` and `gv` blocks, which start
+    // every lead at `+0.0` and are handed to `land` when it is done.
+    let mut scratch = memory::take_scratch(heads * tq * tk + 2 * tk * d);
+    let (ds, blocks) = scratch.split_at_mut(heads * tq * tk);
+    let (gkb, gvb) = blocks.split_at_mut(tk * d);
     let at = |h: usize, i: usize, j: usize| (h * tq + i) * tk + j;
 
     for l in 0..lead {
         let gb = &g[l * tq * d..(l + 1) * tq * d];
         let qb = &q[l * tq * d..(l + 1) * tq * d];
-        let kb = &k[l * tk * d..(l + 1) * tk * d];
-        let vb = &v[l * tk * d..(l + 1) * tk * d];
+        let kb = &k[dm.k_at(l)];
+        let vb = &v[dm.v_at(l)];
         let wb = &weights[l * heads * tq * tk..(l + 1) * heads * tq * tk];
-
         let gqb = &mut gq[l * tq * d..(l + 1) * tq * d];
-        let gkb = &mut gk[l * tk * d..(l + 1) * tk * d];
-        let gvb = &mut gv[l * tk * d..(l + 1) * tk * d];
+        gkb.fill(0.0);
+        gvb.fill(0.0);
 
         // Through the mix: dA[i, j] = g[i, :] · v[j, :] per head, and
         // gv[j, :] += w[·, i, j] · g[i, :] — `i` outermost, so each
@@ -406,7 +521,9 @@ fn vjp_body<const H: usize, const DH: usize>(
                 }
             }
         }
+        land(l, gkb, gvb);
     }
+    memory::recycle(scratch);
 }
 
 #[cfg(test)]
@@ -490,6 +607,7 @@ mod tests {
         crate::isa::for_each_ceiling("attention walks", |cap| {
             forward_bitwise_matches_the_unfused_chain();
             window_forward_is_the_forward_of_the_narrowed_block();
+            kv_window_is_attention_over_the_narrowed_blocks();
             let mut rng = StdRng::seed_from_u64(16);
             for &(qs, ks, heads) in &CASES {
                 let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
@@ -555,6 +673,64 @@ mod tests {
             }
             assert!(forward_window(&q, &keys, &values, w, heads).is_err());
             assert!(forward_window(&q, &keys, &q, 0, heads).is_err());
+        }
+    }
+
+    #[test]
+    fn kv_window_is_attention_over_the_narrowed_blocks() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // The train step's `[B, N, 2, W, S, d]` projections at `W = 4, 2,
+        // 1`, and a dynamic head layout.
+        for &(lead, w, tq, tk, d, heads) in &[
+            (&[2usize, 5][..], 4usize, 1usize, 3usize, 16usize, 4usize),
+            (&[2, 5][..], 2, 2, 2, 16, 4),
+            (&[3][..], 1, 1, 2, 16, 4),
+            (&[2][..], 3, 2, 4, 12, 3),
+        ] {
+            let shape = |mid: &[usize]| [lead, mid].concat();
+            let q = Tensor::randn(&shape(&[tq, d]), &mut rng).mul_scalar(3.0);
+            let kv = Tensor::randn(&shape(&[2, w, tk, d]), &mut rng).mul_scalar(3.0);
+            let g = Tensor::randn(&shape(&[tq, d]), &mut rng);
+            // A gradient that already holds something: the blocks are
+            // added in, as the `narrow` VJP adds a slice.
+            let held = Tensor::randn(kv.shape(), &mut rng);
+            let at = lead.len();
+            for wi in 0..w {
+                let block = |half: usize| {
+                    kv.narrow(at, half, 1)
+                        .unwrap()
+                        .narrow(at + 1, wi, 1)
+                        .unwrap()
+                        .reshape(&shape(&[tk, d]))
+                        .unwrap()
+                };
+                let (k, v) = (block(0), block(1));
+                let (want, want_w) = forward(&q, &k, &v, heads).unwrap();
+                let (got, weights) = forward_kv_window(&q, &kv, wi, heads).unwrap();
+                assert_eq!(want.data(), got.data(), "lead {lead:?} window {wi}/{w}");
+                assert_eq!(want_w.data(), weights.data());
+
+                let (gq, gk, gv) = vjp(&g, &q, &k, &v, &weights, heads).unwrap();
+                let pad = |half: usize, x: &Tensor| {
+                    let mut full = Tensor::zeros(kv.shape());
+                    let n = tk * d;
+                    for (l, src) in x.data().chunks_exact(n).enumerate() {
+                        let o = ((l * 2 + half) * w + wi) * n;
+                        full.data_mut()[o..o + n].copy_from_slice(src);
+                    }
+                    full
+                };
+                let want_gkv = held.add(&pad(0, &gk)).unwrap().add(&pad(1, &gv)).unwrap();
+                let mut gkv = held.clone();
+                let got_gq =
+                    vjp_kv_window(&g, &q, &kv, wi, &weights, heads, Some(gkv.data_mut())).unwrap();
+                assert_eq!(got_gq.data(), gq.data(), "gq window {wi}");
+                assert_eq!(gkv.data(), want_gkv.data(), "gkv window {wi}");
+                let alone = vjp_kv_window(&g, &q, &kv, wi, &weights, heads, None).unwrap();
+                assert_eq!(alone.data(), gq.data());
+            }
+            assert!(forward_kv_window(&q, &kv, w, heads).is_err());
+            assert!(forward_kv_window(&q, &kv.narrow(at, 0, 1).unwrap(), 0, heads).is_err());
         }
     }
 

@@ -25,6 +25,7 @@ pub mod linalg;
 pub mod manip;
 pub mod mathfn;
 pub mod memory;
+pub mod projection;
 pub mod quant;
 pub mod random;
 pub mod reduce;

@@ -20,12 +20,13 @@
 //! products feed the tiles from `KC`-deep packed B panels (`NR`-wide
 //! strips, transposed on the fly for `Bᵀ`); small ones — the
 //! per-(sample, sensor) products the model issues by the thousand —
-//! read B in place too and pack nothing. The cutover is a function of
-//! the product's size alone. Trailing batch axes the right operand does
-//! not vary over are folded into the rows of the left one before either
-//! path sees the product (`Plan::build`), and [`matmul_tn_sum_lead`] is
-//! the matching weight gradient with its leading-axis reduction fused
-//! in.
+//! read B in place too and pack nothing, as do thin `Aᵀ·B` weight
+//! gradients (under 64 output rows) at any size. The cutover is a
+//! function of the product's shape alone. Trailing batch axes the right
+//! operand does not vary over are folded into the rows of the left one
+//! before either path sees the product (`Plan::build`), and
+//! [`matmul_tn_sum_lead`] is the matching weight gradient with its
+//! leading-axis reduction fused in.
 //!
 //! The packed walk (`panel_pass`) goes row block → strip pair → row
 //! band: a block of `ROW_BLOCK` A rows stays L2-resident while the
@@ -100,6 +101,10 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 15;
 /// the vectorizable rank-1 layout) wins at much smaller sizes than for
 /// NN.
 const BLOCKED_MIN_FLOPS_NT: usize = 1 << 12;
+
+/// `Aᵀ·B` products with fewer output rows than this read B in place at
+/// any size (see `Gemm::new`).
+const THIN_TN_ROWS: usize = 64;
 
 /// Register-tile rows (distinct A rows live per full tile).
 pub(crate) const MR: usize = 4;
@@ -431,13 +436,18 @@ impl Gemm {
             BKind::Normal => BLOCKED_MIN_FLOPS,
             BKind::Transposed => BLOCKED_MIN_FLOPS_NT,
         };
+        // A thin `Aᵀ·G` — a weight gradient with fewer than `THIN_TN_ROWS`
+        // output rows, e.g. the decoder's `[640, 32]ᵀ·[640, 512]` — reads
+        // G in place: packing all of G's panel pays for a handful of
+        // row bands only, and every row task of a split packs it again.
+        let thin_tn = ak == AKind::Transposed && m < THIN_TN_ROWS;
         Gemm {
             m,
             k,
             n,
             ak,
             bk,
-            blocked: m * n * k >= blocked_min,
+            blocked: m * n * k >= blocked_min && !thin_tn,
             isa: isa::current(),
         }
     }
@@ -659,6 +669,19 @@ pub fn matmul_tn_sum_lead(a: &Tensor, g: &Tensor) -> Result<Tensor> {
 pub fn gemm_nn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     Gemm::new(m, k, n, AKind::Normal, BKind::Normal).rows(
         &a[..m * k],
+        &b[..k * n],
+        &mut c[..m * n],
+        0,
+        m,
+    );
+}
+
+/// `C = Aᵀ @ B` for one `[k, m]ᵀ x [k, n]` pair of raw rows: the
+/// slice-level [`matmul_tn`], bitwise identical to it (and to
+/// [`gemm_nn_slice`] on the transposed rows). `c` is written, never read.
+pub(crate) fn gemm_tn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    Gemm::new(m, k, n, AKind::Transposed, BKind::Normal).rows(
+        &a[..k * m],
         &b[..k * n],
         &mut c[..m * n],
         0,

@@ -13,9 +13,13 @@
 //! a single output and on a 128 × 128 block of the same output (past
 //! every blocked cutover) at the tier this host dispatches;
 //! `stwa-tensor`'s unit test `every_contraction_fuses_each_term_on_every_arm`
-//! repeats it under every ISA ceiling the host supports.
+//! repeats it under every ISA ceiling the host supports. The generated
+//! K/V projection's three contractions — its forward over `F`, `dK_p`
+//! over a window's steps and `dx` over `d` — carry the same witness, at
+//! the key width its register rows run (`d = 16`) and at one that takes
+//! the slice entries.
 
-use st_wa::tensor::{isa, linalg, Tensor};
+use st_wa::tensor::{isa, linalg, projection, Tensor};
 
 const FUSED: f32 = 1.0 / 16_777_216.0; // 2⁻²⁴
 
@@ -80,4 +84,70 @@ fn elementwise_then_reduce_rounds_each_product() {
     let b = Tensor::from_vec(b.to_vec(), &[2]).unwrap();
     let sum = a.mul(&b).unwrap().sum_axis(0, false).unwrap();
     assert_eq!(sum.data(), &[0.0], "mul + sum_axis");
+}
+
+#[test]
+fn the_kv_projection_fuses_each_term() {
+    let ([a0, a1], [b0, b1]) = witness();
+    // A lead's two witness terms, zeros past them: the chain's other
+    // terms add `+0.0`, which leaves every partial sum alone.
+    let pad = |v: [f32; 2], len: usize| {
+        (0..len)
+            .map(|i| *v.get(i).unwrap_or(&0.0))
+            .collect::<Vec<_>>()
+    };
+    for d in [16, 3] {
+        // Forward, over `F = 2`: the row `[a0, a1]` against the
+        // columns `[b0, b1]` of K and V.
+        let x = Tensor::from_vec(vec![a0, a1], &[1, 1, 2]).unwrap();
+        let kv = Tensor::from_fn(&[1, 4 * d], |i| [b0, b1][i[1] / d % 2]);
+        let out = projection::forward(&x, &kv, 1).unwrap();
+        assert!(
+            out.data().iter().all(|&v| v == FUSED),
+            "forward at d = {d}: {:e}",
+            out.data()[0]
+        );
+
+        // `dK_p`, over one window of `S = 2` steps: `x = [a0, a1]ᵀ`
+        // (`F = 1`, or every column at `F = d`) against gradient rows
+        // `b0`, `b1`; V's gradient is zero.
+        for f in [1, d] {
+            let x = Tensor::from_fn(&[1, 2, f], |i| [a0, a1][i[1]]);
+            let kv = Tensor::zeros(&[1, 2 * f * d]);
+            let g = Tensor::from_fn(&[1, 2, 1, 2, d], |i| {
+                if i[1] == 0 {
+                    [b0, b1][i[3]]
+                } else {
+                    0.0
+                }
+            });
+            let (_, dkv) = projection::vjp(&g, &x, &kv, 2, false, true).unwrap();
+            let dkv = dkv.unwrap();
+            let (dk, dv) = dkv.data().split_at(f * d);
+            assert!(
+                dk.iter().all(|&v| v == FUSED),
+                "dK_p at F = {f}, d = {d}: {:e}",
+                dk[0]
+            );
+            assert!(dv.iter().all(|&v| v == 0.0));
+        }
+
+        // `dx`, over `d` (`F = d`): gradient row `[a0, a1, 0, ..]`
+        // against K rows `[b0, b1, 0, ..]`; V's half adds `+0.0`.
+        let x = Tensor::zeros(&[1, 1, d]);
+        let row = |v: [f32; 2]| pad(v, d);
+        let kv = Tensor::from_vec(
+            [row([b0, b1]).repeat(d), vec![0.0; d * d]].concat(),
+            &[1, 2 * d * d],
+        )
+        .unwrap();
+        let g = Tensor::from_vec([row([a0, a1]), vec![0.0; d]].concat(), &[1, 2, 1, 1, d]).unwrap();
+        let (dx, _) = projection::vjp(&g, &x, &kv, 1, true, false).unwrap();
+        let dx = dx.unwrap();
+        assert!(
+            dx.data().iter().all(|&v| v == FUSED),
+            "dx at d = {d}: {:e}",
+            dx.data()[0]
+        );
+    }
 }

@@ -8,13 +8,19 @@
 //! proxy attention is one tape node ([`Var::attention`]) — to the bits
 //! of the chain of primitive ops it replaced.
 //!
-//! The second test holds that op to its oracle directly on a model the
-//! first does not cover (two proxies per window): the production
-//! forward and a transcription of it that runs the twelve-node
-//! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in the
-//! op's place must train to the same loss bits.
+//! The second and third hold the window-attention layer's fused ops to
+//! their oracles directly. A transcription of the production forward
+//! runs the generated K/V projection ([`Var::project_kv`]) as the chain
+//! it replaced — the `reshape` / `narrow` / `squeeze` split of the
+//! decoder's flat rows, one window-broadcast `matmul` per half, a
+//! `narrow` per window — and must train to the production loss bits on
+//! the benchmark's layer stack (`F = 1` with an input that takes no
+//! gradient, `W = 4`, then `W = 2`, then `W = 1`). On a model with two
+//! proxies per window the transcription also runs the twelve-node
+//! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in
+//! the attention op's place.
 //!
-//! The third holds evaluation to the same `forward`: `Trainer::evaluate`
+//! The fourth holds evaluation to the same `forward`: `Trainer::evaluate`
 //! runs it on a graph that records nothing, and its metrics must be the
 //! bits of an evaluation rolled by hand on a recording graph.
 
@@ -132,19 +138,29 @@ fn attention_chain(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
     ctx.swap_axes(rank - 2, rank - 1)?.reshape(&q.shape())
 }
 
+/// Per-window attention over `[B, N, S, d]` key and value blocks.
+type Attend = fn(&Var, &Var, &Var, usize) -> Result<Var>;
+
 /// `WindowAttentionLayer::forward` from the layer's public parts, with
-/// [`attention_chain`] where the layer calls the fused op.
+/// the K/V projection as the split / `matmul` / `narrow` chain
+/// [`Var::project_kv`] and [`Var::attention_kv_window`] replaced, and
+/// `attend` for each window's attention.
 fn layer_through_chain(
     layer: &WindowAttentionLayer,
     graph: &Graph,
     x: &Var,
     generated: &GeneratedProjections,
+    attend: Attend,
 ) -> Result<Var> {
     let (n, _t, s, p, f_in, d, heads) = layer.dims();
     let (b, w) = (x.shape()[0], layer.num_windows());
     let x_win = x.reshape(&[b, n, w, s, f_in])?;
-    let keys = x_win.matmul(&generated.k_proj.unsqueeze(2)?)?;
-    let values = x_win.matmul(&generated.v_proj.unsqueeze(2)?)?;
+    // [B, N, 2·F·d] -> [B, N, 2, F, d], one `[B, N, 1, F, d]` half
+    // broadcast over the windows per product.
+    let split = generated.kv.reshape(&[b, n, 2, f_in, d])?;
+    let half = |h: usize| split.narrow(2, h, 1)?.squeeze(2)?.unsqueeze(2);
+    let keys = x_win.matmul(&half(0)?)?;
+    let values = x_win.matmul(&half(1)?)?;
     let proxies = layer.proxies().leaf(graph);
     let (agg_w1, agg_w2) = layer.agg_weights();
     let (agg_w1, agg_w2) = (agg_w1.leaf(graph), agg_w2.leaf(graph));
@@ -169,7 +185,7 @@ fn layer_through_chain(
                 fusion.forward_act(graph, &stacked, Activation::Tanh)?
             }
         };
-        let h_w = attention_chain(&p_q, &k_w, &v_w, heads)?;
+        let h_w = attend(&p_q, &k_w, &v_w, heads)?;
         let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
         let h_hat = gate.mul(&h_w)?.sum_axis(2, false)?;
         let sca = layer.sensor_attention().expect("ST-WA mixes sensors");
@@ -180,12 +196,36 @@ fn layer_through_chain(
     concat(&outputs.iter().collect::<Vec<_>>(), 2)
 }
 
-/// `StwaModel::forward` (training mode) over [`layer_through_chain`].
+/// `StwaModel::forward` (training mode) over [`layer_through_chain`]
+/// with the fused attention op.
+fn through_kv_chain(
+    model: &StwaModel,
+    graph: &Graph,
+    x: &Var,
+    rng: &mut StdRng,
+) -> Result<(Var, Option<Var>)> {
+    model_through(model, graph, x, rng, |q, k, v, heads| {
+        q.attention(k, v, heads)
+    })
+}
+
+/// `StwaModel::forward` (training mode) over [`layer_through_chain`]
+/// with [`attention_chain`].
 fn through_chain(
     model: &StwaModel,
     graph: &Graph,
     x: &Var,
     rng: &mut StdRng,
+) -> Result<(Var, Option<Var>)> {
+    model_through(model, graph, x, rng, attention_chain)
+}
+
+fn model_through(
+    model: &StwaModel,
+    graph: &Graph,
+    x: &Var,
+    rng: &mut StdRng,
+    attend: Attend,
 ) -> Result<(Var, Option<Var>)> {
     let cfg = model.config();
     let b = x.shape()[0];
@@ -194,7 +234,7 @@ fn through_chain(
     let mut h = x.clone();
     let mut skip_sum: Option<Var> = None;
     for (l, layer) in model.layers().iter().enumerate() {
-        let out = layer_through_chain(layer, graph, &h, &generated.layers[l])?;
+        let out = layer_through_chain(layer, graph, &h, &generated.layers[l], attend)?;
         let flat = out.reshape(&[b, cfg.n, layer.num_windows() * cfg.d])?;
         let skip = model.skips()[l].forward(graph, &flat)?;
         skip_sum = Some(match skip_sum {
@@ -212,19 +252,19 @@ fn through_chain(
     Ok((pred, regularizer))
 }
 
-#[test]
-fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
-    let config = || StwaConfig::st_wa(6, 12, 12).with_proxies(2);
+/// Two training steps of `config` through `forward` and through
+/// `oracle` from the same seed: the same loss bits and parameters.
+fn assert_trains_like(config: StwaConfig, forward: Forward, oracle: Forward) {
     let run = |forward: Forward| {
         let mut rng = StdRng::seed_from_u64(21);
-        let model = StwaModel::new(config(), &mut rng).expect("model");
+        let model = StwaModel::new(config.clone(), &mut rng).expect("model");
         let bx = Tensor::randn(&[4, 6, 12, 1], &mut rng);
         let by = Tensor::randn(&[4, 6, 12, 1], &mut rng);
         let losses = train(&model, forward, (&bx, &by), &mut rng, 2);
         (losses, param_checksum(&model))
     };
-    let (fused_losses, fused_params) = run(production);
-    let (chain_losses, chain_params) = run(through_chain);
+    let (fused_losses, fused_params) = run(forward);
+    let (chain_losses, chain_params) = run(oracle);
     assert_eq!(
         fused_losses, chain_losses,
         "fused {fused_losses:#010x?} vs chain {chain_losses:#010x?}"
@@ -234,6 +274,26 @@ fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
         "the step must move the loss"
     );
     assert_eq!(fused_params, chain_params, "parameters after two steps");
+}
+
+#[test]
+fn kv_projection_trains_to_the_bits_of_the_matmul_narrow_chain() {
+    let config = StwaConfig::st_wa(6, 12, 12);
+    let mut rng = StdRng::seed_from_u64(0);
+    let model = StwaModel::new(config.clone(), &mut rng).expect("model");
+    let stack: Vec<(usize, usize)> = model
+        .layers()
+        .iter()
+        .map(|l| (l.dims().4, l.num_windows()))
+        .collect();
+    assert_eq!(stack, [(1, 4), (16, 2), (16, 1)], "(F, W) per layer");
+    assert_trains_like(config, production, through_kv_chain);
+}
+
+#[test]
+fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
+    let config = StwaConfig::st_wa(6, 12, 12).with_proxies(2);
+    assert_trains_like(config, production, through_chain);
 }
 
 // ---------------------------------------------------------------------
