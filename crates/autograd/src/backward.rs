@@ -11,6 +11,8 @@
 
 use crate::graph::{ActKind, Graph, Id, Node, Op, Var};
 use std::rc::Rc;
+use crate::ops::window_weights;
+use stwa_tensor::window_layer::{self, Part};
 use stwa_tensor::{linalg, Result, Tensor, TensorError};
 
 impl Graph {
@@ -450,46 +452,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             Ok(())
         }
 
-        Op::Narrow { x, axis, start } => {
-            // Scatter the gradient back into the input's gradient at the
-            // narrowed range.
-            let xv = value_of(nodes, x);
-            let len = grad.shape()[axis];
-            let axis_len = xv.shape()[axis];
-            let outer: usize = xv.shape()[..axis].iter().product();
-            let inner: usize = xv.shape()[axis + 1..].iter().product();
-            // When a gradient buffer already exists (windows overlap, so
-            // most narrow VJPs land on a live buffer), add the slice
-            // straight into it instead of materializing a full-size zero
-            // tensor and paying a whole-volume axpy for a sliver of
-            // nonzeros. A *stale* buffer holds retired values and must
-            // not be added into; it takes the generic overwrite path.
-            if nodes[x].requires_grad && nodes[x].grad.is_some() && !nodes[x].grad_stale {
-                let src = grad.data();
-                let existing = nodes[x].grad.as_mut().expect("checked above");
-                let dst = existing.data_mut();
-                for o in 0..outer {
-                    let src_base = o * len * inner;
-                    let dst_base = o * axis_len * inner + start * inner;
-                    for (d, &s) in dst[dst_base..dst_base + len * inner]
-                        .iter_mut()
-                        .zip(src[src_base..src_base + len * inner].iter())
-                    {
-                        *d += s;
-                    }
-                }
-                return Ok(());
-            }
-            let mut gx = Tensor::zeros(xv.shape());
-            let dst = gx.data_mut();
-            for o in 0..outer {
-                let src_base = o * len * inner;
-                let dst_base = o * axis_len * inner + start * inner;
-                dst[dst_base..dst_base + len * inner]
-                    .copy_from_slice(&grad.data()[src_base..src_base + len * inner]);
-            }
-            accumulate(nodes, x, gx)
-        }
+        Op::Narrow { x, axis, start } => narrow_scatter(nodes, x, axis, start, grad),
 
         Op::IndexSelect {
             x,
@@ -644,6 +607,65 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // the layer input takes a gradient — never for layer 0, whose
         // input is the raw batch — and `dkv` in the decoder output's flat
         // layout, so it lands in that node's slot as is.
+        // The window-attention layer: `kv`'s gradient is added into in
+        // place (zeroed when this sweep first reaches it), as each
+        // window's attention VJP did; every parameter partial lands as
+        // the sink receives it, the order the chain's nodes reached them.
+        Op::WindowLayer {
+            kv,
+            proxies,
+            fusion,
+            gate,
+            sca,
+            generated,
+            ref graph,
+            heads,
+            ref saved,
+        } => {
+            let Some(saved) = saved else {
+                return Ok(());
+            };
+            let pair = |nodes: &[Node], p: Option<(Id, Id)>| {
+                p.map(|(a, b)| (value_of(nodes, a), value_of(nodes, b)))
+            };
+            let (kvv, pv) = (value_of(nodes, kv), value_of(nodes, proxies));
+            let (fv, gv, sv) = (pair(nodes, fusion), pair(nodes, gate), pair(nodes, sca));
+            let wts = window_weights(&pv, [&fv, &gv, &sv], generated, graph.as_deref());
+            let mut gkv = if nodes[kv].requires_grad {
+                grad_buffer(&mut nodes[kv]);
+                nodes[kv].grad.take()
+            } else {
+                None
+            };
+            let missing =
+                || TensorError::Invalid("window_layer: a partial without its input".into());
+            let result = window_layer::vjp(
+                grad,
+                out,
+                &kvv,
+                &wts,
+                heads,
+                saved,
+                gkv.as_mut().map(|t| t.data_mut()),
+                &mut |part, t| {
+                    let id = match part {
+                        Part::Proxies(wi) => return narrow_scatter(nodes, proxies, 1, wi, &t),
+                        Part::Theta2 => sca.map(|s| s.1),
+                        Part::Theta1 => sca.map(|s| s.0),
+                        Part::Gate2 => gate.map(|g| g.1),
+                        Part::Gate1 => gate.map(|g| g.0),
+                        Part::FusionBias => fusion.map(|f| f.1),
+                        Part::FusionWeight => fusion.map(|f| f.0),
+                    };
+                    accumulate(nodes, id.ok_or_else(missing)?, t)
+                },
+            );
+            if let Some(g) = gkv {
+                nodes[kv].grad = Some(g);
+            }
+            result
+        }
+
         Op::ProjectKv { x, kv, s } => {
             let xv = value_of(nodes, x);
             let kvv = value_of(nodes, kv);
@@ -658,6 +680,53 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             }
         }
     }
+}
+
+/// The `narrow` VJP: scatter `grad` into `x`'s gradient at `start` along
+/// `axis`.
+fn narrow_scatter(
+    nodes: &mut [Node],
+    x: Id,
+    axis: usize,
+    start: usize,
+    grad: &Tensor,
+) -> Result<()> {
+    let xv = value_of(nodes, x);
+    let len = grad.shape()[axis];
+    let axis_len = xv.shape()[axis];
+    let outer: usize = xv.shape()[..axis].iter().product();
+    let inner: usize = xv.shape()[axis + 1..].iter().product();
+    // When a gradient buffer already exists (windows overlap, so
+    // most narrow VJPs land on a live buffer), add the slice
+    // straight into it instead of materializing a full-size zero
+    // tensor and paying a whole-volume axpy for a sliver of
+    // nonzeros. A *stale* buffer holds retired values and must
+    // not be added into; it takes the generic overwrite path.
+    if nodes[x].requires_grad && nodes[x].grad.is_some() && !nodes[x].grad_stale {
+        let src = grad.data();
+        let existing = nodes[x].grad.as_mut().expect("checked above");
+        let dst = existing.data_mut();
+        for o in 0..outer {
+            let src_base = o * len * inner;
+            let dst_base = o * axis_len * inner + start * inner;
+            for (d, &s) in dst[dst_base..dst_base + len * inner]
+                .iter_mut()
+                .zip(src[src_base..src_base + len * inner].iter())
+            {
+                *d += s;
+            }
+        }
+        return Ok(());
+    }
+    let mut gx = Tensor::zeros(xv.shape());
+    let dst = gx.data_mut();
+    for o in 0..outer {
+        let src_base = o * len * inner;
+        let dst_base = o * axis_len * inner + start * inner;
+        dst[dst_base..dst_base + len * inner]
+            .copy_from_slice(&grad.data()[src_base..src_base + len * inner]);
+    }
+    accumulate(nodes, x, gx)
 }
 
 /// `node`'s gradient as a buffer to add into in place: the live gradient,

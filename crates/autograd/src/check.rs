@@ -248,6 +248,101 @@ mod tests {
         q.attention_kv_window(&kv, 1, 2)?.mul(&w)?.sum_all()
     });
 
+    // The window-layer op — `[2, 3, 2, 2, 2, 4]` keys and values, two
+    // windows of two proxies, `d = 4` in two heads — against each kind
+    // of operand in turn, over every sensor-correlation source.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Wrt {
+        Kv,
+        Proxies,
+        FusionWeight,
+        Gate,
+        Theta,
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mix {
+        Off,
+        Dense,
+        Sparse,
+        Generated,
+    }
+
+    const KV: [usize; 6] = [2, 3, 2, 2, 2, 4];
+
+    fn window_loss(v: &crate::Var, wrt: Wrt, mix: Mix, learned: bool) -> Result<crate::Var> {
+        use crate::ops::{WindowParams, WindowSca};
+        let g = v.graph();
+        let operand = |me: Wrt, shape: &[usize], seed: u64, scale: f32| {
+            if wrt == me {
+                v.clone()
+            } else {
+                g.constant(signed_input(shape, seed).mul_scalar(scale))
+            }
+        };
+        let kv = operand(Wrt::Kv, &KV, 40, 1.0);
+        let proxies = operand(Wrt::Proxies, &[3, 2, 2, 4], 41, 1.0);
+        let fusion = (
+            operand(Wrt::FusionWeight, &[8, 4], 42, 0.5),
+            g.constant(signed_input(&[4], 43).mul_scalar(0.2)),
+        );
+        let gate = (
+            operand(Wrt::Gate, &[4, 4], 44, 0.5),
+            g.constant(signed_input(&[4, 4], 45).mul_scalar(0.5)),
+        );
+        let theta_shape: &[usize] = if mix == Mix::Generated { &[2, 3, 4, 4] } else { &[4, 4] };
+        let theta = (
+            operand(Wrt::Theta, theta_shape, 46, 0.5),
+            g.constant(signed_input(theta_shape, 47).mul_scalar(0.5)),
+        );
+        let graph = std::sync::Arc::new(
+            stwa_tensor::SensorGraph::from_neighbor_lists(3, &[vec![0, 1], vec![1, 2], vec![0, 2]])
+                .unwrap(),
+        );
+        let params = WindowParams {
+            proxies: &proxies,
+            fusion: Some((&fusion.0, &fusion.1)),
+            gate: learned.then_some((&gate.0, &gate.1)),
+            sca: match mix {
+                Mix::Off => WindowSca::Off,
+                Mix::Dense | Mix::Sparse => WindowSca::Shared(&theta.0, &theta.1),
+                Mix::Generated => WindowSca::Generated(&theta.0, &theta.1),
+            },
+            graph: (mix == Mix::Sparse).then_some(&graph),
+        };
+        let weight = g.constant(Tensor::from_fn(&[2, 3, 2, 4], |i| {
+            0.3 * (i[3] as f32) - 0.2 * (i[1] + i[2]) as f32 + 0.1 * i[0] as f32
+        }));
+        kv.window_layer(&params, 2)?.mul(&weight)?.sum_all()
+    }
+
+    grad_test!(gc_window_layer_kv, signed_input(&KV, 40), |v| {
+        window_loss(v, Wrt::Kv, Mix::Dense, true)
+    });
+    grad_test!(gc_window_layer_proxies, signed_input(&[3, 2, 2, 4], 41), |v| {
+        window_loss(v, Wrt::Proxies, Mix::Sparse, false)
+    });
+    grad_test!(
+        gc_window_layer_fusion,
+        signed_input(&[8, 4], 42).mul_scalar(0.5),
+        |v| window_loss(v, Wrt::FusionWeight, Mix::Off, true)
+    );
+    grad_test!(
+        gc_window_layer_gate,
+        signed_input(&[4, 4], 44).mul_scalar(0.5),
+        |v| window_loss(v, Wrt::Gate, Mix::Dense, true)
+    );
+    grad_test!(
+        gc_window_layer_theta,
+        signed_input(&[4, 4], 46).mul_scalar(0.5),
+        |v| window_loss(v, Wrt::Theta, Mix::Sparse, true)
+    );
+    grad_test!(
+        gc_window_layer_generated,
+        signed_input(&[2, 3, 4, 4], 46).mul_scalar(0.5),
+        |v| window_loss(v, Wrt::Theta, Mix::Generated, false)
+    );
+
     grad_test!(gc_huber_like, signed_input(&[6], 23), |v| {
         // Same structure as the Huber loss in stwa-nn: mask from values,
         // quadratic inside, linear outside.

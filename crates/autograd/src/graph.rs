@@ -190,6 +190,25 @@ pub(crate) enum Op {
         kv: Id,
         s: usize,
     },
+    /// The body of one window-attention layer (see
+    /// [`stwa_tensor::window_layer`]): proxy fusion, proxy attention over
+    /// window after window of the `[..., 2, W, S, d]` node `kv`, the proxy
+    /// gate and sensor-correlation attention, into `[B, N, W, d]`. One
+    /// tape entry for the chain of some forty nodes per window it
+    /// replaces; value and every gradient are bitwise that chain's.
+    /// `sca` holds `(θ1, θ2)`, generated per sensor when `generated`;
+    /// `saved` is absent when nothing took a gradient.
+    WindowLayer {
+        kv: Id,
+        proxies: Id,
+        fusion: Option<(Id, Id)>,
+        gate: Option<(Id, Id)>,
+        sca: Option<(Id, Id)>,
+        generated: bool,
+        graph: Option<std::sync::Arc<stwa_tensor::SensorGraph>>,
+        heads: usize,
+        saved: Option<Rc<stwa_tensor::window_layer::Saved>>,
+    },
 }
 
 impl Op {
@@ -231,6 +250,7 @@ impl Op {
             Op::SparseAttention { .. } => "sparse_attention",
             Op::Attention { .. } | Op::KvWindowAttention { .. } => "attention",
             Op::ProjectKv { .. } => "project_kv",
+            Op::WindowLayer { .. } => "window_layer",
         }
     }
 }

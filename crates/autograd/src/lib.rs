@@ -33,4 +33,4 @@ mod ops;
 
 pub use check::{check_gradient, GradCheckReport};
 pub use graph::{ActKind, Graph, Var};
-pub use ops::{concat, stack};
+pub use ops::{concat, stack, WindowParams, WindowSca};

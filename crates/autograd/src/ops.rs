@@ -3,7 +3,33 @@
 
 use crate::graph::{ActKind, Op, Var};
 use std::rc::Rc;
-use stwa_tensor::{linalg, manip, Result, Tensor, TensorError};
+use std::sync::Arc;
+use stwa_tensor::window_layer::{self, Sca, Weights};
+use stwa_tensor::{linalg, manip, Result, SensorGraph, Tensor, TensorError};
+
+/// The sensor-correlation embeddings of [`Var::window_layer`].
+#[derive(Clone, Copy)]
+pub enum WindowSca<'a> {
+    /// No sensor-correlation stage.
+    Off,
+    /// Shared `(θ1, θ2)`, each `[d, d]`.
+    Shared(&'a Var, &'a Var),
+    /// Generated per-sensor `(θ1, θ2)`, each `[B, N, d, d]`.
+    Generated(&'a Var, &'a Var),
+}
+
+/// The parameters of [`Var::window_layer`]; see
+/// [`stwa_tensor::window_layer::Weights`] for their shapes.
+pub struct WindowParams<'a> {
+    pub proxies: &'a Var,
+    /// Fusion `(weight, bias)`, present exactly when `W > 1`.
+    pub fusion: Option<(&'a Var, &'a Var)>,
+    /// Learned gate `(W1, W2)`; `None` is the mean aggregator.
+    pub gate: Option<(&'a Var, &'a Var)>,
+    pub sca: WindowSca<'a>,
+    /// Neighbor lists for sparse sensor correlation.
+    pub graph: Option<&'a Arc<SensorGraph>>,
+}
 
 impl Var {
     fn unary(&self, value: Tensor, op: Op) -> Var {
@@ -218,6 +244,55 @@ impl Var {
                 kv: kv.id,
                 s,
             },
+        ))
+    }
+
+    /// The body of a window-attention layer with `self` as its keys and
+    /// values `[B, N, 2, W, S, d]` ([`Var::project_kv`]'s layout): returns
+    /// the `[B, N, W, d]` window summaries. One tape entry replaces each
+    /// window's proxy `narrow` / broadcast, fusion `concat` + dense
+    /// layer, [`Var::attention_kv_window`], gate chain, sensor-correlation
+    /// chain and the closing `concat`; see [`stwa_tensor::window_layer`]
+    /// for the contract.
+    pub fn window_layer(&self, params: &WindowParams<'_>, heads: usize) -> Result<Var> {
+        let (sca, generated) = match params.sca {
+            WindowSca::Off => (None, false),
+            WindowSca::Shared(t1, t2) => (Some((t1, t2)), false),
+            WindowSca::Generated(t1, t2) => (Some((t1, t2)), true),
+        };
+        let pairs = [params.fusion, params.gate, sca].into_iter().flatten();
+        let inputs: Vec<&Var> = std::iter::once(params.proxies)
+            .chain(pairs.flat_map(|(a, b)| [a, b]))
+            .collect();
+        for v in &inputs {
+            self.same_graph(v, "window_layer")?;
+        }
+        let values = |p: Option<(&Var, &Var)>| p.map(|(a, b)| (a.value(), b.value()));
+        let (kv, proxies) = (self.value(), params.proxies.value());
+        let (fusion, gate, sca_values) = (values(params.fusion), values(params.gate), values(sca));
+        let wts = window_weights(
+            &proxies,
+            [&fusion, &gate, &sca_values],
+            generated,
+            params.graph.map(|g| &**g),
+        );
+        let requires = self.requires_grad() || inputs.iter().any(|v| v.requires_grad());
+        let (out, saved) = window_layer::forward(&kv, &wts, heads, requires)?;
+        let ids = |p: Option<(&Var, &Var)>| p.map(|(a, b)| (a.id, b.id));
+        Ok(self.graph.push(
+            out,
+            Op::WindowLayer {
+                kv: self.id,
+                proxies: params.proxies.id,
+                fusion: ids(params.fusion),
+                gate: ids(params.gate),
+                sca: ids(sca),
+                generated,
+                graph: params.graph.cloned(),
+                heads,
+                saved: saved.map(Rc::new),
+            },
+            requires,
         ))
     }
 
@@ -459,6 +534,34 @@ pub(crate) fn huber_point(p: f32, t: f32, delta: f32) -> f32 {
     let quad = (d * d) * 0.5;
     let lin = ad * delta + (-0.5 * delta * delta);
     quad * m + lin * (-m + 1.0)
+}
+
+/// Values of an optional pair of inputs.
+pub(crate) type ValuePair = Option<(Rc<Tensor>, Rc<Tensor>)>;
+
+/// [`Weights`] over the values of [`Var::window_layer`]'s inputs:
+/// `pairs` are the fusion, gate and sensor-correlation pairs, the last
+/// generated per sensor when `generated`.
+pub(crate) fn window_weights<'a>(
+    proxies: &'a Tensor,
+    [fusion, gate, sca]: [&'a ValuePair; 3],
+    generated: bool,
+    graph: Option<&'a SensorGraph>,
+) -> Weights<'a> {
+    fn refs(p: &ValuePair) -> Option<(&Tensor, &Tensor)> {
+        p.as_ref().map(|(a, b)| (&**a, &**b))
+    }
+    Weights {
+        proxies,
+        fusion: refs(fusion),
+        gate: refs(gate),
+        sca: match (refs(sca), generated) {
+            (None, _) => Sca::Off,
+            (Some((t1, t2)), false) => Sca::Shared(t1, t2),
+            (Some((t1, t2)), true) => Sca::Generated(t1, t2),
+        },
+        graph,
+    }
 }
 
 /// Concatenate variables along `axis`.

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stwa_autograd::{check_gradient, Graph, Var};
+use stwa_autograd::{check_gradient, Graph, Var, WindowParams, WindowSca};
 use stwa_tensor::{Result, Tensor};
 
 fn bounded(len: usize, lo: f32, hi: f32) -> impl Strategy<Value = Vec<f32>> {
@@ -420,6 +420,198 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// `Var::window_layer` against the per-window chain it replaces
+// ---------------------------------------------------------------------
+
+/// The window-attention layer body as the chain of tape ops the op
+/// replaced, window by window: the proxy block narrowed and broadcast;
+/// from the second window on, the previous summary tiled, concatenated
+/// and run through the fusion's dense layer (`reshape`, `matmul`,
+/// `bias_add_act`, `reshape`); the windowed attention op; the gate
+/// chain or the mean; sensor correlation through shared (`reshape`,
+/// `matmul`, `reshape`) or per-sensor (`unsqueeze`, `matmul`, `squeeze`)
+/// embeddings and the dense (`matmul_nt`, `mul_scalar`, `softmax`,
+/// `matmul`) or sparse mix; then one `concat`.
+fn window_layer_chain(kv: &Var, p: &WindowParams<'_>, heads: usize) -> Result<Var> {
+    use stwa_autograd::{concat, ActKind};
+    let (ks, ps) = (kv.shape(), p.proxies.shape());
+    let (b, n, w, d, np) = (ks[0], ks[1], ks[3], ks[5], ps[2]);
+    let scale = 1.0 / (d as f32).sqrt();
+    let mut prev: Option<Var> = None;
+    let mut outputs = Vec::with_capacity(w);
+    for wi in 0..w {
+        let p_base = p
+            .proxies
+            .narrow(1, wi, 1)?
+            .squeeze(1)?
+            .unsqueeze(0)?
+            .broadcast_to(&[b, n, np, d])?;
+        let p_q = match (&prev, p.fusion) {
+            (Some(h_prev), Some((fw, fb))) => {
+                let tiled = h_prev.unsqueeze(2)?.broadcast_to(&[b, n, np, d])?;
+                let stacked = concat(&[&tiled, &p_base], 3)?;
+                stacked
+                    .reshape(&[b * n * np, 2 * d])?
+                    .matmul(fw)?
+                    .bias_add_act(fb, ActKind::Tanh)?
+                    .reshape(&[b, n, np, d])?
+            }
+            _ => p_base,
+        };
+        let h_w = p_q.attention_kv_window(kv, wi, heads)?;
+        let h_hat = match p.gate {
+            Some((w1, w2)) => {
+                let gate = h_w.matmul(w1)?.tanh().matmul(w2)?.sigmoid();
+                gate.mul(&h_w)?.sum_axis(2, false)?
+            }
+            None => h_w.mean_axis(2, false)?,
+        };
+        let embed = |t: &Var| -> Result<Var> {
+            h_hat.reshape(&[b * n, d])?.matmul(t)?.reshape(&[b, n, d])
+        };
+        let (q, k) = match p.sca {
+            WindowSca::Off => (None, None),
+            WindowSca::Shared(t1, t2) => (Some(embed(t1)?), Some(embed(t2)?)),
+            WindowSca::Generated(t1, t2) => {
+                let rows = h_hat.unsqueeze(2)?;
+                (
+                    Some(rows.matmul(t1)?.squeeze(2)?),
+                    Some(rows.matmul(t2)?.squeeze(2)?),
+                )
+            }
+        };
+        let h_bar = match (q, k, p.graph) {
+            (Some(q), Some(k), Some(graph)) => q.sparse_attend(&k, &h_hat, graph, scale)?,
+            (Some(q), Some(k), None) => {
+                let scores = q.matmul_nt(&k)?.mul_scalar(scale);
+                scores.softmax(2)?.matmul(&h_hat)?
+            }
+            _ => h_hat,
+        };
+        prev = Some(h_bar.clone());
+        outputs.push(h_bar.unsqueeze(2)?);
+    }
+    concat(&outputs.iter().collect::<Vec<_>>(), 2)
+}
+
+/// One window-layer configuration's operands.
+struct LayerCase {
+    kv: Tensor,
+    proxies: Tensor,
+    fusion: Option<[Tensor; 2]>,
+    gate: Option<[Tensor; 2]>,
+    /// `(θ1, θ2, generated)`.
+    sca: Option<([Tensor; 2], bool)>,
+    graph: Option<std::sync::Arc<stwa_tensor::SensorGraph>>,
+    weight: Tensor,
+    heads: usize,
+}
+
+/// Value bits and every operand's gradient bits of the layer built by
+/// `body` under `case.weight`, on a poisoned pool.
+fn run_layer(
+    body: impl Fn(&Var, &WindowParams<'_>, usize) -> Result<Var>,
+    case: &LayerCase,
+) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+    let g = Graph::new();
+    let kv = g.leaf(case.kv.clone());
+    let proxies = g.leaf(case.proxies.clone());
+    let pair = |p: &Option<[Tensor; 2]>| {
+        p.as_ref()
+            .map(|[a, b]| (g.leaf(a.clone()), g.leaf(b.clone())))
+    };
+    let (fusion, gate) = (pair(&case.fusion), pair(&case.gate));
+    let sca = case
+        .sca
+        .as_ref()
+        .map(|([a, b], generated)| ((g.leaf(a.clone()), g.leaf(b.clone())), *generated));
+    let params = WindowParams {
+        proxies: &proxies,
+        fusion: fusion.as_ref().map(|(a, b)| (a, b)),
+        gate: gate.as_ref().map(|(a, b)| (a, b)),
+        sca: match &sca {
+            None => WindowSca::Off,
+            Some(((t1, t2), false)) => WindowSca::Shared(t1, t2),
+            Some(((t1, t2), true)) => WindowSca::Generated(t1, t2),
+        },
+        graph: case.graph.as_ref(),
+    };
+    poison_pool(case.kv.len() * 2);
+    let out = body(&kv, &params, case.heads).unwrap();
+    let loss = out.mul(&g.constant(case.weight.clone())).unwrap().sum_all().unwrap();
+    poison_pool(case.kv.len() * 2);
+    g.backward(&loss).unwrap();
+    let mut vars = vec![&kv, &proxies];
+    for (a, b) in fusion.iter().chain(&gate).chain(sca.iter().map(|(t, _)| t)) {
+        vars.extend([a, b]);
+    }
+    let grads = vars.iter().map(|v| g.grad(v).map(|t| bits(&t))).collect();
+    (bits(&out.value()), grads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn window_layer_is_bitwise_the_per_window_chain(
+        b in 1usize..=3,
+        n in 1usize..=8,
+        w in 1usize..=3,
+        s in 1usize..=3,
+        np in 1usize..=2,
+        d_pick in 0usize..2,
+        heads_pick in 0usize..2,
+        learned in 0usize..2,
+        sca_pick in 0usize..4,
+        sparse in 0usize..2,
+        threads in 1usize..=2,
+        seed in 0u64..1 << 32,
+    ) {
+        // `d = 16` runs the sixteen-lane attention walks on an AVX-512
+        // host (when `B·N >= 16`), `d = 8` the per-lead walk.
+        let d = [16, 8][d_pick];
+        let heads = [4, 1][heads_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = |shape: &[usize], scale: f32| Tensor::randn(shape, &mut rng).mul_scalar(scale);
+        let sca = match sca_pick {
+            0 => None,
+            1 | 2 => Some(([t(&[d, d], 0.4), t(&[d, d], 0.4)], false)),
+            _ => Some(([t(&[b, n, d, d], 0.4), t(&[b, n, d, d], 0.4)], true)),
+        };
+        let graph = (sca.is_some() && sparse == 1).then(|| {
+            let rows: Vec<Vec<usize>> = (0..n)
+                .map(|i| (i.saturating_sub(1)..(i + 2).min(n)).collect())
+                .collect();
+            std::sync::Arc::new(stwa_tensor::SensorGraph::from_neighbor_lists(n, &rows).unwrap())
+        });
+        let case = LayerCase {
+            kv: t(&[b, n, 2, w, s, d], 1.0),
+            proxies: t(&[n, w, np, d], 1.0),
+            fusion: (w > 1).then(|| [t(&[2 * d, d], 0.3), t(&[d], 0.2)]),
+            gate: (learned == 1).then(|| [t(&[d, d], 0.3), t(&[d, d], 0.3)]),
+            sca,
+            graph,
+            weight: t(&[b, n, w, d], 1.0),
+            heads,
+        };
+
+        stwa_pool::set_threads(threads);
+        let want = run_layer(window_layer_chain, &case);
+        let got = run_layer(|kv, p, heads| kv.window_layer(p, heads), &case);
+        stwa_pool::set_threads(1);
+
+        let what = format!("B {b} N {n} W {w} S {s} p {np} d {d} heads {heads} \
+            learned {learned} sca {sca_pick} sparse {sparse}");
+        prop_assert!(got.0 == want.0, "value bits, {}", what);
+        prop_assert_eq!(got.1.len(), want.1.len());
+        for (i, (g, wnt)) in got.1.iter().zip(&want.1).enumerate() {
+            prop_assert!(g == wnt, "gradient #{} bits, {}", i, what);
+        }
+        prop_assert!(got.0.iter().all(|&x| !f32::from_bits(x).is_nan()), "NaN leaked from the pool");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fused VJPs against the chains of primitive `Tensor` ops they replace
 // ---------------------------------------------------------------------
 
@@ -609,6 +801,9 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
     )?);
     // `[B, N, d, 1]` in windows of one step through `[B, N, 2·d]` rows.
     let projected = y.unsqueeze(3)?.project_kv(&concat(&[&pos, &x], 2)?, 1)?;
+    // `[d, d]` and `[2d, d]` weights for the window layer.
+    let square = x.narrow(0, 0, 1)?.squeeze(0)?.narrow(0, 0, 1)?.broadcast_to(&[d, d])?;
+    let fusion_w = concat(&[&square, &square], 0)?;
     let out = vec![
         x.add(&y)?,
         x.sub(&y)?,
@@ -632,6 +827,16 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
         projected.clone(),
         x.unsqueeze(2)?
             .attention_kv_window(&projected, d - 1, heads)?,
+        projected.window_layer(
+            &WindowParams {
+                proxies: &y.narrow(0, 0, 1)?.squeeze(0)?.reshape(&[n, 1, 1, d])?.broadcast_to(&[n, d, 1, d])?,
+                fusion: (d > 1).then_some((&fusion_w, &bias)),
+                gate: Some((&square, &square)),
+                sca: WindowSca::Shared(&square, &square),
+                graph: Some(&sensors),
+            },
+            heads,
+        )?,
         x.sum_axis(1, true)?,
         x.mean_axis(2, false)?,
         x.sum_all()?,

@@ -12,11 +12,13 @@
 //! timing begins — the engine may only skip work, never change
 //! arithmetic.
 //!
-//! The speedups are same-run ratios, so the `--check` gate is portable
-//! across hosts of different absolute speed, exactly like
-//! `bench_kernels`. Since evaluation stopped recording a tape the two
-//! paths run the same kernels and the engine's time advantage is small;
-//! what it must still earn, in the same run, is two hard floors: at
+//! The speedups are same-run ratios, portable across hosts of different
+//! absolute speed. Since evaluation stopped recording a tape the two
+//! paths run the same kernels and the engine's time advantage is small —
+//! and evaluation is the graph's own forward, so a faster forward lowers
+//! the eval-over-frozen ratios: `--check` prints them beside the
+//! baseline's but does not gate them. What the engine must still earn,
+//! in the same run, is two hard floors: at
 //! batch 1 it is not slower than evaluation (`MIN_SPEEDUP_B1`), and on
 //! the serving-scale shape its peak live tensor bytes are several times
 //! lower (`MIN_PEAK_BYTES_RATIO` — lazy decode never materializes the
@@ -456,14 +458,20 @@ fn main() {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let mut failed = false;
-        let mut ratios: Vec<(String, f64)> = results
-            .iter()
-            .map(|r| (format!("b{}_speedup", r.batch), r.speedup()))
-            .collect();
-        for q in &quant.batches {
-            ratios.push((format!("quant_b{}_int8_speedup", q.batch), q.int8_speedup()));
+        // Eval-over-frozen ratios are reported against the baseline but
+        // not gated: evaluation is the model's own forward, so a faster
+        // graph forward lowers them without the engine losing anything.
+        // The batch-1 floor above is what the engine must still earn.
+        for r in &results {
+            let key = format!("b{}_speedup", r.batch);
+            match parse_number(&baseline, &key) {
+                Some(old_val) => println!("note {key}: {:.2} (baseline {old_val:.2}, not gated)", r.speedup()),
+                None => println!("note: no baseline value for {key}"),
+            }
         }
-        for (key, new_val) in ratios {
+        for q in &quant.batches {
+            let key = format!("quant_b{}_int8_speedup", q.batch);
+            let new_val = q.int8_speedup();
             let Some(old_val) = parse_number(&baseline, &key) else {
                 println!("note: no baseline value for {key}, skipping");
                 continue;

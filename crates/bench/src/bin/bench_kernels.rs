@@ -27,7 +27,8 @@
 //!   the JSON report (default `BENCH_kernels.json` in the CWD).
 //! - `bench_kernels --check PATH` — run the suite and compare against a
 //!   checked-in baseline report; exits nonzero if any shape's
-//!   `roofline_share` fell more than 15% below the baseline's. The
+//!   `roofline_share` fell more than 15% below the baseline's — on
+//!   every one of up to three timings, each against a fresh probe. The
 //!   share is portable across hosts of different absolute speed: a
 //!   uniformly slower machine lowers the peak and the kernel together,
 //!   while a real kernel regression shows up in the ratio.
@@ -37,10 +38,13 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_tensor::isa::{self, Isa};
-use stwa_tensor::{linalg, projection, Tensor};
+use stwa_tensor::{linalg, projection, window_layer, Tensor};
 
 /// Allowed relative loss of `roofline_share` before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
+
+/// Further timings of a row under its floor before `--check` fails it.
+const RETRIES: usize = 2;
 
 /// Per-sample measurement budget; long enough to swamp timer noise for
 /// every shape in the suite.
@@ -54,6 +58,15 @@ struct Entry {
     shape: String,
     flops: usize,
     kernel_ms: f64,
+}
+
+/// A row of the suite: what [`measure`] times, kept so `--check` can
+/// time a row again.
+struct Bench {
+    name: &'static str,
+    shape: String,
+    flops: usize,
+    kernel: Box<dyn FnMut()>,
 }
 
 impl Entry {
@@ -92,12 +105,21 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     }
 }
 
-fn measure(name: &'static str, shape: String, flops: usize, kernel: impl FnMut()) -> Entry {
+fn measure(bench: &mut Bench) -> Entry {
     Entry {
+        name: bench.name,
+        shape: bench.shape.clone(),
+        flops: bench.flops,
+        kernel_ms: time_ms(&mut bench.kernel),
+    }
+}
+
+fn bench(name: &'static str, shape: String, flops: usize, kernel: impl FnMut() + 'static) -> Bench {
+    Bench {
         name,
         shape,
         flops,
-        kernel_ms: time_ms(kernel),
+        kernel: Box::new(kernel),
     }
 }
 
@@ -183,7 +205,7 @@ fn fma_peak_gflops() -> f64 {
     (2 * lanes * chains * PROBE_STEPS) as f64 / (ms * 1e6)
 }
 
-fn run_suite() -> Vec<Entry> {
+fn suite() -> Vec<Bench> {
     stwa_pool::set_threads(1);
     let mut rng = StdRng::seed_from_u64(42);
     let mut entries = Vec::new();
@@ -199,11 +221,11 @@ fn run_suite() -> Vec<Entry> {
             256 => "square_256",
             _ => "square_512",
         };
-        entries.push(measure(
+        entries.push(bench(
             name,
             format!("[{s},{s}]@[{s},{s}]"),
             2 * s * s * s,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
         ));
@@ -213,11 +235,11 @@ fn run_suite() -> Vec<Entry> {
     {
         let a = Tensor::randn(&[1, 512, 512], &mut rng);
         let b = Tensor::randn(&[512, 512], &mut rng);
-        entries.push(measure(
+        entries.push(bench(
             "batch1_512",
             "[1,512,512]@[512,512]".into(),
             2 * 512 * 512 * 512,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
         ));
@@ -228,11 +250,11 @@ fn run_suite() -> Vec<Entry> {
     {
         let q = Tensor::randn(&[64, 24, 32], &mut rng);
         let k = Tensor::randn(&[64, 24, 32], &mut rng);
-        entries.push(measure(
+        entries.push(bench(
             "attention_qkt",
             "[64,24,32]@[64,24,32]^T".into(),
             2 * 64 * 24 * 24 * 32,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul_nt(&q, &k).unwrap());
             },
         ));
@@ -242,11 +264,11 @@ fn run_suite() -> Vec<Entry> {
     {
         let a = Tensor::randn(&[128, 32, 32], &mut rng);
         let b = Tensor::randn(&[128, 32, 32], &mut rng);
-        entries.push(measure(
+        entries.push(bench(
             "batched_128x32",
             "[128,32,32]@[128,32,32]".into(),
             2 * 128 * 32 * 32 * 32,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul(&a, &b).unwrap());
             },
         ));
@@ -261,11 +283,11 @@ fn run_suite() -> Vec<Entry> {
         let (ar, br) = (a_shape.len(), b_shape.len());
         let n = if nt { b_shape[br - 2] } else { b_shape[br - 1] };
         let rows: usize = a_shape[..ar - 1].iter().product();
-        entries.push(measure(
+        entries.push(bench(
             name,
             format!("{a_shape:?}@{b_shape:?}{}", if nt { "^T" } else { "" }).replace(' ', ""),
             2 * rows * a_shape[ar - 1] * n,
-            || {
+            move || {
                 let c = if nt {
                     linalg::matmul_nt(&a, &b)
                 } else {
@@ -292,11 +314,11 @@ fn run_suite() -> Vec<Entry> {
     {
         let a = Tensor::randn(&[640, 32], &mut rng);
         let g = Tensor::randn(&[640, 512], &mut rng);
-        entries.push(measure(
+        entries.push(bench(
             "step_decoder_wgrad",
             "[640,32]^T@[640,512]".into(),
             2 * 640 * 32 * 512,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul_tn(&a, &g).unwrap());
             },
         ));
@@ -309,12 +331,66 @@ fn run_suite() -> Vec<Entry> {
         let x = Tensor::randn(&[32, 20, t, f], &mut rng);
         let kv = Tensor::randn(&[32, 20, 2 * f * d], &mut rng);
         let g = Tensor::randn(&[32, 20, 2, t / s, s, d], &mut rng);
-        entries.push(measure(
+        entries.push(bench(
             "step_kv_vjp",
             "[32,20,2,2,16]x[16,16] dkv+dx".into(),
             2 * 2 * (2 * lead * t * f * d),
-            || {
+            move || {
                 std::hint::black_box(projection::vjp(&g, &x, &kv, s, true, true).unwrap());
+            },
+        ));
+    }
+
+    // The window-attention layer body as the train step runs it: the
+    // first layer's four windows over `[32, 20]` (sample, sensor) pairs,
+    // `S = 3`, `d = 16` in four heads, one proxy, the learned gate and
+    // shared dense sensor correlation — forward with its activations
+    // saved, then the VJP. FLOPs count the products (two per
+    // multiply-add) the chain of ops it replaced runs.
+    {
+        let (b, n, w, s, d) = (32usize, 20usize, 4usize, 3usize, 16usize);
+        let t = |shape: &[usize], scale: f32, rng: &mut StdRng| Tensor::randn(shape, rng).mul_scalar(scale);
+        let kv = t(&[b, n, 2, w, s, d], 1.0, &mut rng);
+        let params: Vec<Tensor> = [
+            vec![n, w, 1, d],
+            vec![2 * d, d],
+            vec![d],
+            vec![d, d],
+            vec![d, d],
+            vec![d, d],
+            vec![d, d],
+        ]
+        .iter()
+        .map(|shape| t(shape, 0.3, &mut rng))
+        .collect();
+        let grad = t(&[b, n, w, d], 1.0, &mut rng);
+        let (rows, pairs) = (b * n, b * n * n);
+        let per_window = 2 * (rows * s * d * 2 + rows * d * d * 2 + rows * d * d * 2 + pairs * d * 2);
+        let fusion = 2 * rows * 2 * d * d;
+        let flops = 3 * (w * per_window + (w - 1) * fusion);
+        let mut gkv = vec![0f32; kv.len()];
+        entries.push(bench(
+            "step_window_layer",
+            format!("[{b},{n}]x{w}x[{s},{d}] fwd+vjp"),
+            flops,
+            move || {
+                let [proxies, fw, fb, w1, w2, t1, t2] = &params[..] else {
+                    unreachable!("seven parameters")
+                };
+                let wts = window_layer::Weights {
+                    proxies,
+                    fusion: Some((fw, fb)),
+                    gate: Some((w1, w2)),
+                    sca: window_layer::Sca::Shared(t1, t2),
+                    graph: None,
+                };
+                let (out, saved) = window_layer::forward(&kv, &wts, 4, true).unwrap();
+                let saved = saved.expect("saved activations");
+                let sink = &mut |_, part| {
+                    std::hint::black_box(part);
+                    Ok(())
+                };
+                window_layer::vjp(&grad, &out, &kv, &wts, 4, &saved, Some(&mut gkv), sink).unwrap();
             },
         ));
     }
@@ -328,11 +404,11 @@ fn run_suite() -> Vec<Entry> {
         let a = Tensor::randn(&[rows, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
         let packed = linalg::PackedMatrix::pack(&b).unwrap();
-        entries.push(measure(
+        entries.push(bench(
             name,
             format!("[{rows},{k}]@packed[{k},{n}]"),
             2 * rows * k * n,
-            || {
+            move || {
                 std::hint::black_box(linalg::matmul_packed(&a, &packed).unwrap());
             },
         ));
@@ -422,7 +498,9 @@ fn main() {
     // The probe brackets the suite and the faster reading stands, so a
     // host disturbance during one probe cannot inflate every share.
     let before = fma_peak_gflops();
-    let entries = run_suite();
+    stwa_pool::set_threads(1);
+    let mut benches = suite();
+    let entries: Vec<Entry> = benches.iter_mut().map(measure).collect();
     let peak_gflops = before.max(fma_peak_gflops());
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
@@ -455,25 +533,37 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let old = parse_shares(&baseline);
         let mut failed = false;
-        for e in &entries {
+        for (e, bench) in entries.iter().zip(benches.iter_mut()) {
             let Some((_, old_share)) = old.iter().find(|(n, _)| n == e.name) else {
                 println!("note: no baseline entry for {}, skipping", e.name);
                 continue;
             };
-            let share = e.roofline_share(peak_gflops);
             let floor = old_share * (1.0 - REGRESSION_TOLERANCE);
+            // A row under its floor is timed again, up to twice, each
+            // time against a fresh probe: the host swings single rows
+            // by the tolerance on unchanged code. It fails only if every
+            // attempt is under the floor.
+            let mut attempts = vec![e.roofline_share(peak_gflops)];
+            while attempts.last().is_some_and(|&a| a < floor) && attempts.len() < 1 + RETRIES {
+                let peak = fma_peak_gflops();
+                attempts.push(measure(bench).roofline_share(peak));
+            }
+            let shown: Vec<String> = attempts.iter().map(|a| format!("{a:.3}")).collect();
+            let share = attempts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             if share < floor {
                 eprintln!(
-                    "REGRESSION {}: roofline share {share:.3} fell below {floor:.3} \
+                    "REGRESSION {}: roofline share {} all below {floor:.3} \
                      (baseline {old_share:.3} - {:.0}% tolerance)",
                     e.name,
+                    shown.join(", "),
                     REGRESSION_TOLERANCE * 100.0
                 );
                 failed = true;
             } else {
                 println!(
-                    "ok {}: {share:.3} of peak vs baseline {old_share:.3} (floor {floor:.3})",
-                    e.name
+                    "ok {}: {} of peak vs baseline {old_share:.3} (floor {floor:.3})",
+                    e.name,
+                    shown.join(" then ")
                 );
             }
         }

@@ -15,8 +15,9 @@
 //! existing spans into **the table** a "do less" change starts from:
 //! ms/step by backward op kind (`backward/<kind>`, with the nodes of
 //! that kind per step) and by forward stage (`generator/latent`,
-//! `generator/decoder`, `wa_layer{l}`, `kv_projection`,
-//! `sensor_attention`, `predictor`),
+//! `generator/decoder`, `wa_layer{l}`, `kv_projection`, `window_layer`
+//! — the layer body, one tape node per layer — `sensor_attention`
+//! inside it, `predictor`), beside the tape nodes a step records,
 //! beside `matmul.flops` per step, and the product VJPs by operand shape
 //! (`backward_matmul_by_shape`: the ten costliest `matmul` / `matmul_nt`
 //! shapes with their nodes per step and GFLOP/s over the halves they
@@ -60,6 +61,8 @@ const STEPS_PER_CHUNK: usize = 8;
 const MEASURED_STEPS: usize = CHUNKS * STEPS_PER_CHUNK;
 
 struct Timed {
+    /// Nodes on one step's tape (forward, loss).
+    tape_nodes: usize,
     ms_per_step: f64,
     allocs_per_step: f64,
     hit_rate: f64,
@@ -126,8 +129,8 @@ fn vjp_flops(kind: &str, label: &str) -> Option<f64> {
 
 /// One optimization step: fresh tape, forward, raw-scale Huber (+KL
 /// when the model is stochastic), backward, Adam — the body of
-/// `Trainer::train_step` on synthetic data.
-fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: &mut StdRng) {
+/// `Trainer::train_step` on synthetic data. Returns the tape's length.
+fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: &mut StdRng) -> usize {
     let graph = Graph::new();
     let x = graph.constant(bx.clone());
     let out = model.forward(&graph, &x, rng, true).expect("forward");
@@ -139,6 +142,7 @@ fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: 
     graph.backward(&loss).expect("backward");
     opt.step();
     opt.finish_step();
+    graph.len()
 }
 
 /// The timed pass. The pool starts cold and earns its hit rate inside
@@ -150,8 +154,9 @@ fn run_timed(
     by: &Tensor,
     rng: &mut StdRng,
 ) -> Timed {
+    let mut tape_nodes = 0;
     for _ in 0..WARMUP_STEPS {
-        train_step(model, opt, bx, by, rng);
+        tape_nodes = train_step(model, opt, bx, by, rng);
     }
     memory::reset_peak();
     let before = memory::pool_stats();
@@ -170,6 +175,7 @@ fn run_timed(
     let d_misses = after.misses - before.misses;
     let lookups = d_hits + d_misses;
     Timed {
+        tape_nodes,
         ms_per_step: best_ms,
         allocs_per_step: d_heap as f64 / MEASURED_STEPS as f64,
         hit_rate: if lookups == 0 {
@@ -184,10 +190,11 @@ fn run_timed(
 /// Forward stages reported by the table, matched as path suffixes so a
 /// stage entered once per layer (`kv_projection`, `sensor_attention`)
 /// sums over layers.
-const FORWARD_STAGES: [&str; 5] = [
+const FORWARD_STAGES: [&str; 6] = [
     "generator/latent",
     "generator/decoder",
     "kv_projection",
+    "window_layer",
     "sensor_attention",
     "predictor",
 ];
@@ -226,12 +233,14 @@ fn run_traced(
     stwa_observe::set_enabled(false);
 
     let steps = STEPS_PER_CHUNK as f64;
-    // Sum every span whose path is `name` or ends in `/name`.
-    let sum = |name: &str| -> Row {
+    // Sum every span under `root` whose path is `name` or ends in
+    // `/name` (a forward stage and the backward node of the same name
+    // are different rows).
+    let sum_under = |root: &str, name: &str| -> Row {
         let tail = format!("/{name}");
         let (count, ns) = spans
             .iter()
-            .filter(|s| s.path == name || s.path.ends_with(&tail))
+            .filter(|s| s.path.starts_with(root) && (s.path == name || s.path.ends_with(&tail)))
             .fold((0u64, 0u64), |(c, n), s| (c + s.count, n + s.total_ns));
         Row {
             name: name.to_string(),
@@ -239,8 +248,9 @@ fn run_traced(
             ms_per_step: ns as f64 / 1e6 / steps,
         }
     };
+    let sum = |name: &str| sum_under("", name);
     let mut forward = vec![sum("forward")];
-    forward.extend(FORWARD_STAGES.iter().map(|stage| sum(stage)));
+    forward.extend(FORWARD_STAGES.iter().map(|stage| sum_under("forward", stage)));
     let mut layers: Vec<&str> = spans
         .iter()
         .filter_map(|s| s.path.strip_prefix("forward/"))
@@ -339,6 +349,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
     format!(
         "{{\n{}  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
          [{BATCH},{SENSORS},{HORIZON},1]\",\n  \"measured_steps\": {MEASURED_STEPS},\n  \
+         \"tape_nodes_per_step\": {},\n  \
          \"fast_ms_per_step\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
          \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
          \"traced_ms_per_step\": {:.3},\n  \
@@ -346,6 +357,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
          \"backward_by_op_kind\": {{\n{}\n  }},\n  \
          \"backward_matmul_by_shape\": {{\n{}\n  }}\n}}\n",
         stwa_bench::host::json_fields(),
+        timed.tape_nodes,
         timed.ms_per_step,
         timed.allocs_per_step,
         timed.hit_rate,
@@ -424,11 +436,12 @@ fn main() {
 
     let (timed, table) = run_suite();
     println!(
-        "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {}",
+        "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {}  tape {} nodes",
         timed.ms_per_step,
         timed.allocs_per_step,
         timed.hit_rate * 100.0,
-        memory::format_bytes(timed.peak_bytes)
+        memory::format_bytes(timed.peak_bytes),
+        timed.tape_nodes
     );
     print_table(&table);
 

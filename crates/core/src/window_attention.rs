@@ -22,8 +22,8 @@
 use crate::generator::GeneratedProjections;
 use crate::sensor_attention::SensorCorrelationAttention;
 use rand::Rng;
-use stwa_autograd::{concat, Graph, Var};
-use stwa_nn::layers::{Activation, Linear};
+use stwa_autograd::{concat, Graph, Var, WindowParams, WindowSca};
+use stwa_nn::layers::Linear;
 use stwa_nn::{init, Param, ParamStore};
 use stwa_tensor::{Result, TensorError};
 
@@ -189,6 +189,63 @@ impl WindowAttentionLayer {
         x: &Var,
         generated: Option<&GeneratedProjections>,
     ) -> Result<Var> {
+        let kv = self.keys_values(graph, x, generated)?;
+        // Eq. 10–16 for every window: one tape node.
+        let _span = stwa_observe::span!("window_layer");
+        let proxies = self.proxies.leaf(graph); // [N, W, p, d]
+        let fusion = self.fusion.as_ref().map(|f| {
+            let bias = f.bias_param().expect("the fusion layer has a bias");
+            (f.weight_param().leaf(graph), bias.leaf(graph))
+        });
+        let gate = match self.aggregator {
+            AggregatorKind::Learned => Some((self.agg_w1.leaf(graph), self.agg_w2.leaf(graph))),
+            AggregatorKind::Mean => None,
+        };
+        let transforms = generated.and_then(|g| g.sca_transforms.as_ref());
+        // Shared transforms, when the layer mixes sensors with its own.
+        let shared = match (&self.sensor_attention, transforms) {
+            (Some(sca), None) => {
+                let (Some(t1), Some(t2)) = sca.shared_transforms() else {
+                    return Err(TensorError::Invalid(
+                        "SensorCorrelationAttention built for generated transforms \
+                         requires generated theta1/theta2"
+                            .into(),
+                    ));
+                };
+                Some((t1.weight_param().leaf(graph), t2.weight_param().leaf(graph)))
+            }
+            _ => None,
+        };
+        let sca = match (&self.sensor_attention, transforms, &shared) {
+            (None, _, _) => WindowSca::Off,
+            (Some(_), Some((t1, t2)), _) => WindowSca::Generated(t1, t2),
+            (Some(_), None, Some((t1, t2))) => WindowSca::Shared(t1, t2),
+            (Some(_), None, None) => unreachable!("shared transforms were bound above"),
+        };
+        kv.window_layer(
+            &WindowParams {
+                proxies: &proxies,
+                fusion: fusion.as_ref().map(|(w, b)| (w, b)),
+                gate: gate.as_ref().map(|(w1, w2)| (w1, w2)),
+                sca,
+                graph: self
+                    .sensor_attention
+                    .as_ref()
+                    .and_then(|sca| sca.sparsity().graph()),
+            },
+            self.heads,
+        ) // [B, N, W, d]
+    }
+
+    /// Keys then values for every window in one tensor, `[B, N, 2, W, S,
+    /// d]`, which the layer body reads in place: `x` through the
+    /// generated per-(sample, sensor) rows, or the shared projections.
+    pub fn keys_values(
+        &self,
+        graph: &Graph,
+        x: &Var,
+        generated: Option<&GeneratedProjections>,
+    ) -> Result<Var> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.n || shape[2] != self.t_in || shape[3] != self.f_in
         {
@@ -197,17 +254,12 @@ impl WindowAttentionLayer {
                 self.n, self.t_in, self.f_in
             )));
         }
-        let b = shape[0];
-        let (w, s, p, d) = (self.w, self.s, self.p, self.d);
-
-        // Keys then values for every window in one tensor,
-        // [B, N, 2, W, S, d], which each window's attention reads in
-        // place.
-        let kv = match generated {
+        let (b, w, s) = (shape[0], self.w, self.s);
+        match generated {
             // Each (sample, sensor) through its own decoded K/V rows.
             Some(gp) => {
                 let _span = stwa_observe::span!("kv_projection");
-                x.project_kv(&gp.kv, s)?
+                x.project_kv(&gp.kv, s)
             }
             None => {
                 let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
@@ -220,59 +272,9 @@ impl WindowAttentionLayer {
                 let x_win = x.reshape(&[b, self.n, w, s, self.f_in])?;
                 let keys = ks.forward(graph, &x_win)?.unsqueeze(2)?;
                 let values = vs.forward(graph, &x_win)?.unsqueeze(2)?;
-                concat(&[&keys, &values], 2)?
+                concat(&[&keys, &values], 2)
             }
-        };
-
-        let proxies = self.proxies.leaf(graph); // [N, W, p, d]
-        let agg_w1 = self.agg_w1.leaf(graph);
-        let agg_w2 = self.agg_w2.leaf(graph);
-
-        let mut prev: Option<Var> = None;
-        let mut outputs: Vec<Var> = Vec::with_capacity(w);
-        for wi in 0..w {
-            // Proxy block for this window, broadcast over the batch.
-            let p_base = proxies
-                .narrow(1, wi, 1)?
-                .squeeze(1)?
-                .unsqueeze(0)?
-                .broadcast_to(&[b, self.n, p, d])?;
-            // Eq. 14: fold the previous window's summary into the proxies.
-            let p_q = match &prev {
-                None => p_base,
-                Some(h_prev) => {
-                    let fusion = self.fusion.as_ref().expect("w > 1 implies fusion");
-                    let tiled = h_prev.unsqueeze(2)?.broadcast_to(&[b, self.n, p, d])?;
-                    let stacked = concat(&[&tiled, &p_base], 3)?; // [B,N,p,2d]
-                    fusion.forward_act(graph, &stacked, Activation::Tanh)?
-                }
-            };
-            // Eq. 10: each timestamp attends to each proxy, [B, N, p, d].
-            let h_w = p_q.attention_kv_window(&kv, wi, self.heads)?;
-            // Eq. 12–13 (or the mean ablation): collapse proxies.
-            let h_hat = match self.aggregator {
-                AggregatorKind::Learned => {
-                    let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
-                    gate.mul(&h_w)?.sum_axis(2, false)? // [B,N,d]
-                }
-                AggregatorKind::Mean => h_w.mean_axis(2, false)?,
-            };
-            // Eq. 15–16: sensor correlation within the window, with
-            // generated per-sensor transforms when the generator
-            // supplies them (Section IV-C's generated variant).
-            let h_bar = match (
-                &self.sensor_attention,
-                generated.and_then(|g| g.sca_transforms.as_ref()),
-            ) {
-                (Some(sca), Some((t1, t2))) => sca.forward_with(graph, &h_hat, t1, t2)?,
-                (Some(sca), None) => sca.forward(graph, &h_hat)?,
-                (None, _) => h_hat,
-            };
-            prev = Some(h_bar.clone());
-            outputs.push(h_bar.unsqueeze(2)?);
         }
-        let refs: Vec<&Var> = outputs.iter().collect();
-        concat(&refs, 2) // [B, N, W, d]
     }
 
     /// Learnable proxy tensor `[N, W, p, d]` — read by the inference

@@ -61,7 +61,7 @@ use crate::{memory, Result, Tensor, TensorError};
 
 /// Problem extents, leading axes flattened into `lead`.
 #[derive(Clone, Copy)]
-struct Dims {
+pub(crate) struct Dims {
     lead: usize,
     tq: usize,
     tk: usize,
@@ -79,6 +79,52 @@ struct Dims {
 }
 
 impl Dims {
+    /// Window `wi` of `[lead, halves, W, Tk, d]` keys (then values): the
+    /// extents [`window_dims`] checks, for callers that hold the operands
+    /// as raw rows — `halves = 2` is one keys-then-values buffer, `halves
+    /// = 1` separate key and value buffers of the same layout.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn window(
+        lead: usize,
+        tq: usize,
+        tk: usize,
+        heads: usize,
+        d: usize,
+        halves: usize,
+        w: usize,
+        wi: usize,
+    ) -> Dims {
+        let block_len = tk * d;
+        Dims {
+            lead,
+            tq,
+            tk,
+            heads,
+            dh: d / heads,
+            kv_stride: halves * w * block_len,
+            k_offset: wi * block_len,
+            v_offset: ((halves - 1) * w + wi) * block_len,
+        }
+    }
+
+    /// Floats of the softmax weights one walk writes.
+    pub(crate) fn weights_len(self) -> usize {
+        self.lead * self.heads * self.tq * self.tk
+    }
+
+    /// The slice lengths a walk's pointer arithmetic assumes: `q` (and
+    /// the context / `gq`) of at least `lead·Tq·d`, every lead's key and
+    /// value block inside `k` / `v`, and room for the weights.
+    fn debug_check_lens(self, q: usize, k: usize, v: usize, weights: usize) {
+        let d = self.heads * self.dh;
+        debug_assert!(q >= self.lead * self.tq * d, "attention: q length");
+        if self.lead > 0 {
+            debug_assert!(self.k_at(self.lead - 1).end <= k, "attention: k length");
+            debug_assert!(self.v_at(self.lead - 1).end <= v, "attention: v length");
+        }
+        debug_assert!(weights >= self.weights_len(), "attention: weights length");
+    }
+
     /// Head count and width with the compile-time values substituted
     /// where the instantiation fixes them.
     #[inline(always)]
@@ -91,14 +137,14 @@ impl Dims {
 
     /// Lead `l`'s key block.
     #[inline(always)]
-    fn k_at(self, l: usize) -> std::ops::Range<usize> {
+    pub(crate) fn k_at(self, l: usize) -> std::ops::Range<usize> {
         let start = l * self.kv_stride + self.k_offset;
         start..start + self.tk * self.heads * self.dh
     }
 
     /// Lead `l`'s value block.
     #[inline(always)]
-    fn v_at(self, l: usize) -> std::ops::Range<usize> {
+    pub(crate) fn v_at(self, l: usize) -> std::ops::Range<usize> {
         let start = l * self.kv_stride + self.v_offset;
         start..start + self.tk * self.heads * self.dh
     }
@@ -160,7 +206,7 @@ fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 type ForwardFn = fn(Dims, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
 
 /// Where a VJP walk hands lead `l`'s finished `gk` / `gv` blocks.
-type Land<'a> = &'a mut dyn FnMut(usize, &[f32], &[f32]);
+pub(crate) type Land<'a> = &'a mut dyn FnMut(usize, &[f32], &[f32]);
 
 /// A VJP walk: extents, `[grad, q, k, v, weights]`, the `gq` it writes,
 /// and where each lead's `gk` / `gv` land.
@@ -171,7 +217,10 @@ fn forward_fn<const H: usize, const DH: usize>() -> ForwardFn {
     #[cfg(target_arch = "x86_64")]
     if isa::current() >= Isa::Avx2 {
         // Safety: the tier implies AVX2 and FMA.
-        return |dm, q, k, v, w, o| unsafe { forward_avx2::<H, DH>(dm, q, k, v, w, o) };
+        return |dm, q, k, v, w, o| {
+            dm.debug_check_lens(q.len(), k.len(), v.len(), w.len());
+            unsafe { forward_avx2::<H, DH>(dm, q, k, v, w, o) }
+        };
     }
     forward_body::<H, DH>
 }
@@ -181,7 +230,10 @@ fn vjp_fn<const H: usize, const DH: usize>() -> VjpFn {
     #[cfg(target_arch = "x86_64")]
     if isa::current() >= Isa::Avx2 {
         // Safety: the tier implies AVX2 and FMA.
-        return |dm, ins, gq, land| unsafe { vjp_avx2::<H, DH>(dm, ins, gq, land) };
+        return |dm, ins, gq, land| {
+            dm.debug_check_lens(ins[1].len(), ins[2].len(), ins[3].len(), ins[4].len());
+            unsafe { vjp_avx2::<H, DH>(dm, ins, gq, land) }
+        };
     }
     vjp_body::<H, DH>
 }
@@ -201,6 +253,8 @@ unsafe fn forward_avx2<const H: usize, const DH: usize>(
     weights: &mut [f32],
     out: &mut [f32],
 ) {
+    dm.debug_check_lens(q.len(), k.len(), v.len(), weights.len());
+    debug_assert!(out.len() >= dm.lead * dm.tq * dm.heads * dm.dh, "attention: context length");
     forward_body::<H, DH>(dm, q, k, v, weights, out)
 }
 
@@ -217,6 +271,9 @@ unsafe fn vjp_avx2<const H: usize, const DH: usize>(
     gq: &mut [f32],
     land: Land<'_>,
 ) {
+    dm.debug_check_lens(ins[1].len(), ins[2].len(), ins[3].len(), ins[4].len());
+    debug_assert!(ins[0].len() >= dm.lead * dm.tq * dm.heads * dm.dh, "attention: grad length");
+    debug_assert!(gq.len() >= dm.lead * dm.tq * dm.heads * dm.dh, "attention: gq length");
     vjp_body::<H, DH>(dm, ins, gq, land)
 }
 
@@ -293,19 +350,169 @@ fn window_dims(q: &[usize], kv: &[usize], halves: usize, wi: usize, heads: usize
 
 /// The forward on checked extents: context and softmax weights.
 fn run_forward(dm: Dims, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, Tensor)> {
-    let mut weights = memory::take_scratch(dm.lead * dm.heads * dm.tq * dm.tk);
+    let mut weights = memory::take_scratch(dm.weights_len());
     // Zeroed: the mix adds each column's terms onto `+0.0`.
     let mut out = memory::take_filled(q.len(), 0.0);
+    forward_slices(dm, q.data(), k.data(), v.data(), &mut weights, &mut out);
+    Ok((
+        Tensor::from_vec(out, q.shape())?,
+        Tensor::from_vec(weights, &[dm.lead, dm.heads, dm.tq, dm.tk])?,
+    ))
+}
+
+/// The forward walk over raw rows: writes `weights` and adds the context
+/// into `out`, which the caller zeroes. At `d = 16` on an AVX-512 host
+/// whole groups of sixteen leads take [`forward_lanes`]; the rest run
+/// the instantiation for `dm`'s head layout.
+pub(crate) fn forward_slices(
+    dm: Dims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    let lanes = lane_leads(dm);
+    if lanes > 0 {
+        // Safety: `lane_leads` is nonzero only on an AVX-512 tier.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            forward_lanes(Dims { lead: lanes, ..dm }, q, k, v, weights, out)
+        };
+    }
+    if lanes == dm.lead {
+        return;
+    }
+    let rest = Dims {
+        lead: dm.lead - lanes,
+        ..dm
+    };
     let run = match (dm.heads, dm.dh) {
         (4, 4) => forward_fn::<4, 4>(),
         (8, 4) => forward_fn::<8, 4>(),
         _ => forward_fn::<0, 0>(),
     };
-    run(dm, q.data(), k.data(), v.data(), &mut weights, &mut out);
-    Ok((
-        Tensor::from_vec(out, q.shape())?,
-        Tensor::from_vec(weights, &[dm.lead, dm.heads, dm.tq, dm.tk])?,
-    ))
+    let (qa, wa) = (lanes * dm.tq * dm.heads * dm.dh, lanes * dm.heads * dm.tq * dm.tk);
+    run(
+        rest,
+        &q[qa..],
+        &k[lanes * dm.kv_stride..],
+        &v[lanes * dm.kv_stride..],
+        &mut weights[wa..],
+        &mut out[qa..],
+    );
+}
+
+/// Leads the sixteen-lane walks take: every whole group of sixteen when
+/// `d = 16` and the tier is at least AVX-512, else none.
+fn lane_leads(dm: Dims) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if dm.heads * dm.dh == 16 && isa::current() >= Isa::Avx512 {
+        return dm.lead / 16 * 16;
+    }
+    let _ = dm;
+    0
+}
+
+/// Sixteen `d = 16` rows as one zmm each, transposed: lane `i` of
+/// column `c` is row `i`'s element `c`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `at(i) + 16 <= src.len()` for
+/// every `i < 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn columns(src: &[f32], at: impl Fn(usize) -> usize) -> [std::arch::x86_64::__m512; 16] {
+    use std::arch::x86_64::*;
+    // Safety: the caller bounds every row.
+    unsafe {
+        crate::projection::transpose16(std::array::from_fn(|i| {
+            debug_assert!(at(i) + 16 <= src.len());
+            _mm512_loadu_ps(src.as_ptr().add(at(i)))
+        }))
+    }
+}
+
+/// [`forward_body`] with one lead per lane: sixteen leads at a time,
+/// their rows transposed in registers so every score, softmax and mix
+/// term is one vector op across the leads — the same chain per element
+/// (scores `fma` in ascending `c` from `+0.0`, then the scale; the
+/// row's max, `exp(x − m)`, ascending sum and divide; the mix `fma` in
+/// ascending `j`), hence the same bits.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `heads · dh = 16` and `lead` is a
+/// multiple of sixteen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn forward_lanes(
+    dm: Dims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    weights: &mut [f32],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let Dims { lead, tq, tk, heads, dh, .. } = dm;
+    debug_assert!(heads * dh == 16 && lead.is_multiple_of(16));
+    dm.debug_check_lens(q.len(), k.len(), v.len(), weights.len());
+    debug_assert!(out.len() >= lead * tq * 16, "attention: context length");
+    let scale = _mm512_set1_ps(1.0 / (dh as f32).sqrt());
+    let zero = _mm512_setzero_ps();
+    let mut keys = vec![[zero; 16]; tk];
+    let mut values = vec![[zero; 16]; tk];
+    let mut w = vec![zero; heads * tk];
+    // Safety (whole body): every row read or written lies inside the
+    // extents checked above.
+    unsafe {
+        for l0 in (0..lead).step_by(16) {
+            for j in 0..tk {
+                keys[j] = columns(k, |i| dm.k_at(l0 + i).start + j * 16);
+                values[j] = columns(v, |i| dm.v_at(l0 + i).start + j * 16);
+            }
+            for r in 0..tq {
+                let qc = columns(q, |i| ((l0 + i) * tq + r) * 16);
+                for h in 0..heads {
+                    let row = &mut w[h * tk..(h + 1) * tk];
+                    let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
+                    for (j, slot) in row.iter_mut().enumerate() {
+                        let mut acc = zero;
+                        for c in h * dh..(h + 1) * dh {
+                            acc = _mm512_fmadd_ps(qc[c], keys[j][c], acc);
+                        }
+                        *slot = _mm512_mul_ps(acc, scale);
+                        // `f32::max(m, x)` from `-inf`: a NaN score leaves
+                        // the max alone.
+                        m = _mm512_max_ps(*slot, m);
+                    }
+                    let mut z = zero;
+                    for slot in row.iter_mut() {
+                        *slot = crate::mathfn::wide::exp_v16(_mm512_sub_ps(*slot, m));
+                        z = _mm512_add_ps(z, *slot);
+                    }
+                    for slot in row.iter_mut() {
+                        *slot = _mm512_div_ps(*slot, z);
+                    }
+                }
+                store_weights(&w, dm, l0, r, weights);
+                let mut ctx = [zero; 16];
+                for (c, o) in ctx.iter_mut().enumerate() {
+                    let h = c / dh;
+                    for j in 0..tk {
+                        *o = _mm512_fmadd_ps(w[h * tk + j], values[j][c], *o);
+                    }
+                }
+                let rows = crate::projection::transpose16(ctx);
+                for (i, row) in rows.iter().enumerate() {
+                    _mm512_storeu_ps(out.as_mut_ptr().add(((l0 + i) * tq + r) * 16), *row);
+                }
+            }
+        }
+    }
 }
 
 #[inline(always)]
@@ -372,9 +579,17 @@ fn check_vjp(dm: Dims, grad: &Tensor, q: &Tensor, weights: &Tensor) -> Result<()
 
 /// The VJP walk at the instantiation for `dm`'s head layout, returning
 /// `gq`; `land` receives every lead's `gk` / `gv`.
-fn run_vjp(dm: Dims, ins: [&[f32]; 5], q_len: usize, land: Land<'_>) -> Vec<f32> {
+pub(crate) fn run_vjp(dm: Dims, ins: [&[f32]; 5], q_len: usize, land: Land<'_>) -> Vec<f32> {
     // Zeroed: every `gq` element is a chain of `+=` from `+0.0`.
     let mut gq = memory::take_filled(q_len, 0.0);
+    if row_walks(dm) {
+        // Safety: `row_walks` holds only on an AVX-512 tier.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            vjp_rows(dm, ins, &mut gq, land)
+        };
+        return gq;
+    }
     let run = match (dm.heads, dm.dh) {
         (4, 4) => vjp_fn::<4, 4>(),
         (8, 4) => vjp_fn::<8, 4>(),
@@ -382,6 +597,136 @@ fn run_vjp(dm: Dims, ins: [&[f32]; 5], q_len: usize, land: Land<'_>) -> Vec<f32>
     };
     run(dm, ins, &mut gq, land);
     gq
+}
+
+/// Whether [`vjp_rows`] takes the VJP: `d = 16`, one query row, a
+/// lead's softmax weights in one zmm, and an AVX-512 tier.
+fn row_walks(dm: Dims) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if dm.heads * dm.dh == 16
+        && dm.tq == 1
+        && dm.heads * dm.tk <= 16
+        && isa::current() >= Isa::Avx512
+    {
+        return true;
+    }
+    let _ = dm;
+    false
+}
+
+/// [`vjp_body`] lead by lead at `d = 16` and one query row: each row is
+/// one zmm, and a head's `dh`-term `dA` chain runs on copies permuted so
+/// that element `h·dh + c` fills head `h`'s lanes — every lane of the
+/// head then holds the head's `dA`, softmax weight and `dS`, ready to
+/// scale the head's columns. `gv` and `gk` are one term each (one query
+/// row), `gq` a chain in ascending `j`: the same chain per element as
+/// the generic walk, hence the same bits. (The forward's sixteen-lane
+/// walk would do the same at four times the `exp` work here.)
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and `dm` must satisfy [`row_walks`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn vjp_rows(dm: Dims, [g, q, k, v, weights]: [&[f32]; 5], gq: &mut [f32], land: Land<'_>) {
+    use std::arch::x86_64::*;
+    let Dims { lead, tk, heads, dh, .. } = dm;
+    dm.debug_check_lens(q.len(), k.len(), v.len(), weights.len());
+    debug_assert!(g.len() >= lead * 16 && gq.len() >= lead * 16);
+    debug_assert!(heads * dh == 16 && dm.tq == 1 && heads * tk <= 16);
+    let scale = _mm512_set1_ps(1.0 / (dh as f32).sqrt());
+    let per_lead = heads * tk;
+    let wmask: __mmask16 = ((1u32 << per_lead) - 1) as __mmask16;
+    let zero = _mm512_setzero_ps();
+    let lanes = |f: &dyn Fn(i32) -> i32| {
+        let idx: [i32; 16] = std::array::from_fn(|l| f(l as i32));
+        // Safety: sixteen lanes read from a sixteen-element array.
+        unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) }
+    };
+    let (dhi, tki) = (dh as i32, tk as i32);
+    // `spread[c]`: element `h·dh + c` in every lane of head `h`;
+    // `pick[j]`: the lead's weight `(h, j)` in every lane of head `h`.
+    let spread: [__m512i; 16] = std::array::from_fn(|c| lanes(&|l| (l / dhi) * dhi + c as i32));
+    let pick: [__m512i; 16] = std::array::from_fn(|j| lanes(&|l| (l / dhi) * tki + j as i32));
+    // One lead's `gk` then `gv` rows, handed to `land`.
+    let mut blocks = [0f32; 2 * 16 * 16];
+    let (mut da, mut w, mut keys) = ([zero; 16], [zero; 16], [zero; 16]);
+    // Safety (whole body): every row read or written lies inside the
+    // extents checked above; the weights load is masked to the lead's
+    // `heads · Tk` floats.
+    unsafe {
+        for l in 0..lead {
+            let gv = _mm512_loadu_ps(g.as_ptr().add(l * 16));
+            let qv = _mm512_loadu_ps(q.as_ptr().add(l * 16));
+            let (kb, vb) = (k.as_ptr().add(dm.k_at(l).start), v.as_ptr().add(dm.v_at(l).start));
+            let wl = _mm512_maskz_loadu_ps(wmask, weights.as_ptr().add(l * per_lead));
+            let (gkb, gvb) = blocks.split_at_mut(tk * 16);
+            // Through the mix: dA = g · v per head, gv = w · g; the
+            // softmax VJP's row sum rounds each product, then adds it.
+            let mut sum = zero;
+            for j in 0..tk {
+                let vj = _mm512_loadu_ps(vb.add(j * 16));
+                keys[j] = _mm512_loadu_ps(kb.add(j * 16));
+                w[j] = _mm512_permutexvar_ps(pick[j], wl);
+                let mut acc = zero;
+                for sc in spread.iter().take(dh) {
+                    acc = _mm512_fmadd_ps(
+                        _mm512_permutexvar_ps(*sc, gv),
+                        _mm512_permutexvar_ps(*sc, vj),
+                        acc,
+                    );
+                }
+                da[j] = acc;
+                _mm512_storeu_ps(gvb.as_mut_ptr().add(j * 16), _mm512_fmadd_ps(w[j], gv, zero));
+                sum = _mm512_add_ps(sum, _mm512_mul_ps(acc, w[j]));
+            }
+            // Through the softmax and the scale, then the scores.
+            let mut gqv = zero;
+            for j in 0..tk {
+                let ds = _mm512_mul_ps(_mm512_mul_ps(w[j], _mm512_sub_ps(da[j], sum)), scale);
+                gqv = _mm512_fmadd_ps(ds, keys[j], gqv);
+                _mm512_storeu_ps(gkb.as_mut_ptr().add(j * 16), _mm512_fmadd_ps(ds, qv, zero));
+            }
+            _mm512_storeu_ps(gq.as_mut_ptr().add(l * 16), gqv);
+            land(l, &gkb[..tk * 16], &gvb[..tk * 16]);
+        }
+    }
+}
+
+/// Query row `r`'s softmax weights of leads `l0..l0 + 16`, `w[h·Tk + j]`
+/// one lane per lead, into the `[lead, heads, Tq, Tk]` buffer: when a
+/// lead's weights fit one zmm, a transpose and one masked store per
+/// lead, else lane by lane.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and the leads must lie inside `weights`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn store_weights(w: &[std::arch::x86_64::__m512], dm: Dims, l0: usize, r: usize, weights: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let (tq, tk, per_lead) = (dm.tq, dm.tk, dm.heads * dm.tq * dm.tk);
+    debug_assert!(w.len() == dm.heads * tk && (l0 + 16) * per_lead <= weights.len());
+    // Safety (whole body): lead `l0 + i`'s weights are inside `weights`.
+    unsafe {
+        if tq == 1 && per_lead <= 16 {
+            let mut cols = [_mm512_setzero_ps(); 16];
+            cols[..w.len()].copy_from_slice(w);
+            let mask: __mmask16 = ((1u32 << per_lead) - 1) as __mmask16;
+            for (i, row) in crate::projection::transpose16(cols).iter().enumerate() {
+                _mm512_mask_storeu_ps(weights.as_mut_ptr().add((l0 + i) * per_lead), mask, *row);
+            }
+            return;
+        }
+        let mut lanes = [0f32; 16];
+        for (at, &v) in w.iter().enumerate() {
+            let (h, j) = (at / tk, at % tk);
+            _mm512_storeu_ps(lanes.as_mut_ptr(), v);
+            for (i, &x) in lanes.iter().enumerate() {
+                weights[(l0 + i) * per_lead + (h * tq + r) * tk + j] = x;
+            }
+        }
+    }
 }
 
 /// Exact VJP of [`forward`]: `(gq, gk, gv)` for upstream gradient
@@ -591,10 +936,13 @@ mod tests {
     }
 
     /// Window-attention shapes (p=1 queries, s=3 keys, d=16, 4 heads),
-    /// the serving head layout, a dynamic-head layout, a chunky
-    /// cross-attention, and rank 2.
-    const CASES: [(&[usize], &[usize], usize); 6] = [
+    /// two proxies at `d = 16`, a lead count that leaves a remainder past
+    /// the sixteen-lane groups, the serving head layout, a dynamic-head
+    /// layout, a chunky cross-attention, and rank 2.
+    const CASES: [(&[usize], &[usize], usize); 8] = [
         (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
+        (&[2, 16, 2, 16], &[2, 16, 3, 16], 4),
+        (&[20, 1, 16], &[20, 3, 16], 1),
         (&[2, 3, 5, 32], &[2, 3, 9, 32], 8),
         (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
         (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),

@@ -32,6 +32,7 @@ pub mod reduce;
 pub mod shape;
 pub mod sparse;
 pub mod tensor;
+pub mod window_layer;
 
 pub use error::TensorError;
 pub use quant::Precision;

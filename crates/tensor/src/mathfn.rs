@@ -145,7 +145,7 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod wide {
+pub(crate) mod wide {
     use std::arch::x86_64::*;
 
     /// 16-lane [`super::exp_f32`]: the identical op sequence — clamp,
@@ -154,7 +154,7 @@ mod wide {
     /// `vaddps` per scalar mul/add.
     #[allow(clippy::excessive_precision)] // same literals as `exp_f32`
     #[inline(always)]
-    pub(super) unsafe fn exp_v16(x: __m512) -> __m512 {
+    pub(crate) unsafe fn exp_v16(x: __m512) -> __m512 {
         unsafe {
             // Bound first, value second: NaN propagates (see above).
             let x = _mm512_max_ps(

@@ -111,7 +111,9 @@ pub fn forward(x: &Tensor, kv: &Tensor, s: usize) -> Result<Tensor> {
     let (xd, kvd) = (x.data(), kv.data());
     let out_ptr = SendPtr(out.as_mut_ptr());
     let (run, _) = walks(d);
+    debug_assert_eq!(out.len(), lead * 2 * t * d, "project_kv: output length");
     for_leads(lead, 4 * t * f * d, |l0, l1| {
+        debug_assert!(l0 <= l1 && l1 <= lead, "project_kv: lead run {l0}..{l1} of {lead}");
         // Safety: chunks own the disjoint output leads `[l0, l1)`, and
         // the pool joins before `out` is consumed.
         let out = unsafe {
@@ -158,7 +160,10 @@ pub fn vjp(
     let dkv_ptr = dkv.as_mut().map(|b| SendPtr(b.as_mut_ptr()));
     let (gd, xd, kvd) = (grad.data(), x.data(), kv.data());
     let (_, run) = walks(d);
+    debug_assert!(dx.as_ref().is_none_or(|b| b.len() == lead * t * f));
+    debug_assert!(dkv.as_ref().is_none_or(|b| b.len() == lead * 2 * f * d));
     for_leads(lead, 8 * t * f * d, |l0, l1| {
+        debug_assert!(l0 <= l1 && l1 <= lead, "project_kv_vjp: lead run {l0}..{l1} of {lead}");
         // Safety: chunks own the disjoint leads `[l0, l1)` of `dx`
         // (`T·F` floats each) and `dkv` (`2·F·d` each), and the pool
         // joins before either buffer is consumed.
@@ -219,6 +224,8 @@ unsafe fn forward_avx512(dm: Dims, x: &[f32], kv: &[f32], out: &mut [f32]) {
     use std::arch::x86_64::*;
     let Dims { t, f, .. } = dm;
     let leads = x.len() / (t * f);
+    debug_assert_eq!(x.len(), leads * t * f, "forward_avx512: x holds whole leads");
+    debug_assert_eq!(dm.d, 16, "forward_avx512: one zmm per row");
     assert!(kv.len() >= leads * 2 * f * 16 && out.len() >= leads * 2 * t * 16);
     let (x, kv, out) = (x.as_ptr(), kv.as_ptr(), out.as_mut_ptr());
     // Safety: lead `l`'s rows lie inside the extents asserted above.
@@ -256,6 +263,9 @@ unsafe fn vjp_avx512(dm: Dims, [g, x, kv]: [&[f32]; 3], [dx, dkv]: [Option<&mut 
     use std::arch::x86_64::*;
     let Dims { t, s, w, f, .. } = dm;
     let leads = x.len() / (t * f);
+    debug_assert_eq!(x.len(), leads * t * f, "vjp_avx512: x holds whole leads");
+    debug_assert_eq!(dm.d, 16, "vjp_avx512: one zmm per row");
+    debug_assert_eq!(w * s, t, "vjp_avx512: windows tile the steps");
     assert!(g.len() >= leads * 2 * t * 16 && kv.len() >= leads * 2 * f * 16);
     if let Some(dkv) = dkv {
         assert!(dkv.len() >= leads * 2 * f * 16);
@@ -328,7 +338,7 @@ unsafe fn vjp_avx512(dm: Dims, [g, x, kv]: [&[f32]; 3], [dx, dkv]: [Option<&mut 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn transpose16(rows: [std::arch::x86_64::__m512; 16]) -> [std::arch::x86_64::__m512; 16] {
+pub(crate) unsafe fn transpose16(rows: [std::arch::x86_64::__m512; 16]) -> [std::arch::x86_64::__m512; 16] {
     use std::arch::x86_64::*;
     // Per 128-bit lane `L`: rows `2k, 2k+1` interleaved, columns
     // `4L, 4L+1` (`lo`) and `4L+2, 4L+3` (`hi`).

@@ -17,9 +17,12 @@
 //! K/V projection's three contractions — its forward over `F`, `dK_p`
 //! over a window's steps and `dx` over `d` — carry the same witness, at
 //! the key width its register rows run (`d = 16`) and at one that takes
-//! the slice entries.
+//! the slice entries. So do the window-layer op's gate product forward
+//! (`h_w · W1`) and its VJP (`g · W2ᵀ`), seen through the layer output
+//! and `W1`'s gradient.
 
-use st_wa::tensor::{isa, linalg, projection, Tensor};
+use st_wa::autograd::{Graph, WindowParams, WindowSca};
+use st_wa::tensor::{isa, linalg, mathfn, projection, Tensor};
 
 const FUSED: f32 = 1.0 / 16_777_216.0; // 2⁻²⁴
 
@@ -150,4 +153,51 @@ fn the_kv_projection_fuses_each_term() {
             dx.data()[0]
         );
     }
+}
+
+/// One sample, one sensor, one window of one step, one proxy, `d = 2`,
+/// one head, the learned gate and no sensor correlation: the context is
+/// the value row (a single key takes weight `1.0`), so the gate's first
+/// product is the witness when the value row is `[a0, a1]` and `W1`'s
+/// columns are `[b0, b1]`.
+#[test]
+fn the_window_layer_fuses_each_term() {
+    let ([a0, a1], [b0, b1]) = witness();
+    let layer = |value: [f32; 2], w1: Tensor, w2: Tensor, upstream: [f32; 2]| {
+        let g = Graph::new();
+        let kv = g.constant(Tensor::from_vec(vec![0.0, 0.0, value[0], value[1]], &[1, 1, 2, 1, 1, 2]).unwrap());
+        let proxies = g.constant(Tensor::zeros(&[1, 1, 1, 2]));
+        let (w1, w2) = (g.leaf(w1), g.constant(w2));
+        let params = WindowParams {
+            proxies: &proxies,
+            fusion: None,
+            gate: Some((&w1, &w2)),
+            sca: WindowSca::Off,
+            graph: None,
+        };
+        let out = kv.window_layer(&params, 1).unwrap();
+        let weight = g.constant(Tensor::from_vec(upstream.to_vec(), &[1, 1, 1, 2]).unwrap());
+        g.backward(&out.mul(&weight).unwrap().sum_all().unwrap()).unwrap();
+        (out.value().data().to_vec(), g.grad(&w1).unwrap().data().to_vec())
+    };
+
+    // Forward: `h_w · W1 = 2⁻²⁴` in both columns, and `W2 = 2²⁰·I` lifts
+    // its `tanh` where the sigmoid can see it.
+    let w1 = Tensor::from_vec(vec![b0, b0, b1, b1], &[2, 2]).unwrap();
+    let lift = 1_048_576.0; // 2²⁰
+    let w2 = Tensor::from_vec(vec![lift, 0.0, 0.0, lift], &[2, 2]).unwrap();
+    let (out, _) = layer([a0, a1], w1, w2, [1.0, 1.0]);
+    let gate = mathfn::sigmoid_f32(mathfn::tanh_f32(FUSED) * lift);
+    assert_ne!(gate, 0.5, "the witness must reach the gate");
+    assert_eq!(out, [gate * a0, gate * a1], "window layer forward");
+
+    // VJP: `W1 = 0` holds the gate at one half, so `W2`'s product sees
+    // the upstream row `[a0, a1]` against `W2`'s rows `[b0, b1]`, and
+    // `W1`'s gradient is the value `4` times that contraction.
+    let w2 = Tensor::from_vec(vec![b0, b1, b0, b1], &[2, 2]).unwrap();
+    let (_, grad_w1) = layer([4.0, 4.0], Tensor::zeros(&[2, 2]), w2, [a0, a1]);
+    assert!(
+        grad_w1.iter().all(|&v| v == 4.0 * FUSED),
+        "window layer VJP: {grad_w1:?}"
+    );
 }

@@ -20,7 +20,14 @@
 //! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in
 //! the attention op's place.
 //!
-//! The fourth holds evaluation to the same `forward`: `Trainer::evaluate`
+//! The window-layer op ([`Var::window_layer`]) — every window's proxy
+//! fusion, attention, gate and sensor-correlation attention as one tape
+//! node — is held to the per-window chain it replaced, transcribed from
+//! the layer's public parts, on every layer configuration: learned and
+//! mean gates; sensor correlation absent, shared dense, shared sparse
+//! and generated; shared K/V; one window; two proxies; one head.
+//!
+//! The last holds evaluation to the same `forward`: `Trainer::evaluate`
 //! runs it on a graph that records nothing, and its metrics must be the
 //! bits of an evaluation rolled by hand on a recording graph.
 
@@ -34,7 +41,8 @@ use st_wa::model::{
 use st_wa::nn::layers::Activation;
 use st_wa::nn::loss::huber;
 use st_wa::nn::optim::{Adam, Optimizer};
-use st_wa::tensor::{manip, Result, Tensor};
+use st_wa::tensor::{manip, Result, SensorGraph, Tensor};
+use std::sync::Arc;
 use st_wa::traffic::{Metrics, Scaler, SplitTensors};
 
 /// `step_trajectory.rs`: loss of steps 0, 1, 2 as raw f32 bits.
@@ -252,6 +260,98 @@ fn model_through(
     Ok((pred, regularizer))
 }
 
+/// `WindowAttentionLayer::forward` as the per-window chain of tape ops
+/// [`Var::window_layer`] replaced: each window's proxy block narrowed
+/// and broadcast, fused with the previous summary through `concat` and
+/// the dense layer, the windowed attention op, the gate chain (or the
+/// mean) and sensor-correlation attention, then one `concat`.
+fn layer_chain(
+    layer: &WindowAttentionLayer,
+    graph: &Graph,
+    x: &Var,
+    generated: Option<&GeneratedProjections>,
+) -> Result<Var> {
+    let (n, _t, _s, p, _f, d, heads) = layer.dims();
+    let (b, w) = (x.shape()[0], layer.num_windows());
+    let kv = layer.keys_values(graph, x, generated)?;
+    let proxies = layer.proxies().leaf(graph);
+    let (agg_w1, agg_w2) = layer.agg_weights();
+    let (agg_w1, agg_w2) = (agg_w1.leaf(graph), agg_w2.leaf(graph));
+    let mut prev: Option<Var> = None;
+    let mut outputs = Vec::with_capacity(w);
+    for wi in 0..w {
+        let p_base = proxies
+            .narrow(1, wi, 1)?
+            .squeeze(1)?
+            .unsqueeze(0)?
+            .broadcast_to(&[b, n, p, d])?;
+        let p_q = match &prev {
+            None => p_base,
+            Some(h_prev) => {
+                let tiled = h_prev.unsqueeze(2)?.broadcast_to(&[b, n, p, d])?;
+                let stacked = concat(&[&tiled, &p_base], 3)?;
+                let fusion = layer.fusion().expect("w > 1 implies fusion");
+                fusion.forward_act(graph, &stacked, Activation::Tanh)?
+            }
+        };
+        let h_w = p_q.attention_kv_window(&kv, wi, heads)?;
+        let h_hat = match layer.aggregator_kind() {
+            AggregatorKind::Learned => {
+                let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
+                gate.mul(&h_w)?.sum_axis(2, false)?
+            }
+            AggregatorKind::Mean => h_w.mean_axis(2, false)?,
+        };
+        let transforms = generated.and_then(|g| g.sca_transforms.as_ref());
+        let h_bar = match (layer.sensor_attention(), transforms) {
+            (Some(sca), Some((t1, t2))) => sca.forward_with(graph, &h_hat, t1, t2)?,
+            (Some(sca), None) => sca.forward(graph, &h_hat)?,
+            (None, _) => h_hat,
+        };
+        prev = Some(h_bar.clone());
+        outputs.push(h_bar.unsqueeze(2)?);
+    }
+    concat(&outputs.iter().collect::<Vec<_>>(), 2)
+}
+
+/// `StwaModel::forward` (training mode) with every layer through
+/// [`layer_chain`].
+fn through_layer_chain(
+    model: &StwaModel,
+    graph: &Graph,
+    x: &Var,
+    rng: &mut StdRng,
+) -> Result<(Var, Option<Var>)> {
+    let cfg = model.config();
+    let b = x.shape()[0];
+    let generated = match model.generator() {
+        Some(generator) => Some(generator.generate_with_mode(graph, x, rng, cfg.latent_mode)?),
+        None => None,
+    };
+    let mut h = x.clone();
+    let mut skip_sum: Option<Var> = None;
+    for (l, layer) in model.layers().iter().enumerate() {
+        let out = layer_chain(layer, graph, &h, generated.as_ref().map(|g| &g.layers[l]))?;
+        let flat = out.reshape(&[b, cfg.n, layer.num_windows() * cfg.d])?;
+        let skip = model.skips()[l].forward(graph, &flat)?;
+        skip_sum = Some(match skip_sum {
+            None => skip,
+            Some(acc) => acc.add(&skip)?,
+        });
+        h = out;
+    }
+    let o = skip_sum.expect("at least one layer");
+    let pred = model
+        .predictor()
+        .forward(graph, &o)?
+        .reshape(&[b, cfg.n, cfg.u, cfg.f_in])?;
+    let regularizer = generated
+        .as_ref()
+        .and_then(|g| g.kl.as_ref())
+        .map(|kl| kl.mul_scalar(cfg.kl_weight));
+    Ok((pred, regularizer))
+}
+
 /// Two training steps of `config` through `forward` and through
 /// `oracle` from the same seed: the same loss bits and parameters.
 fn assert_trains_like(config: StwaConfig, forward: Forward, oracle: Forward) {
@@ -294,6 +394,46 @@ fn kv_projection_trains_to_the_bits_of_the_matmul_narrow_chain() {
 fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
     let config = StwaConfig::st_wa(6, 12, 12).with_proxies(2);
     assert_trains_like(config, production, through_chain);
+}
+
+#[test]
+fn window_layer_op_trains_to_the_bits_of_the_per_window_chain() {
+    let st_wa = StwaConfig::st_wa(6, 12, 12);
+    // Each sensor with itself and its ring neighbours.
+    let ring: Vec<Vec<usize>> = (0..6)
+        .map(|i| {
+            let mut row = vec![(i + 5) % 6, i, (i + 1) % 6];
+            row.sort_unstable();
+            row
+        })
+        .collect();
+    let graph = Arc::new(SensorGraph::from_neighbor_lists(6, &ring).expect("graph"));
+    let configs = [
+        ("learned gate, shared dense SCA", st_wa.clone()),
+        ("mean gate", st_wa.clone().with_mean_aggregator()),
+        (
+            "no SCA",
+            StwaConfig {
+                sensor_attention: false,
+                ..st_wa.clone()
+            },
+        ),
+        ("shared K/V", StwaConfig::wa(6, 12, 12)),
+        ("shared sparse SCA", st_wa.clone().with_sensor_graph(graph.clone())),
+        ("generated SCA", st_wa.clone().with_generated_sca()),
+        (
+            "generated sparse SCA",
+            st_wa.clone().with_generated_sca().with_sensor_graph(graph),
+        ),
+        ("W = 1", st_wa.clone().with_windows(&[12])),
+        ("p = 2", st_wa.clone().with_proxies(2).with_mean_aggregator()),
+        ("p = 2, learned", st_wa.clone().with_proxies(2)),
+        ("one head", StwaConfig { heads: 1, ..st_wa }),
+    ];
+    for (name, config) in configs {
+        eprintln!("{name}");
+        assert_trains_like(config, production, through_layer_chain);
+    }
 }
 
 // ---------------------------------------------------------------------
