@@ -12,6 +12,7 @@
 use crate::graph::{ActKind, Graph, Id, Node, Op, Var};
 use std::rc::Rc;
 use crate::ops::window_weights;
+use stwa_tensor::projection;
 use stwa_tensor::window_layer::{self, Part};
 use stwa_tensor::{linalg, Result, Tensor, TensorError};
 
@@ -582,31 +583,6 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             accumulate(nodes, q, gq)
         }
 
-        // Windowed attention: `gk` / `gv` are added straight into window
-        // `wi`'s blocks of the projection's gradient (zeroed when this
-        // sweep first reaches it) — what the `narrow` VJP did for each
-        // window's copy — then `gq` lands.
-        Op::KvWindowAttention {
-            q,
-            kv,
-            wi,
-            heads,
-            ref weights,
-        } => {
-            let qv = value_of(nodes, q);
-            let kvv = value_of(nodes, kv);
-            let gkv = nodes[kv]
-                .requires_grad
-                .then(|| grad_buffer(&mut nodes[kv]).data_mut());
-            let gq =
-                stwa_tensor::attention::vjp_kv_window(grad, &qv, &kvv, wi, weights, heads, gkv)?;
-            accumulate(nodes, q, gq)
-        }
-
-        // The K/V projection: `dx` (V half, then K half added) only when
-        // the layer input takes a gradient — never for layer 0, whose
-        // input is the raw batch — and `dkv` in the decoder output's flat
-        // layout, so it lands in that node's slot as is.
         // The window-attention layer: `kv`'s gradient is added into in
         // place (zeroed when this sweep first reaches it), as each
         // window's attention VJP did; every parameter partial lands as
@@ -666,18 +642,52 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             result
         }
 
-        Op::ProjectKv { x, kv, s } => {
-            let xv = value_of(nodes, x);
-            let kvv = value_of(nodes, kv);
-            let (need_dx, need_dkv) = (nodes[x].requires_grad, nodes[kv].requires_grad);
-            let (dx, dkv) = stwa_tensor::projection::vjp(grad, &xv, &kvv, s, need_dx, need_dkv)?;
-            if let Some(dx) = dx {
-                accumulate(nodes, x, dx)?;
+        // The K/V projection with the decoder's output layer: `dx` (V
+        // half, then K half added) only when the layer input takes a
+        // gradient — never for layer 0, whose input is the raw batch —
+        // then the bias, the head and the weight, the order in which the
+        // chain's reverse sweep reached them (`bias_add_act`, then the
+        // `matmul`'s `dA` and `dB`).
+        Op::ProjectKv {
+            x,
+            head,
+            weight,
+            bias,
+            s,
+            ref rows,
+        } => {
+            let Some(rows) = rows else {
+                return Ok(());
+            };
+            let (xv, hv, wv, bv) = (
+                value_of(nodes, x),
+                value_of(nodes, head),
+                value_of(nodes, weight),
+                value_of(nodes, bias),
+            );
+            let dec = projection::Decoder {
+                head: &hv,
+                weight: &wv,
+                bias: &bv,
+            };
+            let need = projection::Need {
+                x: nodes[x].requires_grad,
+                head: nodes[head].requires_grad,
+                weight: nodes[weight].requires_grad,
+                bias: nodes[bias].requires_grad,
+            };
+            let grads = projection::vjp(grad, &xv, dec, rows, s, need)?;
+            for (id, g) in [
+                (x, grads.x),
+                (bias, grads.bias),
+                (head, grads.head),
+                (weight, grads.weight),
+            ] {
+                if let Some(g) = g {
+                    accumulate(nodes, id, g)?;
+                }
             }
-            match dkv {
-                Some(dkv) => accumulate(nodes, kv, dkv),
-                None => Ok(()),
-            }
+            Ok(())
         }
     }
 }

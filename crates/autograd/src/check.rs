@@ -219,33 +219,60 @@ mod tests {
     });
 
     // The generated K/V projection: `[2, T = 4, F = 3]` in windows of 2
-    // through each lead's `[2·3·2]` row (`d = 2`), against each operand
-    // in turn; a constant `x` skips `dx`, as layer 0 does.
-    fn kv_rows() -> Tensor {
-        Tensor::from_fn(&[2, 12], |i| 0.1 * i[1] as f32 - 0.3 * i[0] as f32 - 0.4)
+    // through each lead's `[2·3·4]` row (`d = 4`), decoded from a `[2,
+    // 5]` head by a `[5, 24]` weight and a `[24]` bias, against each
+    // operand in turn; a constant `x` skips `dx`, as layer 0 does.
+    fn head_rows() -> Tensor {
+        Tensor::from_fn(&[2, 5], |i| 0.2 * i[1] as f32 - 0.3 * i[0] as f32 - 0.3)
+    }
+    fn out_weight() -> Tensor {
+        Tensor::from_fn(&[5, 24], |i| {
+            0.05 * ((i[0] * 7 + i[1] * 3) % 11) as f32 - 0.25
+        })
+    }
+    fn out_bias() -> Tensor {
+        Tensor::from_fn(&[24], |i| 0.05 * i[0] as f32 - 0.4)
     }
     fn window_rows() -> Tensor {
         Tensor::from_fn(&[2, 4, 3], |i| {
             0.2 * (i[1] + i[2]) as f32 - 0.5 * i[0] as f32
         })
     }
+    /// `x.project_kv` with the operand `wrt` (0: x, 1: head, 2: weight,
+    /// 3: bias) taken from `v` and the rest constant.
+    fn project(v: &Var, wrt: usize) -> Result<Var> {
+        let g = v.graph();
+        let pick = |i: usize, t: fn() -> Tensor| if i == wrt { v.clone() } else { g.constant(t()) };
+        pick(0, window_rows).project_kv(
+            &pick(1, head_rows),
+            &pick(2, out_weight),
+            &pick(3, out_bias),
+            2,
+        )
+    }
     grad_test!(gc_project_kv_x, signed_input(&[2, 4, 3], 25), |v| {
-        let kv = v.graph().constant(kv_rows());
-        v.project_kv(&kv, 2)?.square()?.sum_all()
+        project(v, 0)?.square()?.sum_all()
     });
-    grad_test!(gc_project_kv_rows, signed_input(&[2, 12], 26), |v| {
-        let x = v.graph().constant(window_rows());
-        x.project_kv(v, 2)?.tanh().sum_all()
+    grad_test!(gc_project_kv_head, signed_input(&[2, 5], 26), |v| {
+        project(v, 1)?.tanh().sum_all()
     });
-    // Attention of `[2, 1, 4]` queries against window 1 of its output.
-    grad_test!(gc_attention_kv_window, signed_input(&[2, 24], 27), |v| {
+    grad_test!(gc_project_kv_weight, signed_input(&[5, 24], 28), |v| {
+        project(v, 2)?.tanh().sum_all()
+    });
+    grad_test!(gc_project_kv_bias, signed_input(&[24], 29), |v| {
+        project(v, 3)?.square()?.sum_all()
+    });
+    // Attention of `[2, 1, 4]` queries against window 1 of its output,
+    // the window's key and value blocks narrowed out.
+    grad_test!(gc_project_kv_attention, signed_input(&[5, 24], 27), |v| {
         let g = v.graph();
         let q = g.constant(Tensor::from_fn(&[2, 1, 4], |i| 0.3 * i[2] as f32 - 0.2));
-        let kv = g.constant(window_rows()).project_kv(v, 2)?;
+        let kv = project(v, 2)?;
+        let block = |h: usize| kv.narrow(1, h, 1)?.narrow(2, 1, 1)?.reshape(&[2, 2, 4]);
         let w = g.constant(Tensor::from_fn(&[2, 1, 4], |i| {
             (i[0] + 2 * i[2]) as f32 - 2.5
         }));
-        q.attention_kv_window(&kv, 1, 2)?.mul(&w)?.sum_all()
+        q.attention(&block(0)?, &block(1)?, 2)?.mul(&w)?.sum_all()
     });
 
     // The window-layer op — `[2, 3, 2, 2, 2, 4]` keys and values, two

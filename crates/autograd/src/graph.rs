@@ -169,26 +169,22 @@ pub(crate) enum Op {
         heads: usize,
         weights: Rc<Tensor>,
     },
-    /// [`Op::Attention`] against window `wi` of one `[..., 2, W, S, d]`
-    /// keys-then-values node (a [`Op::ProjectKv`] output), read in place;
-    /// the VJP adds `gk` / `gv` into that window's blocks of `kv`'s
-    /// gradient, as the per-window `narrow`s it replaces did.
-    KvWindowAttention {
-        q: Id,
-        kv: Id,
-        wi: usize,
-        heads: usize,
-        weights: Rc<Tensor>,
-    },
-    /// The generated K/V projection (see [`stwa_tensor::projection`]):
-    /// `x [..., T, F]` through each lead's flat `kv [..., 2·F·d]` into
-    /// `[..., 2, W, S, d]`. One tape entry for the reshape / narrow /
-    /// squeeze split and the two window-broadcast `matmul`s; value and
-    /// both gradients are bitwise that chain's.
+    /// The generated K/V projection with the decoder's output layer
+    /// folded in (see [`stwa_tensor::projection`]): `x [..., T, F]`
+    /// through each lead's row, decoded from `head [..., m2]` by
+    /// `weight [m2, 2·F·d]` and `bias`, into `[..., 2, W, S, d]`. One
+    /// tape entry for the dense layer's `matmul` and `bias_add_act`, the
+    /// reshape / narrow / squeeze split and the two window-broadcast
+    /// `matmul`s; value and every gradient are bitwise that chain's.
+    /// `rows` holds the decoded `[lead, 2·F·d]` rows for the VJP and is
+    /// absent when nothing took a gradient.
     ProjectKv {
         x: Id,
-        kv: Id,
+        head: Id,
+        weight: Id,
+        bias: Id,
         s: usize,
+        rows: Option<Rc<Tensor>>,
     },
     /// The body of one window-attention layer (see
     /// [`stwa_tensor::window_layer`]): proxy fusion, proxy attention over
@@ -248,7 +244,7 @@ impl Op {
             Op::Huber { .. } => "huber",
             Op::BiasAddAct { .. } => "bias_add_act",
             Op::SparseAttention { .. } => "sparse_attention",
-            Op::Attention { .. } | Op::KvWindowAttention { .. } => "attention",
+            Op::Attention { .. } => "attention",
             Op::ProjectKv { .. } => "project_kv",
             Op::WindowLayer { .. } => "window_layer",
         }

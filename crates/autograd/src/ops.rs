@@ -4,6 +4,7 @@
 use crate::graph::{ActKind, Op, Var};
 use std::rc::Rc;
 use std::sync::Arc;
+use stwa_tensor::projection;
 use stwa_tensor::window_layer::{self, Sca, Weights};
 use stwa_tensor::{linalg, manip, Result, SensorGraph, Tensor, TensorError};
 
@@ -206,44 +207,37 @@ impl Var {
         ))
     }
 
-    /// [`Var::attention`] with `self` as the queries `[..., Tq, d]`
-    /// against window `wi` of `kv [..., 2, W, S, d]` — keys then values,
-    /// as [`Var::project_kv`] lays them out — read in place: bitwise the
-    /// attention over `kv`'s narrowed `[..., S, d]` key and value blocks,
-    /// value and gradients, without the narrow nodes.
-    pub fn attention_kv_window(&self, kv: &Var, wi: usize, heads: usize) -> Result<Var> {
-        self.same_graph(kv, "attention_kv_window")?;
-        let (out, weights) =
-            stwa_tensor::attention::forward_kv_window(&self.value(), &kv.value(), wi, heads)?;
-        Ok(self.binary(
-            kv,
-            out,
-            Op::KvWindowAttention {
-                q: self.id,
-                kv: kv.id,
-                wi,
-                heads,
-                weights: Rc::new(weights),
-            },
-        ))
-    }
-
     /// The generated K/V projection with `self` as the layer input `[...,
-    /// T, F]` and `kv` the decoder's flat `[..., 2·F·d]` rows; returns
-    /// `[..., 2, W, S, d]` for windows of `s` steps. One tape entry
-    /// replaces the K/V split of `kv` and the two window-broadcast
-    /// products; see [`stwa_tensor::projection`] for the contract.
-    pub fn project_kv(&self, kv: &Var, s: usize) -> Result<Var> {
-        self.same_graph(kv, "project_kv")?;
-        let out = stwa_tensor::projection::forward(&self.value(), &kv.value(), s)?;
-        Ok(self.binary(
-            kv,
+    /// T, F]`, decoded from `head [..., m2]` — the shared decoder's last
+    /// hidden layer — through its output layer `weight [m2, 2·F·d]` and
+    /// `bias [2·F·d]`; returns `[..., 2, W, S, d]` for windows of `s`
+    /// steps. One tape entry replaces that dense layer's `matmul` and
+    /// `bias_add_act`, the K/V split of its flat rows and the two
+    /// window-broadcast products; see [`stwa_tensor::projection`] for
+    /// the contract.
+    pub fn project_kv(&self, head: &Var, weight: &Var, bias: &Var, s: usize) -> Result<Var> {
+        for v in [head, weight, bias] {
+            self.same_graph(v, "project_kv")?;
+        }
+        let requires = [self, head, weight, bias].iter().any(|v| v.requires_grad());
+        let (hv, wv, bv) = (head.value(), weight.value(), bias.value());
+        let dec = projection::Decoder {
+            head: &hv,
+            weight: &wv,
+            bias: &bv,
+        };
+        let (out, rows) = projection::forward(&self.value(), dec, s, requires)?;
+        Ok(self.graph.push(
             out,
             Op::ProjectKv {
                 x: self.id,
-                kv: kv.id,
+                head: head.id,
+                weight: weight.id,
+                bias: bias.id,
                 s,
+                rows: rows.map(Rc::new),
             },
+            requires,
         ))
     }
 
@@ -251,7 +245,7 @@ impl Var {
     /// values `[B, N, 2, W, S, d]` ([`Var::project_kv`]'s layout): returns
     /// the `[B, N, W, d]` window summaries. One tape entry replaces each
     /// window's proxy `narrow` / broadcast, fusion `concat` + dense
-    /// layer, [`Var::attention_kv_window`], gate chain, sensor-correlation
+    /// layer, attention, gate chain, sensor-correlation
     /// chain and the closing `concat`; see [`stwa_tensor::window_layer`]
     /// for the contract.
     pub fn window_layer(&self, params: &WindowParams<'_>, heads: usize) -> Result<Var> {

@@ -300,14 +300,40 @@ fn attention_gradients_match_central_differences() {
 }
 
 // ---------------------------------------------------------------------
-// `Var::project_kv` + `Var::attention_kv_window` against the chain
+// `Var::project_kv` against the decoder-layer and projection chain
 // ---------------------------------------------------------------------
 
+/// The decoder's output layer `[lead, m2] -> [lead, 2·F·d]` as the dense
+/// layer's chain: `reshape`, `matmul`, `bias_add_act(Identity)`,
+/// `reshape`.
+fn decode_chain(head: &Var, weight: &Var, bias: &Var) -> Result<Var> {
+    use stwa_autograd::ActKind;
+    let hs = head.shape();
+    let rows: usize = hs[..hs.len() - 1].iter().product();
+    let mut out = hs[..hs.len() - 1].to_vec();
+    out.push(weight.shape()[1]);
+    head.reshape(&[rows, hs[hs.len() - 1]])?
+        .matmul(weight)?
+        .bias_add_act(bias, ActKind::Identity)?
+        .reshape(&out)
+}
+
+/// Window `wi`'s `[..., S, d]` key (`h = 0`) or value (`h = 1`) block of
+/// a `[..., 2, W, S, d]` projection, narrowed out.
+fn kv_block(kv: &Var, h: usize, wi: usize) -> Result<Var> {
+    let at = kv.shape().len() - 4;
+    kv.narrow(at, h, 1)?
+        .squeeze(at)?
+        .narrow(at, wi, 1)?
+        .squeeze(at)
+}
+
 /// Window attention over the generated projection as the tape chain the
-/// two ops replaced: the flat rows split by `reshape` / `narrow` /
-/// `squeeze`, one window-broadcast `matmul` per half, a `narrow` per
-/// window, and the attention op over the narrowed blocks.
-fn window_chain(x: &Var, kv: &Var, qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
+/// op replaced: [`decode_chain`], the flat rows split by `reshape` /
+/// `narrow` / `squeeze`, one window-broadcast `matmul` per half, a
+/// `narrow` per window, and the attention op over the narrowed blocks.
+fn window_chain(x: &Var, dec: [&Var; 3], qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
+    let kv = decode_chain(dec[0], dec[1], dec[2])?;
     let xs = x.shape();
     let at = xs.len() - 2;
     let (lead, t, f) = (&xs[..at], xs[at], xs[at + 1]);
@@ -328,23 +354,29 @@ fn window_chain(x: &Var, kv: &Var, qs: &[Var], s: usize, heads: usize) -> Result
         .collect()
 }
 
-/// The two ops the window-attention layer runs.
-fn window_fused(x: &Var, kv: &Var, qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
-    let projected = x.project_kv(kv, s)?;
+/// The op, then the same attention over its narrowed window blocks.
+fn window_fused(x: &Var, dec: [&Var; 3], qs: &[Var], s: usize, heads: usize) -> Result<Vec<Var>> {
+    let projected = x.project_kv(dec[0], dec[1], dec[2], s)?;
     qs.iter()
         .enumerate()
-        .map(|(wi, q)| q.attention_kv_window(&projected, wi, heads))
+        .map(|(wi, q)| {
+            q.attention(
+                &kv_block(&projected, 0, wi)?,
+                &kv_block(&projected, 1, wi)?,
+                heads,
+            )
+        })
         .collect()
 }
 
-type Windows = fn(&Var, &Var, &[Var], usize, usize) -> Result<Vec<Var>>;
+type Windows = fn(&Var, [&Var; 3], &[Var], usize, usize) -> Result<Vec<Var>>;
 
 /// Value bits of every window's context and the gradient bits of `x`
-/// (when it is a leaf), `kv` and every query, under fixed random
-/// weightings of the contexts, on a poisoned pool.
+/// (when it is a leaf), the head, the weight, the bias and every query,
+/// under fixed random weightings of the contexts, on a poisoned pool.
 fn run_windows(
     windows: Windows,
-    [xt, kvt]: [&Tensor; 2],
+    [xt, ht, wt, bt]: [&Tensor; 4],
     qts: &[Tensor],
     wts: &[Tensor],
     (s, heads, x_leaf): (usize, usize, bool),
@@ -355,10 +387,11 @@ fn run_windows(
     } else {
         g.constant(xt.clone())
     };
-    let kv = g.leaf(kvt.clone());
+    let [head, weight, bias] = [ht, wt, bt].map(|t| g.leaf(t.clone()));
     let qs: Vec<Var> = qts.iter().map(|q| g.leaf(q.clone())).collect();
-    poison_pool(xt.len().max(kvt.len()) * 2);
-    let outs = windows(&x, &kv, &qs, s, heads).unwrap();
+    let poison = xt.len().max(ht.len() * wt.shape()[1]) * 2;
+    poison_pool(poison);
+    let outs = windows(&x, [&head, &weight, &bias], &qs, s, heads).unwrap();
     let mut loss: Option<Var> = None;
     for (o, w) in outs.iter().zip(wts) {
         let term = o.mul(&g.constant(w.clone())).unwrap().sum_all().unwrap();
@@ -367,9 +400,9 @@ fn run_windows(
             Some(acc) => acc.add(&term).unwrap(),
         });
     }
-    poison_pool(xt.len().max(kvt.len()) * 2);
+    poison_pool(poison);
     g.backward(&loss.unwrap()).unwrap();
-    let grads = [&x, &kv]
+    let grads = [&x, &head, &weight, &bias]
         .into_iter()
         .chain(&qs)
         .map(|v| g.grad(v).map(|t| bits(&t)))
@@ -381,12 +414,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn kv_projection_and_window_attention_are_bitwise_the_narrow_chain(
+    fn kv_projection_is_bitwise_the_decoder_linear_chain(
         lead in proptest::collection::vec(1usize..=3, 1..=2),
+        many_leads in 0usize..2,
         w in 1usize..=4,
         s in 1usize..=3,
         f_pick in 0usize..3,
         d_pick in 0usize..2,
+        m2 in 1usize..=9,
         tq in 1usize..=2,
         x_leaf in 0usize..2,
         threads in 1usize..=2,
@@ -394,26 +429,33 @@ proptest! {
     ) {
         // `d = 16` runs the register rows on an AVX-512 host, `d = 8`
         // the slice entries; `F = d` is every layer past the first.
+        // Thirty-fold leads cross the op's 64-lead blocks.
         let d = [16, 8][d_pick];
         let f = [1, 3, d][f_pick];
         let heads = 4;
+        let mut lead = lead;
+        lead[0] *= [1, 30][many_leads];
         let mut rng = StdRng::seed_from_u64(seed);
         let shape = |tail: &[usize]| [lead.as_slice(), tail].concat();
         let xt = Tensor::randn(&shape(&[w * s, f]), &mut rng);
-        let kvt = Tensor::randn(&shape(&[2 * f * d]), &mut rng).mul_scalar(0.5);
+        let ht = Tensor::randn(&shape(&[m2]), &mut rng);
+        let wt = Tensor::randn(&[m2, 2 * f * d], &mut rng).mul_scalar(0.4);
+        let bt = Tensor::randn(&[2 * f * d], &mut rng).mul_scalar(0.5);
         let qts: Vec<Tensor> = (0..w).map(|_| Tensor::randn(&shape(&[tq, d]), &mut rng)).collect();
         let wts: Vec<Tensor> = (0..w).map(|_| Tensor::randn(&shape(&[tq, d]), &mut rng)).collect();
 
         stwa_pool::set_threads(threads);
         let x_leaf = x_leaf == 1;
-        let want = run_windows(window_chain, [&xt, &kvt], &qts, &wts, (s, heads, x_leaf));
-        let got = run_windows(window_fused, [&xt, &kvt], &qts, &wts, (s, heads, x_leaf));
+        let ops = [&xt, &ht, &wt, &bt];
+        let want = run_windows(window_chain, ops, &qts, &wts, (s, heads, x_leaf));
+        let got = run_windows(window_fused, ops, &qts, &wts, (s, heads, x_leaf));
         stwa_pool::set_threads(1);
 
-        prop_assert!(got.0 == want.0, "context bits, x {:?} W {w} S {s} d {d}", xt.shape());
+        let what = format!("x {:?} W {w} S {s} d {d} m2 {m2}", xt.shape());
+        prop_assert!(got.0 == want.0, "context bits, {}", what);
         prop_assert_eq!(got.1.len(), want.1.len());
         for (i, (g, wnt)) in got.1.iter().zip(&want.1).enumerate() {
-            prop_assert!(g == wnt, "gradient #{i} bits, x {:?} W {w} S {s} d {d}", xt.shape());
+            prop_assert!(g == wnt, "gradient #{} bits, {}", i, what);
         }
         prop_assert_eq!(got.1[0].is_some(), x_leaf, "a constant input takes no gradient");
     }
@@ -427,7 +469,8 @@ proptest! {
 /// replaced, window by window: the proxy block narrowed and broadcast;
 /// from the second window on, the previous summary tiled, concatenated
 /// and run through the fusion's dense layer (`reshape`, `matmul`,
-/// `bias_add_act`, `reshape`); the windowed attention op; the gate
+/// `bias_add_act`, `reshape`); the attention op over the window's
+/// narrowed key and value blocks; the gate
 /// chain or the mean; sensor correlation through shared (`reshape`,
 /// `matmul`, `reshape`) or per-sensor (`unsqueeze`, `matmul`, `squeeze`)
 /// embeddings and the dense (`matmul_nt`, `mul_scalar`, `softmax`,
@@ -458,7 +501,7 @@ fn window_layer_chain(kv: &Var, p: &WindowParams<'_>, heads: usize) -> Result<Va
             }
             _ => p_base,
         };
-        let h_w = p_q.attention_kv_window(kv, wi, heads)?;
+        let h_w = p_q.attention(&kv_block(kv, 0, wi)?, &kv_block(kv, 1, wi)?, heads)?;
         let h_hat = match p.gate {
             Some((w1, w2)) => {
                 let gate = h_w.matmul(w1)?.tanh().matmul(w2)?.sigmoid();
@@ -799,11 +842,17 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
         n,
         &(0..n).map(|i| (i.saturating_sub(1)..=i).collect()).collect::<Vec<_>>(),
     )?);
-    // `[B, N, d, 1]` in windows of one step through `[B, N, 2·d]` rows.
-    let projected = y.unsqueeze(3)?.project_kv(&concat(&[&pos, &x], 2)?, 1)?;
     // `[d, d]` and `[2d, d]` weights for the window layer.
     let square = x.narrow(0, 0, 1)?.squeeze(0)?.narrow(0, 0, 1)?.broadcast_to(&[d, d])?;
     let fusion_w = concat(&[&square, &square], 0)?;
+    // `[B, N, d, 1]` in windows of one step through `[B, N, 2·d]` rows
+    // decoded from `pos` by a `[d, 2d]` weight and a `[2d]` bias.
+    let projected = y.unsqueeze(3)?.project_kv(
+        &pos,
+        &concat(&[&square, &square], 1)?,
+        &concat(&[&bias, &bias], 0)?,
+        1,
+    )?;
     let out = vec![
         x.add(&y)?,
         x.sub(&y)?,
@@ -825,8 +874,11 @@ fn every_op(g: &Graph, [a, b]: [&Tensor; 2], heads: usize) -> Result<Vec<Tensor>
         x.sparse_attend(&y, &pos, &sensors, 0.5)?,
         x.attention(&y, &pos, heads)?,
         projected.clone(),
-        x.unsqueeze(2)?
-            .attention_kv_window(&projected, d - 1, heads)?,
+        x.unsqueeze(2)?.attention(
+            &kv_block(&projected, 0, d - 1)?,
+            &kv_block(&projected, 1, d - 1)?,
+            heads,
+        )?,
         projected.window_layer(
             &WindowParams {
                 proxies: &y.narrow(0, 0, 1)?.squeeze(0)?.reshape(&[n, 1, 1, d])?.broadcast_to(&[n, d, 1, d])?,

@@ -219,10 +219,9 @@ fn run_suite() -> Vec<Entry> {
 fn render_json(entries: &[Entry], total_wall_ms: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(&stwa_bench::host::json_fields());
     out.push_str(&format!(
-        "  \"threads\": {},\n  \"total_wall_ms\": {:.1},\n  \"entries\": [\n",
-        stwa_pool::current_threads(),
-        total_wall_ms
+        "  \"total_wall_ms\": {total_wall_ms:.1},\n  \"entries\": [\n"
     ));
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };

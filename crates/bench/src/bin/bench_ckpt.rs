@@ -141,9 +141,12 @@ fn run_suite() -> Results {
 
 fn render_json(r: &Results) -> String {
     format!(
-        "{{\n  \"tensors\": {TENSORS},\n  \"elems_per_tensor\": {ELEMS_PER_TENSOR},\n  \
+        "{{\n{}  \"tensors\": {TENSORS},\n  \"elems_per_tensor\": {ELEMS_PER_TENSOR},\n  \
          \"bytes_per_save\": {},\n  \"save_mb_s\": {:.1},\n  \"load_mb_s\": {:.1}\n}}\n",
-        r.bytes_per_save, r.save_mb_s, r.load_mb_s
+        stwa_bench::host::json_fields(),
+        r.bytes_per_save,
+        r.save_mb_s,
+        r.load_mb_s
     )
 }
 

@@ -137,9 +137,10 @@ fn run_suite() -> Report {
 
 fn render_json(r: &Report) -> String {
     format!(
-        "{{\n  \"dataset\": \"{SENSORS_HINT}\",\n  \"cores\": {},\n  \"shards\": {SHARDS},\n  \
+        "{{\n{}  \"dataset\": \"{SENSORS_HINT}\",\n  \"cores\": {},\n  \"shards\": {SHARDS},\n  \
          \"epochs\": {EPOCHS},\n  \"seq_s_per_epoch\": {:.4},\n  \"par_s_per_epoch\": {:.4},\n  \
          \"speedup\": {:.3},\n  \"host_floor\": {:.2},\n  \"deterministic\": {}\n}}\n",
+        stwa_bench::host::json_fields(),
         r.cores,
         r.seq.s_per_epoch,
         r.par.s_per_epoch,

@@ -323,20 +323,38 @@ fn suite() -> Vec<Bench> {
             },
         ));
     }
-    // ...and the generated K/V projection's VJP at the second WA layer:
-    // `[32,20,2,2,16]` window rows against every (sample, sensor)'s own
-    // `[16,16]` K and V, `dkv` and `dx` both.
+    // ...and the generated K/V projection at the second WA layer, with
+    // the decoder's output layer folded in: every (sample, sensor)'s
+    // `[32]` head decoded into its `[16,16]` K and V, the `[2,2,16]`
+    // window rows projected through them, then the VJP — `dx`, the
+    // head, the weight and the bias.
     {
-        let (lead, t, s, f, d) = (640, 4, 2, 16, 16);
+        let (lead, t, s, f, d, m2) = (640, 4, 2, 16, 16, 32);
         let x = Tensor::randn(&[32, 20, t, f], &mut rng);
-        let kv = Tensor::randn(&[32, 20, 2 * f * d], &mut rng);
+        let head = Tensor::randn(&[32, 20, m2], &mut rng);
+        let weight = Tensor::randn(&[m2, 2 * f * d], &mut rng).mul_scalar(0.2);
+        let bias = Tensor::randn(&[2 * f * d], &mut rng);
         let g = Tensor::randn(&[32, 20, 2, t / s, s, d], &mut rng);
+        let all = projection::Need {
+            x: true,
+            head: true,
+            weight: true,
+            bias: true,
+        };
         entries.push(bench(
-            "step_kv_vjp",
-            "[32,20,2,2,16]x[16,16] dkv+dx".into(),
-            2 * 2 * (2 * lead * t * f * d),
+            "step_project_kv",
+            format!("[32,20,{m2}]@[{m2},512]->[2,2,2,16] fwd+vjp"),
+            3 * (2 * lead * m2 * 2 * f * d) + 3 * (2 * 2 * lead * t * f * d),
             move || {
-                std::hint::black_box(projection::vjp(&g, &x, &kv, s, true, true).unwrap());
+                let dec = projection::Decoder {
+                    head: &head,
+                    weight: &weight,
+                    bias: &bias,
+                };
+                let (out, rows) = projection::forward(&x, dec, s, true).unwrap();
+                std::hint::black_box(out);
+                let grads = projection::vjp(&g, &x, dec, &rows.unwrap(), s, all).unwrap();
+                std::hint::black_box(grads.weight);
             },
         ));
     }

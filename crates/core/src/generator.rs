@@ -17,8 +17,8 @@ use crate::latent::{GaussianSample, LatentMode, SpatialLatent, TemporalEncoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stwa_autograd::{Graph, Var};
-use stwa_nn::layers::{Activation, Mlp};
-use stwa_nn::ParamStore;
+use stwa_nn::layers::{Activation, Linear, Mlp};
+use stwa_nn::{Param, ParamStore};
 use stwa_tensor::{Result, Tensor, TensorError};
 
 /// The shared decoder `D_omega` (Eq. 8): a small MLP from the latent
@@ -59,12 +59,13 @@ impl ParamDecoder {
     /// shared-parameter baselines they are meant to replace — and the
     /// ST-aware variants train visibly slower.
     pub fn seed_output_bias(&self, values: stwa_tensor::Tensor) {
-        let bias = self
-            .mlp
-            .last_layer()
+        self.output_bias().set_value(values);
+    }
+
+    fn output_bias(&self) -> &Param {
+        self.last()
             .bias_param()
-            .expect("decoder layers carry biases");
-        bias.set_value(values);
+            .expect("decoder layers carry biases")
     }
 
     pub fn out_elems(&self) -> usize {
@@ -73,6 +74,13 @@ impl ParamDecoder {
 
     /// Decode `theta` `[..., k]` into `[..., out_elems]`.
     pub fn forward(&self, graph: &Graph, theta: &Var) -> Result<Var> {
+        self.last()
+            .forward(graph, &self.forward_head(graph, theta)?)
+    }
+
+    /// Every layer but the last: `theta` `[..., k]` into the `[..., m2]`
+    /// activations that enter [`ParamDecoder::last`].
+    pub fn forward_head(&self, graph: &Graph, theta: &Var) -> Result<Var> {
         if theta.shape().last() != Some(&self.k) {
             return Err(TensorError::Invalid(format!(
                 "ParamDecoder: expected latent dim {}, got {:?}",
@@ -80,7 +88,21 @@ impl ParamDecoder {
                 theta.shape()
             )));
         }
-        self.mlp.forward(graph, theta)
+        let layers = self.mlp.layers();
+        let mut h = theta.clone();
+        for (layer, act) in layers[..layers.len() - 1]
+            .iter()
+            .zip(self.mlp.activations())
+        {
+            h = layer.forward_act(graph, &h, *act)?;
+        }
+        Ok(h)
+    }
+
+    /// The output layer `[m2] -> [out_elems]`, whose activation is the
+    /// identity.
+    pub fn last(&self) -> &Linear {
+        self.mlp.last_layer()
     }
 
     /// The decoder MLP — read when packing frozen inference weights.
@@ -89,13 +111,17 @@ impl ParamDecoder {
     }
 }
 
-/// Per-layer generated projections: the decoder's flat output `kv`
-/// `[B, N, 2·F_l·d]` — per (sample, sensor), `K_t^(i)` `[F_l, d]` then
-/// `V_t^(i)` — which [`Var::project_kv`] reads where it lies, plus
-/// (optionally) the sensor-correlation transforms `theta1/theta2` of
-/// shape `[B, N, d, d]` (Section IV-C's generated variant).
+/// Per-layer generated projections: the K/V decoder's last hidden
+/// activations `head` `[B, N, m2]` and its output layer's `weight` `[m2,
+/// 2·F_l·d]` and `bias` leaves, which [`Var::project_kv`] decodes into
+/// one flat row per (sample, sensor) — `K_t^(i)` `[F_l, d]` then
+/// `V_t^(i)` — block by block as it projects; plus (optionally) the
+/// sensor-correlation transforms `theta1/theta2` of shape `[B, N, d, d]`
+/// (Section IV-C's generated variant).
 pub struct GeneratedProjections {
-    pub kv: Var,
+    pub head: Var,
+    pub weight: Var,
+    pub bias: Var,
     pub sca_transforms: Option<(Var, Var)>,
 }
 
@@ -315,7 +341,9 @@ impl StGenerator {
         let decoder_span = stwa_observe::span!("decoder");
         let mut layers = Vec::with_capacity(self.decoders.len());
         for (l, (dec, &(_, d))) in self.decoders.iter().zip(&self.layer_dims).enumerate() {
-            let kv = dec.forward(graph, &theta)?; // [B, N, 2*F*d]
+            let head = dec.forward_head(graph, &theta)?; // [B, N, m2]
+            let weight = dec.last().weight_param().leaf(graph);
+            let bias = dec.output_bias().leaf(graph);
             let sca_transforms = match &self.sca_decoders {
                 None => None,
                 Some(decs) => {
@@ -327,7 +355,12 @@ impl StGenerator {
                     ))
                 }
             };
-            layers.push(GeneratedProjections { kv, sca_transforms });
+            layers.push(GeneratedProjections {
+                head,
+                weight,
+                bias,
+                sca_transforms,
+            });
         }
         drop(decoder_span);
 
@@ -364,9 +397,11 @@ impl StGenerator {
         params
             .layers
             .into_iter()
-            .zip(&self.layer_dims)
-            .map(|(l, &(fl, d))| {
-                let [k_proj, v_proj] = split_kv(&l.kv.value(), fl, d)?;
+            .enumerate()
+            .map(|(i, l)| {
+                let (fl, d) = self.layer_dims[i];
+                let kv = self.decode_rows(&graph, i, &l)?;
+                let [k_proj, v_proj] = split_kv(&kv.value(), fl, d)?;
                 Ok(GeneratedTensors {
                     k_proj,
                     v_proj,
@@ -374,6 +409,13 @@ impl StGenerator {
                 })
             })
             .collect()
+    }
+
+    /// Layer `l`'s flat `[B, N, 2·F·d]` K/V rows, decoded from `gp`'s
+    /// head through the decoder's output [`Linear`] — the rows
+    /// [`Var::project_kv`] decodes, bit for bit.
+    pub fn decode_rows(&self, graph: &Graph, l: usize, gp: &GeneratedProjections) -> Result<Var> {
+        self.decoders[l].last().forward(graph, &gp.head)
     }
 
     /// The spatial latent, when spatially aware.
@@ -525,8 +567,10 @@ mod tests {
         let x = g.constant(Tensor::randn(&[3, 4, 6, 1], &mut rng));
         let out = gen.generate(&g, &x, &mut rng).unwrap();
         assert_eq!(out.layers.len(), 2);
-        assert_eq!(out.layers[0].kv.shape(), vec![3, 4, 2 * 8]);
-        assert_eq!(out.layers[1].kv.shape(), vec![3, 4, 2 * 8 * 8]);
+        let rows = |l: usize| gen.decode_rows(&g, l, &out.layers[l]).unwrap().shape();
+        assert_eq!(rows(0), vec![3, 4, 2 * 8]);
+        assert_eq!(rows(1), vec![3, 4, 2 * 8 * 8]);
+        assert_eq!(out.layers[1].head.shape(), vec![3, 4, 16]);
         assert!(out.kl.is_some());
     }
 
@@ -549,10 +593,8 @@ mod tests {
         let b = g.constant(Tensor::randn(&[1, 4, 6, 1], &mut rng));
         let pa = gen.generate(&g, &a, &mut rng).unwrap();
         let pb = gen.generate(&g, &b, &mut rng).unwrap();
-        assert!(pa.layers[0]
-            .kv
-            .value()
-            .approx_eq(&pb.layers[0].kv.value(), 1e-6));
+        let rows = |p: &GeneratedParams| gen.decode_rows(&g, 0, &p.layers[0]).unwrap().value();
+        assert!(rows(&pa).approx_eq(&rows(&pb), 1e-6));
     }
 
     #[test]
@@ -563,10 +605,8 @@ mod tests {
         let b = g.constant(Tensor::from_fn(&[1, 4, 6, 1], |i| 1.0 - i[2] as f32 * 0.2));
         let pa = gen.generate(&g, &a, &mut rng).unwrap();
         let pb = gen.generate(&g, &b, &mut rng).unwrap();
-        assert!(!pa.layers[0]
-            .kv
-            .value()
-            .approx_eq(&pb.layers[0].kv.value(), 1e-5));
+        let rows = |p: &GeneratedParams| gen.decode_rows(&g, 0, &p.layers[0]).unwrap().value();
+        assert!(!rows(&pa).approx_eq(&rows(&pb), 1e-5));
     }
 
     #[test]
@@ -575,8 +615,9 @@ mod tests {
         let g = Graph::new();
         let x = g.constant(Tensor::zeros(&[1, 4, 6, 1]));
         let p = gen.generate(&g, &x, &mut rng).unwrap();
-        let k0 = p.layers[0].kv.value().narrow(1, 0, 1).unwrap();
-        let k1 = p.layers[0].kv.value().narrow(1, 1, 1).unwrap();
+        let rows = gen.decode_rows(&g, 0, &p.layers[0]).unwrap().value();
+        let k0 = rows.narrow(1, 0, 1).unwrap();
+        let k1 = rows.narrow(1, 1, 1).unwrap();
         assert!(
             !k0.approx_eq(&k1, 1e-6),
             "sensors must have distinct params"
@@ -634,13 +675,15 @@ mod tests {
                 .unwrap();
             let nograd_out = gen.generate_nograd(&x).unwrap();
             assert_eq!(graph_out.layers.len(), nograd_out.len());
-            for ((gl, nl), &(f, d)) in graph_out
+            for (l, ((gl, nl), &(f, d))) in graph_out
                 .layers
                 .iter()
                 .zip(&nograd_out)
                 .zip(gen.layer_dims())
+                .enumerate()
             {
-                let [k, v] = split_kv(&gl.kv.value(), f, d).unwrap();
+                let rows = gen.decode_rows(&g, l, gl).unwrap();
+                let [k, v] = split_kv(&rows.value(), f, d).unwrap();
                 assert_eq!(k.data(), nl.k_proj.data());
                 assert_eq!(v.data(), nl.v_proj.data());
                 assert_eq!(nl.k_proj.shape(), &[3, 4, f, d]);

@@ -373,7 +373,7 @@ impl StwaModel {
         let xv = g.constant(x.clone());
         let params = gen.generate(&g, &xv, rng)?;
         // K's half of the first layer's flat rows: [B, N, F*d].
-        let kv = params.layers[0].kv.value();
+        let kv = gen.decode_rows(&g, 0, &params.layers[0])?.value();
         let half = kv.shape()[2] / 2;
         Ok(Some(kv.narrow(2, 0, half)?))
     }

@@ -259,7 +259,7 @@ impl WindowAttentionLayer {
             // Each (sample, sensor) through its own decoded K/V rows.
             Some(gp) => {
                 let _span = stwa_observe::span!("kv_projection");
-                x.project_kv(&gp.kv, s)
+                x.project_kv(&gp.head, &gp.weight, &gp.bias, s)
             }
             None => {
                 let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
@@ -467,21 +467,24 @@ mod tests {
         // must yield distinct outputs — spatial awareness in action.
         let one = Tensor::randn(&[1, 1, 12, 1], &mut rng);
         let x = g.constant(one.broadcast_to(&[1, 2, 12, 1]).unwrap());
-        let kv = GeneratedProjections {
-            kv: g.constant(Tensor::randn(&[1, 2, 2 * 8], &mut rng)),
+        // Rows decoded from a per-sensor head through one output layer.
+        let weight = g.constant(Tensor::randn(&[4, 2 * 8], &mut rng));
+        let bias = g.constant(Tensor::randn(&[2 * 8], &mut rng));
+        let generated = |head: Tensor| GeneratedProjections {
+            head: g.constant(head),
+            weight: weight.clone(),
+            bias: bias.clone(),
             sca_transforms: None,
         };
+        let kv = generated(Tensor::randn(&[1, 2, 4], &mut rng));
         let y = l.forward(&g, &x, Some(&kv)).unwrap();
         let s0 = y.value().narrow(1, 0, 1).unwrap();
         let s1 = y.value().narrow(1, 1, 1).unwrap();
         assert!(!s0.approx_eq(&s1, 1e-6));
 
         // Identical projections for both sensors -> identical outputs.
-        let shared_kv = Tensor::randn(&[1, 1, 2 * 8], &mut rng);
-        let kv_same = GeneratedProjections {
-            kv: g.constant(shared_kv.broadcast_to(&[1, 2, 2 * 8]).unwrap()),
-            sca_transforms: None,
-        };
+        let shared_head = Tensor::randn(&[1, 1, 4], &mut rng);
+        let kv_same = generated(shared_head.broadcast_to(&[1, 2, 4]).unwrap());
         // But proxies differ per sensor, so outputs may still differ;
         // equality only holds if proxies match too. Overwrite proxies to
         // be identical across sensors for this check.

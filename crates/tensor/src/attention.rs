@@ -8,11 +8,9 @@
 //! kept as `weights [lead, heads, Tq, Tk]` — the one activation the VJP
 //! needs. [`forward_window`] is the same forward with `k`/`v` read as
 //! one window of `[..., W, Tk, d]` in place, for the inference engine's
-//! all-window projections; [`forward_kv_window`] / [`vjp_kv_window`]
-//! read window `wi` of one `[..., 2, W, Tk, d]` keys-then-values tensor
-//! (the training graph's [`crate::projection`] output) and land `gk` /
-//! `gv` in that tensor's gradient — the pair the per-window `narrow`s
-//! and their scatter VJPs used to be.
+//! all-window projections; [`crate::window_layer`] runs the walks over
+//! window `wi` of one `[..., 2, W, Tk, d]` keys-then-values tensor (the
+//! training graph's [`crate::projection`] output) the same way.
 //!
 //! # Order contract
 //!
@@ -79,10 +77,10 @@ pub(crate) struct Dims {
 }
 
 impl Dims {
-    /// Window `wi` of `[lead, halves, W, Tk, d]` keys (then values): the
-    /// extents [`window_dims`] checks, for callers that hold the operands
-    /// as raw rows — `halves = 2` is one keys-then-values buffer, `halves
-    /// = 1` separate key and value buffers of the same layout.
+    /// Window `wi` of `[lead, halves, W, Tk, d]` keys (then values), for
+    /// callers that hold the operands as raw rows — `halves = 2` is one
+    /// keys-then-values buffer, `halves = 1` separate key and value
+    /// buffers of the same layout (the extents [`window_dims`] checks).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn window(
         lead: usize,
@@ -304,46 +302,27 @@ pub fn forward_window(
             values.shape()
         )));
     }
-    let dm = window_dims(q.shape(), keys.shape(), 1, wi, heads)?;
+    let dm = window_dims(q.shape(), keys.shape(), wi, heads)?;
     Ok(run_forward(dm, q, keys, values)?.0)
 }
 
-/// [`forward`] against window `wi` of one keys-then-values tensor `kv
-/// [..., 2, W, Tk, d]` — [`crate::projection::forward`]'s output — read
-/// where it lies: the context and weights [`forward`] returns for
-/// `kv[..., 0, wi, :, :]` / `kv[..., 1, wi, :, :]`, bit for bit.
-pub fn forward_kv_window(
-    q: &Tensor,
-    kv: &Tensor,
-    wi: usize,
-    heads: usize,
-) -> Result<(Tensor, Tensor)> {
-    let dm = window_dims(q.shape(), kv.shape(), 2, wi, heads)?;
-    run_forward(dm, q, kv, kv)
-}
-
-/// Extents for window `wi` of a `[..., halves, W, Tk, d]` operand — one
-/// block per half, keys first — checked as if the window had been
-/// narrowed out.
-fn window_dims(q: &[usize], kv: &[usize], halves: usize, wi: usize, heads: usize) -> Result<Dims> {
+/// Extents for window `wi` of `[..., W, Tk, d]` keys and values,
+/// checked as if the window had been narrowed out.
+fn window_dims(q: &[usize], kv: &[usize], wi: usize, heads: usize) -> Result<Dims> {
     let rank = q.len();
-    if rank < 2
-        || kv.len() != rank + halves
-        || (halves == 2 && kv[rank - 2] != 2)
-        || wi >= kv[kv.len() - 3]
-    {
+    if rank < 2 || kv.len() != rank + 1 || wi >= kv[rank - 2] {
         return Err(TensorError::Invalid(format!(
             "attention: q {q:?} against window {wi} of {kv:?}"
         )));
     }
-    let w = kv[kv.len() - 3];
-    let block = [&kv[..rank - 2], &kv[kv.len() - 2..]].concat();
+    let w = kv[rank - 2];
+    let block = [&kv[..rank - 2], &kv[rank - 1..]].concat();
     let dm = check("attention", q, &block, &block, heads)?;
     let block_len = dm.kv_stride;
     Ok(Dims {
-        kv_stride: halves * w * block_len,
+        kv_stride: w * block_len,
         k_offset: wi * block_len,
-        v_offset: ((halves - 1) * w + wi) * block_len,
+        v_offset: wi * block_len,
         ..dm
     })
 }
@@ -760,45 +739,6 @@ pub fn vjp(
     ))
 }
 
-/// Exact VJP of [`forward_kv_window`]: returns `gq` and, when `gkv` is
-/// given, adds every lead's `gk` / `gv` into window `wi`'s blocks of that
-/// `[..., 2, W, Tk, d]` gradient — the `narrow` VJP's `*d += s`, so the
-/// bits are those of the per-window `narrow` chain whatever the buffer
-/// already holds.
-pub fn vjp_kv_window(
-    grad: &Tensor,
-    q: &Tensor,
-    kv: &Tensor,
-    wi: usize,
-    weights: &Tensor,
-    heads: usize,
-    gkv: Option<&mut [f32]>,
-) -> Result<Tensor> {
-    let dm = window_dims(q.shape(), kv.shape(), 2, wi, heads)?;
-    check_vjp(dm, grad, q, weights)?;
-    let ins = [grad.data(), q.data(), kv.data(), kv.data(), weights.data()];
-    let gq = match gkv {
-        Some(gkv) => {
-            if gkv.len() != kv.len() {
-                return Err(TensorError::Invalid(format!(
-                    "attention_vjp: {} gradient floats for kv {:?}",
-                    gkv.len(),
-                    kv.shape()
-                )));
-            }
-            run_vjp(dm, ins, q.len(), &mut |l, gkb, gvb| {
-                for (range, block) in [(dm.k_at(l), gkb), (dm.v_at(l), gvb)] {
-                    for (o, &g) in gkv[range].iter_mut().zip(block) {
-                        *o += g;
-                    }
-                }
-            })
-        }
-        None => run_vjp(dm, ins, q.len(), &mut |_, _, _| {}),
-    };
-    Tensor::from_vec(gq, q.shape())
-}
-
 #[inline(always)]
 fn vjp_body<const H: usize, const DH: usize>(
     dm: Dims,
@@ -955,7 +895,6 @@ mod tests {
         crate::isa::for_each_ceiling("attention walks", |cap| {
             forward_bitwise_matches_the_unfused_chain();
             window_forward_is_the_forward_of_the_narrowed_block();
-            kv_window_is_attention_over_the_narrowed_blocks();
             let mut rng = StdRng::seed_from_u64(16);
             for &(qs, ks, heads) in &CASES {
                 let q = Tensor::randn(qs, &mut rng).mul_scalar(3.0);
@@ -1021,64 +960,6 @@ mod tests {
             }
             assert!(forward_window(&q, &keys, &values, w, heads).is_err());
             assert!(forward_window(&q, &keys, &q, 0, heads).is_err());
-        }
-    }
-
-    #[test]
-    fn kv_window_is_attention_over_the_narrowed_blocks() {
-        let mut rng = StdRng::seed_from_u64(17);
-        // The train step's `[B, N, 2, W, S, d]` projections at `W = 4, 2,
-        // 1`, and a dynamic head layout.
-        for &(lead, w, tq, tk, d, heads) in &[
-            (&[2usize, 5][..], 4usize, 1usize, 3usize, 16usize, 4usize),
-            (&[2, 5][..], 2, 2, 2, 16, 4),
-            (&[3][..], 1, 1, 2, 16, 4),
-            (&[2][..], 3, 2, 4, 12, 3),
-        ] {
-            let shape = |mid: &[usize]| [lead, mid].concat();
-            let q = Tensor::randn(&shape(&[tq, d]), &mut rng).mul_scalar(3.0);
-            let kv = Tensor::randn(&shape(&[2, w, tk, d]), &mut rng).mul_scalar(3.0);
-            let g = Tensor::randn(&shape(&[tq, d]), &mut rng);
-            // A gradient that already holds something: the blocks are
-            // added in, as the `narrow` VJP adds a slice.
-            let held = Tensor::randn(kv.shape(), &mut rng);
-            let at = lead.len();
-            for wi in 0..w {
-                let block = |half: usize| {
-                    kv.narrow(at, half, 1)
-                        .unwrap()
-                        .narrow(at + 1, wi, 1)
-                        .unwrap()
-                        .reshape(&shape(&[tk, d]))
-                        .unwrap()
-                };
-                let (k, v) = (block(0), block(1));
-                let (want, want_w) = forward(&q, &k, &v, heads).unwrap();
-                let (got, weights) = forward_kv_window(&q, &kv, wi, heads).unwrap();
-                assert_eq!(want.data(), got.data(), "lead {lead:?} window {wi}/{w}");
-                assert_eq!(want_w.data(), weights.data());
-
-                let (gq, gk, gv) = vjp(&g, &q, &k, &v, &weights, heads).unwrap();
-                let pad = |half: usize, x: &Tensor| {
-                    let mut full = Tensor::zeros(kv.shape());
-                    let n = tk * d;
-                    for (l, src) in x.data().chunks_exact(n).enumerate() {
-                        let o = ((l * 2 + half) * w + wi) * n;
-                        full.data_mut()[o..o + n].copy_from_slice(src);
-                    }
-                    full
-                };
-                let want_gkv = held.add(&pad(0, &gk)).unwrap().add(&pad(1, &gv)).unwrap();
-                let mut gkv = held.clone();
-                let got_gq =
-                    vjp_kv_window(&g, &q, &kv, wi, &weights, heads, Some(gkv.data_mut())).unwrap();
-                assert_eq!(got_gq.data(), gq.data(), "gq window {wi}");
-                assert_eq!(gkv.data(), want_gkv.data(), "gkv window {wi}");
-                let alone = vjp_kv_window(&g, &q, &kv, wi, &weights, heads, None).unwrap();
-                assert_eq!(alone.data(), gq.data());
-            }
-            assert!(forward_kv_window(&q, &kv, w, heads).is_err());
-            assert!(forward_kv_window(&q, &kv.narrow(at, 0, 1).unwrap(), 0, heads).is_err());
         }
     }
 

@@ -652,6 +652,7 @@ pub fn matmul_tn_sum_lead(a: &Tensor, g: &Tensor) -> Result<Tensor> {
                     m,
                     n,
                     out_ptr.get().add(ri * m * n),
+                    true,
                 );
             }
         }
@@ -687,6 +688,42 @@ pub(crate) fn gemm_tn_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: us
         0,
         m,
     );
+}
+
+/// `C = A·B` over raw rows with A read through a `(row, step)` stride
+/// pair — `(k, 1)` for `A [m, k]`, `(1, m)` for `Aᵀ` of a `[k, m]`
+/// block, any pair in between — and B's rows `bs` floats apart, both
+/// in place: the small path's walk, so each element is the `linalg`
+/// chain. C (`[m, n]`, row-major) is written when `first`; otherwise
+/// each element's chain continues from the value C holds, which is how
+/// a caller walking a long contraction in runs of steps carries it
+/// across runs — bitwise the whole contraction in one call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_strided(
+    a: &[f32],
+    (rs, ps): (usize, usize),
+    b: &[f32],
+    bs: usize,
+    c: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    first: bool,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(k > 0, "gemm_strided: an empty contraction");
+    assert!(
+        a.len() > (m - 1) * rs + (k - 1) * ps && b.len() >= (k - 1) * bs + n && c.len() >= m * n,
+        "gemm_strided: operands shorter than {m}x{k}x{n}"
+    );
+    let a = AView {
+        ptr: a.as_ptr(),
+        rs,
+        ps,
+    };
+    let (b, c) = (b.as_ptr(), c.as_mut_ptr());
+    // Safety: the extents were asserted above.
+    unsafe { rank1_rows(isa::current(), a, b, bs, k, m, n, c, first) };
 }
 
 /// [`gemm_nn_slice`] against a pre-packed right operand:
@@ -1057,13 +1094,15 @@ unsafe fn gemm_small(g: &Gemm, a: *const f32, b: *const f32, c: *mut f32, r0: us
             );
         }
         let a = AView::new(a, g.ak, m, k).at(r0, 0);
-        rank1_rows(g.isa, a, b, n, k, r1 - r0, n, c);
+        rank1_rows(g.isa, a, b, n, k, r1 - r0, n, c, true);
     }
 }
 
 /// `rows × n` outputs of an `A·B` / `Aᵀ·B` product with both operands
 /// read in place: column groups — pairs of `NR`, one `NR`, then the
-/// const-width tiles 8, 4 and 1 — each walked in row bands.
+/// const-width tiles 8, 4 and 1 — each walked in row bands. C is
+/// written when `first`, else every element's chain continues from the
+/// value C holds.
 ///
 /// # Safety
 ///
@@ -1080,6 +1119,7 @@ unsafe fn rank1_rows(
     rows: usize,
     n: usize,
     c: *mut f32,
+    first: bool,
 ) {
     let mut j = 0;
     // Safety: every group covers columns `[j, j + W)` with `j + W <= n`,
@@ -1091,30 +1131,31 @@ unsafe fn rank1_rows(
             ss: NR,
         };
         while j + 2 * NR <= n {
-            strip_bands::<2>(isa, a, groups(j), k, c.add(j), n, rows, true);
+            strip_bands::<2>(isa, a, groups(j), k, c.add(j), n, rows, first);
             j += 2 * NR;
         }
         if j + NR <= n {
-            strip_bands::<1>(isa, a, groups(j), k, c.add(j), n, rows, true);
+            strip_bands::<1>(isa, a, groups(j), k, c.add(j), n, rows, first);
             j += NR;
         }
         if j + 8 <= n {
-            narrow_bands::<8>(isa, a, b.add(j), bs, k, c.add(j), n, rows);
+            narrow_bands::<8>(isa, a, b.add(j), bs, k, c.add(j), n, rows, first);
             j += 8;
         }
         if j + 4 <= n {
-            narrow_bands::<4>(isa, a, b.add(j), bs, k, c.add(j), n, rows);
+            narrow_bands::<4>(isa, a, b.add(j), bs, k, c.add(j), n, rows, first);
             j += 4;
         }
         while j < n {
-            narrow_bands::<1>(isa, a, b.add(j), bs, k, c.add(j), n, rows);
+            narrow_bands::<1>(isa, a, b.add(j), bs, k, c.add(j), n, rows, first);
             j += 1;
         }
     }
 }
 
 /// `rows` output rows of one `W < NR` wide column tile with B read in
-/// place, band by band on the dispatched [`tile_on`].
+/// place, band by band on the dispatched [`tile_on`] (C written when
+/// `first`, continued otherwise).
 ///
 /// # Safety
 ///
@@ -1132,6 +1173,7 @@ unsafe fn narrow_bands<const W: usize>(
     c: *mut f32,
     cs: usize,
     rows: usize,
+    first: bool,
 ) {
     // Safety: band `i..i + R` lies inside `rows`.
     unsafe {
@@ -1143,7 +1185,7 @@ unsafe fn narrow_bands<const W: usize>(
             k,
             c.add(i * cs),
             cs,
-            true
+            first
         ));
     }
 }

@@ -200,6 +200,7 @@ unsafe fn exp_sub_slice_avx512(xs: &mut [f32], m: f32) {
         let mv = _mm512_set1_ps(m);
         let mut chunks = xs.chunks_exact_mut(16);
         for c in &mut chunks {
+            debug_assert_eq!(c.len(), 16, "exp_sub_slice_avx512: one zmm per chunk");
             let v = _mm512_loadu_ps(c.as_ptr());
             _mm512_storeu_ps(c.as_mut_ptr(), wide::exp_v16(_mm512_sub_ps(v, mv)));
         }
@@ -217,6 +218,7 @@ unsafe fn tanh_slice_avx512(xs: &mut [f32]) {
     unsafe {
         let mut chunks = xs.chunks_exact_mut(16);
         for c in &mut chunks {
+            debug_assert_eq!(c.len(), 16, "tanh_slice_avx512: one zmm per chunk");
             let x = _mm512_loadu_ps(c.as_ptr());
             // (2x).clamp(-21, 21), then (e - 1) / (e + 1) — op for op
             // the scalar `tanh_f32`.
@@ -246,6 +248,7 @@ unsafe fn sigmoid_slice_avx512(xs: &mut [f32]) {
     unsafe {
         let mut chunks = xs.chunks_exact_mut(16);
         for c in &mut chunks {
+            debug_assert_eq!(c.len(), 16, "sigmoid_slice_avx512: one zmm per chunk");
             let x = _mm512_loadu_ps(c.as_ptr());
             // `-x` is a sign-bit flip (exact, like the scalar negation),
             // then 1 / (1 + exp(-x)).

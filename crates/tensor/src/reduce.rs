@@ -204,10 +204,11 @@ impl Tensor {
         if total >= PARALLEL_ELEMS && outer > 1 && inner > 0 && stwa_pool::current_threads() > 1 {
             let groups = elementwise_chunks().min(outer);
             let per = outer.div_ceil(groups);
-            let out_ptr = SendPtr(data.as_mut_ptr());
+            let (out_ptr, len) = (SendPtr(data.as_mut_ptr()), data.len());
             stwa_pool::parallel_for(groups, |g| {
                 let o1 = ((g + 1) * per).min(outer);
                 for o in g * per..o1 {
+                    debug_assert!((o + 1) * inner <= len, "reduce_axis: lane {o} of {len}");
                     // Safety: lanes own disjoint output rows, and the
                     // pool joins before `data` is consumed.
                     let out_row = unsafe {
@@ -298,10 +299,11 @@ impl Tensor {
             if data.len() >= PARALLEL_ELEMS && rows > 1 && stwa_pool::current_threads() > 1 {
                 let groups = elementwise_chunks().min(rows);
                 let per = rows.div_ceil(groups);
-                let out_ptr = SendPtr(data.as_mut_ptr());
+                let (out_ptr, len) = (SendPtr(data.as_mut_ptr()), data.len());
                 stwa_pool::parallel_for(groups, |g| {
                     let (r0, r1) = (g * per, ((g + 1) * per).min(rows));
                     if r0 < r1 {
+                        debug_assert!(r1 * row_len <= len, "softmax_lastdim: rows {r0}..{r1}");
                         // Safety: row ranges are disjoint, and the pool
                         // joins before `data` is consumed.
                         let rows = unsafe {
@@ -356,10 +358,11 @@ impl Tensor {
             if data.len() >= PARALLEL_ELEMS && rows > 1 && stwa_pool::current_threads() > 1 {
                 let groups = elementwise_chunks().min(rows);
                 let per = rows.div_ceil(groups);
-                let out_ptr = SendPtr(data.as_mut_ptr());
+                let (out_ptr, len) = (SendPtr(data.as_mut_ptr()), data.len());
                 stwa_pool::parallel_for(groups, |gi| {
                     let r1 = ((gi + 1) * per).min(rows);
                     for r in gi * per..r1 {
+                        debug_assert!((r + 1) * row_len <= len, "softmax_vjp_lastdim: row {r}");
                         // Safety: rows are disjoint, and the pool joins
                         // before `data` is consumed.
                         let out_row = unsafe {
@@ -414,10 +417,11 @@ impl Tensor {
         {
             let groups = elementwise_chunks().min(outer);
             let per = outer.div_ceil(groups);
-            let out_ptr = SendPtr(data.as_mut_ptr());
+            let (out_ptr, len) = (SendPtr(data.as_mut_ptr()), data.len());
             stwa_pool::parallel_for(groups, |g| {
                 let o1 = ((g + 1) * per).min(outer);
                 for o in g * per..o1 {
+                    debug_assert!((o + 1) * block_len <= len, "softmax_reference: block {o}");
                     // Safety: outer blocks are disjoint, and the pool
                     // joins before `data` is consumed.
                     let block = unsafe {

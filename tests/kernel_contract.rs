@@ -14,10 +14,11 @@
 //! every blocked cutover) at the tier this host dispatches;
 //! `stwa-tensor`'s unit test `every_contraction_fuses_each_term_on_every_arm`
 //! repeats it under every ISA ceiling the host supports. The generated
-//! K/V projection's three contractions — its forward over `F`, `dK_p`
-//! over a window's steps and `dx` over `d` — carry the same witness, at
-//! the key width its register rows run (`d = 16`) and at one that takes
-//! the slice entries. So do the window-layer op's gate product forward
+//! K/V projection's six contractions — the decode over `m2`, its
+//! forward over `F`, `dK_p` over a window's steps, `dx` over `d`, the
+//! head's gradient over the row and the weight's over the leads — carry
+//! the same witness, at the key width its register rows run (`d = 16`)
+//! and at one that takes the slice entries. So do the window-layer op's gate product forward
 //! (`h_w · W1`) and its VJP (`g · W2ᵀ`), seen through the layer output
 //! and `W1`'s gradient.
 
@@ -89,6 +90,40 @@ fn elementwise_then_reduce_rounds_each_product() {
     assert_eq!(sum.data(), &[0.0], "mul + sum_axis");
 }
 
+/// The generated K/V projection of `x` through rows decoded from `head
+/// [lead, m2]` by `weight [m2, 2·F·d]` and a zero bias: the output, and
+/// the `[dx, dhead, dweight]` of upstream gradient `g`.
+fn project(x: &Tensor, head: &Tensor, weight: &Tensor, g: &Tensor, s: usize) -> [Tensor; 4] {
+    let bias = Tensor::zeros(&[weight.shape()[1]]);
+    let dec = projection::Decoder {
+        head,
+        weight,
+        bias: &bias,
+    };
+    let (out, rows) = projection::forward(x, dec, s, true).unwrap();
+    let need = projection::Need {
+        x: true,
+        head: true,
+        weight: true,
+        bias: false,
+    };
+    let grads = projection::vjp(g, x, dec, &rows.unwrap(), s, need).unwrap();
+    [
+        out,
+        grads.x.unwrap(),
+        grads.head.unwrap(),
+        grads.weight.unwrap(),
+    ]
+}
+
+/// `kv` as the decoded rows of a one-wide head of ones: `fma(1, kv, +0.0)
+/// + 0.0` is `kv` (no element is `-0.0`).
+fn rows_of(kv: &Tensor) -> (Tensor, Tensor) {
+    let (lead, width) = (kv.shape()[0], kv.shape()[1]);
+    assert_eq!(lead, 1, "one lead's rows");
+    (Tensor::ones(&[1, 1]), kv.reshape(&[1, width]).unwrap())
+}
+
 #[test]
 fn the_kv_projection_fuses_each_term() {
     let ([a0, a1], [b0, b1]) = witness();
@@ -99,24 +134,37 @@ fn the_kv_projection_fuses_each_term() {
             .map(|i| *v.get(i).unwrap_or(&0.0))
             .collect::<Vec<_>>()
     };
+    let all_fused = |t: &Tensor, what: &str| {
+        assert!(
+            t.data().iter().all(|&v| v == FUSED),
+            "{what}: {:e}",
+            t.data()[0]
+        );
+    };
     for d in [16, 3] {
         // Forward, over `F = 2`: the row `[a0, a1]` against the
         // columns `[b0, b1]` of K and V.
         let x = Tensor::from_vec(vec![a0, a1], &[1, 1, 2]).unwrap();
         let kv = Tensor::from_fn(&[1, 4 * d], |i| [b0, b1][i[1] / d % 2]);
-        let out = projection::forward(&x, &kv, 1).unwrap();
-        assert!(
-            out.data().iter().all(|&v| v == FUSED),
-            "forward at d = {d}: {:e}",
-            out.data()[0]
-        );
+        let (head, weight) = rows_of(&kv);
+        let [out, ..] = project(&x, &head, &weight, &Tensor::zeros(&[1, 2, 1, 1, d]), 1);
+        all_fused(&out, &format!("forward at d = {d}"));
+
+        // The decode, over `m2 = 2`: the head `[a0, a1]` against weight
+        // columns `[b0, b1]`, every row element one chain.
+        let head = Tensor::from_vec(vec![a0, a1], &[1, 2]).unwrap();
+        let weight = Tensor::from_fn(&[2, 2 * d], |i| [b0, b1][i[0]]);
+        let x = Tensor::ones(&[1, 1, 1]);
+        let [out, ..] = project(&x, &head, &weight, &Tensor::zeros(&[1, 2, 1, 1, d]), 1);
+        all_fused(&out, &format!("decode at d = {d}"));
 
         // `dK_p`, over one window of `S = 2` steps: `x = [a0, a1]ᵀ`
         // (`F = 1`, or every column at `F = d`) against gradient rows
-        // `b0`, `b1`; V's gradient is zero.
+        // `b0`, `b1`; V's gradient is zero. The weight's gradient reads
+        // those rows back through a head of ones.
         for f in [1, d] {
             let x = Tensor::from_fn(&[1, 2, f], |i| [a0, a1][i[1]]);
-            let kv = Tensor::zeros(&[1, 2 * f * d]);
+            let (head, weight) = rows_of(&Tensor::zeros(&[1, 2 * f * d]));
             let g = Tensor::from_fn(&[1, 2, 1, 2, d], |i| {
                 if i[1] == 0 {
                     [b0, b1][i[3]]
@@ -124,9 +172,8 @@ fn the_kv_projection_fuses_each_term() {
                     0.0
                 }
             });
-            let (_, dkv) = projection::vjp(&g, &x, &kv, 2, false, true).unwrap();
-            let dkv = dkv.unwrap();
-            let (dk, dv) = dkv.data().split_at(f * d);
+            let [.., dweight] = project(&x, &head, &weight, &g, 2);
+            let (dk, dv) = dweight.data().split_at(f * d);
             assert!(
                 dk.iter().all(|&v| v == FUSED),
                 "dK_p at F = {f}, d = {d}: {:e}",
@@ -144,14 +191,29 @@ fn the_kv_projection_fuses_each_term() {
             &[1, 2 * d * d],
         )
         .unwrap();
+        let (head, weight) = rows_of(&kv);
         let g = Tensor::from_vec([row([a0, a1]), vec![0.0; d]].concat(), &[1, 2, 1, 1, d]).unwrap();
-        let (dx, _) = projection::vjp(&g, &x, &kv, 1, true, false).unwrap();
-        let dx = dx.unwrap();
-        assert!(
-            dx.data().iter().all(|&v| v == FUSED),
-            "dx at d = {d}: {:e}",
-            dx.data()[0]
-        );
+        let [_, dx, ..] = project(&x, &head, &weight, &g, 1);
+        all_fused(&dx, &format!("dx at d = {d}"));
+
+        // The head's gradient, over the row (`F = 1`, `x = 1`, so the
+        // row gradient is `g`): `[a0, a1, 0, ..]` against every weight
+        // row `[b0, b1, 0, ..]`.
+        let x = Tensor::ones(&[1, 1, 1]);
+        let weight = Tensor::from_fn(&[3, 2 * d], |i| *[b0, b1].get(i[1]).unwrap_or(&0.0));
+        let head = Tensor::ones(&[1, 3]);
+        let g = Tensor::from_vec([row([a0, a1]), vec![0.0; d]].concat(), &[1, 2, 1, 1, d]).unwrap();
+        let [.., dhead, _] = project(&x, &head, &weight, &g, 1);
+        all_fused(&dhead, &format!("dhead at d = {d}"));
+
+        // The weight's gradient, over the leads: heads `a0`, `a1`
+        // against row gradients `b0`, `b1` (`F = 1`, `x = 1`).
+        let x = Tensor::ones(&[2, 1, 1]);
+        let head = Tensor::from_vec(vec![a0, a1], &[2, 1]).unwrap();
+        let weight = Tensor::zeros(&[1, 2 * d]);
+        let g = Tensor::from_fn(&[2, 2, 1, 1, d], |i| [b0, b1][i[0]]);
+        let [.., dweight] = project(&x, &head, &weight, &g, 1);
+        all_fused(&dweight, &format!("dweight at d = {d}"));
     }
 }
 

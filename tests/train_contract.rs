@@ -11,10 +11,11 @@
 //! The second and third hold the window-attention layer's fused ops to
 //! their oracles directly. A transcription of the production forward
 //! runs the generated K/V projection ([`Var::project_kv`]) as the chain
-//! it replaced — the `reshape` / `narrow` / `squeeze` split of the
-//! decoder's flat rows, one window-broadcast `matmul` per half, a
-//! `narrow` per window — and must train to the production loss bits on
-//! the benchmark's layer stack (`F = 1` with an input that takes no
+//! it replaced — the decoder's output `Linear` (`matmul`,
+//! `bias_add_act`) writing the flat rows, their `reshape` / `narrow` /
+//! `squeeze` split, one window-broadcast `matmul` per half, a `narrow`
+//! per window — and must train to the production loss bits on the
+//! benchmark's layer stack (`F = 1` with an input that takes no
 //! gradient, `W = 4`, then `W = 2`, then `W = 1`). On a model with two
 //! proxies per window the transcription also runs the twelve-node
 //! reshape / swap-axes / `matmul_nt` / `softmax` / `matmul` chain in
@@ -150,14 +151,15 @@ fn attention_chain(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
 type Attend = fn(&Var, &Var, &Var, usize) -> Result<Var>;
 
 /// `WindowAttentionLayer::forward` from the layer's public parts, with
-/// the K/V projection as the split / `matmul` / `narrow` chain
-/// [`Var::project_kv`] and [`Var::attention_kv_window`] replaced, and
-/// `attend` for each window's attention.
+/// the K/V projection as the chain [`Var::project_kv`] replaced — the
+/// flat `kv` rows the decoder's output `Linear` wrote, split, one
+/// `matmul` per half and a `narrow` per window — and `attend` for each
+/// window's attention.
 fn layer_through_chain(
     layer: &WindowAttentionLayer,
     graph: &Graph,
     x: &Var,
-    generated: &GeneratedProjections,
+    kv: &Var,
     attend: Attend,
 ) -> Result<Var> {
     let (n, _t, s, p, f_in, d, heads) = layer.dims();
@@ -165,7 +167,7 @@ fn layer_through_chain(
     let x_win = x.reshape(&[b, n, w, s, f_in])?;
     // [B, N, 2·F·d] -> [B, N, 2, F, d], one `[B, N, 1, F, d]` half
     // broadcast over the windows per product.
-    let split = generated.kv.reshape(&[b, n, 2, f_in, d])?;
+    let split = kv.reshape(&[b, n, 2, f_in, d])?;
     let half = |h: usize| split.narrow(2, h, 1)?.squeeze(2)?.unsqueeze(2);
     let keys = x_win.matmul(&half(0)?)?;
     let values = x_win.matmul(&half(1)?)?;
@@ -242,7 +244,8 @@ fn model_through(
     let mut h = x.clone();
     let mut skip_sum: Option<Var> = None;
     for (l, layer) in model.layers().iter().enumerate() {
-        let out = layer_through_chain(layer, graph, &h, &generated.layers[l], attend)?;
+        let kv = generator.decode_rows(graph, l, &generated.layers[l])?;
+        let out = layer_through_chain(layer, graph, &h, &kv, attend)?;
         let flat = out.reshape(&[b, cfg.n, layer.num_windows() * cfg.d])?;
         let skip = model.skips()[l].forward(graph, &flat)?;
         skip_sum = Some(match skip_sum {
@@ -263,8 +266,9 @@ fn model_through(
 /// `WindowAttentionLayer::forward` as the per-window chain of tape ops
 /// [`Var::window_layer`] replaced: each window's proxy block narrowed
 /// and broadcast, fused with the previous summary through `concat` and
-/// the dense layer, the windowed attention op, the gate chain (or the
-/// mean) and sensor-correlation attention, then one `concat`.
+/// the dense layer, the attention op over the window's narrowed key and
+/// value blocks, the gate chain (or the mean) and sensor-correlation
+/// attention, then one `concat`.
 fn layer_chain(
     layer: &WindowAttentionLayer,
     graph: &Graph,
@@ -294,7 +298,8 @@ fn layer_chain(
                 fusion.forward_act(graph, &stacked, Activation::Tanh)?
             }
         };
-        let h_w = p_q.attention_kv_window(&kv, wi, heads)?;
+        let block = |h: usize| kv.narrow(2, h, 1)?.squeeze(2)?.narrow(2, wi, 1)?.squeeze(2);
+        let h_w = p_q.attention(&block(0)?, &block(1)?, heads)?;
         let h_hat = match layer.aggregator_kind() {
             AggregatorKind::Learned => {
                 let gate = h_w.matmul(&agg_w1)?.tanh().matmul(&agg_w2)?.sigmoid();
@@ -377,7 +382,7 @@ fn assert_trains_like(config: StwaConfig, forward: Forward, oracle: Forward) {
 }
 
 #[test]
-fn kv_projection_trains_to_the_bits_of_the_matmul_narrow_chain() {
+fn kv_projection_trains_to_the_bits_of_the_decoder_linear_chain() {
     let config = StwaConfig::st_wa(6, 12, 12);
     let mut rng = StdRng::seed_from_u64(0);
     let model = StwaModel::new(config.clone(), &mut rng).expect("model");
