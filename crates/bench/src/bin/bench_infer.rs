@@ -31,6 +31,10 @@
 //! batch-64 int8 speedup floor (`MIN_INT8_SPEEDUP_B64`) and the
 //! forecast-MAE accuracy gate of the int8 path against the f32 frozen
 //! path. The peak-bytes comparison runs on this section's model.
+//!
+//! A failed floor or gate does not cut the run short: every section
+//! runs, the report is written (without `--check`), and then all
+//! failures are printed together and the exit code is 1.
 
 use std::time::Instant;
 
@@ -391,13 +395,13 @@ fn main() {
         );
     }
 
+    let mut failures = Vec::new();
     let b1 = results.iter().find(|r| r.batch == 1).expect("batch 1 run");
     if b1.speedup() < MIN_SPEEDUP_B1 {
-        eprintln!(
+        failures.push(format!(
             "REGRESSION: batch-1 speedup {:.2}x fell below the {MIN_SPEEDUP_B1:.1}x floor",
             b1.speedup()
-        );
-        std::process::exit(1);
+        ));
     }
 
     let quant = run_quant_suite();
@@ -419,13 +423,12 @@ fn main() {
         .iter()
         .find(|q| q.peak_bytes_ratio() < MIN_PEAK_BYTES_RATIO)
     {
-        eprintln!(
+        failures.push(format!(
             "REGRESSION: batch-{} frozen peak bytes only {:.2}x below evaluation's, \
              under the {MIN_PEAK_BYTES_RATIO:.1}x floor",
             q.batch,
             q.peak_bytes_ratio()
-        );
-        std::process::exit(1);
+        ));
     }
     println!(
         "quant panels  f32 {:.2} MiB  int8 {:.2} MiB  |  mae int8 {:.5}",
@@ -434,11 +437,10 @@ fn main() {
         quant.int8_mae,
     );
     if quant.int8_mae > MAE_GATE_INT8 {
-        eprintln!(
+        failures.push(format!(
             "ACCURACY: int8 forecast MAE {:.5} exceeds the {MAE_GATE_INT8} gate",
             quant.int8_mae
-        );
-        std::process::exit(1);
+        ));
     }
     let qb64 = quant
         .batches
@@ -446,18 +448,16 @@ fn main() {
         .find(|q| q.batch == 64)
         .expect("quant batch 64 run");
     if qb64.int8_speedup() < MIN_INT8_SPEEDUP_B64 {
-        eprintln!(
+        failures.push(format!(
             "REGRESSION: batch-64 int8 speedup {:.2}x fell below the \
              {MIN_INT8_SPEEDUP_B64:.1}x floor",
             qb64.int8_speedup()
-        );
-        std::process::exit(1);
+        ));
     }
 
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let mut failed = false;
         // Eval-over-frozen ratios are reported against the baseline but
         // not gated: evaluation is the model's own forward, so a faster
         // graph forward lowers them without the engine losing anything.
@@ -478,23 +478,27 @@ fn main() {
             };
             let floor = old_val * (1.0 - REGRESSION_TOLERANCE);
             if new_val < floor {
-                eprintln!(
+                failures.push(format!(
                     "REGRESSION {key}: {new_val:.2} fell below {floor:.2} \
                      (baseline {old_val:.2} - {:.0}% tolerance)",
                     REGRESSION_TOLERANCE * 100.0
-                );
-                failed = true;
+                ));
             } else {
                 println!("ok {key}: {new_val:.2} vs baseline {old_val:.2} (floor {floor:.2})");
             }
         }
-        if failed {
-            std::process::exit(1);
+        if failures.is_empty() {
+            println!("infer check passed");
         }
-        println!("infer check passed");
     } else {
         std::fs::write(&out_path, render_json(&results, &quant))
             .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
         println!("wrote {out_path}");
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("{failure}");
+        }
+        std::process::exit(1);
     }
 }

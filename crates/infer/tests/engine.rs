@@ -8,6 +8,7 @@ use stwa_autograd::Graph;
 use stwa_ckpt::{Registry, TrainCheckpoint};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_infer::{FrozenStwa, InferSession};
+use stwa_nn::layers::{Linear, Mlp};
 use stwa_tensor::{manip, Tensor};
 
 fn graph_eval(model: &StwaModel, x: &Tensor) -> Tensor {
@@ -187,6 +188,56 @@ fn frozen_snapshot_reports_packed_bytes() {
     assert_eq!(session.frozen().input_len(), 12);
     assert_eq!(session.frozen().horizon(), 4);
     assert_eq!(session.frozen().features(), 1);
+}
+
+/// Bytes a `[k, n]` weight's panels hold at their real depth: `k` rows
+/// of `n` rounded up to whole 16-wide strips, no slab padding.
+fn panel_bytes(w: &Tensor) -> usize {
+    let (k, n) = (w.shape()[0], w.shape()[1]);
+    4 * k * n.div_ceil(16) * 16
+}
+
+fn linear_bytes(l: &Linear) -> usize {
+    panel_bytes(&l.weight_param().value())
+}
+
+fn mlp_bytes(m: &Mlp) -> usize {
+    m.layers().iter().map(linear_bytes).sum()
+}
+
+#[test]
+fn serving_snapshot_panels_are_its_weights_without_slab_padding() {
+    // The widths `stwa-serve` runs behind the socket: a 2048-wide
+    // decoder output layer over a 128-deep hidden layer, 32-deep
+    // projections — contractions far shallower than one packed slab.
+    let mut cfg = StwaConfig::st_wa(48, 12, 3);
+    cfg.d = 32;
+    cfg.heads = 8;
+    cfg.k = 32;
+    cfg.predictor_hidden = 512;
+    cfg.decoder_hidden = (64, 128);
+    let mut rng = StdRng::seed_from_u64(48);
+    let model = StwaModel::new(cfg, &mut rng).unwrap();
+    let mut want =
+        model.skips().iter().map(linear_bytes).sum::<usize>() + mlp_bytes(model.predictor());
+    for layer in model.layers() {
+        let (k, v) = layer.shared_projections();
+        let (w1, w2) = layer.agg_weights();
+        want += [k, v, layer.fusion()].into_iter().flatten().map(linear_bytes).sum::<usize>()
+            + panel_bytes(&w1.value())
+            + panel_bytes(&w2.value());
+        if let Some(sca) = layer.sensor_attention() {
+            let (t1, t2) = sca.shared_transforms();
+            want += [t1, t2].into_iter().flatten().map(linear_bytes).sum::<usize>();
+        }
+    }
+    let gen = model.generator().expect("ST-WA generates its projections");
+    let temporal = gen.temporal().expect("ST-WA has a temporal latent");
+    want += mlp_bytes(temporal.body()) + linear_bytes(temporal.head_mu());
+    want += gen.decoders().iter().map(|d| mlp_bytes(d.mlp())).sum::<usize>();
+    want += gen.sca_decoders().map_or(0, |d| d.iter().map(|d| mlp_bytes(d.mlp())).sum());
+    let frozen = FrozenStwa::freeze(&model).unwrap();
+    assert_eq!(frozen.packed_bytes(), want);
 }
 
 #[test]

@@ -17,8 +17,9 @@
 //! columns of accumulators held in locals, A read **in place** through
 //! a `(row, contraction)` stride pair (so `A` and `Aᵀ` differ only in
 //! the strides), B read as rows of `NR`-wide column groups. Large
-//! products feed the tiles from `KC`-deep packed B panels (`NR`-wide
-//! strips, transposed on the fly for `Bᵀ`); small ones — the
+//! products feed the tiles from packed B panels — slabs of at most
+//! `KC` contraction steps, each cut into `NR`-wide strips exactly as
+//! deep as the slab (transposed on the fly for `Bᵀ`); small ones — the
 //! per-(sample, sensor) products the model issues by the thousand —
 //! read B in place too and pack nothing, as do thin `Aᵀ·B` weight
 //! gradients (under 64 output rows) at any size. The cutover is a
@@ -30,10 +31,10 @@
 //!
 //! The packed walk (`panel_pass`) goes row block → strip pair → row
 //! band: a block of `ROW_BLOCK` A rows stays L2-resident while the
-//! panel's strips stream past two at a time (`2·KC·NR` floats, 32 KiB,
-//! L1-resident for the whole block), and each band of the block runs
-//! one register tile across the pair. An odd last full strip runs on
-//! its own, a ragged final strip goes through a stack tile so padded
+//! panel's strips stream past two at a time (`2·kc·NR` floats, at most
+//! 32 KiB, L1-resident for the whole block), and each band of the block
+//! runs one register tile across the pair. An odd last full strip runs
+//! on its own, a ragged final strip goes through a stack tile so padded
 //! lanes never reach C, and the in-place small path walks the same
 //! column groups over B where it lies. Tile shapes per ISA arm, chosen
 //! from the row and strip counts only:
@@ -110,8 +111,10 @@ const THIN_TN_ROWS: usize = 64;
 pub(crate) const MR: usize = 4;
 /// Register-tile columns (one packed B strip; one AVX-512 vector wide).
 pub(crate) const NR: usize = 16;
-/// Contraction-depth of one packed panel pass; sized so an `NR`-wide B
-/// strip (`KC * NR * 4 = 16 KiB`) stays L1-resident.
+/// Deepest contraction slab one packed panel pass takes. A slab of
+/// `kc = min(KC, k - k0)` steps is packed `kc` deep — strips of
+/// `kc · NR` floats, at most 16 KiB, so a strip pair stays L1-resident —
+/// and a shallow product's panel is no bigger than its B.
 pub(crate) const KC: usize = 256;
 
 /// How the left operand's trailing two axes are laid out.
@@ -782,8 +785,8 @@ impl AView {
 
 /// Adjacent `NR`-wide column groups of the right operand as the strip
 /// tiles read them: row `p` of group `s` is the `NR` floats at
-/// `ptr[s·ss + p·bs ..]`. Packed strips are `(bs, ss) = (NR, KC·NR)`;
-/// B in place is `(n, NR)`.
+/// `ptr[s·ss + p·bs ..]`. The strips of a `kc`-deep packed slab are
+/// `(bs, ss) = (NR, kc·NR)`; B in place is `(n, NR)`.
 #[derive(Clone, Copy)]
 struct BView {
     ptr: *const f32,
@@ -1276,17 +1279,18 @@ fn small_nt_body(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: usize, k: u
 const ROW_BLOCK: usize = 128;
 
 thread_local! {
-    /// Reused packing scratch: one B panel (`KC × n` rounded up to `NR`
-    /// strips) per thread, so steady-state kernels allocate nothing. It
-    /// only ever grows: [`pack_b`] writes every lane a pass reads, so a
-    /// narrower product leaves the tail alone instead of truncating it
-    /// for the next wide one to zero-fill again.
+    /// Reused packing scratch: one B slab (`min(KC, k) × n`, `n`
+    /// rounded up to `NR` strips) per thread, so steady-state kernels
+    /// allocate nothing. It only ever grows: [`pack_b`] writes every
+    /// lane a pass reads, so a smaller product leaves the tail alone
+    /// instead of truncating it for the next big one to zero-fill
+    /// again.
     static PACK_B: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Cache-blocked GEMM over output rows `[r0, r1)` of one matrix pair.
 ///
-/// Panels of B (`KC × NR` strips, transposed on the fly for
+/// Slabs of B (`kc × NR` strips, transposed on the fly for
 /// [`BKind::Transposed`]) are packed contiguous so the tile streams B
 /// linearly; A is read where it lies. The first panel pass writes C
 /// from zeroed accumulators, later passes load, accumulate along
@@ -1304,7 +1308,7 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
         return;
     }
     let a = AView::new(a.as_ptr(), g.ak, m, k);
-    let panel_elems = KC * n.div_ceil(NR) * NR;
+    let panel_elems = KC.min(k) * n.div_ceil(NR) * NR;
     PACK_B.with(|buf| {
         let mut bpanel = buf.borrow_mut();
         if bpanel.len() < panel_elems {
@@ -1323,11 +1327,12 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
     });
 }
 
-/// One `kc`-deep pass of `rows` output rows against a packed B panel:
-/// row blocks of [`ROW_BLOCK`], inside each the full strips two at a
-/// time (32 KiB of B, L1-resident while the block's bands stream past),
-/// inside each pair the row bands. An odd last full strip runs alone; a
-/// ragged final strip goes through [`edge`].
+/// One `kc`-deep pass of `rows` output rows against a packed B slab,
+/// whose strips are `kc·NR` floats each: row blocks of [`ROW_BLOCK`],
+/// inside each the full strips two at a time (at most 32 KiB of B,
+/// L1-resident while the block's bands stream past), inside each pair
+/// the row bands. An odd last full strip runs alone; a ragged final
+/// strip goes through [`edge`].
 ///
 /// # Safety
 ///
@@ -1344,36 +1349,40 @@ unsafe fn panel_pass(
     first: bool,
 ) {
     let (full, ragged) = (n / NR, n % NR);
+    let (strip, panel_len) = (kc * NR, panel.len());
     assert!(c.len() >= rows * n, "C shorter than {rows}x{n}");
     assert!(
-        kc <= KC && panel.len() >= n.div_ceil(NR) * KC * NR,
-        "B panel shorter than {n} columns"
+        kc <= KC && panel_len >= n.div_ceil(NR) * strip,
+        "B slab shorter than {kc}x{n}"
     );
     let (panel, c) = (panel.as_ptr(), c.as_mut_ptr());
     // Safety: block `i0..i0 + rb` lies inside `rows`; A by the caller's
-    // contract. Strip `js` starts at `js·KC·NR` and spans `kc·NR`
+    // contract. Strip `js` starts at `js·kc·NR` and spans `kc·NR`
     // floats, inside the panel asserted above; full strips write `NR`
     // columns at `js·NR + NR <= n` of C, the ragged one only its live
     // columns.
     unsafe {
-        let strips = |js: usize| BView {
-            ptr: panel.add(js * KC * NR),
-            bs: NR,
-            ss: KC * NR,
+        let strips = |js: usize, s: usize| {
+            debug_assert!((js + s) * strip <= panel_len, "strips {js}+{s} past the slab");
+            BView {
+                ptr: panel.add(js * strip),
+                bs: NR,
+                ss: strip,
+            }
         };
         for i0 in (0..rows).step_by(ROW_BLOCK) {
             let rb = ROW_BLOCK.min(rows - i0);
             let (a, c) = (a.at(i0, 0), c.add(i0 * n));
             let mut js = 0;
             while js + 2 <= full {
-                strip_bands::<2>(isa, a, strips(js), kc, c.add(js * NR), n, rb, first);
+                strip_bands::<2>(isa, a, strips(js, 2), kc, c.add(js * NR), n, rb, first);
                 js += 2;
             }
             if js < full {
-                strip_bands::<1>(isa, a, strips(js), kc, c.add(js * NR), n, rb, first);
+                strip_bands::<1>(isa, a, strips(js, 1), kc, c.add(js * NR), n, rb, first);
             }
             if ragged > 0 {
-                let (b, c) = (strips(full), c.add(full * NR));
+                let (b, c) = (strips(full, 1), c.add(full * NR));
                 for_bands!(isa >= Isa::Avx512, rb, |R, i| edge::<R>(
                     isa,
                     a.at(i, 0),
@@ -1425,16 +1434,20 @@ unsafe fn edge<const R: usize>(
     }
 }
 
-/// Pack the `[k0, k0+kc)` slab of B into `NR`-wide strips:
-/// `panel[js*KC*NR + p*NR + jj] = B[k0+p][js*NR+jj]`, zero-padding the
-/// ragged final strip. Strips are `KC`-strided so a growing `n` never
-/// reshuffles earlier strips.
+/// Pack the `[k0, k0+kc)` slab of B into `NR`-wide strips `kc` deep:
+/// `panel[js*kc*NR + p*NR + jj] = B[k0+p][js*NR+jj]`, zero-padding the
+/// ragged final strip. The slab fills `panel[..ceil(n/NR)·kc·NR]`.
 fn pack_b(panel: &mut [f32], b: &[f32], k0: usize, kc: usize, k: usize, n: usize, bk: BKind) {
     let n_strips = n.div_ceil(NR);
+    debug_assert!(
+        k0 + kc <= k && panel.len() >= n_strips * kc * NR,
+        "slab {k0}+{kc} of {k}x{n} does not fit {} floats",
+        panel.len()
+    );
     for js in 0..n_strips {
         let j0 = js * NR;
         let nr = NR.min(n - j0);
-        let strip = &mut panel[js * KC * NR..js * KC * NR + kc * NR];
+        let strip = &mut panel[js * kc * NR..(js + 1) * kc * NR];
         match bk {
             BKind::Normal => {
                 for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
@@ -1467,17 +1480,18 @@ fn pack_b(panel: &mut [f32], b: &[f32], k0: usize, kc: usize, k: usize, n: usize
 /// and reused across calls — the serving-path complement to
 /// [`matmul`], which re-packs its right operand on every invocation.
 ///
-/// Layout: one slab per `KC`-deep contraction step, each slab holding
-/// `ceil(n / NR)` strips of `KC * NR` floats in exactly the order
-/// [`pack_b`] produces (ragged edges zero-padded). Because the slabs are
-/// bit-for-bit what the per-call packer would have built,
-/// [`matmul_packed`] inherits the kernel order contract and stays
-/// bitwise identical to [`matmul`] and [`matmul_reference`].
+/// Layout: the slabs of steps `[k0, k0 + kc)`, `kc = min(KC, k - k0)`,
+/// back to back, each holding `ceil(n / NR)` strips of `kc · NR` floats
+/// in exactly the order [`pack_b`] produces (ragged edges zero-padded),
+/// so the panels are `k · ceil(n / NR) · NR` floats: B plus the ragged
+/// strip's padding. Because the slabs are bit-for-bit what the per-call
+/// packer would have built, [`matmul_packed`] inherits the kernel order
+/// contract and stays bitwise identical to [`matmul`] and
+/// [`matmul_reference`].
 pub struct PackedMatrix {
     panels: Vec<f32>,
     k: usize,
     n: usize,
-    slab_elems: usize,
 }
 
 impl PackedMatrix {
@@ -1491,33 +1505,15 @@ impl PackedMatrix {
             )));
         }
         let (k, n) = (b.shape()[0], b.shape()[1]);
-        let n_strips = n.div_ceil(NR);
-        let slab_elems = n_strips * KC * NR;
-        let n_slabs = k.div_ceil(KC);
-        let mut panels = vec![0f32; n_slabs * slab_elems];
-        let data = b.data();
+        let width = n.div_ceil(NR) * NR;
+        let mut panels = vec![0f32; k * width];
         let mut k0 = 0;
-        let mut slab = 0;
         while k0 < k {
             let kc = KC.min(k - k0);
-            pack_b(
-                &mut panels[slab * slab_elems..(slab + 1) * slab_elems],
-                data,
-                k0,
-                kc,
-                k,
-                n,
-                BKind::Normal,
-            );
+            pack_b(&mut panels[k0 * width..], b.data(), k0, kc, k, n, BKind::Normal);
             k0 += kc;
-            slab += 1;
         }
-        Ok(PackedMatrix {
-            panels,
-            k,
-            n,
-            slab_elems,
-        })
+        Ok(PackedMatrix { panels, k, n })
     }
 
     /// Contraction depth (`k`) of the packed matrix.
@@ -1530,7 +1526,8 @@ impl PackedMatrix {
         self.n
     }
 
-    /// Bytes held by the packed panels (padding included).
+    /// Bytes held by the packed panels: `4 · k · ceil(n / NR) · NR`, the
+    /// ragged strip's zero lanes included.
     pub fn packed_bytes(&self) -> usize {
         self.panels.len() * std::mem::size_of::<f32>()
     }
@@ -1621,12 +1618,16 @@ fn gemm_prepacked(isa: Isa, a: &[f32], packed: &PackedMatrix, c: &mut [f32], r0:
         return;
     }
     let a = AView::new(a.as_ptr(), AKind::Normal, r1, k);
+    let width = n.div_ceil(NR) * NR;
+    // Slab `[k0, k0 + kc)` is the `kc · width` floats from `k0 · width`.
+    debug_assert_eq!(packed.panels.len(), k * width, "panels of {k}x{n}");
     let mut k0 = 0;
-    for bpanel in packed.panels.chunks_exact(packed.slab_elems) {
+    while k0 < k {
         let kc = KC.min(k - k0);
+        let slab = &packed.panels[k0 * width..(k0 + kc) * width];
         // Safety: rows `r0..r1` and steps `k0..k0 + kc` of the row-major
         // `[r1, k]` matrix asserted above.
-        unsafe { panel_pass(isa, a.at(r0, k0), bpanel, kc, c, r1 - r0, n, k0 == 0) };
+        unsafe { panel_pass(isa, a.at(r0, k0), slab, kc, c, r1 - r0, n, k0 == 0) };
         k0 += kc;
     }
 }
@@ -2238,6 +2239,48 @@ mod tests {
             assert!(len >= high_water, "panel shrank from {high_water} to {len}");
             high_water = len;
         }
+    }
+
+    #[test]
+    fn packed_panels_hold_their_real_depth_across_slab_boundaries() {
+        // Each slab is packed exactly as deep as it is, so the panels are
+        // B plus the ragged strip's zero lanes and nothing else, and a
+        // walk that strides strips by `kc·NR` still runs every element's
+        // chain in order — depths below, at and past one `KC` slab,
+        // ragged widths with zero, an even and an odd full-strip count.
+        const KS: [usize; 8] = [1, 32, 128, 255, 256, 257, 301, 515];
+        const NS: [usize; 3] = [7, 33, 53];
+        const ROWS: [usize; 4] = [1, 48, 67, 130];
+        let mut cases = Vec::new();
+        for &k in &KS {
+            for &n in &NS {
+                let b = Tensor::from_fn(&[k, n], fill(11));
+                let packed = PackedMatrix::pack(&b).unwrap();
+                assert_eq!(packed.packed_bytes(), 4 * k * n.div_ceil(16) * 16, "{k}x{n}");
+                let products: Vec<_> = ROWS
+                    .iter()
+                    .map(|&m| {
+                        let a = Tensor::from_fn(&[m, k], fill(12));
+                        let want = matmul_reference(&a, &b).unwrap();
+                        (a, want)
+                    })
+                    .collect();
+                cases.push((packed, products));
+            }
+        }
+        isa::for_each_ceiling("packed panels at their real depth", |cap| {
+            for (packed, products) in &cases {
+                for (a, want) in products {
+                    let (m, k, n) = (a.shape()[0], packed.k(), packed.n());
+                    let tag = format!("{cap:?} {m}x{k}x{n}");
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_packed_slice(a.data(), packed, &mut c, m);
+                    assert!(c == want.data(), "gemm_packed_slice {tag}");
+                    let whole = matmul_packed(a, packed).unwrap();
+                    assert!(whole.data() == want.data(), "matmul_packed {tag}");
+                }
+            }
+        });
     }
 
     #[test]
