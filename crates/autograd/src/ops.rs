@@ -5,7 +5,7 @@ use crate::graph::{ActKind, Op, Var};
 use std::rc::Rc;
 use std::sync::Arc;
 use stwa_tensor::projection;
-use stwa_tensor::window_layer::{self, Sca, Weights};
+use stwa_tensor::window_layer::{self, Kv, Sca, Weights};
 use stwa_tensor::{linalg, manip, Result, SensorGraph, Tensor, TensorError};
 
 /// The sensor-correlation embeddings of [`Var::window_layer`].
@@ -271,7 +271,7 @@ impl Var {
             params.graph.map(|g| &**g),
         );
         let requires = self.requires_grad() || inputs.iter().any(|v| v.requires_grad());
-        let (out, saved) = window_layer::forward(&kv, &wts, heads, requires)?;
+        let (out, saved) = window_layer::forward(Kv::Joint(&kv), &wts, heads, requires)?;
         let ids = |p: Option<(&Var, &Var)>| p.map(|(a, b)| (a.id, b.id));
         Ok(self.graph.push(
             out,

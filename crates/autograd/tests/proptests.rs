@@ -602,8 +602,8 @@ proptest! {
         w in 1usize..=3,
         s in 1usize..=3,
         np in 1usize..=2,
-        d_pick in 0usize..2,
-        heads_pick in 0usize..2,
+        d_pick in 0usize..3,
+        heads_pick in 0usize..3,
         learned in 0usize..2,
         sca_pick in 0usize..4,
         sparse in 0usize..2,
@@ -611,9 +611,10 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         // `d = 16` runs the sixteen-lane attention walks on an AVX-512
-        // host (when `B·N >= 16`), `d = 8` the per-lead walk.
-        let d = [16, 8][d_pick];
-        let heads = [4, 1][heads_pick];
+        // host (when `B·N >= 16`), `d = 8` the per-lead walk, `d = 32`
+        // with eight heads the serving width's `(8, 4)` instantiation.
+        let d = [16, 8, 32][d_pick];
+        let heads = [4, 1, 8][heads_pick];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = |shape: &[usize], scale: f32| Tensor::randn(shape, &mut rng).mul_scalar(scale);
         let sca = match sca_pick {

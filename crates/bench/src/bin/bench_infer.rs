@@ -13,10 +13,15 @@
 //! arithmetic.
 //!
 //! The speedups are same-run ratios, portable across hosts of different
-//! absolute speed. Since evaluation stopped recording a tape the two
-//! paths run the same kernels and the engine's time advantage is small —
-//! and evaluation is the graph's own forward, so a faster forward lowers
-//! the eval-over-frozen ratios: `--check` prints them beside the
+//! absolute speed. The two paths run the same kernels, and each
+//! window-attention layer's body is the same op on both sides
+//! (`stwa_tensor::window_layer::forward`), so the engine's time edge
+//! comes only from what surrounds the bodies: weight panels packed once
+//! at freeze where evaluation packs every product's right operand per
+//! call, latents collapsed to their means and flow constants
+//! precomputed, S-WA projections decoded once, and no graph nodes to
+//! build. Evaluation is the graph's own forward, so a faster forward
+//! lowers the eval-over-frozen ratios: `--check` prints them beside the
 //! baseline's but does not gate them. What the engine must still earn,
 //! in the same run, is two hard floors: at
 //! batch 1 it is not slower than evaluation (`MIN_SPEEDUP_B1`), and on

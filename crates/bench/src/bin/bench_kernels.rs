@@ -442,7 +442,8 @@ fn suite() -> Vec<Bench> {
                     sca: window_layer::Sca::Shared(t1, t2),
                     graph: None,
                 };
-                let (out, saved) = window_layer::forward(&kv, &wts, 4, true).unwrap();
+                let joint = window_layer::Kv::Joint(&kv);
+                let (out, saved) = window_layer::forward(joint, &wts, 4, true).unwrap();
                 let saved = saved.expect("saved activations");
                 let sink = &mut |_, part| {
                     std::hint::black_box(part);

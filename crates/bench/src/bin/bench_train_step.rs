@@ -17,7 +17,11 @@
 //! that kind per step) and by forward stage (`generator/latent`,
 //! `generator/decoder`, `wa_layer{l}`, `kv_projection`, `window_layer`
 //! — the layer body, one tape node per layer — `sensor_attention`
-//! inside it, `predictor`), beside the tape nodes a step records,
+//! inside it, `predictor`), by stage inside the layer body op
+//! (`window_layer_by_stage`: `queries`, `proxy_attention`, `gate`,
+//! `sensor_attention` forward; `sensor_attention`, `gate`,
+//! `proxy_attention`, `fusion` — with the proxies' partials — backward,
+//! summed over layers), beside the tape nodes a step records,
 //! beside `matmul.flops` per step, and the product VJPs by operand shape
 //! (`backward_matmul_by_shape`: the ten costliest `matmul` / `matmul_nt`
 //! shapes with their nodes per step and GFLOP/s over the halves they
@@ -90,6 +94,7 @@ struct Table {
     matmul_flops_per_step: u64,
     forward: Vec<Row>,
     backward: Vec<Row>,
+    window_layer: Vec<Row>,
     matmul_by_shape: Vec<ShapeRow>,
 }
 
@@ -199,6 +204,19 @@ const FORWARD_STAGES: [&str; 6] = [
     "predictor",
 ];
 
+/// Stages inside the `window_layer` op, as `(pass, span)`: the spans
+/// `stwa_tensor::window_layer::{forward, vjp}` open per window.
+const WINDOW_LAYER_STAGES: [(&str, &str); 8] = [
+    ("forward", "queries"),
+    ("forward", "proxy_attention"),
+    ("forward", "gate"),
+    ("forward", "sensor_attention"),
+    ("backward", "sensor_attention"),
+    ("backward", "gate"),
+    ("backward", "proxy_attention"),
+    ("backward", "fusion"),
+];
+
 /// Run steps with recording on and fold the spans of the fastest chunk
 /// into per-step rows.
 fn run_traced(
@@ -259,6 +277,14 @@ fn run_traced(
     layers.sort_unstable();
     forward.extend(layers.into_iter().map(sum));
 
+    let window_layer = WINDOW_LAYER_STAGES
+        .iter()
+        .map(|(pass, stage)| Row {
+            name: format!("{pass}/{stage}"),
+            ..sum_under(pass, &format!("window_layer/{stage}"))
+        })
+        .collect();
+
     // One row per op kind; spans opened inside a VJP (`backward/matmul/
     // matmul` is the kernel under the op) are part of their kind's row.
     let mut backward: Vec<Row> = spans
@@ -301,6 +327,7 @@ fn run_traced(
         matmul_flops_per_step: matmul_flops / STEPS_PER_CHUNK as u64,
         forward,
         backward,
+        window_layer,
         matmul_by_shape,
     }
 }
@@ -355,6 +382,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
          \"traced_ms_per_step\": {:.3},\n  \
          \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
          \"backward_by_op_kind\": {{\n{}\n  }},\n  \
+         \"window_layer_by_stage\": {{\n{}\n  }},\n  \
          \"backward_matmul_by_shape\": {{\n{}\n  }}\n}}\n",
         stwa_bench::host::json_fields(),
         timed.tape_nodes,
@@ -366,6 +394,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
         table.matmul_flops_per_step,
         render_rows(&table.forward),
         render_rows(&table.backward),
+        render_rows(&table.window_layer),
         render_shape_rows(&table.matmul_by_shape),
     )
 }
@@ -376,7 +405,11 @@ fn print_table(t: &Table) {
         t.step_ms,
         t.matmul_flops_per_step as f64 / 1e6
     );
-    for (title, rows) in [("forward stage", &t.forward), ("backward op kind", &t.backward)] {
+    for (title, rows) in [
+        ("forward stage", &t.forward),
+        ("backward op kind", &t.backward),
+        ("window_layer stage", &t.window_layer),
+    ] {
         println!("{title:<28} {:>9} {:>9}", "per step", "ms/step");
         for r in rows {
             println!("  {:<26} {:>9.1} {:>9.3}", r.name, r.per_step, r.ms_per_step);

@@ -14,8 +14,11 @@
 //!   stays live but every dense weight along its path (encoder body,
 //!   mean head, decoders) is panel-packed, and the planar-flow
 //!   constrained parameters `(u, w, b)` are precomputed,
-//! - all static dense weights (shared K/V, fusion, gate, SCA embedding,
-//!   skip, predictor) are packed into GEMM panel layout.
+//! - the static dense weights around the layer bodies (shared K/V,
+//!   skip, predictor) are packed into GEMM panel layout; the bodies'
+//!   own weights (proxies, fusion, gate, shared SCA transforms) are kept
+//!   as f32 tensors at every precision, because the body is the graph's
+//!   `window_layer` op.
 //!
 //! # Lazy decoding
 //!
@@ -34,59 +37,61 @@
 //! wider than the keys and values themselves reaches memory. Generated
 //! sensor-correlation transforms are consumed once per *window*, so
 //! their last layer runs whole, once per layer, into one flat
-//! `[B·N, 2·d·d]` buffer that [`project_run`] reads in place.
+//! `[B·N, 2·d·d]` buffer that the layer body reads in place.
 //!
-//! The frozen forward mirrors `StwaModel::forward` in eval mode
-//! (`training == false`, what `forward_eval` / `forward_nograd` run on
-//! a graph that records nothing) kernel-for-kernel, so its predictions
-//! are bitwise identical to the training-time evaluation. It is the
-//! only second definition of the model; `tests/frozen_contract.rs` is
-//! the pin between the two.
+//! # One layer body
+//!
+//! Each window-attention layer's body — proxy fusion, proxy attention,
+//! the gate and sensor-correlation attention (Eq. 10–16) — is
+//! [`stwa_tensor::window_layer::forward`], the op the training graph
+//! records, run without saving: it reads the split keys and values this
+//! engine projects and the generated transforms in whichever layout the
+//! generator left them (the S-WA cache's `[1, N, d, d]`, the dynamic
+//! decode's flat rows). The frozen forward mirrors `StwaModel::forward`
+//! in eval mode (`training == false`, what `forward_eval` /
+//! `forward_nograd` run on a graph that records nothing)
+//! kernel-for-kernel, so its predictions are bitwise identical to the
+//! training-time evaluation. Its only second definition of the model
+//! is the generator and packing plumbing around the bodies — the lazy
+//! decode, the K/V projections, the skips and the predictor;
+//! `tests/frozen_contract.rs` is the pin between the two.
 
-use crate::packed::{PackedDense, PackedMlp, PackedWeight};
+use crate::packed::{PackedDense, PackedMlp};
+use std::sync::Arc;
 use stwa_core::generator::GeneratedTensors;
 use stwa_core::{AggregatorKind, ForecastModel, StGenerator, StwaModel};
-use stwa_nn::layers::Activation;
+use stwa_nn::layers::Linear;
 use stwa_nn::StoreVersion;
 use stwa_tensor::quant::Precision;
-use stwa_tensor::{attention, linalg, mathfn, memory, Result, Tensor, TensorError};
+use stwa_tensor::window_layer::{self, Kv, Sca, Weights};
+use stwa_tensor::{linalg, memory, Result, SensorGraph, Tensor, TensorError};
 
-/// Frozen per-layer state of one window-attention layer.
+/// Frozen per-layer state of one window-attention layer. The body's
+/// weights are the f32 tensors [`window_layer::forward`] reads, at every
+/// snapshot precision.
 struct FrozenLayer {
     proxies: Tensor, // [N, W, p, d]
-    /// Eq. 14 proxy-fusion dense layer `[2d, d]`, absent when there is
-    /// a single window. Packed at f32 whatever the snapshot's precision
-    /// (it is `2·d·d` weights; quantized snapshots keep the fusion they
-    /// always had).
-    fusion: Option<PackedDense>,
+    /// Eq. 14 proxy-fusion weight `[2d, d]` and bias `[d]`, absent when
+    /// there is a single window.
+    fusion: Option<(Tensor, Tensor)>,
     k_shared: Option<PackedDense>,
     v_shared: Option<PackedDense>,
-    /// Eq. 12 gate matrices `[d, d]`, panel-packed: measured against a
-    /// fused scalar walk, the blocked GEMM + bulk activation maps win
-    /// (the vectorized `exp` maps beat short per-row loops).
-    agg_w1: PackedWeight,
-    agg_w2: PackedWeight,
-    aggregator: AggregatorKind,
-    sca: Option<FrozenSca>,
+    /// Eq. 12 gate matrices `[d, d]`; `None` is the mean aggregator.
+    gate: Option<(Tensor, Tensor)>,
+    /// Whether the layer mixes sensors (Eq. 15–16).
+    mixes: bool,
+    /// Shared sensor-correlation transforms `[d, d]`, absent when they
+    /// are generated per sensor (or the layer does not mix).
+    theta: Option<(Tensor, Tensor)>,
+    /// Neighbor lists when the training model ran in sparse mode; the
+    /// frozen path must mix over the same support to stay bitwise.
+    graph: Option<Arc<SensorGraph>>,
     n: usize,
     t_in: usize,
     s: usize,
     w: usize,
-    p: usize,
     f_in: usize,
-    d: usize,
     heads: usize,
-}
-
-/// Frozen sensor-correlation attention: packed shared transforms, or
-/// none when the transforms are generated per sensor.
-struct FrozenSca {
-    theta1: Option<PackedDense>,
-    theta2: Option<PackedDense>,
-    d: usize,
-    /// Neighbor lists when the training model ran in sparse mode; the
-    /// frozen path must mix over the same support to stay bitwise.
-    graph: Option<std::sync::Arc<stwa_tensor::SensorGraph>>,
 }
 
 /// The frozen parameter-generation path.
@@ -114,28 +119,18 @@ struct DynamicGenerator {
     layer_dims: Vec<(usize, usize)>,
 }
 
-/// Per-batch-size execution plan: the input-independent broadcast
-/// buffers recorded on the first forward at that batch size and reused
-/// for every subsequent request (the proxy blocks `[B, N, p, d]` of
-/// every layer/window).
+/// Per-batch-size execution plan, recorded on the first forward at that
+/// batch size. The layer bodies read the `[N, W, p, d]` proxies in
+/// place, so a plan holds no buffers: it checks that a request matches
+/// the batch size its session recorded it for.
 pub struct BatchPlan {
     batch: usize,
-    /// `p_base[layer][window]`.
-    p_base: Vec<Vec<Tensor>>,
 }
 
 impl BatchPlan {
     /// Batch size this plan was recorded for.
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// Total f32 elements held by the recorded broadcast buffers.
-    pub fn buffered_elems(&self) -> usize {
-        self.p_base
-            .iter()
-            .flat_map(|ws| ws.iter().map(Tensor::len))
-            .sum()
     }
 }
 
@@ -165,7 +160,9 @@ impl FrozenStwa {
 
     /// Snapshot `model`'s parameters at the given panel [`Precision`].
     /// Training stays f32 and untouched; only the serving snapshot's
-    /// static weight panels change width. The pre-decoded S-WA
+    /// static weight panels change width. The layer bodies' weights
+    /// (proxies, fusion, gate, shared SCA transforms) stay f32 at every
+    /// precision — the body op runs f32 only. The pre-decoded S-WA
     /// projection caches and all activations remain f32 at every
     /// precision (they are request-scale data, not frozen weights).
     /// Quantized snapshots trade the bitwise-vs-graph contract for the
@@ -177,43 +174,47 @@ impl FrozenStwa {
             Some(gen) => Some(Self::freeze_generator(gen, precision)?),
         };
 
+        let weight = |l: &Linear| l.weight_param().value();
         let mut layers = Vec::with_capacity(model.layers().len());
         for layer in model.layers() {
-            let (n, t_in, s, p, f_in, d, heads) = layer.dims();
+            let (n, t_in, s, _, f_in, _, heads) = layer.dims();
             let (k_shared, v_shared) = layer.shared_projections();
             let (agg_w1, agg_w2) = layer.agg_weights();
-            let sca = match layer.sensor_attention() {
+            let sca = layer.sensor_attention();
+            let theta = match sca.map(|sca| sca.shared_transforms()) {
+                Some((Some(t1), Some(t2))) => Some((weight(t1), weight(t2))),
+                _ => None,
+            };
+            let fusion = match layer.fusion() {
                 None => None,
-                Some(sca) => {
-                    let (t1, t2) = sca.shared_transforms();
-                    Some(FrozenSca {
-                        theta1: t1.map(|l| PackedDense::from_linear_at(l, precision)).transpose()?,
-                        theta2: t2.map(|l| PackedDense::from_linear_at(l, precision)).transpose()?,
-                        d: sca.dim(),
-                        graph: sca.sparsity().graph().cloned(),
-                    })
+                Some(f) => {
+                    let bias = f.bias_param().ok_or_else(|| {
+                        TensorError::Invalid("freeze: a fusion layer without a bias".into())
+                    })?;
+                    Some((weight(f), bias.value()))
                 }
             };
             layers.push(FrozenLayer {
                 proxies: layer.proxies().value(),
-                fusion: layer.fusion().map(PackedDense::from_linear).transpose()?,
+                fusion,
                 k_shared: k_shared
                     .map(|l| PackedDense::from_linear_at(l, precision))
                     .transpose()?,
                 v_shared: v_shared
                     .map(|l| PackedDense::from_linear_at(l, precision))
                     .transpose()?,
-                agg_w1: PackedWeight::pack_at(&agg_w1.value(), precision)?,
-                agg_w2: PackedWeight::pack_at(&agg_w2.value(), precision)?,
-                aggregator: layer.aggregator_kind(),
-                sca,
+                gate: match layer.aggregator_kind() {
+                    AggregatorKind::Learned => Some((agg_w1.value(), agg_w2.value())),
+                    AggregatorKind::Mean => None,
+                },
+                mixes: sca.is_some(),
+                theta,
+                graph: sca.and_then(|sca| sca.sparsity().graph().cloned()),
                 n,
                 t_in,
                 s,
                 w: layer.num_windows(),
-                p,
                 f_in,
-                d,
                 heads,
             });
         }
@@ -357,26 +358,9 @@ impl FrozenStwa {
         self.version.get() != self.frozen_at
     }
 
-    /// Record the execution plan for batch size `b`: materialize every
-    /// input-independent broadcast buffer once so subsequent forwards
-    /// at the same batch size reuse them.
+    /// Record the execution plan for batch size `b`.
     pub fn record_plan(&self, b: usize) -> Result<BatchPlan> {
-        let mut p_base = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let mut per_window = Vec::with_capacity(layer.w);
-            for wi in 0..layer.w {
-                per_window.push(
-                    layer
-                        .proxies
-                        .narrow(1, wi, 1)?
-                        .squeeze(1)?
-                        .unsqueeze(0)?
-                        .broadcast_to(&[b, layer.n, layer.p, layer.d])?,
-                );
-            }
-            p_base.push(per_window);
-        }
-        Ok(BatchPlan { batch: b, p_base })
+        Ok(BatchPlan { batch: b })
     }
 
     /// One tape-free forward through the frozen stack: normalized-scale
@@ -431,7 +415,7 @@ impl FrozenStwa {
                 LayerParams::Shared
             };
             let layer_span = stwa_observe::span!("wa_layer{}", l);
-            let out = layer.forward(&h, params, &plan.p_base[l], b)?;
+            let out = layer.forward(&h, params, b)?;
             let flat = out.reshape(&[b, self.n, layer.w * self.d])?;
             let skip = self.skips[l].forward(&flat)?;
             skip_sum = Some(match skip_sum {
@@ -452,21 +436,22 @@ impl FrozenStwa {
         Ok(pred)
     }
 
-    /// Total bytes held in packed GEMM panels across the snapshot.
+    /// Bytes of frozen weights a forward reads: the packed GEMM panels
+    /// plus the layer bodies' f32 fusion, gate and shared
+    /// sensor-correlation weights.
     pub fn packed_bytes(&self) -> usize {
+        let f32_bytes = |pair: &Option<(Tensor, Tensor)>| {
+            pair.as_ref().map_or(0, |(a, b)| 4 * (a.len() + b.len()))
+        };
         let layer_bytes: usize = self
             .layers
             .iter()
             .map(|l| {
                 l.k_shared.as_ref().map_or(0, PackedDense::packed_bytes)
                     + l.v_shared.as_ref().map_or(0, PackedDense::packed_bytes)
-                    + l.fusion.as_ref().map_or(0, PackedDense::packed_bytes)
-                    + l.agg_w1.packed_bytes()
-                    + l.agg_w2.packed_bytes()
-                    + l.sca.as_ref().map_or(0, |s| {
-                        s.theta1.as_ref().map_or(0, PackedDense::packed_bytes)
-                            + s.theta2.as_ref().map_or(0, PackedDense::packed_bytes)
-                    })
+                    + l.fusion.as_ref().map_or(0, |(w, _)| 4 * w.len())
+                    + f32_bytes(&l.gate)
+                    + f32_bytes(&l.theta)
             })
             .sum();
         let gen_bytes = match &self.generator {
@@ -663,29 +648,15 @@ impl FrozenLayer {
         x.reshape(&[b, self.n, self.w, self.s, self.f_in])
     }
 
-    /// Mirror of `WindowAttentionLayer::forward` with packed
-    /// weights and the proxy broadcasts served from the batch plan.
-    fn forward(
-        &self,
-        x: &Tensor,
-        params: LayerParams<'_>,
-        p_base_plan: &[Tensor],
-        b: usize,
-    ) -> Result<Tensor> {
-        let (w, p, d) = (self.w, self.p, self.d);
-
-        let (keys, values, sca_source) = match params {
-            LayerParams::Projected { keys, values, sca } => {
-                (keys, values, sca.map(ScaTransforms::Flat))
-            }
+    /// `WindowAttentionLayer::forward`: the keys and values (and
+    /// generated transforms) `params` names, through the layer body op.
+    fn forward(&self, x: &Tensor, params: LayerParams<'_>, b: usize) -> Result<Tensor> {
+        let projected;
+        let (keys, values) = match &params {
+            LayerParams::Projected { keys, values, .. } => (keys, values),
             LayerParams::Cached(gp) => {
-                let (keys, values) = project_kv(&self.windows(x, b)?, &gp.k_proj, &gp.v_proj)?;
-                let sca = gp.sca_transforms.as_ref();
-                (
-                    keys,
-                    values,
-                    sca.map(|(t1, t2)| ScaTransforms::Cached(t1, t2)),
-                )
+                projected = project_kv(&self.windows(x, b)?, &gp.k_proj, &gp.v_proj)?;
+                (&projected.0, &projected.1)
             }
             LayerParams::Shared => {
                 let (Some(ks), Some(vs)) = (&self.k_shared, &self.v_shared) else {
@@ -694,78 +665,34 @@ impl FrozenLayer {
                     ));
                 };
                 let x_win = self.windows(x, b)?;
-                (ks.forward(&x_win)?, vs.forward(&x_win)?, None)
+                projected = (ks.forward(&x_win)?, vs.forward(&x_win)?);
+                (&projected.0, &projected.1)
             }
         };
-
-        let mut prev: Option<Tensor> = None;
-        // Window outputs go straight into the `[B, N, w, d]` result
-        // buffer — the graph path unsqueezes and concatenates, which
-        // copies the same bytes through `w + 1` extra dispatches.
-        let mut out = memory::take_scratch(b * self.n * w * d);
-        for wi in 0..w {
-            let p_base = p_base_plan[wi].clone();
-            let p_q = match &prev {
-                None => p_base,
-                Some(h_prev) => {
-                    let fspan = stwa_observe::span!("fusion");
-                    let fusion = self.fusion.as_ref().expect("w > 1 implies fusion");
-                    let r = fused_fusion(h_prev, &p_base, fusion, (b, self.n, p, d))?;
-                    drop(fspan);
-                    r
-                }
-            };
-            let aspan = stwa_observe::span!("attn");
-            // The graph path's attention walk, reading window `wi` of
-            // the all-window projections in place (the graph narrows
-            // and squeezes a `[B, N, s, d]` copy per window first).
-            let h_w = attention::forward_window(&p_q, &keys, &values, wi, self.heads)?;
-            drop(aspan);
-            let gspan = stwa_observe::span!("gate");
-            let h_hat = match self.aggregator {
-                AggregatorKind::Learned => {
-                    // Blocked packed GEMMs (measured faster than a
-                    // fused scalar walk at d x d), with the activation
-                    // maps run in place on the uniquely-owned buffers
-                    // and the gate-multiply + proxy-sum folded into one
-                    // pass — same elementwise kernels and the same
-                    // ascending-p fold as `mul` + `sum_axis`, minus
-                    // four dispatches.
-                    let mut gate = self.agg_w1.matmul(&h_w)?;
-                    mathfn::tanh_slice(gate.data_mut());
-                    let mut gate = self.agg_w2.matmul(&gate)?;
-                    mathfn::sigmoid_slice(gate.data_mut());
-                    let (gd, hd) = (gate.data(), h_w.data());
-                    let mut out = memory::take_filled(b * self.n * d, 0.0);
-                    for (ln, orow) in out.chunks_exact_mut(d).enumerate() {
-                        for pi in 0..p {
-                            let at = (ln * p + pi) * d;
-                            for ((o, &g), &hv) in orow
-                                .iter_mut()
-                                .zip(gd[at..at + d].iter())
-                                .zip(hd[at..at + d].iter())
-                            {
-                                *o += g * hv;
-                            }
-                        }
-                    }
-                    Tensor::from_vec(out, &[b, self.n, d])?
-                }
-                AggregatorKind::Mean => h_w.mean_axis(2, false)?,
-            };
-            drop(gspan);
-            let h_bar = match (&self.sca, &sca_source) {
-                (Some(sca), Some(transforms)) => sca.forward_with(&h_hat, transforms)?,
-                (Some(sca), None) => sca.forward(&h_hat)?,
-                (None, _) => h_hat,
-            };
-            let hd = h_bar.data();
-            for (ln, row) in hd.chunks_exact(d).enumerate() {
-                out[(ln * w + wi) * d..(ln * w + wi + 1) * d].copy_from_slice(row);
+        let sca = match (&params, &self.theta) {
+            _ if !self.mixes => Sca::Off,
+            (LayerParams::Projected { sca: Some(rows), .. }, _) => Sca::GeneratedRows(rows),
+            (LayerParams::Cached(GeneratedTensors { sca_transforms: Some((t1, t2)), .. }), _) => {
+                Sca::Generated(t1, t2)
             }
-            prev = Some(h_bar);
+            (_, Some((t1, t2))) => Sca::Shared(t1, t2),
+            (_, None) => {
+                return Err(TensorError::Invalid(
+                    "FrozenLayer built for generated transforms requires generated theta".into(),
+                ))
+            }
+        };
+        fn pair(p: &Option<(Tensor, Tensor)>) -> Option<(&Tensor, &Tensor)> {
+            p.as_ref().map(|(a, b)| (a, b))
         }
-        Tensor::from_vec(out, &[b, self.n, w, d])
+        let wts = Weights {
+            proxies: &self.proxies,
+            fusion: pair(&self.fusion),
+            gate: pair(&self.gate),
+            sca,
+            graph: self.graph.as_deref(),
+        };
+        Ok(window_layer::forward(Kv::Split(keys, values), &wts, self.heads, false)?.0)
     }
 }
 
@@ -775,9 +702,8 @@ impl FrozenLayer {
 /// operands start at `first[i·stride..]` / `second[i·stride..]`, its
 /// outputs are the `[rows, d]` matrices at `kout[i·rows·d..]` /
 /// `vout[i·rows·d..]`. One definition serves the K/V projections
-/// (`rows = w·s` window rows) and the generated sensor-correlation
-/// transforms (`rows = 1`), over freeze-time caches and freshly decoded
-/// scratch alike — only the stride differs.
+/// (`rows = w·s` window rows) over freeze-time caches and freshly
+/// decoded scratch alike — only the stride differs.
 ///
 /// Bitwise contract: each pair is one [`linalg::gemm_nn_slice`] per
 /// side — same kernels, same ascending-`f` accumulation as the
@@ -848,143 +774,3 @@ fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tenso
     ))
 }
 
-/// Generated per-sensor sensor-correlation transforms, as stored.
-enum ScaTransforms<'a> {
-    /// Freeze-time `T1`, `T2`, each `[1, N, d, d]`.
-    Cached(&'a Tensor, &'a Tensor),
-    /// Decoded this request: `[B·N, 2·d·d]`, each row `T1 | T2`.
-    Flat(Tensor),
-}
-
-impl FrozenSca {
-    /// Mirror of `SensorCorrelationAttention::forward` with packed
-    /// shared transforms.
-    fn forward(&self, h: &Tensor) -> Result<Tensor> {
-        let (Some(theta1), Some(theta2)) = (&self.theta1, &self.theta2) else {
-            return Err(TensorError::Invalid(
-                "FrozenSca built for generated transforms requires forward_with".into(),
-            ));
-        };
-        let _span = stwa_observe::span!("sensor_attention");
-        let q = theta1.forward(h)?;
-        let k = theta2.forward(h)?;
-        self.attend(&q, &k, h)
-    }
-
-    /// Mirror of `SensorCorrelationAttention::forward_with`: the
-    /// per-sensor transforms `q = h @ T1`, `k = h @ T2` are the K/V
-    /// projection with one row per sensor.
-    fn forward_with(&self, h: &Tensor, transforms: &ScaTransforms<'_>) -> Result<Tensor> {
-        let _span = stwa_observe::span!("sensor_attention");
-        let hs = h.shape();
-        let d = self.d;
-        if hs.len() != 3 || hs[2] != d {
-            return Err(TensorError::Invalid(format!(
-                "FrozenSca: expected [B, N, {d}], got {hs:?}"
-            )));
-        }
-        let (b, n) = (hs[0], hs[1]);
-        let (q, k) = match transforms {
-            ScaTransforms::Cached(t1, t2) => {
-                let (q, k) = project_kv(&h.reshape(&[b, n, 1, 1, d])?, t1, t2)?;
-                (q.reshape(hs)?, k.reshape(hs)?)
-            }
-            ScaTransforms::Flat(flat) => {
-                if flat.len() != b * n * 2 * d * d {
-                    return Err(TensorError::Invalid(format!(
-                        "FrozenSca: transforms {:?} for h {hs:?}",
-                        flat.shape()
-                    )));
-                }
-                let mut q = memory::take_scratch(b * n * d);
-                let mut k = memory::take_scratch(b * n * d);
-                let td = flat.data();
-                project_run(
-                    h.data(),
-                    td,
-                    &td[d * d..],
-                    2 * d * d,
-                    b * n,
-                    (1, d, d),
-                    &mut q,
-                    &mut k,
-                );
-                (Tensor::from_vec(q, hs)?, Tensor::from_vec(k, hs)?)
-            }
-        };
-        self.attend(&q, &k, h)
-    }
-
-    /// The sensor-correlation score matrix is `N x N` — big enough that
-    /// the blocked GEMM kernels win — so the two products are plain
-    /// matmuls; the scale and row softmax in between run in
-    /// place on the uniquely-owned score buffer (same elementwise
-    /// chain as `mul_scalar` + `softmax`, minus two dispatches and one
-    /// materialization).
-    fn attend(&self, q: &Tensor, k: &Tensor, h: &Tensor) -> Result<Tensor> {
-        let scale = 1.0 / (self.d as f32).sqrt();
-        if let Some(graph) = &self.graph {
-            // Sparse mode: the fused gather kernel is the exact
-            // training-time forward.
-            let (out, _) = stwa_tensor::sparse::sparse_attention_forward(q, k, h, graph, scale)?;
-            return Ok(out);
-        }
-        let mut scores = linalg::matmul_nt(q, k)?;
-        let t = scores.shape()[scores.rank() - 1];
-        for row in scores.data_mut().chunks_exact_mut(t) {
-            // Scale first, then the max / exp-shift / ascending-sum /
-            // divide chain — fold-for-fold what softmax_lastdim does.
-            let mut m = f32::NEG_INFINITY;
-            for x in row.iter_mut() {
-                *x *= scale;
-                m = m.max(*x);
-            }
-            mathfn::exp_sub_slice(row, m);
-            let mut z = 0.0f32;
-            for &x in row.iter() {
-                z += x;
-            }
-            for x in row.iter_mut() {
-                *x /= z;
-            }
-        }
-        linalg::matmul(&scores, h)
-    }
-}
-
-/// Proxy fusion `tanh(concat(h_prev, p_base) @ W + bias)`: the graph
-/// path tiles `h_prev` to `[B, N, p, d]`, concatenates with the proxy
-/// block, and runs the `2d -> d` dense layer. Here the `[h_prev | p]`
-/// rows are gathered straight into one scratch matrix and the packed
-/// layer runs on it — the same rows through the same product, bias add
-/// and `tanh` pass, so bitwise by construction.
-fn fused_fusion(
-    h_prev: &Tensor, // [B, N, d]
-    p_base: &Tensor, // [B, N, p, d]
-    fusion: &PackedDense,
-    dims: (usize, usize, usize, usize),
-) -> Result<Tensor> {
-    let (b, n, p, d) = dims;
-    if h_prev.len() != b * n * d || p_base.len() != b * n * p * d || fusion.in_dim() != 2 * d {
-        return Err(TensorError::Invalid(format!(
-            "fused_fusion: h_prev {:?} / p_base {:?} / fusion {} -> {} vs dims {dims:?}",
-            h_prev.shape(),
-            p_base.shape(),
-            fusion.in_dim(),
-            fusion.out_dim()
-        )));
-    }
-    let (hd, pd) = (h_prev.data(), p_base.data());
-    let mut stacked = memory::take_scratch(b * n * p * 2 * d);
-    for (row, (dst, prow)) in stacked
-        .chunks_exact_mut(2 * d)
-        .zip(pd.chunks_exact(d))
-        .enumerate()
-    {
-        let ln = row / p;
-        dst[..d].copy_from_slice(&hd[ln * d..(ln + 1) * d]);
-        dst[d..].copy_from_slice(prow);
-    }
-    let stacked = Tensor::from_vec(stacked, &[b, n, p, 2 * d])?;
-    fusion.forward_act(&stacked, Activation::Tanh)
-}

@@ -10,7 +10,9 @@
 //!   the stochastic latents to their posterior means, pre-decodes the
 //!   per-sensor K/V projections when they are input-independent (S-WA),
 //!   precomputes the planar-flow constrained parameters, and re-lays
-//!   every static dense weight into packed GEMM panels;
+//!   the static dense weights around the window-attention layers into
+//!   packed GEMM panels; each layer's body runs the training graph's
+//!   own `window_layer` op;
 //! - when the projections do depend on the input (ST-WA / T-WA) they
 //!   are decoded lazily: the decoder's last layer runs a block of
 //!   sensors at a time and each sensor's window rows consume its
@@ -44,6 +46,6 @@ pub mod packed;
 pub mod session;
 
 pub use frozen::{BatchPlan, FrozenStwa};
-pub use packed::{PackedDense, PackedMlp, PackedWeight};
+pub use packed::{PackedDense, PackedMlp};
 pub use session::InferSession;
 pub use stwa_tensor::quant::Precision;

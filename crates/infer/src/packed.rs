@@ -240,34 +240,6 @@ impl PackedMlp {
     }
 }
 
-/// A frozen bias-free square weight used outside the `Linear` shape
-/// discipline (the Eq. 12 gate matrices): packed panels applied to any
-/// `[..., k]` input by flattening the leading axes, exactly as the
-/// graph path's broadcast matmul does.
-pub struct PackedWeight {
-    panels: PackedPanels,
-}
-
-impl PackedWeight {
-    pub fn pack(w: &Tensor) -> Result<PackedWeight> {
-        PackedWeight::pack_at(w, Precision::F32)
-    }
-
-    pub fn pack_at(w: &Tensor, precision: Precision) -> Result<PackedWeight> {
-        Ok(PackedWeight {
-            panels: PackedPanels::pack(w, precision)?,
-        })
-    }
-
-    pub fn matmul(&self, x: &Tensor) -> Result<Tensor> {
-        self.panels.matmul(x)
-    }
-
-    pub fn packed_bytes(&self) -> usize {
-        self.panels.packed_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +247,6 @@ mod tests {
     use rand::SeedableRng;
     use stwa_autograd::Graph;
     use stwa_nn::ParamStore;
-    use stwa_tensor::linalg;
 
     #[test]
     fn packed_dense_bitwise_matches_linear_forward() {
@@ -314,18 +285,6 @@ mod tests {
         assert_eq!(
             mlp.forward(&g, &g.constant(x.clone())).unwrap().value().data(),
             packed.forward(&x).unwrap().data()
-        );
-    }
-
-    #[test]
-    fn packed_weight_bitwise_matches_broadcast_matmul() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let w = Tensor::randn(&[8, 8], &mut rng);
-        let packed = PackedWeight::pack(&w).unwrap();
-        let x = Tensor::randn(&[2, 3, 4, 8], &mut rng);
-        assert_eq!(
-            linalg::matmul(&x, &w).unwrap().data(),
-            packed.matmul(&x).unwrap().data()
         );
     }
 

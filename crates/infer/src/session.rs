@@ -11,11 +11,10 @@ use stwa_tensor::{Result, Tensor, TensorError};
 
 /// A serving session over a [`FrozenStwa`].
 ///
-/// The first forward at each batch size records an execution plan (the
-/// input-independent broadcast buffers); later requests at the same
-/// batch size reuse it. A session refuses to serve once any source
-/// parameter has been mutated after the freeze — re-freeze to pick up
-/// new weights.
+/// The first forward at each batch size records an execution plan;
+/// later requests at the same batch size reuse it. A session refuses to
+/// serve once any source parameter has been mutated after the freeze —
+/// re-freeze to pick up new weights.
 pub struct InferSession {
     frozen: FrozenStwa,
     plans: RefCell<HashMap<usize, Rc<BatchPlan>>>,
@@ -28,10 +27,8 @@ impl InferSession {
     }
 
     /// Freeze `model` at the given panel precision and open a session.
-    /// The plan arena is precision-agnostic (plans hold f32 broadcast
-    /// buffers at every precision), so everything downstream — plan
-    /// recording, staleness guard, row-exact batching — serves
-    /// quantized snapshots unchanged.
+    /// Everything downstream — plan recording, staleness guard,
+    /// row-exact batching — serves quantized snapshots unchanged.
     pub fn new_at(model: &StwaModel, precision: Precision) -> Result<InferSession> {
         Ok(InferSession::from_frozen(FrozenStwa::freeze_at(
             model, precision,

@@ -21,14 +21,16 @@ use stwa_tensor::Tensor;
 const MAE_GATE_INT8: f64 = 0.08;
 
 /// [`int8_forecasts_keep_their_recorded_bits`]' checksums, recorded on
-/// commit 1e1fb0b (whole-tensor decoder products) and re-derived when
-/// the f32 contractions around the int8 products began to fuse each
-/// term.
+/// commit 1e1fb0b (whole-tensor decoder products), re-derived when the
+/// f32 contractions around the int8 products began to fuse each term,
+/// and again when the layer bodies' gate and sensor-correlation weights
+/// stayed f32 at int8 (the values the previous engine computes with
+/// those two weights packed at f32).
 const RECORDED_INT8: [u64; 4] = [
-    0xc54c_19a6_c935_5236,
-    0xa763_a8b4_55b5_7b80,
-    0x6e11_d9af_1800_0615,
-    0xe7a1_0de3_8ae1_f585,
+    0x2a4e_fc57_228b_ea9f,
+    0x4643_bcf6_7911_ad0f,
+    0x4ad0_5545_40e8_35a3,
+    0x2c32_7b5a_0339_0708,
 ];
 
 const SENSORS: usize = 12;

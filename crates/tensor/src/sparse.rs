@@ -378,6 +378,25 @@ struct Walk<'a> {
     scale: f32,
 }
 
+/// The two buffers a row walk writes, each with its length in floats.
+type Outs = [(SendPtr<f32>, usize); 2];
+
+impl Walk<'_> {
+    /// The slice lengths a walk over `rows` assumes: every row inside
+    /// the `[batch·n, d]` operands, and `outs` holding the edge slots
+    /// (`[batch, nnz]`) or `d`-wide rows `pass` writes for those rows.
+    fn debug_check(&self, pass: Pass, rows: &Range<usize>, outs: &Outs) {
+        let (n, nnz, d) = (self.graph.n(), self.graph.nnz(), self.d);
+        let (edge_len, row_len) = (rows.end.div_ceil(n) * nnz, rows.end * d);
+        debug_assert!(self.q.len() >= row_len, "sparse: operand rows");
+        let want = match pass {
+            Pass::Forward | Pass::RowGrads => [edge_len, row_len],
+            Pass::ColGrads => [row_len, row_len],
+        };
+        debug_assert!(outs[0].1 >= want[0] && outs[1].1 >= want[1], "sparse: output length");
+    }
+}
+
 /// Which row walk to run; each names the two buffers it writes.
 #[derive(Clone, Copy)]
 enum Pass {
@@ -395,10 +414,11 @@ enum Pass {
 ///
 /// # Safety
 ///
-/// `outs` point at buffers of the sizes `pass` writes (`[batch, nnz]`
-/// for edge slots, `[batch·n, d]` for rows), and no other thread
-/// touches the slots of these rows.
-unsafe fn walk_rows(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendPtr<f32>; 2]) {
+/// `outs` point at buffers of the lengths they carry, at least the sizes
+/// `pass` writes (`[batch, nnz]` for edge slots, `[batch·n, d]` for
+/// rows), and no other thread touches the slots of these rows.
+unsafe fn walk_rows(pass: Pass, cx: &Walk, rows: Range<usize>, outs: Outs) {
+    cx.debug_check(pass, &rows, &outs);
     // Safety: forwarded contract; the FMA arm is guarded by the tier.
     unsafe {
         #[cfg(target_arch = "x86_64")]
@@ -416,7 +436,8 @@ unsafe fn walk_rows(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendPtr<f3
 /// As [`walk_rows`], and the CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn walk_rows_avx2(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendPtr<f32>; 2]) {
+unsafe fn walk_rows_avx2(pass: Pass, cx: &Walk, rows: Range<usize>, outs: Outs) {
+    cx.debug_check(pass, &rows, &outs);
     // Safety: forwarded contract.
     unsafe { walk_rows_body(pass, cx, rows, outs) }
 }
@@ -425,7 +446,7 @@ unsafe fn walk_rows_avx2(pass: Pass, cx: &Walk, rows: Range<usize>, outs: [SendP
 ///
 /// As [`walk_rows`].
 #[inline(always)]
-unsafe fn walk_rows_body(pass: Pass, cx: &Walk, rows: Range<usize>, [a, b]: [SendPtr<f32>; 2]) {
+unsafe fn walk_rows_body(pass: Pass, cx: &Walk, rows: Range<usize>, [(a, _), (b, _)]: Outs) {
     let Walk { graph, d, .. } = *cx;
     let (n, nnz) = (graph.n(), graph.nnz());
     for r in rows {
@@ -617,7 +638,10 @@ pub fn sparse_attention_forward(
         d,
         scale,
     };
-    let outs = [SendPtr(weights.as_mut_ptr()), SendPtr(out.as_mut_ptr())];
+    let outs = [
+        (SendPtr(weights.as_mut_ptr()), weights.len()),
+        (SendPtr(out.as_mut_ptr()), out.len()),
+    ];
     // Safety: `weights` is `[batch, nnz]`, `out` `[batch·n, d]`; groups
     // own disjoint rows and the pool joins before the buffers are read.
     for_row_groups(batch * n, batch * nnz * d, |rows| unsafe {
@@ -682,7 +706,10 @@ pub fn sparse_attention_vjp(
     // built directly into `ds`, and `dq`.
     let mut ds = memory::take_scratch(batch * nnz);
     let mut dq = memory::take_scratch(batch * n * d);
-    let outs = [SendPtr(ds.as_mut_ptr()), SendPtr(dq.as_mut_ptr())];
+    let outs = [
+        (SendPtr(ds.as_mut_ptr()), ds.len()),
+        (SendPtr(dq.as_mut_ptr()), dq.len()),
+    ];
     // Safety: `ds` is `[batch, nnz]`, `dq` `[batch·n, d]`; disjoint
     // rows per group, joined before either is read.
     for_row_groups(rows, work, |r| unsafe {
@@ -693,7 +720,10 @@ pub fn sparse_attention_vjp(
     cx.ds = &ds;
     let mut dk = memory::take_scratch(batch * n * d);
     let mut dh = memory::take_scratch(batch * n * d);
-    let outs = [SendPtr(dk.as_mut_ptr()), SendPtr(dh.as_mut_ptr())];
+    let outs = [
+        (SendPtr(dk.as_mut_ptr()), dk.len()),
+        (SendPtr(dh.as_mut_ptr()), dh.len()),
+    ];
     // Safety: both `[batch·n, d]`; disjoint rows per group, joined
     // before either is read.
     for_row_groups(rows, work, |r| unsafe {

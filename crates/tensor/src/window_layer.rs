@@ -3,14 +3,17 @@
 //! (Eq. 12–13) and sensor-correlation attention (Eq. 15–16) — as one
 //! forward walk and one exact VJP.
 //!
-//! The forward reads the layer's keys and values `[B, N, 2, W, S, d]`
-//! (the [`crate::projection`] output) in place and returns `[B, N, W,
-//! d]`, one summary per window. Window `wi`'s proxies `[N, W, p, d]`
-//! block, fused with window `wi − 1`'s summary when `wi > 0`, queries
-//! that window's keys; the `p` contexts collapse through the learned
-//! gate (or their mean) and, when the layer has one, sensor-correlation
-//! attention mixes the N sensors with shared `θ1/θ2 [d, d]`, generated
-//! `[B, N, d, d]` transforms, over all pairs or a [`SensorGraph`].
+//! The forward reads the layer's keys and values in place — joint, the
+//! `[B, N, 2, W, S, d]` [`crate::projection`] output training writes, or
+//! split, two `[B, N, W, S, d]` tensors as the frozen engine projects
+//! them ([`Kv`]) — and returns `[B, N, W, d]`, one summary per window.
+//! Window `wi`'s proxies `[N, W, p, d]` block, fused with window
+//! `wi − 1`'s summary when `wi > 0`, queries that window's keys; the `p`
+//! contexts collapse through the learned gate (or their mean) and, when
+//! the layer has one, sensor-correlation attention mixes the N sensors
+//! with shared `θ1/θ2 [d, d]` or generated per-sensor transforms
+//! ([`Sca`]), over all pairs or a [`SensorGraph`]. Training, evaluation
+//! and the frozen serving engine all run this one body.
 //!
 //! # Order contract
 //!
@@ -49,17 +52,17 @@
 //! the sensor queries and keys and the sensor-mixing weights.
 //!
 //! At `d = 16` on an AVX-512 host the per-sample dense sensor
-//! correlation ([`dense_forward_lanes`], [`dense_vjp_lanes`]) and the
-//! gate's weight gradient ([`gate_partial_lanes`]) run explicit zmm
-//! walks, as the proxy attention does ([`crate::attention`]); other
-//! widths and arms run the same chains through the `linalg` slice
-//! entries and `avx2,fma` loops. The unit test holds every arm to the
-//! same bits.
+//! correlation ([`dense_forward_lanes`], also at the serving width
+//! `d = 32`, and [`dense_vjp_lanes`]) and the gate's weight gradient
+//! ([`gate_partial_lanes`]) run explicit zmm walks, as the proxy
+//! attention does ([`crate::attention`]); other widths and arms run the
+//! same chains through the `linalg` slice entries and `avx2,fma` loops.
+//! The unit test holds every arm to the same bits.
 
 use crate::attention::{self, Dims};
 #[cfg(target_arch = "x86_64")]
 use crate::isa::{self, Isa};
-use crate::linalg::{gemm_nn_slice, gemm_tn_slice};
+use crate::linalg::{gemm_nn_slice, gemm_strided, gemm_tn_slice};
 use crate::sparse::{sparse_attention_forward, sparse_attention_vjp};
 use crate::{mathfn, memory, Result, SensorGraph, Tensor, TensorError};
 
@@ -70,8 +73,54 @@ pub enum Sca<'a> {
     Off,
     /// Shared `θ1`, `θ2`, each `[d, d]`.
     Shared(&'a Tensor, &'a Tensor),
-    /// Generated per-sensor `θ1`, `θ2`, each `[B, N, d, d]`.
+    /// Generated per-sensor `θ1`, `θ2`, each `[B, N, d, d]`, or `[1, N,
+    /// d, d]` broadcast over the samples (forward only).
     Generated(&'a Tensor, &'a Tensor),
+    /// Generated per-sensor transforms decoded flat, `[B·N, 2·d·d]`, each
+    /// row one (sample, sensor)'s `θ1 | θ2` (forward only).
+    GeneratedRows(&'a Tensor),
+}
+
+/// The layer's keys and values.
+#[derive(Clone, Copy)]
+pub enum Kv<'a> {
+    /// Keys then values in one `[B, N, 2, W, S, d]` tensor.
+    Joint(&'a Tensor),
+    /// Keys and values, each `[B, N, W, S, d]`.
+    Split(&'a Tensor, &'a Tensor),
+}
+
+/// Keys and values as the walks read them.
+struct KvLayout<'a> {
+    /// `[B, N, W, S, d]`.
+    shape: [usize; 5],
+    keys: &'a [f32],
+    values: &'a [f32],
+    /// 2 when keys and values share one buffer, 1 when split.
+    halves: usize,
+}
+
+impl<'a> Kv<'a> {
+    /// Either layout's extents and buffers, or `None` when the shapes
+    /// fit neither.
+    fn layout(self) -> Option<KvLayout<'a>> {
+        let (shape, keys, values, halves) = match self {
+            Kv::Joint(kv) => match *kv.shape() {
+                [b, n, 2, w, s, d] => ([b, n, w, s, d], kv, kv, 2),
+                _ => return None,
+            },
+            Kv::Split(k, v) => match *k.shape() {
+                [b, n, w, s, d] if v.shape() == k.shape() => ([b, n, w, s, d], k, v, 1),
+                _ => return None,
+            },
+        };
+        Some(KvLayout {
+            shape,
+            keys: keys.data(),
+            values: values.data(),
+            halves,
+        })
+    }
 }
 
 /// The layer's parameters.
@@ -116,6 +165,8 @@ struct Geom {
     p: usize,
     d: usize,
     heads: usize,
+    /// 2 for joint keys and values, 1 for split ones.
+    halves: usize,
 }
 
 impl Geom {
@@ -129,9 +180,9 @@ impl Geom {
         self.b * self.n * self.p
     }
 
-    /// Window `wi`'s attention extents over the keys-then-values tensor.
+    /// Window `wi`'s attention extents over the keys and values.
     fn dims(self, wi: usize) -> Dims {
-        Dims::window(self.bn(), self.p, self.s, self.heads, self.d, 2, self.w, wi)
+        Dims::window(self.bn(), self.p, self.s, self.heads, self.d, self.halves, self.w, wi)
     }
 }
 
@@ -140,23 +191,25 @@ fn invalid<T>(msg: String) -> Result<T> {
 }
 
 /// Check `kv` and every parameter against each other.
-fn geometry(kv: &Tensor, wts: &Weights<'_>, heads: usize) -> Result<Geom> {
-    let (ks, ps) = (kv.shape(), wts.proxies.shape());
-    if ks.len() != 6 || ks[2] != 2 || ps.len() != 4 {
-        return invalid(format!("kv {ks:?} / proxies {ps:?}"));
-    }
+fn geometry(kv: Kv<'_>, wts: &Weights<'_>, heads: usize) -> Result<Geom> {
+    let ps = wts.proxies.shape();
+    let (Some(KvLayout { shape: [b, kn, kw, s, kd], halves, .. }), 4) = (kv.layout(), ps.len())
+    else {
+        return invalid(format!("keys and values / proxies {ps:?}"));
+    };
     let (n, w, p, d) = (ps[0], ps[1], ps[2], ps[3]);
     let g = Geom {
-        b: ks[0],
+        b,
         n,
         w,
-        s: ks[4],
+        s,
         p,
         d,
         heads,
+        halves,
     };
-    if ks[1] != n || ks[3] != w || ks[5] != d || w == 0 || p == 0 || g.s == 0 || g.b == 0 {
-        return invalid(format!("kv {ks:?} against proxies {ps:?}"));
+    if kn != n || kw != w || kd != d || w == 0 || p == 0 || s == 0 || b == 0 {
+        return invalid(format!("keys and values {:?} against proxies {ps:?}", [b, kn, kw, s, kd]));
     }
     if heads == 0 || d == 0 || !d.is_multiple_of(heads) {
         return invalid(format!("heads {heads} must divide d {d}"));
@@ -176,13 +229,17 @@ fn geometry(kv: &Tensor, wts: &Weights<'_>, heads: usize) -> Result<Geom> {
             return invalid(format!("gate {:?} / {:?}", w1.shape(), w2.shape()));
         }
     }
+    let generated = |t: &Tensor| is(t, &[b, n, d, d]) || is(t, &[1, n, d, d]);
     match wts.sca {
         Sca::Off if wts.graph.is_some() => return invalid("a sensor graph without SCA".into()),
         Sca::Shared(t1, t2) if !is(t1, &[d, d]) || !is(t2, &[d, d]) => {
             return invalid(format!("shared θ {:?} / {:?}", t1.shape(), t2.shape()))
         }
-        Sca::Generated(t1, t2) if !is(t1, &[g.b, n, d, d]) || !is(t2, &[g.b, n, d, d]) => {
+        Sca::Generated(t1, t2) if !generated(t1) || t2.shape() != t1.shape() => {
             return invalid(format!("generated θ {:?} / {:?}", t1.shape(), t2.shape()))
+        }
+        Sca::GeneratedRows(rows) if !is(rows, &[b * n, 2 * d * d]) => {
+            return invalid(format!("generated θ rows {:?}", rows.shape()))
         }
         _ => {}
     }
@@ -265,17 +322,26 @@ fn sum_from_zero<'a>(len: usize, parts: impl Iterator<Item = &'a [f32]>) -> Vec<
     acc
 }
 
+/// Window `wi`'s `[p, d]` proxy block of every (sample, sensor) pair,
+/// in pair order.
+fn proxy_blocks(g: Geom, proxies: &[f32], wi: usize) -> impl Iterator<Item = &[f32]> {
+    let block = g.p * g.d;
+    (0..g.b).flat_map(move |_| {
+        (0..g.n).map(move |n| &proxies[(n * g.w + wi) * block..(n * g.w + wi + 1) * block])
+    })
+}
+
 /// `[h_prev[l] | proxies[n, wi, r]]` for every proxy row: the fusion's
 /// input, the `concat` of the tiled summary and the proxy block.
 fn stacked_rows(g: Geom, proxies: &[f32], wi: usize, prev: &[f32]) -> Vec<f32> {
     let (p, d) = (g.p, g.d);
     let mut st = memory::take_scratch(g.rows() * 2 * d);
-    for (row, dst) in st.chunks_exact_mut(2 * d).enumerate() {
-        let (l, r) = (row / p, row % p);
-        let n = l % g.n;
-        dst[..d].copy_from_slice(&prev[l * d..(l + 1) * d]);
-        let at = ((n * g.w + wi) * p + r) * d;
-        dst[d..].copy_from_slice(&proxies[at..at + d]);
+    let pairs = st.chunks_exact_mut(p * 2 * d).zip(prev.chunks_exact(d));
+    for ((dst, prev), block) in pairs.zip(proxy_blocks(g, proxies, wi)) {
+        for (row, proxy) in dst.chunks_exact_mut(2 * d).zip(block.chunks_exact(d)) {
+            row[..d].copy_from_slice(prev);
+            row[d..].copy_from_slice(proxy);
+        }
     }
     st
 }
@@ -287,12 +353,33 @@ fn queries(g: Geom, wts: &Weights<'_>, wi: usize, prev: Option<&[f32]>) -> Vec<f
     let proxies = wts.proxies.data();
     match (wts.fusion, prev) {
         (Some((fw, fb)), Some(prev)) => {
-            let st = stacked_rows(g, proxies, wi, prev);
-            let mut pq = nn(&st, fw.data(), g.rows(), 2 * d, d);
-            memory::recycle(st);
+            // `[h_prev | proxy] @ W` without the concat: each element's
+            // chain takes the summary's `d` terms, then — continued in
+            // place — the proxy row's `d`, read where the proxies lie.
+            let (top, bottom) = fw.data().split_at(d * d);
+            let mut pq = memory::take_scratch(g.rows() * d);
+            if p == 1 {
+                gemm_strided(prev, (d, 1), top, d, &mut pq, (g.bn(), d, d), true);
+                for c in pq.chunks_exact_mut(g.n * d) {
+                    let rows = (g.w * d, 1);
+                    gemm_strided(&proxies[wi * d..], rows, bottom, d, c, (g.n, d, d), false);
+                }
+            } else {
+                let mut head = memory::take_scratch(g.bn() * d);
+                gemm_strided(prev, (d, 1), top, d, &mut head, (g.bn(), d, d), true);
+                let pairs = pq.chunks_exact_mut(p * d).zip(head.chunks_exact(d));
+                for ((c, h), block) in pairs.zip(proxy_blocks(g, proxies, wi)) {
+                    for row in c.chunks_exact_mut(d) {
+                        row.copy_from_slice(h);
+                    }
+                    gemm_strided(block, (d, 1), bottom, d, c, (p, d, d), false);
+                }
+                memory::recycle(head);
+            }
+            let bias = fb.data();
             for row in pq.chunks_exact_mut(d) {
-                for (x, &bias) in row.iter_mut().zip(fb.data()) {
-                    *x += bias;
+                for (x, &b) in row.iter_mut().zip(bias) {
+                    *x += b;
                 }
             }
             mathfn::tanh_slice(&mut pq);
@@ -300,9 +387,8 @@ fn queries(g: Geom, wts: &Weights<'_>, wi: usize, prev: Option<&[f32]>) -> Vec<f
         }
         _ => {
             let mut pq = memory::take_scratch(g.rows() * d);
-            for (l, dst) in pq.chunks_exact_mut(p * d).enumerate() {
-                let at = ((l % g.n) * g.w + wi) * p * d;
-                dst.copy_from_slice(&proxies[at..at + p * d]);
+            for (dst, block) in pq.chunks_exact_mut(p * d).zip(proxy_blocks(g, proxies, wi)) {
+                dst.copy_from_slice(block);
             }
             pq
         }
@@ -351,29 +437,38 @@ fn aggregate(g: Geom, wts: &Weights<'_>, hw: &[f32]) -> (Vec<f32>, Option<(Tenso
     }
 }
 
+/// (Sample, sensor) pair `l`'s generated `θ1`, `θ2` blocks, `[d, d]`
+/// each, read where they lie in any [`Sca`] generated layout.
+fn generated_at<'a>(g: Geom, sca: Sca<'a>, l: usize) -> (&'a [f32], &'a [f32]) {
+    let dd = g.d * g.d;
+    let (t1, t2, at) = match sca {
+        Sca::Generated(t1, t2) => {
+            let pair = if t1.shape()[0] == g.b { l } else { l % g.n };
+            (t1.data(), t2.data(), pair * dd)
+        }
+        Sca::GeneratedRows(rows) => (rows.data(), &rows.data()[dd..], l * 2 * dd),
+        Sca::Off | Sca::Shared(..) => unreachable!("no per-sensor transforms"),
+    };
+    (&t1[at..at + dd], &t2[at..at + dd])
+}
+
 /// The sensor queries and keys `[B·N, d]` of `ĥ`.
 fn embed(g: Geom, sca: Sca<'_>, hhat: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let (bn, d) = (g.bn(), g.d);
     match sca {
         Sca::Shared(t1, t2) => (nn(hhat, t1.data(), bn, d, d), nn(hhat, t2.data(), bn, d, d)),
-        Sca::Generated(t1, t2) => {
+        Sca::Off => unreachable!("no embeddings without SCA"),
+        generated => {
             let mut q = memory::take_scratch(bn * d);
             let mut k = memory::take_scratch(bn * d);
             for l in 0..bn {
-                let (row, mat) = (l * d..(l + 1) * d, l * d * d..(l + 1) * d * d);
-                gemm_nn_slice(
-                    &hhat[row.clone()],
-                    &t1.data()[mat.clone()],
-                    &mut q[row.clone()],
-                    1,
-                    d,
-                    d,
-                );
-                gemm_nn_slice(&hhat[row.clone()], &t2.data()[mat], &mut k[row], 1, d, d);
+                let row = l * d..(l + 1) * d;
+                let (t1, t2) = generated_at(g, generated, l);
+                gemm_nn_slice(&hhat[row.clone()], t1, &mut q[row.clone()], 1, d, d);
+                gemm_nn_slice(&hhat[row.clone()], t2, &mut k[row], 1, d, d);
             }
             (q, k)
         }
-        Sca::Off => unreachable!("no embeddings without SCA"),
     }
 }
 
@@ -407,9 +502,9 @@ fn dense_forward(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if d == 16 && isa::current() >= Isa::Avx512 {
+        if (d == 16 || d == 32) && isa::current() >= Isa::Avx512 {
             // Safety: the tier implies AVX-512F.
-            return unsafe { dense_forward_lanes(n, scale, ins, wt, hbar) };
+            return unsafe { dense_forward_lanes(n, d, scale, ins, wt, hbar) };
         }
         if isa::current() >= Isa::Avx2 {
             // Safety: the tier implies AVX2 and FMA.
@@ -496,23 +591,30 @@ fn dense_forward_body(
     gemm_tn_slice(wt, h, hbar, n, n, d);
 }
 
-/// The queries `i0..i0 + 16` of a `[N, 16]` block transposed into lanes:
-/// column `c` holds row `i0 + r`'s element `c` in lane `r`, zero past
-/// the block's last row.
+/// Columns `c0..c0 + 16` of the rows `i0..i0 + 16` of a `[N, d]` block
+/// transposed into lanes: column `c` holds row `i0 + r`'s element
+/// `c0 + c` in lane `r`, zero past the block's last row.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX-512F and `rows.len() == n · 16`.
+/// The CPU must support AVX-512F, `rows.len() == n · d` and
+/// `c0 + 16 <= d`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn lane_columns(rows: &[f32], n: usize, i0: usize) -> [std::arch::x86_64::__m512; 16] {
+unsafe fn lane_columns(
+    rows: &[f32],
+    (n, d): (usize, usize),
+    i0: usize,
+    c0: usize,
+) -> [std::arch::x86_64::__m512; 16] {
     use std::arch::x86_64::*;
-    debug_assert!(rows.len() == n * 16 && i0 < n);
-    // Safety: row `i0 + r < n` lies inside `rows`.
+    debug_assert!(rows.len() == n * d && i0 < n && c0 + 16 <= d);
+    // Safety: row `i0 + r < n` lies inside `rows`, columns `c0..c0 + 16`
+    // inside the row.
     unsafe {
         crate::projection::transpose16(std::array::from_fn(|r| {
             if i0 + r < n {
-                _mm512_loadu_ps(rows.as_ptr().add((i0 + r) * 16))
+                _mm512_loadu_ps(rows.as_ptr().add((i0 + r) * d + c0))
             } else {
                 _mm512_setzero_ps()
             }
@@ -521,30 +623,32 @@ unsafe fn lane_columns(rows: &[f32], n: usize, i0: usize) -> [std::arch::x86_64:
 }
 
 /// `Σ_c cols[c] · b[j][c]` for four keys `j0..j0 + 4` (fewer at the
-/// end) at once, each one chain in ascending `c` from `+0.0`.
+/// end) at once, each one chain in ascending `c` from `+0.0`; `b`'s
+/// rows are `cols.len()` wide.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F and `b` must hold rows `j0..j0 + 4`
-/// (or up to its end) of 16.
+/// (or up to its end) of `cols.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
 unsafe fn four_chains(
-    cols: &[std::arch::x86_64::__m512; 16],
+    cols: &[std::arch::x86_64::__m512],
     b: &[f32],
     j0: usize,
 ) -> [std::arch::x86_64::__m512; 4] {
     use std::arch::x86_64::*;
-    let last = b.len() / 16 - 1;
-    debug_assert!(j0 <= last);
+    let d = cols.len();
+    let last = b.len() / d - 1;
+    debug_assert!(j0 <= last && b.len().is_multiple_of(d));
     // Past the last row the chains rerun row `last`; callers drop them.
     let rows: [*const f32; 4] = std::array::from_fn(|k| {
         // Safety: row `min(j0 + k, last)` lies inside `b`.
-        unsafe { b.as_ptr().add((j0 + k).min(last) * 16) }
+        unsafe { b.as_ptr().add((j0 + k).min(last) * d) }
     });
     let mut acc = [_mm512_setzero_ps(); 4];
-    // Safety: element `c < 16` of each row above.
+    // Safety: element `c < d` of each row above.
     unsafe {
         for (c, &col) in cols.iter().enumerate() {
             for (a, &row) in acc.iter_mut().zip(&rows) {
@@ -555,10 +659,11 @@ unsafe fn four_chains(
     acc
 }
 
-/// [`dense_forward_body`] at `d = 16` with the queries in lanes, sixteen
-/// at a time: a score is one chain over `c` per key, the softmax runs
-/// down the keys lane by lane, and `h̄`'s sixteen columns are chains
-/// over the keys — the same chain per element, hence the same bits.
+/// [`dense_forward_body`] at `d` of 16 or 32 with the queries in lanes,
+/// sixteen at a time: a score is one chain over `c` per key, the softmax
+/// runs down the keys lane by lane, and `h̄`'s columns are chains over
+/// the keys, sixteen columns per pass — the same chain per element,
+/// hence the same bits.
 ///
 /// # Safety
 ///
@@ -567,13 +672,15 @@ unsafe fn four_chains(
 #[target_feature(enable = "avx512f")]
 unsafe fn dense_forward_lanes(
     n: usize,
+    d: usize,
     scale: f32,
     [q, k, h]: [&[f32]; 3],
     wt: &mut [f32],
     hbar: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!([q, k, h].iter().all(|x| x.len() == n * 16) && hbar.len() == n * 16);
+    debug_assert!(d == 16 || d == 32);
+    debug_assert!([q, k, h].iter().all(|x| x.len() == n * d) && hbar.len() == n * d);
     debug_assert_eq!(wt.len(), n * n);
     let scale = _mm512_set1_ps(scale);
     // Safety (whole body): every masked access touches lanes `i0..n` of a
@@ -583,10 +690,13 @@ unsafe fn dense_forward_lanes(
             let mask: __mmask16 = ((1u32 << (n - i0).min(16)) - 1) as __mmask16;
             let base = wt.as_mut_ptr();
             let at = |j: usize| base.add(j * n + i0);
-            let qc = lane_columns(q, n, i0);
+            let mut qc = [_mm512_setzero_ps(); 32];
+            for c0 in (0..d).step_by(16) {
+                qc[c0..c0 + 16].copy_from_slice(&lane_columns(q, (n, d), i0, c0));
+            }
             let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
             for j0 in (0..n).step_by(4) {
-                for (jj, acc) in four_chains(&qc, k, j0).iter().enumerate().take(n - j0) {
+                for (jj, acc) in four_chains(&qc[..d], k, j0).iter().enumerate().take(n - j0) {
                     let sv = _mm512_mul_ps(*acc, scale);
                     // `f32::max(m, x)`: a NaN score leaves the max alone.
                     m = _mm512_max_ps(sv, m);
@@ -602,17 +712,24 @@ unsafe fn dense_forward_lanes(
                 z = _mm512_add_ps(z, e);
                 _mm512_mask_storeu_ps(at(j), mask, e);
             }
-            let mut cols = [_mm512_setzero_ps(); 16];
-            for j in 0..n {
-                let w = _mm512_div_ps(_mm512_maskz_loadu_ps(mask, at(j)), z);
-                _mm512_mask_storeu_ps(at(j), mask, w);
-                for (c, col) in cols.iter_mut().enumerate() {
-                    *col = _mm512_fmadd_ps(w, _mm512_set1_ps(h[j * 16 + c]), *col);
+            for c0 in (0..d).step_by(16) {
+                let mut cols = [_mm512_setzero_ps(); 16];
+                for j in 0..n {
+                    let w = if c0 == 0 {
+                        let w = _mm512_div_ps(_mm512_maskz_loadu_ps(mask, at(j)), z);
+                        _mm512_mask_storeu_ps(at(j), mask, w);
+                        w
+                    } else {
+                        _mm512_maskz_loadu_ps(mask, at(j))
+                    };
+                    for (c, col) in cols.iter_mut().enumerate() {
+                        *col = _mm512_fmadd_ps(w, _mm512_set1_ps(h[j * d + c0 + c]), *col);
+                    }
                 }
-            }
-            let rows = crate::projection::transpose16(cols);
-            for (r, row) in rows.iter().enumerate().take(n - i0) {
-                _mm512_storeu_ps(hbar.as_mut_ptr().add((i0 + r) * 16), *row);
+                let rows = crate::projection::transpose16(cols);
+                for (r, row) in rows.iter().enumerate().take(n - i0) {
+                    _mm512_storeu_ps(hbar.as_mut_ptr().add((i0 + r) * d + c0), *row);
+                }
             }
         }
     }
@@ -648,7 +765,7 @@ unsafe fn dense_vjp_lanes(
             let w_at = |j: usize| _mm512_maskz_loadu_ps(mask, wt.as_ptr().add(j * n + i0));
             let base = ds.as_mut_ptr();
             let ds_at = |j: usize| base.add(j * n + i0);
-            let gc = lane_columns(g, n, i0);
+            let gc = lane_columns(g, (n, 16), i0, 0);
             let mut sum = _mm512_setzero_ps();
             for j0 in (0..n).step_by(4) {
                 for (jj, da) in four_chains(&gc, h, j0).iter().enumerate().take(n - j0) {
@@ -801,28 +918,37 @@ fn sensors(g: Geom, buf: Vec<f32>) -> Result<Tensor> {
     Tensor::from_vec(buf, &[g.b, g.n, g.d])
 }
 
-/// Layer forward: `kv [B, N, 2, W, S, d]` through `wts` into `[B, N, W,
-/// d]`, with the activations [`vjp`] needs when `save` is set.
+/// Layer forward: the keys and values through `wts` into `[B, N, W,
+/// d]`, with the activations [`vjp`] needs when `save` is set. Spans:
+/// `queries`, `proxy_attention`, `gate` and `sensor_attention`, once per
+/// window each.
 pub fn forward(
-    kv: &Tensor,
+    kv: Kv<'_>,
     wts: &Weights<'_>,
     heads: usize,
     save: bool,
 ) -> Result<(Tensor, Option<Saved>)> {
     let g = geometry(kv, wts, heads)?;
+    let KvLayout { keys, values, .. } = kv.layout().expect("checked by geometry");
     let (bn, w, d) = (g.bn(), g.w, g.d);
     let scale = 1.0 / (d as f32).sqrt();
     let mut out = memory::take_scratch(bn * w * d);
     let mut saved = Vec::with_capacity(if save { w } else { 0 });
     let mut prev: Option<Vec<f32>> = None;
     for wi in 0..w {
+        let span = stwa_observe::span!("queries");
         let pq = queries(g, wts, wi, prev.as_deref());
+        drop(span);
+        let span = stwa_observe::span!("proxy_attention");
         let dm = g.dims(wi);
         let mut attn = memory::take_scratch(dm.weights_len());
         // Zeroed: the mix adds each column's terms onto `+0.0`.
         let mut hw = memory::take_filled(g.rows() * d, 0.0);
-        attention::forward_slices(dm, &pq, kv.data(), kv.data(), &mut attn, &mut hw);
+        attention::forward_slices(dm, &pq, keys, values, &mut attn, &mut hw);
+        drop(span);
+        let span = stwa_observe::span!("gate");
         let (hhat, gate) = aggregate(g, wts, &hw);
+        drop(span);
         let (hbar, sca) = match wts.sca {
             Sca::Off => (hhat, None),
             sca => {
@@ -1046,16 +1172,19 @@ fn sca_vjp(
             add_into(&mut gh, &rows_grad);
             memory::recycle(rows_grad);
         }
-        Sca::Off => unreachable!("no SCA VJP without SCA"),
+        Sca::Off | Sca::GeneratedRows(_) => unreachable!("checked by vjp"),
     }
     Ok(gh)
 }
 
-/// Exact VJP of [`forward`]. `grad` and `out` are the output's gradient
-/// and value, `saved` what the forward kept. Keys' and values' gradients
-/// are added into `gkv` (laid out like `kv`) when it is given; every
-/// parameter partial goes to `sink`, window by window from the last, in
-/// the order [`Part`] lists them.
+/// Exact VJP of [`forward`] over joint keys and values `kv [B, N, 2, W,
+/// S, d]`, with generated transforms (if any) `[B, N, d, d]`. `grad` and
+/// `out` are the output's gradient and value, `saved` what the forward
+/// kept. Keys' and values' gradients are added into `gkv` (laid out like
+/// `kv`) when it is given; every parameter partial goes to `sink`, window
+/// by window from the last, in the order [`Part`] lists them. Spans, per
+/// window: `sensor_attention`, `gate`, `proxy_attention`, `fusion` (the
+/// fusion and the proxies' partials).
 #[allow(clippy::too_many_arguments)]
 pub fn vjp(
     grad: &Tensor,
@@ -1067,8 +1196,15 @@ pub fn vjp(
     mut gkv: Option<&mut [f32]>,
     sink: &mut dyn FnMut(Part, Tensor) -> Result<()>,
 ) -> Result<()> {
-    let g = geometry(kv, wts, heads)?;
+    let g = geometry(Kv::Joint(kv), wts, heads)?;
     let (b, n, w, p, d, bn, rows) = (g.b, g.n, g.w, g.p, g.d, g.bn(), g.rows());
+    match wts.sca {
+        Sca::Generated(t1, _) if t1.shape()[0] != b => {
+            return invalid(format!("vjp: generated θ {:?} for B = {b}", t1.shape()))
+        }
+        Sca::GeneratedRows(_) => return invalid("vjp: generated θ rows".into()),
+        _ => {}
+    }
     let want = [b, n, w, d];
     if grad.shape() != want || out.shape() != want || saved.windows.len() != w {
         return invalid(format!(
@@ -1107,11 +1243,15 @@ pub fn vjp(
         }
 
         let ghhat = match &sv.sca {
-            Some(parts) => sca_vjp(g, wts, parts, gbar, sink)?,
+            Some(parts) => {
+                let _span = stwa_observe::span!("sensor_attention");
+                sca_vjp(g, wts, parts, gbar, sink)?
+            }
             None => gbar,
         };
 
         // Through the aggregator to the contexts.
+        let span = stwa_observe::span!("gate");
         let hw = sv.hw.data();
         let mut ghw = memory::take_scratch(rows * d);
         match (&sv.gate, &gate_t) {
@@ -1159,8 +1299,10 @@ pub fn vjp(
             }
         }
         memory::recycle(ghhat);
+        drop(span);
 
         // Through the attention: `gk` / `gv` into window `wi`'s blocks.
+        let span = stwa_observe::span!("proxy_attention");
         let dm = g.dims(wi);
         let ins = [&ghw[..], sv.pq.data(), kv.data(), kv.data(), sv.attn.data()];
         let gq = attention::run_vjp(dm, ins, rows * d, &mut |l, gkb, gvb| {
@@ -1173,8 +1315,10 @@ pub fn vjp(
             }
         });
         memory::recycle(ghw);
+        drop(span);
 
         // Through the fusion to the proxies and the previous summary.
+        let _span = stwa_observe::span!("fusion");
         let gpb = match (wi, wts.fusion, &fusion_t) {
             (1.., Some((_, _)), Some(ft)) => {
                 let mut gpre = gq;
@@ -1252,13 +1396,17 @@ mod tests {
 
     /// The train step's first layer, a ragged sixteen-lane remainder,
     /// one sample and one window, two proxies with generated sparse
-    /// mixing.
-    const CASES: [Case; 5] = [
+    /// mixing, and the serving width (`d = 32`, eight heads: the
+    /// attention walk's `(8, 4)` instantiation; dense mixing over a full
+    /// sixteen-lane group and a ragged one).
+    const CASES: [Case; 7] = [
         (32, 20, 4, 3, 1, 16, 4, true, 1, false),
         (3, 7, 2, 2, 1, 16, 1, true, 1, true),
         (1, 5, 1, 3, 1, 8, 2, true, 0, false),
         (2, 9, 3, 2, 2, 16, 4, false, 2, true),
         (2, 4, 2, 3, 2, 8, 4, true, 2, false),
+        (3, 20, 2, 3, 1, 32, 8, true, 1, false),
+        (2, 5, 3, 2, 2, 32, 8, true, 2, true),
     ];
 
     /// Output bits, `kv`'s gradient bits and every partial's bits in the
@@ -1326,8 +1474,9 @@ mod tests {
         fn run(&self) -> Run {
             let bits = |t: &[f32]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let wts = self.weights();
-            let (out, saved) = forward(&self.kv, &wts, self.heads, true).unwrap();
-            let (eval, none) = forward(&self.kv, &wts, self.heads, false).unwrap();
+            let kv = Kv::Joint(&self.kv);
+            let (out, saved) = forward(kv, &wts, self.heads, true).unwrap();
+            let (eval, none) = forward(kv, &wts, self.heads, false).unwrap();
             assert!(none.is_none());
             assert_eq!(
                 bits(out.data()),
@@ -1373,6 +1522,62 @@ mod tests {
     }
 
     #[test]
+    fn split_keys_values_and_every_theta_layout_give_the_joint_bits() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for case in CASES {
+            let (b, n, w, s, _, d, heads, ..) = case;
+            let ops = Operands::new(case);
+            let half = |i| ops.kv.narrow(2, i, 1).unwrap().reshape(&[b, n, w, s, d]).unwrap();
+            let (keys, values) = (half(0), half(1));
+            let (joint, split) = (Kv::Joint(&ops.kv), Kv::Split(&keys, &values));
+            // Generated θ as the frozen engine holds it: flat `θ1 | θ2`
+            // rows, and sample 0's transforms broadcast over the batch
+            // (against their materialized broadcast).
+            let generated = match (&ops.theta, ops.generated) {
+                (Some([t1, t2]), true) => {
+                    let dd = d * d;
+                    let mut rows = Vec::with_capacity(2 * t1.len());
+                    for l in 0..b * n {
+                        rows.extend_from_slice(&t1.data()[l * dd..(l + 1) * dd]);
+                        rows.extend_from_slice(&t2.data()[l * dd..(l + 1) * dd]);
+                    }
+                    let first = |t: &Tensor| t.narrow(0, 0, 1).unwrap();
+                    let (c1, c2) = (first(t1), first(t2));
+                    let wide = |t: &Tensor| t.broadcast_to(&[b, n, d, d]).unwrap();
+                    Some((
+                        Tensor::from_vec(rows, &[b * n, 2 * d * d]).unwrap(),
+                        [wide(&c1), wide(&c2)],
+                        [c1, c2],
+                    ))
+                }
+                _ => None,
+            };
+            let run = |kv, sca: Option<Sca<'_>>| {
+                let wts = Weights {
+                    sca: sca.unwrap_or(ops.weights().sca),
+                    ..ops.weights()
+                };
+                bits(&forward(kv, &wts, heads, false).unwrap().0)
+            };
+            crate::isa::for_each_ceiling("window layer operands", |cap| {
+                assert!(run(split, None) == run(joint, None), "split K/V, {cap:?} {case:?}");
+                if let Some((rows, [w1, w2], [c1, c2])) = &generated {
+                    let want = run(joint, None);
+                    assert!(
+                        run(split, Some(Sca::GeneratedRows(rows))) == want,
+                        "θ rows, {cap:?} {case:?}"
+                    );
+                    assert!(
+                        run(split, Some(Sca::Generated(c1, c2)))
+                            == run(joint, Some(Sca::Generated(w1, w2))),
+                        "broadcast θ, {cap:?} {case:?}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
     fn partials_arrive_window_by_window_from_the_last() {
         let ops = Operands::new(CASES[3]);
         let (_, _, parts) = ops.run();
@@ -1395,15 +1600,20 @@ mod tests {
         let wts = ops.weights();
         // Heads that do not divide d, a fusion on one window, a
         // gradient of the wrong shape.
-        assert!(forward(&ops.kv, &wts, 3, false).is_err());
+        let kv = Kv::Joint(&ops.kv);
+        assert!(forward(kv, &wts, 3, false).is_err());
         let extra = Tensor::zeros(&[16, 8]);
         let bias = Tensor::zeros(&[8]);
         let fused = Weights {
             fusion: Some((&extra, &bias)),
             ..wts
         };
-        assert!(forward(&ops.kv, &fused, 2, false).is_err());
-        let (out, saved) = forward(&ops.kv, &wts, 2, true).unwrap();
+        assert!(forward(kv, &fused, 2, false).is_err());
+        // Split keys and values of different shapes.
+        let keys = Tensor::zeros(&[1, 5, 1, 3, 8]);
+        let values = Tensor::zeros(&[1, 5, 1, 2, 8]);
+        assert!(forward(Kv::Split(&keys, &values), &wts, 2, false).is_err());
+        let (out, saved) = forward(Kv::Joint(&ops.kv), &wts, 2, true).unwrap();
         let bad = Tensor::zeros(&[1, 5, 1, 4]);
         let sink = &mut |_: Part, _: Tensor| Ok(());
         assert!(vjp(&bad, &out, &ops.kv, &wts, 2, &saved.unwrap(), None, sink).is_err());
