@@ -22,8 +22,10 @@ impl Graph {
     /// `grad`.
     ///
     /// *Leaf* gradients accumulate across calls (PyTorch-style); use
-    /// [`Graph::zero_grads`] to reset them. Intermediate gradients are
-    /// per-sweep scratch and are cleared at the start of each call.
+    /// [`Graph::zero_grads`] to reset them. An interior node's gradient
+    /// is dropped as soon as its VJP has run, so its buffer goes back to
+    /// the pool mid-sweep and [`Graph::grad`] reads `None` for it
+    /// afterwards.
     ///
     /// A [`Graph::no_grad`] graph has recorded nothing and returns
     /// [`TensorError::Invalid`].
@@ -51,23 +53,12 @@ impl Graph {
         let _span = stwa_observe::span!("backward");
         stwa_observe::counter!("backward.calls").incr();
         let mut nodes = self.inner.borrow_mut();
-        // Leaf gradients accumulate across backward calls (PyTorch-style),
-        // but *intermediate* gradients are per-sweep scratch: stale values
-        // from a previous backward would re-propagate and double-count.
-        // The buffers themselves are retained (marked stale) so this
-        // sweep's first contribution to each node lands as an in-place
-        // overwrite instead of a fresh pool allocation.
-        for node in nodes.iter_mut() {
-            if !matches!(node.op, Op::Leaf) && node.grad.is_some() {
-                node.grad_stale = true;
-            }
-        }
         seed(&mut nodes, loss.id);
         // Node ids are a topological order (ops only reference earlier
         // ids), so a reverse sweep visits every node after all of its
         // consumers.
         for id in (0..=loss.id).rev() {
-            if !nodes[id].requires_grad || nodes[id].grad_stale {
+            if !nodes[id].requires_grad {
                 continue;
             }
             // Take the gradient out instead of cloning it: this node is
@@ -81,26 +72,32 @@ impl Graph {
             // Per-op-kind grad timing: spans aggregate by path, so e.g.
             // every matmul VJP of this sweep folds into "backward/matmul".
             let op_span = stwa_observe::scope(op.kind_name());
-            propagate(&mut nodes, &op, &grad, &out_value)?;
+            let propagated = propagate(&mut nodes, &op, &grad, &out_value);
             drop(op_span);
-            nodes[id].grad = Some(grad);
+            if let Err(e) = propagated {
+                // Leave no half-swept interior gradient for a later
+                // sweep to propagate a second time.
+                for node in nodes.iter_mut().filter(|n| !matches!(n.op, Op::Leaf)) {
+                    node.grad = None;
+                }
+                return Err(e);
+            }
+            // An interior gradient is read by nothing after its VJP: it
+            // goes back to the pool here. Leaves keep accumulating.
+            if matches!(op, Op::Leaf) {
+                nodes[id].grad = Some(grad);
+            }
         }
         Ok(())
     }
 }
 
 fn seed(nodes: &mut [Node], id: Id) {
-    let shape = nodes[id].value.shape().to_vec();
-    // A stale slot is logically empty, and overwriting its retained
-    // buffer with 1.0 is bit-for-bit the seed tensor — no allocation.
-    if reuse_stale(&mut nodes[id], &shape, |buf| buf.fill(1.0)) {
-        return;
-    }
     // Accumulate rather than overwrite: when the loss node is itself a
     // leaf, its gradient must keep accumulating across backward calls
-    // like every other leaf (non-leaf losses were just cleared, so this
-    // is equivalent to assignment for them).
-    let ones = Tensor::ones(&shape);
+    // like every other leaf (a non-leaf loss's slot is empty, so this is
+    // assignment for it).
+    let ones = Tensor::ones(nodes[id].value.shape());
     match &mut nodes[id].grad {
         Some(existing) => {
             existing.add_assign(&ones).expect("seed shape matches");
@@ -109,37 +106,10 @@ fn seed(nodes: &mut [Node], id: Id) {
     }
 }
 
-/// Try to serve a "first write" into `node`'s stale gradient buffer by
-/// overwriting it in place via `write`. Returns false (after clearing
-/// the slot) when there is no reusable buffer of the right shape, in
-/// which case the caller materializes a fresh gradient as if the slot
-/// had been `None`. Overwriting is a plain store of the incoming bits,
-/// so the result is bitwise-identical to dropping the buffer and
-/// inserting a new tensor.
-fn reuse_stale(node: &mut Node, shape: &[usize], write: impl FnOnce(&mut [f32])) -> bool {
-    if !node.grad_stale {
-        return false;
-    }
-    node.grad_stale = false;
-    if let Some(existing) = node.grad.as_mut() {
-        if existing.shape() == shape {
-            write(existing.data_mut());
-            stwa_observe::counter!("alloc.grad_reuse").incr();
-            return true;
-        }
-    }
-    node.grad = None;
-    false
-}
-
 /// Accumulate an owned gradient contribution: axpy into the existing
 /// buffer, or move the tensor into an empty slot (no copy at all).
 fn accumulate(nodes: &mut [Node], id: Id, grad: Tensor) -> Result<()> {
     if !nodes[id].requires_grad {
-        return Ok(());
-    }
-    let shape = grad.shape().to_vec();
-    if reuse_stale(&mut nodes[id], &shape, |buf| buf.copy_from_slice(grad.data())) {
         return Ok(());
     }
     match &mut nodes[id].grad {
@@ -154,13 +124,9 @@ fn accumulate(nodes: &mut [Node], id: Id, grad: Tensor) -> Result<()> {
 /// Accumulate a borrowed gradient contribution in place. Cloning happens
 /// only when the slot is empty (the buffer has to come from somewhere —
 /// and then it comes from the pool); an occupied slot takes the in-place
-/// axpy, and a stale slot is overwritten in place.
+/// axpy.
 fn accumulate_ref(nodes: &mut [Node], id: Id, grad: &Tensor) -> Result<()> {
     if !nodes[id].requires_grad {
-        return Ok(());
-    }
-    let shape = grad.shape().to_vec();
-    if reuse_stale(&mut nodes[id], &shape, |buf| buf.copy_from_slice(grad.data())) {
         return Ok(());
     }
     match &mut nodes[id].grad {
@@ -710,9 +676,8 @@ fn narrow_scatter(
     // most narrow VJPs land on a live buffer), add the slice
     // straight into it instead of materializing a full-size zero
     // tensor and paying a whole-volume axpy for a sliver of
-    // nonzeros. A *stale* buffer holds retired values and must
-    // not be added into; it takes the generic overwrite path.
-    if nodes[x].requires_grad && nodes[x].grad.is_some() && !nodes[x].grad_stale {
+    // nonzeros.
+    if nodes[x].requires_grad && nodes[x].grad.is_some() {
         let src = grad.data();
         let existing = nodes[x].grad.as_mut().expect("checked above");
         let dst = existing.data_mut();
@@ -740,14 +705,10 @@ fn narrow_scatter(
 }
 
 /// `node`'s gradient as a buffer to add into in place: the live gradient,
-/// or — when the slot is empty — zeros (a stale buffer is zeroed and
-/// kept, so repeated sweeps draw nothing from the pool).
+/// or — when the slot is empty — zeros.
 fn grad_buffer(node: &mut Node) -> &mut Tensor {
-    let shape = node.value.shape().to_vec();
-    if !reuse_stale(node, &shape, |buf| buf.fill(0.0)) && node.grad.is_none() {
-        node.grad = Some(Tensor::zeros(&shape));
-    }
-    node.grad.as_mut().expect("filled above")
+    let shape = node.value.shape();
+    node.grad.get_or_insert_with(|| Tensor::zeros(shape))
 }
 
 /// A span naming a product VJP's operand shapes and the halves it
@@ -895,29 +856,22 @@ mod tests {
     }
 
     #[test]
-    fn repeated_backward_reuses_grad_buffers_bitwise() {
-        // Same tape, backward twice: leaf grads double exactly, the
-        // intermediate grads are recomputed into their retained buffers,
-        // and the reuse counter proves no fresh buffers were drawn.
+    fn repeated_backward_accumulates_leaf_grads_bitwise() {
+        // Same tape, backward twice: leaf grads double exactly, and
+        // every interior gradient is dropped once it has propagated.
         let g = Graph::new();
         let x = g.leaf(t(&[1.5, -2.0, 0.25], &[3]));
-        let y = x.square().unwrap().mul_scalar(3.0);
+        let sq = x.square().unwrap();
+        let y = sq.mul_scalar(3.0);
         let loss = y.sum_all().unwrap();
+        let interior_released = || [&sq, &y, &loss].iter().all(|v| g.grad(v).is_none());
         g.backward(&loss).unwrap();
+        assert!(interior_released(), "first sweep left an interior grad");
         let first = g.grad(&x).unwrap();
         let doubled: Vec<u32> = first.data().iter().map(|v| (v + v).to_bits()).collect();
 
-        stwa_observe::set_enabled(true);
-        stwa_observe::reset();
         g.backward(&loss).unwrap();
-        let reused = stwa_observe::counters_snapshot()
-            .iter()
-            .find(|(name, _)| name == "alloc.grad_reuse")
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
-        stwa_observe::set_enabled(false);
-        assert!(reused > 0, "second sweep must reuse stale buffers");
-
+        assert!(interior_released(), "second sweep left an interior grad");
         let second = g.grad(&x).unwrap();
         let bits: Vec<u32> = second.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, doubled, "leaf grad must accumulate exactly");
@@ -931,7 +885,7 @@ mod tests {
         g.backward(&loss).unwrap();
         let first: Vec<u32> = g.grad(&x).unwrap().data().iter().map(|v| v.to_bits()).collect();
         g.zero_grads();
-        assert!(g.grad(&x).is_none(), "stale grads read as empty");
+        assert!(g.grad(&x).is_none(), "zeroed grads read as empty");
         g.backward(&loss).unwrap();
         let second: Vec<u32> = g.grad(&x).unwrap().data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(first, second);

@@ -253,14 +253,9 @@ impl Op {
 
 pub(crate) struct Node {
     pub value: Rc<Tensor>,
+    /// A leaf's accumulated gradient; on an interior node, the gradient
+    /// being summed during a sweep, dropped once its VJP has run.
     pub grad: Option<Tensor>,
-    /// When set, `grad` holds a *retired* buffer rather than a live
-    /// gradient: readers treat the slot as empty, and the next
-    /// contribution overwrites the buffer in place instead of drawing a
-    /// fresh one from the pool. Clearing a gradient marks it stale
-    /// instead of dropping it, so repeated backward sweeps over one
-    /// tape recycle their own gradient storage.
-    pub grad_stale: bool,
     pub requires_grad: bool,
     pub op: Op,
 }
@@ -342,7 +337,6 @@ impl Graph {
             nodes.push(Node {
                 value: Rc::clone(&value),
                 grad: None,
-                grad_stale: false,
                 requires_grad,
                 op,
             });
@@ -355,20 +349,16 @@ impl Graph {
         }
     }
 
-    /// The accumulated gradient of `var` after [`Graph::backward`], if
-    /// any path from the loss reached it (never, on a graph that records
-    /// nothing: it has no nodes).
+    /// The accumulated gradient of the leaf `var` after
+    /// [`Graph::backward`], if any path from the loss reached it (never,
+    /// on a graph that records nothing: it has no nodes). An interior
+    /// node reads `None`: the sweep drops its gradient once propagated.
     pub fn grad(&self, var: &Var) -> Option<Tensor> {
         assert!(
             Rc::ptr_eq(&self.inner, &var.graph.inner),
             "grad: Var belongs to a different graph"
         );
-        let nodes = self.inner.borrow();
-        let node = nodes.get(var.id)?;
-        if node.grad_stale {
-            return None;
-        }
-        node.grad.clone()
+        self.inner.borrow().get(var.id)?.grad.clone()
     }
 
     /// Squared L2 norm of `var`'s gradient, computed in place — the
@@ -382,24 +372,19 @@ impl Graph {
             "grad_sq_norm: Var belongs to a different graph"
         );
         let nodes = self.inner.borrow();
-        let node = nodes.get(var.id)?;
-        if node.grad_stale {
-            return None;
-        }
-        node.grad
+        nodes
+            .get(var.id)?
+            .grad
             .as_ref()
             .map(|g| stwa_tensor::reduce::sq_norm(g.data()))
     }
 
-    /// Drop all recorded gradients (e.g. between gradient checks on a
-    /// shared tape). Buffers are retained and marked stale rather than
-    /// freed: readers see an empty slot, and the next backward sweep
-    /// overwrites them in place instead of drawing fresh pool buffers.
+    /// Drop the accumulated leaf gradients (e.g. between gradient checks
+    /// on a shared tape); their buffers go back to the pool. Interior
+    /// gradients are already gone once a sweep has finished.
     pub fn zero_grads(&self) {
         for node in self.inner.borrow_mut().iter_mut() {
-            if node.grad.is_some() {
-                node.grad_stale = true;
-            }
+            node.grad = None;
         }
     }
 }

@@ -3,13 +3,15 @@
 //! batches.
 //!
 //! The report (`BENCH_train_step.json`) records per-step wall-clock,
-//! heap allocations per step, the pool hit rate and peak live bytes.
-//! `--check PATH` gates the two *counts* against a checked-in baseline
-//! — heap allocations per step and the pool hit rate depend on the
-//! step's tensor shapes, not on the host, so they repeat where
-//! milliseconds do not: allocations may grow to at most
-//! [`ALLOC_GROWTH`]× the baseline and the hit rate may fall at most
-//! [`HIT_RATE_SLACK`] below it.
+//! heap allocations per step, the pool hit rate, peak live bytes and
+//! `backward_peak_over_forward` — one step's peak live bytes across
+//! backward over its live bytes at the end of forward (reported, not
+//! gated). `--check PATH` gates three figures against a checked-in
+//! baseline — heap allocations per step, the pool hit rate and peak live
+//! bytes depend on the step's tensor shapes, not on the host, so they
+//! repeat where milliseconds do not: allocations may grow to at most
+//! [`ALLOC_GROWTH`]× the baseline, peak bytes to [`PEAK_GROWTH`]×, and
+//! the hit rate may fall at most [`HIT_RATE_SLACK`] below it.
 //!
 //! A second, traced pass turns `stwa-observe`'s
 //! existing spans into **the table** a "do less" change starts from:
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stwa_autograd::Graph;
+use stwa_autograd::{Graph, Var};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_nn::loss::huber;
 use stwa_nn::optim::{Adam, Optimizer};
@@ -48,6 +50,9 @@ const ALLOC_GROWTH: f64 = 1.25;
 /// `--check` fails when the pool hit rate falls further than this below
 /// the baseline's.
 const HIT_RATE_SLACK: f64 = 0.05;
+/// `--check` fails when peak live bytes exceed the baseline's by more
+/// than this factor.
+const PEAK_GROWTH: f64 = 1.05;
 
 /// The repo benchmark's `train_epoch` shape: `st_wa(20, 12, 12)` at
 /// batch 32, so the table below attributes the step that workload times.
@@ -71,6 +76,9 @@ struct Timed {
     allocs_per_step: f64,
     hit_rate: f64,
     peak_bytes: usize,
+    /// One step's peak live bytes across backward over its live bytes
+    /// at the end of forward.
+    backward_peak_over_forward: f64,
 }
 
 /// One row of the traced table: a span path, how often it closed per
@@ -132,10 +140,9 @@ fn vjp_flops(kind: &str, label: &str) -> Option<f64> {
     Some(2.0 * batch * m * k * n * halves)
 }
 
-/// One optimization step: fresh tape, forward, raw-scale Huber (+KL
-/// when the model is stochastic), backward, Adam — the body of
-/// `Trainer::train_step` on synthetic data. Returns the tape's length.
-fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: &mut StdRng) -> usize {
+/// A step's fresh tape up to its loss: forward, raw-scale Huber (+KL
+/// when the model is stochastic).
+fn forward_loss(model: &StwaModel, bx: &Tensor, by: &Tensor, rng: &mut StdRng) -> (Graph, Var) {
     let graph = Graph::new();
     let x = graph.constant(bx.clone());
     let out = model.forward(&graph, &x, rng, true).expect("forward");
@@ -144,10 +151,37 @@ fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: 
     if let Some(reg) = out.regularizer {
         loss = loss.add(&reg).expect("regularizer");
     }
+    (graph, loss)
+}
+
+/// One optimization step: [`forward_loss`], backward, Adam — the body
+/// of `Trainer::train_step` on synthetic data. Returns the tape's
+/// length.
+fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: &mut StdRng) -> usize {
+    let (graph, loss) = forward_loss(model, bx, by, rng);
     graph.backward(&loss).expect("backward");
     opt.step();
     opt.finish_step();
     graph.len()
+}
+
+/// One step whose backward alone is measured: its peak live bytes over
+/// the live bytes at the end of its forward.
+fn backward_peak_over_forward(
+    model: &StwaModel,
+    opt: &mut Adam,
+    bx: &Tensor,
+    by: &Tensor,
+    rng: &mut StdRng,
+) -> f64 {
+    let (graph, loss) = forward_loss(model, bx, by, rng);
+    let forward_live = memory::current_bytes();
+    memory::reset_peak();
+    graph.backward(&loss).expect("backward");
+    let ratio = memory::peak_bytes() as f64 / forward_live as f64;
+    opt.step();
+    opt.finish_step();
+    ratio
 }
 
 /// The timed pass. The pool starts cold and earns its hit rate inside
@@ -179,6 +213,7 @@ fn run_timed(
     let d_hits = after.hits - before.hits;
     let d_misses = after.misses - before.misses;
     let lookups = d_hits + d_misses;
+    let peak_bytes = memory::peak_bytes();
     Timed {
         tape_nodes,
         ms_per_step: best_ms,
@@ -188,7 +223,8 @@ fn run_timed(
         } else {
             d_hits as f64 / lookups as f64
         },
-        peak_bytes: memory::peak_bytes(),
+        peak_bytes,
+        backward_peak_over_forward: backward_peak_over_forward(model, opt, bx, by, rng),
     }
 }
 
@@ -379,6 +415,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
          \"tape_nodes_per_step\": {},\n  \
          \"fast_ms_per_step\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
          \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
+         \"backward_peak_over_forward\": {:.4},\n  \
          \"traced_ms_per_step\": {:.3},\n  \
          \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
          \"backward_by_op_kind\": {{\n{}\n  }},\n  \
@@ -390,6 +427,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
         timed.allocs_per_step,
         timed.hit_rate,
         timed.peak_bytes,
+        timed.backward_peak_over_forward,
         table.step_ms,
         table.matmul_flops_per_step,
         render_rows(&table.forward),
@@ -469,11 +507,13 @@ fn main() {
 
     let (timed, table) = run_suite();
     println!(
-        "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {}  tape {} nodes",
+        "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {} \
+         (backward {:.3}x forward)  tape {} nodes",
         timed.ms_per_step,
         timed.allocs_per_step,
         timed.hit_rate * 100.0,
         memory::format_bytes(timed.peak_bytes),
+        timed.backward_peak_over_forward,
         timed.tape_nodes
     );
     print_table(&table);
@@ -482,22 +522,21 @@ fn main() {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let mut failed = false;
-        // Allocations may not rise past their limit, the hit rate may
-        // not fall below its own.
-        for (key, new_val, higher_is_worse) in [
-            ("fast_allocs_per_step", timed.allocs_per_step, true),
-            ("pool_hit_rate", timed.hit_rate, false),
+        // Allocations and peak bytes may rise to `factor`x the baseline
+        // (`Some(factor)`); the hit rate may fall at most its slack.
+        for (key, new_val, growth) in [
+            ("fast_allocs_per_step", timed.allocs_per_step, Some(ALLOC_GROWTH)),
+            ("fast_peak_bytes", timed.peak_bytes as f64, Some(PEAK_GROWTH)),
+            ("pool_hit_rate", timed.hit_rate, None),
         ] {
             let Some(old_val) = parse_number(&baseline, key) else {
                 println!("note: no baseline value for {key}, skipping");
                 continue;
             };
-            let limit = if higher_is_worse {
-                old_val * ALLOC_GROWTH
-            } else {
-                old_val - HIT_RATE_SLACK
+            let (limit, past) = match growth {
+                Some(factor) => (old_val * factor, new_val > old_val * factor),
+                None => (old_val - HIT_RATE_SLACK, new_val < old_val - HIT_RATE_SLACK),
             };
-            let past = if higher_is_worse { new_val > limit } else { new_val < limit };
             if past {
                 eprintln!("REGRESSION {key}: {new_val:.4} is past {limit:.4} (baseline {old_val:.4})");
                 failed = true;

@@ -28,9 +28,14 @@
 //! mean gates; sensor correlation absent, shared dense, shared sparse
 //! and generated; shared K/V; one window; two proxies; one head.
 //!
-//! The last holds evaluation to the same `forward`: `Trainer::evaluate`
+//! Another holds evaluation to the same `forward`: `Trainer::evaluate`
 //! runs it on a graph that records nothing, and its metrics must be the
 //! bits of an evaluation rolled by hand on a recording graph.
+//!
+//! The last pins backward's memory: an interior gradient is dropped once
+//! propagated, so one step's backward peaks within 15 % of the live
+//! bytes at the end of its forward. The live-byte counters are
+//! process-global, so that test runs alone ([`TAPE_MEMORY`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,9 +47,17 @@ use st_wa::model::{
 use st_wa::nn::layers::Activation;
 use st_wa::nn::loss::huber;
 use st_wa::nn::optim::{Adam, Optimizer};
-use st_wa::tensor::{manip, Result, SensorGraph, Tensor};
-use std::sync::Arc;
+use st_wa::tensor::{manip, memory, Result, SensorGraph, Tensor};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use st_wa::traffic::{Metrics, Scaler, SplitTensors};
+
+/// The memory pin holds this exclusively while it reads the global
+/// live-byte counters; every other test shares it.
+static TAPE_MEMORY: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    TAPE_MEMORY.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `step_trajectory.rs`: loss of steps 0, 1, 2 as raw f32 bits.
 const RECORDED_LOSS_BITS: [u32; 3] = [0x3ee2_4263, 0x3ee1_a9da, 0x3ee1_0d8b];
@@ -111,6 +124,7 @@ fn production(
 
 #[test]
 fn three_steps_reproduce_the_recorded_trajectory() {
+    let _counters = shared();
     let mut rng = StdRng::seed_from_u64(15);
     let model = StwaModel::new(StwaConfig::st_wa(20, 12, 12), &mut rng).expect("model");
     let bx = Tensor::randn(&[32, 20, 12, 1], &mut rng);
@@ -383,6 +397,7 @@ fn assert_trains_like(config: StwaConfig, forward: Forward, oracle: Forward) {
 
 #[test]
 fn kv_projection_trains_to_the_bits_of_the_decoder_linear_chain() {
+    let _counters = shared();
     let config = StwaConfig::st_wa(6, 12, 12);
     let mut rng = StdRng::seed_from_u64(0);
     let model = StwaModel::new(config.clone(), &mut rng).expect("model");
@@ -397,12 +412,14 @@ fn kv_projection_trains_to_the_bits_of_the_decoder_linear_chain() {
 
 #[test]
 fn two_proxy_model_trains_to_the_bits_of_the_unfused_chain() {
+    let _counters = shared();
     let config = StwaConfig::st_wa(6, 12, 12).with_proxies(2);
     assert_trains_like(config, production, through_chain);
 }
 
 #[test]
 fn window_layer_op_trains_to_the_bits_of_the_per_window_chain() {
+    let _counters = shared();
     let st_wa = StwaConfig::st_wa(6, 12, 12);
     // Each sensor with itself and its ring neighbours.
     let ring: Vec<Vec<usize>> = (0..6)
@@ -447,6 +464,7 @@ fn window_layer_op_trains_to_the_bits_of_the_per_window_chain() {
 
 #[test]
 fn evaluate_is_bitwise_a_recorded_graph_evaluation() {
+    let _counters = shared();
     let (n, h, u) = (6, 12, 12);
     let mut rng = StdRng::seed_from_u64(33);
     let models: Vec<Box<dyn ForecastModel>> = vec![
@@ -492,4 +510,36 @@ fn evaluate_is_bitwise_a_recorded_graph_evaluation() {
         assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "{name}: RMSE");
         assert_eq!(got.mape.to_bits(), want.mape.to_bits(), "{name}: MAPE");
     }
+}
+
+// ---------------------------------------------------------------------
+// Backward's memory: interior gradients go as soon as they propagate.
+// ---------------------------------------------------------------------
+
+#[test]
+fn backward_peaks_within_fifteen_percent_of_the_forward_tape() {
+    let _alone = TAPE_MEMORY.write().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = StdRng::seed_from_u64(15);
+    let model = StwaModel::new(StwaConfig::st_wa(20, 12, 12), &mut rng).expect("model");
+    let bx = Tensor::randn(&[32, 20, 12, 1], &mut rng);
+    let by = Tensor::randn(&[32, 20, 12, 1], &mut rng);
+    let graph = Graph::new();
+    let x = graph.constant(bx);
+    let (pred, regularizer) = production(&model, &graph, &x, &mut rng).expect("forward");
+    let mut loss = huber(&pred, &graph.constant(by), 1.0).expect("huber");
+    if let Some(reg) = regularizer {
+        loss = loss.add(&reg).expect("regularizer");
+    }
+
+    let forward_live = memory::current_bytes();
+    memory::reset_peak();
+    graph.backward(&loss).expect("backward");
+    let peak = memory::peak_bytes();
+
+    // Keeping every interior gradient read 1.59x; dropping them, 1.11x.
+    let ratio = peak as f64 / forward_live as f64;
+    assert!(
+        ratio <= 1.15,
+        "backward peaks at {peak} B, {ratio:.3}x the {forward_live} B live after forward"
+    );
 }
