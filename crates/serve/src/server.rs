@@ -284,6 +284,9 @@ pub struct Server {
     wakers: Vec<Waker>,
     workers: Vec<std::thread::JoinHandle<()>>,
     replicas: Vec<std::thread::JoinHandle<()>>,
+    /// Held until [`Server::shutdown`] has joined every worker, so no
+    /// replica can exit before the last worker has.
+    job_txs: Vec<Sender<Job>>,
 }
 
 impl Server {
@@ -342,8 +345,9 @@ impl Server {
         // Replica pool first: workers must not accept until dims and
         // the initial version are published. Replica 0 additionally
         // holds senders to its peers for registry-poll swap broadcasts;
-        // teardown cascades through it (workers drop their senders →
-        // replica 0 exits and drops the peer senders → peers exit).
+        // teardown cascades through it (the server drops its senders
+        // once the workers are joined → replica 0 exits and drops the
+        // peer senders → peers exit).
         let build = Arc::new(build);
         let mut job_txs: Vec<Sender<Job>> = Vec::with_capacity(n_replicas);
         let mut job_rxs: Vec<Receiver<Job>> = Vec::with_capacity(n_replicas);
@@ -444,7 +448,6 @@ impl Server {
                     })?,
             );
         }
-        drop(job_txs); // replicas exit once every worker is gone
 
         Ok(Server {
             addr,
@@ -453,6 +456,7 @@ impl Server {
             wakers,
             workers,
             replicas,
+            job_txs,
         })
     }
 
@@ -490,6 +494,13 @@ impl Server {
 
     /// Graceful drain: stop accepting, serve everything in flight,
     /// flush every socket, join every thread.
+    ///
+    /// Workers exit before any replica. glibc hands a new thread the
+    /// malloc arena of the thread that exited last, so a server started
+    /// after this one gives its replica the old replica's heap. Left to
+    /// the scheduler, a replica could inherit a worker's small heap and
+    /// grow a new one beside the old model's freed pages, and the
+    /// process's peak RSS would differ by about 5 MiB from run to run.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for waker in &self.wakers {
@@ -498,6 +509,7 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        self.job_txs.clear();
         for replica in self.replicas.drain(..) {
             let _ = replica.join();
         }
