@@ -8,6 +8,11 @@
 //! per-element expressions as the chains of primitive `Tensor` ops they
 //! replace. Those chains are written out in `tests/proptests.rs`, which
 //! asserts bitwise-identical gradients.
+//!
+//! What each VJP reads of the tape's values is declared in one table,
+//! [`Op::vjp_reads`], beside [`propagate`]: the tape holds a value only
+//! while a recorded VJP reads it, and every read goes through [`read`],
+//! which debug builds check against the table.
 
 use crate::graph::{ActKind, Graph, Id, Node, Op, Var};
 use std::rc::Rc;
@@ -42,11 +47,10 @@ impl Graph {
         }
         {
             let nodes = self.inner.borrow();
-            let value = &nodes[loss.id].value;
-            if value.len() != 1 {
+            let shape = &nodes[loss.id].shape;
+            if shape.iter().product::<usize>() != 1 {
                 return Err(TensorError::Invalid(format!(
-                    "backward: loss must be a single element, got shape {:?}",
-                    value.shape()
+                    "backward: loss must be a single element, got shape {shape:?}"
                 )));
             }
         }
@@ -68,11 +72,10 @@ impl Graph {
                 continue;
             };
             let op = nodes[id].op.clone();
-            let out_value = Rc::clone(&nodes[id].value);
             // Per-op-kind grad timing: spans aggregate by path, so e.g.
             // every matmul VJP of this sweep folds into "backward/matmul".
             let op_span = stwa_observe::scope(op.kind_name());
-            let propagated = propagate(&mut nodes, &op, &grad, &out_value);
+            let propagated = propagate(&mut nodes, id, &op, &grad);
             drop(op_span);
             if let Err(e) = propagated {
                 // Leave no half-swept interior gradient for a later
@@ -97,7 +100,7 @@ fn seed(nodes: &mut [Node], id: Id) {
     // leaf, its gradient must keep accumulating across backward calls
     // like every other leaf (a non-leaf loss's slot is empty, so this is
     // assignment for it).
-    let ones = Tensor::ones(nodes[id].value.shape());
+    let ones = Tensor::ones(&nodes[id].shape);
     match &mut nodes[id].grad {
         Some(existing) => {
             existing.add_assign(&ones).expect("seed shape matches");
@@ -146,11 +149,10 @@ fn accumulate_reduced(nodes: &mut [Node], id: Id, grad: &Tensor) -> Result<()> {
     if !nodes[id].requires_grad {
         return Ok(());
     }
-    let target = Rc::clone(&nodes[id].value);
-    if grad.shape() == target.shape() {
+    if grad.shape() == nodes[id].shape {
         accumulate_ref(nodes, id, grad)
     } else {
-        let g = reduce_to_shape(grad, target.shape())?;
+        let g = reduce_to_shape(grad, &nodes[id].shape)?;
         accumulate(nodes, id, g)
     }
 }
@@ -205,8 +207,33 @@ fn matmul_tn_toward(a: &Tensor, g: &Tensor, operand_rank: usize) -> Result<Tenso
     }
 }
 
-fn value_of(nodes: &[Node], id: Id) -> Rc<Tensor> {
-    Rc::clone(&nodes[id].value)
+/// The value of node `id` as the VJP of `op`, recorded as node `me`,
+/// reads it — the one accessor every VJP read goes through. The tape
+/// holds a value only while a recorded VJP declares the read
+/// ([`Op::vjp_reads`]), so debug builds check the declaration here and
+/// panic naming the op on a read its table misses, even when another
+/// reader happens to hold the value; release builds refuse the sweep if
+/// the value is gone.
+fn read(nodes: &[Node], me: Id, id: Id, op: &Op) -> Result<Rc<Tensor>> {
+    let held = nodes[id].held.clone();
+    debug_assert!(
+        held.is_some() && {
+            let reads = op.vjp_reads(|i| nodes[i].requires_grad);
+            if id == me {
+                reads.output
+            } else {
+                reads.inputs.contains(&id)
+            }
+        },
+        "{} VJP reads node {id}, which its vjp_reads entry does not declare",
+        op.kind_name()
+    );
+    held.ok_or_else(|| {
+        TensorError::Invalid(format!(
+            "{}: VJP reads node {id}, whose value is released",
+            op.kind_name()
+        ))
+    })
 }
 
 /// `g · tanh'` from the output `y`: one zip spelling the
@@ -226,7 +253,95 @@ fn relu_vjp(g: &Tensor, v: &Tensor) -> Result<Tensor> {
     g.zip(v, "relu_vjp", |g, v| g * (if v > 0.0 { 1.0 } else { 0.0 }))
 }
 
-fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result<()> {
+/// What one op's VJP reads of the tape's values: the entry
+/// [`Op::vjp_reads`] returns.
+pub(crate) struct Reads {
+    /// Inputs whose values the VJP reads.
+    pub inputs: Vec<Id>,
+    /// Whether it reads the op's own output.
+    pub output: bool,
+}
+
+impl Op {
+    /// The read table: the inputs whose values this op's VJP reads,
+    /// given which inputs take a gradient (`takes_grad`), and whether it
+    /// reads its own output. A recorded node that takes a gradient holds
+    /// exactly these values on the tape; every other read of the sweep
+    /// is a shape, kept on the node apart from its value. Each entry
+    /// mirrors its [`propagate`] arm, whose reads all go through
+    /// [`read`].
+    pub(crate) fn vjp_reads(&self, takes_grad: impl Fn(Id) -> bool) -> Reads {
+        let (inputs, output) = match *self {
+            Op::Leaf
+            | Op::Add(..)
+            | Op::Sub(..)
+            | Op::Neg(..)
+            | Op::AddScalar(..)
+            | Op::MulScalar(..)
+            | Op::SumAxis { .. }
+            | Op::MeanAxis { .. }
+            | Op::SumAll(..)
+            | Op::MeanAll(..)
+            | Op::Reshape(..)
+            | Op::Permute { .. }
+            | Op::Concat { .. }
+            | Op::Narrow { .. }
+            | Op::IndexSelect { .. }
+            | Op::BroadcastTo(..)
+            | Op::WhereMask { .. } => (vec![], false),
+            // `a`'s half reads `b`, `b`'s half reads `a`.
+            Op::Mul(a, b) | Op::Matmul(a, b) | Op::MatmulNT(a, b) => {
+                let halves = [(a, b), (b, a)].into_iter();
+                let others = halves
+                    .filter(|&(to, _)| takes_grad(to))
+                    .map(|(_, other)| other);
+                (others.collect(), false)
+            }
+            // `g / b` for `a`; `-(g·a) / b²` for `b`.
+            Op::Div(a, b) => (if takes_grad(b) { vec![a, b] } else { vec![b] }, false),
+            Op::Ln(x) | Op::Relu(x) | Op::Abs(x) | Op::Square(x) => (vec![x], false),
+            Op::Exp(..) | Op::Sqrt(..) | Op::Tanh(..) | Op::Sigmoid(..) | Op::Softmax { .. } => {
+                (vec![], true)
+            }
+            Op::BiasAddAct { act, .. } => (vec![], act != ActKind::Identity),
+            Op::Huber { pred, target, .. } => (vec![pred, target], false),
+            Op::SparseAttention { q, k, h, .. } => (vec![q, k, h], false),
+            Op::Attention { q, k, v, .. } => (vec![q, k, v], false),
+            Op::ProjectKv {
+                x,
+                head,
+                weight,
+                bias,
+                ref rows,
+                ..
+            } => match rows {
+                Some(_) => (vec![x, head, weight, bias], false),
+                None => (vec![], false),
+            },
+            Op::WindowLayer {
+                kv,
+                proxies,
+                fusion,
+                gate,
+                sca,
+                ref saved,
+                ..
+            } => match saved {
+                Some(_) => {
+                    let pairs = [fusion, gate, sca].into_iter().flatten();
+                    let params = pairs.flat_map(|(a, b)| [a, b]);
+                    ([kv, proxies].into_iter().chain(params).collect(), true)
+                }
+                None => (vec![], false),
+            },
+        };
+        Reads { inputs, output }
+    }
+}
+
+/// Run the VJP of `op`, recorded as node `me`, for its output gradient
+/// `grad`: each input's contribution accumulates into its slot.
+fn propagate(nodes: &mut [Node], me: Id, op: &Op, grad: &Tensor) -> Result<()> {
     match *op {
         Op::Leaf => Ok(()),
 
@@ -240,51 +355,67 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             accumulate_reduced(nodes, b, &grad.neg())
         }
 
+        // A half whose operand takes no gradient is not computed:
+        // `accumulate_reduced` would drop it.
         Op::Mul(a, b) => {
-            let av = value_of(nodes, a);
-            let bv = value_of(nodes, b);
-            accumulate_reduced(nodes, a, &grad.mul(&bv)?)?;
-            accumulate_reduced(nodes, b, &grad.mul(&av)?)
+            if nodes[a].requires_grad {
+                let bv = read(nodes, me, b, op)?;
+                accumulate_reduced(nodes, a, &grad.mul(&bv)?)?;
+            }
+            if nodes[b].requires_grad {
+                let av = read(nodes, me, a, op)?;
+                accumulate_reduced(nodes, b, &grad.mul(&av)?)?;
+            }
+            Ok(())
         }
 
         Op::Div(a, b) => {
-            let av = value_of(nodes, a);
-            let bv = value_of(nodes, b);
+            let bv = read(nodes, me, b, op)?;
             // d(a/b)/da = 1/b ; d(a/b)/db = -a/b^2
-            accumulate_reduced(nodes, a, &grad.div(&bv)?)?;
-            let b2 = bv.square();
-            let gb_full = grad.mul(&av)?.div(&b2)?.neg();
-            accumulate_reduced(nodes, b, &gb_full)
+            if nodes[a].requires_grad {
+                accumulate_reduced(nodes, a, &grad.div(&bv)?)?;
+            }
+            if nodes[b].requires_grad {
+                let av = read(nodes, me, a, op)?;
+                let b2 = bv.square();
+                let gb_full = grad.mul(&av)?.div(&b2)?.neg();
+                accumulate_reduced(nodes, b, &gb_full)?;
+            }
+            Ok(())
         }
 
         Op::Neg(x) => accumulate(nodes, x, grad.neg()),
 
         // exp'(x) = exp(x) = out
-        Op::Exp(x) => accumulate(nodes, x, grad.mul(out)?),
+        Op::Exp(x) => {
+            let out = read(nodes, me, me, op)?;
+            accumulate(nodes, x, grad.mul(&out)?)
+        }
 
         // ln'(x) = 1/x
         Op::Ln(x) => {
-            let xv = value_of(nodes, x);
+            let xv = read(nodes, me, x, op)?;
             accumulate(nodes, x, grad.div(&xv)?)
         }
 
         // sqrt'(x) = 1 / (2 sqrt(x)) = 1 / (2 out)
         Op::Sqrt(x) => {
+            let out = read(nodes, me, me, op)?;
             let gx = grad.div(&out.mul_scalar(2.0))?;
             accumulate(nodes, x, gx)
         }
 
-        Op::Tanh(x) => accumulate(nodes, x, tanh_vjp(grad, out)?),
+        Op::Tanh(x) => accumulate(nodes, x, tanh_vjp(grad, &*read(nodes, me, me, op)?)?),
 
-        Op::Sigmoid(x) => accumulate(nodes, x, sigmoid_vjp(grad, out)?),
+        Op::Sigmoid(x) => accumulate(nodes, x, sigmoid_vjp(grad, &*read(nodes, me, me, op)?)?),
 
         Op::Relu(x) => {
-            let xv = value_of(nodes, x);
+            let xv = read(nodes, me, x, op)?;
             accumulate(nodes, x, relu_vjp(grad, &xv)?)
         }
 
         Op::Abs(x) => {
-            let xv = value_of(nodes, x);
+            let xv = read(nodes, me, x, op)?;
             let gx = grad.zip(&xv, "abs_vjp", |g, v| {
                 let sign = if v > 0.0 {
                     1.0
@@ -299,7 +430,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         }
 
         Op::Square(x) => {
-            let xv = value_of(nodes, x);
+            let xv = read(nodes, me, x, op)?;
             let gx = grad.zip(&xv, "square_vjp", |g, v| g * (v * 2.0))?;
             accumulate(nodes, x, gx)
         }
@@ -313,15 +444,16 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // broadcast batch dims. A half whose operand takes no gradient
         // is not computed: `accumulate_reduced` would drop it.
         Op::Matmul(a, b) => {
-            let av = value_of(nodes, a);
-            let bv = value_of(nodes, b);
-            let _shape = shape_span(&av, &bv, [nodes[a].requires_grad, nodes[b].requires_grad]);
-            if nodes[a].requires_grad {
+            let (da, db) = (nodes[a].requires_grad, nodes[b].requires_grad);
+            let _shape = shape_span(&nodes[a].shape, &nodes[b].shape, [da, db]);
+            if da {
+                let bv = read(nodes, me, b, op)?;
                 let ga_full = linalg::matmul_nt(grad, &bv)?;
                 accumulate_reduced(nodes, a, &ga_full)?;
             }
-            if nodes[b].requires_grad {
-                let gb_full = matmul_tn_toward(&av, grad, bv.rank())?;
+            if db {
+                let av = read(nodes, me, a, op)?;
+                let gb_full = matmul_tn_toward(&av, grad, nodes[b].shape.len())?;
                 accumulate_reduced(nodes, b, &gb_full)?;
             }
             Ok(())
@@ -330,51 +462,53 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // C = A @ Bᵀ with B stored [..., n, k]: dA = g @ B (the
         // transposes cancel), dB = gᵀ @ A; halves skipped as above.
         Op::MatmulNT(a, b) => {
-            let av = value_of(nodes, a);
-            let bv = value_of(nodes, b);
-            let _shape = shape_span(&av, &bv, [nodes[a].requires_grad, nodes[b].requires_grad]);
-            if nodes[a].requires_grad {
+            let (da, db) = (nodes[a].requires_grad, nodes[b].requires_grad);
+            let _shape = shape_span(&nodes[a].shape, &nodes[b].shape, [da, db]);
+            if da {
+                let bv = read(nodes, me, b, op)?;
                 let ga_full = linalg::matmul(grad, &bv)?;
                 accumulate_reduced(nodes, a, &ga_full)?;
             }
-            if nodes[b].requires_grad {
-                let gb_full = matmul_tn_toward(grad, &av, bv.rank())?;
+            if db {
+                let av = read(nodes, me, a, op)?;
+                let gb_full = matmul_tn_toward(grad, &av, nodes[b].shape.len())?;
                 accumulate_reduced(nodes, b, &gb_full)?;
             }
             Ok(())
         }
 
         Op::SumAxis { x, axis, keepdim } => {
-            let xv = value_of(nodes, x);
+            let shape = &nodes[x].shape;
             let g = if keepdim {
-                grad.broadcast_to(xv.shape())?
+                grad.broadcast_to(shape)?
             } else {
-                grad.unsqueeze(axis)?.broadcast_to(xv.shape())?
+                grad.unsqueeze(axis)?.broadcast_to(shape)?
             };
             accumulate(nodes, x, g)
         }
 
         Op::MeanAxis { x, axis, keepdim } => {
-            let xv = value_of(nodes, x);
-            let n = xv.shape()[axis] as f32;
+            let shape = &nodes[x].shape;
+            let n = shape[axis] as f32;
             let g = if keepdim {
-                grad.broadcast_to(xv.shape())?
+                grad.broadcast_to(shape)?
             } else {
-                grad.unsqueeze(axis)?.broadcast_to(xv.shape())?
+                grad.unsqueeze(axis)?.broadcast_to(shape)?
             };
             accumulate(nodes, x, g.mul_scalar(1.0 / n))
         }
 
         Op::SumAll(x) => {
-            let xv = value_of(nodes, x);
             let g = grad.item()?;
-            accumulate(nodes, x, Tensor::full(xv.shape(), g))
+            let gx = Tensor::full(&nodes[x].shape, g);
+            accumulate(nodes, x, gx)
         }
 
         Op::MeanAll(x) => {
-            let xv = value_of(nodes, x);
-            let g = grad.item()? / xv.len() as f32;
-            accumulate(nodes, x, Tensor::full(xv.shape(), g))
+            let shape = &nodes[x].shape;
+            let g = grad.item()? / shape.iter().product::<usize>() as f32;
+            let gx = Tensor::full(shape, g);
+            accumulate(nodes, x, gx)
         }
 
         // Softmax Jacobian-vector product:
@@ -383,10 +517,11 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         // kernel; other axes run the strided four-tensor chain. Bitwise
         // identical either way.
         Op::Softmax { x, axis } => {
+            let out = read(nodes, me, me, op)?;
             let gx = if axis + 1 == out.rank() {
                 out.softmax_vjp_lastdim(grad)?
             } else {
-                let gy = grad.mul(out)?;
+                let gy = grad.mul(&out)?;
                 let s = gy.sum_axis(axis, true)?;
                 out.mul(&grad.sub(&s.broadcast_to(grad.shape())?)?)?
             };
@@ -394,8 +529,8 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         }
 
         Op::Reshape(x) => {
-            let xv = value_of(nodes, x);
-            accumulate(nodes, x, grad.reshape(xv.shape())?)
+            let gx = grad.reshape(&nodes[x].shape)?;
+            accumulate(nodes, x, gx)
         }
 
         Op::Permute { x, ref perm } => {
@@ -411,7 +546,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         Op::Concat { ref xs, axis } => {
             let mut start = 0;
             for &x in xs {
-                let len = value_of(nodes, x).shape()[axis];
+                let len = nodes[x].shape[axis];
                 let gx = grad.narrow(axis, start, len)?;
                 accumulate(nodes, x, gx)?;
                 start += len;
@@ -427,11 +562,11 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             ref indices,
         } => {
             // Scatter-add: repeated indices accumulate their gradients.
-            let xv = value_of(nodes, x);
-            let axis_len = xv.shape()[axis];
-            let outer: usize = xv.shape()[..axis].iter().product();
-            let inner: usize = xv.shape()[axis + 1..].iter().product();
-            let mut gx = Tensor::zeros(xv.shape());
+            let shape = &nodes[x].shape;
+            let axis_len = shape[axis];
+            let outer: usize = shape[..axis].iter().product();
+            let inner: usize = shape[axis + 1..].iter().product();
+            let mut gx = Tensor::zeros(shape);
             let dst = gx.data_mut();
             for o in 0..outer {
                 for (j, &i) in indices.iter().enumerate() {
@@ -466,8 +601,8 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             target,
             delta,
         } => {
-            let pv = value_of(nodes, pred);
-            let tv = value_of(nodes, target);
+            let pv = read(nodes, me, pred, op)?;
+            let tv = read(nodes, me, target, op)?;
             let g0 = grad.item()? / pv.len() as f32;
             let ddiff = pv.zip(&tv, "huber_vjp", |p, t| {
                 let d = p - t;
@@ -496,9 +631,9 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
         Op::BiasAddAct { x, b, act } => {
             let g_pre = match act {
                 ActKind::Identity => None,
-                ActKind::Tanh => Some(tanh_vjp(grad, out)?),
-                ActKind::Sigmoid => Some(sigmoid_vjp(grad, out)?),
-                ActKind::Relu => Some(relu_vjp(grad, out)?),
+                ActKind::Tanh => Some(tanh_vjp(grad, &*read(nodes, me, me, op)?)?),
+                ActKind::Sigmoid => Some(sigmoid_vjp(grad, &*read(nodes, me, me, op)?)?),
+                ActKind::Relu => Some(relu_vjp(grad, &*read(nodes, me, me, op)?)?),
             };
             let g_pre = g_pre.as_ref().unwrap_or(grad);
             accumulate_reduced(nodes, x, g_pre)?;
@@ -518,9 +653,9 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             scale,
             ref weights,
         } => {
-            let qv = value_of(nodes, q);
-            let kv = value_of(nodes, k);
-            let hv = value_of(nodes, h);
+            let qv = read(nodes, me, q, op)?;
+            let kv = read(nodes, me, k, op)?;
+            let hv = read(nodes, me, h, op)?;
             let (dq, dk, dh) = stwa_tensor::sparse::sparse_attention_vjp(
                 grad, &qv, &kv, &hv, weights, graph, scale,
             )?;
@@ -540,9 +675,9 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
             heads,
             ref weights,
         } => {
-            let qv = value_of(nodes, q);
-            let kv = value_of(nodes, k);
-            let vv = value_of(nodes, v);
+            let qv = read(nodes, me, q, op)?;
+            let kv = read(nodes, me, k, op)?;
+            let vv = read(nodes, me, v, op)?;
             let (gq, gk, gv) = stwa_tensor::attention::vjp(grad, &qv, &kv, &vv, weights, heads)?;
             accumulate(nodes, v, gv)?;
             accumulate(nodes, k, gk)?;
@@ -568,10 +703,12 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
                 return Ok(());
             };
             let pair = |nodes: &[Node], p: Option<(Id, Id)>| {
-                p.map(|(a, b)| (value_of(nodes, a), value_of(nodes, b)))
+                p.map(|(a, b)| Ok((read(nodes, me, a, op)?, read(nodes, me, b, op)?)))
+                    .transpose()
             };
-            let (kvv, pv) = (value_of(nodes, kv), value_of(nodes, proxies));
-            let (fv, gv, sv) = (pair(nodes, fusion), pair(nodes, gate), pair(nodes, sca));
+            let (kvv, pv) = (read(nodes, me, kv, op)?, read(nodes, me, proxies, op)?);
+            let (fv, gv, sv) = (pair(nodes, fusion)?, pair(nodes, gate)?, pair(nodes, sca)?);
+            let out = read(nodes, me, me, op)?;
             let wts = window_weights(&pv, [&fv, &gv, &sv], generated, graph.as_deref());
             let mut gkv = if nodes[kv].requires_grad {
                 grad_buffer(&mut nodes[kv]);
@@ -583,7 +720,7 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
                 || TensorError::Invalid("window_layer: a partial without its input".into());
             let result = window_layer::vjp(
                 grad,
-                out,
+                &out,
                 &kvv,
                 &wts,
                 heads,
@@ -626,10 +763,10 @@ fn propagate(nodes: &mut [Node], op: &Op, grad: &Tensor, out: &Tensor) -> Result
                 return Ok(());
             };
             let (xv, hv, wv, bv) = (
-                value_of(nodes, x),
-                value_of(nodes, head),
-                value_of(nodes, weight),
-                value_of(nodes, bias),
+                read(nodes, me, x, op)?,
+                read(nodes, me, head, op)?,
+                read(nodes, me, weight, op)?,
+                read(nodes, me, bias, op)?,
             );
             let dec = projection::Decoder {
                 head: &hv,
@@ -667,11 +804,11 @@ fn narrow_scatter(
     start: usize,
     grad: &Tensor,
 ) -> Result<()> {
-    let xv = value_of(nodes, x);
+    let shape = &nodes[x].shape;
     let len = grad.shape()[axis];
-    let axis_len = xv.shape()[axis];
-    let outer: usize = xv.shape()[..axis].iter().product();
-    let inner: usize = xv.shape()[axis + 1..].iter().product();
+    let axis_len = shape[axis];
+    let outer: usize = shape[..axis].iter().product();
+    let inner: usize = shape[axis + 1..].iter().product();
     // When a gradient buffer already exists (windows overlap, so
     // most narrow VJPs land on a live buffer), add the slice
     // straight into it instead of materializing a full-size zero
@@ -693,7 +830,7 @@ fn narrow_scatter(
         }
         return Ok(());
     }
-    let mut gx = Tensor::zeros(xv.shape());
+    let mut gx = Tensor::zeros(&nodes[x].shape);
     let dst = gx.data_mut();
     for o in 0..outer {
         let src_base = o * len * inner;
@@ -707,7 +844,7 @@ fn narrow_scatter(
 /// `node`'s gradient as a buffer to add into in place: the live gradient,
 /// or — when the slot is empty — zeros.
 fn grad_buffer(node: &mut Node) -> &mut Tensor {
-    let shape = node.value.shape();
+    let shape = &node.shape;
     node.grad.get_or_insert_with(|| Tensor::zeros(shape))
 }
 
@@ -715,13 +852,13 @@ fn grad_buffer(node: &mut Node) -> &mut Tensor {
 /// computes (`[640, 32]@[32, 512] dA+dB`), nested under
 /// `backward/<kind>` — `bench_train_step`'s by-shape table. Formats
 /// nothing while recording is off.
-fn shape_span(a: &Tensor, b: &Tensor, [da, db]: [bool; 2]) -> stwa_observe::Scope {
+fn shape_span(a: &[usize], b: &[usize], [da, db]: [bool; 2]) -> stwa_observe::Scope {
     let halves = match (da, db) {
         (true, true) => "dA+dB",
         (true, false) => "dA",
         _ => "dB",
     };
-    stwa_observe::span!("{:?}@{:?} {halves}", a.shape(), b.shape())
+    stwa_observe::span!("{:?}@{:?} {}", a, b, halves)
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! The tape: graph storage, nodes, and `Var` handles.
 //!
 //! A [`Graph`] comes in two kinds. [`Graph::new`] records: every op
-//! appends a node, and the tape keeps each intermediate value alive for
-//! the backward sweep. [`Graph::no_grad`] computes and records nothing:
+//! appends a node, and the tape keeps an intermediate value alive for
+//! the backward sweep only while a recorded VJP reads it
+//! ([`Op::vjp_reads`]); any other value lives as long as its [`Var`]s.
+//! [`Graph::no_grad`] computes and records nothing:
 //! ops return the same values (same kernels, same bits) but no node is
 //! appended, so an intermediate is freed when its last [`Var`] drops.
 //! Evaluation runs a model's one `forward` on the second kind; that is
 //! the whole difference between a training and an evaluation pass.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use stwa_tensor::{Result, Tensor, TensorError};
 
 /// Node id within a graph. Ids increase in creation order, which is a
@@ -252,12 +254,33 @@ impl Op {
 }
 
 pub(crate) struct Node {
-    pub value: Rc<Tensor>,
+    /// The value's shape, kept apart from the value: shape-only reads
+    /// (the loss check, the seed, reshapes, reductions, gradient
+    /// buffers) never touch the data.
+    pub shape: Vec<usize>,
+    /// The value, held while a recorded VJP reads it — a reader's input
+    /// or the node's own output ([`Op::vjp_reads`]). Any other value is
+    /// freed when the last [`Var`] (or `Rc` from [`Var::value`]) drops.
+    pub held: Option<Rc<Tensor>>,
+    /// The value for as long as anything holds it: a reader recorded
+    /// later upgrades it into `held`.
+    value: Weak<Tensor>,
     /// A leaf's accumulated gradient; on an interior node, the gradient
     /// being summed during a sweep, dropped once its VJP has run.
     pub grad: Option<Tensor>,
     pub requires_grad: bool,
     pub op: Op,
+}
+
+impl Node {
+    /// Keep the value for a reader just recorded. Its caller passed a
+    /// [`Var`] of this node, so the value is alive to upgrade.
+    fn hold(&mut self) {
+        if self.held.is_none() {
+            self.held = self.value.upgrade();
+            debug_assert!(self.held.is_some(), "a recorded reader's input is alive");
+        }
+    }
 }
 
 /// A reverse-mode autodiff tape.
@@ -334,8 +357,19 @@ impl Graph {
         if self.recording {
             let mut nodes = self.inner.borrow_mut();
             id = nodes.len();
+            // A node that takes no gradient never runs its VJP, so it
+            // keeps nothing alive.
+            let reads_output = requires_grad && {
+                let reads = op.vjp_reads(|i| nodes[i].requires_grad);
+                for i in reads.inputs {
+                    nodes[i].hold();
+                }
+                reads.output
+            };
             nodes.push(Node {
-                value: Rc::clone(&value),
+                shape: value.shape().to_vec(),
+                held: reads_output.then(|| Rc::clone(&value)),
+                value: Rc::downgrade(&value),
                 grad: None,
                 requires_grad,
                 op,

@@ -3,12 +3,14 @@
 //! batches.
 //!
 //! The report (`BENCH_train_step.json`) records per-step wall-clock,
-//! heap allocations per step, the pool hit rate, peak live bytes and
-//! `backward_peak_over_forward` — one step's peak live bytes across
-//! backward over its live bytes at the end of forward (reported, not
-//! gated). `--check PATH` gates three figures against a checked-in
-//! baseline — heap allocations per step, the pool hit rate and peak live
-//! bytes depend on the step's tensor shapes, not on the host, so they
+//! heap allocations per step, the pool hit rate, peak live bytes,
+//! `forward_live_bytes` — one step's live tensor bytes at the end of its
+//! forward, what the tape holds for backward plus the parameters and
+//! optimizer state — and `backward_peak_over_forward`, that step's peak
+//! live bytes across backward over them (both reported, not gated).
+//! `--check PATH` gates three figures against a checked-in baseline —
+//! heap allocations per step, the pool hit rate and peak live bytes
+//! depend on the step's tensor shapes, not on the host, so they
 //! repeat where milliseconds do not: allocations may grow to at most
 //! [`ALLOC_GROWTH`]× the baseline, peak bytes to [`PEAK_GROWTH`]×, and
 //! the hit rate may fall at most [`HIT_RATE_SLACK`] below it.
@@ -76,8 +78,9 @@ struct Timed {
     allocs_per_step: f64,
     hit_rate: f64,
     peak_bytes: usize,
-    /// One step's peak live bytes across backward over its live bytes
-    /// at the end of forward.
+    /// One step's live bytes at the end of its forward.
+    forward_live_bytes: usize,
+    /// That step's peak live bytes across backward over them.
     backward_peak_over_forward: f64,
 }
 
@@ -165,15 +168,15 @@ fn train_step(model: &StwaModel, opt: &mut Adam, bx: &Tensor, by: &Tensor, rng: 
     graph.len()
 }
 
-/// One step whose backward alone is measured: its peak live bytes over
-/// the live bytes at the end of its forward.
-fn backward_peak_over_forward(
+/// One step whose backward alone is measured: the live bytes at the end
+/// of its forward, and its peak live bytes across backward over them.
+fn measured_backward(
     model: &StwaModel,
     opt: &mut Adam,
     bx: &Tensor,
     by: &Tensor,
     rng: &mut StdRng,
-) -> f64 {
+) -> (usize, f64) {
     let (graph, loss) = forward_loss(model, bx, by, rng);
     let forward_live = memory::current_bytes();
     memory::reset_peak();
@@ -181,7 +184,7 @@ fn backward_peak_over_forward(
     let ratio = memory::peak_bytes() as f64 / forward_live as f64;
     opt.step();
     opt.finish_step();
-    ratio
+    (forward_live, ratio)
 }
 
 /// The timed pass. The pool starts cold and earns its hit rate inside
@@ -214,6 +217,8 @@ fn run_timed(
     let d_misses = after.misses - before.misses;
     let lookups = d_hits + d_misses;
     let peak_bytes = memory::peak_bytes();
+    let (forward_live_bytes, backward_peak_over_forward) =
+        measured_backward(model, opt, bx, by, rng);
     Timed {
         tape_nodes,
         ms_per_step: best_ms,
@@ -224,7 +229,8 @@ fn run_timed(
             d_hits as f64 / lookups as f64
         },
         peak_bytes,
-        backward_peak_over_forward: backward_peak_over_forward(model, opt, bx, by, rng),
+        forward_live_bytes,
+        backward_peak_over_forward,
     }
 }
 
@@ -415,7 +421,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
          \"tape_nodes_per_step\": {},\n  \
          \"fast_ms_per_step\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
          \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
-         \"backward_peak_over_forward\": {:.4},\n  \
+         \"forward_live_bytes\": {},\n  \"backward_peak_over_forward\": {:.4},\n  \
          \"traced_ms_per_step\": {:.3},\n  \
          \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
          \"backward_by_op_kind\": {{\n{}\n  }},\n  \
@@ -427,6 +433,7 @@ fn render_json(timed: &Timed, table: &Table) -> String {
         timed.allocs_per_step,
         timed.hit_rate,
         timed.peak_bytes,
+        timed.forward_live_bytes,
         timed.backward_peak_over_forward,
         table.step_ms,
         table.matmul_flops_per_step,
@@ -508,11 +515,12 @@ fn main() {
     let (timed, table) = run_suite();
     println!(
         "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {} \
-         (backward {:.3}x forward)  tape {} nodes",
+         (forward live {}, backward {:.3}x it)  tape {} nodes",
         timed.ms_per_step,
         timed.allocs_per_step,
         timed.hit_rate * 100.0,
         memory::format_bytes(timed.peak_bytes),
+        memory::format_bytes(timed.forward_live_bytes),
         timed.backward_peak_over_forward,
         timed.tape_nodes
     );

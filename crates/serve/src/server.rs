@@ -173,6 +173,8 @@ struct Shared {
     requests: AtomicU64,
     responses: AtomicU64,
     inline_hits: AtomicU64,
+    /// Forecasts dispatched to a replica (observes and swaps are
+    /// broadcasts, not model jobs).
     model_jobs: AtomicU64,
     swaps: AtomicU64,
     swap_errors: AtomicU64,
@@ -972,11 +974,12 @@ fn dispatch_buffered(
                 }
                 match route(worker_idx, token, seq, &req, conn, shared, dims, job_txs) {
                     Routed::Answered => {}
-                    Routed::Dispatched => {
+                    Routed::Forecast => {
                         conn.inflight += 1;
                         shared.model_jobs.fetch_add(1, Ordering::Relaxed);
                         stwa_observe::counter!("serve.model_jobs").incr();
                     }
+                    Routed::Broadcast => conn.inflight += 1,
                 }
             }
         }
@@ -989,7 +992,10 @@ fn dispatch_buffered(
 enum Routed {
     /// Answered inline through [`respond`].
     Answered,
-    Dispatched,
+    /// A forecast sent to one replica: a model job.
+    Forecast,
+    /// An observe or swap broadcast to every replica.
+    Broadcast,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1093,7 +1099,7 @@ fn route(
                 }
             }
             if dispatch_forecast(job_txs, shared, route, sensor, horizon) {
-                Routed::Dispatched
+                Routed::Forecast
             } else {
                 inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
             }
@@ -1107,7 +1113,7 @@ fn route(
                 Ok(frame) => {
                     if broadcast(job_txs, shared, route, JobKind::Observe { frame }) {
                         conn.inflight_observes += 1;
-                        Routed::Dispatched
+                        Routed::Broadcast
                     } else {
                         inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
                     }
@@ -1119,7 +1125,7 @@ fn route(
             // flips to.
             let target = shared.latest_version().unwrap_or(0);
             if broadcast(job_txs, shared, route, JobKind::Swap { target }) {
-                Routed::Dispatched
+                Routed::Broadcast
             } else {
                 inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
             }

@@ -148,6 +148,38 @@ fn repeat_queries_hit_the_cache_with_identical_values() {
 }
 
 #[test]
+fn model_jobs_count_forecast_dispatches_not_broadcasts() {
+    let server = Server::start(config(), || Ok(model(11))).unwrap();
+    let dims = server.dims();
+    let (n, f) = (dims.sensors, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // k observes; the first m are each followed by a forecast, which
+    // misses the cache because the window just moved.
+    let (k, m) = (5, 3);
+    for t in 0..k {
+        let resp = client.post("/observe", &observe_body(&frame(t, n, f))).unwrap();
+        assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
+        if t < m {
+            let resp = client.get("/forecast?sensor=0&horizon=1").unwrap();
+            let text = String::from_utf8_lossy(&resp.body).to_string();
+            assert!(text.contains("\"miss\""), "a forecast on a fresh window misses: {text}");
+        }
+    }
+
+    let stats = client.get("/stats").unwrap();
+    let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+    let model_jobs = doc.get("model_jobs").unwrap().as_num().unwrap();
+    assert_eq!(
+        model_jobs,
+        m as f64,
+        "observes are broadcasts, not model jobs: {}",
+        String::from_utf8_lossy(&stats.body)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_mixed_traffic_returns_in_order_with_read_your_writes() {
     let server = Server::start(config(), || Ok(model(9))).unwrap();
     let dims = server.dims();
