@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_autograd::{check_gradient, Graph, Var, WindowParams, WindowSca};
-use stwa_tensor::{Result, Tensor};
+use stwa_tensor::{memory, Result, Tensor};
 
 fn bounded(len: usize, lo: f32, hi: f32) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(lo..hi, len..=len)
@@ -144,11 +144,17 @@ fn attention_chain(q: &Var, k: &Var, v: &Var, heads: usize) -> Result<Var> {
 
 /// Fill the buffer pool's size classes with NaN so a kernel that skips
 /// an output element, or starts a sum from its output buffer instead of
-/// zero, shows up as NaN (see the tensor crate's proptests).
+/// zero, shows up as NaN (see the tensor crate's proptests). Asserts
+/// that the pool kept every poisoned buffer.
 fn poison_pool(elems: usize) {
     let cap = elems.next_power_of_two().max(64);
-    let dirty: Vec<Tensor> = (0..4).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
-    drop(dirty);
+    let dirty: Vec<Vec<f32>> = (0..4).map(|_| memory::take_filled(cap, f32::NAN)).collect();
+    let poisoned: usize = dirty.iter().map(|b| b.capacity() * 4).sum();
+    let parked: usize = dirty
+        .into_iter()
+        .map(|b| b.capacity() * 4 * memory::recycle(b) as usize)
+        .sum();
+    assert_eq!(parked, poisoned, "the pool must keep the poisoned buffers");
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {

@@ -25,7 +25,7 @@ use stwa_autograd::Graph;
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_nn::loss::huber;
 use stwa_nn::optim::{Adam, Optimizer};
-use stwa_tensor::Tensor;
+use stwa_tensor::{memory, Tensor};
 
 /// Loss of steps 0, 1, 2 as raw f32 bits.
 const RECORDED_LOSS_BITS: [u32; 3] = [0x3ee2_4263, 0x3ee1_a9da, 0x3ee1_0d8b];
@@ -52,13 +52,25 @@ fn param_checksum(model: &StwaModel) -> u64 {
 /// from (capacities `2^6 ..= 2^20` floats, a few MiB per class), so the
 /// next `take_scratch` of each size hands out poisoned memory. Best
 /// effort — the free lists are LIFO and shared with the other test —
-/// so it can only make the run stricter, never flaky.
+/// so it can only make the run stricter, never flaky. It does assert
+/// that the pool kept every poisoned buffer, so no retention policy can
+/// disarm the check by sending them back to the allocator.
 fn poison_pool() {
     for class in 6..=20usize {
         let cap = 1usize << class;
         let count = ((1usize << 20) / cap).clamp(2, 256);
-        let dirty: Vec<Tensor> = (0..count).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
-        drop(dirty);
+        let dirty: Vec<Vec<f32>> = (0..count)
+            .map(|_| memory::take_filled(cap, f32::NAN))
+            .collect();
+        let poisoned: usize = dirty.iter().map(|b| b.capacity() * 4).sum();
+        let parked: usize = dirty
+            .into_iter()
+            .map(|b| b.capacity() * 4 * memory::recycle(b) as usize)
+            .sum();
+        assert_eq!(
+            parked, poisoned,
+            "the pool must keep the class-{class} poisoned buffers"
+        );
     }
 }
 

@@ -1024,6 +1024,7 @@ fn route(
         ("GET", "/healthz") => inline(conn, 200, "OK", b"{\"ok\": true}"),
         ("GET", "/stats") => {
             let (hits, misses) = shared.cache.stats();
+            let pool = stwa_tensor::memory::pool_stats();
             let evals: Vec<Json> = shared
                 .replica_evals
                 .iter()
@@ -1051,6 +1052,9 @@ fn route(
                 ("swap_errors".into(), Json::Num(shared.swap_errors.load(Ordering::Relaxed) as f64)),
                 ("swap_ms".into(), Json::Num(shared.swap_us.load(Ordering::Relaxed) as f64 / 1000.0)),
                 ("client_aborts".into(), Json::Num(shared.client_aborts.load(Ordering::Relaxed) as f64)),
+                ("pool_held_bytes".into(), Json::Num(pool.held_bytes as f64)),
+                ("pool_hits".into(), Json::Num(pool.hits as f64)),
+                ("pool_misses".into(), Json::Num(pool.misses as f64)),
             ]);
             inline(conn, 200, "OK", doc.to_string().as_bytes())
         }

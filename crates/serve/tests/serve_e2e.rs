@@ -180,6 +180,38 @@ fn model_jobs_count_forecast_dispatches_not_broadcasts() {
 }
 
 #[test]
+fn stats_report_every_field_and_the_buffer_pool() {
+    let server = Server::start(config(), || Ok(model(13))).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let before = stwa_tensor::memory::pool_stats();
+    // A cache miss runs a frozen forward, which draws from the pool.
+    let resp = client.get("/forecast?sensor=0&horizon=1").unwrap();
+    assert_eq!(resp.status, 200);
+    let stats = client.get("/stats").unwrap();
+    let after = stwa_tensor::memory::pool_stats();
+    let text = String::from_utf8_lossy(&stats.body).to_string();
+    let doc = stwa_observe::parse_json(&text).unwrap();
+    for key in [
+        "version", "requests", "responses", "conns", "inline_hits", "model_jobs",
+        "cache_hits", "cache_misses", "cache_entries", "replicas", "replica_evals",
+        "replica_depth", "swaps", "swap_errors", "swap_ms", "client_aborts",
+        "pool_held_bytes", "pool_hits", "pool_misses",
+    ] {
+        assert!(doc.get(key).is_some(), "/stats lacks {key}: {text}");
+    }
+    // The pool fields are this process's `memory::pool_stats()`, read
+    // between the two local snapshots (other tests share the pool, so
+    // only the bracket is exact).
+    let num = |key: &str| doc.get(key).unwrap().as_num().unwrap() as usize;
+    let (hits, misses) = (num("pool_hits"), num("pool_misses"));
+    assert!((before.hits..=after.hits).contains(&hits), "{text}");
+    assert!((before.misses..=after.misses).contains(&misses), "{text}");
+    assert!(hits + misses > before.hits + before.misses, "the forward drew from the pool: {text}");
+    assert!(doc.get("pool_held_bytes").unwrap().as_num().is_some(), "{text}");
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_mixed_traffic_returns_in_order_with_read_your_writes() {
     let server = Server::start(config(), || Ok(model(9))).unwrap();
     let dims = server.dims();

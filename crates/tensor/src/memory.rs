@@ -24,6 +24,13 @@
 //! constructors. After the first step warms the pool, steady-state
 //! training performs almost no heap allocation.
 //!
+//! What the pool keeps is bounded by its own traffic: each class keeps
+//! a returned buffer only while its free plus outstanding buffers stay
+//! below the most it ever had outstanding at once (`FreeLists`). A
+//! retired weight the pool never handed out therefore goes back to the
+//! allocator unless the process's own draws from its class have room
+//! for it.
+//!
 //! Accounting semantics are preserved: a pooled (free) buffer belongs to
 //! no tensor, so it is **not** counted in `current_bytes`/`peak_bytes` —
 //! those still mean "bytes held live in tensor buffers", exactly as
@@ -38,7 +45,7 @@
 //! memset saved per hit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// A live-bytes counter with a high-water mark.
 ///
@@ -141,23 +148,102 @@ const MIN_POOL_LEN: usize = 64;
 /// goes straight back to the allocator rather than pinning gigabytes.
 const MAX_CLASS: usize = 27;
 
-/// Total bytes the pool may hold in free buffers; releases beyond this
-/// fall through to the allocator.
-const MAX_HELD_BYTES: usize = 1 << 30;
+/// One capacity class: its free buffers and the demand they answer.
+struct Class {
+    /// Free buffers of capacity exactly `2^c`. Pool-built buffers always
+    /// reserve a power of two ([`pooled_capacity`]), so every buffer in
+    /// a class is interchangeable and take/give-back are O(1) pop/push.
+    free: Vec<Vec<f32>>,
+    /// Buffers of this class handed out (hits, and misses given a pooled
+    /// capacity) and not yet given back.
+    outstanding: usize,
+    /// The most buffers of this class ever outstanding at once.
+    high_water: usize,
+}
 
-/// Free buffers retained per capacity class. Generous on purpose: one
-/// training step can drop hundreds of same-shape intermediates at once
-/// (the whole tape frees when the graph drops) and the next step wants
-/// every one of them back.
-const MAX_PER_CLASS: usize = 4096;
+impl Class {
+    const fn new() -> Class {
+        Class {
+            free: Vec::new(),
+            outstanding: 0,
+            high_water: 0,
+        }
+    }
+}
 
-struct PoolInner {
-    /// `classes[c]` holds buffers of capacity exactly `2^c`. Pool-built
-    /// buffers always reserve a power of two ([`pooled_capacity`]), so
-    /// every buffer in a class is interchangeable and acquire/release
-    /// are O(1) push/pop — no scanning under the lock.
-    classes: Vec<Vec<Vec<f32>>>,
+/// The pool's free lists and the one rule that bounds them.
+///
+/// A returned buffer is kept only while its class's free buffers plus
+/// its outstanding buffers stay below the class's high-water mark of
+/// outstanding buffers; otherwise it goes back to the allocator. So a
+/// class never holds more buffers than the process's own draws from it
+/// once needed at the same time: a loop that re-draws the same classes
+/// (a training step, a serving forward) gets every buffer back on its
+/// next iteration, while a buffer the pool never handed out — a
+/// `randn`-built or checkpoint-loaded weight — is kept only as far as
+/// that demand has room for it.
+///
+/// Instantiable, like [`Accounting`], so the rule is tested on private
+/// instances; the process shares one global instance behind a mutex.
+struct FreeLists {
+    classes: [Class; MAX_CLASS + 1],
     held_bytes: usize,
+}
+
+impl FreeLists {
+    const fn new() -> FreeLists {
+        FreeLists {
+            classes: [const { Class::new() }; MAX_CLASS + 1],
+            held_bytes: 0,
+        }
+    }
+
+    /// Hand out a free buffer of class `c`, or one class up (twice as
+    /// big) when `c` is empty; `None` is a miss, for which the caller
+    /// allocates a fresh `2^c` buffer. Either way the buffer is counted
+    /// outstanding against the class it will be given back to.
+    fn take(&mut self, c: usize) -> Option<Vec<f32>> {
+        let hit = match self.classes[c].free.pop() {
+            Some(buf) => Some((c, buf)),
+            None if c < MAX_CLASS => self.classes[c + 1].free.pop().map(|buf| (c + 1, buf)),
+            None => None,
+        };
+        let owner = hit.as_ref().map_or(c, |&(owner, _)| owner);
+        let class = &mut self.classes[owner];
+        class.outstanding += 1;
+        class.high_water = class.high_water.max(class.outstanding);
+        hit.map(|(_, buf)| {
+            self.held_bytes -= buf.capacity() * 4;
+            buf
+        })
+    }
+
+    /// Take back a buffer of power-of-two capacity in class range.
+    /// Returns it when the rule refuses it, for the caller to free
+    /// outside the lock.
+    fn give_back(&mut self, buf: Vec<f32>) -> Option<Vec<f32>> {
+        let bytes = buf.capacity() * 4;
+        let class = &mut self.classes[class_of(buf.capacity())];
+        // A buffer the pool never handed out can arrive while none is
+        // outstanding; the count saturates rather than wrapping.
+        class.outstanding = class.outstanding.saturating_sub(1);
+        if class.free.len() + class.outstanding >= class.high_water {
+            return Some(buf);
+        }
+        class.free.push(buf);
+        self.held_bytes += bytes;
+        None
+    }
+
+    /// Release every free buffer and start each class's demand afresh
+    /// from the buffers still outstanding.
+    fn clear(&mut self) {
+        for class in &mut self.classes {
+            class.free = Vec::new();
+            class.high_water = class.outstanding;
+        }
+        self.held_bytes = 0;
+    }
 }
 
 struct PoolCounters {
@@ -166,20 +252,16 @@ struct PoolCounters {
     recycled_bytes: AtomicUsize,
 }
 
-static POOL: OnceLock<Mutex<PoolInner>> = OnceLock::new();
+static POOL: Mutex<FreeLists> = Mutex::new(FreeLists::new());
 static COUNTERS: PoolCounters = PoolCounters {
     hits: AtomicUsize::new(0),
     misses: AtomicUsize::new(0),
     recycled_bytes: AtomicUsize::new(0),
 };
 
-fn pool() -> &'static Mutex<PoolInner> {
-    POOL.get_or_init(|| {
-        Mutex::new(PoolInner {
-            classes: (0..=MAX_CLASS).map(|_| Vec::new()).collect(),
-            held_bytes: 0,
-        })
-    })
+fn lists() -> MutexGuard<'static, FreeLists> {
+    POOL.lock()
+        .expect("no FreeLists method panics while the pool lock is held")
 }
 
 /// `floor(log2(cap))`, the free-list index for a buffer of capacity `cap`.
@@ -194,33 +276,10 @@ fn pooled_capacity(len: usize) -> usize {
     len.next_power_of_two()
 }
 
-/// Try to pull a free buffer with `capacity >= len` from the pool.
-///
-/// Pops from the class of `len`'s rounded-up capacity (every buffer
-/// there has exactly that capacity) and falls back one class up, where
-/// buffers are twice as big. Both probes are O(1) — the lock is held for
-/// a few instructions, never a scan.
-fn pool_acquire(len: usize) -> Option<Vec<f32>> {
-    if len < MIN_POOL_LEN {
-        return None;
-    }
+/// The class a `len`-element request draws from, if it is pooled.
+fn pooled_class(len: usize) -> Option<usize> {
     let c = class_of(pooled_capacity(len));
-    if c > MAX_CLASS {
-        return None;
-    }
-    let mut inner = pool().lock().unwrap();
-    let found = inner.classes[c].pop();
-    let found = found.or_else(|| {
-        if c < MAX_CLASS {
-            inner.classes[c + 1].pop()
-        } else {
-            None
-        }
-    });
-    if let Some(buf) = &found {
-        inner.held_bytes -= buf.capacity() * 4;
-    }
-    found
+    (len >= MIN_POOL_LEN && c <= MAX_CLASS).then_some(c)
 }
 
 fn note_hit(len: usize) {
@@ -236,28 +295,25 @@ fn note_miss() {
     stwa_observe::counter!("alloc.heap").incr();
 }
 
-/// A freshly heap-allocated, *empty* buffer for `len` elements.
-/// Capacity is rounded up to the pooled power of two so the buffer
-/// joins a free list when its tensor drops; lengths outside the pooled
-/// range are exact-sized.
-fn fresh(len: usize) -> Vec<f32> {
-    note_miss();
-    if len >= MIN_POOL_LEN && class_of(pooled_capacity(len)) <= MAX_CLASS {
-        Vec::with_capacity(pooled_capacity(len))
-    } else {
-        Vec::with_capacity(len)
-    }
-}
-
 /// A buffer with room for `len` elements, contents unspecified: from
-/// the pool when it has one, else fresh (and empty).
+/// the pool when it has one, else freshly allocated and empty. A fresh
+/// buffer in the pooled range reserves its class's power of two, so it
+/// joins a free list when its tensor drops; others are exact-sized.
 fn acquire(len: usize) -> Vec<f32> {
-    match pool_acquire(len) {
+    let Some(c) = pooled_class(len) else {
+        note_miss();
+        return Vec::with_capacity(len);
+    };
+    let found = lists().take(c);
+    match found {
         Some(buf) => {
             note_hit(len);
             buf
         }
-        None => fresh(len),
+        None => {
+            note_miss();
+            Vec::with_capacity(1 << c)
+        }
     }
 }
 
@@ -288,40 +344,30 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
     buf
 }
 
-/// Return a dropped buffer to the free list (or to the allocator when
-/// the buffer is out of class range or the pool is at capacity). Called
-/// from `Tensor::drop`.
+/// Return a dropped buffer to its free list, or to the allocator when
+/// the buffer is out of class range or its class's demand has no room
+/// for it (see `FreeLists`). Called from `Tensor::drop`; returns
+/// whether the pool kept the buffer.
 ///
 /// Only power-of-two capacities are accepted — those are the buffers the
 /// pool itself built, and uniformity within a class is what keeps
 /// acquire scan-free. Odd-sized buffers (e.g. user vectors passed to
 /// `from_vec`) go back to the allocator.
-pub fn recycle(buf: Vec<f32>) {
+pub fn recycle(buf: Vec<f32>) -> bool {
     let cap = buf.capacity();
-    if cap < MIN_POOL_LEN || !cap.is_power_of_two() {
-        return;
+    if cap < MIN_POOL_LEN || !cap.is_power_of_two() || class_of(cap) > MAX_CLASS {
+        return false;
     }
-    let c = class_of(cap);
-    if c > MAX_CLASS {
-        return;
-    }
-    let bytes = cap * 4;
-    let mut inner = pool().lock().unwrap();
-    if inner.held_bytes + bytes > MAX_HELD_BYTES || inner.classes[c].len() >= MAX_PER_CLASS {
-        return;
-    }
-    inner.held_bytes += bytes;
-    inner.classes[c].push(buf);
+    // The guard drops at the end of this statement, so a refused buffer
+    // is freed outside the lock.
+    let refused = lists().give_back(buf);
+    refused.is_none()
 }
 
 /// Release every pooled buffer back to the allocator and reset the
 /// hit/miss counters. Used by benchmarks and tests to start cold.
 pub fn clear_pool() {
-    let mut inner = pool().lock().unwrap();
-    for list in &mut inner.classes {
-        list.clear();
-    }
-    inner.held_bytes = 0;
+    lists().clear();
     COUNTERS.hits.store(0, Ordering::Relaxed);
     COUNTERS.misses.store(0, Ordering::Relaxed);
     COUNTERS.recycled_bytes.store(0, Ordering::Relaxed);
@@ -356,7 +402,7 @@ impl PoolStats {
 
 /// Read the pool's activity counters and current footprint.
 pub fn pool_stats() -> PoolStats {
-    let held = pool().lock().unwrap().held_bytes;
+    let held = lists().held_bytes;
     let misses = COUNTERS.misses.load(Ordering::Relaxed);
     PoolStats {
         hits: COUNTERS.hits.load(Ordering::Relaxed),
@@ -540,7 +586,133 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = pool_stats();
-        assert!(stats.held_bytes <= MAX_HELD_BYTES);
+        let lists = lists();
+        for (c, class) in lists.classes.iter().enumerate() {
+            assert!(
+                class.free.len() + class.outstanding <= class.high_water,
+                "class {c}: {} free + {} outstanding above its mark {}",
+                class.free.len(),
+                class.outstanding,
+                class.high_water
+            );
+        }
+    }
+
+    // The retention rule, on private instances.
+
+    /// Draw a buffer of class `c` the way `acquire` does: from the
+    /// lists, else fresh. Returns it and whether it was a miss.
+    fn draw(lists: &mut FreeLists, c: usize) -> (Vec<f32>, bool) {
+        match lists.take(c) {
+            Some(buf) => (buf, false),
+            None => (Vec::with_capacity(1 << c), true),
+        }
+    }
+
+    #[test]
+    fn a_loop_over_the_same_classes_misses_only_on_its_first_iteration() {
+        // One iteration of a step: intermediates drawn and freed in a
+        // fixed order, some freed before later draws reuse them.
+        enum Step {
+            Draw(usize, usize),
+            Give(usize),
+        }
+        use Step::{Draw, Give};
+        let script = [
+            Draw(0, 6),
+            Draw(1, 9),
+            Give(0),
+            Draw(2, 6),
+            Draw(3, 12),
+            Draw(4, 12),
+            Give(1),
+            Draw(5, 7),
+            Give(3),
+            Draw(6, 12),
+            Give(2),
+            Give(6),
+            Give(4),
+            Give(5),
+        ];
+        let mut lists = FreeLists::new();
+        let mut slots: Vec<Option<Vec<f32>>> = (0..7).map(|_| None).collect();
+        for iteration in 0..5 {
+            let mut misses = 0;
+            for step in &script {
+                match *step {
+                    Draw(slot, c) => {
+                        let (buf, missed) = draw(&mut lists, c);
+                        misses += missed as usize;
+                        slots[slot] = Some(buf);
+                    }
+                    Give(slot) => {
+                        let refused = lists.give_back(slots[slot].take().unwrap());
+                        assert!(refused.is_none(), "a buffer the pool handed out comes back");
+                    }
+                }
+            }
+            // Slots 2 and 6 reuse the buffers slots 0 and 3 freed; the
+            // other five draws miss only while the lists are cold.
+            let want = if iteration == 0 { 5 } else { 0 };
+            assert_eq!(misses, want, "iteration {iteration}");
+        }
+    }
+
+    #[test]
+    fn buffers_the_pool_never_handed_out_are_not_kept_without_demand() {
+        let mut lists = FreeLists::new();
+        // A weight built outside the pool, retired in a class nobody
+        // draws from, goes back to the allocator.
+        assert!(lists.give_back(Vec::with_capacity(1 << 18)).is_some());
+        assert_eq!(lists.held_bytes, 0);
+        // Demand in one class makes no room in another.
+        let (buf, _) = draw(&mut lists, 10);
+        assert!(lists.give_back(buf).is_none());
+        assert!(lists.give_back(Vec::with_capacity(1 << 18)).is_some());
+        // And a class's demand is met once: one buffer was ever
+        // outstanding, one is already free, so a second is refused.
+        assert!(lists.give_back(Vec::with_capacity(1 << 10)).is_some());
+        assert_eq!(lists.held_bytes, (1 << 10) * 4);
+        // While a drawn buffer is out, a foreign one can stand in for it;
+        // the drawn one then finds its class full and is refused.
+        let (buf, missed) = draw(&mut lists, 10);
+        assert!(!missed);
+        assert!(lists.give_back(Vec::with_capacity(1 << 10)).is_none());
+        assert!(lists.give_back(buf).is_some());
+        assert_eq!(lists.held_bytes, (1 << 10) * 4);
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of draws (each class and one class up),
+        /// returns of drawn buffers and returns of foreign buffers keeps
+        /// every class's free plus outstanding buffers within its
+        /// high-water mark, and `held_bytes` equal to what the lists hold.
+        #[test]
+        fn kept_plus_outstanding_never_exceeds_the_high_water_mark(
+            ops in proptest::collection::vec((0u8..3, 6usize..10, 0usize..64), 0..200),
+        ) {
+            let mut lists = FreeLists::new();
+            let mut live: Vec<Vec<f32>> = Vec::new();
+            for (kind, c, pick) in ops {
+                match kind {
+                    0 => live.push(draw(&mut lists, c).0),
+                    1 if !live.is_empty() => {
+                        let buf = live.swap_remove(pick % live.len());
+                        lists.give_back(buf);
+                    }
+                    _ => {
+                        lists.give_back(Vec::with_capacity(1 << c));
+                    }
+                }
+                let mut held = 0;
+                for class in &lists.classes {
+                    proptest::prop_assert!(
+                        class.free.len() + class.outstanding <= class.high_water
+                    );
+                    held += class.free.iter().map(|b| b.capacity() * 4).sum::<usize>();
+                }
+                proptest::prop_assert_eq!(held, lists.held_bytes);
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! reference implementations on arbitrary inputs.
 
 use proptest::prelude::*;
-use stwa_tensor::{linalg, manip, shape, Tensor};
+use stwa_tensor::{linalg, manip, memory, shape, Tensor};
 
 /// Strategy: a tensor with the given shape and bounded values.
 fn tensor_with(shape_: Vec<usize>) -> impl Strategy<Value = Tensor> {
@@ -447,12 +447,19 @@ proptest! {
 /// a kernel poisoned memory: an element it failed to write, or a chain
 /// it started by loading the output instead of zero, shows up as NaN.
 /// Best effort — a concurrently running test may take the buffers
-/// first — so it can only ever make a test stronger, not flaky.
+/// first — so it can only ever make a test stronger, not flaky. It does
+/// assert that the pool kept every poisoned buffer, so no retention
+/// policy can disarm the check.
 fn poison_pool(elems: usize) {
     // Pooled capacities are powers of two, 64 floats and up.
     let cap = elems.next_power_of_two().max(64);
-    let dirty: Vec<Tensor> = (0..3).map(|_| Tensor::full(&[cap], f32::NAN)).collect();
-    drop(dirty);
+    let dirty: Vec<Vec<f32>> = (0..3).map(|_| memory::take_filled(cap, f32::NAN)).collect();
+    let poisoned: usize = dirty.iter().map(|b| b.capacity() * 4).sum();
+    let parked: usize = dirty
+        .into_iter()
+        .map(|b| b.capacity() * 4 * memory::recycle(b) as usize)
+        .sum();
+    assert_eq!(parked, poisoned, "the pool must keep the poisoned buffers");
 }
 
 /// The pool thread count is process-global; tests that set it serialize

@@ -78,6 +78,6 @@ bench-attention:
 bench-serve:
     cargo run --release -p stwa-bench --bin bench_serve -- --out BENCH_serve.json
 
-# Regenerate every paper table/figure CSV under results/.
+# Regenerate every paper table/figure CSV under results/fixed and results/long.
 experiments:
     ./run_experiments.sh
