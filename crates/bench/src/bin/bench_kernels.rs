@@ -1,8 +1,11 @@
 //! Kernel throughput harness: measures the production matmul paths
 //! (small in-place, blocked/packed, pre-packed, folded shared operand,
-//! fused NT) on the shapes the models actually run against the
-//! machine's own FMA peak, measured in the same run, and writes the
-//! results to `BENCH_kernels.json`.
+//! fused NT) on the shapes the models actually run — and, at the
+//! serving width `d = 32`, the packed decoder with its bias epilogue,
+//! proxy attention, sparse sensor correlation and the split K/V
+//! projection (the `serve_*` rows) — against the machine's own FMA
+//! peak, measured in the same run, and writes the results to
+//! `BENCH_kernels.json`.
 //!
 //! Every row runs on **one pool thread**: the rows gate the kernels,
 //! not the pool, and on the 2-vCPU hosts this is recorded on a product
@@ -40,7 +43,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_tensor::isa::{self, Isa};
-use stwa_tensor::{linalg, projection, window_layer, Tensor};
+use stwa_tensor::{attention, linalg, projection, sparse, window_layer, SensorGraph, Tensor};
 
 /// Allowed relative loss of `roofline_share` before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.15;
@@ -468,7 +471,109 @@ fn suite() -> Vec<Bench> {
             format!("[{rows},{k}]@packed[{k},{n}]"),
             2 * rows * k * n,
             move || {
-                std::hint::black_box(linalg::matmul_packed(&a, &packed).unwrap());
+                std::hint::black_box(
+                    linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap(),
+                );
+            },
+        ));
+    }
+
+    // The same products as the frozen engine's decoder runs them: the
+    // layer's bias added by each register tile as it stores, the
+    // output's second pass gone.
+    for (name, rows) in [
+        ("decoder_48_epilogue", 48usize),
+        ("decoder_1024_epilogue", 1024),
+    ] {
+        let (k, n) = (128, 2048);
+        let a = Tensor::randn(&[rows, k], &mut rng);
+        let packed = linalg::PackedMatrix::pack(&Tensor::randn(&[k, n], &mut rng)).unwrap();
+        let bias = Tensor::randn(&[n], &mut rng);
+        entries.push(bench(
+            name,
+            format!("[{rows},{k}]@packed[{k},{n}]+bias"),
+            2 * rows * k * n,
+            move || {
+                let ep = linalg::Epilogue {
+                    bias: Some(bias.data()),
+                    relu: false,
+                };
+                std::hint::black_box(linalg::matmul_packed(&a, &packed, ep).unwrap());
+            },
+        ));
+    }
+
+    // The serving width's other kernels, at the city forward's shapes
+    // (1 024 sensors, batch 1, `d = 32` in eight heads). Proxy
+    // attention: one proxy query per sensor against a window's three
+    // keys, sixteen sensors to a lane group.
+    {
+        let (lead, tk, d) = (1024usize, 3usize, 32usize);
+        let q = Tensor::randn(&[lead, 1, d], &mut rng);
+        let k = Tensor::randn(&[lead, tk, d], &mut rng);
+        let v = Tensor::randn(&[lead, tk, d], &mut rng);
+        entries.push(bench(
+            "serve_proxy_attention_d32",
+            format!("[{lead},1,{d}]x[{lead},{tk},{d}] 8 heads"),
+            2 * 2 * lead * tk * d,
+            move || {
+                std::hint::black_box(attention::forward(&q, &k, &v, 8).unwrap());
+            },
+        ));
+    }
+    // Sparse sensor correlation over 128 corridors of eight sensors,
+    // each attending its 2-hop corridor neighbours (degree 3 to 5).
+    {
+        let (n, d) = (1024usize, 32usize);
+        let lists: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let (c0, c1) = (i / 8 * 8, i / 8 * 8 + 8);
+                (i.saturating_sub(2).max(c0)..(i + 3).min(c1)).collect()
+            })
+            .collect();
+        let graph = SensorGraph::from_neighbor_lists(n, &lists).unwrap();
+        let (q, k, h) = (
+            Tensor::randn(&[1, n, d], &mut rng),
+            Tensor::randn(&[1, n, d], &mut rng),
+            Tensor::randn(&[1, n, d], &mut rng),
+        );
+        let scale = 1.0 / (d as f32).sqrt();
+        entries.push(bench(
+            "serve_sparse_sca_1024",
+            format!("[1,{n},{d}] nnz {}", graph.nnz()),
+            2 * 2 * graph.nnz() * d,
+            move || {
+                std::hint::black_box(
+                    sparse::sparse_attention_forward(&q, &k, &h, &graph, scale).unwrap(),
+                );
+            },
+        ));
+    }
+    // The K/V projection in the engine's split layout: a 64-sensor
+    // block's `[4, 32]` window rows (the second layer) through the
+    // `[32, 32]` halves of their decoded `[2·32·32]` rows.
+    {
+        let (lead, rows, f, d) = (64usize, 4usize, 32usize, 32usize);
+        let x = Tensor::randn(&[lead, rows, f], &mut rng);
+        let decoded = Tensor::randn(&[lead, 2 * f * d], &mut rng);
+        let (mut keys, mut values) = (vec![0f32; lead * rows * d], vec![0f32; lead * rows * d]);
+        entries.push(bench(
+            "serve_project_kv_d32",
+            format!("{lead}x[{rows},{f}]@[{f},{d}] K and V"),
+            2 * 2 * lead * rows * f * d,
+            move || {
+                let (kp, vp) = (decoded.data(), &decoded.data()[f * d..]);
+                projection::forward_split(
+                    x.data(),
+                    kp,
+                    vp,
+                    2 * f * d,
+                    lead,
+                    (rows, f, d),
+                    &mut keys,
+                    &mut values,
+                );
+                std::hint::black_box((&keys, &values));
             },
         ));
     }
@@ -493,7 +598,9 @@ fn suite() -> Vec<Bench> {
                 format!("[{rows},{k}]@packed[{k},{n}] L2-cold"),
                 2 * rows * k * n,
                 move || {
-                    std::hint::black_box(linalg::matmul_packed(&a, &packed).unwrap());
+                    std::hint::black_box(
+                        linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap(),
+                    );
                 },
             )
         });
@@ -594,12 +701,12 @@ fn main() {
         isa::detected().label()
     );
     println!(
-        "{:<16} {:>30} {:>10} {:>9} {:>9}",
+        "{:<25} {:>36} {:>10} {:>9} {:>9}",
         "shape", "dims", "kernel ms", "GF/s", "roofline"
     );
     for e in &entries {
         println!(
-            "{:<16} {:>30} {:>10.3} {:>9.2} {:>9.3}",
+            "{:<25} {:>36} {:>10.3} {:>9.2} {:>9.3}",
             e.name,
             e.shape,
             e.kernel_ms,

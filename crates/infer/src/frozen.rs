@@ -29,9 +29,10 @@
 //! therefore never materializes `[B, N, 2·F·d]`: per request it computes
 //! only the decoder *heads* (`[B·N, m2]` per layer, everything before
 //! the last dense layer), and each layer then walks its sensors a block
-//! at a time — last dense layer into a block-sized scratch, bias add,
-//! then each sensor's window rows times the two `[F, d]` halves straight
-//! out of that scratch ([`project_run`], the kernel the static path's
+//! at a time — last dense layer into a block-sized scratch, its bias
+//! added as the GEMM's register tiles store, then each sensor's window
+//! rows times the two `[F, d]` halves straight out of that scratch
+//! ([`projection::forward_split`], the walk the static path's
 //! [`project_kv`] runs too). The scratch stays L2-resident between the
 //! decode that writes it and the products that read it, and nothing
 //! wider than the keys and values themselves reaches memory. Generated
@@ -64,7 +65,7 @@ use stwa_nn::layers::Linear;
 use stwa_nn::StoreVersion;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::window_layer::{self, Kv, Sca, Weights};
-use stwa_tensor::{linalg, memory, Result, SensorGraph, Tensor, TensorError};
+use stwa_tensor::{linalg, memory, projection, Result, SensorGraph, Tensor, TensorError};
 
 /// Frozen per-layer state of one window-attention layer. The body's
 /// weights are the f32 tensors [`window_layer::forward`] reads, at every
@@ -543,9 +544,9 @@ impl DynamicGenerator {
     ///
     /// Bitwise contract: a block's rows of the dense layer are the same
     /// rows the whole-tensor forward computes (rows are independent at
-    /// both precisions), and [`project_run`] is the product the static
-    /// path and — by the kernel order contract — the graph path's
-    /// broadcast matmul run.
+    /// both precisions), and [`projection::forward_split`] is the product
+    /// the static path and — by the kernel order contract — the graph
+    /// path's broadcast matmul run.
     fn project_kv(
         &self,
         l: usize,
@@ -583,7 +584,7 @@ impl DynamicGenerator {
                 let p0 = (first + i) * KV_BLOCK;
                 let count = kout.len() / (rows * d);
                 decode(&hd[p0 * m2..], count, &mut decoded);
-                project_run(
+                projection::forward_split(
                     &xd[p0 * rows * f..],
                     &decoded,
                     &decoded[f * d..],
@@ -696,39 +697,6 @@ impl FrozenLayer {
     }
 }
 
-/// `kout[i] = x[i] @ first[i]` and `vout[i] = x[i] @ second[i]` for
-/// `count` consecutive (sample, sensor) pairs: pair `i`'s input block
-/// is the `[rows, f]` matrix at `x[i·rows·f..]`, its two `[f, d]`
-/// operands start at `first[i·stride..]` / `second[i·stride..]`, its
-/// outputs are the `[rows, d]` matrices at `kout[i·rows·d..]` /
-/// `vout[i·rows·d..]`. One definition serves the K/V projections
-/// (`rows = w·s` window rows) over freeze-time caches and freshly
-/// decoded scratch alike — only the stride differs.
-///
-/// Bitwise contract: each pair is one [`linalg::gemm_nn_slice`] per
-/// side — same kernels, same ascending-`f` accumulation as the
-/// broadcast matmul the graph path runs per window.
-#[allow(clippy::too_many_arguments)]
-fn project_run(
-    x: &[f32],
-    first: &[f32],
-    second: &[f32],
-    stride: usize,
-    count: usize,
-    (rows, f, d): (usize, usize, usize),
-    kout: &mut [f32],
-    vout: &mut [f32],
-) {
-    for i in 0..count {
-        let a = &x[i * rows * f..(i + 1) * rows * f];
-        let at = i * stride;
-        let (kp, vp) = (&first[at..at + f * d], &second[at..at + f * d]);
-        let out = i * rows * d..(i + 1) * rows * d;
-        linalg::gemm_nn_slice(a, kp, &mut kout[out.clone()], rows, f, d);
-        linalg::gemm_nn_slice(a, vp, &mut vout[out], rows, f, d);
-    }
-}
-
 /// The freeze-time projections applied: `x_win @ kp` / `x_win @ vp`
 /// with the window axis flattened into GEMM rows, so the broadcast
 /// matmul's `B*N*w` tiny dispatches (and its per-batch offset table)
@@ -757,7 +725,7 @@ fn project_kv(x_win: &Tensor, k_proj: &Tensor, v_proj: &Tensor) -> Result<(Tenso
     let mut kout = memory::take_scratch(b * n * rows * d);
     let mut vout = memory::take_scratch(b * n * rows * d);
     for bi in 0..b {
-        project_run(
+        projection::forward_split(
             &xd[bi * n * rows * f..],
             &kd[bi * pb_stride..],
             &vd[bi * pb_stride..],

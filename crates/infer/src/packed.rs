@@ -13,7 +13,7 @@
 //! accuracy gate instead (DESIGN.md §14).
 
 use stwa_nn::layers::{Activation, Linear, Mlp};
-use stwa_tensor::linalg::{gemm_packed_slice, matmul_packed, PackedMatrix};
+use stwa_tensor::linalg::{gemm_packed_slice, matmul_packed, Epilogue, PackedMatrix};
 use stwa_tensor::quant::{matmul_packed_int8_lean, PackedMatrixInt8, Precision};
 use stwa_tensor::{mathfn, Result, Tensor, TensorError};
 
@@ -31,25 +31,63 @@ impl PackedPanels {
         })
     }
 
-    fn matmul(&self, x: &Tensor) -> Result<Tensor> {
-        match self {
-            PackedPanels::F32(p) => matmul_packed(x, p),
-            PackedPanels::Int8(p) => matmul_packed_int8_lean(x, p),
-        }
+    /// `act(x @ panels + bias)`. At f32 the bias and a ReLU ride the
+    /// GEMM's tile stores ([`Epilogue`]); see [`PackedPanels::finish`].
+    fn matmul(&self, x: &Tensor, bias: Option<&[f32]>, act: Activation) -> Result<Tensor> {
+        let mut y = match self {
+            PackedPanels::F32(p) => matmul_packed(x, p, epilogue(bias, act))?,
+            PackedPanels::Int8(p) => matmul_packed_int8_lean(x, p)?,
+        };
+        self.finish(y.data_mut(), bias, act);
+        Ok(y)
     }
 
-    /// `out[..rows·n] = x[..rows·k] @ panels` on raw rows — the same
-    /// bits as [`PackedPanels::matmul`] on those rows (every kernel
-    /// treats rows independently, int8 row scales included).
-    fn matmul_rows(&self, x: &[f32], rows: usize, out: &mut [f32]) {
-        match self {
-            PackedPanels::F32(p) => gemm_packed_slice(x, p, out, rows),
+    /// [`PackedPanels::matmul`] on raw rows, into `out[..rows·n]` — the
+    /// same bits on those rows (every kernel treats rows independently,
+    /// int8 row scales included).
+    fn matmul_rows(
+        &self,
+        x: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) {
+        let out = match self {
+            PackedPanels::F32(p) => {
+                gemm_packed_slice(x, p, out, rows, epilogue(bias, act));
+                &mut out[..rows * p.n()]
+            }
             PackedPanels::Int8(p) => {
                 let block = Tensor::from_vec(x[..rows * p.k()].to_vec(), &[rows, p.k()])
                     .and_then(|block| matmul_packed_int8_lean(&block, p))
                     .expect("a [rows, k] block against [k, n] panels");
-                out[..rows * p.n()].copy_from_slice(block.data());
+                let out = &mut out[..rows * p.n()];
+                out.copy_from_slice(block.data());
+                out
             }
+        };
+        self.finish(out, bias, act);
+    }
+
+    /// What the product `y` still lacks of `act(· + bias)` — per element
+    /// the graph path's `kind.apply(a + bias)`: after f32 panels, whose
+    /// tiles added the bias and a ReLU, only a tanh or sigmoid pass;
+    /// after int8 panels, whose rescale comes first, the bias pass too.
+    fn finish(&self, y: &mut [f32], bias: Option<&[f32]>, act: Activation) {
+        if let (PackedPanels::Int8(_), Some(bd)) = (self, bias) {
+            for row in y.chunks_exact_mut(bd.len()) {
+                for (o, &bv) in row.iter_mut().zip(bd) {
+                    *o += bv;
+                }
+            }
+        }
+        match act {
+            Activation::Identity => {}
+            Activation::Relu if matches!(self, PackedPanels::F32(_)) => {}
+            Activation::Relu => y.iter_mut().for_each(|o| *o = o.max(0.0)),
+            Activation::Tanh => mathfn::tanh_slice(y),
+            Activation::Sigmoid => mathfn::sigmoid_slice(y),
         }
     }
 
@@ -119,11 +157,10 @@ impl PackedDense {
         self.forward_act(x, Activation::Identity)
     }
 
-    /// [`Linear::forward_act`] on the packed weight. The bias
-    /// add and activation run in place on the uniquely-owned GEMM
-    /// output — the same `kind.apply(a + bias)` scalar chain as the
-    /// graph path's `bias_add_act` zip, minus a dispatch and a
-    /// materialization per call.
+    /// [`Linear::forward_act`] on the packed weight: per element the
+    /// same `kind.apply(a + bias)` chain as the graph path's
+    /// `bias_add_act` zip, with no pass of its own for the bias or a
+    /// ReLU at f32.
     pub fn forward_act(&self, x: &Tensor, act: Activation) -> Result<Tensor> {
         let shape = x.shape().to_vec();
         let rank = shape.len();
@@ -135,8 +172,9 @@ impl PackedDense {
         }
         let lead: usize = shape[..rank - 1].iter().product();
         let flat = x.reshape(&[lead, self.in_dim])?;
-        let mut y = self.panels.matmul(&flat)?;
-        bias_act(y.data_mut(), self.bias.as_ref().map(Tensor::data), act);
+        let y = self
+            .panels
+            .matmul(&flat, self.bias.as_ref().map(Tensor::data), act)?;
         let mut out_shape = shape[..rank - 1].to_vec();
         out_shape.push(self.out_dim);
         y.reshape(&out_shape)
@@ -153,36 +191,18 @@ impl PackedDense {
         &self,
         act: Activation,
     ) -> impl Fn(&[f32], usize, &mut [f32]) + Sync + '_ {
-        let (panels, out_dim) = (&self.panels, self.out_dim);
+        let panels = &self.panels;
         let bias = self.bias.as_ref().map(Tensor::data);
-        move |x, rows, out| {
-            panels.matmul_rows(x, rows, out);
-            bias_act(&mut out[..rows * out_dim], bias, act);
-        }
+        move |x, rows, out| panels.matmul_rows(x, rows, out, bias, act)
     }
 }
 
-/// Bias pass, then one wide activation pass over the whole GEMM output
-/// `y` (rows of `bias.len()` columns) — per element the same
-/// add-then-apply chain as the graph path's interleaved
-/// `kind.apply(a + bias)` zip.
-fn bias_act(y: &mut [f32], bias: Option<&[f32]>, act: Activation) {
-    if let Some(bd) = bias {
-        for row in y.chunks_exact_mut(bd.len()) {
-            for (o, &bv) in row.iter_mut().zip(bd.iter()) {
-                *o += bv;
-            }
-        }
-    }
-    match act {
-        Activation::Identity => {}
-        Activation::Tanh => mathfn::tanh_slice(y),
-        Activation::Sigmoid => mathfn::sigmoid_slice(y),
-        Activation::Relu => {
-            for o in y.iter_mut() {
-                *o = o.max(0.0);
-            }
-        }
+/// The part of `bias_add_act` an f32 GEMM's tile stores take: the bias
+/// and a ReLU.
+fn epilogue(bias: Option<&[f32]>, act: Activation) -> Epilogue<'_> {
+    Epilogue {
+        bias,
+        relu: act == Activation::Relu,
     }
 }
 

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use stwa_autograd::Graph;
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_infer::InferSession;
-use stwa_tensor::linalg::{matmul_packed, matmul_reference, PackedMatrix};
+use stwa_tensor::linalg::{matmul_packed, matmul_reference, Epilogue, PackedMatrix};
 use stwa_tensor::{SensorGraph, Tensor};
 
 fn build_config(variant: u8, windows: u8, proxies: usize, sca: bool, mean_agg: bool) -> StwaConfig {
@@ -138,7 +138,7 @@ proptest! {
         let b = Tensor::randn(&[k, n], &mut rng);
         let packed = PackedMatrix::pack(&b).unwrap();
         let want = matmul_reference(&a, &b).unwrap();
-        let got = matmul_packed(&a, &packed).unwrap();
+        let got = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         prop_assert_eq!(want.data(), got.data());
     }
 
@@ -154,7 +154,7 @@ proptest! {
         let packed = PackedMatrix::pack(&b).unwrap();
         let flat = a.reshape(&[lead * m, k]).unwrap();
         let want = matmul_reference(&flat, &b).unwrap();
-        let got = matmul_packed(&a, &packed).unwrap();
+        let got = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         prop_assert_eq!(got.shape(), &[lead, m, n]);
         prop_assert_eq!(want.data(), got.reshape(&[lead * m, n]).unwrap().data());
     }

@@ -51,6 +51,15 @@
 //! run-time value), instantiated at the head layouts the models use so
 //! the per-head loops unroll into independent chains, and once fully
 //! dynamic for everything else.
+//!
+//! On an AVX-512 host the forward puts sixteen leads in the lanes of
+//! each zmm ([`forward_lanes`]) at both widths the models run: `d = 16`
+//! (training) and `d = 32` (serving, eight heads of four). A lead's
+//! rows are transposed in registers, one sixteen-column transpose per
+//! zmm of width, so each score, softmax and mix term is one vector op
+//! over sixteen leads; leads past the last whole group take the
+//! instantiated walk. The VJP's register walk ([`vjp_rows`]) is
+//! `d = 16` only.
 
 #[cfg(target_arch = "x86_64")]
 use crate::isa::{self, Isa};
@@ -340,9 +349,9 @@ fn run_forward(dm: Dims, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, 
 }
 
 /// The forward walk over raw rows: writes `weights` and adds the context
-/// into `out`, which the caller zeroes. At `d = 16` on an AVX-512 host
-/// whole groups of sixteen leads take [`forward_lanes`]; the rest run
-/// the instantiation for `dm`'s head layout.
+/// into `out`, which the caller zeroes. At `d` of 16 or 32 on an
+/// AVX-512 host whole groups of sixteen leads take [`forward_lanes`];
+/// the rest run the instantiation for `dm`'s head layout.
 pub(crate) fn forward_slices(
     dm: Dims,
     q: &[f32],
@@ -353,10 +362,16 @@ pub(crate) fn forward_slices(
 ) {
     let lanes = lane_leads(dm);
     if lanes > 0 {
-        // Safety: `lane_leads` is nonzero only on an AVX-512 tier.
+        let lane_dm = Dims { lead: lanes, ..dm };
+        // Safety: `lane_leads` is nonzero only on an AVX-512 tier, at a
+        // width of one or two zmm.
         #[cfg(target_arch = "x86_64")]
         unsafe {
-            forward_lanes(Dims { lead: lanes, ..dm }, q, k, v, weights, out)
+            if dm.heads * dm.dh == 16 {
+                forward_lanes::<1>(lane_dm, q, k, v, weights, out)
+            } else {
+                forward_lanes::<2>(lane_dm, q, k, v, weights, out)
+            }
         };
     }
     if lanes == dm.lead {
@@ -383,18 +398,18 @@ pub(crate) fn forward_slices(
 }
 
 /// Leads the sixteen-lane walks take: every whole group of sixteen when
-/// `d = 16` and the tier is at least AVX-512, else none.
+/// `d` is 16 or 32 and the tier is at least AVX-512, else none.
 fn lane_leads(dm: Dims) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if dm.heads * dm.dh == 16 && isa::current() >= Isa::Avx512 {
+    if matches!(dm.heads * dm.dh, 16 | 32) && isa::current() >= Isa::Avx512 {
         return dm.lead / 16 * 16;
     }
     let _ = dm;
     0
 }
 
-/// Sixteen `d = 16` rows as one zmm each, transposed: lane `i` of
-/// column `c` is row `i`'s element `c`.
+/// Sixteen rows' sixteen columns from `at(i)` on, one zmm each,
+/// transposed: lane `i` of column `c` is row `i`'s element `c`.
 ///
 /// # Safety
 ///
@@ -403,7 +418,10 @@ fn lane_leads(dm: Dims) -> usize {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn columns(src: &[f32], at: impl Fn(usize) -> usize) -> [std::arch::x86_64::__m512; 16] {
+pub(crate) unsafe fn columns(
+    src: &[f32],
+    at: impl Fn(usize) -> usize,
+) -> [std::arch::x86_64::__m512; 16] {
     use std::arch::x86_64::*;
     // Safety: the caller bounds every row.
     unsafe {
@@ -415,19 +433,20 @@ unsafe fn columns(src: &[f32], at: impl Fn(usize) -> usize) -> [std::arch::x86_6
 }
 
 /// [`forward_body`] with one lead per lane: sixteen leads at a time,
-/// their rows transposed in registers so every score, softmax and mix
-/// term is one vector op across the leads — the same chain per element
-/// (scores `fma` in ascending `c` from `+0.0`, then the scale; the
-/// row's max, `exp(x − m)`, ascending sum and divide; the mix `fma` in
-/// ascending `j`), hence the same bits.
+/// their `d = 16·Z` wide rows transposed in registers (`Z` sixteen-column
+/// transposes per row) so every score, softmax and mix term is one
+/// vector op across the leads — the same chain per element (scores
+/// `fma` in ascending `c` from `+0.0`, then the scale; the row's max,
+/// `exp(x − m)`, ascending sum and divide; the mix `fma` in ascending
+/// `j`), hence the same bits.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX-512F; `heads · dh = 16` and `lead` is a
-/// multiple of sixteen.
+/// The CPU must support AVX-512F; `heads · dh = 16·Z`, `Z` is 1 or 2,
+/// and `lead` is a multiple of sixteen.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn forward_lanes(
+unsafe fn forward_lanes<const Z: usize>(
     dm: Dims,
     q: &[f32],
     k: &[f32],
@@ -437,24 +456,36 @@ unsafe fn forward_lanes(
 ) {
     use std::arch::x86_64::*;
     let Dims { lead, tq, tk, heads, dh, .. } = dm;
-    debug_assert!(heads * dh == 16 && lead.is_multiple_of(16));
+    let d = 16 * Z;
+    debug_assert!(heads * dh == d && d <= 32 && lead.is_multiple_of(16));
     dm.debug_check_lens(q.len(), k.len(), v.len(), weights.len());
-    debug_assert!(out.len() >= lead * tq * 16, "attention: context length");
+    debug_assert!(out.len() >= lead * tq * d, "attention: context length");
     let scale = _mm512_set1_ps(1.0 / (dh as f32).sqrt());
     let zero = _mm512_setzero_ps();
-    let mut keys = vec![[zero; 16]; tk];
-    let mut values = vec![[zero; 16]; tk];
+    // Key (value) row `j` of sixteen leads, column `c` at `[j][c]`, one
+    // lane per lead.
+    let mut keys = vec![[zero; 32]; tk];
+    let mut values = vec![[zero; 32]; tk];
     let mut w = vec![zero; heads * tk];
     // Safety (whole body): every row read or written lies inside the
     // extents checked above.
     unsafe {
         for l0 in (0..lead).step_by(16) {
             for j in 0..tk {
-                keys[j] = columns(k, |i| dm.k_at(l0 + i).start + j * 16);
-                values[j] = columns(v, |i| dm.v_at(l0 + i).start + j * 16);
+                for z in 0..Z {
+                    let cols = z * 16..(z + 1) * 16;
+                    let at = j * d + z * 16;
+                    keys[j][cols.clone()]
+                        .copy_from_slice(&columns(k, |i| dm.k_at(l0 + i).start + at));
+                    values[j][cols].copy_from_slice(&columns(v, |i| dm.v_at(l0 + i).start + at));
+                }
             }
             for r in 0..tq {
-                let qc = columns(q, |i| ((l0 + i) * tq + r) * 16);
+                let mut qc = [zero; 32];
+                for z in 0..Z {
+                    qc[z * 16..(z + 1) * 16]
+                        .copy_from_slice(&columns(q, |i| ((l0 + i) * tq + r) * d + z * 16));
+                }
                 for h in 0..heads {
                     let row = &mut w[h * tk..(h + 1) * tk];
                     let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
@@ -478,16 +509,21 @@ unsafe fn forward_lanes(
                     }
                 }
                 store_weights(&w, dm, l0, r, weights);
-                let mut ctx = [zero; 16];
-                for (c, o) in ctx.iter_mut().enumerate() {
-                    let h = c / dh;
-                    for j in 0..tk {
-                        *o = _mm512_fmadd_ps(w[h * tk + j], values[j][c], *o);
+                for z in 0..Z {
+                    let mut ctx = [zero; 16];
+                    for (cz, o) in ctx.iter_mut().enumerate() {
+                        let c = z * 16 + cz;
+                        let h = c / dh;
+                        for j in 0..tk {
+                            *o = _mm512_fmadd_ps(w[h * tk + j], values[j][c], *o);
+                        }
                     }
-                }
-                let rows = crate::projection::transpose16(ctx);
-                for (i, row) in rows.iter().enumerate() {
-                    _mm512_storeu_ps(out.as_mut_ptr().add(((l0 + i) * tq + r) * 16), *row);
+                    let rows = crate::projection::transpose16(ctx);
+                    for (i, row) in rows.iter().enumerate() {
+                        let at = ((l0 + i) * tq + r) * d + z * 16;
+                        debug_assert!(at + 16 <= out.len());
+                        _mm512_storeu_ps(out.as_mut_ptr().add(at), *row);
+                    }
                 }
             }
         }
@@ -673,9 +709,10 @@ unsafe fn vjp_rows(dm: Dims, [g, q, k, v, weights]: [&[f32]; 5], gq: &mut [f32],
 }
 
 /// Query row `r`'s softmax weights of leads `l0..l0 + 16`, `w[h·Tk + j]`
-/// one lane per lead, into the `[lead, heads, Tq, Tk]` buffer: when a
-/// lead's weights fit one zmm, a transpose and one masked store per
-/// lead, else lane by lane.
+/// one lane per lead, into the `[lead, heads, Tq, Tk]` buffer: with one
+/// query row a lead's weights are contiguous, so each run of sixteen
+/// slots is a transpose and one masked store per lead; else lane by
+/// lane.
 ///
 /// # Safety
 ///
@@ -688,12 +725,15 @@ unsafe fn store_weights(w: &[std::arch::x86_64::__m512], dm: Dims, l0: usize, r:
     debug_assert!(w.len() == dm.heads * tk && (l0 + 16) * per_lead <= weights.len());
     // Safety (whole body): lead `l0 + i`'s weights are inside `weights`.
     unsafe {
-        if tq == 1 && per_lead <= 16 {
-            let mut cols = [_mm512_setzero_ps(); 16];
-            cols[..w.len()].copy_from_slice(w);
-            let mask: __mmask16 = ((1u32 << per_lead) - 1) as __mmask16;
-            for (i, row) in crate::projection::transpose16(cols).iter().enumerate() {
-                _mm512_mask_storeu_ps(weights.as_mut_ptr().add((l0 + i) * per_lead), mask, *row);
+        if tq == 1 {
+            for (run, c0) in w.chunks(16).zip((0..).step_by(16)) {
+                let mut cols = [_mm512_setzero_ps(); 16];
+                cols[..run.len()].copy_from_slice(run);
+                let mask: __mmask16 = ((1u32 << run.len()) - 1) as __mmask16;
+                for (i, row) in crate::projection::transpose16(cols).iter().enumerate() {
+                    let at = (l0 + i) * per_lead + c0;
+                    _mm512_mask_storeu_ps(weights.as_mut_ptr().add(at), mask, *row);
+                }
             }
             return;
         }
@@ -877,12 +917,17 @@ mod tests {
 
     /// Window-attention shapes (p=1 queries, s=3 keys, d=16, 4 heads),
     /// two proxies at `d = 16`, a lead count that leaves a remainder past
-    /// the sixteen-lane groups, the serving head layout, a dynamic-head
-    /// layout, a chunky cross-attention, and rank 2.
-    const CASES: [(&[usize], &[usize], usize); 8] = [
+    /// the sixteen-lane groups, the serving head layout (`d = 32`, eight
+    /// heads) in lanes with a ragged remainder — at one query row, where
+    /// a lead's 24 weights take two transposed runs, and at two — then
+    /// short of one lane group, a dynamic-head layout, a chunky
+    /// cross-attention, and rank 2.
+    const CASES: [(&[usize], &[usize], usize); 10] = [
         (&[2, 32, 4, 1, 16], &[2, 32, 4, 3, 16], 4),
         (&[2, 16, 2, 16], &[2, 16, 3, 16], 4),
         (&[20, 1, 16], &[20, 3, 16], 1),
+        (&[37, 1, 32], &[37, 3, 32], 8),
+        (&[2, 17, 2, 32], &[2, 17, 5, 32], 4),
         (&[2, 3, 5, 32], &[2, 3, 9, 32], 8),
         (&[2, 3, 5, 8], &[2, 3, 9, 8], 4),
         (&[1, 32, 1, 16], &[1, 32, 2, 16], 4),

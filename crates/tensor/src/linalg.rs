@@ -730,15 +730,151 @@ pub(crate) fn gemm_strided(
 }
 
 /// [`gemm_nn_slice`] against a pre-packed right operand:
-/// `C[rows, n] = A[rows, k] @ packed`, written into `c` (never read).
-/// The slice-level twin of [`matmul_packed`] — same panel walk,
-/// hence the same bits — for callers that produce a few rows of a wide
-/// product at a time into their own scratch (the inference engine
-/// decodes one sensor block's projections, consumes them, and reuses
-/// the buffer). Always sequential.
-pub fn gemm_packed_slice(a: &[f32], packed: &PackedMatrix, c: &mut [f32], rows: usize) {
+/// `C[rows, n] = A[rows, k] @ packed`, finished by `ep` and written into
+/// `c` (never read). The slice-level twin of [`matmul_packed`] — same
+/// panel walk, hence the same bits — for callers that produce a few
+/// rows of a wide product at a time into their own scratch (the
+/// inference engine decodes one sensor block's projections, consumes
+/// them, and reuses the buffer). Always sequential.
+pub fn gemm_packed_slice(
+    a: &[f32],
+    packed: &PackedMatrix,
+    c: &mut [f32],
+    rows: usize,
+    ep: Epilogue<'_>,
+) {
     let (k, n) = (packed.k, packed.n);
-    gemm_prepacked(isa::current(), &a[..rows * k], packed, &mut c[..rows * n], 0, rows);
+    gemm_prepacked(
+        isa::current(),
+        &a[..rows * k],
+        packed,
+        &mut c[..rows * n],
+        0,
+        rows,
+        ep,
+    );
+}
+
+/// What a packed product does to each output element as its register
+/// tile is stored, after the element's whole contraction chain: add
+/// the column's `bias` (one rounded add), then, with `relu`, take
+/// `max(x, 0)` — per element the order a dense layer's `bias_add_act`
+/// runs them in, so `matmul_packed(a, p, Epilogue { bias, relu })` is
+/// bitwise `matmul` then `bias_add_act` without a second pass over the
+/// output. [`Epilogue::NONE`] stores the chain as it is.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Epilogue<'a> {
+    /// One float per output column.
+    pub bias: Option<&'a [f32]>,
+    pub relu: bool,
+}
+
+impl Epilogue<'_> {
+    /// Store each element's chain unchanged.
+    pub const NONE: Epilogue<'static> = Epilogue {
+        bias: None,
+        relu: false,
+    };
+
+    /// The epilogue as the tiles carry it, for products `n` wide.
+    fn store(self, n: usize) -> Store {
+        if let Some(bias) = self.bias {
+            assert_eq!(bias.len(), n, "epilogue bias for {n} columns");
+        }
+        Store {
+            bias: self.bias.map_or(std::ptr::null(), <[f32]>::as_ptr),
+            cols: n,
+            relu: self.relu,
+        }
+    }
+
+    /// `c`'s rows (of `n` floats) finished in place: the `k = 0`
+    /// product, whose chains are all `+0.0`.
+    fn finish_rows(self, c: &mut [f32], n: usize) {
+        let ep = self.store(n);
+        for row in c.chunks_exact_mut(n) {
+            // Safety: the bias holds `n` floats (checked by `store`).
+            unsafe { ep.finish(row) };
+        }
+    }
+}
+
+/// An [`Epilogue`] as a register tile applies it: the bias of the
+/// tile's first column (null for none), how many bias floats lie from
+/// there on, and the ReLU flag.
+#[derive(Clone, Copy)]
+struct Store {
+    bias: *const f32,
+    cols: usize,
+    relu: bool,
+}
+
+impl Store {
+    /// Store the chains unchanged.
+    const PLAIN: Store = Store {
+        bias: std::ptr::null(),
+        cols: 0,
+        relu: false,
+    };
+
+    fn is_plain(self) -> bool {
+        self.bias.is_null() && !self.relu
+    }
+
+    /// The same epilogue for a tile starting `j` columns further on.
+    ///
+    /// # Safety
+    ///
+    /// With a bias, column `j` must lie inside it (or one past its end).
+    #[inline(always)]
+    unsafe fn at(self, j: usize) -> Store {
+        if self.bias.is_null() {
+            return self;
+        }
+        debug_assert!(
+            j <= self.cols,
+            "epilogue: column {j} of a {}-float bias",
+            self.cols
+        );
+        Store {
+            // Safety: the caller keeps column `j` inside the bias.
+            bias: unsafe { self.bias.add(j) },
+            cols: self.cols - j,
+            ..self
+        }
+    }
+
+    /// Debug builds: the bias (when there is one) covers `width`
+    /// columns from here.
+    #[inline(always)]
+    fn debug_covers(self, width: usize) {
+        debug_assert!(
+            self.bias.is_null() || width <= self.cols,
+            "epilogue: a {width}-column tile past a {}-float bias",
+            self.cols
+        );
+    }
+
+    /// `row[c] = relu?(row[c] + bias[c])` — each element's epilogue.
+    ///
+    /// # Safety
+    ///
+    /// With a bias, it must hold `row.len()` floats.
+    #[inline(always)]
+    unsafe fn finish(self, row: &mut [f32]) {
+        self.debug_covers(row.len());
+        if !self.bias.is_null() {
+            for (j, v) in row.iter_mut().enumerate() {
+                // Safety: column `j < row.len()` of the bias.
+                *v += unsafe { *self.bias.add(j) };
+            }
+        }
+        if self.relu {
+            for v in row.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------
@@ -799,15 +935,18 @@ struct BView {
 /// B at `b[p·bs..][..W]` and row `r` of C at `c[r·cs..][..W]`. `R·W`
 /// accumulators live in locals for the whole contraction — one
 /// ascending-`p` chain of fused multiply-adds each — and C is touched
-/// once at each end (not at all on entry when `first`). Reached through
-/// [`tile_on`], which picks the FMA-enabled instantiation.
+/// once at each end (not at all on entry when `first`), each element
+/// finished by `ep` as it is stored. Reached through [`tile_on`], which
+/// picks the FMA-enabled instantiation.
 ///
 /// # Safety
 ///
 /// For every `r < R`, `p < kc`: element `(r, p)` of `a`,
 /// `b[p·bs .. p·bs + W]` and `c[r·cs .. r·cs + W]` must be in bounds of
-/// their allocations, and `c` must not alias `a` or `b`.
+/// their allocations, and `c` must not alias `a` or `b`; `ep`'s bias,
+/// when it has one, holds `W` floats.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn tile<const R: usize, const W: usize>(
     a: AView,
     b: *const f32,
@@ -816,6 +955,7 @@ unsafe fn tile<const R: usize, const W: usize>(
     c: *mut f32,
     cs: usize,
     first: bool,
+    ep: Store,
 ) {
     let mut acc = [[0f32; W]; R];
     // Safety (whole body): the caller guarantees every address formed
@@ -835,7 +975,8 @@ unsafe fn tile<const R: usize, const W: usize>(
                 }
             }
         }
-        for (r, row) in acc.iter().enumerate() {
+        for (r, row) in acc.iter_mut().enumerate() {
+            ep.finish(row);
             c.add(r * cs).cast::<[f32; W]>().write(*row);
         }
     }
@@ -851,6 +992,7 @@ unsafe fn tile<const R: usize, const W: usize>(
 /// As [`tile`], and the CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn tile_avx2<const R: usize, const W: usize>(
     a: AView,
     b: *const f32,
@@ -859,9 +1001,10 @@ unsafe fn tile_avx2<const R: usize, const W: usize>(
     c: *mut f32,
     cs: usize,
     first: bool,
+    ep: Store,
 ) {
     // Safety: forwarded contract.
-    unsafe { tile::<R, W>(a, b, bs, kc, c, cs, first) }
+    unsafe { tile::<R, W>(a, b, bs, kc, c, cs, first, ep) }
 }
 
 /// [`tile`] on the dispatched arm: the FMA instantiation from
@@ -882,14 +1025,15 @@ unsafe fn tile_on<const R: usize, const W: usize>(
     c: *mut f32,
     cs: usize,
     first: bool,
+    ep: Store,
 ) {
     // Safety: forwarded contract; the FMA arm is guarded by `isa`.
     unsafe {
         #[cfg(target_arch = "x86_64")]
         if isa >= Isa::Avx2 {
-            return tile_avx2::<R, W>(a, b, bs, kc, c, cs, first);
+            return tile_avx2::<R, W>(a, b, bs, kc, c, cs, first, ep);
         }
-        tile::<R, W>(a, b, bs, kc, c, cs, first)
+        tile::<R, W>(a, b, bs, kc, c, cs, first, ep)
     }
 }
 
@@ -905,7 +1049,8 @@ unsafe fn tile_on<const R: usize, const W: usize>(
 /// For every `r < R`, `s < S`, `p < kc`: element `(r, p)` of `a`, the
 /// `NR` floats of `b` at group `s` row `p`, and
 /// `c[r·cs + s·NR .. r·cs + (s + 1)·NR]` must be in bounds; `c` must
-/// not alias `a` or `b`; the CPU must support AVX-512F.
+/// not alias `a` or `b`; `ep`'s bias, when it has one, holds `S·NR`
+/// floats; the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_avx512<const R: usize, const S: usize>(
@@ -915,6 +1060,7 @@ unsafe fn tile_avx512<const R: usize, const S: usize>(
     c: *mut f32,
     cs: usize,
     first: bool,
+    ep: Store,
 ) {
     use std::arch::x86_64::*;
     let AView { ptr: a, rs, ps } = a;
@@ -944,6 +1090,29 @@ unsafe fn tile_avx512<const R: usize, const S: usize>(
                 }
             }
         }
+        if !ep.is_plain() {
+            ep.debug_covers(S * NR);
+            // The epilogue, per element in `bias_add_act`'s order: one
+            // rounded add of the column's bias, then `max(x, 0)` —
+            // `vmaxps` returns its second operand, `+0.0`, for a NaN or
+            // a zero, as `f32::max(x, 0.0)` does.
+            let zero = _mm512_setzero_ps();
+            for s in 0..S {
+                let bias = if ep.bias.is_null() {
+                    None
+                } else {
+                    Some(_mm512_loadu_ps(ep.bias.add(s * NR)))
+                };
+                for row in acc.iter_mut() {
+                    if let Some(bias) = bias {
+                        row[s] = _mm512_add_ps(row[s], bias);
+                    }
+                    if ep.relu {
+                        row[s] = _mm512_max_ps(row[s], zero);
+                    }
+                }
+            }
+        }
         for (r, row) in acc.iter().enumerate() {
             for (s, &v) in row.iter().enumerate() {
                 _mm512_storeu_ps(c.add(r * cs + s * NR), v);
@@ -961,6 +1130,7 @@ unsafe fn tile_avx512<const R: usize, const S: usize>(
 /// As [`tile_avx512`] minus the CPU requirement; `isa` must not exceed
 /// what the CPU supports (it comes from [`isa::current`]).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn tile_strips<const R: usize, const S: usize>(
     isa: Isa,
     a: AView,
@@ -969,12 +1139,13 @@ unsafe fn tile_strips<const R: usize, const S: usize>(
     c: *mut f32,
     cs: usize,
     first: bool,
+    ep: Store,
 ) {
     // Safety: forwarded contract; the ISA arms are guarded by `isa`.
     unsafe {
         #[cfg(target_arch = "x86_64")]
         if isa >= Isa::Avx512 {
-            return tile_avx512::<R, S>(a, b, kc, c, cs, first);
+            return tile_avx512::<R, S>(a, b, kc, c, cs, first, ep);
         }
         for s in 0..S {
             tile_on::<R, NR>(
@@ -986,6 +1157,7 @@ unsafe fn tile_strips<const R: usize, const S: usize>(
                 c.add(s * NR),
                 cs,
                 first,
+                ep.at(s * NR),
             );
         }
     }
@@ -1041,6 +1213,7 @@ unsafe fn strip_bands<const S: usize>(
     cs: usize,
     rows: usize,
     first: bool,
+    ep: Store,
 ) {
     // Safety: band `i..i + R` lies inside `rows`.
     unsafe {
@@ -1051,7 +1224,8 @@ unsafe fn strip_bands<const S: usize>(
             kc,
             c.add(i * cs),
             cs,
-            first
+            first,
+            ep
         ));
     }
 }
@@ -1134,11 +1308,11 @@ unsafe fn rank1_rows(
             ss: NR,
         };
         while j + 2 * NR <= n {
-            strip_bands::<2>(isa, a, groups(j), k, c.add(j), n, rows, first);
+            strip_bands::<2>(isa, a, groups(j), k, c.add(j), n, rows, first, Store::PLAIN);
             j += 2 * NR;
         }
         if j + NR <= n {
-            strip_bands::<1>(isa, a, groups(j), k, c.add(j), n, rows, first);
+            strip_bands::<1>(isa, a, groups(j), k, c.add(j), n, rows, first, Store::PLAIN);
             j += NR;
         }
         if j + 8 <= n {
@@ -1188,7 +1362,8 @@ unsafe fn narrow_bands<const W: usize>(
             k,
             c.add(i * cs),
             cs,
-            first
+            first,
+            Store::PLAIN
         ));
     }
 }
@@ -1321,7 +1496,19 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
             // Safety: rows `r0..r1` lie below `m` and contraction steps
             // `k0..k0 + kc` below `k`, so every element the pass reads
             // is inside the `m·k` floats asserted above.
-            unsafe { panel_pass(g.isa, a.at(r0, k0), &bpanel, kc, c, r1 - r0, n, k0 == 0) };
+            unsafe {
+                panel_pass(
+                    g.isa,
+                    a.at(r0, k0),
+                    &bpanel,
+                    kc,
+                    c,
+                    r1 - r0,
+                    n,
+                    k0 == 0,
+                    Store::PLAIN,
+                )
+            };
             k0 += kc;
         }
     });
@@ -1332,11 +1519,13 @@ fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32], r0: usize, r1: us
 /// inside each the full strips two at a time (at most 32 KiB of B,
 /// L1-resident while the block's bands stream past), inside each pair
 /// the row bands. An odd last full strip runs alone; a ragged final
-/// strip goes through [`edge`].
+/// strip goes through [`edge`]. Every tile finishes its elements with
+/// `ep` (a plain store unless this is a packed product's last slab).
 ///
 /// # Safety
 ///
-/// `a` must address `rows` rows of `kc` contraction steps.
+/// `a` must address `rows` rows of `kc` contraction steps; `ep`'s
+/// bias, when it has one, holds `n` floats.
 #[allow(clippy::too_many_arguments)]
 unsafe fn panel_pass(
     isa: Isa,
@@ -1347,6 +1536,7 @@ unsafe fn panel_pass(
     rows: usize,
     n: usize,
     first: bool,
+    ep: Store,
 ) {
     let (full, ragged) = (n / NR, n % NR);
     let (strip, panel_len) = (kc * NR, panel.len());
@@ -1359,8 +1549,8 @@ unsafe fn panel_pass(
     // Safety: block `i0..i0 + rb` lies inside `rows`; A by the caller's
     // contract. Strip `js` starts at `js·kc·NR` and spans `kc·NR`
     // floats, inside the panel asserted above; full strips write `NR`
-    // columns at `js·NR + NR <= n` of C, the ragged one only its live
-    // columns.
+    // columns at `js·NR + NR <= n` of C (and read as many bias floats),
+    // the ragged one only its live columns.
     unsafe {
         let strips = |js: usize, s: usize| {
             debug_assert!((js + s) * strip <= panel_len, "strips {js}+{s} past the slab");
@@ -1375,14 +1565,16 @@ unsafe fn panel_pass(
             let (a, c) = (a.at(i0, 0), c.add(i0 * n));
             let mut js = 0;
             while js + 2 <= full {
-                strip_bands::<2>(isa, a, strips(js, 2), kc, c.add(js * NR), n, rb, first);
+                let ep = ep.at(js * NR);
+                strip_bands::<2>(isa, a, strips(js, 2), kc, c.add(js * NR), n, rb, first, ep);
                 js += 2;
             }
             if js < full {
-                strip_bands::<1>(isa, a, strips(js, 1), kc, c.add(js * NR), n, rb, first);
+                let ep = ep.at(js * NR);
+                strip_bands::<1>(isa, a, strips(js, 1), kc, c.add(js * NR), n, rb, first, ep);
             }
             if ragged > 0 {
-                let (b, c) = (strips(full, 1), c.add(full * NR));
+                let (b, c, ep) = (strips(full, 1), c.add(full * NR), ep.at(full * NR));
                 for_bands!(isa >= Isa::Avx512, rb, |R, i| edge::<R>(
                     isa,
                     a.at(i, 0),
@@ -1391,7 +1583,8 @@ unsafe fn panel_pass(
                     c.add(i * n),
                     n,
                     ragged,
-                    first
+                    first,
+                    ep
                 ));
             }
         }
@@ -1400,12 +1593,14 @@ unsafe fn panel_pass(
 
 /// One `R`-row band of the ragged final strip: the full `NR` width is
 /// computed on the panel's zero padding into a stack tile and only the
-/// `nr` live columns are copied out, so padded lanes never reach C.
+/// `nr` live columns are finished by `ep` and copied out, so padded
+/// lanes never reach C (nor read past the bias).
 ///
 /// # Safety
 ///
 /// `a` addresses `R` rows of `kc` steps; `b` is one packed strip; `c`
-/// has `R` rows of stride `n` with `nr` writable columns each.
+/// has `R` rows of stride `n` with `nr` writable columns each; `ep`'s
+/// bias, when it has one, holds `nr` floats.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn edge<const R: usize>(
@@ -1417,7 +1612,9 @@ unsafe fn edge<const R: usize>(
     n: usize,
     nr: usize,
     first: bool,
+    ep: Store,
 ) {
+    debug_assert!(nr < NR, "edge: {nr} live columns of a ragged strip");
     let mut tile = [[0f32; NR]; R];
     // Safety: the stack tile is `R` rows of stride `NR`; C is touched
     // for `nr` columns per row only.
@@ -1427,8 +1624,18 @@ unsafe fn edge<const R: usize>(
                 std::ptr::copy_nonoverlapping(c.add(r * n), row.as_mut_ptr(), nr);
             }
         }
-        tile_strips::<R, 1>(isa, a, b, kc, tile.as_mut_ptr().cast(), NR, first);
-        for (r, row) in tile.iter().enumerate() {
+        tile_strips::<R, 1>(
+            isa,
+            a,
+            b,
+            kc,
+            tile.as_mut_ptr().cast(),
+            NR,
+            first,
+            Store::PLAIN,
+        );
+        for (r, row) in tile.iter_mut().enumerate() {
+            ep.finish(&mut row[..nr]);
             std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * n), nr);
         }
     }
@@ -1563,13 +1770,13 @@ pub(crate) fn packed_dims(
 }
 
 /// `a @ packed` where `a` is `[..., m, k]` and the packed matrix stands
-/// for a shared `[k, n]` right operand. All leading axes of `a` flatten
-/// into rows (each output row's summation chain is unchanged by the
-/// flattening), producing `[..., m, n]`. Products big enough to
-/// row-split go across the pool; the rest are one task on the caller.
-/// Bitwise identical to `matmul(a, b)` for the tensor `b` that was
-/// packed.
-pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
+/// for a shared `[k, n]` right operand, each element finished by `ep`.
+/// All leading axes of `a` flatten into rows (each output row's
+/// summation chain is unchanged by the flattening), producing `[..., m,
+/// n]`. Products big enough to row-split go across the pool; the rest
+/// are one task on the caller. Bitwise identical to `matmul(a, b)` for
+/// the tensor `b` that was packed, followed by `ep`'s bias add and ReLU.
+pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix, ep: Epilogue<'_>) -> Result<Tensor> {
     let (k, n) = (packed.k, packed.n);
     let (rows, out_shape) = packed_dims(a, k, n, "matmul_packed")?;
     if rows * n == 0 {
@@ -1593,30 +1800,43 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
         // Safety: tasks cover disjoint `[r0, r1)` row ranges and the
         // pool joins before `out` is consumed.
         let c = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-        gemm_prepacked(isa, a_data, packed, c, r0, r1);
+        gemm_prepacked(isa, a_data, packed, c, r0, r1, ep);
     });
     Tensor::from_vec(out, &out_shape)
 }
 
-/// [`matmul_packed`] under the name the frozen `benchmark/` imports.
+/// [`matmul_packed`] without an epilogue, under the name the frozen
+/// `benchmark/` imports.
 pub fn matmul_packed_lean(a: &Tensor, packed: &PackedMatrix) -> Result<Tensor> {
-    matmul_packed(a, packed)
+    matmul_packed(a, packed, Epilogue::NONE)
 }
 
 /// [`gemm_blocked`] with the B panels read from a [`PackedMatrix`]
 /// instead of packed per call. Same slab / [`panel_pass`] walk, same
-/// ascending-`p` accumulation — bitwise identical output. `a` is
-/// `[rows, k]` row-major with `r1 <= rows`.
-fn gemm_prepacked(isa: Isa, a: &[f32], packed: &PackedMatrix, c: &mut [f32], r0: usize, r1: usize) {
+/// ascending-`p` accumulation — bitwise identical output — with `ep`
+/// applied by the last slab's tiles as they store. `a` is `[rows, k]`
+/// row-major with `r1 <= rows`.
+fn gemm_prepacked(
+    isa: Isa,
+    a: &[f32],
+    packed: &PackedMatrix,
+    c: &mut [f32],
+    r0: usize,
+    r1: usize,
+    ep: Epilogue<'_>,
+) {
     let (k, n) = (packed.k, packed.n);
     assert!(r0 <= r1 && a.len() >= r1 * k, "A shorter than {r1}x{k}");
     if k == 0 {
-        c[..(r1 - r0) * n].fill(0.0);
+        let c = &mut c[..(r1 - r0) * n];
+        c.fill(0.0);
+        ep.finish_rows(c, n);
         return;
     }
     if r0 == r1 {
         return;
     }
+    let last = ep.store(n);
     let a = AView::new(a.as_ptr(), AKind::Normal, r1, k);
     let width = n.div_ceil(NR) * NR;
     // Slab `[k0, k0 + kc)` is the `kc · width` floats from `k0 · width`.
@@ -1625,9 +1845,10 @@ fn gemm_prepacked(isa: Isa, a: &[f32], packed: &PackedMatrix, c: &mut [f32], r0:
     while k0 < k {
         let kc = KC.min(k - k0);
         let slab = &packed.panels[k0 * width..(k0 + kc) * width];
+        let ep = if k0 + kc == k { last } else { Store::PLAIN };
         // Safety: rows `r0..r1` and steps `k0..k0 + kc` of the row-major
-        // `[r1, k]` matrix asserted above.
-        unsafe { panel_pass(isa, a.at(r0, k0), slab, kc, c, r1 - r0, n, k0 == 0) };
+        // `[r1, k]` matrix asserted above; the bias holds `n` floats.
+        unsafe { panel_pass(isa, a.at(r0, k0), slab, kc, c, r1 - r0, n, k0 == 0, ep) };
         k0 += kc;
     }
 }
@@ -1873,7 +2094,7 @@ mod tests {
         let a = Tensor::from_fn(&[m, k], |i| ((i[0] * 31 + i[1] * 7) % 13) as f32 - 6.0);
         let b = Tensor::from_fn(&[k, n], |i| ((i[0] * 17 + i[1] * 3) % 11) as f32 - 5.0);
         let packed = PackedMatrix::pack(&b).unwrap();
-        let pre = matmul_packed(&a, &packed).unwrap();
+        let pre = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         assert_eq!(pre.shape(), &[m, n]);
         assert_eq!(pre.data(), matmul(&a, &b).unwrap().data());
         assert_eq!(pre.data(), matmul_reference(&a, &b).unwrap().data());
@@ -1888,7 +2109,7 @@ mod tests {
         let a = Tensor::from_fn(&[m, k], |i| (i[0] * 5 + i[1]) as f32 * 0.37 - 1.0);
         let b = Tensor::from_fn(&[k, n], |i| (i[0] + i[1] * 3) as f32 * 0.21 - 2.0);
         let packed = PackedMatrix::pack(&b).unwrap();
-        let pre = matmul_packed(&a, &packed).unwrap();
+        let pre = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         assert_eq!(pre.data(), matmul(&a, &b).unwrap().data());
     }
 
@@ -1901,7 +2122,7 @@ mod tests {
         });
         let b = Tensor::from_fn(&[k, n], |i| ((i[0] * 2 + i[1] * 13) % 9) as f32 - 4.0);
         let packed = PackedMatrix::pack(&b).unwrap();
-        let pre = matmul_packed(&a, &packed).unwrap();
+        let pre = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         assert_eq!(pre.shape(), &[2, 3, 4, n]);
         assert_eq!(pre.data(), matmul(&a, &b).unwrap().data());
     }
@@ -1914,7 +2135,7 @@ mod tests {
         let packed = PackedMatrix::pack(&b).unwrap();
         let before = stwa_pool::current_threads();
         stwa_pool::set_threads(4);
-        let pre = matmul_packed(&a, &packed).unwrap();
+        let pre = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
         stwa_pool::set_threads(before);
         assert_eq!(pre.data(), matmul_reference(&a, &b).unwrap().data());
     }
@@ -1924,14 +2145,14 @@ mod tests {
         assert!(PackedMatrix::pack(&Tensor::zeros(&[2, 3, 4])).is_err());
         let packed = PackedMatrix::pack(&Tensor::zeros(&[5, 4])).unwrap();
         assert_eq!((packed.k(), packed.n()), (5, 4));
-        assert!(matmul_packed(&Tensor::zeros(&[3]), &packed).is_err());
-        assert!(matmul_packed(&Tensor::zeros(&[3, 6]), &packed).is_err());
+        assert!(matmul_packed(&Tensor::zeros(&[3]), &packed, Epilogue::NONE).is_err());
+        assert!(matmul_packed(&Tensor::zeros(&[3, 6]), &packed, Epilogue::NONE).is_err());
         // k == 0 sums over nothing -> zeros; m == 0 -> empty.
         let empty_k = PackedMatrix::pack(&Tensor::zeros(&[0, 4])).unwrap();
-        let c = matmul_packed(&Tensor::zeros(&[3, 0]), &empty_k).unwrap();
+        let c = matmul_packed(&Tensor::zeros(&[3, 0]), &empty_k, Epilogue::NONE).unwrap();
         assert_eq!(c.shape(), &[3, 4]);
         assert!(c.data().iter().all(|&x| x == 0.0));
-        let c = matmul_packed(&Tensor::zeros(&[0, 5]), &packed).unwrap();
+        let c = matmul_packed(&Tensor::zeros(&[0, 5]), &packed, Epilogue::NONE).unwrap();
         assert_eq!(c.shape(), &[0, 4]);
     }
 
@@ -1999,7 +2220,7 @@ mod tests {
                 assert_eq!(matmul_tn(&at, &b).unwrap().data(), want.data(), "TN {tag}");
                 let packed = PackedMatrix::pack(&b).unwrap();
                 assert_eq!(
-                    matmul_packed(&a, &packed).unwrap().data(),
+                    matmul_packed(&a, &packed, Epilogue::NONE).unwrap().data(),
                     want.data(),
                     "packed {tag}"
                 );
@@ -2042,14 +2263,17 @@ mod tests {
                 let mut slice = vec![f32::NAN; m * n];
                 gemm_nn_slice(a.data(), b.data(), &mut slice, m, 2, n);
                 let mut packed_slice = vec![f32::NAN; m * n];
-                gemm_packed_slice(a.data(), &packed, &mut packed_slice, m);
+                gemm_packed_slice(a.data(), &packed, &mut packed_slice, m, Epilogue::NONE);
                 for (entry, got) in [
                     ("matmul", matmul(&a, &b).unwrap().data().to_vec()),
                     ("matmul_nt", matmul_nt(&a, &bt).unwrap().data().to_vec()),
                     ("matmul_tn", matmul_tn(&at, &b).unwrap().data().to_vec()),
                     (
                         "matmul_packed",
-                        matmul_packed(&a, &packed).unwrap().data().to_vec(),
+                        matmul_packed(&a, &packed, Epilogue::NONE)
+                            .unwrap()
+                            .data()
+                            .to_vec(),
                     ),
                     (
                         "matmul_reference",
@@ -2105,7 +2329,15 @@ mod tests {
                     }
                     let packed = PackedMatrix::pack(&b).unwrap();
                     let mut c = vec![f32::NAN; (r1 - r0) * n];
-                    gemm_prepacked(isa::current(), a.data(), &packed, &mut c, r0, r1);
+                    gemm_prepacked(
+                        isa::current(),
+                        a.data(),
+                        &packed,
+                        &mut c,
+                        r0,
+                        r1,
+                        Epilogue::NONE,
+                    );
                     assert_eq!(c, rows, "{cap:?} prepacked {m}x{k}x{n}");
                     let mut c = vec![f32::NAN; m * n];
                     gemm_nn_slice(a.data(), b.data(), &mut c, m, k, n);
@@ -2164,13 +2396,21 @@ mod tests {
                             assert!(c == rows, "blocked {view} {tag}");
                         }
                         let mut c = vec![f32::NAN; (r1 - r0) * n];
-                        gemm_prepacked(isa::current(), a.data(), &packed, &mut c, r0, r1);
+                        gemm_prepacked(
+                            isa::current(),
+                            a.data(),
+                            &packed,
+                            &mut c,
+                            r0,
+                            r1,
+                            Epilogue::NONE,
+                        );
                         assert!(c == rows, "prepacked {tag}");
                     }
                     let mut c = vec![f32::NAN; m * n];
-                    gemm_packed_slice(a.data(), &packed, &mut c, m);
+                    gemm_packed_slice(a.data(), &packed, &mut c, m, Epilogue::NONE);
                     assert!(c == want.data(), "packed slice {cap:?} {m}x{k}x{n}");
-                    let whole = matmul_packed(&a, &packed).unwrap();
+                    let whole = matmul_packed(&a, &packed, Epilogue::NONE).unwrap();
                     assert!(whole.data() == want.data(), "tensor entry {cap:?} {m}x{k}x{n}");
                 });
             }
@@ -2198,12 +2438,83 @@ mod tests {
                     "TN {tag}"
                 );
                 assert!(
-                    matmul_packed(&a, &packed).unwrap().data() == want.data(),
+                    matmul_packed(&a, &packed, Epilogue::NONE).unwrap().data() == want.data(),
                     "packed {tag}"
                 );
             }
         }
         stwa_pool::set_threads(before);
+    }
+
+    /// `want` with `bias` added per column, then `max(x, 0)` when `relu`
+    /// — the scalar chain of a dense layer's `bias_add_act`.
+    fn bias_then_relu(want: &[f32], bias: &[f32], relu: bool) -> Vec<f32> {
+        let mut out = want.to_vec();
+        for row in out.chunks_exact_mut(bias.len().max(1)) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+                if relu {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packed_epilogue_is_the_bias_add_then_relu_on_every_arm() {
+        // Ragged strips (n of 5, 17, 33), a lone full strip and a pair,
+        // one and two `KC` slabs, `k = 0`, and row counts on both sides
+        // of every band height. Row 0's chains underflow to `-0.0` in
+        // column 0, whose bias is `-0.0`, so the ReLU meets a negative
+        // zero; column 1's bias is NaN.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        isa::for_each_ceiling("packed epilogue", |cap| {
+            for m in [0, 1, 7, 9, 13] {
+                for n in [5, 16, 17, 33, 48] {
+                    for k in [0, 1, 256, 257] {
+                        let mut a = Tensor::from_fn(&[m, k], fill(11));
+                        let mut b = Tensor::from_fn(&[k, n], fill(12));
+                        if m > 0 {
+                            a.data_mut()[..k].fill(1e-30);
+                            for p in 0..k {
+                                b.data_mut()[p * n] = -1e-30;
+                            }
+                        }
+                        let mut bias = Tensor::from_fn(&[n], fill(13)).into_vec();
+                        bias[0] = -0.0;
+                        bias[1] = f32::NAN;
+                        let plain = matmul_reference(&a, &b).unwrap();
+                        let packed = PackedMatrix::pack(&b).unwrap();
+                        for relu in [false, true] {
+                            let want = bias_then_relu(plain.data(), &bias, relu);
+                            let ep = Epilogue {
+                                bias: Some(&bias),
+                                relu,
+                            };
+                            let tag = format!("{cap:?} {m}x{k}x{n} relu={relu}");
+                            let whole = matmul_packed(&a, &packed, ep).unwrap();
+                            assert_eq!(bits(whole.data()), bits(&want), "tensor entry {tag}");
+                            let mut c = vec![f32::NAN; m * n];
+                            gemm_packed_slice(a.data(), &packed, &mut c, m, ep);
+                            assert_eq!(bits(&c), bits(&want), "packed slice {tag}");
+                            let (r0, r1) = (m / 3, m);
+                            let mut c = vec![f32::NAN; (r1 - r0) * n];
+                            gemm_prepacked(isa::current(), a.data(), &packed, &mut c, r0, r1, ep);
+                            assert_eq!(bits(&c), bits(&want[r0 * n..]), "rows {r0}..{r1} {tag}");
+                            let relu_only = Epilogue { bias: None, relu };
+                            let want = bias_then_relu(plain.data(), &vec![0.0; n], relu);
+                            let got = matmul_packed(&a, &packed, relu_only).unwrap();
+                            if relu {
+                                assert_eq!(bits(got.data()), bits(&want), "relu only {tag}");
+                            } else {
+                                assert_eq!(bits(got.data()), bits(plain.data()), "none {tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]
@@ -2274,9 +2585,9 @@ mod tests {
                     let (m, k, n) = (a.shape()[0], packed.k(), packed.n());
                     let tag = format!("{cap:?} {m}x{k}x{n}");
                     let mut c = vec![f32::NAN; m * n];
-                    gemm_packed_slice(a.data(), packed, &mut c, m);
+                    gemm_packed_slice(a.data(), packed, &mut c, m, Epilogue::NONE);
                     assert!(c == want.data(), "gemm_packed_slice {tag}");
-                    let whole = matmul_packed(a, packed).unwrap();
+                    let whole = matmul_packed(a, packed, Epilogue::NONE).unwrap();
                     assert!(whole.data() == want.data(), "matmul_packed {tag}");
                 }
             }

@@ -49,13 +49,18 @@
 //! `linalg::gemm_strided`, the small-product walk every `linalg` entry
 //! shares.
 //!
-//! At key width `d = 16` — every layer of the models here — on an
+//! At key width `d = 16` — every layer of the training models — on an
 //! AVX-512 host, each projected row is one zmm of chains and each term
 //! one `vfmadd`. `dx`'s `Σ_c` chains run as rank-1 rows against `K_p`ᵀ:
 //! each lead's two `[16, 16]` projections are transposed in registers,
-//! once for all of its rows. Other widths and arms run the `linalg`
-//! slice entries lead by lead, through a transposed copy; the unit
-//! tests hold every arm to the chain's bits.
+//! once for all of its rows. At the serving width `d = 32` the decode
+//! and the forward run the same register tiles two zmm to a row (the
+//! VJP takes the slice entries). [`forward_split`] is the forward over
+//! keys and values kept apart — the inference engine's layout, for
+//! freshly decoded blocks and the S-WA cache alike — on the same tiles
+//! at `d` of 16 or 32. Other widths and arms run the `linalg` slice
+//! entries lead by lead, through a transposed copy; the unit tests hold
+//! every arm to the chain's bits.
 
 #[cfg(target_arch = "x86_64")]
 use crate::isa::{self, Isa};
@@ -338,21 +343,97 @@ type ForwardFn = fn(Dims, &[f32], &[f32], &mut [f32]);
 /// in, lead after lead.
 type VjpFn = fn(Dims, [&[f32]; 3], [Option<&mut [f32]>; 3]);
 
-/// The walks for key width `d`: at `d = 16` — every layer of the models
-/// here — on an AVX-512 host, register tiles of one zmm per row;
+/// The walks for key width `d`: at `d = 16` — every layer of the
+/// training models here — on an AVX-512 host, register tiles of one zmm
+/// per row; at the serving width `d = 32` the same decode and forward
+/// tiles at two zmm per row, with the VJP on the slice entries;
 /// otherwise the `linalg` slice entries lead by lead. Same chains, same
 /// bits.
 fn walks(d: usize) -> (DecodeFn, ForwardFn, VjpFn) {
     #[cfg(target_arch = "x86_64")]
-    if d == 16 && isa::current() >= Isa::Avx512 {
-        // Safety (all three): the tier implies AVX-512F.
-        return (
-            |dm, h, wd, b, rows| unsafe { decode_avx512(dm, h, wd, b, rows) },
-            |dm, x, kv, out| unsafe { forward_avx512(dm, x, kv, out) },
-            |dm, ins, outs| unsafe { vjp_avx512(dm, ins, outs) },
-        );
+    if isa::current() >= Isa::Avx512 {
+        // Safety (all): the tier implies AVX-512F.
+        if d == 16 {
+            return (
+                |dm, h, wd, b, rows| unsafe { decode_avx512(dm, h, wd, b, rows) },
+                |dm, x, kv, out| unsafe { forward_avx512::<1>(dm, x, kv, out) },
+                |dm, ins, outs| unsafe { vjp_avx512(dm, ins, outs) },
+            );
+        }
+        if d == 32 {
+            return (
+                |dm, h, wd, b, rows| unsafe { decode_avx512(dm, h, wd, b, rows) },
+                |dm, x, kv, out| unsafe { forward_avx512::<2>(dm, x, kv, out) },
+                vjp_slices,
+            );
+        }
     }
     (decode_slices, forward_slices, vjp_slices)
+}
+
+/// The K/V projections in the split layout the inference engine keeps:
+/// `kout[i] = x[i] @ first[i]` and `vout[i] = x[i] @ second[i]` for
+/// `count` consecutive leads. Lead `i`'s input is the `[rows, f]`
+/// matrix at `x[i·rows·f..]`, its two `[f, d]` projections start at
+/// `first[i·stride..]` / `second[i·stride..]` (a decoded `[2·F·d]` row's
+/// halves, or a freeze-time cache's per-sensor blocks), and its keys
+/// and values are the `[rows, d]` matrices at `kout[i·rows·d..]` /
+/// `vout[i·rows·d..]`.
+///
+/// Bitwise contract: each element is one chain over `f` ascending from
+/// `+0.0`, a fused multiply-add per term — the product the graph path's
+/// broadcast `matmul` runs per window. At `d` of 16 or 32 on an AVX-512
+/// host the leads run [`forward_avx512`]'s register tiles
+/// ([`project_leads`]), K and V rows in flight together; otherwise each
+/// side is one [`gemm_nn_slice`] per lead.
+#[allow(clippy::too_many_arguments)]
+pub fn forward_split(
+    x: &[f32],
+    first: &[f32],
+    second: &[f32],
+    stride: usize,
+    count: usize,
+    (rows, f, d): (usize, usize, usize),
+    kout: &mut [f32],
+    vout: &mut [f32],
+) {
+    if count == 0 {
+        return;
+    }
+    let last = (count - 1) * stride + f * d;
+    assert!(
+        x.len() >= count * rows * f && first.len() >= last && second.len() >= last,
+        "forward_split: operands shorter than {count} leads of [{rows}, {f}] x [{f}, {d}]"
+    );
+    assert!(
+        kout.len() >= count * rows * d && vout.len() >= count * rows * d,
+        "forward_split: outputs shorter than {count} leads of [{rows}, {d}]"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa::current() >= Isa::Avx512 && (d == 16 || d == 32) {
+        let (proj, out) = (
+            [first.as_ptr(), second.as_ptr()],
+            [kout.as_mut_ptr(), vout.as_mut_ptr()],
+        );
+        let strides = (stride, rows * d);
+        // Safety (both): the tier implies AVX-512F; the extents were
+        // asserted above.
+        return unsafe {
+            if d == 16 {
+                project_leads::<1>(x.as_ptr(), (rows, f), proj, out, strides, count)
+            } else {
+                project_leads::<2>(x.as_ptr(), (rows, f), proj, out, strides, count)
+            }
+        };
+    }
+    for i in 0..count {
+        let a = &x[i * rows * f..(i + 1) * rows * f];
+        let at = i * stride;
+        let (kp, vp) = (&first[at..at + f * d], &second[at..at + f * d]);
+        let out = i * rows * d..(i + 1) * rows * d;
+        gemm_nn_slice(a, kp, &mut kout[out.clone()], rows, f, d);
+        gemm_nn_slice(a, vp, &mut vout[out], rows, f, d);
+    }
 }
 
 /// Decode the rows of the leads whose heads `h` holds: `rows = h·Wd`,
@@ -449,55 +530,77 @@ unsafe fn decode_band<const R: usize>(
     }
 }
 
-/// [`forward_slices`] at `d = 16`: each output row is one zmm of chains,
-/// one `vfmadd` per `F` term, the K and V rows of up to eight steps in
-/// flight together.
+/// [`forward_slices`] at `d = 16·Z` — 16 or 32: each output row is `Z`
+/// zmm of chains, one `vfmadd` per `F` term, the K and V rows of up to
+/// four steps in flight together.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn forward_avx512(dm: Dims, x: &[f32], kv: &[f32], out: &mut [f32]) {
-    let Dims { t, f, .. } = dm;
+unsafe fn forward_avx512<const Z: usize>(dm: Dims, x: &[f32], kv: &[f32], out: &mut [f32]) {
+    let Dims { t, f, d, .. } = dm;
     let leads = x.len() / (t * f);
     debug_assert_eq!(
         x.len(),
         leads * t * f,
         "forward_avx512: x holds whole leads"
     );
-    debug_assert_eq!(dm.d, 16, "forward_avx512: one zmm per row");
-    assert!(kv.len() >= leads * 2 * f * 16 && out.len() >= leads * 2 * t * 16);
-    let (kv_len, out_len) = (kv.len(), out.len());
-    let (x, kv, out) = (x.as_ptr(), kv.as_ptr(), out.as_mut_ptr());
-    // Safety: lead `l`'s rows lie inside the extents asserted above.
+    debug_assert_eq!(d, 16 * Z, "forward_avx512: {Z} zmm per row");
+    assert!(kv.len() >= leads * 2 * f * d && out.len() >= leads * 2 * t * d);
+    let (kv, out) = (kv.as_ptr(), out.as_mut_ptr());
+    // Safety: every lead's rows lie inside the extents asserted above.
     unsafe {
-        for l in 0..leads {
-            debug_assert!((l + 1) * 2 * f * 16 <= kv_len && (l + 1) * 2 * t * 16 <= out_len);
-            let (xl, kp, o) = (
-                x.add(l * t * f),
-                kv.add(l * 2 * f * 16),
-                out.add(l * 2 * t * 16),
-            );
-            let rows = |r: usize| (xl.add(r * f), o.add(r * 16));
+        let (proj, out) = ([kv, kv.add(f * d)], [out, out.add(t * d)]);
+        project_leads::<Z>(x.as_ptr(), (t, f), proj, out, (2 * f * d, 2 * t * d), leads);
+    }
+}
+
+/// `count` leads' `[T, F]` rows through their two `[F, 16·Z]`
+/// projections into their `[T, 16·Z]` keys and values, four steps at a
+/// time, then one: lead `l`'s rows start at `x + l·T·F`, its projections
+/// at `proj[h] + l·strides.0` and its outputs at `out[h] + l·strides.1`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; for every lead, `x` must hold its
+/// `T·F` floats, each `proj` its `F·16·Z` and each `out` its `T·16·Z`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn project_leads<const Z: usize>(
+    x: *const f32,
+    (t, f): (usize, usize),
+    proj: [*const f32; 2],
+    out: [*mut f32; 2],
+    (proj_stride, out_stride): (usize, usize),
+    count: usize,
+) {
+    let d = 16 * Z;
+    // Safety: lead `l`'s step `r < T` lies inside the caller's extents.
+    unsafe {
+        for l in 0..count {
+            let (xl, pl) = (x.add(l * t * f), proj.map(|p| p.add(l * proj_stride)));
+            let rows = |r: usize| (xl.add(r * f), out.map(|o| o.add(l * out_stride + r * d)));
             let mut r = 0;
             while r + 4 <= t {
                 let (xr, or) = rows(r);
-                project_rows::<4>(xr, f, kp, t, or);
+                project_rows::<4, Z>(xr, f, pl, or);
                 r += 4;
             }
             while r < t {
                 let (xr, or) = rows(r);
-                project_rows::<1>(xr, f, kp, t, or);
+                project_rows::<1, Z>(xr, f, pl, or);
                 r += 1;
             }
         }
     }
 }
 
-/// `R` steps of one lead through its `K_p` (at `kp`) and `V_p` (`F·16`
-/// floats on): `out[r] = Σ_f x[r, f]·K_p[f]`, and the values `T` rows
-/// further on.
+/// `R` steps through a lead's `K_p` and `V_p` (`proj`, `[F, 16·Z]`
+/// each): `out[0][r] = Σ_f x[r, f]·K_p[f]` and `out[1][r]` likewise
+/// through `V_p`, every row `Z` zmm of chains over `f` ascending from
+/// `+0.0`.
 ///
 /// # Safety
 ///
@@ -505,31 +608,35 @@ unsafe fn forward_avx512(dm: Dims, x: &[f32], kv: &[f32], out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn project_rows<const R: usize>(
+unsafe fn project_rows<const R: usize, const Z: usize>(
     x: *const f32,
     f: usize,
-    kp: *const f32,
-    t: usize,
-    out: *mut f32,
+    proj: [*const f32; 2],
+    out: [*mut f32; 2],
 ) {
     use std::arch::x86_64::*;
+    let d = 16 * Z;
     // Safety: the caller keeps every address in bounds.
     unsafe {
-        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        let mut acc = [[[_mm512_setzero_ps(); Z]; 2]; R];
         for fi in 0..f {
-            let proj = [
-                _mm512_loadu_ps(kp.add(fi * 16)),
-                _mm512_loadu_ps(kp.add((f + fi) * 16)),
-            ];
-            for (r, row) in acc.iter_mut().enumerate() {
+            let rows: [[__m512; Z]; 2] =
+                proj.map(|p| std::array::from_fn(|z| _mm512_loadu_ps(p.add(fi * d + z * 16))));
+            for (r, halves) in acc.iter_mut().enumerate() {
                 let a = _mm512_set1_ps(*x.add(r * f + fi));
-                row[0] = _mm512_fmadd_ps(a, proj[0], row[0]);
-                row[1] = _mm512_fmadd_ps(a, proj[1], row[1]);
+                for (half, prow) in halves.iter_mut().zip(&rows) {
+                    for (slot, &p) in half.iter_mut().zip(prow) {
+                        *slot = _mm512_fmadd_ps(a, p, *slot);
+                    }
+                }
             }
         }
-        for (r, row) in acc.iter().enumerate() {
-            _mm512_storeu_ps(out.add(r * 16), row[0]);
-            _mm512_storeu_ps(out.add((t + r) * 16), row[1]);
+        for (r, halves) in acc.iter().enumerate() {
+            for (half, o) in halves.iter().zip(out) {
+                for (z, &v) in half.iter().enumerate() {
+                    _mm512_storeu_ps(o.add(r * d + z * 16), v);
+                }
+            }
         }
     }
 }
@@ -876,13 +983,16 @@ mod tests {
     type Case = (&'static [usize], usize, usize, usize, usize, usize);
 
     /// The train step's three layers (`F = 1`, `W = 4`; `W = 2`; `W =
-    /// 1`), two and a ragged part of a third block of leads, a ragged
-    /// shape and rank 2.
-    const CASES: [Case; 6] = [
+    /// 1`), two and a ragged part of a third block of leads, the serving
+    /// width `d = 32` at its first layer and past a block of leads with
+    /// a ragged step count, a ragged shape and rank 2.
+    const CASES: [Case; 8] = [
         (&[2, 5], 12, 3, 1, 16, 32),
         (&[2, 5], 4, 2, 16, 16, 32),
         (&[3], 2, 2, 16, 16, 8),
         (&[3, 50], 4, 2, 3, 16, 5),
+        (&[2, 5], 12, 3, 1, 32, 16),
+        (&[70], 6, 3, 32, 32, 8),
         (&[2, 3], 6, 2, 5, 7, 3),
         (&[], 3, 1, 2, 3, 4),
     ];
@@ -1019,6 +1129,64 @@ mod tests {
                 );
             }
         });
+    }
+
+    #[test]
+    fn split_walk_is_the_slice_product_per_lead_on_every_arm() {
+        // Both strides the engine uses — a decoded `[2·F·d]` row's halves
+        // and a freeze-time cache's `[F, d]` blocks — at the register
+        // widths, a width they do not take, step counts on both sides of
+        // the four-row tile, and the first layer's `F = 1`.
+        for (d, f, rows, count) in [
+            (32, 32, 6, 5),
+            (32, 1, 12, 3),
+            (16, 16, 4, 4),
+            (32, 5, 3, 2),
+            (7, 3, 5, 2),
+        ] {
+            let mut rng = StdRng::seed_from_u64((d * 31 + f * 7 + rows) as u64);
+            let x = Tensor::randn(&[count, rows, f], &mut rng);
+            let decoded = Tensor::randn(&[count, 2 * f * d], &mut rng);
+            let (k_cache, v_cache) = (
+                Tensor::randn(&[count, f, d], &mut rng),
+                Tensor::randn(&[count, f, d], &mut rng),
+            );
+            let operands = [
+                (decoded.data(), &decoded.data()[f * d..], 2 * f * d),
+                (k_cache.data(), v_cache.data(), f * d),
+            ];
+            for (first, second, stride) in operands {
+                let mut want = [vec![0.0; count * rows * d], vec![0.0; count * rows * d]];
+                for i in 0..count {
+                    let a = &x.data()[i * rows * f..(i + 1) * rows * f];
+                    for (proj, out) in [first, second].iter().zip(want.iter_mut()) {
+                        let out = &mut out[i * rows * d..(i + 1) * rows * d];
+                        gemm_nn_slice(a, &proj[i * stride..], out, rows, f, d);
+                    }
+                }
+                crate::isa::for_each_ceiling("split K/V walk", |cap| {
+                    let mut got = [
+                        vec![f32::NAN; count * rows * d],
+                        vec![f32::NAN; count * rows * d],
+                    ];
+                    let [kout, vout] = &mut got;
+                    forward_split(
+                        x.data(),
+                        first,
+                        second,
+                        stride,
+                        count,
+                        (rows, f, d),
+                        kout,
+                        vout,
+                    );
+                    assert!(
+                        got == want,
+                        "{cap:?} d {d} F {f} rows {rows} stride {stride}"
+                    );
+                });
+            }
+        }
     }
 
     #[test]

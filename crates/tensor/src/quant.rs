@@ -845,7 +845,9 @@ mod tests {
                 t0.elapsed().as_secs_f64() * 1e3 / 8.0
             };
             let tf = time(&mut || {
-                std::hint::black_box(linalg::matmul_packed(&a, &pf).unwrap());
+                std::hint::black_box(
+                    linalg::matmul_packed(&a, &pf, linalg::Epilogue::NONE).unwrap(),
+                );
             });
             let ti = time(&mut || {
                 std::hint::black_box(matmul_packed_int8_lean(&a, &q).unwrap());

@@ -22,7 +22,11 @@
 //! from `Isa::Avx2` up, so `mul_add` is one `vfmadd` there and libm's
 //! correctly rounded `fmaf` on the scalar tier — the same bits. Score
 //! and `dw` chains run four neighbours side by side, each chain
-//! unchanged. Neighbor lists are stored sorted ascending, so a *complete*
+//! unchanged. At the serving width `d = 32` on an AVX-512 host the
+//! forward puts sixteen rows in the lanes instead (`forward_lanes`): a
+//! row's `t`-th edge score is one lane of a zmm chain, the softmax one
+//! `exp_v16` per edge slot (bitwise `exp_f32`), the mix two zmm per row.
+//! Neighbor lists are stored sorted ascending, so a *complete*
 //! graph (every sensor adjacent to every sensor, self included — the
 //! "k = N−1" configuration) reproduces the dense kernel **bitwise**, on
 //! the forward, backward, and frozen-inference paths alike. Work is
@@ -388,7 +392,17 @@ impl Walk<'_> {
     fn debug_check(&self, pass: Pass, rows: &Range<usize>, outs: &Outs) {
         let (n, nnz, d) = (self.graph.n(), self.graph.nnz(), self.d);
         let (edge_len, row_len) = (rows.end.div_ceil(n) * nnz, rows.end * d);
+        // A row reads its own sample's neighbour rows.
+        let sample_len = rows.end.div_ceil(n) * n * d;
         debug_assert!(self.q.len() >= row_len, "sparse: operand rows");
+        debug_assert!(
+            self.k.len() >= sample_len && self.h.len() >= sample_len,
+            "sparse: neighbour rows"
+        );
+        debug_assert!(
+            self.grad.is_empty() || self.grad.len() >= sample_len,
+            "sparse: gradient rows"
+        );
         let want = match pass {
             Pass::Forward | Pass::RowGrads => [edge_len, row_len],
             Pass::ColGrads => [row_len, row_len],
@@ -419,13 +433,142 @@ enum Pass {
 /// rows), and no other thread touches the slots of these rows.
 unsafe fn walk_rows(pass: Pass, cx: &Walk, rows: Range<usize>, outs: Outs) {
     cx.debug_check(pass, &rows, &outs);
-    // Safety: forwarded contract; the FMA arm is guarded by the tier.
+    // Safety: forwarded contract; the arms are guarded by the tier.
     unsafe {
         #[cfg(target_arch = "x86_64")]
-        if isa::current() >= Isa::Avx2 {
-            return walk_rows_avx2(pass, cx, rows, outs);
+        {
+            let isa = isa::current();
+            if matches!(pass, Pass::Forward) && cx.d == 32 && isa >= Isa::Avx512 {
+                return forward_lanes(cx, rows, outs);
+            }
+            if isa >= Isa::Avx2 {
+                return walk_rows_avx2(pass, cx, rows, outs);
+            }
         }
         walk_rows_body(pass, cx, rows, outs)
+    }
+}
+
+/// [`forward_row`] at `d = 32` for sixteen rows at a time, one row per
+/// lane: the queries and, for edge slot `t`, each row's `t`-th
+/// neighbour's key are transposed in registers (two sixteen-column
+/// transposes per row), so a slot's sixteen scores are one chain of
+/// `vfmadd` over `c` ascending from `+0.0`, then the scale; the softmax
+/// runs down the slots — the max fold from `-inf`, one `exp_v16` per
+/// slot (bitwise `exp_f32`), the ascending sum and the divide — with
+/// each lane's slots past its degree masked out of the max and the sum.
+/// The mix stays row-major: each row's output is two zmm of chains over
+/// its neighbours ascending. Every element is [`forward_row`]'s chain,
+/// hence the same bits.
+///
+/// # Safety
+///
+/// As [`walk_rows`] for [`Pass::Forward`]; the CPU must support
+/// AVX-512F and `cx.d` must be 32.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn forward_lanes(cx: &Walk, rows: Range<usize>, [(wp, w_len), (op, o_len)]: Outs) {
+    use crate::attention::columns;
+    use std::arch::x86_64::*;
+    const D: usize = 32;
+    cx.debug_check(Pass::Forward, &rows, &[(wp, w_len), (op, o_len)]);
+    let Walk {
+        graph, q, k, h, d, ..
+    } = *cx;
+    debug_assert_eq!(d, D, "sparse forward_lanes: two zmm per row");
+    let (n, nnz) = (graph.n(), graph.nnz());
+    let zero = _mm512_setzero_ps();
+    let scale = _mm512_set1_ps(cx.scale);
+    let (mut scores, mut slots) = (Vec::new(), Vec::<[f32; 16]>::new());
+    // Safety (whole body): every row read lies inside the `[batch·n, d]`
+    // operands, every edge slot and output row written inside the
+    // buffers `outs` carries, and they belong to this walk alone.
+    unsafe {
+        for g0 in rows.clone().step_by(16) {
+            let live = (rows.end - g0).min(16);
+            // Lane `r` holds row `g0 + r`; lanes past the walk's end
+            // repeat its last row and are never stored.
+            let lane: [(usize, usize, usize); 16] = std::array::from_fn(|r| {
+                let row = g0 + r.min(live - 1);
+                let (bi, i) = (row / n, row % n);
+                (row, bi * n * D, i)
+            });
+            let nbrs = |r: usize| graph.neighbors_of(lane[r].2);
+            let deg: [usize; 16] =
+                std::array::from_fn(|r| if r < live { nbrs(r).len() } else { 0 });
+            let degree = deg.iter().copied().max().unwrap_or(0);
+            // The lanes whose rows have an edge in slot `t`.
+            let valid = |t: usize| -> __mmask16 {
+                deg.iter()
+                    .enumerate()
+                    .filter(|&(_, &dr)| dr > t)
+                    .fold(0, |m, (r, _)| m | 1 << r)
+            };
+            if degree > 0 {
+                // Columns `0..16` and `16..32` of each lane's row.
+                let qrow = |r: usize| lane[r].0 * D;
+                let qc = [columns(q, qrow), columns(q, |r| qrow(r) + 16)];
+                let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
+                scores.clear();
+                for t in 0..degree {
+                    // Each lane's `t`-th neighbour's key row; a lane past
+                    // its degree scores its own.
+                    let key: [usize; 16] = std::array::from_fn(|r| {
+                        let (_, base, i) = lane[r];
+                        base + nbrs(r).get(t).map_or(i, |&j| j as usize) * D
+                    });
+                    let kc = [columns(k, |r| key[r]), columns(k, |r| key[r] + 16)];
+                    let mut acc = zero;
+                    for c in 0..D {
+                        acc = _mm512_fmadd_ps(qc[c / 16][c % 16], kc[c / 16][c % 16], acc);
+                    }
+                    let sv = _mm512_mul_ps(acc, scale);
+                    // `f32::max(m, x)`: a NaN score leaves the max alone.
+                    m = _mm512_mask_max_ps(m, valid(t), sv, m);
+                    scores.push(sv);
+                }
+                let mut z = zero;
+                for (t, sv) in scores.iter_mut().enumerate() {
+                    *sv = crate::mathfn::wide::exp_v16(_mm512_sub_ps(*sv, m));
+                    z = _mm512_mask_add_ps(z, valid(t), z, *sv);
+                }
+                slots.resize(degree, [0.0; 16]);
+                for (slot, &e) in slots.iter_mut().zip(&scores) {
+                    _mm512_storeu_ps(slot.as_mut_ptr(), _mm512_div_ps(e, z));
+                }
+            }
+            for (r, &(row, base, i)) in lane.iter().enumerate().take(live) {
+                debug_assert!((row + 1) * D <= o_len, "sparse: output row");
+                let out = op.get().add(row * D);
+                let nbrs = nbrs(r);
+                if nbrs.is_empty() {
+                    if graph.identity_passthrough {
+                        std::ptr::copy_nonoverlapping(h.as_ptr().add(base + i * D), out, D);
+                    } else {
+                        out.write_bytes(0, D);
+                    }
+                    continue;
+                }
+                let at = (row / n) * nnz + graph.row_range(i).start;
+                debug_assert!(at + nbrs.len() <= w_len, "sparse: edge slots");
+                let mut acc = [zero; 2];
+                for (t, &j) in nbrs.iter().enumerate() {
+                    let wv = slots[t][r];
+                    *wp.get().add(at + t) = wv;
+                    let hj = h.as_ptr().add(base + j as usize * D);
+                    for (z, a) in acc.iter_mut().enumerate() {
+                        *a = _mm512_fmadd_ps(
+                            _mm512_set1_ps(wv),
+                            _mm512_loadu_ps(hj.add(16 * z)),
+                            *a,
+                        );
+                    }
+                }
+                for (z, &a) in acc.iter().enumerate() {
+                    _mm512_storeu_ps(out.add(16 * z), a);
+                }
+            }
+        }
     }
 }
 
@@ -446,7 +589,9 @@ unsafe fn walk_rows_avx2(pass: Pass, cx: &Walk, rows: Range<usize>, outs: Outs) 
 ///
 /// As [`walk_rows`].
 #[inline(always)]
-unsafe fn walk_rows_body(pass: Pass, cx: &Walk, rows: Range<usize>, [(a, _), (b, _)]: Outs) {
+unsafe fn walk_rows_body(pass: Pass, cx: &Walk, rows: Range<usize>, outs: Outs) {
+    cx.debug_check(pass, &rows, &outs);
+    let [(a, _), (b, _)] = outs;
     let Walk { graph, d, .. } = *cx;
     let (n, nnz) = (graph.n(), graph.nnz());
     for r in rows {
@@ -812,6 +957,51 @@ mod tests {
             complete_graph_matches_dense_bitwise();
             complete_graph_vjp_matches_dense_bitwise();
         });
+    }
+
+    #[test]
+    fn serving_width_lanes_match_the_portable_arm_bitwise() {
+        // `d = 32` over 37 sensors and two samples (74 rows: four lane
+        // groups, the last ragged, one straddling the samples), with a
+        // degree-0 row, rows of degree 1..7, and one row of degree 20 —
+        // past a zmm of edges, the graph's maximum — with and without
+        // identity passthrough, on every arm the host has, against the
+        // portable one. The NaN key of sensor 5 must poison exactly the
+        // rows that attend it, on every arm alike.
+        let (n, d) = (37usize, 32usize);
+        let lists: Vec<Vec<usize>> = (0..n)
+            .map(|i| match i {
+                3 => vec![],
+                11 => (5..25).collect(),
+                _ => {
+                    let mut row: Vec<usize> = (0..=i % 7).map(|t| (i + 5 * t) % n).collect();
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                }
+            })
+            .collect();
+        let graph = SensorGraph::from_neighbor_lists(n, &lists).unwrap();
+        assert_eq!(graph.max_degree(), 20);
+        let q = rand_t(&[2, n, d], 71).mul_scalar(2.0);
+        let mut k = rand_t(&[2, n, d], 72);
+        k.data_mut()[5 * d + 7] = f32::NAN;
+        let h = rand_t(&[2, n, d], 73);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for g in [graph.clone(), graph.with_identity_passthrough()] {
+            let run = || {
+                let (out, w) = sparse_attention_forward(&q, &k, &h, &g, 0.25).unwrap();
+                (bits(&out), bits(&w))
+            };
+            let want = isa::with_ceiling(Isa::Scalar, run);
+            isa::for_each_ceiling("sparse forward at d = 32", |cap| {
+                assert!(
+                    run() == want,
+                    "{cap:?} passthrough={}",
+                    g.identity_passthrough()
+                );
+            });
+        }
     }
 
     #[test]

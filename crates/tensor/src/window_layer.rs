@@ -51,13 +51,16 @@
 //! queries and weights, the contexts, the gate's two activations, `ĥ`,
 //! the sensor queries and keys and the sensor-mixing weights.
 //!
-//! At `d = 16` on an AVX-512 host the per-sample dense sensor
-//! correlation ([`dense_forward_lanes`], also at the serving width
-//! `d = 32`, and [`dense_vjp_lanes`]) and the gate's weight gradient
-//! ([`gate_partial_lanes`]) run explicit zmm walks, as the proxy
-//! attention does ([`crate::attention`]); other widths and arms run the
-//! same chains through the `linalg` slice entries and `avx2,fma` loops.
-//! The unit test holds every arm to the same bits.
+//! On an AVX-512 host the forward runs explicit zmm walks at both
+//! widths the models use, `d = 16` (training) and `d = 32` (serving):
+//! the proxy attention puts sixteen (sample, sensor) pairs in the lanes
+//! ([`crate::attention`]), the per-sample dense sensor correlation puts
+//! sixteen queries there ([`dense_forward_lanes`]), and sparse sensor
+//! correlation at `d = 32` sixteen rows ([`crate::sparse`]). The VJP's
+//! walks — [`dense_vjp_lanes`] and the gate's weight gradient
+//! ([`gate_partial_lanes`]) — are `d = 16` only. Other widths and arms
+//! run the same chains through the `linalg` slice entries and
+//! `avx2,fma` loops. The unit test holds every arm to the same bits.
 
 use crate::attention::{self, Dims};
 #[cfg(target_arch = "x86_64")]

@@ -513,7 +513,7 @@ proptest! {
         let want = linalg::matmul_reference(&a, &b).unwrap();
         let packed = linalg::PackedMatrix::pack(&b).unwrap();
         poison_pool(rows * n);
-        let full = linalg::matmul_packed(&a, &packed).unwrap();
+        let full = linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap();
         prop_assert_eq!(full.shape(), want.shape());
         prop_assert_eq!(full.data(), want.data(), "packed {}x{}x{}", rows, k, n);
         let mut c = vec![f32::NAN; rows * n];
@@ -629,16 +629,17 @@ proptest! {
         poison_pool(rows * n);
         prop_assert!(linalg::matmul_tn(&at, &b).unwrap().data() == want.data(), "TN {}", tag);
         poison_pool(rows * n);
-        let whole = linalg::matmul_packed(&a, &packed).unwrap();
+        let whole = linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap();
         prop_assert!(whole.data() == want.data(), "packed {}", tag);
         // The slice entry is the tensor entry on raw rows — whole, and
         // on a row sub-range fed as a product of its own.
         let mut c = vec![f32::NAN; rows * n];
-        linalg::gemm_packed_slice(a.data(), &packed, &mut c, rows);
+        linalg::gemm_packed_slice(a.data(), &packed, &mut c, rows, linalg::Epilogue::NONE);
         prop_assert!(c == whole.data(), "packed slice {}", tag);
         let (r0, r1) = (rows / 3, rows - rows / 4);
         let mut c = vec![f32::NAN; (r1 - r0) * n];
-        linalg::gemm_packed_slice(&a.data()[r0 * k..], &packed, &mut c, r1 - r0);
+        let none = linalg::Epilogue::NONE;
+        linalg::gemm_packed_slice(&a.data()[r0 * k..], &packed, &mut c, r1 - r0, none);
         prop_assert!(c == whole.data()[r0 * n..r1 * n], "packed slice rows {}..{} {}", r0, r1, tag);
     }
 }

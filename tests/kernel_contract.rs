@@ -17,10 +17,15 @@
 //! K/V projection's six contractions — the decode over `m2`, its
 //! forward over `F`, `dK_p` over a window's steps, `dx` over `d`, the
 //! head's gradient over the row and the weight's over the leads — carry
-//! the same witness, at the key width its register rows run (`d = 16`)
-//! and at one that takes the slice entries. So do the window-layer op's gate product forward
-//! (`h_w · W1`) and its VJP (`g · W2ᵀ`), seen through the layer output
-//! and `W1`'s gradient.
+//! the same witness, at the key widths its register rows run (`d = 16`,
+//! and the serving width `d = 32`) and at one that takes the slice
+//! entries, as does the inference engine's split-layout projection. So
+//! do the window-layer op's gate product forward (`h_w · W1`) and its
+//! VJP (`g · W2ᵀ`), seen through the layer output and `W1`'s gradient.
+//! A packed product's epilogue adds its bias after the whole fused
+//! chain, in one more rounding, and only then takes the ReLU: a bias of
+//! `2⁻²⁴` on the witness gives `2⁻²³`, where a bias that started the
+//! chain would give `2⁻²⁴` and an unfused chain `2⁻²⁴` too.
 
 use st_wa::autograd::{Graph, WindowParams, WindowSca};
 use st_wa::tensor::{isa, linalg, mathfn, projection, Tensor};
@@ -44,7 +49,8 @@ fn every_contraction_entry_fuses_each_term() {
         let mut slice = vec![f32::NAN; m * n];
         linalg::gemm_nn_slice(a.data(), b.data(), &mut slice, m, 2, n);
         let mut packed_slice = vec![f32::NAN; m * n];
-        linalg::gemm_packed_slice(a.data(), &packed, &mut packed_slice, m);
+        let none = linalg::Epilogue::NONE;
+        linalg::gemm_packed_slice(a.data(), &packed, &mut packed_slice, m, none);
         for (entry, got) in [
             ("matmul", linalg::matmul(&a, &b).unwrap().data().to_vec()),
             (
@@ -57,7 +63,10 @@ fn every_contraction_entry_fuses_each_term() {
             ),
             (
                 "matmul_packed",
-                linalg::matmul_packed(&a, &packed).unwrap().data().to_vec(),
+                linalg::matmul_packed(&a, &packed, none)
+                    .unwrap()
+                    .data()
+                    .to_vec(),
             ),
             (
                 "matmul_reference",
@@ -79,6 +88,44 @@ fn every_contraction_entry_fuses_each_term() {
     let g = Tensor::from_vec(vec![b0, b1], &[2, 1, 1]).unwrap();
     let lead = linalg::matmul_tn_sum_lead(&a, &g).unwrap();
     assert_eq!(lead.data(), &[FUSED], "matmul_tn_sum_lead");
+}
+
+#[test]
+fn the_packed_epilogue_adds_its_bias_after_the_fused_chain() {
+    let ([a0, a1], [b0, b1]) = witness();
+    for (m, n) in [(1, 1), (9, 33), (128, 128)] {
+        let a = Tensor::from_fn(&[m, 2], |i| [a0, a1][i[1]]);
+        let packed =
+            linalg::PackedMatrix::pack(&Tensor::from_fn(&[2, n], |i| [b0, b1][i[0]])).unwrap();
+        // `(bias, relu, want)`: the chain's `2⁻²⁴` plus the bias, then
+        // the ReLU — which a negative sum meets as `-2⁻²⁴`.
+        for (bias, relu, want) in [
+            (FUSED, false, 2.0 * FUSED),
+            (FUSED, true, 2.0 * FUSED),
+            (-2.0 * FUSED, false, -FUSED),
+            (-2.0 * FUSED, true, 0.0),
+        ] {
+            let bias = vec![bias; n];
+            let ep = linalg::Epilogue {
+                bias: Some(&bias),
+                relu,
+            };
+            let mut slice = vec![f32::NAN; m * n];
+            linalg::gemm_packed_slice(a.data(), &packed, &mut slice, m, ep);
+            let whole = linalg::matmul_packed(&a, &packed, ep)
+                .unwrap()
+                .data()
+                .to_vec();
+            for (entry, got) in [("matmul_packed", whole), ("gemm_packed_slice", slice)] {
+                assert!(
+                    got.iter().all(|&x| x.to_bits() == want.to_bits()),
+                    "{entry} on {m}x2x{n}, bias {:e}, relu {relu}: {:e}, want {want:e}",
+                    bias[0],
+                    got[0]
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -141,7 +188,7 @@ fn the_kv_projection_fuses_each_term() {
             t.data()[0]
         );
     };
-    for d in [16, 3] {
+    for d in [16, 32, 3] {
         // Forward, over `F = 2`: the row `[a0, a1]` against the
         // columns `[b0, b1]` of K and V.
         let x = Tensor::from_vec(vec![a0, a1], &[1, 1, 2]).unwrap();
@@ -149,6 +196,27 @@ fn the_kv_projection_fuses_each_term() {
         let (head, weight) = rows_of(&kv);
         let [out, ..] = project(&x, &head, &weight, &Tensor::zeros(&[1, 2, 1, 1, d]), 1);
         all_fused(&out, &format!("forward at d = {d}"));
+        // The same rows through the engine's split layout, five steps.
+        let x5 = Tensor::from_fn(&[1, 5, 2], |i| [a0, a1][i[2]]);
+        let (mut keys, mut values) = (vec![f32::NAN; 5 * d], vec![f32::NAN; 5 * d]);
+        let (kp, vp) = kv.data().split_at(2 * d);
+        projection::forward_split(
+            x5.data(),
+            kp,
+            vp,
+            4 * d,
+            1,
+            (5, 2, d),
+            &mut keys,
+            &mut values,
+        );
+        for (half, got) in [("keys", keys), ("values", values)] {
+            assert!(
+                got.iter().all(|&v| v == FUSED),
+                "split {half} at d = {d}: {:e}",
+                got[0]
+            );
+        }
 
         // The decode, over `m2 = 2`: the head `[a0, a1]` against weight
         // columns `[b0, b1]`, every row element one chain.
