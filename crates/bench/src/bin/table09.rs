@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
-            .join(",");
+            .join("/");
         let mut rng = StdRng::seed_from_u64(args.seed);
         let config = StwaConfig::st_wa(dataset.num_sensors(), h, u).with_windows(schedule);
         let model = StwaModel::new(config, &mut rng)?;

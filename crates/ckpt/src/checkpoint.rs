@@ -1,6 +1,24 @@
 //! The full training checkpoint: parameters, Adam moments, RNG state,
 //! counters, and the loss trajectory — everything a killed run needs to
 //! resume bitwise identically to an uninterrupted one.
+//!
+//! # Moving a checkpoint, not copying it
+//!
+//! A save streams each blob straight from the checkpoint's tensors to
+//! disk ([`blob::write_to`]); the optimizer moments get their `m.` /
+//! `v.` names as a record prefix, not by cloning each moment. A load
+//! decodes every tensor once, into the `Vec<f32>` a store then adopts:
+//! [`TrainCheckpoint::load_params_into`] and
+//! [`TrainCheckpoint::load_best_into`] consume the checkpoint and move
+//! those buffers into the parameters.
+//!
+//! A load into a store commits whole or not at all. Every name and
+//! shape is checked before the first value is written, so a refused
+//! checkpoint leaves the store's values and version untouched — what
+//! lets a serving replica keep its session when a swap fails.
+//!
+//! The on-disk format is unchanged by any of this: the format pin in
+//! this module's tests holds the bytes of a fixed checkpoint.
 
 use crate::blob::{self, NamedTensor};
 use crate::manifest::{BlobEntry, Manifest, FORMAT_VERSION, MANIFEST_FILE};
@@ -110,8 +128,8 @@ impl TrainCheckpoint {
     pub fn save_dir(&self, dir: &Path, version: u32) -> Result<Manifest, CkptError> {
         let _span = stwa_observe::span!("ckpt.save");
         let mut blobs = Vec::new();
-        let mut write = |file: &str, tensors: &[NamedTensor]| -> Result<(), CkptError> {
-            let (bytes, checksum) = blob::write_file(&dir.join(file), tensors)?;
+        let mut write = |file: &str, groups: &[(&str, &[NamedTensor])]| -> Result<(), CkptError> {
+            let (bytes, checksum) = blob::write_file(&dir.join(file), groups)?;
             blobs.push(BlobEntry {
                 file: file.to_string(),
                 bytes,
@@ -119,28 +137,12 @@ impl TrainCheckpoint {
             });
             Ok(())
         };
-        write(PARAMS_BLOB, &self.params)?;
+        write(PARAMS_BLOB, &[("", &self.params)])?;
         if self.has_optimizer() {
-            let mut moments =
-                Vec::with_capacity(self.opt_m.len() + self.opt_v.len());
-            for t in &self.opt_m {
-                moments.push(NamedTensor {
-                    name: format!("m.{}", t.name),
-                    shape: t.shape.clone(),
-                    data: t.data.clone(),
-                });
-            }
-            for t in &self.opt_v {
-                moments.push(NamedTensor {
-                    name: format!("v.{}", t.name),
-                    shape: t.shape.clone(),
-                    data: t.data.clone(),
-                });
-            }
-            write(OPTIM_BLOB, &moments)?;
+            write(OPTIM_BLOB, &[("m.", &self.opt_m), ("v.", &self.opt_v)])?;
         }
         if !self.best_params.is_empty() {
-            write(BEST_BLOB, &self.best_params)?;
+            write(BEST_BLOB, &[("", &self.best_params)])?;
         }
         let manifest = Manifest {
             format: FORMAT_VERSION,
@@ -184,19 +186,11 @@ impl TrainCheckpoint {
         let moments = read(OPTIM_BLOB)?;
         let mut opt_m = Vec::new();
         let mut opt_v = Vec::new();
-        for t in moments {
-            if let Some(name) = t.name.strip_prefix("m.") {
-                opt_m.push(NamedTensor {
-                    name: name.to_string(),
-                    shape: t.shape,
-                    data: t.data,
-                });
-            } else if let Some(name) = t.name.strip_prefix("v.") {
-                opt_v.push(NamedTensor {
-                    name: name.to_string(),
-                    shape: t.shape,
-                    data: t.data,
-                });
+        for mut t in moments {
+            let half = if t.name.starts_with("m.") {
+                &mut opt_m
+            } else if t.name.starts_with("v.") {
+                &mut opt_v
             } else {
                 return Err(CkptError::Format {
                     path: dir.join(OPTIM_BLOB),
@@ -205,7 +199,9 @@ impl TrainCheckpoint {
                         t.name
                     ),
                 });
-            }
+            };
+            t.name.drain(..2);
+            half.push(t);
         }
         let best_params = read(BEST_BLOB)?;
         stwa_observe::counter!("ckpt.loads").incr();
@@ -228,43 +224,82 @@ impl TrainCheckpoint {
 
     /// Overwrite `store`'s parameters from the checkpoint's `params`,
     /// matched **by name** and shape-checked — registration order may
-    /// differ between the saving and loading build.
-    pub fn load_params_into(&self, store: &ParamStore) -> Result<(), CkptError> {
-        load_named(&self.params, store)
+    /// differ between the saving and loading build. Consumes the
+    /// checkpoint: each tensor's buffer moves into its parameter. All or
+    /// nothing: on a `Mismatch` no parameter has been written.
+    pub fn load_params_into(self, store: &ParamStore) -> Result<(), CkptError> {
+        load_named(self.params, store)
     }
 
     /// Overwrite `store` from the best-validation parameters instead
-    /// (what a serving load wants when both are present).
-    pub fn load_best_into(&self, store: &ParamStore) -> Result<(), CkptError> {
+    /// (what a serving load wants when both are present), on the same
+    /// terms as [`TrainCheckpoint::load_params_into`].
+    pub fn load_best_into(self, store: &ParamStore) -> Result<(), CkptError> {
         if self.best_params.is_empty() {
             return self.load_params_into(store);
         }
-        load_named(&self.best_params, store)
+        load_named(self.best_params, store)
     }
 }
 
-/// Name-matched, shape-checked bulk load into a store.
-fn load_named(tensors: &[NamedTensor], store: &ParamStore) -> Result<(), CkptError> {
-    for p in store.params() {
-        let t = tensors
-            .iter()
-            .find(|t| t.name == p.name())
-            .ok_or_else(|| {
-                CkptError::Mismatch(format!("checkpoint has no tensor named '{}'", p.name()))
-            })?;
-        if t.shape != p.shape() {
-            return Err(CkptError::Mismatch(format!(
-                "shape mismatch for '{}': checkpoint {:?}, model {:?}",
-                p.name(),
-                t.shape,
-                p.shape()
-            )));
-        }
-        let tensor = Tensor::from_vec(t.data.clone(), &t.shape)
-            .map_err(|e| CkptError::Mismatch(format!("'{}': {e}", t.name)))?;
-        p.set_value(tensor);
+/// Name-matched, shape-checked bulk load into a store. Every parameter
+/// is matched and checked ([`match_named`]) before the first
+/// `set_value`, so a refused load leaves the store's values and version
+/// untouched.
+fn load_named(tensors: Vec<NamedTensor>, store: &ParamStore) -> Result<(), CkptError> {
+    let values = match_named(tensors, store)?;
+    for (p, v) in store.params().iter().zip(values) {
+        p.set_value(v);
     }
     Ok(())
+}
+
+/// `tensors` matched to `store`'s parameters **by name**, shape-checked,
+/// and returned in registration order, each buffer moved into its
+/// tensor. Checkpoint records that name no parameter are ignored.
+pub fn match_named(
+    tensors: Vec<NamedTensor>,
+    store: &ParamStore,
+) -> Result<Vec<Tensor>, CkptError> {
+    let params = store.params();
+    let picks = params
+        .iter()
+        .map(|p| {
+            let at = tensors
+                .iter()
+                .position(|t| t.name == p.name())
+                .ok_or_else(|| {
+                    CkptError::Mismatch(format!("checkpoint has no tensor named '{}'", p.name()))
+                })?;
+            let t = &tensors[at];
+            if t.shape != p.shape() || t.data.len() != t.len() {
+                return Err(CkptError::Mismatch(format!(
+                    "shape mismatch for '{}': checkpoint {:?} ({} values), model {:?}",
+                    p.name(),
+                    t.shape,
+                    t.data.len(),
+                    p.shape()
+                )));
+            }
+            Ok(at)
+        })
+        .collect::<Result<Vec<usize>, CkptError>>()?;
+    let mut tensors: Vec<Option<NamedTensor>> = tensors.into_iter().map(Some).collect();
+    Ok(picks
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| {
+            // A name the store registered twice reads one record: copy
+            // it for every use but the last, which takes the buffer.
+            let t = if picks[i + 1..].contains(&at) {
+                tensors[at].clone()
+            } else {
+                tensors[at].take()
+            }
+            .expect("a record is taken by its last use only");
+            Tensor::from_vec(t.data, &t.shape).expect("length checked above")
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -388,6 +423,72 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The blobs of [`pinned_ckpt`] as format 1 lays them out: `(file,
+    /// bytes, FNV-1a of the file)`, recorded from the encode-then-write
+    /// path the streaming writer replaced. A change here is a change to
+    /// the on-disk format, and old registries would stop loading.
+    const PINNED_BLOBS: [(&str, u64, u64); 3] = [
+        (PARAMS_BLOB, 138, 0xbc48_3847_23e5_2a42),
+        (OPTIM_BLOB, 268, 0x4f66_1c57_01d0_abd3),
+        (BEST_BLOB, 138, 0xffc3_ade6_39c4_8918),
+    ];
+
+    /// [`sample_ckpt`] with best-validation parameters of their own, so
+    /// each of the three blobs holds different bytes.
+    fn pinned_ckpt() -> TrainCheckpoint {
+        let mut ckpt = sample_ckpt();
+        for t in &mut ckpt.best_params {
+            for v in &mut t.data {
+                *v *= -0.5;
+            }
+        }
+        ckpt
+    }
+
+    #[test]
+    fn blobs_keep_their_format_bytes() {
+        let dir = temp_dir("format_pin");
+        let manifest = pinned_ckpt().save_dir(&dir, 1).unwrap();
+        for (file, bytes, checksum) in PINNED_BLOBS {
+            let on_disk = std::fs::read(dir.join(file)).unwrap();
+            assert_eq!(
+                (on_disk.len() as u64, crate::fnv1a64(&on_disk)),
+                (bytes, checksum),
+                "{file} changed its bytes"
+            );
+            let entry = manifest.blob(file).unwrap();
+            assert_eq!(
+                (entry.bytes, entry.checksum),
+                (bytes, checksum),
+                "{file} entry"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_load_leaves_the_store_untouched() {
+        // Every parameter but the last matches, so a parameter-by-
+        // parameter load would have written the first before refusing.
+        let mut ckpt = TrainCheckpoint::params_only("ST-WA", &sample_store());
+        ckpt.params.pop();
+        for t in &mut ckpt.params {
+            t.data.iter_mut().for_each(|v| *v = 9.0);
+        }
+        let store = sample_store();
+        let before = store.version();
+        assert!(matches!(
+            ckpt.load_params_into(&store),
+            Err(CkptError::Mismatch(_))
+        ));
+        assert_eq!(
+            store.version(),
+            before,
+            "a refused load must not bump the version"
+        );
+        assert_eq!(store.params()[0].value().data(), &[1.0, -2.5, 3.25, 0.125]);
+    }
+
     #[test]
     fn load_into_mismatched_store_is_typed() {
         let dir = temp_dir("mismatch");
@@ -397,7 +498,7 @@ mod tests {
         let missing = ParamStore::new();
         missing.param("other.w", Tensor::zeros(&[2, 2]));
         assert!(matches!(
-            back.load_params_into(&missing),
+            back.clone().load_params_into(&missing),
             Err(CkptError::Mismatch(_))
         ));
 

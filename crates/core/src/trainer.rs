@@ -11,7 +11,7 @@ use rand::{RngCore, SeedableRng};
 use std::path::PathBuf;
 use std::time::Instant;
 use stwa_autograd::{Graph, Var};
-use stwa_ckpt::checkpoint::capture_params;
+use stwa_ckpt::checkpoint::{capture_params, match_named};
 use stwa_ckpt::{CkptError, NamedTensor, Registry, TrainCheckpoint};
 use stwa_observe::{EpochRecord, RunManifest};
 use stwa_nn::batch::prefetched_shuffled;
@@ -322,7 +322,7 @@ impl Trainer {
         let mut start_epoch = 0usize;
 
         if let Some(dir) = &cfg.resume_from {
-            let ckpt = TrainCheckpoint::load_dir(dir).map_err(ckpt_invalid)?;
+            let mut ckpt = TrainCheckpoint::load_dir(dir).map_err(ckpt_invalid)?;
             if ckpt.seed != cfg.seed {
                 return Err(stwa_tensor::TensorError::Invalid(format!(
                     "trainer resume: checkpoint seed {} != configured seed {}",
@@ -351,49 +351,34 @@ impl Trainer {
                         .into(),
                 ));
             }
-            ckpt.load_params_into(model.store()).map_err(ckpt_invalid)?;
-            let moments = |v: &[NamedTensor]| -> Result<Vec<(String, Tensor)>> {
-                v.iter()
-                    .map(|t| Ok((t.name.clone(), Tensor::from_vec(t.data.clone(), &t.shape)?)))
+            // Everything is matched and checked before the store is
+            // written; each decoded buffer moves into its tensor.
+            if !ckpt.best_params.is_empty() {
+                let best = std::mem::take(&mut ckpt.best_params);
+                best_params = Some(match_named(best, model.store()).map_err(ckpt_invalid)?);
+            }
+            let moments = |v: Vec<NamedTensor>| -> Result<Vec<(String, Tensor)>> {
+                v.into_iter()
+                    .map(|t| Ok((t.name, Tensor::from_vec(t.data, &t.shape)?)))
                     .collect()
             };
             opt.import_state(AdamState {
                 t: ckpt.step,
-                m: moments(&ckpt.opt_m)?,
-                v: moments(&ckpt.opt_v)?,
+                m: moments(std::mem::take(&mut ckpt.opt_m))?,
+                v: moments(std::mem::take(&mut ckpt.opt_v))?,
             })?;
             rng = StdRng::from_state(ckpt.rng);
             best_val = ckpt.best_val;
             since_best = ckpt.since_best;
-            history = ckpt.history.clone();
+            history = std::mem::take(&mut ckpt.history);
             start_epoch = ckpt.epoch;
-            if !ckpt.best_params.is_empty() {
-                let restored = model
-                    .store()
-                    .params()
-                    .iter()
-                    .map(|p| {
-                        let t = ckpt
-                            .best_params
-                            .iter()
-                            .find(|t| t.name == p.name())
-                            .ok_or_else(|| {
-                                stwa_tensor::TensorError::Invalid(format!(
-                                    "trainer resume: best-params blob has no '{}'",
-                                    p.name()
-                                ))
-                            })?;
-                        Tensor::from_vec(t.data.clone(), &t.shape)
-                    })
-                    .collect::<Result<Vec<Tensor>>>()?;
-                best_params = Some(restored);
-            }
+            let step = ckpt.step;
+            ckpt.load_params_into(model.store()).map_err(ckpt_invalid)?;
             if cfg.verbose {
                 eprintln!(
-                    "[{}] resumed from {} at epoch {start_epoch} (step {})",
+                    "[{}] resumed from {} at epoch {start_epoch} (step {step})",
                     model.name(),
                     dir.display(),
-                    ckpt.step
                 );
             }
         }

@@ -249,7 +249,8 @@ impl FrozenStwa {
     /// Note that loading mutates the model's store (bumping its
     /// version), so any session frozen from the *previous* weights
     /// becomes stale and starts refusing — exactly the guard that makes
-    /// a hot swap safe.
+    /// a hot swap safe. A refused checkpoint writes nothing: the store,
+    /// and every session frozen from it, stay as they were.
     pub fn freeze_from_registry(
         model: &StwaModel,
         registry: &stwa_ckpt::Registry,

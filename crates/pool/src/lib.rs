@@ -76,6 +76,10 @@ impl Job {
             if i >= self.tasks {
                 return finished_last;
             }
+            debug_assert!(
+                self.remaining.load(Ordering::Relaxed) > 0,
+                "pool: task {i} claimed after its job finished"
+            );
             // Safety: the publisher keeps the closure alive until
             // `remaining` reaches 0, and we only decrement after the call.
             unsafe { (*self.body.0)(i) };
@@ -307,6 +311,7 @@ pub fn parallel_chunks<T: Send>(data: &mut [T], chunks: usize, body: impl Fn(usi
         let start = ci * per;
         let end = (start + per).min(len);
         if start < end {
+            debug_assert!(end <= len, "parallel_chunks: chunk {ci} ends past {len}");
             // Safety: chunks are disjoint subranges of `data`, and
             // `parallel_for` joins before `data`'s borrow ends.
             let chunk =

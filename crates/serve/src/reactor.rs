@@ -118,6 +118,11 @@ impl Epoll {
             None => -1,
             Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
         };
+        debug_assert!(
+            !self.buf.is_empty() && self.buf.len() <= i32::MAX as usize,
+            "epoll_wait: {} event slots",
+            self.buf.len()
+        );
         // Safety: `buf` is a live, properly sized RawEvent array.
         let n = unsafe {
             epoll_wait(
@@ -134,6 +139,7 @@ impl Epoll {
             }
             return Err(err);
         }
+        debug_assert!(n as usize <= self.buf.len(), "epoll_wait: {n} events");
         for raw in &self.buf[..n as usize] {
             let bits = raw.events;
             out.push(Event {
@@ -149,6 +155,7 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        debug_assert!(self.fd >= 0, "epoll: closing fd {}", self.fd);
         // Safety: fd is owned by this handle and closed exactly once.
         unsafe { close(self.fd) };
     }

@@ -1531,29 +1531,13 @@ fn try_swap(state: &mut ModelState, shared: &Shared, target: u32) {
             report_flip(state, shared);
         }
         Err(_) => {
-            // Registry load failed (partial publish, IO error): keep
-            // serving the old version. Restore its exact weights by
-            // re-loading it from the registry (the failed load may have
-            // touched the store); builder weights (version 0) were
-            // never overwritten by a *fully validated* load, so a plain
-            // re-freeze suffices.
+            // Registry load failed (corrupt or mismatched version, IO
+            // error): keep serving the current session. A refused load
+            // commits nothing — every name and shape is checked before
+            // the store is written — so the store still holds the
+            // weights this session was frozen from.
             shared.swap_errors.fetch_add(1, Ordering::Relaxed);
             stwa_observe::counter!("serve.swap_errors").incr();
-            let restored = if state.registry_version > 0 {
-                FrozenStwa::freeze_from_registry_at(
-                    &state.model,
-                    registry,
-                    name,
-                    Some(state.registry_version),
-                    state.precision,
-                )
-            } else {
-                FrozenStwa::freeze_at(&state.model, state.precision)
-            };
-            if let Ok(frozen) = restored {
-                state.session = InferSession::from_frozen(frozen);
-                state.memo = None;
-            }
         }
     }
 }

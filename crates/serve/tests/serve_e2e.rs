@@ -371,6 +371,73 @@ fn registry_hot_swap_serves_new_weights_and_drops_nothing() {
 }
 
 #[test]
+fn a_refused_swap_keeps_serving_the_builder_weights_bitwise() {
+    let root = std::env::temp_dir().join(format!("stwa_serve_refused_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    let cfg = ServeConfig {
+        registry: Some((root.clone(), "ST-WA".to_string())),
+        // Only the admin call below may try the swap.
+        registry_poll: Duration::from_secs(3600),
+        ..config()
+    };
+    // An empty registry pins version 0: the builder's own weights.
+    let server = Server::start(cfg, || Ok(model(42))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let builder = InferSession::new(&model(42)).unwrap();
+    let mut window = vec![0.0f32; n * h * f];
+    let mut served_on_fresh_window = |client: &mut Client, t: usize, what: &str| {
+        let fr = frame(t, n, f);
+        let resp = client.post("/observe", &observe_body(&fr)).unwrap();
+        assert_eq!(resp.status, 200);
+        apply_frame(&mut window, &fr, n, h, f);
+        for sensor in 0..n {
+            let resp = client
+                .get(&format!(
+                    "/forecast?sensor={sensor}&horizon={}",
+                    dims.horizon
+                ))
+                .unwrap();
+            assert_eq!(resp.status, 200);
+            let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+            let want = direct_eval(&builder, &window, n, h, f, sensor, dims.horizon);
+            assert_bitwise(&got, &want, &format!("{what}: sensor {sensor}"));
+        }
+    };
+    served_on_fresh_window(&mut client, 0, "before the swap");
+
+    // Version 1 matches every parameter but the last-registered one, so
+    // a load that writes parameter by parameter would leave most of the
+    // store on other weights before refusing.
+    let mut ckpt = TrainCheckpoint::params_only("ST-WA", model(7).store());
+    ckpt.params.pop();
+    assert_eq!(registry.publish("ST-WA", &ckpt).unwrap(), 1);
+    let swap = client.post("/admin/swap", b"").unwrap();
+    assert_eq!(swap.status, 200);
+    assert!(
+        String::from_utf8_lossy(&swap.body).contains("\"swapped\":false"),
+        "{}",
+        String::from_utf8_lossy(&swap.body)
+    );
+    let stats = client.get("/stats").unwrap();
+    let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+    assert_eq!(doc.get("swap_errors").and_then(|v| v.as_num()), Some(1.0));
+    assert_eq!(
+        server.version(),
+        0,
+        "a refused swap must not change the version"
+    );
+
+    // A new window misses the cache, so these are fresh forwards on the
+    // session the replica kept.
+    served_on_fresh_window(&mut client, 1, "after the refused swap");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn shutdown_drains_every_pipelined_request() {
     let server = Server::start(config(), || Ok(model(5))).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();

@@ -210,6 +210,11 @@ fn naive_nn(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn naive_nn_avx2(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    debug_assert!(
+        n == 0 || (c.len().is_multiple_of(n) && a.len() >= c.len() / n * k && b.len() >= k * n),
+        "naive_nn: operands shorter than {}x{k}x{n}",
+        c.len().checked_div(n).unwrap_or(0)
+    );
     naive_nn(a, b, c, k, n)
 }
 
@@ -550,7 +555,9 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
     let mut out = crate::memory::take_scratch(batch * m * n);
     let a_data = a.data();
     let b_data = b.data();
+    let out_len = out.len();
     let out_ptr = SendPtr(out.as_mut_ptr());
+    debug_assert_eq!(out_len, batch * m * n, "matmul: output length");
     if tasks.is_empty() {
         // One task, which the pool runs on the caller; routed through
         // it so manifests account for every kernel (`pool.tasks`).
@@ -563,6 +570,10 @@ fn run(a: &Tensor, b: &Tensor, ak: AKind, bk: BKind, op: &'static str) -> Result
     } else {
         stwa_pool::parallel_for(tasks.len(), |t| {
             let (bi, r0, r1) = tasks[t];
+            debug_assert!(
+                r0 <= r1 && r1 <= m && bi < batch,
+                "matmul: task {t} outside the output"
+            );
             let a_mat = &a_data[plan.a_offsets.get(bi)..plan.a_offsets.get(bi) + m * k];
             let b_mat = &b_data[plan.b_offsets.get(bi)..plan.b_offsets.get(bi) + k * n];
             // Safety: tasks cover disjoint `[r0, r1)` row ranges of
@@ -629,6 +640,10 @@ pub fn matmul_tn_sum_lead(a: &Tensor, g: &Tensor) -> Result<Tensor> {
 
     let mut out = crate::memory::take_scratch(rest * m * n);
     let (a_data, g_data) = (a.data(), g.data());
+    debug_assert!(
+        a_data.len() >= d0 * rest * m && g_data.len() >= d0 * rest * n && out.len() >= rest * m * n,
+        "matmul_tn_sum_lead: operands shorter than {d0}x{rest}x{m}x{n}"
+    );
     let out_ptr = SendPtr(out.as_mut_ptr());
     let isa = isa::current();
     stwa_pool::parallel_for(1, |_| {
@@ -1247,6 +1262,7 @@ unsafe fn strip_bands<const S: usize>(
 #[inline(always)]
 unsafe fn gemm_small(g: &Gemm, a: *const f32, b: *const f32, c: *mut f32, r0: usize, r1: usize) {
     let (m, k, n) = (g.m, g.k, g.n);
+    debug_assert!(r0 <= r1 && r1 <= m, "gemm_small: rows {r0}..{r1} of {m}");
     // Safety (whole body): the extents are the caller's contract; rows
     // `r0..r1` of A start at element `(r0, 0)`, inside `m·k`.
     unsafe {
@@ -1406,6 +1422,10 @@ unsafe fn small_nt_avx2(
     k: usize,
     n: usize,
 ) {
+    debug_assert!(
+        r0 <= r1 && a.len() >= r1 * k && b.len() >= n * k && c.len() >= (r1 - r0) * n,
+        "small_nt: operands shorter than rows {r0}..{r1} of ?x{k}x{n}"
+    );
     small_nt_body(a, b, c, r0, r1, k, n)
 }
 
@@ -1790,6 +1810,7 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix, ep: Epilogue<'_>) -> Res
 
     let mut out = crate::memory::take_scratch(rows * n);
     let a_data = &a.data()[..rows * k];
+    let out_len = out.len();
     let out_ptr = SendPtr(out.as_mut_ptr());
     let isa = isa::current();
     let (_, split) = decompose(1, rows, rows * n * k, stwa_pool::current_threads());
@@ -1797,6 +1818,10 @@ pub fn matmul_packed(a: &Tensor, packed: &PackedMatrix, ep: Epilogue<'_>) -> Res
     let tasks = if split.is_empty() { &whole[..] } else { &split[..] };
     stwa_pool::parallel_for(tasks.len(), |t| {
         let (_, r0, r1) = tasks[t];
+        debug_assert!(
+            r0 <= r1 && r1 * n <= out_len,
+            "matmul_packed: rows {r0}..{r1} past the output"
+        );
         // Safety: tasks cover disjoint `[r0, r1)` row ranges and the
         // pool joins before `out` is consumed.
         let c = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };

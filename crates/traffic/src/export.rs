@@ -30,6 +30,10 @@ pub fn write_records_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) ->
     writeln!(w, "{}", headers.join(","))?;
     for row in rows {
         assert_eq!(row.len(), headers.len(), "row arity must match headers");
+        assert!(
+            row.iter().all(|cell| !cell.contains(',')),
+            "a cell holding a comma would shift every later column: {row:?}"
+        );
         writeln!(w, "{}", row.join(","))?;
     }
     w.flush()

@@ -8,7 +8,7 @@
 verify:
     cargo build --release
     cargo test -q
-    cargo test -q -p stwa-ckpt --test corruption
+    cargo test -q -p stwa-ckpt
     cargo test -q -p stwa-tensor -p stwa-autograd -p stwa-nn -p stwa-core -p stwa-serve -p stwa-infer
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
