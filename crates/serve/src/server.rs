@@ -1291,6 +1291,11 @@ fn replica_main<F>(
     drop(ready_tx);
 
     let mut last_poll = Instant::now();
+    // Newest version replica 0's poll tried and could not load. A
+    // published version never changes, so the poll waits for a newer
+    // one instead of re-reading it every tick; `/admin/swap` still
+    // retries it.
+    let mut refused: u32 = 0;
     loop {
         match job_rx.recv_timeout(config.registry_poll) {
             Ok(job) => {
@@ -1309,7 +1314,9 @@ fn replica_main<F>(
         // every replica loads the same version exactly once.
         if replica_idx == 0 && last_poll.elapsed() >= config.registry_poll {
             last_poll = Instant::now();
-            let newer = shared.latest_version().filter(|&v| v > state.registry_version);
+            let newer = shared
+                .latest_version()
+                .filter(|&v| v > state.registry_version.max(refused));
             if let Some(latest) = newer {
                 {
                     let _order = shared.broadcast.lock().unwrap();
@@ -1325,6 +1332,9 @@ fn replica_main<F>(
                     }
                 }
                 try_swap(&mut state, &shared, latest);
+                if state.registry_version < latest {
+                    refused = latest;
+                }
             }
         }
     }

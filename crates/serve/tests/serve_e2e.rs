@@ -13,6 +13,7 @@ use std::time::Duration;
 use stwa_ckpt::{Registry, TrainCheckpoint};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_infer::InferSession;
+use stwa_serve::cache::fingerprint_f32;
 use stwa_serve::{Client, ServeConfig, Server};
 use stwa_tensor::Tensor;
 
@@ -81,6 +82,27 @@ fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// One numeric `/stats` field, or a numeric array's entries.
+fn stats(client: &mut Client, key: &str) -> Vec<f64> {
+    let resp = client.get("/stats").unwrap();
+    let doc = stwa_observe::parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let field = doc.get(key).unwrap_or_else(|| panic!("/stats lacks {key}"));
+    match field.as_arr() {
+        Some(items) => items.iter().map(|v| v.as_num().unwrap()).collect(),
+        None => vec![field.as_num().unwrap()],
+    }
+}
+
+/// A checkpoint every load refuses: it matches every parameter of
+/// `model(seed)` but the last-registered one, so a load that writes
+/// parameter by parameter would leave most of the store on other
+/// weights before refusing.
+fn refused_checkpoint(seed: u64) -> TrainCheckpoint {
+    let mut ckpt = TrainCheckpoint::params_only("ST-WA", model(seed).store());
+    ckpt.params.pop();
+    ckpt
+}
+
 #[test]
 fn served_forecasts_match_direct_eval_bitwise() {
     let server = Server::start(config(), || Ok(model(42))).unwrap();
@@ -100,6 +122,7 @@ fn served_forecasts_match_direct_eval_bitwise() {
     // Ground truth: the same seed builds the same weights.
     let reference = model(42);
     let session = InferSession::new(&reference).unwrap();
+    let fp = fingerprint_f32(&window);
 
     for sensor in 0..n {
         for horizon in 1..=dims.horizon {
@@ -107,6 +130,9 @@ fn served_forecasts_match_direct_eval_bitwise() {
                 .get(&format!("/forecast?sensor={sensor}&horizon={horizon}"))
                 .unwrap();
             assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
+            // The response names the window it answers: the client's
+            // mirror of every frame sent.
+            assert_eq!(stwa_serve::proto::parse_window_fp(&resp.body).unwrap(), fp);
             let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
             let want = direct_eval(&session, &window, n, h, f, sensor, horizon);
             assert_bitwise(&got, &want, &format!("sensor {sensor} horizon {horizon}"));
@@ -126,24 +152,29 @@ fn repeat_queries_hit_the_cache_with_identical_values() {
     let text = String::from_utf8_lossy(&first.body).to_string();
     assert!(text.contains("\"miss\""), "first query is a miss: {text}");
 
-    // The model thread primed the shared cache; repeats serve inline.
-    let mut saw_hit = false;
-    for _ in 0..5 {
+    // The replica primed the shared cache before it answered, so every
+    // repeat is served by the worker: none reaches a replica.
+    for i in 0..5 {
         let resp = client.get("/forecast?sensor=1&horizon=2").unwrap();
         assert_eq!(resp.status, 200);
         let vals = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
         assert_bitwise(&vals, &first_vals, "cached repeat");
         let text = String::from_utf8_lossy(&resp.body).to_string();
-        saw_hit |= text.contains("\"hit\"");
+        assert!(text.contains("\"hit\""), "repeat {i} must hit the cache: {text}");
     }
-    assert!(saw_hit, "repeat queries must reach the worker-side cache");
 
     // A second connection shares the cache.
     let mut other = Client::connect(server.addr()).unwrap();
     let resp = other.get("/forecast?sensor=1&horizon=2").unwrap();
     let vals = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
     assert_bitwise(&vals, &first_vals, "cross-connection cache");
+    let text = String::from_utf8_lossy(&resp.body).to_string();
+    assert!(text.contains("\"hit\""), "cross-connection repeat must hit: {text}");
 
+    // A hit does no model work: the first miss is the only job and the
+    // only forward.
+    assert_eq!(stats(&mut other, "model_jobs"), [1.0]);
+    assert_eq!(stats(&mut other, "replica_evals"), [1.0]);
     server.shutdown();
 }
 
@@ -408,12 +439,7 @@ fn a_refused_swap_keeps_serving_the_builder_weights_bitwise() {
     };
     served_on_fresh_window(&mut client, 0, "before the swap");
 
-    // Version 1 matches every parameter but the last-registered one, so
-    // a load that writes parameter by parameter would leave most of the
-    // store on other weights before refusing.
-    let mut ckpt = TrainCheckpoint::params_only("ST-WA", model(7).store());
-    ckpt.params.pop();
-    assert_eq!(registry.publish("ST-WA", &ckpt).unwrap(), 1);
+    assert_eq!(registry.publish("ST-WA", &refused_checkpoint(7)).unwrap(), 1);
     let swap = client.post("/admin/swap", b"").unwrap();
     assert_eq!(swap.status, 200);
     assert!(
@@ -421,9 +447,7 @@ fn a_refused_swap_keeps_serving_the_builder_weights_bitwise() {
         "{}",
         String::from_utf8_lossy(&swap.body)
     );
-    let stats = client.get("/stats").unwrap();
-    let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
-    assert_eq!(doc.get("swap_errors").and_then(|v| v.as_num()), Some(1.0));
+    assert_eq!(stats(&mut client, "swap_errors"), [1.0]);
     assert_eq!(
         server.version(),
         0,
@@ -433,6 +457,58 @@ fn a_refused_swap_keeps_serving_the_builder_weights_bitwise() {
     // A new window misses the cache, so these are fresh forwards on the
     // session the replica kept.
     served_on_fresh_window(&mut client, 1, "after the refused swap");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn the_poller_tries_a_refused_version_once_and_swaps_to_the_next() {
+    let root = std::env::temp_dir().join(format!("stwa_serve_poll_refused_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    let poll = Duration::from_millis(20);
+    let cfg = ServeConfig {
+        registry: Some((root.clone(), "ST-WA".to_string())),
+        registry_poll: poll,
+        ..config()
+    };
+    let server = Server::start(cfg, || Ok(model(42))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let wait_for = |client: &mut Client, key: &str, value: f64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while stats(client, key) != [value] {
+            assert!(std::time::Instant::now() < deadline, "{key} never reached {value}");
+            std::thread::sleep(poll / 4);
+        }
+    };
+
+    // The poll finds version 1 and is refused; ten polls later it has
+    // not read version 1 again.
+    assert_eq!(registry.publish("ST-WA", &refused_checkpoint(7)).unwrap(), 1);
+    wait_for(&mut client, "swap_errors", 1.0);
+    std::thread::sleep(poll * 15);
+    assert_eq!(stats(&mut client, "swap_errors"), [1.0], "the poll retried a refused version");
+    assert_eq!(server.version(), 0);
+
+    // A newer good version is the poll's to take, with no admin call.
+    assert_eq!(
+        registry
+            .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", model(8).store()))
+            .unwrap(),
+        2
+    );
+    wait_for(&mut client, "version", 2.0);
+    assert_eq!(stats(&mut client, "swaps"), [1.0]);
+    assert_eq!(stats(&mut client, "swap_errors"), [1.0]);
+    let resp = client.get("/forecast?sensor=0&horizon=1").unwrap();
+    assert_eq!(resp.status, 200);
+    let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+    let v2 = InferSession::new(&model(8)).unwrap();
+    let window = vec![0.0f32; n * h * f];
+    let want = direct_eval(&v2, &window, n, h, f, 0, 1);
+    assert_bitwise(&got, &want, "after the polled swap");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -7,17 +7,13 @@
 # portable across hosts of different absolute speed).
 verify:
     cargo build --release
-    cargo test -q
-    cargo test -q -p stwa-ckpt
-    cargo test -q -p stwa-tensor -p stwa-autograd -p stwa-nn -p stwa-core -p stwa-serve -p stwa-infer
+    cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p stwa-bench --bin bench_kernels -- --check BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --check BENCH_train_step.json
     cargo run --release -p stwa-bench --bin bench_infer -- --check BENCH_infer.json
-    cargo run --release -p stwa-bench --bin bench_epoch -- --check BENCH_epoch.json
     cargo run --release -p stwa-bench --bin bench_ckpt -- --check BENCH_ckpt.json
     cargo run --release -p stwa-bench --bin bench_attention -- --check BENCH_attention.json
-    cargo run --release -p stwa-bench --bin bench_serve -- --check BENCH_serve.json
 
 # Fast inner-loop check.
 check:
@@ -49,12 +45,6 @@ bench-infer:
 # invocation; this alias refreshes the committed baseline.
 bench-quant: bench-infer
 
-# Epoch-throughput benchmark: sequential vs 8-shard data-parallel
-# training, plus the sharded bitwise-determinism self-check (refreshes
-# BENCH_epoch.json; the speedup floor adapts to the host's core count).
-bench-epoch:
-    cargo run --release -p stwa-bench --bin bench_epoch -- --out BENCH_epoch.json
-
 # Checkpoint save/load throughput through the model registry, with a
 # bitwise round-trip assertion (refreshes BENCH_ckpt.json).
 bench-ckpt:
@@ -65,18 +55,6 @@ bench-ckpt:
 # near-linearity floor (refreshes BENCH_attention.json).
 bench-attention:
     cargo run --release -p stwa-bench --bin bench_attention -- --out BENCH_attention.json
-
-# Network-serving load benchmark: a million pipelined HTTP requests
-# against the stwa-serve front-end with a registry hot swap at the
-# halfway mark, then the replica-scaling section (miss throughput at
-# 1/2/4 model replicas plus a coordinated swap under full-pool load).
-# Refreshes BENCH_serve.json and the stwa-observe run manifest;
-# enforces zero errors, zero dropped requests, bitwise agreement with
-# direct eval on every sampled response, the >=10x cached-hit p50
-# floor, and the host-adaptive replica-scaling floor (>=2.5x at 4
-# replicas on >=4-core hosts, pathology guard elsewhere).
-bench-serve:
-    cargo run --release -p stwa-bench --bin bench_serve -- --out BENCH_serve.json
 
 # Regenerate every paper table/figure CSV under results/fixed and results/long.
 experiments:
