@@ -37,21 +37,22 @@
 //! forecast-MAE accuracy gate of the int8 path against the f32 frozen
 //! path. The peak-bytes comparison runs on this section's model.
 //!
-//! A failed floor or gate does not cut the run short: every section
-//! runs, the report is written (without `--check`), and then all
-//! failures are printed together and the exit code is 1.
-
-use std::time::Instant;
+//! Both sections time their two paths in alternating bursts
+//! (`stwa_bench::gate::interleave`): a speedup is the median over those
+//! pairs, p50 and p99 are over each side's bursts. A failed floor or
+//! gate does not cut the run short: every section runs, the report is
+//! written (without `--check`), and then all failures are printed
+//! together and the exit code is 1.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use stwa_bench::gate::{self, Fields, Gate, Limit};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_infer::{InferSession, Precision};
+use stwa_observe::Json;
 use stwa_tensor::{memory, Tensor};
 
-/// Allowed relative loss of a baseline ratio before `--check` fails.
-const REGRESSION_TOLERANCE: f64 = 0.15;
-/// Hard floor on the batch-1 eval-over-frozen p50 ratio, independent of
+/// Hard floor on the batch-1 eval-over-frozen time ratio, independent of
 /// any baseline: the frozen engine may not be slower than evaluation
 /// (0.9 leaves room for this host class's run-to-run spread).
 const MIN_SPEEDUP_B1: f64 = 0.9;
@@ -79,16 +80,6 @@ const BATCHES: [usize; 3] = [1, 8, 64];
 /// decoder/predictor panels dominate the forward and spill L2 at f32.
 const QSENSORS: usize = 48;
 
-const WARMUP: usize = 3;
-/// Per-batch measured iterations, scaled down as rows per call grow.
-fn iters_for(batch: usize) -> usize {
-    match batch {
-        1 => 120,
-        8 => 24,
-        _ => 8,
-    }
-}
-
 struct PathStats {
     p50_ms: f64,
     p99_ms: f64,
@@ -99,55 +90,27 @@ struct BatchResult {
     batch: usize,
     eval: PathStats,
     infer: PathStats,
+    /// Eval-path time over infer-path time, the median over pairs.
+    speedup: f64,
 }
 
-impl BatchResult {
-    /// Eval-path p50 over infer-path p50 (same run).
-    fn speedup(&self) -> f64 {
-        self.eval.p50_ms / self.infer.p50_ms
-    }
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    let idx = ((sorted_ms.len() as f64 * q).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted_ms.len() - 1);
-    sorted_ms[idx]
-}
-
-/// Time two paths with their iterations interleaved pairwise, so a
-/// noisy-neighbour burst (or a frequency-scaling step) lands on both
-/// sides of the ratio instead of skewing one whole phase.
+/// Time `first` against `second` in alternating bursts: each side's
+/// stats over its bursts, and the median first-over-second ratio.
 fn measure_pair(
     batch: usize,
-    mut first: impl FnMut(),
-    mut second: impl FnMut(),
-) -> (PathStats, PathStats) {
-    for _ in 0..WARMUP {
-        first();
-        second();
-    }
-    let iters = iters_for(batch);
-    let mut first_ms = Vec::with_capacity(iters);
-    let mut second_ms = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        first();
-        first_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        second();
-        second_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let stats = |ms: &mut Vec<f64>| {
-        ms.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let p50 = percentile(ms, 0.50);
+    first: impl FnMut(),
+    second: impl FnMut(),
+) -> (PathStats, PathStats, f64) {
+    let pairs = gate::interleave(gate::calls(first), gate::calls(second));
+    let stats = |ms: &[f64]| {
+        let p50 = gate::percentile(ms, 0.50);
         PathStats {
             p50_ms: p50,
-            p99_ms: percentile(ms, 0.99),
+            p99_ms: gate::percentile(ms, 0.99),
             rows_per_sec: batch as f64 / (p50 / 1e3),
         }
     };
-    (stats(&mut first_ms), stats(&mut second_ms))
+    (stats(&pairs.a_ms), stats(&pairs.b_ms), pairs.ratio)
 }
 
 /// Peak live tensor bytes `run` adds on top of what is resident when it
@@ -177,7 +140,7 @@ fn run_suite() -> Vec<BatchResult> {
                 got.data(),
                 "batch {batch}: frozen path diverged from forward_eval"
             );
-            let (eval, infer) = measure_pair(
+            let (eval, infer, speedup) = measure_pair(
                 batch,
                 || {
                     std::hint::black_box(model.forward_eval(&x).expect("eval"));
@@ -186,7 +149,12 @@ fn run_suite() -> Vec<BatchResult> {
                     std::hint::black_box(session.run(&x).expect("infer"));
                 },
             );
-            BatchResult { batch, eval, infer }
+            BatchResult {
+                batch,
+                eval,
+                infer,
+                speedup,
+            }
         })
         .collect()
 }
@@ -195,16 +163,14 @@ struct QuantBatch {
     batch: usize,
     f32_ms: PathStats,
     int8_ms: PathStats,
+    /// f32 time over int8 time, the median over pairs.
+    int8_speedup: f64,
     /// Peak live bytes of one `forward_eval` / one f32 frozen forward.
     eval_peak_bytes: usize,
     frozen_peak_bytes: usize,
 }
 
 impl QuantBatch {
-    fn int8_speedup(&self) -> f64 {
-        self.f32_ms.p50_ms / self.int8_ms.p50_ms
-    }
-
     fn peak_bytes_ratio(&self) -> f64 {
         self.eval_peak_bytes as f64 / self.frozen_peak_bytes.max(1) as f64
     }
@@ -260,7 +226,7 @@ fn run_quant_suite() -> QuantSuite {
             } else {
                 Tensor::randn(&[batch, QSENSORS, HISTORY, 1], &mut rng)
             };
-            let (f32_ms, int8_ms) = measure_pair(
+            let (f32_ms, int8_ms, int8_speedup) = measure_pair(
                 batch,
                 || {
                     std::hint::black_box(s_f32.run(&x).expect("f32"));
@@ -281,6 +247,7 @@ fn run_quant_suite() -> QuantSuite {
                 batch,
                 f32_ms,
                 int8_ms,
+                int8_speedup,
                 eval_peak_bytes,
                 frozen_peak_bytes,
             }
@@ -295,119 +262,70 @@ fn run_quant_suite() -> QuantSuite {
     }
 }
 
-fn render_json(results: &[BatchResult], quant: &QuantSuite) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&stwa_bench::host::json_fields());
-    s.push_str(&format!(
-        "  \"shape\": \"[B,{SENSORS},{HISTORY},1] -> [B,{SENSORS},{HORIZON},1]\",\n"
-    ));
+fn report(results: &[BatchResult], quant: &QuantSuite) -> Fields {
+    let mut f = Fields::default().put(
+        "shape",
+        Json::Str(format!(
+            "[B,{SENSORS},{HISTORY},1] -> [B,{SENSORS},{HORIZON},1]"
+        )),
+    );
     for r in results {
         let b = r.batch;
-        s.push_str(&format!(
-            "  \"b{b}_eval_p50_ms\": {:.3},\n  \"b{b}_eval_p99_ms\": {:.3},\n  \
-             \"b{b}_infer_p50_ms\": {:.3},\n  \"b{b}_infer_p99_ms\": {:.3},\n  \
-             \"b{b}_infer_rows_per_sec\": {:.1},\n  \"b{b}_speedup\": {:.3},\n",
-            r.eval.p50_ms,
-            r.eval.p99_ms,
-            r.infer.p50_ms,
-            r.infer.p99_ms,
-            r.infer.rows_per_sec,
-            r.speedup(),
-        ));
+        f = f
+            .num(format!("b{b}_eval_p50_ms"), r.eval.p50_ms)
+            .num(format!("b{b}_eval_p99_ms"), r.eval.p99_ms)
+            .num(format!("b{b}_infer_p50_ms"), r.infer.p50_ms)
+            .num(format!("b{b}_infer_p99_ms"), r.infer.p99_ms)
+            .num(format!("b{b}_infer_rows_per_sec"), r.infer.rows_per_sec)
+            .num(format!("b{b}_speedup"), r.speedup);
     }
-    s.push_str(&format!(
-        "  \"min_speedup_b1\": {MIN_SPEEDUP_B1:.1},\n"
-    ));
-    s.push_str(&format!(
-        "  \"quant_shape\": \"[B,{QSENSORS},{HISTORY},1] d=32 heads=8 k=32 ph=512 dh=(64,128)\",\n"
-    ));
+    f = f.num("min_speedup_b1", MIN_SPEEDUP_B1).put(
+        "quant_shape",
+        Json::Str(format!(
+            "[B,{QSENSORS},{HISTORY},1] d=32 heads=8 k=32 ph=512 dh=(64,128)"
+        )),
+    );
+    let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     for q in &quant.batches {
         let b = q.batch;
-        s.push_str(&format!(
-            "  \"quant_b{b}_f32_p50_ms\": {:.3},\n  \"quant_b{b}_int8_p50_ms\": {:.3},\n  \
-             \"quant_b{b}_int8_speedup\": {:.3},\n  \"quant_b{b}_eval_peak_mib\": {:.3},\n  \
-             \"quant_b{b}_frozen_peak_mib\": {:.3},\n  \"quant_b{b}_peak_bytes_ratio\": {:.3},\n",
-            q.f32_ms.p50_ms,
-            q.int8_ms.p50_ms,
-            q.int8_speedup(),
-            q.eval_peak_bytes as f64 / (1 << 20) as f64,
-            q.frozen_peak_bytes as f64 / (1 << 20) as f64,
-            q.peak_bytes_ratio(),
-        ));
+        f = f
+            .num(format!("quant_b{b}_f32_p50_ms"), q.f32_ms.p50_ms)
+            .num(format!("quant_b{b}_int8_p50_ms"), q.int8_ms.p50_ms)
+            .num(format!("quant_b{b}_int8_speedup"), q.int8_speedup)
+            .num(format!("quant_b{b}_eval_peak_mib"), mib(q.eval_peak_bytes))
+            .num(
+                format!("quant_b{b}_frozen_peak_mib"),
+                mib(q.frozen_peak_bytes),
+            )
+            .num(format!("quant_b{b}_peak_bytes_ratio"), q.peak_bytes_ratio());
     }
-    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
-    s.push_str(&format!(
-        "  \"quant_int8_mae\": {:.6},\n  \"quant_mae_gate_int8\": {MAE_GATE_INT8},\n  \
-         \"quant_f32_panel_mib\": {:.3},\n  \"quant_int8_panel_mib\": {:.3},\n  \
-         \"min_int8_speedup_b64\": {MIN_INT8_SPEEDUP_B64},\n  \
-         \"min_peak_bytes_ratio\": {MIN_PEAK_BYTES_RATIO:.1}\n}}\n",
-        quant.int8_mae,
-        mib(quant.f32_bytes),
-        mib(quant.int8_bytes),
-    ));
-    s
-}
-
-/// Pull a `"key": value` number back out of a report written by
-/// [`render_json`] (one key per line — no JSON dependency needed).
-fn parse_number(json: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    for line in json.lines() {
-        if let Some(at) = line.find(&tag) {
-            let s: String = line[at + tag.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            return s.parse().ok();
-        }
-    }
-    None
+    f.num("quant_int8_mae", quant.int8_mae)
+        .num("quant_mae_gate_int8", MAE_GATE_INT8)
+        .num("quant_f32_panel_mib", mib(quant.f32_bytes))
+        .num("quant_int8_panel_mib", mib(quant.int8_bytes))
+        .num("min_int8_speedup_b64", MIN_INT8_SPEEDUP_B64)
+        .num("min_peak_bytes_ratio", MIN_PEAK_BYTES_RATIO)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_infer.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).expect("--out needs a path").clone();
-                i += 2;
-            }
-            "--check" => {
-                check_path = Some(args.get(i + 1).expect("--check needs a path").clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: bench_infer [--out PATH | --check PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let mut gate = Gate::from_args("BENCH_infer.json");
     let results = run_suite();
     for r in &results {
         println!(
             "batch {:>2}  eval p50 {:>7.2} ms  infer p50 {:>7.2} ms  p99 {:>7.2} ms  \
              {:>9.0} rows/s  speedup {:.2}x",
-            r.batch,
-            r.eval.p50_ms,
-            r.infer.p50_ms,
-            r.infer.p99_ms,
-            r.infer.rows_per_sec,
-            r.speedup()
+            r.batch, r.eval.p50_ms, r.infer.p50_ms, r.infer.p99_ms, r.infer.rows_per_sec, r.speedup
         );
     }
-
-    let mut failures = Vec::new();
-    let b1 = results.iter().find(|r| r.batch == 1).expect("batch 1 run");
-    if b1.speedup() < MIN_SPEEDUP_B1 {
-        failures.push(format!(
-            "REGRESSION: batch-1 speedup {:.2}x fell below the {MIN_SPEEDUP_B1:.1}x floor",
-            b1.speedup()
-        ));
+    // Eval-over-frozen ratios are reported against the baseline but
+    // not gated: evaluation is the model's own forward, so a faster
+    // graph forward lowers them without the engine losing anything.
+    // The batch-1 floor is what the engine must still earn.
+    for r in &results {
+        gate.note(&format!("b{}_speedup", r.batch), r.speedup);
     }
+    let b1 = results.iter().find(|r| r.batch == 1).expect("batch 1 run");
+    gate.check("b1_speedup", b1.speedup, Limit::AtLeast(MIN_SPEEDUP_B1));
 
     let quant = run_quant_suite();
     for q in &quant.batches {
@@ -417,23 +335,11 @@ fn main() {
             q.batch,
             q.f32_ms.p50_ms,
             q.int8_ms.p50_ms,
-            q.int8_speedup(),
+            q.int8_speedup,
             memory::format_bytes(q.eval_peak_bytes),
             memory::format_bytes(q.frozen_peak_bytes),
             q.peak_bytes_ratio(),
         );
-    }
-    if let Some(q) = quant
-        .batches
-        .iter()
-        .find(|q| q.peak_bytes_ratio() < MIN_PEAK_BYTES_RATIO)
-    {
-        failures.push(format!(
-            "REGRESSION: batch-{} frozen peak bytes only {:.2}x below evaluation's, \
-             under the {MIN_PEAK_BYTES_RATIO:.1}x floor",
-            q.batch,
-            q.peak_bytes_ratio()
-        ));
     }
     println!(
         "quant panels  f32 {:.2} MiB  int8 {:.2} MiB  |  mae int8 {:.5}",
@@ -441,69 +347,30 @@ fn main() {
         quant.int8_bytes as f64 / (1 << 20) as f64,
         quant.int8_mae,
     );
-    if quant.int8_mae > MAE_GATE_INT8 {
-        failures.push(format!(
-            "ACCURACY: int8 forecast MAE {:.5} exceeds the {MAE_GATE_INT8} gate",
-            quant.int8_mae
-        ));
-    }
-    let qb64 = quant
-        .batches
-        .iter()
-        .find(|q| q.batch == 64)
-        .expect("quant batch 64 run");
-    if qb64.int8_speedup() < MIN_INT8_SPEEDUP_B64 {
-        failures.push(format!(
-            "REGRESSION: batch-64 int8 speedup {:.2}x fell below the \
-             {MIN_INT8_SPEEDUP_B64:.1}x floor",
-            qb64.int8_speedup()
-        ));
-    }
-
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        // Eval-over-frozen ratios are reported against the baseline but
-        // not gated: evaluation is the model's own forward, so a faster
-        // graph forward lowers them without the engine losing anything.
-        // The batch-1 floor above is what the engine must still earn.
-        for r in &results {
-            let key = format!("b{}_speedup", r.batch);
-            match parse_number(&baseline, &key) {
-                Some(old_val) => println!("note {key}: {:.2} (baseline {old_val:.2}, not gated)", r.speedup()),
-                None => println!("note: no baseline value for {key}"),
-            }
+    for q in &quant.batches {
+        let b = q.batch;
+        gate.check(
+            &format!("quant_b{b}_peak_bytes_ratio"),
+            q.peak_bytes_ratio(),
+            Limit::AtLeast(MIN_PEAK_BYTES_RATIO),
+        );
+        gate.check(
+            &format!("quant_b{b}_int8_speedup"),
+            q.int8_speedup,
+            Limit::Floor,
+        );
+        if b == 64 {
+            gate.check(
+                "quant_b64_int8_speedup",
+                q.int8_speedup,
+                Limit::AtLeast(MIN_INT8_SPEEDUP_B64),
+            );
         }
-        for q in &quant.batches {
-            let key = format!("quant_b{}_int8_speedup", q.batch);
-            let new_val = q.int8_speedup();
-            let Some(old_val) = parse_number(&baseline, &key) else {
-                println!("note: no baseline value for {key}, skipping");
-                continue;
-            };
-            let floor = old_val * (1.0 - REGRESSION_TOLERANCE);
-            if new_val < floor {
-                failures.push(format!(
-                    "REGRESSION {key}: {new_val:.2} fell below {floor:.2} \
-                     (baseline {old_val:.2} - {:.0}% tolerance)",
-                    REGRESSION_TOLERANCE * 100.0
-                ));
-            } else {
-                println!("ok {key}: {new_val:.2} vs baseline {old_val:.2} (floor {floor:.2})");
-            }
-        }
-        if failures.is_empty() {
-            println!("infer check passed");
-        }
-    } else {
-        std::fs::write(&out_path, render_json(&results, &quant))
-            .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-        println!("wrote {out_path}");
     }
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("{failure}");
-        }
-        std::process::exit(1);
-    }
+    gate.check(
+        "quant_int8_mae",
+        quant.int8_mae,
+        Limit::AtMost(MAE_GATE_INT8),
+    );
+    gate.finish(report(&results, &quant));
 }

@@ -4,8 +4,7 @@
 //! serving width `d = 32`, the packed decoder with its bias epilogue,
 //! proxy attention, sparse sensor correlation and the split K/V
 //! projection (the `serve_*` rows) — against the machine's own FMA
-//! peak, measured in the same run, and writes the results to
-//! `BENCH_kernels.json`.
+//! peak, and writes the results to `BENCH_kernels.json`.
 //!
 //! Every row runs on **one pool thread**: the rows gate the kernels,
 //! not the pool, and on the 2-vCPU hosts this is recorded on a product
@@ -18,42 +17,32 @@
 //! dispatched arm — sixteen independent zmm chains on AVX-512, twelve
 //! ymm on AVX2, eight scalar `mul_add` chains otherwise — so both FMA
 //! ports stay busy behind the instruction's latency and no load or
-//! store is in the loop. Each row reports `roofline_share`: its GFLOP/s
-//! over that peak. (The earlier normaliser, `matmul_reference`, moved
+//! store is in the loop. Each row is timed against the probe in
+//! alternating bursts ([`gate::interleave`]), and its `roofline_share`
+//! is the median over those pairs of its GFLOP/s over the probe's: a
+//! host disturbance lands on both halves of a pair, where a share of
+//! one timing over a probe taken at another moment swung ±15 % on
+//! unchanged code. (The earlier normaliser, `matmul_reference`, moved
 //! with every change to the contraction arithmetic — its own speed is
 //! part of what such a change changes — and read 10–16 GFLOP/s on
 //! unchanged code.)
 //!
-//! Modes:
-//!
-//! - `bench_kernels [--out PATH]` — run the suite, print a table, write
-//!   the JSON report (default `BENCH_kernels.json` in the CWD).
-//! - `bench_kernels --check PATH` — run the suite and compare against a
-//!   checked-in baseline report; exits nonzero if any shape's
-//!   `roofline_share` fell more than 15% below the baseline's — on
-//!   every one of up to three timings, each against a fresh probe. The
-//!   share is portable across hosts of different absolute speed: a
-//!   uniformly slower machine lowers the peak and the kernel together,
-//!   while a real kernel regression shows up in the ratio. Cold rows —
-//!   those that evict their operands from L2 between calls — are
-//!   printed beside the baseline but not gated.
-
-use std::time::Instant;
+//! `--check PATH` fails a row whose share fell more than 15 % below
+//! the baseline's (portable across hosts of different absolute speed:
+//! a uniformly slower machine lowers the peak and the kernel together).
+//! The cold row — it evicts its operands from L2 between calls, off the
+//! clock — is printed beside the baseline but not gated. With or
+//! without a baseline, the disabled-mode cost of the instrumentation a
+//! `128×128` product passes — a span and four counters, recording off —
+//! must stay under [`MAX_OBSERVE_SITE_SHARE`] of that product, timed the
+//! same way (the contract in DESIGN §7).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use stwa_bench::gate::{self, Fields, Gate, Limit};
+use stwa_observe::Json;
 use stwa_tensor::isa::{self, Isa};
 use stwa_tensor::{attention, linalg, projection, sparse, window_layer, SensorGraph, Tensor};
-
-/// Allowed relative loss of `roofline_share` before `--check` fails.
-const REGRESSION_TOLERANCE: f64 = 0.15;
-
-/// Further timings of a row under its floor before `--check` fails it.
-const RETRIES: usize = 2;
-
-/// Per-sample measurement budget; long enough to swamp timer noise for
-/// every shape in the suite.
-const TARGET_SAMPLE_MS: f64 = 150.0;
 
 /// Fused multiply-adds per chain per probe call.
 const PROBE_STEPS: usize = 1 << 16;
@@ -65,95 +54,18 @@ const PROBE_STEPS: usize = 1 << 16;
 /// 16 MiB and 0.53 at 128 MiB.
 const EVICT_FLOATS: usize = 4 << 20;
 
-struct Entry {
-    name: &'static str,
-    shape: String,
-    flops: usize,
-    kernel_ms: f64,
-}
+/// Hard ceiling on the disabled-mode instrumentation a `128×128`
+/// product passes, as a share of that product's time.
+const MAX_OBSERVE_SITE_SHARE: f64 = 0.02;
 
-/// A row of the suite: what [`measure`] times, kept so `--check` can
-/// time a row again.
+/// A row of the suite: a burst of its kernel for [`gate::interleave`].
 struct Bench {
     name: &'static str,
     shape: String,
     flops: usize,
-    kernel: Box<dyn FnMut()>,
-    /// Run before every timed call, outside the clock: a cold row.
-    evict: Option<Box<dyn FnMut()>>,
-}
-
-impl Entry {
-    fn kernel_gflops(&self) -> f64 {
-        self.flops as f64 / (self.kernel_ms * 1e6)
-    }
-    /// Throughput as a share of the same-run FMA peak.
-    fn roofline_share(&self, peak_gflops: f64) -> f64 {
-        self.kernel_gflops() / peak_gflops
-    }
-}
-
-/// Mean per-call milliseconds, adaptively iterated until the timed
-/// window reaches [`TARGET_SAMPLE_MS`]; best of three windows.
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in buffers, spawn pool workers, pack scratch
-    best_window(|iters| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    })
-}
-
-/// [`time_ms`] with `evict` run before every call and only the calls
-/// on the clock.
-fn time_cold_ms(mut f: impl FnMut(), mut evict: impl FnMut()) -> f64 {
-    f();
-    best_window(|iters| {
-        let mut ms = 0.0;
-        for _ in 0..iters {
-            evict();
-            let t0 = Instant::now();
-            f();
-            ms += t0.elapsed().as_secs_f64() * 1e3;
-        }
-        ms
-    })
-}
-
-/// Best per-call milliseconds of three windows of `window(iters)` —
-/// the timed milliseconds of `iters` calls — with `iters` grown until
-/// a window reaches [`TARGET_SAMPLE_MS`].
-fn best_window(mut window: impl FnMut(u64) -> f64) -> f64 {
-    let mut iters = 1u64;
-    let mut best = f64::INFINITY;
-    let mut windows = 0;
-    loop {
-        let ms = window(iters);
-        if ms < TARGET_SAMPLE_MS && windows == 0 {
-            let scale = (TARGET_SAMPLE_MS / ms.max(1e-3)).ceil();
-            iters = (iters as f64 * scale.clamp(2.0, 256.0)) as u64;
-            continue;
-        }
-        best = best.min(ms / iters as f64);
-        windows += 1;
-        if windows >= 3 {
-            return best;
-        }
-    }
-}
-
-fn measure(bench: &mut Bench) -> Entry {
-    Entry {
-        name: bench.name,
-        shape: bench.shape.clone(),
-        flops: bench.flops,
-        kernel_ms: match &mut bench.evict {
-            None => time_ms(&mut bench.kernel),
-            Some(evict) => time_cold_ms(&mut bench.kernel, evict),
-        },
-    }
+    burst: Box<dyn FnMut(u64) -> f64>,
+    /// Evicts its operands before every call: recorded, not gated.
+    cold: bool,
 }
 
 fn bench(name: &'static str, shape: String, flops: usize, kernel: impl FnMut() + 'static) -> Bench {
@@ -161,8 +73,8 @@ fn bench(name: &'static str, shape: String, flops: usize, kernel: impl FnMut() +
         name,
         shape,
         flops,
-        kernel: Box::new(kernel),
-        evict: None,
+        burst: Box::new(gate::calls(kernel)),
+        cold: false,
     }
 }
 
@@ -226,10 +138,10 @@ fn probe_scalar<const CHAINS: usize>(x: f32, y: f32) -> f32 {
     acc.iter().sum()
 }
 
-/// Single-thread fused-multiply-add peak of the dispatched arm, in
-/// GFLOP/s (two FLOPs per lane per FMA). The chains converge to
+/// One call of the single-thread FMA peak probe on the dispatched arm,
+/// and the FLOPs it does (two per lane per FMA). The chains converge to
 /// `y / (1 - x)`, so nothing overflows or goes subnormal.
-fn fma_peak_gflops() -> f64 {
+fn fma_probe() -> (impl FnMut(), usize) {
     let (x, y) = (
         std::hint::black_box(1.0 - 1.0 / 1024.0),
         std::hint::black_box(1e-3),
@@ -242,10 +154,20 @@ fn fma_peak_gflops() -> f64 {
         Isa::Avx2 => (8, 12, |x, y| unsafe { probe_avx2::<12>(x, y) }),
         _ => (1, 8, probe_scalar::<8>),
     };
-    let ms = time_ms(|| {
+    let call = move || {
         std::hint::black_box(probe(x, y));
-    });
-    (2 * lanes * chains * PROBE_STEPS) as f64 / (ms * 1e6)
+    };
+    (call, 2 * lanes * chains * PROBE_STEPS)
+}
+
+/// The instrumentation a `128×128` `linalg::matmul` passes on one
+/// thread, with recording off.
+fn observe_site() {
+    let _span = stwa_observe::span!("matmul");
+    stwa_observe::counter!("matmul.calls").incr();
+    stwa_observe::counter!("matmul.flops").add(std::hint::black_box(1));
+    stwa_observe::counter!("matmul.split_eligible").incr();
+    stwa_observe::counter!("matmul.split_none").incr();
 }
 
 fn suite() -> Vec<Bench> {
@@ -588,192 +510,96 @@ fn suite() -> Vec<Bench> {
         let a = Tensor::randn(&[rows, k], &mut rng);
         let packed = linalg::PackedMatrix::pack(&Tensor::randn(&[k, n], &mut rng)).unwrap();
         let flush = vec![1f32; EVICT_FLOATS];
+        let mut timed = gate::calls(move || {
+            std::hint::black_box(
+                linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap(),
+            );
+        });
         entries.push(Bench {
-            evict: Some(Box::new(move || {
-                // One read per 64-byte line.
-                std::hint::black_box(flush.iter().step_by(16).sum::<f32>());
-            })),
-            ..bench(
-                "decoder_48_cold",
-                format!("[{rows},{k}]@packed[{k},{n}] L2-cold"),
-                2 * rows * k * n,
-                move || {
-                    std::hint::black_box(
-                        linalg::matmul_packed(&a, &packed, linalg::Epilogue::NONE).unwrap(),
-                    );
-                },
-            )
+            name: "decoder_48_cold",
+            shape: format!("[{rows},{k}]@packed[{k},{n}] L2-cold"),
+            flops: 2 * rows * k * n,
+            burst: Box::new(move |calls| {
+                (0..calls)
+                    .map(|_| {
+                        // One read per 64-byte line, off the clock.
+                        std::hint::black_box(flush.iter().step_by(16).sum::<f32>());
+                        timed(1)
+                    })
+                    .sum()
+            }),
+            cold: true,
         });
     }
 
     entries
 }
 
-fn render_json(entries: &[Entry], peak_gflops: f64, total_wall_ms: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&stwa_bench::host::json_fields());
-    out.push_str(&format!(
-        "  \"total_wall_ms\": {total_wall_ms:.1},\n  \"peak_gflops\": {peak_gflops:.3},\n  \"entries\": [\n"
-    ));
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"flops\": {}, \
-             \"kernel_ms\": {:.4}, \"kernel_gflops\": {:.3}, \
-             \"roofline_share\": {:.4}}}{}\n",
-            e.name,
-            e.shape,
-            e.flops,
-            e.kernel_ms,
-            e.kernel_gflops(),
-            e.roofline_share(peak_gflops),
-            comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pull `"name": ..., "roofline_share": ...` pairs back out of a
-/// report. The writer above emits one entry per line, so a
-/// line-oriented scan is enough — no JSON dependency in the workspace.
-fn parse_shares(json: &str) -> Vec<(String, f64)> {
-    const KEY: &str = "\"roofline_share\": ";
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..name_end].to_string();
-        let Some(at) = line.find(KEY) else {
-            continue;
-        };
-        let value: String = line[at + KEY.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_kernels.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).expect("--out needs a path").clone();
-                i += 2;
-            }
-            "--check" => {
-                check_path = Some(args.get(i + 1).expect("--check needs a path").clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: bench_kernels [--out PATH | --check PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let t0 = Instant::now();
-    // The probe brackets the suite and the faster reading stands, so a
-    // host disturbance during one probe cannot inflate every share.
-    let before = fma_peak_gflops();
-    stwa_pool::set_threads(1);
-    let mut benches = suite();
-    let entries: Vec<Entry> = benches.iter_mut().map(measure).collect();
-    let peak_gflops = before.max(fma_peak_gflops());
-    let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    println!(
-        "FMA peak ({} arm, 1 thread): {peak_gflops:.1} GFLOP/s",
-        isa::detected().label()
-    );
+    let mut gate = Gate::from_args("BENCH_kernels.json");
+    let (mut probe, probe_flops) = fma_probe();
     println!(
         "{:<25} {:>36} {:>10} {:>9} {:>9}",
         "shape", "dims", "kernel ms", "GF/s", "roofline"
     );
-    for e in &entries {
+    let (mut entries, mut peak_gflops) = (Fields::default(), Vec::new());
+    for row in suite() {
+        let pairs = gate::interleave(gate::calls(&mut probe), row.burst);
+        let share = pairs.ratio * row.flops as f64 / probe_flops as f64;
+        let kernel_ms = gate::percentile(&pairs.b_ms, 0.5);
+        let gflops = row.flops as f64 / (kernel_ms * 1e6);
+        peak_gflops.extend(pairs.a_ms.iter().map(|ms| probe_flops as f64 / (ms * 1e6)));
         println!(
-            "{:<25} {:>36} {:>10.3} {:>9.2} {:>9.3}",
-            e.name,
-            e.shape,
-            e.kernel_ms,
-            e.kernel_gflops(),
-            e.roofline_share(peak_gflops)
+            "{:<25} {:>36} {kernel_ms:>10.3} {gflops:>9.2} {share:>9.3}",
+            row.name, row.shape
         );
+        let key = format!("entries.{}.roofline_share", row.name);
+        if row.cold {
+            gate.note(&key, share);
+        } else {
+            gate.check(&key, share, Limit::Floor);
+        }
+        let entry = Fields::default()
+            .put("shape", Json::Str(row.shape))
+            .num("flops", row.flops as f64)
+            .num("kernel_ms", kernel_ms)
+            .num("kernel_gflops", gflops)
+            .num("roofline_share", share);
+        entries = entries.put(row.name, entry.into());
     }
+    let peak_gflops = gate::percentile(&peak_gflops, 0.5);
     println!(
-        "threads: {}, total wall: {:.0} ms",
-        stwa_pool::current_threads(),
-        total_wall_ms
+        "FMA peak ({} arm, 1 thread): {peak_gflops:.1} GFLOP/s",
+        isa::detected().label()
     );
 
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let old = parse_shares(&baseline);
-        let mut failed = false;
-        for (e, bench) in entries.iter().zip(benches.iter_mut()) {
-            let Some((_, old_share)) = old.iter().find(|(n, _)| n == e.name) else {
-                println!("note: no baseline entry for {}, skipping", e.name);
-                continue;
-            };
-            if bench.evict.is_some() {
-                println!(
-                    "note {}: {:.3} of peak (baseline {old_share:.3}, cold, not gated)",
-                    e.name,
-                    e.roofline_share(peak_gflops)
-                );
-                continue;
-            }
-            let floor = old_share * (1.0 - REGRESSION_TOLERANCE);
-            // A row under its floor is timed again, up to twice, each
-            // time against a fresh probe: the host swings single rows
-            // by the tolerance on unchanged code. It fails only if every
-            // attempt is under the floor.
-            let mut attempts = vec![e.roofline_share(peak_gflops)];
-            while attempts.last().is_some_and(|&a| a < floor) && attempts.len() < 1 + RETRIES {
-                let peak = fma_peak_gflops();
-                attempts.push(measure(bench).roofline_share(peak));
-            }
-            let shown: Vec<String> = attempts.iter().map(|a| format!("{a:.3}")).collect();
-            let share = attempts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            if share < floor {
-                eprintln!(
-                    "REGRESSION {}: roofline share {} all below {floor:.3} \
-                     (baseline {old_share:.3} - {:.0}% tolerance)",
-                    e.name,
-                    shown.join(", "),
-                    REGRESSION_TOLERANCE * 100.0
-                );
-                failed = true;
-            } else {
-                println!(
-                    "ok {}: {} of peak vs baseline {old_share:.3} (floor {floor:.3})",
-                    e.name,
-                    shown.join(" then ")
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("throughput check passed");
-    } else {
-        std::fs::write(&out_path, render_json(&entries, peak_gflops, total_wall_ms))
-            .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-        println!("wrote {out_path}");
-    }
+    stwa_observe::set_enabled(false);
+    let mut rng = StdRng::seed_from_u64(0);
+    let (a, b) = (
+        Tensor::randn(&[128, 128], &mut rng),
+        Tensor::randn(&[128, 128], &mut rng),
+    );
+    let site = gate::interleave(
+        gate::calls(observe_site),
+        gate::calls(|| {
+            std::hint::black_box(linalg::matmul(&a, &b).unwrap());
+        }),
+    );
+    println!(
+        "observe disabled-mode site: {:.1} ns over a {:.1} us 128x128 matmul",
+        gate::percentile(&site.a_ms, 0.5) * 1e6,
+        gate::percentile(&site.b_ms, 0.5) * 1e3
+    );
+    gate.check(
+        "observe_site_share",
+        site.ratio,
+        Limit::AtMost(MAX_OBSERVE_SITE_SHARE),
+    );
+
+    gate.finish(
+        Fields::default()
+            .num("peak_gflops", peak_gflops)
+            .put("entries", entries.into())
+            .num("observe_site_share", site.ratio),
+    );
 }

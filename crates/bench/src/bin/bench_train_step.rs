@@ -41,9 +41,11 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stwa_autograd::{Graph, Var};
+use stwa_bench::gate::{Fields, Gate, Limit};
 use stwa_core::{ForecastModel, StwaConfig, StwaModel};
 use stwa_nn::loss::huber;
 use stwa_nn::optim::{Adam, Optimizer};
+use stwa_observe::Json;
 use stwa_tensor::{memory, Tensor};
 
 /// `--check` fails when heap allocations per step exceed the baseline's
@@ -388,60 +390,55 @@ fn run_suite() -> (Timed, Table) {
     (timed, table)
 }
 
-fn render_rows(rows: &[Row]) -> String {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"per_step\": {:.1}, \"ms\": {:.4}}}",
-                r.name, r.per_step, r.ms_per_step
-            )
-        })
-        .collect();
-    lines.join(",\n")
+fn rows(rows: &[Row]) -> Json {
+    let fields = rows.iter().fold(Fields::default(), |f, r| {
+        let row = Fields::default()
+            .num("per_step", r.per_step)
+            .num("ms", r.ms_per_step);
+        f.put(r.name.clone(), row.into())
+    });
+    fields.into()
 }
 
-fn render_shape_rows(rows: &[ShapeRow]) -> String {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"per_step\": {:.1}, \"ms\": {:.4}, \"gflops\": {:.2}}}",
-                r.row.name, r.row.per_step, r.row.ms_per_step, r.gflops
-            )
-        })
-        .collect();
-    lines.join(",\n")
+fn shape_rows(rows: &[ShapeRow]) -> Json {
+    let fields = rows.iter().fold(Fields::default(), |f, r| {
+        let row = Fields::default()
+            .num("per_step", r.row.per_step)
+            .num("ms", r.row.ms_per_step)
+            .num("gflops", r.gflops);
+        f.put(r.row.name.clone(), row.into())
+    });
+    fields.into()
 }
 
-fn render_json(timed: &Timed, table: &Table) -> String {
-    format!(
-        "{{\n{}  \"shape\": \"[{BATCH},{SENSORS},{HISTORY},1] -> \
-         [{BATCH},{SENSORS},{HORIZON},1]\",\n  \"measured_steps\": {MEASURED_STEPS},\n  \
-         \"tape_nodes_per_step\": {},\n  \
-         \"fast_ms_per_step\": {:.3},\n  \"fast_allocs_per_step\": {:.1},\n  \
-         \"pool_hit_rate\": {:.4},\n  \"fast_peak_bytes\": {},\n  \
-         \"forward_live_bytes\": {},\n  \"backward_peak_over_forward\": {:.4},\n  \
-         \"traced_ms_per_step\": {:.3},\n  \
-         \"matmul_flops_per_step\": {},\n  \"forward_by_stage\": {{\n{}\n  }},\n  \
-         \"backward_by_op_kind\": {{\n{}\n  }},\n  \
-         \"window_layer_by_stage\": {{\n{}\n  }},\n  \
-         \"backward_matmul_by_shape\": {{\n{}\n  }}\n}}\n",
-        stwa_bench::host::json_fields(),
-        timed.tape_nodes,
-        timed.ms_per_step,
-        timed.allocs_per_step,
-        timed.hit_rate,
-        timed.peak_bytes,
-        timed.forward_live_bytes,
-        timed.backward_peak_over_forward,
-        table.step_ms,
-        table.matmul_flops_per_step,
-        render_rows(&table.forward),
-        render_rows(&table.backward),
-        render_rows(&table.window_layer),
-        render_shape_rows(&table.matmul_by_shape),
-    )
+fn report(timed: &Timed, table: &Table) -> Fields {
+    Fields::default()
+        .put(
+            "shape",
+            Json::Str(format!(
+                "[{BATCH},{SENSORS},{HISTORY},1] -> [{BATCH},{SENSORS},{HORIZON},1]"
+            )),
+        )
+        .num("measured_steps", MEASURED_STEPS as f64)
+        .num("tape_nodes_per_step", timed.tape_nodes as f64)
+        .num("fast_ms_per_step", timed.ms_per_step)
+        .num("fast_allocs_per_step", timed.allocs_per_step)
+        .num("pool_hit_rate", timed.hit_rate)
+        .num("fast_peak_bytes", timed.peak_bytes as f64)
+        .num("forward_live_bytes", timed.forward_live_bytes as f64)
+        .num(
+            "backward_peak_over_forward",
+            timed.backward_peak_over_forward,
+        )
+        .num("traced_ms_per_step", table.step_ms)
+        .num("matmul_flops_per_step", table.matmul_flops_per_step as f64)
+        .put("forward_by_stage", rows(&table.forward))
+        .put("backward_by_op_kind", rows(&table.backward))
+        .put("window_layer_by_stage", rows(&table.window_layer))
+        .put(
+            "backward_matmul_by_shape",
+            shape_rows(&table.matmul_by_shape),
+        )
 }
 
 fn print_table(t: &Table) {
@@ -472,46 +469,8 @@ fn print_table(t: &Table) {
     }
 }
 
-/// Pull a `"key": value` number back out of a report written by
-/// [`render_json`] (one key per line — no JSON dependency needed).
-fn parse_number(json: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    for line in json.lines() {
-        if let Some(at) = line.find(&tag) {
-            let s: String = line[at + tag.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            return s.parse().ok();
-        }
-    }
-    None
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_train_step.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).expect("--out needs a path").clone();
-                i += 2;
-            }
-            "--check" => {
-                check_path = Some(args.get(i + 1).expect("--check needs a path").clone());
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: bench_train_step [--out PATH | --check PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let mut gate = Gate::from_args("BENCH_train_step.json");
     let (timed, table) = run_suite();
     println!(
         "train step  {:.2} ms  heap allocs {:.0}/step  hit rate {:.1}%  peak {} \
@@ -525,40 +484,20 @@ fn main() {
         timed.tape_nodes
     );
     print_table(&table);
-
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let mut failed = false;
-        // Allocations and peak bytes may rise to `factor`x the baseline
-        // (`Some(factor)`); the hit rate may fall at most its slack.
-        for (key, new_val, growth) in [
-            ("fast_allocs_per_step", timed.allocs_per_step, Some(ALLOC_GROWTH)),
-            ("fast_peak_bytes", timed.peak_bytes as f64, Some(PEAK_GROWTH)),
-            ("pool_hit_rate", timed.hit_rate, None),
-        ] {
-            let Some(old_val) = parse_number(&baseline, key) else {
-                println!("note: no baseline value for {key}, skipping");
-                continue;
-            };
-            let (limit, past) = match growth {
-                Some(factor) => (old_val * factor, new_val > old_val * factor),
-                None => (old_val - HIT_RATE_SLACK, new_val < old_val - HIT_RATE_SLACK),
-            };
-            if past {
-                eprintln!("REGRESSION {key}: {new_val:.4} is past {limit:.4} (baseline {old_val:.4})");
-                failed = true;
-            } else {
-                println!("ok {key}: {new_val:.4} vs baseline {old_val:.4} (limit {limit:.4})");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("train-step check passed");
-    } else {
-        std::fs::write(&out_path, render_json(&timed, &table))
-            .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-        println!("wrote {out_path}");
-    }
+    gate.check(
+        "fast_allocs_per_step",
+        timed.allocs_per_step,
+        Limit::Growth(ALLOC_GROWTH),
+    );
+    gate.check(
+        "fast_peak_bytes",
+        timed.peak_bytes as f64,
+        Limit::Growth(PEAK_GROWTH),
+    );
+    gate.check(
+        "pool_hit_rate",
+        timed.hit_rate,
+        Limit::Slack(HIT_RATE_SLACK),
+    );
+    gate.finish(report(&timed, &table));
 }

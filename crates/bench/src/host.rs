@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+use stwa_observe::Json;
+
 /// `HEAD`'s abbreviated hash, `-dirty` when the tree has uncommitted
 /// changes, `unknown` outside a git checkout.
 pub fn git_rev() -> String {
@@ -25,14 +27,22 @@ pub fn git_rev() -> String {
     }
 }
 
-/// The header fields of a `BENCH_*.json` report, one `"key": value,`
-/// line each, at the pool's current thread count.
-pub fn json_fields() -> String {
-    format!(
-        "  \"nproc\": {},\n  \"isa\": \"{}\",\n  \"threads\": {},\n  \"git\": \"{}\",\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-        stwa_tensor::isa::detected().label(),
-        stwa_pool::current_threads(),
-        git_rev(),
-    )
+/// The header fields of a `BENCH_*.json` report, at the pool's current
+/// thread count.
+pub fn json_fields() -> Vec<(String, Json)> {
+    vec![
+        (
+            "nproc".into(),
+            Json::Num(std::thread::available_parallelism().map_or(1, |p| p.get()) as f64),
+        ),
+        (
+            "isa".into(),
+            Json::Str(stwa_tensor::isa::detected().label().into()),
+        ),
+        (
+            "threads".into(),
+            Json::Num(stwa_pool::current_threads() as f64),
+        ),
+        ("git".into(), Json::Str(git_rev())),
+    ]
 }

@@ -2,9 +2,8 @@
 # change must pass before merging.
 
 # Full verification: release build, complete test suite, lint-clean,
-# and no kernel-throughput regression beyond 15% of the checked-in
-# baseline (as a share of a same-run FMA peak probe, so the gate is
-# portable across hosts of different absolute speed).
+# then the five bench gates, each holding its readings to the checked-in
+# BENCH_*.json through one harness (crates/bench/src/gate.rs; DESIGN §5).
 verify:
     cargo build --release
     cargo test -q --workspace
@@ -23,19 +22,19 @@ check:
 test:
     cargo test --workspace
 
-# Micro-benchmarks: kernel + attention scaling criterion suites, then
-# the GEMM throughput report (refreshes BENCH_kernels.json).
+# Kernel throughput against a same-run FMA probe, with the observe
+# disabled-cost ceiling, and the train-step table (refreshes
+# BENCH_kernels.json and BENCH_train_step.json).
 bench:
-    cargo bench -p stwa-bench --bench kernels --bench attention_scaling
     cargo run --release -p stwa-bench --bin bench_kernels -- --out BENCH_kernels.json
     cargo run --release -p stwa-bench --bin bench_train_step -- --out BENCH_train_step.json
 
 # Serving-latency benchmark: `forward_eval` vs the frozen inference
-# engine at batch 1/8/64, plus the quantized-panel section (refreshes
-# BENCH_infer.json; enforces that the frozen engine is not slower than
-# evaluation at batch 1 and holds >=4x fewer peak tensor bytes at the
-# serving-scale shape, the batch-64 int8-not-behind-f32 floor, and the
-# int8 forecast-MAE accuracy gate).
+# engine at batch 1/8/64, timed in alternating bursts, plus the
+# quantized-panel section (refreshes BENCH_infer.json; enforces that the
+# frozen engine is not slower than evaluation at batch 1 and holds >=4x
+# fewer peak tensor bytes at the serving-scale shape, the batch-64
+# int8-not-behind-f32 floor, and the int8 forecast-MAE accuracy gate).
 bench-infer:
     cargo run --release -p stwa-bench --bin bench_infer -- --out BENCH_infer.json
 
