@@ -27,10 +27,12 @@
 //! `[B·N, m2] x [m2, 2·F·d]` product — and its output is consumed once,
 //! by a product of a few rows per sensor. The dynamic generator
 //! therefore never materializes `[B, N, 2·F·d]`: per request it computes
-//! only the decoder *heads* (`[B·N, m2]` per layer, everything before
-//! the last dense layer), and each layer then walks its sensors a block
-//! at a time — last dense layer into a block-sized scratch, its bias
-//! added as the GEMM's register tiles store, then each sensor's window
+//! `theta` once, and just before each layer only that layer's decoder
+//! *head* (`[B·N, m2]`, everything before the last dense layer, dropped
+//! once the layer's keys and values exist, so one head is live at a
+//! time). The layer then walks its sensors a block at a time — last
+//! dense layer into a block-sized scratch, its bias added as the
+//! GEMM's register tiles store, then each sensor's window
 //! rows times the two `[F, d]` halves straight out of that scratch
 //! ([`projection::forward_split`], the walk the static path's
 //! [`project_kv`] runs too). The scratch stays L2-resident between the
@@ -389,27 +391,27 @@ impl FrozenStwa {
         }
         let _span = stwa_observe::span!("forward");
 
-        // ST/T-aware models: the decoder heads, once per request. The
-        // static cache is borrowed, never recomputed.
+        // ST/T-aware models: theta, once per request. The static cache
+        // is borrowed, never recomputed.
         let dynamic = match &self.generator {
-            Some(FrozenGenerator::Dynamic(dg)) => Some((dg, dg.decoder_heads(x, b)?)),
+            Some(FrozenGenerator::Dynamic(dg)) => Some((dg, dg.theta(x, b)?)),
             _ => None,
         };
 
         let mut h = x.clone();
         let mut skip_sum: Option<Tensor> = None;
         for (l, layer) in self.layers.iter().enumerate() {
-            let params = if let Some((dg, heads)) = &dynamic {
-                // The last decoder layer and the projections it feeds
+            let params = if let Some((dg, theta)) = &dynamic {
+                // The layer's decoders and the projections they feed
                 // are generator work: attributed there, per layer, not
                 // to the window-attention layer.
                 let _generator = stwa_observe::span!("generator");
                 let _decoder = stwa_observe::span!("decoder");
-                let (keys, values) = dg.project_kv(l, &heads[l], &layer.windows(&h, b)?)?;
+                let (keys, values) = dg.project_kv(l, theta, &layer.windows(&h, b)?)?;
                 LayerParams::Projected {
                     keys,
                     values,
-                    sca: dg.sca_transforms(l, &heads[l])?,
+                    sca: dg.sca_transforms(l, theta)?,
                 }
             } else if let Some(FrozenGenerator::Static(cached)) = &self.generator {
                 LayerParams::Cached(&cached[l])
@@ -475,14 +477,6 @@ impl FrozenStwa {
     }
 }
 
-/// What the dynamic generator keeps of one layer's decoders for the
-/// rest of the request: the activations entering their last dense
-/// layers, `[B·N, m2]` each.
-struct DecoderHeads {
-    kv: Tensor,
-    sca: Option<Tensor>,
-}
-
 /// (Sample, sensor) pairs decoded per block of the lazy K/V walk.
 /// `KV_BLOCK × 2·F·d` floats of scratch (512 KiB at `F = d = 32`) sit
 /// in L2 beside the last layer's panels between the decode that writes
@@ -490,11 +484,11 @@ struct DecoderHeads {
 const KV_BLOCK: usize = 64;
 
 impl DynamicGenerator {
-    /// The per-request remainder of eval-mode `StGenerator::generate`
-    /// up to the decoders' last dense layers: encode `E_psi` means, combine
-    /// with the cached spatial means, apply the flow with precomputed
-    /// constrained parameters, run every decoder's head.
-    fn decoder_heads(&self, x: &Tensor, b: usize) -> Result<Vec<DecoderHeads>> {
+    /// The per-request part of eval-mode `StGenerator::generate` that
+    /// every layer shares: encode `E_psi` means, combine with the cached
+    /// spatial means, apply the flow with precomputed constrained
+    /// parameters. `theta` is `[B·N, k]`.
+    fn theta(&self, x: &Tensor, b: usize) -> Result<Tensor> {
         let _span = stwa_observe::span!("generator");
         let n = x.shape()[1];
 
@@ -520,26 +514,13 @@ impl DynamicGenerator {
                 current
             }
         };
-        let theta = theta.reshape(&[b * n, theta.shape()[2]])?;
-
-        self.decoders
-            .iter()
-            .enumerate()
-            .map(|(l, dec)| {
-                Ok(DecoderHeads {
-                    kv: dec.forward_head(&theta)?,
-                    sca: match &self.sca_decoders {
-                        None => None,
-                        Some(decs) => Some(decs[l].forward_head(&theta)?),
-                    },
-                })
-            })
-            .collect()
+        theta.reshape(&[b * n, theta.shape()[2]])
     }
 
-    /// Layer `l`'s keys and values `[B, N, w, s, d]` from its decoder
-    /// head, without the `[B, N, 2·F·d]` projections in between: the
-    /// last dense layer runs [`KV_BLOCK`] sensors at a time into one
+    /// Layer `l`'s keys and values `[B, N, w, s, d]` from `theta`: the
+    /// decoder's head (`[B·N, m2]`, dropped on return), then, without
+    /// the `[B, N, 2·F·d]` projections in between, its last dense layer
+    /// runs [`KV_BLOCK`] sensors at a time into one
     /// scratch buffer and each sensor's `[w·s, F]` window rows multiply
     /// the two `[F, d]` halves where they land.
     ///
@@ -551,22 +532,23 @@ impl DynamicGenerator {
     fn project_kv(
         &self,
         l: usize,
-        heads: &DecoderHeads,
+        theta: &Tensor,
         x_win: &Tensor, // [B, N, w, s, F]
     ) -> Result<(Tensor, Tensor)> {
         let (f, d) = self.layer_dims[l];
         let xs = x_win.shape();
         let (pairs, rows) = (xs[0] * xs[1], xs[2] * xs[3]);
+        let head = self.decoders[l].forward_head(theta)?;
         let (last, act) = self.decoders[l].last();
         let (m2, width) = (last.in_dim(), last.out_dim());
-        if xs[4] != f || width != 2 * f * d || heads.kv.len() != pairs * m2 {
+        if xs[4] != f || width != 2 * f * d || head.len() != pairs * m2 {
             return Err(TensorError::Invalid(format!(
                 "DynamicGenerator: layer {l} windows {xs:?} / head {:?} vs decoder \
                  {m2} -> {width} for [{f}, {d}] projections",
-                heads.kv.shape()
+                head.shape()
             )));
         }
-        let (xd, hd) = (x_win.data(), heads.kv.data());
+        let (xd, hd) = (x_win.data(), head.data());
         let mut keys = memory::take_scratch(pairs * rows * d);
         let mut values = memory::take_scratch(pairs * rows * d);
         // Blocks are independent — disjoint output rows — so on a
@@ -609,12 +591,8 @@ impl DynamicGenerator {
     /// flat: `[B·N, 2·d·d]`, each row one sensor's `T1 | T2`. Every
     /// window of the layer reads them, so unlike the K/V projections
     /// they are materialized — once, unsplit.
-    fn sca_transforms(&self, l: usize, heads: &DecoderHeads) -> Result<Option<Tensor>> {
-        let (Some(decs), Some(head)) = (&self.sca_decoders, &heads.sca) else {
-            return Ok(None);
-        };
-        let (last, act) = decs[l].last();
-        last.forward_act(head, act).map(Some)
+    fn sca_transforms(&self, l: usize, theta: &Tensor) -> Result<Option<Tensor>> {
+        self.sca_decoders.as_ref().map(|decs| decs[l].forward(theta)).transpose()
     }
 }
 

@@ -121,21 +121,32 @@ pub struct Scaler {
 impl Scaler {
     /// Fit on a tensor of raw values.
     pub fn fit(data: &Tensor) -> Scaler {
-        let mean = data.mean_all().item().unwrap_or(0.0);
-        let var = data
-            .add_scalar(-mean)
-            .square()
-            .mean_all()
-            .item()
-            .unwrap_or(1.0);
+        Self::fit_rows(std::iter::once(data.data()))
+    }
+
+    /// Fit on the concatenation of `rows`, read in place: run-once code
+    /// draws nothing from the buffer pool, which would keep it for the
+    /// life of the process. Bit for bit the `mean_all` and
+    /// `add_scalar(-mean).square().mean_all()` of a copy of the rows
+    /// (same element order, same per-element `x + -mean` and `c * c`).
+    fn fit_rows<'a>(rows: impl Iterator<Item = &'a [f32]> + Clone) -> Scaler {
+        let count = rows.clone().map(<[f32]>::len).sum::<usize>() as f32;
+        let mean = rows.clone().flatten().sum::<f32>() / count;
+        let var = rows.flatten().map(|&x| x + -mean).map(|c| c * c).sum::<f32>() / count;
         Scaler {
             mean,
             std: var.sqrt().max(1e-6),
         }
     }
 
+    /// The normalization as `x * a + b`.
+    fn affine(&self) -> (f32, f32) {
+        (1.0 / self.std, -self.mean / self.std)
+    }
+
     pub fn transform(&self, data: &Tensor) -> Tensor {
-        data.affine(1.0 / self.std, -self.mean / self.std)
+        let (a, b) = self.affine();
+        data.affine(a, b)
     }
 
     pub fn inverse(&self, data: &Tensor) -> Tensor {
@@ -171,11 +182,11 @@ impl TrafficDataset {
         let network =
             RoadNetwork::generate(config.num_corridors, config.sensors_per_corridor, &mut rng);
         let data = generate_flow(&network, &config.generator, &mut rng);
-        let t = data.shape()[1];
+        let (t, f) = (data.shape()[1], data.shape()[2]);
         let train_end = t * 6 / 10;
         let val_end = t * 8 / 10;
-        let train_raw = data.narrow(1, 0, train_end).expect("train slice");
-        let scaler = Scaler::fit(&train_raw);
+        let train_rows = data.data().chunks((t * f).max(1)).map(|s| &s[..train_end * f]);
+        let scaler = Scaler::fit_rows(train_rows);
         TrafficDataset {
             config,
             network,
@@ -212,9 +223,9 @@ impl TrafficDataset {
     }
 
     /// Build `(x, y)` supervised pairs from a `[N, T_range, F]` slice:
-    /// inputs are the `h` past steps (normalized), targets the `u` future
-    /// steps (raw scale). `stride` subsamples window origins to bound
-    /// memory on long-history configs.
+    /// inputs are the `h` past steps (normalized row by row as they are
+    /// copied), targets the `u` future steps (raw scale). `stride`
+    /// subsamples window origins to bound memory on long-history configs.
     fn windows(
         &self,
         start: usize,
@@ -234,13 +245,14 @@ impl TrafficDataset {
         let num = (t_range - h - u) / stride + 1;
         let mut x = Vec::with_capacity(num * n * h * f);
         let mut y = Vec::with_capacity(num * n * u * f);
-        let normalized = self.scaler.transform(&self.data);
+        let (a, b) = self.scaler.affine();
         let t_total = self.data.shape()[1];
         for s in 0..num {
             let origin = start + s * stride;
             for i in 0..n {
                 let base = i * t_total * f;
-                x.extend_from_slice(&normalized.data()[base + origin * f..base + (origin + h) * f]);
+                let rows = &self.data.data()[base + origin * f..base + (origin + h) * f];
+                x.extend(rows.iter().map(|&v| v * a + b));
                 y.extend_from_slice(
                     &self.data.data()[base + (origin + h) * f..base + (origin + h + u) * f],
                 );

@@ -33,8 +33,10 @@ bench:
 # engine at batch 1/8/64, timed in alternating bursts, plus the
 # quantized-panel section (refreshes BENCH_infer.json; enforces that the
 # frozen engine is not slower than evaluation at batch 1 and holds >=4x
-# fewer peak tensor bytes at the serving-scale shape, the batch-64
-# int8-not-behind-f32 floor, and the int8 forecast-MAE accuracy gate).
+# fewer peak tensor bytes at batch 1, 8 and 64 of the quant-section
+# shape, the batch-64 int8-not-behind-f32 floor, and the int8
+# forecast-MAE accuracy gate). The peak-bytes floor holds at batch 1
+# only: batch 8 and 64 are red (DESIGN §5).
 bench-infer:
     cargo run --release -p stwa-bench --bin bench_infer -- --out BENCH_infer.json
 
