@@ -122,21 +122,6 @@ struct DynamicGenerator {
     layer_dims: Vec<(usize, usize)>,
 }
 
-/// Per-batch-size execution plan, recorded on the first forward at that
-/// batch size. The layer bodies read the `[N, W, p, d]` proxies in
-/// place, so a plan holds no buffers: it checks that a request matches
-/// the batch size its session recorded it for.
-pub struct BatchPlan {
-    batch: usize,
-}
-
-impl BatchPlan {
-    /// Batch size this plan was recorded for.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-}
-
 /// A trained [`StwaModel`] collapsed into its serving form.
 pub struct FrozenStwa {
     generator: Option<FrozenGenerator>,
@@ -259,18 +244,6 @@ impl FrozenStwa {
         name: &str,
         version: Option<u32>,
     ) -> Result<FrozenStwa> {
-        Self::freeze_from_registry_at(model, registry, name, version, Precision::F32)
-    }
-
-    /// [`FrozenStwa::freeze_from_registry`] at a chosen panel
-    /// precision — the hot-swap transport for quantized serving.
-    pub fn freeze_from_registry_at(
-        model: &StwaModel,
-        registry: &stwa_ckpt::Registry,
-        name: &str,
-        version: Option<u32>,
-        precision: Precision,
-    ) -> Result<FrozenStwa> {
         let _span = stwa_observe::span!("freeze_from_registry");
         let ckpt = registry.load(name, version).map_err(|e| {
             TensorError::Invalid(format!("freeze_from_registry: {e}"))
@@ -278,7 +251,7 @@ impl FrozenStwa {
         ckpt.load_best_into(model.store()).map_err(|e| {
             TensorError::Invalid(format!("freeze_from_registry: {e}"))
         })?;
-        Self::freeze_at(model, precision)
+        Self::freeze(model)
     }
 
     fn freeze_generator(gen: &StGenerator, precision: Precision) -> Result<FrozenGenerator> {
@@ -362,18 +335,12 @@ impl FrozenStwa {
         self.version.get() != self.frozen_at
     }
 
-    /// Record the execution plan for batch size `b`.
-    pub fn record_plan(&self, b: usize) -> Result<BatchPlan> {
-        Ok(BatchPlan { batch: b })
-    }
-
     /// One tape-free forward through the frozen stack: normalized-scale
     /// predictions `[B, N, U, F]`. At [`Precision::F32`] the output is
     /// bitwise identical to the graph eval path of the source model; at
     /// int8 it is the same op sequence over quantized panels, gated by
-    /// the forecast-MAE accuracy check instead. `plan` must
-    /// come from [`FrozenStwa::record_plan`] for `x`'s batch size.
-    pub fn forward(&self, x: &Tensor, plan: &BatchPlan) -> Result<Tensor> {
+    /// the forecast-MAE accuracy check instead.
+    pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.n || shape[2] != self.h || shape[3] != self.f_in
         {
@@ -383,12 +350,6 @@ impl FrozenStwa {
             )));
         }
         let b = shape[0];
-        if plan.batch != b {
-            return Err(TensorError::Invalid(format!(
-                "FrozenStwa: plan recorded for batch {}, input has batch {b}",
-                plan.batch
-            )));
-        }
         let _span = stwa_observe::span!("forward");
 
         // ST/T-aware models: theta, once per request. The static cache

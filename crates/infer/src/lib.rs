@@ -18,13 +18,12 @@
 //!   sensors at a time and each sensor's window rows consume its
 //!   projections straight from the block's scratch, so the widest
 //!   tensor of the forward is never materialized (see [`frozen`]);
-//! - [`InferSession`] executes the frozen op sequence with a
-//!   per-batch-size plan arena and refuses to serve once the source
-//!   parameters are mutated (version-counter staleness guard). A
-//!   batched `[B, N, H, F]` forward is row-exact — row *i* of the
-//!   output is bitwise what running row *i* alone produces — so
-//!   callers that have several windows stack them and call
-//!   [`InferSession::run`] once.
+//! - [`InferSession`] executes the frozen op sequence and refuses to
+//!   serve once the source parameters are mutated (version-counter
+//!   staleness guard). A batched `[B, N, H, F]` forward is row-exact —
+//!   row *i* of the output is bitwise what running row *i* alone
+//!   produces — so callers that have several windows stack them and
+//!   call [`InferSession::run`] once.
 //!
 //! The engine's contract is **bitwise equality**: every f32 forward
 //! here runs the same tensor kernels in the same order as the training
@@ -45,7 +44,7 @@ pub mod frozen;
 pub mod packed;
 pub mod session;
 
-pub use frozen::{BatchPlan, FrozenStwa};
+pub use frozen::FrozenStwa;
 pub use packed::{PackedDense, PackedMlp};
 pub use session::InferSession;
 pub use stwa_tensor::quant::Precision;

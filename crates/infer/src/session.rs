@@ -1,23 +1,17 @@
-//! [`InferSession`]: a frozen model plus its per-batch-size plan arena
-//! and the staleness guard against post-freeze parameter mutation.
+//! [`InferSession`]: a frozen model behind the staleness guard against
+//! post-freeze parameter mutation.
 
-use crate::frozen::{BatchPlan, FrozenStwa};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use crate::frozen::FrozenStwa;
 use stwa_core::StwaModel;
 use stwa_tensor::quant::Precision;
 use stwa_tensor::{Result, Tensor, TensorError};
 
 /// A serving session over a [`FrozenStwa`].
 ///
-/// The first forward at each batch size records an execution plan;
-/// later requests at the same batch size reuse it. A session refuses to
-/// serve once any source parameter has been mutated after the freeze —
-/// re-freeze to pick up new weights.
+/// A session refuses to serve once any source parameter has been
+/// mutated after the freeze — re-freeze to pick up new weights.
 pub struct InferSession {
     frozen: FrozenStwa,
-    plans: RefCell<HashMap<usize, Rc<BatchPlan>>>,
 }
 
 impl InferSession {
@@ -27,8 +21,8 @@ impl InferSession {
     }
 
     /// Freeze `model` at the given panel precision and open a session.
-    /// Everything downstream — plan recording, staleness guard,
-    /// row-exact batching — serves quantized snapshots unchanged.
+    /// Everything downstream — staleness guard, row-exact batching —
+    /// serves quantized snapshots unchanged.
     pub fn new_at(model: &StwaModel, precision: Precision) -> Result<InferSession> {
         Ok(InferSession::from_frozen(FrozenStwa::freeze_at(
             model, precision,
@@ -36,10 +30,7 @@ impl InferSession {
     }
 
     pub fn from_frozen(frozen: FrozenStwa) -> InferSession {
-        InferSession {
-            frozen,
-            plans: RefCell::new(HashMap::new()),
-        }
+        InferSession { frozen }
     }
 
     pub fn frozen(&self) -> &FrozenStwa {
@@ -54,11 +45,6 @@ impl InferSession {
     /// True when the source parameters changed after the freeze.
     pub fn is_stale(&self) -> bool {
         self.frozen.is_stale()
-    }
-
-    /// Number of batch sizes with a recorded plan.
-    pub fn plan_count(&self) -> usize {
-        self.plans.borrow().len()
     }
 
     /// Normalized-scale predictions `[B, N, U, F]` for a normalized
@@ -84,21 +70,8 @@ impl InferSession {
                 "InferSession: empty input".into(),
             ));
         }
-        let b = shape[0];
-        let plan = self.plan_for(b)?;
         stwa_observe::counter!("infer.forwards").incr();
-        stwa_observe::counter!("infer.rows").add(b as u64);
-        self.frozen.forward(x, &plan)
-    }
-
-    fn plan_for(&self, b: usize) -> Result<Rc<BatchPlan>> {
-        if let Some(plan) = self.plans.borrow().get(&b) {
-            stwa_observe::counter!("infer.plan_hits").incr();
-            return Ok(Rc::clone(plan));
-        }
-        stwa_observe::counter!("infer.plan_misses").incr();
-        let plan = Rc::new(self.frozen.record_plan(b)?);
-        self.plans.borrow_mut().insert(b, Rc::clone(&plan));
-        Ok(plan)
+        stwa_observe::counter!("infer.rows").add(shape[0] as u64);
+        self.frozen.forward(x)
     }
 }

@@ -36,7 +36,8 @@ fn serving_forward_never_holds_the_decoded_projections() {
     let model = StwaModel::new(cfg, &mut rng).expect("model");
     let session = InferSession::new(&model).expect("freeze");
     let x = Tensor::randn(&[1, n, 12, 1], &mut rng);
-    // The first forward records the batch plan, which stays live.
+    // A warm-up forward first: the measured one then runs on the
+    // buffer pool's steady state.
     session.run(&x).expect("warm-up forward");
 
     memory::reset_peak();

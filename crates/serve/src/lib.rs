@@ -24,9 +24,8 @@
 //!   of a replica pool of model threads (per-replica `InferSession`
 //!   evaluated directly, one-slot memo of the current window's
 //!   forward, mirrored rolling window, coordinated registry hot
-//!   swap); cache misses are dispatched by sensor affinity with
-//!   least-queue-depth spill, and plain `Vec<f32>` jobs cross threads
-//!   over `mpsc`.
+//!   swap); every cache miss goes to the current window's replica,
+//!   and plain `Vec<f32>` jobs cross threads over `mpsc`.
 //! - [`client`] — a blocking pipelining client for tests and the load
 //!   generator.
 //!

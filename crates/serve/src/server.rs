@@ -9,8 +9,8 @@
 //! same way `ShardEngine` parallelizes training: the builder closure
 //! runs once *per replica thread* (a `!Send` model can be built
 //! anywhere but moved nowhere), every replica freezes the same pinned
-//! registry version, and each owns a private `InferSession` (with its
-//! plan arena) and a one-slot memo of the current window's forward.
+//! registry version, and each owns a private `InferSession` and a
+//! one-slot memo of the current window's forward.
 //! The forward is city-wide — sensor attention couples all N sensors —
 //! so a replica holds exactly one rolling window and every forecast is
 //! a slice of the same evaluation: the first forecast on a window runs
@@ -18,10 +18,11 @@
 //! second row to batch. IO workers still own the sockets, parse HTTP,
 //! and serve cache hits inline — a cache entry holds the encoded
 //! answer (the replica wrote it when it primed the cache), so a hit is
-//! parse → probe → frame onto the write buffer; misses are sharded
-//! across replicas by sensor-affinity hashing (`sensor % n` keeps a
-//! sensor's memo hot on one replica) with least-queue-depth spill when
-//! the affinity target backs up.
+//! parse → probe → frame onto the write buffer; misses are routed by
+//! window: every miss goes to replica `w % n`, where `w` counts the
+//! observes broadcast so far, so all misses on one window meet one
+//! replica's memo and run one forward, and successive windows rotate
+//! across the pool.
 //!
 //! Correctness invariants:
 //! - **In-order responses per connection.** HTTP/1.1 pipelining means
@@ -44,10 +45,11 @@
 //!   diverge. A forecast dispatched to any replica therefore answers
 //!   for the same window the others would.
 //! - **Read-your-writes per connection.** A forecast pipelined behind
-//!   an observation on the same connection skips the cache and lands
-//!   on some replica's channel *behind* that replica's copy of the
-//!   observe (one mpsc producer per worker ⇒ FIFO), so it is
-//!   evaluated against the new window.
+//!   an observation on the same connection skips the cache and is
+//!   dispatched after that observe's broadcast, so it routes to the new
+//!   window's replica and lands on its channel *behind* that replica's
+//!   copy of the observe (channel FIFO), so it is evaluated against the
+//!   new window.
 //! - **Version stamps are registry versions.** Responses name the
 //!   registry version they were computed under (0 = the builder's
 //!   weights, which can never be swapped). Unlike per-thread store
@@ -78,7 +80,6 @@ use std::time::{Duration, Instant};
 use stwa_core::StwaModel;
 use stwa_infer::{FrozenStwa, InferSession};
 use stwa_observe::Json;
-use stwa_tensor::quant::Precision;
 use stwa_tensor::Tensor;
 
 use crate::cache::{fingerprint_f32, CacheKey, ForecastCache};
@@ -106,15 +107,12 @@ pub struct ServeConfig {
     /// Forecast cache TTL — tie this to the forecast step length so an
     /// entry never outlives the step it predicts.
     pub ttl: Duration,
-    pub cache_shards: usize,
     /// How often replica 0 checks the registry for a newer published
     /// version (hot swap). Ignored without a registry.
     pub registry_poll: Duration,
     /// How often IO worker 0 sweeps expired cache entries. Expiry is
     /// checked on every read; the sweep only reclaims memory.
     pub sweep_interval: Duration,
-    /// Panel precision for the frozen serving snapshot.
-    pub precision: Precision,
     /// Registry root + model name. With a registry the server freezes
     /// from the latest published version and hot-swaps when a newer
     /// one appears; without one it serves the builder's weights as-is.
@@ -129,14 +127,15 @@ impl Default for ServeConfig {
             model_threads: 1,
             max_wait: Duration::ZERO,
             ttl: Duration::from_secs(300),
-            cache_shards: 16,
             registry_poll: Duration::from_millis(200),
             sweep_interval: Duration::from_secs(5),
-            precision: Precision::F32,
             registry: None,
         }
     }
 }
+
+/// Lock shards of the forecast cache.
+const CACHE_SHARDS: usize = 16;
 
 /// Model dimensions published once by the replica pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,6 +168,9 @@ struct Shared {
     version: AtomicU64,
     /// Fingerprint of the current input window (cache key part).
     window_fp: AtomicU64,
+    /// Observes broadcast so far: the current window's index, which
+    /// picks the replica every miss on that window goes to.
+    windows: AtomicU64,
     cache: ForecastCache,
     requests: AtomicU64,
     responses: AtomicU64,
@@ -182,7 +184,7 @@ struct Shared {
     conns: AtomicU64,
     /// Duration of the last coordinated swap, first flip to last flip.
     swap_us: AtomicU64,
-    /// In-flight jobs per replica channel (dispatch heuristic input).
+    /// In-flight jobs per replica channel.
     replica_depth: Vec<AtomicUsize>,
     /// Full window evaluations per replica.
     replica_evals: Vec<AtomicU64>,
@@ -205,7 +207,8 @@ impl Shared {
             registry,
             version: AtomicU64::new(pinned_version as u64),
             window_fp: AtomicU64::new(0),
-            cache: ForecastCache::new(config.cache_shards, config.ttl),
+            windows: AtomicU64::new(0),
+            cache: ForecastCache::new(CACHE_SHARDS, config.ttl),
             requests: AtomicU64::new(0),
             responses: AtomicU64::new(0),
             inline_hits: AtomicU64::new(0),
@@ -273,7 +276,8 @@ struct Reply {
     close_after: bool,
     /// Reply to an observe — pairs the worker's `inflight_observes`
     /// decrement exactly (replica replies are not in per-connection
-    /// submission order once misses shard across replicas).
+    /// submission order once a miss goes to a replica other than the
+    /// observe's responder, replica 0).
     observe: bool,
 }
 
@@ -522,36 +526,10 @@ impl Server {
 // Replica dispatch
 // ---------------------------------------------------------------------------
 
-/// Queue depth at which the affinity replica is considered backed up.
-const SPILL_DEPTH: usize = 32;
-
-/// Pick a replica for a cache-miss forecast: sensor-affinity hashing
-/// (`sensor % n` keeps one sensor's memo hot on one replica) with
-/// least-depth spill only when the affinity target is backed up *and*
-/// meaningfully deeper than the least-loaded replica — the hysteresis
-/// keeps affinity sticky under jitter.
-fn pick_replica(sensor: u32, depths: &[usize]) -> usize {
-    let n = depths.len();
-    let affinity = sensor as usize % n;
-    if n == 1 || depths[affinity] < SPILL_DEPTH {
-        return affinity;
-    }
-    let (mut min_idx, mut min_depth) = (affinity, depths[affinity]);
-    for (idx, &depth) in depths.iter().enumerate() {
-        if depth < min_depth {
-            min_idx = idx;
-            min_depth = depth;
-        }
-    }
-    if depths[affinity] - min_depth >= SPILL_DEPTH / 2 {
-        min_idx
-    } else {
-        affinity
-    }
-}
-
-/// Send a forecast miss to its replica. Returns false when the pool is
-/// gone (shutdown).
+/// Send a forecast miss to the current window's replica: every
+/// forecast on a window is a slice of one city-wide forward, so all of
+/// them meet one replica's memo. Returns false when the pool is gone
+/// (shutdown).
 fn dispatch_forecast(
     job_txs: &[Sender<Job>],
     shared: &Shared,
@@ -559,16 +537,7 @@ fn dispatch_forecast(
     sensor: u32,
     horizon: u32,
 ) -> bool {
-    let idx = if job_txs.len() == 1 {
-        0
-    } else {
-        let depths: Vec<usize> = shared
-            .replica_depth
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect();
-        pick_replica(sensor, &depths)
-    };
+    let idx = (shared.windows.load(Ordering::Acquire) % job_txs.len() as u64) as usize;
     shared.replica_depth[idx].fetch_add(1, Ordering::Relaxed);
     let job = Job {
         route: Some(route),
@@ -602,6 +571,11 @@ fn broadcast(job_txs: &[Sender<Job>], shared: &Shared, route: Route, kind: JobKi
         } else {
             shared.replica_depth[idx].fetch_sub(1, Ordering::Relaxed);
         }
+    }
+    // Counted once every replica holds the observe, so a miss routed to
+    // the new window's replica queues behind it.
+    if matches!(kind, JobKind::Observe { .. }) {
+        shared.windows.fetch_add(1, Ordering::Release);
     }
     routed_ok
 }
@@ -1238,7 +1212,6 @@ struct ModelState {
     /// *is* the public version stamp — identical across replicas by
     /// construction, unlike per-thread store counters.
     registry_version: u32,
-    precision: Precision,
     dims: Dims,
     /// Rolling input window `[N, H, F]` shared by every sensor query.
     window: Vec<f32>,
@@ -1277,7 +1250,7 @@ fn replica_main<F>(
     // pool (kernel chunking depends only on shapes, so inline execution
     // is bitwise identical to pooled — same contract ShardEngine uses).
     let _seq = (n_replicas > 1).then(stwa_pool::sequential_scope);
-    let mut state = match init_replica(replica_idx, &config, &*build, &shared, pinned_version) {
+    let mut state = match init_replica(replica_idx, &*build, &shared, pinned_version) {
         Ok(s) => s,
         Err(e) => {
             let _ = ready_tx.send((replica_idx, Err(e)));
@@ -1342,7 +1315,6 @@ fn replica_main<F>(
 
 fn init_replica<F>(
     replica_idx: usize,
-    config: &ServeConfig,
     build: &F,
     shared: &Shared,
     pinned_version: u32,
@@ -1352,15 +1324,11 @@ where
 {
     let model = build().map_err(|e| format!("build model: {e}"))?;
     let frozen = match &shared.registry {
-        Some((reg, name)) if pinned_version > 0 => FrozenStwa::freeze_from_registry_at(
-            &model,
-            reg,
-            name,
-            Some(pinned_version),
-            config.precision,
-        )
-        .map_err(|e| format!("freeze from registry: {e}"))?,
-        _ => FrozenStwa::freeze_at(&model, config.precision).map_err(|e| format!("freeze: {e}"))?,
+        Some((reg, name)) if pinned_version > 0 => {
+            FrozenStwa::freeze_from_registry(&model, reg, name, Some(pinned_version))
+                .map_err(|e| format!("freeze from registry: {e}"))?
+        }
+        _ => FrozenStwa::freeze(&model).map_err(|e| format!("freeze: {e}"))?,
     };
     let dims = Dims {
         sensors: frozen.num_sensors(),
@@ -1379,7 +1347,6 @@ where
         model,
         session: InferSession::from_frozen(frozen),
         registry_version: pinned_version,
-        precision: config.precision,
         dims,
         window,
         window_fp,
@@ -1526,14 +1493,7 @@ fn try_swap(state: &mut ModelState, shared: &Shared, target: u32) {
     if target <= state.registry_version {
         return;
     }
-    let rebuilt = FrozenStwa::freeze_from_registry_at(
-        &state.model,
-        registry,
-        name,
-        Some(target),
-        state.precision,
-    );
-    match rebuilt {
+    match FrozenStwa::freeze_from_registry(&state.model, registry, name, Some(target)) {
         Ok(frozen) => {
             state.session = InferSession::from_frozen(frozen);
             state.registry_version = target;
@@ -1803,38 +1763,5 @@ mod tests {
         // Either every request was answered, or the kernel refused
         // more and the connection is waiting for its peer to read.
         assert!(parsed == requests || conn.backlogged(), "{parsed} of {requests} parsed, then idle");
-    }
-
-    #[test]
-    fn affinity_is_sensor_mod_n_when_unloaded() {
-        let depths = [0usize, 0, 0, 0];
-        for sensor in 0..32u32 {
-            assert_eq!(pick_replica(sensor, &depths), sensor as usize % 4);
-        }
-    }
-
-    #[test]
-    fn single_replica_always_wins() {
-        assert_eq!(pick_replica(7, &[usize::MAX - 1]), 0);
-    }
-
-    #[test]
-    fn spills_to_least_loaded_when_affinity_backed_up() {
-        let mut depths = [0usize; 4];
-        depths[1] = SPILL_DEPTH + 8; // sensor 5's affinity replica
-        assert_eq!(pick_replica(5, &depths), 0, "spill to the least-loaded");
-    }
-
-    #[test]
-    fn hysteresis_keeps_affinity_under_mild_imbalance() {
-        // Affinity is over the spill threshold but the rest of the pool
-        // is nearly as deep: stay put rather than flap.
-        let mut depths = [SPILL_DEPTH; 4];
-        depths[1] = SPILL_DEPTH + SPILL_DEPTH / 2 - 1;
-        assert_eq!(pick_replica(5, &depths), 1);
-        // Once the gap reaches the hysteresis margin, move.
-        depths[1] = SPILL_DEPTH + SPILL_DEPTH / 2;
-        depths[2] = SPILL_DEPTH - 1;
-        assert_eq!(pick_replica(5, &depths), 2);
     }
 }

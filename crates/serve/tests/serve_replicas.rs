@@ -9,23 +9,14 @@
 
 #![cfg(target_os = "linux")]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod common;
+
+use common::{apply_frame, assert_bitwise, direct_eval, frame, model, observe_body};
 use std::time::Duration;
 use stwa_ckpt::{Registry, TrainCheckpoint};
-use stwa_core::{ForecastModel, StwaConfig, StwaModel};
+use stwa_core::ForecastModel;
 use stwa_infer::InferSession;
 use stwa_serve::{Client, ServeConfig, Server};
-use stwa_tensor::Tensor;
-
-const N: usize = 3;
-const H: usize = 12;
-const U: usize = 4;
-
-fn model(seed: u64) -> StwaModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    StwaModel::new(StwaConfig::st_wa(N, H, U), &mut rng).unwrap()
-}
 
 fn config(replicas: usize) -> ServeConfig {
     ServeConfig {
@@ -36,48 +27,6 @@ fn config(replicas: usize) -> ServeConfig {
         // never races the poller.
         registry_poll: Duration::from_secs(60),
         ..ServeConfig::default()
-    }
-}
-
-fn frame(t: usize, n: usize, f: usize) -> Vec<f32> {
-    (0..n * f)
-        .map(|i| ((t * 31 + i * 7) % 23) as f32 * 0.125 - 1.0)
-        .collect()
-}
-
-fn apply_frame(window: &mut [f32], frame: &[f32], n: usize, h: usize, f: usize) {
-    for s in 0..n {
-        let row = &mut window[s * h * f..(s + 1) * h * f];
-        row.copy_within(f.., 0);
-        row[(h - 1) * f..].copy_from_slice(&frame[s * f..(s + 1) * f]);
-    }
-}
-
-fn direct_eval(
-    session: &InferSession,
-    window: &[f32],
-    n: usize,
-    h: usize,
-    f: usize,
-    sensor: usize,
-    horizon: usize,
-) -> Vec<f32> {
-    let x = Tensor::from_vec(window.to_vec(), &[1, n, h, f]).unwrap();
-    let out = session.run(&x).unwrap(); // [1, N, U, F]
-    let u = out.shape()[2];
-    let start = sensor * u * f;
-    out.data()[start..start + horizon * f].to_vec()
-}
-
-fn observe_body(frame: &[f32]) -> Vec<u8> {
-    let items: Vec<String> = frame.iter().map(|v| format!("{}", *v as f64)).collect();
-    format!("{{\"frame\": [{}]}}", items.join(", ")).into_bytes()
-}
-
-fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: value {i}: {a} vs {b}");
     }
 }
 
@@ -97,6 +46,18 @@ fn stat(body: &[u8], key: &str) -> f64 {
         .unwrap_or_else(|| panic!("stats missing {key}"))
 }
 
+/// `/stats`' forward count per replica.
+fn replica_evals(body: &[u8]) -> Vec<u64> {
+    stwa_observe::parse_json(std::str::from_utf8(body).unwrap())
+        .unwrap()
+        .get("replica_evals")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .map(|v| v.as_num().unwrap() as u64)
+        .collect()
+}
+
 #[test]
 fn replica_pool_serves_bitwise_correct_forecasts_from_every_replica() {
     let server = Server::start(config(3), || Ok(model(42))).unwrap();
@@ -104,44 +65,43 @@ fn replica_pool_serves_bitwise_correct_forecasts_from_every_replica() {
     let dims = server.dims();
     let (n, h, f) = (dims.sensors, dims.history, dims.features);
     let mut client = Client::connect(server.addr()).unwrap();
+    let reference = model(42);
+    let session = InferSession::new(&reference).unwrap();
 
+    // Fill the window, then sweep every (sensor, horizon) over the
+    // three successive windows the last three observes leave. Window
+    // `w` (observes so far) routes every miss to replica `w % 3`, so
+    // the sweeps visit all three replicas.
+    const SWEPT: usize = 3;
     let mut window = vec![0.0f32; n * h * f];
-    for t in 0..h {
+    for t in 0..h + SWEPT - 1 {
         let fr = frame(t, n, f);
         let resp = client.post("/observe", &observe_body(&fr)).unwrap();
         assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
         apply_frame(&mut window, &fr, n, h, f);
-    }
-
-    // Sensor-affinity hashing sends sensor s to replica s % 3, so this
-    // sweep exercises all three replicas against the same window.
-    let reference = model(42);
-    let session = InferSession::new(&reference).unwrap();
-    for sensor in 0..n {
-        for horizon in 1..=dims.horizon {
-            let resp = client
-                .get(&format!("/forecast?sensor={sensor}&horizon={horizon}"))
-                .unwrap();
-            assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
-            let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
-            let want = direct_eval(&session, &window, n, h, f, sensor, horizon);
-            assert_bitwise(&got, &want, &format!("sensor {sensor} horizon {horizon}"));
+        if t + 1 < h {
+            continue;
+        }
+        for sensor in 0..n {
+            for horizon in 1..=dims.horizon {
+                let resp = client
+                    .get(&format!("/forecast?sensor={sensor}&horizon={horizon}"))
+                    .unwrap();
+                assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
+                let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+                let want = direct_eval(&session, &window, n, h, f, sensor, horizon);
+                assert_bitwise(&got, &want, &format!("step {t} sensor {sensor} horizon {horizon}"));
+            }
         }
     }
 
-    // Sensor s is a miss on replica s % 3, which runs the window's one
-    // forward there: every replica evaluated, once.
+    // Every forecast on a window is a slice of one city-wide forward:
+    // one forward per window, each on a different replica.
     let stats = client.get("/stats").unwrap();
-    let doc = stwa_observe::parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
     assert_eq!(stat(&stats.body, "replicas") as usize, 3);
-    let evals: Vec<u64> = doc
-        .get("replica_evals")
-        .and_then(|v| v.as_arr())
-        .unwrap()
-        .iter()
-        .map(|v| v.as_num().unwrap() as u64)
-        .collect();
-    assert_eq!(evals, [1, 1, 1], "misses must shard across replicas");
+    let evals = replica_evals(&stats.body);
+    assert_eq!(evals.iter().sum::<u64>(), SWEPT as u64, "one forward per window: {evals:?}");
+    assert_eq!(evals, [1, 1, 1], "successive windows rotate across the pool");
 
     server.shutdown();
 }
@@ -153,10 +113,10 @@ fn pipelined_observe_forecast_pairs_read_your_writes_across_replicas() {
     let (n, h, f) = (dims.sensors, dims.history, dims.features);
     let mut client = Client::connect(server.addr()).unwrap();
 
-    // Deep pipelined stream of (observe, forecast) pairs with the
-    // sensor rotating — successive forecasts land on different
-    // replicas, but each one must answer for the window its preceding
-    // observe produced (broadcast order + per-channel FIFO).
+    // Deep pipelined stream of (observe, forecast) pairs — each window
+    // routes its miss to the next replica, and each forecast must
+    // answer for the window its preceding observe produced (broadcast
+    // order + per-channel FIFO).
     const PAIRS: usize = 10;
     let mut windows = Vec::with_capacity(PAIRS);
     let mut window = vec![0.0f32; n * h * f];
@@ -184,6 +144,9 @@ fn pipelined_observe_forecast_pairs_read_your_writes_across_replicas() {
         let want = direct_eval(&session, want_window, n, h, f, t % n, 1 + t % dims.horizon);
         assert_bitwise(&got, &want, &format!("pair {t}"));
     }
+    // Each window saw one forecast, so one forward each.
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(replica_evals(&stats.body).iter().sum::<u64>(), PAIRS as u64);
     server.shutdown();
 }
 
@@ -265,8 +228,8 @@ fn coordinated_swap_under_pipelined_traffic_zero_drops_no_mixed_versions() {
         assert_bitwise(&got, &want, &format!("post-swap request {i}"));
     }
 
-    // Observes still keep every replica window identical after the
-    // swap: a post-observe sweep over all sensors is bitwise v2.
+    // Observes still apply after the swap: a post-observe sweep over
+    // all sensors is bitwise v2.
     let fr = frame(7, n, f);
     let ack = traffic.post("/observe", &observe_body(&fr)).unwrap();
     assert_eq!(ack.status, 200);
@@ -346,23 +309,25 @@ fn racing_admin_swaps_over_back_to_back_publishes_keep_the_pool_on_one_version()
     }
     assert_eq!(server.version(), 3);
 
-    // Every replica stamps the pool's version: after a fresh observe
-    // sensor s is a miss on replica s % 3.
+    // Every replica stamps the pool's version: three fresh windows send
+    // their misses to the three replicas in turn.
     let dims = server.dims();
     let (n, h, f) = (dims.sensors, dims.history, dims.features);
     let mut client = Client::connect(addr).unwrap();
-    let fr = frame(5, n, f);
-    assert_eq!(client.post("/observe", &observe_body(&fr)).unwrap().status, 200);
     let mut window = vec![0.0f32; n * h * f];
-    apply_frame(&mut window, &fr, n, h, f);
     let v3_session = InferSession::new(&model(303)).unwrap();
-    for sensor in 0..n {
-        let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=2")).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(response_version(&resp.body), server.version(), "sensor {sensor}");
-        let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
-        let want = direct_eval(&v3_session, &window, n, h, f, sensor, 2);
-        assert_bitwise(&got, &want, &format!("post-race sensor {sensor}"));
+    for t in 0..3 {
+        let fr = frame(5 + t, n, f);
+        assert_eq!(client.post("/observe", &observe_body(&fr)).unwrap().status, 200);
+        apply_frame(&mut window, &fr, n, h, f);
+        for sensor in 0..n {
+            let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=2")).unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(response_version(&resp.body), server.version(), "step {t} sensor {sensor}");
+            let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+            let want = direct_eval(&v3_session, &window, n, h, f, sensor, 2);
+            assert_bitwise(&got, &want, &format!("post-race step {t} sensor {sensor}"));
+        }
     }
     let stats = client.get("/stats").unwrap();
     assert_eq!(stat(&stats.body, "swap_errors"), 0.0);
@@ -405,9 +370,9 @@ fn a_superseded_windows_entries_are_gone_once_the_last_replica_has_observed() {
     let (n, f) = (dims.sensors, dims.features);
     let mut client = Client::connect(server.addr()).unwrap();
 
-    // Prime every (sensor, horizon) of the starting window: affinity
-    // spreads the misses over all three replicas, so each has put
-    // entries under the fingerprint about to be superseded.
+    // Prime every (sensor, horizon) of the starting window. Its misses
+    // all go to replica 0, the window's replica, which puts every
+    // entry under the fingerprint about to be superseded.
     let stale = n * dims.horizon;
     for sensor in 0..n {
         for horizon in 1..=dims.horizon {
@@ -423,9 +388,10 @@ fn a_superseded_windows_entries_are_gone_once_the_last_replica_has_observed() {
     let ack = client.post("/observe", &observe_body(&frame(3, n, f))).unwrap();
     assert_eq!(ack.status, 200);
     let fp = stwa_serve::proto::parse_window_fp(&ack.body).unwrap();
-    // One forecast per replica (sensor s lands on replica s % 3). An
-    // answer naming the new window proves that replica has applied the
-    // observe — and a replica purges as it applies.
+    // Replica 0 is also the observe's responder, and a replica purges
+    // as it applies an observe, so the stale entries are gone before
+    // the ack. The new window's misses go to replica 1; an answer
+    // naming the new window proves it has applied the observe too.
     for sensor in 0..n {
         let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=1")).unwrap();
         assert_eq!(resp.status, 200);
