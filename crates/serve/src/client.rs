@@ -91,7 +91,7 @@ impl Client {
 
 /// Parse one complete response off the front of `buf`, or `None` if
 /// more bytes are needed.
-fn parse_response(buf: &[u8]) -> io::Result<Option<(Response, usize)>> {
+pub(crate) fn parse_response(buf: &[u8]) -> io::Result<Option<(Response, usize)>> {
     let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
         return Ok(None);
     };

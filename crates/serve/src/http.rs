@@ -62,8 +62,10 @@ pub fn parse_request(buf: &[u8]) -> Parse<'_> {
     // Head = everything up to the blank line.
     let head_end = match find_double_crlf(buf) {
         Some(i) => i,
+        // A blank line still to come starts at `buf.len() - 3` or later,
+        // so only past that is the head sure to be over the limit.
         None => {
-            if buf.len() > MAX_HEAD {
+            if buf.len() > MAX_HEAD + 3 {
                 return Parse::Bad(431, "Request Header Fields Too Large");
             }
             return Parse::Partial;
@@ -280,6 +282,21 @@ mod tests {
         let mut endless = b"GET / HTTP/1.1\r\n".to_vec();
         endless.extend(std::iter::repeat_n(b'a', MAX_HEAD + 1));
         assert!(matches!(parse_request(&endless), Parse::Bad(431, _)));
+    }
+
+    /// A head exactly at the limit parses whichever byte of its blank
+    /// line a read stops at; one byte more is refused.
+    #[test]
+    fn a_head_at_the_limit_parses_wherever_a_read_cuts_its_blank_line() {
+        let line = "GET / HTTP/1.1\r\nX-Pad: ";
+        let at_limit = format!("{line}{}\r\n\r\n", "p".repeat(MAX_HEAD - line.len()));
+        let raw = at_limit.as_bytes();
+        for cut in raw.len() - 4..raw.len() {
+            assert!(matches!(parse_request(&raw[..cut]), Parse::Partial), "cut at {cut}");
+        }
+        assert!(matches!(parse_request(raw), Parse::Complete(_, n) if n == raw.len()));
+        let over = format!("{line}p{}", &at_limit[line.len()..]);
+        assert!(matches!(parse_request(over.as_bytes()), Parse::Bad(431, _)));
     }
 
     #[test]

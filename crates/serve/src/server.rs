@@ -59,18 +59,23 @@
 //!   answered.
 //! - **Coordinated swaps, zero drops.** A swap broadcasts like an
 //!   observe, pinned to one target version resolved once by whoever
-//!   triggers it; each replica flips between jobs (an evaluation is
-//!   synchronous, so nothing is ever in flight on the old snapshot).
-//!   The shared version is published and old-version cache entries
-//!   are purged only after the *last* replica flips; until then hits
-//!   serve the old version and misses truthfully stamp whichever
-//!   version their replica is on. Shutdown stops accepting, drains
-//!   every in-flight job, flushes every write buffer, and only then
-//!   lets threads exit.
+//!   triggers it — IO worker 0's registry poll or the worker routing
+//!   `POST /admin/swap`, through the same `broadcast()`; each replica
+//!   flips between jobs (an evaluation is synchronous, so nothing is
+//!   ever in flight on the old snapshot). The shared version is
+//!   published and old-version cache entries are purged only after the
+//!   *last* replica flips (`SwapBarrier`); until then hits serve the
+//!   old version and misses truthfully stamp whichever version their
+//!   replica is on. The copies of one swap share a `SwapTicket`, and
+//!   an admin swap's reply leaves when the last copy is dropped: every
+//!   replica has had its turn by then, so nothing waits on a timer.
+//!   Shutdown stops accepting, drains every in-flight job, flushes
+//!   every write buffer, and only then lets threads exit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -107,8 +112,8 @@ pub struct ServeConfig {
     /// Forecast cache TTL — tie this to the forecast step length so an
     /// entry never outlives the step it predicts.
     pub ttl: Duration,
-    /// How often replica 0 checks the registry for a newer published
-    /// version (hot swap). Ignored without a registry.
+    /// How often IO worker 0 checks the registry for a newer published
+    /// version and broadcasts a swap to it. Ignored without a registry.
     pub registry_poll: Duration,
     /// How often IO worker 0 sweeps expired cache entries. Expiry is
     /// checked on every read; the sweep only reclaims memory.
@@ -147,24 +152,56 @@ pub struct Dims {
 }
 
 /// Coordinated-swap barrier: the pool's published version is the
-/// lowest version any replica serves, so the replica whose flip raises
-/// that floor publishes it and purges the retired versions' cache
-/// entries. Monotone by construction — back-to-back swaps (v2 then v3
-/// while a peer is still on v1) cannot strand it.
-struct SwapState {
+/// floor, the lowest version any replica serves, so the flip that
+/// raises the floor publishes it and retires every version below.
+/// Monotone by construction — back-to-back swaps (v2 then v3 while a
+/// peer is still on v1) cannot strand it — and a plain struct, so
+/// tests drive it without threads.
+struct SwapBarrier {
     /// Registry version each replica serves.
     serving: Vec<u64>,
-    /// When the first replica moved ahead of the published version.
+    /// The floor as last published.
+    published: u64,
+    /// When the first replica moved ahead of `published`.
     started: Option<Instant>,
 }
 
-/// Counters and snapshot state shared by every thread.
+impl SwapBarrier {
+    fn new(replicas: usize, pinned: u64) -> SwapBarrier {
+        SwapBarrier {
+            serving: vec![pinned; replicas],
+            published: pinned,
+            started: None,
+        }
+    }
+
+    /// Record that `replica` now serves `version`. When that raises the
+    /// floor, returns the retired versions, whose cache entries are to
+    /// be purged, and how long the pool took since its first flip.
+    fn flip(&mut self, replica: usize, version: u64) -> Option<(Range<u64>, Duration)> {
+        self.serving[replica] = version;
+        let started = *self.started.get_or_insert_with(Instant::now);
+        let floor = *self.serving.iter().min().expect("at least one replica");
+        if floor <= self.published {
+            return None;
+        }
+        let retired = self.published..floor;
+        self.published = floor;
+        self.started = None;
+        Some((retired, started.elapsed()))
+    }
+}
+
+/// Counters and snapshot state shared by every thread. IO worker 0
+/// polls the registry and sweeps the cache on its epoll timer; the
+/// replicas only process jobs.
 struct Shared {
     shutdown: AtomicBool,
     /// Registry handle + model name, when serving from a registry.
     registry: Option<(stwa_ckpt::Registry, String)>,
     /// Registry version of the pool-wide published snapshot (0 =
-    /// builder weights; cache key part).
+    /// builder weights; cache key part): the barrier's floor, mirrored
+    /// for lock-free probes.
     version: AtomicU64,
     /// Fingerprint of the current input window (cache key part).
     window_fp: AtomicU64,
@@ -192,7 +229,9 @@ struct Shared {
     /// receives them in the same order — the invariant that keeps
     /// replica windows (and their fingerprints) identical.
     broadcast: Mutex<()>,
-    swap_state: Mutex<SwapState>,
+    barrier: Mutex<SwapBarrier>,
+    /// Each IO worker's reply channel and the waker of its loop.
+    replies: Vec<(Sender<Reply>, Waker)>,
 }
 
 impl Shared {
@@ -201,6 +240,7 @@ impl Shared {
         registry: Option<(stwa_ckpt::Registry, String)>,
         pinned_version: u32,
         n_replicas: usize,
+        replies: Vec<(Sender<Reply>, Waker)>,
     ) -> Shared {
         Shared {
             shutdown: AtomicBool::new(false),
@@ -221,10 +261,8 @@ impl Shared {
             replica_depth: (0..n_replicas).map(|_| AtomicUsize::new(0)).collect(),
             replica_evals: (0..n_replicas).map(|_| AtomicU64::new(0)).collect(),
             broadcast: Mutex::new(()),
-            swap_state: Mutex::new(SwapState {
-                serving: vec![pinned_version as u64; n_replicas],
-                started: None,
-            }),
+            barrier: Mutex::new(SwapBarrier::new(n_replicas, pinned_version as u64)),
+            replies,
         }
     }
 
@@ -242,14 +280,42 @@ impl Shared {
 enum JobKind {
     Forecast { sensor: u32, horizon: u32 },
     Observe { frame: Vec<f32> },
-    /// Pin to a specific registry version: whoever triggers the swap
-    /// (poller or admin call) resolves the target once, so every
-    /// replica loads the same version exactly once.
-    Swap { target: u32 },
+    Swap(Arc<SwapTicket>),
 }
 
-/// Where a reply must go. Broadcast jobs carry a route only on
-/// replica 0's copy — it is the sole responder.
+/// One swap, shared by its copies on every replica channel. Whoever
+/// triggers it — IO worker 0's poll or a `POST /admin/swap` — resolves
+/// the target once, so every replica loads the same version exactly
+/// once. The ticket drops with the last copy, processed or discarded
+/// with a dead replica's channel; an admin swap is answered then.
+struct SwapTicket {
+    target: u32,
+    /// The admin call's reply; `None` for the poll.
+    route: Option<Route>,
+    /// Set by any replica whose load of `target` flipped it.
+    flipped: AtomicBool,
+    shared: Arc<Shared>,
+}
+
+impl Drop for SwapTicket {
+    /// Every replica has had its turn, so the published version is the
+    /// swap's outcome: "swapped" means the whole pool reached `target`.
+    fn drop(&mut self) {
+        let Some(route) = self.route else { return };
+        let published = self.shared.version.load(Ordering::Acquire);
+        let swapped = self.flipped.load(Ordering::Relaxed) && published >= self.target as u64;
+        let doc = Json::Obj(vec![
+            ("swapped".into(), Json::Bool(swapped)),
+            ("version".into(), Json::Num(published as f64)),
+            ("registry_version".into(), Json::Num(published as f64)),
+        ]);
+        let body = doc.to_string().into_bytes();
+        send_reply(&self.shared, route, ok_response(body, route.keep_alive), false);
+    }
+}
+
+/// Where a reply must go. An observe carries a route only on replica
+/// 0's copy — it is the sole responder; a swap's rides in its ticket.
 #[derive(Clone, Copy)]
 struct Route {
     worker: usize,
@@ -336,8 +402,6 @@ impl Server {
             }
         };
 
-        let shared = Arc::new(Shared::new(&config, registry, pinned_version, n_replicas));
-
         let io_threads = config.io_threads.max(1);
         let mut reply_txs = Vec::with_capacity(io_threads);
         let mut worker_parts = Vec::with_capacity(io_threads);
@@ -347,13 +411,12 @@ impl Server {
             reply_txs.push((reply_tx, waker.clone()));
             worker_parts.push((reply_rx, wake_reader, waker));
         }
+        let shared = Arc::new(Shared::new(&config, registry, pinned_version, n_replicas, reply_txs));
 
         // Replica pool first: workers must not accept until dims and
-        // the initial version are published. Replica 0 additionally
-        // holds senders to its peers for registry-poll swap broadcasts;
-        // teardown cascades through it (the server drops its senders
-        // once the workers are joined → replica 0 exits and drops the
-        // peer senders → peers exit).
+        // the initial version are published. Only the workers and the
+        // server send jobs, so once the server drops its senders after
+        // joining the workers every replica's channel ends.
         let build = Arc::new(build);
         let mut job_txs: Vec<Sender<Job>> = Vec::with_capacity(n_replicas);
         let mut job_rxs: Vec<Receiver<Job>> = Vec::with_capacity(n_replicas);
@@ -365,33 +428,13 @@ impl Server {
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<ReplicaReady>();
         let mut replicas = Vec::with_capacity(n_replicas);
         for (idx, job_rx) in job_rxs.into_iter().enumerate() {
-            let peer_txs: Vec<Sender<Job>> = if idx == 0 {
-                job_txs[1..].to_vec()
-            } else {
-                Vec::new()
-            };
-            let cfg = config.clone();
             let build = Arc::clone(&build);
             let shared = Arc::clone(&shared);
-            let reply_txs = reply_txs.clone();
             let ready_tx = ready_tx.clone();
             replicas.push(
                 std::thread::Builder::new()
                     .name(format!("stwa-serve-model{idx}"))
-                    .spawn(move || {
-                        replica_main(
-                            idx,
-                            n_replicas,
-                            cfg,
-                            build,
-                            shared,
-                            job_rx,
-                            peer_txs,
-                            reply_txs,
-                            ready_tx,
-                            pinned_version,
-                        )
-                    })?,
+                    .spawn(move || replica_main(idx, n_replicas, build, shared, job_rx, ready_tx))?,
             );
         }
         drop(ready_tx);
@@ -436,21 +479,12 @@ impl Server {
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&shared);
             let job_txs = job_txs.clone();
-            let sweep_interval = config.sweep_interval;
+            let cfg = config.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("stwa-serve-io{idx}"))
                     .spawn(move || {
-                        worker_main(
-                            idx,
-                            listener,
-                            shared,
-                            dims,
-                            job_txs,
-                            reply_rx,
-                            wake_reader,
-                            sweep_interval,
-                        )
+                        worker_main(idx, listener, shared, dims, job_txs, reply_rx, wake_reader, cfg)
                     })?,
             );
         }
@@ -553,14 +587,14 @@ fn dispatch_forecast(
 
 /// Send an observe/swap to every replica in one atomic order (the
 /// broadcast lock is what keeps replica windows identical). Replica 0
-/// gets the route and answers; the rest apply silently. Returns false
+/// gets `route` and answers; the rest apply silently. Returns false
 /// when the responder channel is gone.
-fn broadcast(job_txs: &[Sender<Job>], shared: &Shared, route: Route, kind: JobKind) -> bool {
+fn broadcast(job_txs: &[Sender<Job>], shared: &Shared, route: Option<Route>, kind: JobKind) -> bool {
     let _order = shared.broadcast.lock().unwrap();
     let mut routed_ok = false;
     for (idx, tx) in job_txs.iter().enumerate() {
         let job = Job {
-            route: (idx == 0).then_some(route),
+            route: route.filter(|_| idx == 0),
             kind: kind.clone(),
         };
         shared.replica_depth[idx].fetch_add(1, Ordering::Relaxed);
@@ -578,6 +612,19 @@ fn broadcast(job_txs: &[Sender<Job>], shared: &Shared, route: Route, kind: JobKi
         shared.windows.fetch_add(1, Ordering::Release);
     }
     routed_ok
+}
+
+/// Broadcast a swap to `target`. The ticket answers `route`, if any,
+/// once every copy is gone — even copies no replica could take — so
+/// the caller never answers a swap itself.
+fn broadcast_swap(job_txs: &[Sender<Job>], shared: &Arc<Shared>, target: u32, route: Option<Route>) {
+    let ticket = SwapTicket {
+        target,
+        route,
+        flipped: AtomicBool::new(false),
+        shared: Arc::clone(shared),
+    };
+    broadcast(job_txs, shared, None, JobKind::Swap(Arc::new(ticket)));
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +710,7 @@ fn worker_main(
     job_txs: Vec<Sender<Job>>,
     reply_rx: Receiver<Reply>,
     wake_reader: WakeReader,
-    sweep_interval: Duration,
+    config: ServeConfig,
 ) {
     let mut epoll = match Epoll::new() {
         Ok(e) => e,
@@ -685,6 +732,12 @@ fn worker_main(
     let mut events: Vec<Event> = Vec::new();
     let mut accepting = true;
     let mut last_sweep = Instant::now();
+    let mut last_poll = Instant::now();
+    // Newest version the poll has broadcast a swap to. A published
+    // version never changes, so one the pool failed to load is tried
+    // once and the poll waits for a newer one; `/admin/swap` still
+    // retries it.
+    let mut polled = shared.version.load(Ordering::Acquire);
 
     loop {
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
@@ -723,18 +776,28 @@ fn worker_main(
         // TTL reclamation off the request path: expiry is enforced on
         // every read, the sweep only frees memory, so one worker doing
         // it at a coarse interval is plenty.
-        if worker_idx == 0 && !shutting_down && last_sweep.elapsed() >= sweep_interval {
+        if worker_idx == 0 && !shutting_down && last_sweep.elapsed() >= config.sweep_interval {
             last_sweep = Instant::now();
             let removed = shared.cache.sweep();
             if removed > 0 {
                 stwa_observe::counter!("serve.cache_swept").add(removed as u64);
             }
         }
+        // The registry poll rides the same timer and swaps the way
+        // `POST /admin/swap` does, with no one to answer.
+        if worker_idx == 0 && !shutting_down && last_poll.elapsed() >= config.registry_poll {
+            last_poll = Instant::now();
+            let floor = polled.max(shared.version.load(Ordering::Acquire));
+            if let Some(latest) = shared.latest_version().filter(|&v| v as u64 > floor) {
+                polled = latest as u64;
+                broadcast_swap(&job_txs, &shared, latest, None);
+            }
+        }
 
         let timeout = Some(if shutting_down {
             Duration::from_millis(10)
         } else {
-            Duration::from_millis(500).min(sweep_interval)
+            Duration::from_millis(500).min(config.sweep_interval).min(config.registry_poll)
         });
         if epoll.wait(&mut events, timeout).is_err() {
             return;
@@ -867,7 +930,7 @@ fn read_and_dispatch(
     worker_idx: usize,
     token: u64,
     conn: &mut Conn,
-    shared: &Shared,
+    shared: &Arc<Shared>,
     dims: &Dims,
     job_txs: &[Sender<Job>],
 ) -> bool {
@@ -919,7 +982,7 @@ fn dispatch_buffered(
     worker_idx: usize,
     token: u64,
     conn: &mut Conn,
-    shared: &Shared,
+    shared: &Arc<Shared>,
     dims: &Dims,
     job_txs: &[Sender<Job>],
 ) -> bool {
@@ -968,7 +1031,8 @@ enum Routed {
     Answered,
     /// A forecast sent to one replica: a model job.
     Forecast,
-    /// An observe or swap broadcast to every replica.
+    /// An observe or swap broadcast to every replica; one reply comes
+    /// back.
     Broadcast,
 }
 
@@ -979,7 +1043,7 @@ fn route(
     seq: u64,
     req: &Request,
     conn: &mut Conn,
-    shared: &Shared,
+    shared: &Arc<Shared>,
     dims: &Dims,
     job_txs: &[Sender<Job>],
 ) -> Routed {
@@ -1089,7 +1153,7 @@ fn route(
             match proto::parse_observe(req.body, dims.sensors * dims.features) {
                 Err(e) => inline(conn, 400, "Bad Request", &proto::error_body(&e)),
                 Ok(frame) => {
-                    if broadcast(job_txs, shared, route, JobKind::Observe { frame }) {
+                    if broadcast(job_txs, shared, Some(route), JobKind::Observe { frame }) {
                         conn.inflight_observes += 1;
                         Routed::Broadcast
                     } else {
@@ -1102,11 +1166,8 @@ fn route(
             // Nothing to swap to resolves to 0, which no replica
             // flips to.
             let target = shared.latest_version().unwrap_or(0);
-            if broadcast(job_txs, shared, route, JobKind::Swap { target }) {
-                Routed::Broadcast
-            } else {
-                inline(conn, 503, "Service Unavailable", &proto::error_body("replica pool is gone"))
-            }
+            broadcast_swap(job_txs, shared, target, Some(route));
+            Routed::Broadcast
         }
         _ => inline(conn, 404, "Not Found", &proto::error_body("unknown endpoint")),
     }
@@ -1226,22 +1287,13 @@ struct ModelState {
     depth_gauge: &'static stwa_observe::Gauge,
 }
 
-fn public_version(state: &ModelState) -> u64 {
-    state.registry_version as u64
-}
-
-#[allow(clippy::too_many_arguments)]
 fn replica_main<F>(
     replica_idx: usize,
     n_replicas: usize,
-    config: ServeConfig,
     build: Arc<F>,
     shared: Arc<Shared>,
     job_rx: Receiver<Job>,
-    peer_txs: Vec<Sender<Job>>,
-    reply_txs: Vec<(Sender<Reply>, Waker)>,
     ready_tx: Sender<ReplicaReady>,
-    pinned_version: u32,
 ) where
     F: Fn() -> stwa_tensor::Result<StwaModel> + Send + Sync + 'static,
 {
@@ -1250,7 +1302,7 @@ fn replica_main<F>(
     // pool (kernel chunking depends only on shapes, so inline execution
     // is bitwise identical to pooled — same contract ShardEngine uses).
     let _seq = (n_replicas > 1).then(stwa_pool::sequential_scope);
-    let mut state = match init_replica(replica_idx, &*build, &shared, pinned_version) {
+    let mut state = match init_replica(replica_idx, &*build, &shared) {
         Ok(s) => s,
         Err(e) => {
             let _ = ready_tx.send((replica_idx, Err(e)));
@@ -1259,69 +1311,26 @@ fn replica_main<F>(
     };
     let _ = ready_tx.send((
         replica_idx,
-        Ok((state.dims, public_version(&state), state.window_fp)),
+        Ok((state.dims, state.registry_version as u64, state.window_fp)),
     ));
     drop(ready_tx);
 
-    let mut last_poll = Instant::now();
-    // Newest version replica 0's poll tried and could not load. A
-    // published version never changes, so the poll waits for a newer
-    // one instead of re-reading it every tick; `/admin/swap` still
-    // retries it.
-    let mut refused: u32 = 0;
-    loop {
-        match job_rx.recv_timeout(config.registry_poll) {
-            Ok(job) => {
-                process_job(&mut state, &job, &shared, &reply_txs);
-                let was = shared.replica_depth[replica_idx].fetch_sub(1, Ordering::Relaxed);
-                state.depth_gauge.set((was - 1) as f64);
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            // Every sender is gone (workers drained at shutdown; for
-            // peers, replica 0 exited too); nothing can be in flight.
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-
-        // Only replica 0 polls the registry. It resolves the target
-        // version once and broadcasts a pinned swap to its peers, so
-        // every replica loads the same version exactly once.
-        if replica_idx == 0 && last_poll.elapsed() >= config.registry_poll {
-            last_poll = Instant::now();
-            let newer = shared
-                .latest_version()
-                .filter(|&v| v > state.registry_version.max(refused));
-            if let Some(latest) = newer {
-                {
-                    let _order = shared.broadcast.lock().unwrap();
-                    for (peer, tx) in peer_txs.iter().enumerate() {
-                        shared.replica_depth[peer + 1].fetch_add(1, Ordering::Relaxed);
-                        let job = Job {
-                            route: None,
-                            kind: JobKind::Swap { target: latest },
-                        };
-                        if tx.send(job).is_err() {
-                            shared.replica_depth[peer + 1].fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                try_swap(&mut state, &shared, latest);
-                if state.registry_version < latest {
-                    refused = latest;
-                }
-            }
-        }
+    // Ends once every sender is gone: the workers have drained at
+    // shutdown, so nothing can be in flight.
+    for job in job_rx {
+        process_job(&mut state, &job, &shared);
+        let was = shared.replica_depth[replica_idx].fetch_sub(1, Ordering::Relaxed);
+        state.depth_gauge.set((was - 1) as f64);
     }
 }
 
-fn init_replica<F>(
-    replica_idx: usize,
-    build: &F,
-    shared: &Shared,
-    pinned_version: u32,
-) -> Result<ModelState, String>
+fn init_replica<F>(replica_idx: usize, build: &F, shared: &Shared) -> Result<ModelState, String>
 where
     F: Fn() -> stwa_tensor::Result<StwaModel>,
 {
+    // No swap can start before every replica is ready, so the published
+    // version is still the pinned one.
+    let pinned_version = shared.version.load(Ordering::Acquire) as u32;
     let model = build().map_err(|e| format!("build model: {e}"))?;
     let frozen = match &shared.registry {
         Some((reg, name)) if pinned_version > 0 => {
@@ -1360,20 +1369,15 @@ where
 /// Apply one job to the replica and answer it. Jobs run to completion
 /// in channel order, so a forecast answers for exactly the window and
 /// version its replica held when the job's turn came.
-fn process_job(
-    state: &mut ModelState,
-    job: &Job,
-    shared: &Shared,
-    reply_txs: &[(Sender<Reply>, Waker)],
-) {
+fn process_job(state: &mut ModelState, job: &Job, shared: &Shared) {
     match &job.kind {
         JobKind::Forecast { sensor, horizon } => {
             let Some(route) = job.route else { return };
             let packaged = match forecast(state, shared, *sensor, *horizon) {
                 Ok(body) => ok_response(body, route.keep_alive),
-                Err(e) => error_response(500, &format!("eval: {e}"), route.keep_alive),
+                Err(e) => eval_error_response(&format!("eval: {e}"), route.keep_alive),
             };
-            send_reply(reply_txs, route, packaged, false);
+            send_reply(shared, route, packaged, false);
         }
         JobKind::Observe { frame } => {
             let superseded = state.window_fp;
@@ -1393,35 +1397,15 @@ fn process_job(
                 stwa_observe::counter!("serve.cache_purged").add(purged as u64);
             }
             if let Some(route) = job.route {
-                let body = proto::observe_ack(public_version(state), state.window_fp);
-                send_reply(reply_txs, route, ok_response(body, route.keep_alive), true);
+                let body = proto::observe_ack(state.registry_version as u64, state.window_fp);
+                send_reply(shared, route, ok_response(body, route.keep_alive), true);
             }
         }
-        JobKind::Swap { target } => {
-            let before = state.registry_version;
-            try_swap(state, shared, *target);
-            let swapped = state.registry_version != before;
-            if let Some(route) = job.route {
-                if swapped {
-                    // The responder answers only after the whole
-                    // pool has flipped — no mixed-version serving
-                    // once the admin call returns.
-                    wait_for_pool_flip(shared, public_version(state));
-                }
-                let doc = Json::Obj(vec![
-                    ("swapped".into(), Json::Bool(swapped)),
-                    ("version".into(), Json::Num(public_version(state) as f64)),
-                    (
-                        "registry_version".into(),
-                        Json::Num(state.registry_version as f64),
-                    ),
-                ]);
-                send_reply(
-                    reply_txs,
-                    route,
-                    ok_response(doc.to_string().into_bytes(), route.keep_alive),
-                    false,
-                );
+        // Dropping this copy after the job may drop the ticket, and
+        // with it answer the swap.
+        JobKind::Swap(ticket) => {
+            if try_swap(state, shared, ticket.target) {
+                ticket.flipped.store(true, Ordering::Relaxed);
             }
         }
     }
@@ -1455,7 +1439,7 @@ fn forecast(
     let (u, f) = (state.dims.horizon, state.dims.features);
     let start = sensor as usize * u * f;
     let sliced = Arc::new(full[start..start + horizon as usize * f].to_vec());
-    let version = public_version(state);
+    let version = state.registry_version as u64;
     shared.cache.put(
         CacheKey {
             version,
@@ -1481,69 +1465,47 @@ fn apply_observe(state: &mut ModelState, frame: &[f32]) {
 }
 
 /// Swap this replica's serving snapshot to registry version `target`
-/// (a no-op unless it is newer than the one loaded). The flip happens
-/// between jobs and reports to the pool-wide barrier, which publishes
-/// the shared version and purges the old one's cache entries only
-/// once every replica has left it, so the cache never loses both
-/// versions mid-swap.
-fn try_swap(state: &mut ModelState, shared: &Shared, target: u32) {
+/// (a no-op unless it is newer than the one loaded); returns whether it
+/// flipped. The flip happens between jobs and reports to the pool-wide
+/// barrier; the flip that raises the floor publishes the shared version
+/// and purges the retired versions' cache entries, so the cache never
+/// loses both versions mid-swap.
+fn try_swap(state: &mut ModelState, shared: &Shared, target: u32) -> bool {
     let Some((registry, name)) = &shared.registry else {
-        return;
+        return false;
     };
     if target <= state.registry_version {
-        return;
+        return false;
     }
     match FrozenStwa::freeze_from_registry(&state.model, registry, name, Some(target)) {
         Ok(frozen) => {
             state.session = InferSession::from_frozen(frozen);
             state.registry_version = target;
             state.memo = None;
-            report_flip(state, shared);
+            let mut barrier = shared.barrier.lock().unwrap();
+            if let Some((retired, took)) = barrier.flip(state.replica_idx, target as u64) {
+                shared.version.store(retired.end, Ordering::Release);
+                for version in retired {
+                    shared.cache.purge_version(version);
+                }
+                shared.swaps.fetch_add(1, Ordering::Relaxed);
+                stwa_observe::counter!("serve.swaps").incr();
+                let us = took.as_micros() as u64;
+                shared.swap_us.store(us, Ordering::Relaxed);
+                stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
+            }
+            true
         }
         Err(_) => {
             // Registry load failed (corrupt or mismatched version, IO
-            // error): keep serving the current session. A refused load
+            // error): keep serving the current session. A failed load
             // commits nothing — every name and shape is checked before
             // the store is written — so the store still holds the
             // weights this session was frozen from.
             shared.swap_errors.fetch_add(1, Ordering::Relaxed);
             stwa_observe::counter!("serve.swap_errors").incr();
+            false
         }
-    }
-}
-
-/// Pool-wide swap barrier. Each replica reports here after flipping;
-/// the one whose flip raises the pool's lowest served version
-/// publishes it, purges the retired versions' cache entries, and
-/// records the swap duration.
-fn report_flip(state: &ModelState, shared: &Shared) {
-    let mut st = shared.swap_state.lock().unwrap();
-    st.serving[state.replica_idx] = public_version(state);
-    let started = *st.started.get_or_insert_with(Instant::now);
-    let floor = *st.serving.iter().min().expect("at least one replica");
-    let published = shared.version.load(Ordering::Acquire);
-    if floor > published {
-        shared.version.store(floor, Ordering::Release);
-        for retired in published..floor {
-            shared.cache.purge_version(retired);
-        }
-        shared.swaps.fetch_add(1, Ordering::Relaxed);
-        stwa_observe::counter!("serve.swaps").incr();
-        let us = started.elapsed().as_micros() as u64;
-        shared.swap_us.store(us, Ordering::Relaxed);
-        stwa_observe::gauge!("serve.swap_ms").set(us as f64 / 1000.0);
-        st.started = None;
-    }
-}
-
-/// Block until the whole pool serves at least `target` (the admin-swap
-/// responder uses this so "swapped: true" means the whole pool moved).
-/// Bounded: a replica whose load failed reports `swap_errors` instead
-/// of flipping, and the wait gives up rather than deadlocking.
-fn wait_for_pool_flip(shared: &Shared, target: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while shared.version.load(Ordering::Acquire) < target && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -1553,33 +1515,17 @@ fn ok_response(body: Vec<u8>, keep_alive: bool) -> (Vec<u8>, bool) {
     (out, !keep_alive)
 }
 
-fn error_response(status: u16, message: &str, keep_alive: bool) -> (Vec<u8>, bool) {
-    let reason = match status {
-        400 => "Bad Request",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
+/// A forecast whose evaluation failed: the only error a replica sends.
+fn eval_error_response(message: &str, keep_alive: bool) -> (Vec<u8>, bool) {
     let mut out = Vec::new();
-    http::write_response(
-        &mut out,
-        status,
-        reason,
-        "application/json",
-        &proto::error_body(message),
-        keep_alive,
-    );
+    let body = proto::error_body(message);
+    http::write_response(&mut out, 500, "Internal Server Error", "application/json", &body, keep_alive);
     (out, !keep_alive)
 }
 
-fn send_reply(
-    reply_txs: &[(Sender<Reply>, Waker)],
-    route: Route,
-    packaged: (Vec<u8>, bool),
-    observe: bool,
-) {
+fn send_reply(shared: &Shared, route: Route, packaged: (Vec<u8>, bool), observe: bool) {
     let (bytes, close_after) = packaged;
-    if let Some((tx, waker)) = reply_txs.get(route.worker) {
+    if let Some((tx, waker)) = shared.replies.get(route.worker) {
         if tx
             .send(Reply {
                 conn: route.conn,
@@ -1608,6 +1554,11 @@ mod tests {
         out
     }
 
+    /// The state of a one-replica server without a registry or workers.
+    fn test_shared() -> Arc<Shared> {
+        Arc::new(Shared::new(&ServeConfig::default(), None, 0, 1, Vec::new()))
+    }
+
     /// A non-blocking peer socket and the worker-side `Conn` it talks
     /// to, for driving the worker's connection functions by hand.
     fn connected() -> (TcpStream, Conn) {
@@ -1628,7 +1579,7 @@ mod tests {
     fn a_peer_that_does_not_read_stalls_at_the_write_buffer_cap() {
         let response = healthz_response();
         let (mut peer, mut conn) = connected();
-        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        let shared = test_shared();
         let pump = |conn: &mut Conn| {
             assert!(!read_and_dispatch(0, TOKEN_CONN0, conn, &shared, &DIMS, &[]));
             let owed = conn.wbuf.len() - conn.wpos;
@@ -1698,7 +1649,7 @@ mod tests {
     fn answers_parked_behind_a_replica_round_trip_count_against_the_cap() {
         let response = healthz_response();
         let (mut peer, mut conn) = connected();
-        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        let shared = test_shared();
         // Request 0 is at a replica (as `dispatch_buffered` leaves it).
         conn.next_seq = 1;
         conn.inflight = 1;
@@ -1755,7 +1706,7 @@ mod tests {
     fn a_flush_that_makes_room_resumes_the_buffered_requests() {
         let response = healthz_response();
         let (_peer, mut conn) = connected();
-        let shared = Shared::new(&ServeConfig::default(), None, 0, 1);
+        let shared = test_shared();
         let requests = 2 * WBUF_CAP / response.len();
         conn.rbuf = HEALTHZ.repeat(requests);
         assert!(!read_and_dispatch(0, TOKEN_CONN0, &mut conn, &shared, &DIMS, &[]));
@@ -1763,5 +1714,242 @@ mod tests {
         // Either every request was answered, or the kernel refused
         // more and the connection is waiting for its peer to read.
         assert!(parsed == requests || conn.backlogged(), "{parsed} of {requests} parsed, then idle");
+    }
+
+    /// Every interleaving of the replicas' flip sequences, each
+    /// replica's own sequence kept in order: `(replica, version)` steps.
+    fn interleavings(plans: &[Vec<u64>]) -> Vec<Vec<(usize, u64)>> {
+        fn walk(
+            plans: &[Vec<u64>],
+            next: &mut [usize],
+            order: &mut Vec<(usize, u64)>,
+            out: &mut Vec<Vec<(usize, u64)>>,
+        ) {
+            if order.len() == plans.iter().map(Vec::len).sum::<usize>() {
+                out.push(order.clone());
+            }
+            for r in 0..plans.len() {
+                if let Some(&version) = plans[r].get(next[r]) {
+                    next[r] += 1;
+                    order.push((r, version));
+                    walk(plans, next, order, out);
+                    order.pop();
+                    next[r] -= 1;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(plans, &mut vec![0; plans.len()], &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Drives a barrier pinned at v1 through `order`, checking each
+    /// flip against the floor recomputed from scratch; returns the
+    /// retired versions in purge order and the number of rises.
+    fn drive(replicas: usize, order: &[(usize, u64)]) -> (SwapBarrier, Vec<u64>, usize) {
+        let mut barrier = SwapBarrier::new(replicas, 1);
+        let mut serving = vec![1u64; replicas];
+        let (mut purged, mut rises) = (Vec::new(), 0);
+        for &(replica, version) in order {
+            let before = barrier.published;
+            serving[replica] = version;
+            let floor = *serving.iter().min().unwrap();
+            let retired = barrier.flip(replica, version);
+            assert_eq!(barrier.published, floor, "published is the lowest version served: {order:?}");
+            assert!(barrier.published >= before, "the published version fell: {order:?}");
+            match retired {
+                Some((range, _)) => {
+                    assert_eq!(range, before..floor, "{order:?}");
+                    assert!(floor > before, "a purge without a rise: {order:?}");
+                    purged.extend(range);
+                    rises += 1;
+                }
+                None => assert_eq!(floor, before, "a rise without a purge: {order:?}"),
+            }
+        }
+        (barrier, purged, rises)
+    }
+
+    /// Back-to-back swaps v1 → v2 → v3 over 2 and 3 replicas, in every
+    /// order the replica threads could flip. A replica either takes
+    /// both swaps or (its v2 load refused) goes straight to v3.
+    #[test]
+    fn every_order_of_back_to_back_flips_publishes_the_floor_once_per_rise() {
+        for replicas in [2usize, 3] {
+            let mut orders = 0;
+            for skips in 0..1u32 << replicas {
+                let plans: Vec<Vec<u64>> = (0..replicas)
+                    .map(|r| if skips >> r & 1 == 1 { vec![3] } else { vec![2, 3] })
+                    .collect();
+                for order in interleavings(&plans) {
+                    let (barrier, purged, rises) = drive(replicas, &order);
+                    assert_eq!(barrier.published, 3);
+                    assert_eq!(purged, [1, 2], "each retired version purged once: {order:?}");
+                    assert!(rises == 1 || rises == 2, "{order:?}");
+                    assert!(barrier.started.is_none(), "a finished swap leaves no clock running");
+                    orders += 1;
+                }
+            }
+            // 2 replicas: 6 + 2·3 + 2 orders; 3 replicas: 90 + 3·30 + 3·12 + 6.
+            assert_eq!(orders, if replicas == 2 { 14 } else { 222 });
+        }
+    }
+
+    /// A replica whose loads keep failing serves v1 still, so however
+    /// far its peers go the pool publishes v1 and purges nothing; once
+    /// it takes a later version the floor rises in one step.
+    #[test]
+    fn a_replica_that_never_flips_holds_the_floor_down() {
+        for order in interleavings(&[vec![2, 3], vec![], vec![2, 3]]) {
+            let (mut barrier, purged, rises) = drive(3, &order);
+            assert_eq!((barrier.published, purged.len(), rises), (1, 0, 0), "{order:?}");
+            let (retired, _) = barrier.flip(1, 3).expect("the last replica's flip raises the floor");
+            assert_eq!((retired, barrier.published), (1..3, 3));
+        }
+    }
+
+    /// One request a worker answers inline: its bytes, its status, and
+    /// whether the connection ends after it.
+    fn inline_request(kind: usize, variant: usize) -> (Vec<u8>, u16, bool) {
+        let fixed = |bytes: &[u8], status, closes| (bytes.to_vec(), status, closes);
+        match kind {
+            0 => fixed(b"GET /healthz HTTP/1.1\r\n\r\n", 200, false),
+            1 => fixed(b"GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n", 404, false),
+            // The body holds a blank line of its own.
+            2 => fixed(b"POST /nowhere HTTP/1.1\r\nContent-Length: 9\r\n\r\n\r\n\r\nbody!", 404, false),
+            3 => fixed(b"GET /forecast?sensor=7&horizon=1 HTTP/1.1\r\n\r\n", 400, false),
+            4 => fixed(b"GET /forecast?sensor=0&horizon=0 HTTP/1.1\r\n\r\n", 400, false),
+            5 => fixed(b"GET /forecast?sensor=x HTTP/1.1\r\n\r\n", 400, false),
+            6 => fixed(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200, true),
+            7 => fixed(b"GET /healthz HTTP/1.0\r\n\r\n", 200, true),
+            8 => {
+                let malformed: [(&[u8], u16); 6] = [
+                    (b"NONSENSE\r\n\r\n", 400),
+                    (b"GET / HTTP/2\r\n\r\n", 505),
+                    (b"GET / HTTP/1.1\r\nNoColon\r\n\r\n", 400),
+                    (b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+                    (b"POST / HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+                    (b"GET /\xff HTTP/1.1\r\n\r\n", 400),
+                ];
+                let (bytes, status) = malformed[variant % malformed.len()];
+                fixed(bytes, status, true)
+            }
+            // A head within a few bytes of the limit on either side.
+            _ => {
+                let line = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+                let head = http::MAX_HEAD - 4 + variant % 8;
+                let bytes = format!("{line}{}\r\n\r\n", "p".repeat(head - line.len())).into_bytes();
+                if head <= http::MAX_HEAD {
+                    (bytes, 200, false)
+                } else {
+                    (bytes, 431, true)
+                }
+            }
+        }
+    }
+
+    /// What a peer that reads nothing is sent for `pieces` arriving one
+    /// read at a time, the worker pumping after each. A replica channel
+    /// the test holds takes whatever is dispatched. Checks after every
+    /// pump that the connection owes at most `WBUF_CAP` plus one
+    /// response (no inline response reaches 1 KiB).
+    fn served<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+        let (mut peer, mut conn) = connected();
+        let shared = test_shared();
+        let (replica, _jobs) = std::sync::mpsc::channel::<Job>();
+        let job_txs = [replica];
+        for piece in pieces {
+            conn.rbuf.extend_from_slice(piece);
+            let dead = read_and_dispatch(0, TOKEN_CONN0, &mut conn, &shared, &DIMS, &job_txs);
+            let owed = conn.wbuf.len() - conn.wpos + conn.parked;
+            assert!(owed <= WBUF_CAP + 1024, "the connection owes {owed} bytes");
+            if dead {
+                break;
+            }
+        }
+        drop(conn);
+        peer.set_nonblocking(false).unwrap();
+        let mut out = Vec::new();
+        peer.read_to_end(&mut out).unwrap();
+        out
+    }
+
+    /// `bytes` cut at every offset in `cuts`.
+    fn split(bytes: &[u8], mut cuts: Vec<usize>) -> Vec<&[u8]> {
+        cuts.push(bytes.len());
+        cuts.sort_unstable();
+        let mut start = 0;
+        cuts.into_iter()
+            .map(|end| {
+                let piece = &bytes[start..end];
+                start = end;
+                piece
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The bytes a connection is sent do not depend on how its
+        /// requests were cut into reads. Half the cuts land on or inside
+        /// the blank line that ends a head, where the head is judged.
+        #[test]
+        fn responses_do_not_depend_on_where_reads_split_the_requests(
+            requests in proptest::collection::vec((0usize..10, 0usize..64), 1..8),
+            cuts in proptest::collection::vec((proptest::any::<bool>(), proptest::any::<usize>(), 0usize..4), 0..10),
+        ) {
+            let requests: Vec<_> = requests.into_iter().map(|(kind, variant)| inline_request(kind, variant)).collect();
+            let stream: Vec<u8> = requests.iter().flat_map(|(bytes, _, _)| bytes.clone()).collect();
+            let blank_lines: Vec<usize> = (4..=stream.len()).filter(|&end| &stream[end - 4..end] == b"\r\n\r\n").collect();
+            let cuts: Vec<usize> = cuts
+                .into_iter()
+                .map(|(near_blank, at, back)| {
+                    if near_blank {
+                        blank_lines[at % blank_lines.len()] - back
+                    } else {
+                        at % (stream.len() + 1)
+                    }
+                })
+                .collect();
+
+            let whole = served([stream.as_slice()]);
+            let mut statuses = Vec::new();
+            let mut rest = whole.as_slice();
+            while let Some((resp, used)) = crate::client::parse_response(rest).unwrap() {
+                statuses.push(resp.status);
+                rest = &rest[used..];
+            }
+            proptest::prop_assert!(rest.is_empty());
+            let closer = requests.iter().position(|r| r.2).map_or(requests.len(), |i| i + 1);
+            let want: Vec<u16> = requests[..closer].iter().map(|r| r.1).collect();
+            proptest::prop_assert_eq!(statuses, want);
+            let pieces = served(split(&stream, cuts.clone()));
+            let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+            proptest::prop_assert!(pieces == whole, "cut at {:?}:\n{}\nread whole:\n{}", cuts, text(&pieces), text(&whole));
+        }
+
+        /// Arbitrary bytes, valid request fragments among them, never
+        /// panic the read path or let a connection run past the cap.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_read_path(
+            tokens in proptest::collection::vec((0usize..14, proptest::any::<u64>()), 0..48),
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..12),
+        ) {
+            const FRAGMENTS: [&[u8]; 12] = [
+                b"GET ", b"POST ", b"/forecast?sensor=0&horizon=1", b"/observe", b"/admin/swap",
+                b"/stats", b"/healthz", b" HTTP/1.1\r\n", b"Content-Length: 13\r\n",
+                b"Connection: close\r\n", b"\r\n", b"{\"frame\":[1]}",
+            ];
+            let mut stream = Vec::new();
+            for (token, bits) in tokens {
+                match FRAGMENTS.get(token) {
+                    Some(fragment) => stream.extend_from_slice(fragment),
+                    None => stream.extend_from_slice(&bits.to_le_bytes()[..bits as usize % 9]),
+                }
+            }
+            let cuts = cuts.into_iter().map(|at| at % (stream.len() + 1)).collect();
+            served(split(&stream, cuts));
+        }
     }
 }

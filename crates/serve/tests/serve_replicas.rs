@@ -23,8 +23,8 @@ fn config(replicas: usize) -> ServeConfig {
         io_threads: 2,
         model_threads: replicas,
         ttl: Duration::from_secs(300),
-        // Swaps in these tests are admin-triggered only, so a publish
-        // never races the poller.
+        // Swaps are admin-triggered unless a test sets a short poll of
+        // its own, so a publish never races the poller.
         registry_poll: Duration::from_secs(60),
         ..ServeConfig::default()
     }
@@ -282,8 +282,8 @@ fn racing_admin_swaps_over_back_to_back_publishes_keep_the_pool_on_one_version()
     // Two admin connections swap in a loop while v2 and v3 land back
     // to back, so swaps pinned to v2 and to v3 interleave on the
     // replica channels. A pool split across versions, or a barrier
-    // stranded between two targets, shows up as a call that sits out
-    // the responder's 10 s give-up.
+    // stranded between two targets, shows up as a call that never
+    // reads v3 or one that stalls.
     let swappers: Vec<_> = (0..2)
         .map(|_| {
             std::thread::spawn(move || {
@@ -330,6 +330,63 @@ fn racing_admin_swaps_over_back_to_back_publishes_keep_the_pool_on_one_version()
         }
     }
     let stats = client.get("/stats").unwrap();
+    assert_eq!(stat(&stats.body, "swap_errors"), 0.0);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_polled_swap_flips_every_replica_of_the_pool() {
+    let root = std::env::temp_dir().join(format!("stwa_serve_pool_poll_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let registry = Registry::open(&root).unwrap();
+    let publish = |seed: u64| {
+        registry
+            .publish("ST-WA", &TrainCheckpoint::params_only("ST-WA", model(seed).store()))
+            .unwrap()
+    };
+    assert_eq!(publish(101), 1);
+    let poll = Duration::from_millis(20);
+    let cfg = ServeConfig {
+        registry: Some((root.clone(), "ST-WA".to_string())),
+        registry_poll: poll,
+        ..config(3)
+    };
+    let server = Server::start(cfg, || Ok(model(1))).unwrap();
+    let dims = server.dims();
+    let (n, h, f) = (dims.sensors, dims.history, dims.features);
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // No admin call: the poll alone must carry the pool to v2, and
+    // `/stats` names v2 only once the last replica has flipped.
+    assert_eq!(publish(202), 2);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while stat(&client.get("/stats").unwrap().body, "version") != 2.0 {
+        assert!(std::time::Instant::now() < deadline, "the poll never swapped the pool");
+        std::thread::sleep(poll / 4);
+    }
+
+    // Three fresh windows send their misses to the three replicas in
+    // turn; every answer is v2's, bitwise.
+    let v2 = InferSession::new(&model(202)).unwrap();
+    let mut window = vec![0.0f32; n * h * f];
+    for t in 0..3 {
+        let fr = frame(40 + t, n, f);
+        assert_eq!(client.post("/observe", &observe_body(&fr)).unwrap().status, 200);
+        apply_frame(&mut window, &fr, n, h, f);
+        for sensor in 0..n {
+            let resp = client.get(&format!("/forecast?sensor={sensor}&horizon=2")).unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(response_version(&resp.body), 2, "step {t} sensor {sensor}");
+            let got = stwa_serve::proto::parse_forecast_values(&resp.body).unwrap();
+            let want = direct_eval(&v2, &window, n, h, f, sensor, 2);
+            assert_bitwise(&got, &want, &format!("polled swap step {t} sensor {sensor}"));
+        }
+    }
+    let stats = client.get("/stats").unwrap();
+    assert_eq!(replica_evals(&stats.body), [1, 1, 1], "one forward per window, one window per replica");
+    assert_eq!(stat(&stats.body, "swaps"), 1.0);
     assert_eq!(stat(&stats.body, "swap_errors"), 0.0);
 
     server.shutdown();
